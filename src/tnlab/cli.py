@@ -76,7 +76,7 @@ def _cmd_scan(args) -> int:
     rows = scan_tn(args.lo, args.hi, cap=args.cap,
                    use_shortcut=not args.no_shortcut,
                    include_witness=args.witness,
-                   supplier=None if args.workers > 1 else _supplier(args),
+                   supplier=_supplier(args),
                    workers=args.workers)
     config = _config_dict(args, ["lo", "hi", "cap", "no_shortcut", "witness", "format"])
     if args.format == "csv":

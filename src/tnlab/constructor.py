@@ -17,12 +17,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import PipelineFailed, RangeError, UsageError
-from .gf2 import EchelonBasis, kernel_masks
+from .gf2 import kernel_masks, mask_bits, split_kernel
 from .sieve import SpfTable, build_spf_table, primes_up_to, smooth_in_interval
 from .tn import ParitySupplier
 
@@ -91,13 +92,11 @@ def build_small_tn(lo: int, hi: int, y: float,
     if len(smooths) <= len(primes_up_to(y_int)):
         return None
     supplier = ParitySupplier(table)
-    basis = EchelonBasis()
-    for m in smooths:
-        outcome = basis.insert(supplier.support(m), m)
-        if outcome.dependent:
-            members = sorted(outcome.combination | {m})
-            n = members[0]
-            return n, tuple(v - n for v in members[1:])
+    bound = isqrt(smooths[-1])
+    for mask in split_kernel(supplier.split(m, bound) for m in smooths):
+        members = [smooths[i] for i in mask_bits(mask)]
+        n = members[0]
+        return n, tuple(v - n for v in members[1:])
     raise AssertionError("more smooth values than primes must force a dependency")
 
 
@@ -255,7 +254,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
         raise PipelineFailed("symdiff", "largest symmetric difference has < 2 elements")
 
     union = family[i] ^ family[j]
-    members = sorted(smooths[b] for b in _mask_bits(union))
+    members = sorted(smooths[b] for b in mask_bits(union))
     n = members[0]
     span = members[-1] - n
     interior = tuple(m - n for m in members[1:-1])
@@ -304,14 +303,5 @@ def _draw_family(masks: list[int], rng: random.Random, family_size: int) -> list
     return list(seen)
 
 
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _mask_to_indexset(mask: int) -> frozenset[int]:
-    return frozenset(_mask_bits(mask))
+    return frozenset(mask_bits(mask))

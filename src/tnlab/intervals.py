@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Optional
 
 from .errors import CapExceeded, RangeError
-from .gf2 import EchelonBasis
+from .gf2 import mask_bits, split_kernel
 from .sieve import primes_up_to
 from .tn import ParitySupplier, compute_tn, default_supplier, large_prime_shortcut
 
@@ -123,13 +123,9 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
 
 
 def _kernel_sets(elements: list[int], supplier: ParitySupplier) -> list[tuple[int, ...]]:
-    basis = EchelonBasis()
-    kernel = []
-    for e in elements:
-        outcome = basis.insert(supplier.support(e), e)
-        if outcome.dependent:
-            kernel.append(tuple(sorted(outcome.combination | {e})))
-    return kernel
+    bound = isqrt(elements[-1])
+    vectors = [supplier.split(e, bound) for e in elements]
+    return [tuple(elements[i] for i in mask_bits(mask)) for mask in split_kernel(vectors)]
 
 
 @dataclass(frozen=True)

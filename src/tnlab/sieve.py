@@ -17,6 +17,8 @@ from .errors import DomainError, RangeError
 # Default cap on table entries; override via build_spf_table(max_entries=...).
 DEFAULT_MAX_ENTRIES = 2 ** 31
 
+_LPF_CHUNK = 1 << 16
+
 
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n via a bytearray sieve."""
@@ -55,13 +57,19 @@ class SpfTable:
         exceptional-set scans.
         """
         if self._lpf is None:
+            # P+(m) = max(spf(m), P+(m / spf(m))), and m / spf(m) <= m / 2,
+            # so a block [a, 2a) only reads entries below a: one numpy pass
+            # per block, in chunks small enough to keep temporaries small
             n = self.limit
+            spf = self._spf
             lpf = np.zeros(n + 1, dtype=np.int64)
             lpf[1] = 1
-            spf = self._spf
-            for p in range(2, n + 1):
-                if spf[p] == p:
-                    lpf[p::p] = p
+            a = 2
+            while a <= n:
+                b = min(2 * a, a + _LPF_CHUNK, n + 1)
+                s = spf[a:b]
+                np.maximum(s, lpf[np.arange(a, b) // s], out=lpf[a:b])
+                a = b
             lpf.setflags(write=False)
             self._lpf = lpf
         return self._lpf

@@ -18,8 +18,8 @@ from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, DomainError, RangeError
-from .gf2 import EchelonBasis, SpanTarget
-from .sieve import PrimeCache, SpfTable, build_spf_table, factorize_trial
+from .gf2 import SplitBasis, mask_bits
+from .sieve import PrimeCache, SpfTable, build_spf_table, factorize_trial, primes_up_to
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -28,18 +28,40 @@ DEFAULT_TABLE_LIMIT = 1 << 20
 
 
 class ParitySupplier:
-    """Serves exponent-parity supports (and largest prime factors) for
+    """Serves exponent-parity vectors (and largest prime factors) for
     arbitrary positive integers.
 
     Values within the table are factored by smallest-prime-factor walks;
     larger values fall back to trial division with a growable prime list.
-    Results are memoized so overlapping scan windows share work.
+    Parity vectors come as prime sets (support) or as memoized split pairs
+    (pair) for the elimination; memoization lets overlapping scan windows
+    share work.
     """
 
     def __init__(self, table: Optional[SpfTable] = None, cache: bool = True):
         self.table = table
         self._primes = PrimeCache()
         self._support_cache: Optional[dict[int, frozenset[int]]] = {} if cache else None
+        self._pair_cache: Optional[dict[int, tuple[int, int]]] = {} if cache else None
+        self._rank: dict[int, int] = {}
+        self._rank_bound = 1
+
+    def _odd_primes(self, m: int) -> list[int]:
+        """The primes dividing m to an odd power, ascending."""
+        table = self.table
+        if table is None or m > table.limit:
+            return [p for p, e in factorize_trial(m, self._primes.covering(m)).factors if e & 1]
+        spf = table._spf
+        odd = []
+        while m > 1:
+            p = int(spf[m])
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e & 1:
+                odd.append(p)
+        return odd
 
     def support(self, m: int) -> frozenset[int]:
         cache = self._support_cache
@@ -47,25 +69,61 @@ class ParitySupplier:
             hit = cache.get(m)
             if hit is not None:
                 return hit
-        key = m
-        table = self.table
-        if table is not None and m <= table.limit:
-            spf = table._spf
-            odd = set()
-            while m > 1:
-                p = int(spf[m])
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if e & 1:
-                    odd.add(p)
-            out = frozenset(odd)
-        else:
-            out = factorize_trial(m, self._primes.covering(m)).odd_parity_primes()
+        out = frozenset(self._odd_primes(m))
         if cache is not None:
-            cache[key] = out
+            cache[m] = out
         return out
+
+    def ranks(self, bound: int) -> dict[int, int]:
+        """Map from each prime p <= bound (and possibly a few more) to its
+        rank, where 2 has rank 0. Grows lazily; ranks never change.
+
+        Ranks are kept as ints, not as 1 << rank: those masks would take
+        pi(B)^2 / 16 bytes in all, about 400 MB at B = 10^6.
+        """
+        if bound > self._rank_bound:
+            self._rank_bound = max(bound, 2 * self._rank_bound)
+            rank = self._rank
+            for r, p in enumerate(primes_up_to(self._rank_bound)):
+                if r >= len(rank):
+                    rank[p] = r
+        return self._rank
+
+    def pair(self, m: int) -> tuple[int, int]:
+        """(top, rest): the largest prime dividing m to an odd power (0 for
+        a square) and the rank bitset of the other such primes, which are
+        all below sqrt(m). Memoized.
+
+        The split vector of m under a bound B >= isqrt(m) is (top, rest)
+        when top > B, and (0, rest | 1 << rank(top)) otherwise.
+        """
+        cache = self._pair_cache
+        if cache is not None:
+            hit = cache.get(m)
+            if hit is not None:
+                return hit
+        odd = self._odd_primes(m)
+        if odd:
+            top = odd.pop()
+            rest = 0
+            if odd:
+                rank = self.ranks(odd[-1])
+                for p in odd:
+                    rest |= 1 << rank[p]
+            out = (top, rest)
+        else:
+            out = (0, 0)
+        if cache is not None:
+            cache[m] = out
+        return out
+
+    def split(self, m: int, bound: int) -> tuple[int, int]:
+        """The split vector (q, bits) of m under the bound B = `bound`,
+        which must be at least isqrt(m)."""
+        q, bits = self.pair(m)
+        if 0 < q <= bound:
+            return 0, bits | 1 << self.ranks(q)[q]
+        return q, bits
 
     def p_plus(self, m: int) -> int:
         """Largest prime factor, with 1 for m = 1."""
@@ -155,22 +213,35 @@ def compute_tn(n: int,
         # witness requested for a shortcut row: the search is guaranteed to
         # terminate at exactly t = P+(n), so the cap cannot apply
         limit = shortcut_t
-    basis = EchelonBasis()
-    target = SpanTarget(basis, supplier.support(n))
-    insert = basis._insert_raw
-    support = supplier.support
-    notify = target.notify
+    # every value n..n+limit has at most one prime above this bound
+    bound = isqrt(n + limit)
+    rank = supplier.ranks(bound)
+    pair = supplier.pair
+    basis = SplitBasis(len(rank))
+    insert = basis.insert
+    target_q, target_bits = supplier.split(n, bound)
+    target_mask = 0
+    target_pivot = target_q or target_bits.bit_length() - 1
     j = 0
     while j < limit:
         j += 1
-        pivot = insert(support(n + j), j)
-        if pivot is not None and notify(pivot):
-            witness = tuple(sorted(target.combination()))
-            assert witness and witness[-1] == j, "witness must peak at t_n"
-            if shortcut_t is not None:
-                assert j == shortcut_t, "shortcut disagrees with full search"
-            return TnResult(n, j, witness if include_witness else None,
-                            shortcut_used=shortcut_t is not None)
+        q, bits = pair(n + j)
+        if 0 < q <= bound:
+            bits |= 1 << rank[q]
+            q = 0
+        pivot = insert(q, bits)
+        if pivot is None or pivot != target_pivot:
+            continue
+        target_q, target_bits, target_mask = basis.reduce(target_q, target_bits, target_mask)
+        if target_q or target_bits:
+            target_pivot = target_q or target_bits.bit_length() - 1
+            continue
+        witness = tuple(i + 1 for i in mask_bits(target_mask))
+        assert witness and witness[-1] == j, "witness must peak at t_n"
+        if shortcut_t is not None:
+            assert j == shortcut_t, "shortcut disagrees with full search"
+        return TnResult(n, j, witness if include_witness else None,
+                        shortcut_used=shortcut_t is not None)
     raise CapExceeded(n, limit, j, basis.rank)
 
 
@@ -206,12 +277,16 @@ def scan_tn(lo: int, hi: int,
     Rows whose search cap is exhausted come back flagged (t = None,
     cap_exceeded=True) instead of aborting the scan. Output is identical
     for any worker count; with workers > 1 disjoint n-chunks are computed
-    in separate processes (each with its own supplier) and merged in order.
+    in separate processes (each with its own supplier, whose table has the
+    size of the caller's) and merged in order.
     """
     if not (1 <= lo <= hi):
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if workers > 1 and hi - lo >= 16:
-        return _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers)
+        table = supplier.table if supplier is not None else None
+        table_limit = table.limit if table is not None else DEFAULT_TABLE_LIMIT
+        return _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers,
+                              table_limit)
     supplier = supplier or default_supplier()
     return [_tn_row(n, cap, use_shortcut, include_witness, supplier)
             for n in range(lo, hi + 1)]
@@ -228,21 +303,29 @@ def _tn_row(n, cap, use_shortcut, include_witness, supplier) -> TnResult:
 _worker_supplier: Optional[ParitySupplier] = None
 
 
-def _scan_chunk(args) -> list[TnResult]:
-    lo, hi, cap, use_shortcut, include_witness = args
+def _chunk_supplier(table_limit: int) -> ParitySupplier:
+    """The supplier of a scan worker: one table of the caller's size,
+    built once per process."""
     global _worker_supplier
-    if _worker_supplier is None:
-        _worker_supplier = ParitySupplier(build_spf_table(DEFAULT_TABLE_LIMIT))
-    return [_tn_row(n, cap, use_shortcut, include_witness, _worker_supplier)
+    if _worker_supplier is None or _worker_supplier.table.limit != table_limit:
+        _worker_supplier = ParitySupplier(build_spf_table(table_limit))
+    return _worker_supplier
+
+
+def _scan_chunk(args) -> list[TnResult]:
+    lo, hi, cap, use_shortcut, include_witness, table_limit = args
+    supplier = _chunk_supplier(table_limit)
+    return [_tn_row(n, cap, use_shortcut, include_witness, supplier)
             for n in range(lo, hi + 1)]
 
 
-def _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers) -> list[TnResult]:
+def _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers,
+                   table_limit) -> list[TnResult]:
     from concurrent.futures import ProcessPoolExecutor
 
     count = hi - lo + 1
     chunk = max(256, count // (workers * 8))
-    tasks = [(a, min(a + chunk - 1, hi), cap, use_shortcut, include_witness)
+    tasks = [(a, min(a + chunk - 1, hi), cap, use_shortcut, include_witness, table_limit)
              for a in range(lo, hi + 1, chunk)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -250,7 +333,7 @@ def _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers) -> list[
     except (OSError, PermissionError):
         # Sandboxed environments without process support: fall back to
         # sequential, which produces identical output by construction.
-        return _scan_chunk((lo, hi, cap, use_shortcut, include_witness))
+        return _scan_chunk((lo, hi, cap, use_shortcut, include_witness, table_limit))
     return [row for part in parts for row in part]
 
 

@@ -92,3 +92,68 @@ def rho_quadrature(u: float, step: float = 1e-5) -> float:
         rho.append(r)
         cum.append(cum[i - 1] + step / 2 * (rho[i - 1] + r))
     return rho[total]
+
+
+def odd_support(n: int) -> frozenset[int]:
+    """Primes dividing n to an odd power, by trial division."""
+    return frozenset(p for p, e in trial_factor(n) if e & 1)
+
+
+class FrozensetBasis:
+    """The echelon basis over prime sets that the split-vector engine
+    replaced, kept as an oracle.
+
+    Rows are keyed by their pivot, the largest prime of the reduced
+    support, and each row carries the bitmask of the insertions (numbered
+    0, 1, ... in order) whose vectors XOR to it.
+    """
+
+    def __init__(self):
+        self.rows: dict[int, tuple[frozenset[int], int]] = {}
+        self.inserted = 0
+
+    def reduce(self, support: frozenset[int], mask: int = 0) -> tuple[frozenset[int], int]:
+        while support:
+            row = self.rows.get(max(support))
+            if row is None:
+                break
+            support = support ^ row[0]
+            mask ^= row[1]
+        return support, mask
+
+    def insert(self, support: frozenset[int]):
+        """Pivot of the new row, or (None, dependency mask incl. own bit)."""
+        support, mask = self.reduce(support, 1 << self.inserted)
+        self.inserted += 1
+        if support:
+            self.rows[max(support)] = (support, mask)
+            return max(support), None
+        return None, mask
+
+
+def frozenset_kernel_masks(supports) -> list[int]:
+    basis = FrozensetBasis()
+    out = []
+    for s in supports:
+        pivot, mask = basis.insert(s)
+        if pivot is None:
+            out.append(mask)
+    return out
+
+
+def frozenset_tn(n: int, cap: int, support=odd_support):
+    """(t, witness) from the frozenset engine's span search over offsets
+    1..cap, or None when the vector of n is not in the span by then. The
+    witness is the canonical one: the target's combination mask when it
+    first falls into the span."""
+    if is_square(n):
+        return 0, ()
+    basis = FrozensetBasis()
+    residual, mask = support(n), 0
+    for j in range(1, cap + 1):
+        pivot, _ = basis.insert(support(n + j))
+        if residual and pivot == max(residual):
+            residual, mask = basis.reduce(residual, mask)
+            if not residual:
+                return j, tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
+    return None

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_smooth, trial_factor
+from oracles import is_smooth, largest_prime_factor, trial_factor
 from tnlab.errors import DomainError, RangeError
 from tnlab.sieve import (build_spf_table, factorize, factorize_trial, primes_up_to,
                          psi_count, smooth_in_interval)
@@ -122,3 +122,11 @@ def test_psi_monotone(table):
         col = [psi_count(x, y, table) for x in (10, 50, 100, 500)]
         assert col == sorted(col)
     assert all(v >= 1 for v in vals)
+
+
+def test_largest_prime_factors_match_oracle():
+    limit = 70000
+    lpf = build_spf_table(limit).largest_prime_factors()
+    assert len(lpf) == limit + 1 and lpf[0] == 0
+    for m in list(range(1, 5000)) + list(range(limit - 3000, limit + 1)):
+        assert lpf[m] == largest_prime_factor(m)

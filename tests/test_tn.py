@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_tn, is_square, largest_prime_factor
 from tnlab.errors import CapExceeded, DomainError
+from tnlab import tn
 from tnlab.tn import (TnResult, compute_tn, large_prime_shortcut, render_results,
                       scan_tn, verify_witness)
 
@@ -133,6 +134,12 @@ def test_scan_workers_deterministic(supplier):
     seq = scan_tn(2, 80, include_witness=True, supplier=supplier)
     par = scan_tn(2, 80, include_witness=True, workers=2)
     assert seq == par
+
+
+def test_scan_chunk_uses_callers_table_limit(supplier):
+    rows = tn._scan_chunk((2, 60, None, True, True, 1 << 10))
+    assert tn._worker_supplier.table.limit == 1 << 10
+    assert rows == scan_tn(2, 60, include_witness=True, supplier=supplier)
 
 
 def test_render_csv(supplier):
