@@ -11,8 +11,6 @@ from .errors import (CapExceeded, DomainError, PipelineFailed, PreconditionError
                      RangeError, ResourceError, TnLabError, UsageError)
 from .sieve import (FactorizationRecord, SpfTable, build_spf_table, factorize,
                     primes_up_to, psi_count, smooth_in_interval)
-from .gf2 import (EchelonBasis, InsertOutcome, ParityVector, basis_insert,
-                  express_in_span, nullspace_subsets, parity_vector)
 from .tn import (ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
                  scan_tn, verify_witness)
 from .intervals import (IntervalReport, SquareSubsetEnumeration, check_interval_identity,

@@ -17,9 +17,7 @@ from typing import Optional
 from . import constructor, distribution, heights, intervals, runge
 from .errors import TnLabError
 from .sieve import build_spf_table
-from .tn import ParitySupplier, compute_tn, render_results, scan_tn
-
-DEFAULT_SIEVE_LIMIT = 1 << 20
+from .tn import DEFAULT_TABLE_LIMIT, ParitySupplier, compute_tn, render_results, scan_tn
 
 
 def _sieve_limit(args) -> int:
@@ -28,7 +26,7 @@ def _sieve_limit(args) -> int:
     env = os.environ.get("TNLAB_SIEVE_LIMIT")
     if env:
         return int(env)
-    return DEFAULT_SIEVE_LIMIT
+    return DEFAULT_TABLE_LIMIT
 
 
 def _config_dict(args, keys) -> dict:
@@ -164,8 +162,8 @@ def _cmd_curve_point(args) -> int:
 
 
 def _cmd_pell(args) -> int:
-    sols = heights.pell_solutions(args.J, args.search_limit)
-    config = _config_dict(args, ["J", "search_limit"])
+    sols = heights.pell_solutions(args.J)
+    config = _config_dict(args, ["J"])
     _emit_json({"solutions": [[x, y] for x, y in sols]}, config, args.out)
     return 0
 
@@ -302,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pell", help="all solutions of y^2 = x(x+J)")
     p.add_argument("--J", type=int, required=True)
-    p.add_argument("--limit", dest="search_limit", type=int)
     _add_common(p, with_format=False)
     p.set_defaults(func=_cmd_pell)
 

@@ -100,28 +100,22 @@ def build_small_tn(lo: int, hi: int, y: float,
     raise AssertionError("more smooth values than primes must force a dependency")
 
 
-def max_symdiff_pair(subsets: Sequence[frozenset],
+def max_symdiff_pair(masks: Sequence[int],
                      exhaustive_limit: int = EXHAUSTIVE_PAIR_LIMIT) -> tuple[int, int, int]:
-    """Indices (i, j) of a pair with maximal symmetric difference, plus its size.
+    """Indices (i, j) of a pair of subsets with maximal symmetric difference,
+    plus its size. Each subset is an int mask (bit b set when element b is
+    a member), so the difference of a pair is the popcount of its XOR.
 
     Exhaustive pair scan up to `exhaustive_limit` subsets; beyond that, one
     anchor set is fixed and scanned against all others (the counting
     argument guarantees the anchor already sees a far set when the family
     is large enough).
     """
-    k = len(subsets)
+    k = len(masks)
     if k < 2:
         raise UsageError("need at least 2 subsets")
-    if len(set(subsets)) != k:
+    if len(set(masks)) != k:
         raise UsageError("subsets must be distinct")
-    universe = sorted(set().union(*subsets))
-    bits = {e: i for i, e in enumerate(universe)}
-    masks = []
-    for s in subsets:
-        m = 0
-        for e in s:
-            m |= 1 << bits[e]
-        masks.append(m)
 
     best = (-1, 0, 0)
     if k <= exhaustive_limit:
@@ -247,8 +241,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     family = _draw_family(masks, rng, family_size)
     if len(family) < 2:
         raise PipelineFailed("family", "fewer than 2 distinct kernel members drawn")
-    subsets = [_mask_to_indexset(m) for m in family]
-    i, j, size = max_symdiff_pair(subsets)
+    i, j, size = max_symdiff_pair(family)
     timings["symdiff"] = time.perf_counter() - t2
     if size < 2:
         raise PipelineFailed("symdiff", "largest symmetric difference has < 2 elements")
@@ -301,7 +294,3 @@ def _draw_family(masks: list[int], rng: random.Random, family_size: int) -> list
             sel ^= low
         seen.setdefault(m, None)
     return list(seen)
-
-
-def _mask_to_indexset(mask: int) -> frozenset[int]:
-    return frozenset(mask_bits(mask))

@@ -45,10 +45,33 @@ class SpfTable:
         self.limit = limit
         self._spf = spf
         self._spf.setflags(write=False)
+        # factors() reads through a memoryview: it yields Python ints and is
+        # faster than numpy scalar indexing on this per-value hot path
+        self._view = memoryview(spf)
         self._lpf: np.ndarray | None = None
+
+    def __reduce__(self):
+        """Pickle as (limit, array); a memoryview cannot be pickled."""
+        return SpfTable, (self.limit, self._spf)
 
     def spf(self, m: int) -> int:
         return int(self._spf[m])
+
+    def factors(self, m: int) -> list[tuple[int, int]]:
+        """The (prime, exponent) pairs of 1 <= m <= limit, primes ascending.
+
+        The one walk over the table; unchecked, so callers validate m.
+        """
+        spf = self._view
+        out = []
+        while m > 1:
+            p = spf[m]
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        return out
 
     def largest_prime_factors(self) -> np.ndarray:
         """Array lpf with lpf[n] = P+(n) for 0 <= n <= limit (lpf[1] = 1).
@@ -117,9 +140,6 @@ class FactorizationRecord:
                 k *= p
         return k
 
-    def odd_parity_primes(self) -> frozenset[int]:
-        return frozenset(p for p, e in self.factors if e & 1)
-
     def recompose(self) -> int:
         m = 1
         for p, e in self.factors:
@@ -135,17 +155,7 @@ def factorize(n: int, table: SpfTable) -> FactorizationRecord:
         raise DomainError("n must be positive")
     if n > table.limit:
         raise RangeError(f"n={n} exceeds table limit {table.limit}")
-    spf = table._spf
-    factors = []
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        factors.append((p, e))
-    return FactorizationRecord(n, tuple(factors))
+    return FactorizationRecord(n, tuple(table.factors(n)))
 
 
 def factorize_trial(n: int, primes: list[int]) -> FactorizationRecord:

@@ -31,47 +31,33 @@ class ParitySupplier:
     """Serves exponent-parity vectors (and largest prime factors) for
     arbitrary positive integers.
 
-    Values within the table are factored by smallest-prime-factor walks;
-    larger values fall back to trial division with a growable prime list.
-    Parity vectors come as prime sets (support) or as memoized split pairs
-    (pair) for the elimination; memoization lets overlapping scan windows
-    share work.
+    Values within the table are factored by the table's smallest-prime-factor
+    walk; larger values fall back to trial division with a growable prime
+    list. Parity vectors come as prime sets (support) or as split pairs
+    (pair) for the elimination; both are memoized, so overlapping scan
+    windows share work.
     """
 
-    def __init__(self, table: Optional[SpfTable] = None, cache: bool = True):
+    def __init__(self, table: Optional[SpfTable] = None):
         self.table = table
         self._primes = PrimeCache()
-        self._support_cache: Optional[dict[int, frozenset[int]]] = {} if cache else None
-        self._pair_cache: Optional[dict[int, tuple[int, int]]] = {} if cache else None
+        self._support_cache: dict[int, frozenset[int]] = {}
+        self._pair_cache: dict[int, tuple[int, int]] = {}
         self._rank: dict[int, int] = {}
         self._rank_bound = 1
 
-    def _odd_primes(self, m: int) -> list[int]:
-        """The primes dividing m to an odd power, ascending."""
+    def _factors(self, m: int) -> Sequence[tuple[int, int]]:
+        """The (prime, exponent) pairs of m, primes ascending."""
         table = self.table
-        if table is None or m > table.limit:
-            return [p for p, e in factorize_trial(m, self._primes.covering(m)).factors if e & 1]
-        spf = table._spf
-        odd = []
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e & 1:
-                odd.append(p)
-        return odd
+        if table is not None and m <= table.limit:
+            return table.factors(m)
+        return factorize_trial(m, self._primes.covering(m)).factors
 
     def support(self, m: int) -> frozenset[int]:
-        cache = self._support_cache
-        if cache is not None:
-            hit = cache.get(m)
-            if hit is not None:
-                return hit
-        out = frozenset(self._odd_primes(m))
-        if cache is not None:
-            cache[m] = out
+        """The primes dividing m to an odd power. Memoized."""
+        out = self._support_cache.get(m)
+        if out is None:
+            out = self._support_cache[m] = frozenset(p for p, e in self._factors(m) if e & 1)
         return out
 
     def ranks(self, bound: int) -> dict[int, int]:
@@ -97,12 +83,13 @@ class ParitySupplier:
         The split vector of m under a bound B >= isqrt(m) is (top, rest)
         when top > B, and (0, rest | 1 << rank(top)) otherwise.
         """
-        cache = self._pair_cache
-        if cache is not None:
-            hit = cache.get(m)
-            if hit is not None:
-                return hit
-        odd = self._odd_primes(m)
+        out = self._pair_cache.get(m)
+        if out is not None:
+            return out
+        odd = []  # a plain loop: cheaper here than a comprehension's frame
+        for p, e in self._factors(m):
+            if e & 1:
+                odd.append(p)
         if odd:
             top = odd.pop()
             rest = 0
@@ -113,8 +100,7 @@ class ParitySupplier:
             out = (top, rest)
         else:
             out = (0, 0)
-        if cache is not None:
-            cache[m] = out
+        self._pair_cache[m] = out
         return out
 
     def split(self, m: int, bound: int) -> tuple[int, int]:
@@ -127,17 +113,8 @@ class ParitySupplier:
 
     def p_plus(self, m: int) -> int:
         """Largest prime factor, with 1 for m = 1."""
-        table = self.table
-        if table is not None and m <= table.limit:
-            spf = table._spf
-            best = 1
-            while m > 1:
-                p = int(spf[m])
-                best = p
-                while m % p == 0:
-                    m //= p
-            return best
-        return factorize_trial(m, self._primes.covering(m)).p_plus
+        factors = self._factors(m)
+        return factors[-1][0] if factors else 1
 
 
 _default_supplier: Optional[ParitySupplier] = None

@@ -61,6 +61,18 @@ def brute_tn(n: int, cap: int = 16):
     return None
 
 
+def brute_pell(span: int) -> list[tuple[int, int]]:
+    """All positive (x, y) with y^2 = x(x + span) and x <= span^2, by
+    testing every x."""
+    out = []
+    for x in range(1, span * span + 1):
+        m = x * (x + span)
+        r = isqrt(m)
+        if r * r == m:
+            out.append((x, r))
+    return out
+
+
 def brute_square_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
     """All subsets of (lo, hi] with square product, by direct multiplication."""
     elements = list(range(lo + 1, hi + 1))

@@ -14,7 +14,7 @@ from math import isqrt
 
 import pytest
 
-from oracles import largest_prime_factor, rho_quadrature
+from oracles import brute_pell, largest_prime_factor, rho_quadrature
 from tnlab.cli import main as cli_main
 from tnlab.constructor import construct_curve_point
 from tnlab.distribution import dickman_rho, distribution_table, exceptional_set
@@ -150,7 +150,8 @@ def test_criterion_6_distribution_table_1e5(table_1e5):
 def test_criterion_7_pell_oracle_equivalence():
     t0 = time.time()
     for span in range(1, 201):
-        sols = pell_solutions(span)  # raises on any constructive/brute mismatch
+        sols = pell_solutions(span)
+        assert sols == brute_pell(span)
         assert all(x <= span * span for x, _ in sols)
     took = time.time() - t0
     assert took < 60

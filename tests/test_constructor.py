@@ -11,6 +11,12 @@ from tnlab.sieve import build_spf_table, smooth_in_interval
 from tnlab.tn import compute_tn, verify_witness
 
 
+def masks(family):
+    """Each set of the family as an int mask over the sorted union."""
+    bit = {e: b for b, e in enumerate(sorted(set().union(*family)))}
+    return [sum(1 << bit[e] for e in s) for s in family]
+
+
 def test_find_intervals_reverified(table):
     table4 = build_spf_table(10 ** 4)
     found = find_smooth_rich_intervals(10 ** 4, 20, 100, 0.5, table4)
@@ -69,29 +75,29 @@ def test_build_small_tn_certifies_bound(table):
 
 def test_max_symdiff_trivial_pairs():
     subsets = [frozenset({1}), frozenset({2})]
-    assert max_symdiff_pair(subsets) == (0, 1, 2)
+    assert max_symdiff_pair(masks(subsets)) == (0, 1, 2)
 
     # all subsets of {1..Q}: extremes are the empty set and the full set
     q = 4
     family = [frozenset(c) for r in range(q + 1)
               for c in combinations(range(1, q + 1), r)]
-    i, j, size = max_symdiff_pair(family)
+    i, j, size = max_symdiff_pair(masks(family))
     assert size == q
     assert family[i] ^ family[j] == frozenset(range(1, q + 1))
 
 
 def test_max_symdiff_usage_errors():
     with pytest.raises(UsageError):
-        max_symdiff_pair([frozenset({1})])
+        max_symdiff_pair(masks([frozenset({1})]))
     with pytest.raises(UsageError):
-        max_symdiff_pair([frozenset({1}), frozenset({1})])
+        max_symdiff_pair(masks([frozenset({1}), frozenset({1})]))
 
 
 def test_max_symdiff_matches_exhaustive_oracle():
     rng = random.Random(3)
     family = list({frozenset(k for k in range(64) if rng.random() < 0.4)
                    for _ in range(40)})
-    i, j, size = max_symdiff_pair(family)
+    i, j, size = max_symdiff_pair(masks(family))
     best = max(len(a ^ b) for a, b in combinations(family, 2))
     assert size == best
     assert len(family[i] ^ family[j]) == best
@@ -104,13 +110,13 @@ def test_max_symdiff_guarantee_random_family():
     family = set()
     while len(family) < 256:
         family.add(frozenset(k for k in range(1, 65) if rng.random() < 0.5))
-    _, _, size = max_symdiff_pair(sorted(family, key=sorted))
+    _, _, size = max_symdiff_pair(masks(sorted(family, key=sorted)))
     assert size > 8 / (6 * math.log(64))
 
 
 def test_max_symdiff_anchor_mode():
     family = [frozenset({k}) for k in range(20)]
-    i, j, size = max_symdiff_pair(family, exhaustive_limit=8)
+    i, j, size = max_symdiff_pair(masks(family), exhaustive_limit=8)
     assert size == 2 and i < j
 
 

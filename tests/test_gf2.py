@@ -1,86 +1,103 @@
-import random
+from math import isqrt
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnlab.errors import UsageError
-from tnlab.gf2 import (EchelonBasis, ParityVector, basis_insert, express_in_span,
-                       kernel_masks, nullspace_subsets, parity_vector)
-from tnlab.sieve import factorize
+from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits, split_kernel
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+RANK = {p: r for r, p in enumerate(PRIMES)}
+LARGE = (101, 103, 107)  # above every prime of PRIMES, so they go in q
 
 
-def pv(*primes):
-    return ParityVector(frozenset(primes))
+def vec(*primes, q=0):
+    """The split vector (q, bits) of a set of small primes and a large one."""
+    return q, sum(1 << RANK[p] for p in set(primes))
 
 
-def test_parity_vector_examples(table):
-    assert parity_vector(factorize(12, table)).support == {3}
-    assert parity_vector(factorize(49, table)).is_zero()
-    assert parity_vector(factorize(10, table)).support == {2, 5}
+def support(v):
+    q, bits = v
+    return frozenset(PRIMES[r] for r in mask_bits(bits)) | ({q} if q else set())
 
 
-def test_xor_is_symmetric_difference():
-    assert (pv(2, 5) ^ pv(5, 7)).support == {2, 7}
-    assert (pv() ^ pv(3)).support == {3}
+def combine(vectors, mask):
+    """The XOR of the vectors that mask selects, as a prime set."""
+    acc = frozenset()
+    for i in mask_bits(mask):
+        acc ^= support(vectors[i])
+    return acc
+
+
+def insert(basis, vectors, v):
+    """Insert v; None when it extends the basis, otherwise its dependency
+    mask over the earlier insertions, re-checked by XOR-ing them."""
+    vectors.append(v)
+    if basis.insert(*v) is not None:
+        return None
+    q, bits, mask = basis.reduce(*v)
+    assert (q, bits) == (0, 0)
+    assert combine(vectors, mask) == support(v)
+    return mask
+
+
+def express(basis, vectors, v):
+    """The mask of inserted vectors that XOR to v, or None outside the span."""
+    q, bits, mask = basis.reduce(*v)
+    if q or bits:
+        return None
+    assert combine(vectors, mask) == support(v)
+    return mask
+
+
+def test_parity_vector_examples(supplier):
+    assert supplier.support(12) == {3}
+    assert supplier.support(49) == frozenset()
+    assert supplier.support(10) == {2, 5}
 
 
 def test_insert_dependency_example():
-    b = EchelonBasis(verify=True)
-    assert basis_insert(b, pv(2, 5), "a").extended
-    assert basis_insert(b, pv(3), "b").extended
-    out = basis_insert(b, pv(2, 3, 5), "c")
-    assert out.dependent
-    assert out.combination == {"a", "b"}
+    b, vs = SplitBasis(len(PRIMES)), []
+    assert insert(b, vs, vec(2, 5)) is None
+    assert insert(b, vs, vec(3)) is None
+    assert insert(b, vs, vec(2, 3, 5)) == 0b11
 
 
 def test_insert_zero_vector():
-    b = EchelonBasis(verify=True)
-    basis_insert(b, pv(2), "x")
-    out = basis_insert(b, pv(), "z")
-    assert out.dependent and out.combination == frozenset()
+    b, vs = SplitBasis(len(PRIMES)), []
+    insert(b, vs, vec(2))
+    assert insert(b, vs, vec()) == 0
 
 
 def test_insert_independent_rank():
-    b = EchelonBasis()
-    assert basis_insert(b, pv(2), 1).extended
-    assert basis_insert(b, pv(5), 2).extended
+    b, vs = SplitBasis(len(PRIMES)), []
+    assert insert(b, vs, vec(2)) is None
+    assert insert(b, vs, vec(5)) is None
     assert b.rank == 2
 
 
-def test_duplicate_tag_rejected():
-    b = EchelonBasis()
-    basis_insert(b, pv(2), "t")
-    with pytest.raises(UsageError):
-        basis_insert(b, pv(3), "t")
-
-
 def test_express_examples():
-    b = EchelonBasis(verify=True)
-    basis_insert(b, pv(2), "t2")
-    basis_insert(b, pv(3), "t3")
-    assert express_in_span(b, pv(2, 3)) == {"t2", "t3"}
-    assert express_in_span(b, pv(5)) is None
-    assert express_in_span(b, pv()) == frozenset()
+    b, vs = SplitBasis(len(PRIMES)), []
+    insert(b, vs, vec(2))
+    insert(b, vs, vec(3))
+    assert express(b, vs, vec(2, 3)) == 0b11
+    assert express(b, vs, vec(5)) is None
+    assert express(b, vs, vec()) == 0
 
 
 def test_pivot_is_largest_support_prime():
-    b = EchelonBasis()
-    basis_insert(b, pv(2, 29), "a")
-    basis_insert(b, pv(2, 3), "b")
-    for pivot in b.pivots():
-        support, _ = b.row(pivot)
-        assert max(support) == pivot
+    b = SplitBasis(len(PRIMES))
+    assert b.insert(*vec(2, 29)) == RANK[29]
+    assert b.insert(*vec(2, 3)) == RANK[3]
+    assert b.insert(*vec(3, q=101)) == 101
+    for pivot, bits in enumerate(b.small_bits):
+        if bits:
+            assert max(support((0, bits))) == PRIMES[pivot]
+    assert list(b.large) == [101]
 
 
 def test_nullspace_examples():
-    vecs = [("a", pv(2)), ("b", pv(3)), ("c", pv(2, 3))]
-    assert nullspace_subsets(vecs, verify=True) == [frozenset("abc")]
-
-    vecs = [("z", pv()), ("a", pv(2))]
-    assert nullspace_subsets(vecs, verify=True) == [frozenset("z")]
+    assert kernel_masks([{2}, {3}, {2, 3}]) == [0b111]
+    assert kernel_masks([frozenset(), {2}]) == [0b1]
 
 
 def test_nullspace_window_example(supplier):
@@ -88,46 +105,48 @@ def test_nullspace_window_example(supplier):
     # ({49} and {48, 50, 54}, since 48*50*54 = 360^2), so the kernel has
     # dimension 2 (rank 3 out of 5 vectors).
     values = [49, 50, 54, 56, 48]
-    kernel = nullspace_subsets(((m, supplier.support(m)) for m in values), verify=True)
-    assert kernel == [frozenset({49}), frozenset({48, 50, 54})]
+    masks = kernel_masks(supplier.support(m) for m in values)
+    assert [{values[i] for i in mask_bits(m)} for m in masks] == [{49}, {48, 50, 54}]
+    for m in masks:
+        acc = frozenset()
+        for i in mask_bits(m):
+            acc ^= supplier.support(values[i])
+        assert not acc
 
 
 def test_kernel_masks_matches_nullspace(supplier):
+    # the prime-set entry point and the split vectors of the same values
+    # pivot in the same order, so they give the same kernel masks
     values = [49, 50, 54, 56, 48]
-    masks = kernel_masks(supplier.support(m) for m in values)
-    as_sets = [frozenset(values[b] for b in range(len(values)) if m >> b & 1)
-               for m in masks]
-    assert as_sets == nullspace_subsets((m, supplier.support(m)) for m in values)
+    bound = isqrt(max(values))
+    assert kernel_masks(supplier.support(m) for m in values) == \
+        list(split_kernel(supplier.split(m, bound) for m in values))
 
 
 @st.composite
 def vector_batches(draw):
     k = draw(st.integers(min_value=1, max_value=14))
-    vecs = []
-    for i in range(k):
-        support = frozenset(draw(st.sets(st.sampled_from(PRIMES), max_size=5)))
-        vecs.append((i, support))
-    return vecs
+    return [vec(*draw(st.sets(st.sampled_from(PRIMES), max_size=5)),
+                q=draw(st.sampled_from((0, 0) + LARGE)))
+            for _ in range(k)]
 
 
 @given(vector_batches())
 @settings(max_examples=120)
 def test_rank_plus_kernel_dim(vecs):
-    b = EchelonBasis(verify=True)
-    kernel = 0
-    for tag, s in vecs:
-        if b.insert(s, tag).dependent:
-            kernel += 1
+    b, vs = SplitBasis(len(PRIMES)), []
+    kernel = sum(1 for v in vecs if insert(b, vs, v) is not None)
     assert b.rank + kernel == len(vecs)
+    assert len(list(split_kernel(vecs))) == kernel
 
 
 @given(vector_batches(), st.randoms(use_true_random=False))
 @settings(max_examples=80)
 def test_rank_is_order_independent(vecs, rng):
     def rank_of(order):
-        b = EchelonBasis()
-        for tag, s in order:
-            b.insert(s, tag)
+        b = SplitBasis(len(PRIMES))
+        for v in order:
+            b.insert(*v)
         return b.rank
 
     shuffled = list(vecs)
@@ -138,21 +157,10 @@ def test_rank_is_order_independent(vecs, rng):
 @given(vector_batches())
 @settings(max_examples=80)
 def test_witness_soundness(vecs):
-    # verify=True re-XORs the originals on every dependent/express call and
-    # raises on any mismatch
-    b = EchelonBasis(verify=True)
-    lookup = dict(vecs)
-    for tag, s in vecs:
-        out = b.insert(s, tag)
-        if out.dependent:
-            acc = frozenset()
-            for t in out.combination:
-                acc ^= lookup[t]
-            assert acc == s
-    probe = frozenset({2, 3})
-    combo = b.express(probe)
-    if combo is not None:
-        acc = frozenset()
-        for t in combo:
-            acc ^= lookup[t]
-        assert acc == probe
+    # insert() and express() re-XOR the selected vectors on every dependency
+    b, vs = SplitBasis(len(PRIMES)), []
+    for v in vecs:
+        insert(b, vs, v)
+    express(b, vs, vec(2, 3))
+    for mask in split_kernel(vecs):
+        assert mask and not combine(vecs, mask)

@@ -1,25 +1,16 @@
 import math
 import random
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_pell
 from tnlab.errors import DomainError, PreconditionError, ResourceError, UsageError
 from tnlab.heights import (few_offsets_log_bound, integral_point_log_bound,
                            pell_solutions, pell_system_decompose, select_low_omega,
                            tn_lower_bound_eval)
-
-
-def brute_pell(span, limit):
-    out = []
-    for x in range(1, limit + 1):
-        m = x * (x + span)
-        r = isqrt(m)
-        if r * r == m:
-            out.append((x, r))
-    return out
 
 
 def test_pell_examples():
@@ -31,16 +22,10 @@ def test_pell_examples():
 def test_pell_oracle_equivalence_small():
     for span in range(1, 61):
         sols = pell_solutions(span)
-        assert sols == brute_pell(span, span * span)
+        assert sols == brute_pell(span)
         assert all(x <= span * span for x, _ in sols)
         for x, y in sols:
             assert y * y == x * (x + span)
-
-
-def test_pell_search_limit_restricts_brute_only():
-    full = pell_solutions(48)
-    limited = pell_solutions(48, search_limit=10)
-    assert full == limited  # constructive output identical
 
 
 def test_integral_point_log_bound_examples():
