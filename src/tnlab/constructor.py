@@ -17,15 +17,14 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import PipelineFailed, RangeError, UsageError
-from .gf2 import kernel_masks, mask_bits, split_kernel
+from .gf2 import kernel_masks, mask_bits
 from .sieve import SpfTable, build_spf_table, primes_up_to, smooth_in_interval
-from .tn import ParitySupplier
+from .tn import ParitySupplier, verify_witness
 
 EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
 
@@ -89,15 +88,15 @@ def build_small_tn(lo: int, hi: int, y: float,
         table = build_spf_table(max(hi, 4))
     y_int = int(math.floor(y))
     smooths = smooth_in_interval(lo, hi, y_int, table)
-    if len(smooths) <= len(primes_up_to(y_int)):
+    prime_count = len(primes_up_to(y_int))
+    if len(smooths) <= prime_count:
         return None
-    supplier = ParitySupplier(table)
-    bound = isqrt(smooths[-1])
-    for mask in split_kernel(supplier.split(m, bound) for m in smooths):
-        members = [smooths[i] for i in mask_bits(mask)]
-        n = members[0]
-        return n, tuple(v - n for v in members[1:])
-    raise AssertionError("more smooth values than primes must force a dependency")
+    # pi(y) + 1 vectors over the primes up to y: the first dependency is
+    # among them (pigeonhole)
+    first = kernel_masks(ParitySupplier(table).vectors(smooths[:prime_count + 1]))[0]
+    members = [smooths[i] for i in mask_bits(first)]
+    n = members[0]
+    return n, tuple(v - n for v in members[1:])
 
 
 def max_symdiff_pair(masks: Sequence[int],
@@ -229,7 +228,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     y_int = int(math.floor(y))
     smooths = smooth_in_interval(lo, hi, y_int, table)
     supplier = ParitySupplier(table)
-    masks = kernel_masks(supplier.support(m) for m in smooths)
+    masks = kernel_masks(supplier.vectors(smooths))
     dim = len(masks)
     prime_count = len(primes_up_to(y_int))
     timings["kernel"] = time.perf_counter() - t1
@@ -252,10 +251,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     span = members[-1] - n
     interior = tuple(m - n for m in members[1:-1])
 
-    acc: frozenset[int] = frozenset()
-    for m in members:
-        acc = acc ^ supplier.support(m)
-    assert not acc, "certificate product is not a square"
+    assert verify_witness(n, interior + (span,), supplier), "certificate product is not a square"
 
     target = math.ceil(span ** (1.0 - c))
     timings["total"] = time.perf_counter() - t0

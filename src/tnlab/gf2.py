@@ -28,16 +28,18 @@ basis holds O(t) words for the large rows plus pi(B) * t bits of masks, so
 memory grows linearly in t.
 
 Entry points. The span search in tn drives SplitBasis directly, and
-split_kernel serves every kernel: interval kernels, the small-t_n
-pigeonhole and, through kernel_masks, the constructor's parity kernel over
-prime sets (with q = 0 and the primes of the family ranked). Every
-dependency comes out as a combination mask over insertion indices;
-callers map set bits back to their own values with mask_bits.
+kernel_masks serves every kernel: interval kernels, the small-t_n
+pigeonhole and the constructor's parity kernel. Its split vectors come
+from tn.ParitySupplier.vectors, the one place that picks the bound of a
+batch. Every dependency comes out as a combination mask over insertion
+indices; callers map set bits back to their own values with mask_bits.
+Prime sets (ParitySupplier.support) are kept apart from this encoding on
+purpose: they serve only to verify witnesses.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -124,35 +126,17 @@ class SplitBasis:
         return q, bits, mask
 
 
-def split_kernel(vectors: Iterable[tuple[int, int]]) -> Iterator[int]:
-    """Kernel masks of an ordered family of split vectors, lazily.
+def kernel_masks(vectors: Iterable[tuple[int, int]]) -> list[int]:
+    """Kernel basis of an ordered family of split vectors (q, bits).
 
-    Yields one mask per dependent insertion, in insertion order: bit i
-    selects the i-th vector, and the selected vectors XOR to zero. The
-    masks are independent and span the kernel.
+    One mask per dependent insertion, in insertion order: bit i selects
+    the i-th vector, and the selected vectors XOR to zero. The masks are
+    independent and span the kernel.
     """
     vectors = list(vectors)
     basis = SplitBasis(max((bits.bit_length() for _, bits in vectors), default=0))
-    for q, bits in vectors:
-        index = basis.inserted
+    out = []
+    for index, (q, bits) in enumerate(vectors):
         if basis.insert(q, bits) is None:
-            yield basis.reduce(q, bits, 1 << index)[2]
-
-
-def kernel_masks(supports: Iterable[frozenset[int]]) -> list[int]:
-    """Kernel basis of an ordered vector family, as bitmasks over positions.
-
-    Bit i of a mask selects the i-th input vector, a set of primes; each
-    mask XORs to the zero vector. The primes of the family are ranked, so
-    a vector takes as many bits as the family has distinct primes.
-    """
-    supports = list(supports)
-    rank = {p: r for r, p in enumerate(sorted(set().union(*supports)))}
-    vectors = []
-    for s in supports:
-        bits = 0
-        for p in s:
-            bits |= 1 << rank[p]
-        vectors.append((0, bits))
-    return list(split_kernel(vectors))
-
+            out.append(basis.reduce(q, bits, 1 << index)[2])
+    return out

@@ -15,9 +15,9 @@ from math import isqrt
 from typing import Optional
 
 from .errors import CapExceeded, RangeError
-from .gf2 import mask_bits, split_kernel
+from .gf2 import kernel_masks, mask_bits
 from .sieve import primes_up_to
-from .tn import ParitySupplier, compute_tn, default_supplier, large_prime_shortcut
+from .tn import ParitySupplier, compute_tn, default_supplier
 
 BRUTE_LENGTH_GUARD = 30
 
@@ -26,31 +26,22 @@ def count_tn_closed(lo: int, hi: int,
                     supplier: Optional[ParitySupplier] = None) -> int:
     """#{n in (lo, hi] : n + t_n <= hi}, computed per element.
 
-    Each n is resolved either by the large-prime shortcut or by a span
-    search capped at hi - n (exhausting that cap means the window does not
-    close inside the interval, so the element simply does not count).
+    Each n < hi is resolved by compute_tn with its cap at hi - n: squares
+    and large-prime shortcut rows come back whatever the cap, and
+    exhausting the cap means the window does not close inside the
+    interval, so the element does not count. n = hi counts only when it
+    is a square (t = 0).
     """
     if not (0 <= lo < hi):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
     supplier = supplier or default_supplier()
-    count = 0
-    for n in range(lo + 1, hi + 1):
-        if isqrt(n) ** 2 == n:
-            count += 1
-            continue
-        p = large_prime_shortcut(n, supplier)
-        if p is not None:
-            if n + p <= hi:
-                count += 1
-            continue
-        if n == hi:
-            continue
+    count = int(isqrt(hi) ** 2 == hi)
+    for n in range(lo + 1, hi):
         try:
-            compute_tn(n, cap=hi - n, use_shortcut=False,
-                       include_witness=False, supplier=supplier)
+            t = compute_tn(n, cap=hi - n, include_witness=False, supplier=supplier).t
         except CapExceeded:
             continue
-        count += 1
+        count += n + t <= hi
     return count
 
 
@@ -123,9 +114,8 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
 
 
 def _kernel_sets(elements: list[int], supplier: ParitySupplier) -> list[tuple[int, ...]]:
-    bound = isqrt(elements[-1])
-    vectors = [supplier.split(e, bound) for e in elements]
-    return [tuple(elements[i] for i in mask_bits(mask)) for mask in split_kernel(vectors)]
+    return [tuple(elements[i] for i in mask_bits(mask))
+            for mask in kernel_masks(supplier.vectors(elements))]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ t_n = P+(n).
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Optional, Sequence
@@ -33,15 +34,15 @@ class ParitySupplier:
 
     Values within the table are factored by the table's smallest-prime-factor
     walk; larger values fall back to trial division with a growable prime
-    list. Parity vectors come as prime sets (support) or as split pairs
-    (pair) for the elimination; both are memoized, so overlapping scan
-    windows share work.
+    list. The elimination reads split vectors (pair, split, vectors), the
+    one encoding that ranks primes; pairs are memoized, so overlapping
+    scan windows share work. Prime sets (support) are a separate encoding,
+    used only to verify witnesses.
     """
 
     def __init__(self, table: Optional[SpfTable] = None):
         self.table = table
         self._primes = PrimeCache()
-        self._support_cache: dict[int, frozenset[int]] = {}
         self._pair_cache: dict[int, tuple[int, int]] = {}
         self._rank: dict[int, int] = {}
         self._rank_bound = 1
@@ -54,11 +55,8 @@ class ParitySupplier:
         return factorize_trial(m, self._primes.covering(m)).factors
 
     def support(self, m: int) -> frozenset[int]:
-        """The primes dividing m to an odd power. Memoized."""
-        out = self._support_cache.get(m)
-        if out is None:
-            out = self._support_cache[m] = frozenset(p for p, e in self._factors(m) if e & 1)
-        return out
+        """The primes dividing m to an odd power."""
+        return frozenset(p for p, e in self._factors(m) if e & 1)
 
     def ranks(self, bound: int) -> dict[int, int]:
         """Map from each prime p <= bound (and possibly a few more) to its
@@ -110,6 +108,13 @@ class ParitySupplier:
         if 0 < q <= bound:
             return 0, bits | 1 << self.ranks(q)[q]
         return q, bits
+
+    def vectors(self, values: Sequence[int]) -> list[tuple[int, int]]:
+        """The split vectors of a batch, under B = isqrt(max(values)): the
+        bound of every kernel, since no value of the batch has two prime
+        factors above it."""
+        bound = isqrt(max(values, default=0))
+        return [self.split(m, bound) for m in values]
 
     def p_plus(self, m: int) -> int:
         """Largest prime factor, with 1 for m = 1."""
@@ -213,12 +218,11 @@ def compute_tn(n: int,
         if target_q or target_bits:
             target_pivot = target_q or target_bits.bit_length() - 1
             continue
-        witness = tuple(i + 1 for i in mask_bits(target_mask))
-        assert witness and witness[-1] == j, "witness must peak at t_n"
+        assert target_mask.bit_length() == j, "witness must peak at t_n"
         if shortcut_t is not None:
             assert j == shortcut_t, "shortcut disagrees with full search"
-        return TnResult(n, j, witness if include_witness else None,
-                        shortcut_used=shortcut_t is not None)
+        witness = tuple(i + 1 for i in mask_bits(target_mask)) if include_witness else None
+        return TnResult(n, j, witness, shortcut_used=shortcut_t is not None)
     raise CapExceeded(n, limit, j, basis.rank)
 
 
@@ -307,9 +311,11 @@ def _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers,
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_scan_chunk, tasks))
-    except (OSError, PermissionError):
+    except OSError as e:
         # Sandboxed environments without process support: fall back to
         # sequential, which produces identical output by construction.
+        warnings.warn(f"worker processes unavailable ({e}); scanning sequentially",
+                      RuntimeWarning, stacklevel=3)
         return _scan_chunk((lo, hi, cap, use_shortcut, include_witness, table_limit))
     return [row for part in parts for row in part]
 

@@ -1,12 +1,14 @@
 """The split-vector GF(2) engine against frozen outputs and the frozenset oracle.
 
-The two digests were taken from the frozenset engine before the split
-representation replaced it; the property tests compare the engine with
-that engine, kept in oracles.py, on t, the canonical witness and kernel
-masks.
+The scan and k*p digests were taken from the frozenset engine before the
+split representation replaced it; the curve-point, construct and interval
+kernel digests were taken while kernels still ranked the primes of a
+prime-set family. The property tests compare the engine with the frozenset
+engine, kept in oracles.py, on t, the canonical witness and kernel masks.
 """
 
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -19,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tnlab
-from oracles import frozenset_kernel_masks, frozenset_tn, is_square, odd_support
+from oracles import frozenset_kernel_masks, frozenset_tn, is_smooth, is_square, odd_support
+from tnlab.cli import main
+from tnlab.constructor import build_small_tn, construct_curve_point
 from tnlab.errors import CapExceeded
 from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import enumerate_square_subsets
@@ -28,6 +32,19 @@ from tnlab.tn import ParitySupplier, compute_tn, render_results, scan_tn
 
 SCAN_DIGEST = "9f2a1868c703137985338befd8a948abff63c5f25ec832dfd4da053d95852a16"
 KP_DIGEST = "180d070eb4bce7100e0c5c0b8ea984240f6faab8eac586575a822423108a7c38"
+CURVE_DIGESTS = {
+    (0.5, 0): "72b8175bdec933a878be86764249beb75ad8939bdfa26fa1ff0f5228873d8a8f",
+    (0.3, 7): "2a005237298154f94d6c4582be0e5b5b721502de0180b7be2f6a54ddb0abf6d4",
+}
+CONSTRUCT_DIGEST = "534fdf279ada852825c2ac51f101ca5bfeb9fd8c4a06e1092c42693850745a11"
+# (lo, hi] -> digest of the JSON kernel basis. The last two intervals are
+# longer than isqrt(hi), so two of their values can share a prime above
+# the bound B = isqrt(hi) and the kernel cancels large tags.
+KERNEL_DIGESTS = {
+    (40, 64): "4a29c93a4df14929f9c9ca42ad8351137dab325c43b973d740a130279e1fd7d8",
+    (1000, 1300): "ff4aeaa6a0d8a1d5c4a7846ebbd9a8f4f3f2a97eee51cbe5315ddda83fd5e814",
+    (200000, 201000): "b096c7be9995f25194a3d2d9995883ff0f181894bff6fb974c83fd8e2bc1702c",
+}
 
 # values above this go through trial division in the small-table supplier
 SMALL_TABLE = 1 << 12
@@ -53,6 +70,25 @@ def test_golden_witnessed_kp_rows():
     ns = [rng.randint(1, 60) * rng.choice(primes) for _ in range(60)]
     rows = [compute_tn(n, include_witness=True) for n in ns]
     assert _digest(render_results(rows)) == KP_DIGEST
+
+
+def test_golden_curve_points():
+    table = build_spf_table(10 ** 6)
+    for (c, seed), digest in CURVE_DIGESTS.items():
+        cert = construct_curve_point(10 ** 6, c, seed, table=table)
+        assert _digest(json.dumps(cert.to_json_dict(), sort_keys=True)) == digest
+
+
+def test_golden_construct_file(tmp_path):
+    out = tmp_path / "construct.json"
+    assert main(["construct", "--x", "1000000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_DIGEST
+
+
+def test_golden_interval_kernels(small_supplier):
+    for (lo, hi), digest in KERNEL_DIGESTS.items():
+        e = enumerate_square_subsets(lo, hi, mode="kernel", supplier=small_supplier)
+        assert _digest(json.dumps(e.kernel_basis)) == digest
 
 
 def _engine_tn(n, cap, supplier):
@@ -93,18 +129,30 @@ def test_witnessed_shortcut_rows_above_table_limit(small_supplier):
         assert r.shortcut_used and (r.t, r.witness) == frozenset_tn(n, p)
 
 
+SMALL_PRIMES = primes_up_to(200)
+SMALL_RANK = {p: r for r, p in enumerate(SMALL_PRIMES)}
+
+
 @st.composite
-def prime_set_families(draw):
-    pool = draw(st.lists(st.sampled_from(primes_up_to(200) + [10007, 99991, 999983]),
-                         min_size=1, max_size=12, unique=True))
+def split_vector_families(draw):
+    """A family of split vectors (q, bits): at most one large prime q and
+    a rank bitset over the primes up to 200, with its prime sets."""
+    pool = draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=12, unique=True))
     k = draw(st.integers(min_value=1, max_value=24))
-    return [frozenset(draw(st.sets(st.sampled_from(pool), max_size=5))) for _ in range(k)]
+    vectors, supports = [], []
+    for _ in range(k):
+        small = draw(st.sets(st.sampled_from(pool), max_size=5))
+        q = draw(st.sampled_from((0, 0, 10007, 99991, 999983)))
+        vectors.append((q, sum(1 << SMALL_RANK[p] for p in small)))
+        supports.append(frozenset(small) | ({q} if q else set()))
+    return vectors, supports
 
 
-@given(prime_set_families())
+@given(split_vector_families())
 @settings(max_examples=150, deadline=None)
-def test_kernel_masks_match_frozenset_oracle(supports):
-    masks = kernel_masks(supports)
+def test_kernel_masks_match_frozenset_oracle(family):
+    vectors, supports = family
+    masks = kernel_masks(vectors)
     assert masks == frozenset_kernel_masks(supports)
     for m in masks:
         acc = frozenset()
@@ -122,6 +170,18 @@ def test_interval_kernel_matches_frozenset_oracle(small_supplier, lo, length):
                      for m in frozenset_kernel_masks(odd_support(e) for e in elements))
     got = enumerate_square_subsets(lo, hi, mode="kernel", supplier=small_supplier)
     assert got.kernel_basis == expected
+
+
+def test_small_tn_is_first_frozenset_dependency(table):
+    # build_small_tn eliminates only the first pi(y) + 1 smooth values; its
+    # witness must still be the first dependency of the whole batch. With
+    # y above isqrt(hi), primes between them are large tags.
+    for lo, hi, y in [(1000, 1300, 60), (5000, 5200, 97), (20000, 20300, 150), (47, 56, 7)]:
+        smooths = [m for m in range(lo + 1, hi + 1) if is_smooth(m, y)]
+        first = frozenset_kernel_masks(odd_support(m) for m in smooths)[0]
+        members = [smooths[i] for i in mask_bits(first)]
+        n = members[0]
+        assert build_small_tn(lo, hi, y, table) == (n, tuple(m - n for m in members[1:]))
 
 
 def test_split_vectors_have_one_large_prime(small_supplier):

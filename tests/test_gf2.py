@@ -1,9 +1,8 @@
-from math import isqrt
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits, split_kernel
+from oracles import frozenset_kernel_masks
+from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 RANK = {p: r for r, p in enumerate(PRIMES)}
@@ -96,8 +95,9 @@ def test_pivot_is_largest_support_prime():
 
 
 def test_nullspace_examples():
-    assert kernel_masks([{2}, {3}, {2, 3}]) == [0b111]
-    assert kernel_masks([frozenset(), {2}]) == [0b1]
+    assert kernel_masks([vec(2), vec(3), vec(2, 3)]) == [0b111]
+    assert kernel_masks([vec(), vec(2)]) == [0b1]
+    assert kernel_masks([vec(2, q=101), vec(3), vec(2, 3, q=101)]) == [0b111]
 
 
 def test_nullspace_window_example(supplier):
@@ -105,7 +105,7 @@ def test_nullspace_window_example(supplier):
     # ({49} and {48, 50, 54}, since 48*50*54 = 360^2), so the kernel has
     # dimension 2 (rank 3 out of 5 vectors).
     values = [49, 50, 54, 56, 48]
-    masks = kernel_masks(supplier.support(m) for m in values)
+    masks = kernel_masks(supplier.vectors(values))
     assert [{values[i] for i in mask_bits(m)} for m in masks] == [{49}, {48, 50, 54}]
     for m in masks:
         acc = frozenset()
@@ -115,12 +115,12 @@ def test_nullspace_window_example(supplier):
 
 
 def test_kernel_masks_matches_nullspace(supplier):
-    # the prime-set entry point and the split vectors of the same values
-    # pivot in the same order, so they give the same kernel masks
-    values = [49, 50, 54, 56, 48]
-    bound = isqrt(max(values))
-    assert kernel_masks(supplier.support(m) for m in values) == \
-        list(split_kernel(supplier.split(m, bound) for m in values))
+    # the split vectors of a batch and an elimination over prime sets pivot
+    # in the same order, so they give the same kernel masks; 1034 = 2*11*47
+    # and 1081 = 23*47 share 47, a prime above the batch bound isqrt(1081)
+    for values in ([49, 50, 54, 56, 48], [1034, 1040, 1053, 1058, 1081, 1078, 1050]):
+        assert kernel_masks(supplier.vectors(values)) == \
+            frozenset_kernel_masks(supplier.support(m) for m in values)
 
 
 @st.composite
@@ -137,7 +137,7 @@ def test_rank_plus_kernel_dim(vecs):
     b, vs = SplitBasis(len(PRIMES)), []
     kernel = sum(1 for v in vecs if insert(b, vs, v) is not None)
     assert b.rank + kernel == len(vecs)
-    assert len(list(split_kernel(vecs))) == kernel
+    assert len(kernel_masks(vecs)) == kernel
 
 
 @given(vector_batches(), st.randoms(use_true_random=False))
@@ -162,5 +162,5 @@ def test_witness_soundness(vecs):
     for v in vecs:
         insert(b, vs, v)
     express(b, vs, vec(2, 3))
-    for mask in split_kernel(vecs):
+    for mask in kernel_masks(vecs):
         assert mask and not combine(vecs, mask)

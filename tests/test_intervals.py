@@ -92,3 +92,8 @@ def test_identity_random_intervals(supplier):
         r = check_interval_identity(lo, hi, y, supplier=supplier)
         assert r.identity_ok, (lo, hi)
         assert r.lower_bound_ok, (lo, hi, y)
+    # hi a square, down to (48, 49], where n = hi is the only element
+    for lo, hi in [(40, 49), (110, 121), (48, 49)]:
+        r = check_interval_identity(lo, hi, 7, supplier=supplier)
+        assert r.identity_ok and r.lower_bound_ok, (lo, hi)
+        assert type(r.closed_count) is int

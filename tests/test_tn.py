@@ -136,6 +136,18 @@ def test_scan_workers_deterministic(supplier):
     assert seq == par
 
 
+def test_scan_falls_back_to_sequential_with_warning(supplier, monkeypatch):
+    import concurrent.futures
+
+    def no_processes(*args, **kwargs):
+        raise OSError("no process support")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
+    with pytest.warns(RuntimeWarning, match="sequentially"):
+        rows = scan_tn(2, 80, include_witness=True, workers=2)
+    assert rows == scan_tn(2, 80, include_witness=True, workers=1, supplier=supplier)
+
+
 def test_scan_chunk_uses_callers_table_limit(supplier):
     rows = tn._scan_chunk((2, 60, None, True, True, 1 << 10))
     assert tn._worker_supplier.table.limit == 1 << 10
