@@ -157,7 +157,8 @@ def distribution_table(x: int, cs: Sequence[float],
     """Counts of {t_n <= floor(x^c)} versus {P+(n) <= floor(x^c)} for n <= x.
 
     Rows are ordered by ascending c. Precomputed scan results may be passed
-    to amortize repeated tables over one scan.
+    to amortize repeated tables over one scan; they must be the rows of
+    n = 1..x in order, as scan_tn(1, x) returns them.
     """
     if x < 2:
         raise RangeError("x must be >= 2")
@@ -171,6 +172,8 @@ def distribution_table(x: int, cs: Sequence[float],
         results = scan_tn(1, x, cap=cap, use_shortcut=True,
                           include_witness=False, supplier=supplier,
                           workers=workers)
+    elif len(results) != x or any(r.n != n for n, r in enumerate(results, 1)):
+        raise RangeError(f"results must be the scan rows of n = 1..{x} in order")
     tvals = [r.t for r in results]
     excluded = sum(1 for t in tvals if t is None)
     lpf = table.largest_prime_factors()[1:x + 1]

@@ -1,4 +1,4 @@
-"""Exponent-parity vectors and the one GF(2) elimination primitive.
+"""Exponent-parity vectors and the two GF(2) elimination primitives.
 
 Split vectors. Every integer m <= N has at most one prime factor above
 B = isqrt(N) (two of them would multiply to more than N), and that prime
@@ -27,12 +27,23 @@ carry a combination mask over insertion indices. After t insertions the
 basis holds O(t) words for the large rows plus pi(B) * t bits of masks, so
 memory grows linearly in t.
 
-Entry points. The span search in tn drives SplitBasis directly, and
-kernel_masks serves every kernel: interval kernels, the small-t_n
-pigeonhole and the constructor's parity kernel. Its split vectors come
-from tn.ParitySupplier.vectors, the one place that picks the bound of a
-batch. Every dependency comes out as a combination mask over insertion
-indices; callers map set bits back to their own values with mask_bits.
+Entry points. There are two elimination primitives over the same split
+vectors, because they answer two different questions.
+
+- SplitBasis answers "which subset?". It keeps the insertion-order
+  echelon basis with combination masks, so it alone yields canonical
+  witnesses and kernel bases. compute_tn drives it directly for one n,
+  and kernel_masks serves every kernel: interval kernels, the small-t_n
+  pigeonhole and the constructor's parity kernel. Its split vectors come
+  from tn.ParitySupplier.vectors, the one place that picks the bound of a
+  batch. Every dependency comes out as a combination mask over insertion
+  indices; callers map set bits back to their own values with mask_bits.
+- SweepBasis answers "which n closes here?". It keeps no masks: each row
+  carries only the smallest insertion index among the vectors XOR-ed into
+  it, and a pivot keeps the row whose start is latest. One left-to-right
+  sweep over a range then resolves t_n for every n of a scan without
+  witnesses (tn.scan_tn), where SplitBasis would need a fresh search per n.
+
 Prime sets (ParitySupplier.support) are kept apart from this encoding on
 purpose: they serve only to verify witnesses.
 """
@@ -124,6 +135,64 @@ class SplitBasis:
             bits ^= row_bits
             mask ^= masks[pivot]
         return q, bits, mask
+
+
+class SweepBasis:
+    """Latest-start basis over split vectors (q, bits), inserted in index order.
+
+    Each row carries its start: the smallest index among the inserted
+    vectors XOR-ed into it. At a pivot the stored row and the vector being
+    reduced swap when the latter has the later start, so for every l the
+    rows with start >= l span the vectors inserted at indices >= l (the
+    prefix linear basis). Reduction performs the same XORs as an echelon
+    basis without swaps; only the rows that stay behind differ.
+
+    A large row is always an unreduced original vector, the latest one
+    with its q, since a new vector with that q is the newest index and
+    swaps in at once.
+    """
+
+    __slots__ = ("large", "small_bits", "small_starts")
+
+    def __init__(self, width: int = 0):
+        self.large: dict[int, tuple[int, int]] = {}  # q -> (bits, start)
+        self.small_bits: list[int] = [0] * width     # bit index -> row bits, 0 when empty
+        self.small_starts: list[int] = [0] * width   # bit index -> row start
+
+    def insert(self, q: int, bits: int, index: int) -> Optional[int]:
+        """Add the vector of `index`, which must exceed every earlier index.
+
+        Returns None when the vector is zero or independent of the earlier
+        ones. Otherwise it returns the largest l such that the vector lies
+        in the span of the vectors inserted at l, l+1, ..., index-1: the
+        smallest start among the rows its reduction met, since the rows
+        with start >= l are an echelon basis of that span and the
+        reduction's rows are unique. For the vectors of n, n+1, ... that l
+        is the unique n with n + t_n = index.
+        """
+        start = index
+        if q:
+            row = self.large.get(q)
+            self.large[q] = (bits, index)
+            if row is None:
+                return None
+            bits ^= row[0]
+            start = row[1]
+        rows, starts = self.small_bits, self.small_starts
+        while bits:
+            pivot = bits.bit_length() - 1
+            row_bits = rows[pivot]
+            if not row_bits:
+                rows[pivot] = bits
+                starts[pivot] = start
+                return None
+            row_start = starts[pivot]
+            if start > row_start:
+                rows[pivot] = bits
+                starts[pivot] = start
+                start = row_start
+            bits ^= row_bits
+        return start if start < index else None
 
 
 def kernel_masks(vectors: Iterable[tuple[int, int]]) -> list[int]:

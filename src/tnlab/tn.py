@@ -8,6 +8,17 @@ tracking then yields a witness subset whose largest offset is exactly t_n.
 
 A large-prime shortcut resolves most n instantly: when P+(n) > sqrt(2n)+1,
 t_n = P+(n).
+
+A scan without witnesses resolves its whole range in one left-to-right
+sweep instead of one search per n. The vectors of lo, lo+1, ... go into
+one gf2.SweepBasis, which keeps at each pivot the row with the latest
+start (the smallest index among the vectors XOR-ed into a row). For every
+l its rows with start >= l then span the vectors of l, ..., r-1, so the
+vector of r falls into the span exactly when it closes a window, and the
+smallest start its reduction meets is the unique n with n + t_n = r. A
+witnessed scan keeps one compute_tn search per n: the canonical witness is
+the combination the insertion-order basis of that n finds, which the sweep
+does not track.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, DomainError, RangeError
-from .gf2 import SplitBasis, mask_bits
+from .gf2 import SplitBasis, SweepBasis, mask_bits
 from .sieve import PrimeCache, SpfTable, build_spf_table, factorize_trial, primes_up_to
 
 # Hard ceiling on searched offsets when no explicit cap is given.
@@ -256,9 +267,11 @@ def scan_tn(lo: int, hi: int,
     """One TnResult per n in [lo, hi], ascending.
 
     Rows whose search cap is exhausted come back flagged (t = None,
-    cap_exceeded=True) instead of aborting the scan. Output is identical
-    for any worker count; with workers > 1 disjoint n-chunks are computed
-    in separate processes (each with its own supplier, whose table has the
+    cap_exceeded=True) instead of aborting the scan. Without witnesses the
+    rows come from one sweep over the range (_sweep_rows); with witnesses
+    each n gets its own compute_tn search. Output is identical for any
+    worker count; with workers > 1 disjoint n-chunks are computed in
+    separate processes (each with its own supplier, whose table has the
     size of the caller's) and merged in order.
     """
     if not (1 <= lo <= hi):
@@ -268,9 +281,14 @@ def scan_tn(lo: int, hi: int,
         table_limit = table.limit if table is not None else DEFAULT_TABLE_LIMIT
         return _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers,
                               table_limit)
-    supplier = supplier or default_supplier()
-    return [_tn_row(n, cap, use_shortcut, include_witness, supplier)
-            for n in range(lo, hi + 1)]
+    return _scan_rows(lo, hi, cap, use_shortcut, include_witness,
+                      supplier or default_supplier())
+
+
+def _scan_rows(lo, hi, cap, use_shortcut, include_witness, supplier) -> list[TnResult]:
+    if include_witness:
+        return [_tn_row(n, cap, use_shortcut, True, supplier) for n in range(lo, hi + 1)]
+    return _sweep_rows(lo, hi, cap, use_shortcut, supplier)
 
 
 def _tn_row(n, cap, use_shortcut, include_witness, supplier) -> TnResult:
@@ -279,6 +297,65 @@ def _tn_row(n, cap, use_shortcut, include_witness, supplier) -> TnResult:
                           include_witness=include_witness, supplier=supplier)
     except CapExceeded:
         return TnResult(n, None, None, shortcut_used=False, cap_exceeded=True)
+
+
+def _sweep_rows(lo, hi, cap, use_shortcut, supplier) -> list[TnResult]:
+    """The rows of [lo, hi] without witnesses, from one left-to-right sweep.
+
+    Squares and shortcut rows are classified up front; every other n is
+    pending. The vectors of lo, lo+1, ... go into one SweepBasis, whose
+    insertion of r returns the unique n with n + t_n = r, if any; a pending
+    n that is not closed by r = n + limit is capped. Pending rows expire in
+    order of n, so one pointer tracks the oldest open one, and the sweep
+    stops when none is left. The bound is compute_tn's B rule taken over
+    the whole range: every value the sweep touches is at most hi + limit.
+    """
+    rows: list[Optional[TnResult]] = [None] * (hi - lo + 1)
+    pending = []
+    for n in range(lo, hi + 1):
+        if isqrt(n) ** 2 == n:
+            rows[n - lo] = TnResult(n, 0, ())
+            continue
+        p = large_prime_shortcut(n, supplier) if use_shortcut else None
+        if p is None:
+            pending.append(n)
+        else:
+            rows[n - lo] = TnResult(n, p, None, shortcut_used=True)
+    if not pending:
+        return rows
+    limit = cap if cap is not None else HARD_OFFSET_CAP
+    if limit < 1:
+        raise RangeError("cap must be >= 1")
+    bound = isqrt(hi + limit)
+    rank = supplier.ranks(bound)
+    pair = supplier.pair
+    insert = SweepBasis(len(rank)).insert
+    oldest = 0  # pending[oldest] is the smallest n that may still be open
+    r = lo
+    while True:
+        q, bits = pair(r)
+        if 0 < q <= bound:
+            bits |= 1 << rank[q]
+            q = 0
+        n = insert(q, bits, r)
+        if n is not None and n <= hi:
+            row = rows[n - lo]
+            if row is None:
+                rows[n - lo] = TnResult(n, r - n, None)
+            else:
+                # n closes once, at n + t_n: a shortcut row at P+(n), a
+                # capped row past its cap
+                assert row.cap_exceeded or r - n == row.t, \
+                    f"n = {n} closes at offset {r - n}, not at t = {row.t}"
+        n = pending[oldest]
+        while rows[n - lo] is not None or r - n >= limit:
+            if rows[n - lo] is None:
+                rows[n - lo] = TnResult(n, None, None, cap_exceeded=True)
+            oldest += 1
+            if oldest == len(pending):
+                return rows
+            n = pending[oldest]
+        r += 1
 
 
 _worker_supplier: Optional[ParitySupplier] = None
@@ -295,9 +372,8 @@ def _chunk_supplier(table_limit: int) -> ParitySupplier:
 
 def _scan_chunk(args) -> list[TnResult]:
     lo, hi, cap, use_shortcut, include_witness, table_limit = args
-    supplier = _chunk_supplier(table_limit)
-    return [_tn_row(n, cap, use_shortcut, include_witness, supplier)
-            for n in range(lo, hi + 1)]
+    return _scan_rows(lo, hi, cap, use_shortcut, include_witness,
+                      _chunk_supplier(table_limit))
 
 
 def _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers,

@@ -6,6 +6,7 @@ from oracles import rho_quadrature
 from tnlab.distribution import (conjecture_scan, dickman_rho, distribution_table,
                                 exceptional_set, power_threshold)
 from tnlab.errors import RangeError
+from tnlab.tn import scan_tn
 
 
 def test_rho_on_unit_interval():
@@ -91,6 +92,18 @@ def test_distribution_golden_1e4():
     assert r.count_smooth == 3716
     assert r.diff == -348
     assert t.cap_excluded == 0
+
+
+def test_distribution_takes_only_rows_of_1_to_x(supplier):
+    # rows of 2..x would drop n = 1 (t = 0) from every count_tn
+    x = 2000
+    rows = scan_tn(1, x, supplier=supplier)
+    t = distribution_table(x, [0.5], results=rows)
+    assert t == distribution_table(x, [0.5])
+    assert t.rows[0].count_tn == 627
+    for bad in (rows[1:], rows[:-1], rows[:1] + rows[2:] + rows[1:2], rows + rows[-1:]):
+        with pytest.raises(RangeError):
+            distribution_table(x, [0.5], results=bad)
 
 
 def test_exceptional_examples():

@@ -3,8 +3,11 @@
 The scan and k*p digests were taken from the frozenset engine before the
 split representation replaced it; the curve-point, construct and interval
 kernel digests were taken while kernels still ranked the primes of a
-prime-set family. The property tests compare the engine with the frozenset
-engine, kept in oracles.py, on t, the canonical witness and kernel masks.
+prime-set family; the digests of scans without witnesses and of the dist
+file were taken while those scans still ran one compute_tn search per n.
+The property tests compare the engine with the frozenset engine, kept in
+oracles.py, on t, the canonical witness and kernel masks, and the one-sweep
+scan with per-n searches.
 """
 
 import hashlib
@@ -28,10 +31,18 @@ from tnlab.errors import CapExceeded
 from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import enumerate_square_subsets
 from tnlab.sieve import build_spf_table, primes_up_to
+from tnlab import tn
 from tnlab.tn import ParitySupplier, compute_tn, render_results, scan_tn
 
 SCAN_DIGEST = "9f2a1868c703137985338befd8a948abff63c5f25ec832dfd4da053d95852a16"
 KP_DIGEST = "180d070eb4bce7100e0c5c0b8ea984240f6faab8eac586575a822423108a7c38"
+# scans without witnesses: (lo, hi, cap, use_shortcut) -> digest of the CSV
+SWEEP_DIGESTS = {
+    (2, 3000, None, False): "b53bd905be7709e3e9bbab3b54ec74dc24941b334c2a4bf099b29b427dc4d7a9",
+    (2, 2000, 40, False): "d544fe67fa432873ab869d9945d92adb6eef9a9e9b192b105799163dd7472bea",
+    (1, 100000, None, True): "84da83ac7be648062c5b92c8fff496aa3463dceec018187d6da52a8c67a03a15",
+}
+DIST_DIGEST = "65c84168b5a5f232783ba0eb76c87c5273cfff87032dfcaf155ce3cd792cf490"
 CURVE_DIGESTS = {
     (0.5, 0): "72b8175bdec933a878be86764249beb75ad8939bdfa26fa1ff0f5228873d8a8f",
     (0.3, 7): "2a005237298154f94d6c4582be0e5b5b721502de0180b7be2f6a54ddb0abf6d4",
@@ -62,6 +73,29 @@ def _digest(text: str) -> str:
 def test_golden_scan_without_shortcut():
     text = render_results(scan_tn(2, 3000, use_shortcut=False, include_witness=True))
     assert _digest(text) == SCAN_DIGEST
+
+
+def test_golden_scans_without_witness():
+    for (lo, hi, cap, use_shortcut), digest in SWEEP_DIGESTS.items():
+        rows = scan_tn(lo, hi, cap=cap, use_shortcut=use_shortcut)
+        assert _digest(render_results(rows)) == digest
+
+
+def test_golden_dist_file(tmp_path):
+    out = tmp_path / "dist.csv"
+    argv = ["dist", "--x", "100000", "--c", "0.35", "--c", "0.5", "--c", "0.65", "--c", "0.8"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIST_DIGEST
+
+
+@given(st.integers(min_value=1, max_value=20000), st.integers(min_value=0, max_value=300),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=200)), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_per_n_searches(small_supplier, lo, length, cap, use_shortcut):
+    hi = lo + length
+    rows = scan_tn(lo, hi, cap, use_shortcut, include_witness=False, supplier=small_supplier)
+    assert rows == [tn._tn_row(n, cap, use_shortcut, False, small_supplier)
+                    for n in range(lo, hi + 1)]
 
 
 def test_golden_witnessed_kp_rows():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_tn, is_square, largest_prime_factor
-from tnlab.errors import CapExceeded, DomainError
+from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import tn
 from tnlab.tn import (TnResult, compute_tn, large_prime_shortcut, render_results,
                       scan_tn, verify_witness)
@@ -131,9 +131,28 @@ def test_scan_flags_capped_rows(supplier):
 
 
 def test_scan_workers_deterministic(supplier):
-    seq = scan_tn(2, 80, include_witness=True, supplier=supplier)
-    par = scan_tn(2, 80, include_witness=True, workers=2)
-    assert seq == par
+    for include_witness in (True, False):
+        seq = scan_tn(2, 80, include_witness=include_witness, supplier=supplier)
+        par = scan_tn(2, 80, include_witness=include_witness, workers=2)
+        assert seq == par
+
+
+def test_sweep_checks_shortcut_rows_that_close_inside_it(supplier, monkeypatch):
+    # t_14 = P+(14) = 7; pending rows such as n = 30 keep the sweep over
+    # 2..30 running past r = 21, where the window of 14 closes, so a wrong
+    # shortcut value for 14 must trip the check
+    shortcut = tn.large_prime_shortcut
+    monkeypatch.setattr(tn, "large_prime_shortcut",
+                        lambda n, s=None: 8 if n == 14 else shortcut(n, s))
+    with pytest.raises(AssertionError, match="n = 14 closes at offset 7, not at t = 8"):
+        scan_tn(2, 30, supplier=supplier)
+
+
+def test_scan_cap_below_one_raises_only_for_a_search(supplier):
+    # as in compute_tn: squares need no search, so no cap applies to them
+    assert scan_tn(1, 1, cap=0, supplier=supplier) == [TnResult(1, 0, ())]
+    with pytest.raises(RangeError, match="cap must be >= 1"):
+        scan_tn(2, 3, cap=0, supplier=supplier)
 
 
 def test_scan_falls_back_to_sequential_with_warning(supplier, monkeypatch):
