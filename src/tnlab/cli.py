@@ -17,7 +17,8 @@ from typing import Optional
 from . import constructor, distribution, heights, intervals, runge
 from .errors import TnLabError
 from .sieve import build_spf_table
-from .tn import DEFAULT_TABLE_LIMIT, ParitySupplier, compute_tn, render_results, scan_tn
+from .tn import (DEFAULT_TABLE_LIMIT, ParitySupplier, compute_tn, render_results, render_t,
+                 scan_t, scan_tn)
 
 
 def _sieve_limit(args) -> int:
@@ -71,16 +72,18 @@ def _cmd_tn(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    rows = scan_tn(args.lo, args.hi, cap=args.cap,
-                   use_shortcut=not args.no_shortcut,
-                   include_witness=args.witness,
-                   supplier=_supplier(args),
-                   workers=args.workers)
+    use_shortcut = not args.no_shortcut
+    if args.witness:
+        rows = scan_tn(args.lo, args.hi, cap=args.cap, use_shortcut=use_shortcut,
+                       include_witness=True, supplier=_supplier(args),
+                       workers=args.workers)
+        text = render_results(rows, args.format)
+    else:
+        ts, shortcut = scan_t(args.lo, args.hi, cap=args.cap, use_shortcut=use_shortcut)
+        text = render_t(args.lo, ts, shortcut, args.format)
     config = _config_dict(args, ["lo", "hi", "cap", "no_shortcut", "witness", "format"])
     if args.format == "csv":
-        text = _csv_with_config(render_results(rows, "csv"), config)
-    else:
-        text = render_results(rows, "json")
+        text = _csv_with_config(text, config)
     _emit(text, args.out)
     return 0
 
@@ -96,8 +99,7 @@ def _cmd_interval(args) -> int:
 
 def _cmd_dist(args) -> int:
     table = build_spf_table(args.x)
-    dist = distribution.distribution_table(args.x, args.c, table=table,
-                                           workers=args.workers)
+    dist = distribution.distribution_table(args.x, args.c, table=table)
     exc_count, _ = distribution.exceptional_set(args.x, include_members=False,
                                                 table=table)
     config = _config_dict(args, ["x", "c", "workers"])
@@ -211,7 +213,7 @@ def _cmd_runge(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    report = distribution.conjecture_scan(args.x, args.c, workers=args.workers)
+    report = distribution.conjecture_scan(args.x, args.c)
     config = _config_dict(args, ["x", "c", "workers"])
     _emit_json(report.to_json_dict(), config, args.out)
     return 0

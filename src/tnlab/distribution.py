@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt
 from typing import Optional, Sequence
 
 import mpmath
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import RangeError
 from .sieve import SpfTable, build_spf_table
-from .tn import ParitySupplier, TnResult, scan_tn
+from .tn import TnResult, scan_t
 
 RHO_MAX_U = 50.0
 _GRID_STEP = 2.0 ** -10
@@ -151,14 +150,14 @@ class DistributionTable:
 
 def distribution_table(x: int, cs: Sequence[float],
                        table: Optional[SpfTable] = None,
-                       workers: int = 1,
                        cap: Optional[int] = None,
                        results: Optional[Sequence[TnResult]] = None) -> DistributionTable:
     """Counts of {t_n <= floor(x^c)} versus {P+(n) <= floor(x^c)} for n <= x.
 
-    Rows are ordered by ascending c. Precomputed scan results may be passed
-    to amortize repeated tables over one scan; they must be the rows of
-    n = 1..x in order, as scan_tn(1, x) returns them.
+    Rows are ordered by ascending c. t_n comes from scan_t(1, x); scan
+    rows may be passed instead to amortize repeated tables over one scan,
+    and they must be the rows of n = 1..x in order, as scan_tn(1, x)
+    returns them.
     """
     if x < 2:
         raise RangeError("x must be >= 2")
@@ -168,20 +167,19 @@ def distribution_table(x: int, cs: Sequence[float],
     if table is None or table.limit < x:
         table = build_spf_table(x)
     if results is None:
-        supplier = ParitySupplier(table)
-        results = scan_tn(1, x, cap=cap, use_shortcut=True,
-                          include_witness=False, supplier=supplier,
-                          workers=workers)
+        tvals = np.array(scan_t(1, x, cap=cap)[0], dtype=np.int64)
     elif len(results) != x or any(r.n != n for n, r in enumerate(results, 1)):
         raise RangeError(f"results must be the scan rows of n = 1..{x} in order")
-    tvals = [r.t for r in results]
-    excluded = sum(1 for t in tvals if t is None)
+    else:
+        tvals = np.array([-1 if r.t is None else r.t for r in results], dtype=np.int64)
+    excluded = int(np.count_nonzero(tvals < 0))
+    tvals = tvals[tvals >= 0]
     lpf = table.largest_prime_factors()[1:x + 1]
 
     rows = []
     for c in sorted(cs):
         threshold = power_threshold(x, c)
-        count_tn = sum(1 for t in tvals if t is not None and t <= threshold)
+        count_tn = int(np.count_nonzero(tvals <= threshold))
         count_smooth = int(np.count_nonzero(lpf <= threshold))
         diff = count_tn - count_smooth
         rows.append(DistRow(
@@ -252,27 +250,20 @@ class ConjectureScanReport:
 
 
 def conjecture_scan(x: int, c: float,
-                    table: Optional[SpfTable] = None,
-                    workers: int = 1,
                     detail_limit: int = 1000) -> ConjectureScanReport:
     """min over non-square n <= x of t_n / (log n)^(1-c)."""
     if x < 2:
         raise RangeError("x must be >= 2")
     if not (0.0 < c < 1.0):
         raise RangeError(f"c must lie in (0, 1), got {c}")
-    if table is None:
-        table = build_spf_table(max(x, 4))
-    supplier = ParitySupplier(table)
-    results = scan_tn(2, x, use_shortcut=True, include_witness=False,
-                      supplier=supplier, workers=workers)
     rows = []
     best: Optional[ConjectureRow] = None
-    for r in results:
-        n = r.n
-        if isqrt(n) ** 2 == n or r.t is None:
+    # squares have t = 0 and capped rows t = -1
+    for n, t in zip(range(2, x + 1), scan_t(2, x)[0]):
+        if t <= 0:
             continue
-        ratio = r.t / math.log(n) ** (1.0 - c)
-        row = ConjectureRow(n=n, t=r.t, ratio=ratio)
+        ratio = t / math.log(n) ** (1.0 - c)
+        row = ConjectureRow(n=n, t=t, ratio=ratio)
         rows.append(row)
         if best is None or ratio < best.ratio:
             best = row

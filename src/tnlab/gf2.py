@@ -42,7 +42,10 @@ vectors, because they answer two different questions.
   carries only the smallest insertion index among the vectors XOR-ed into
   it, and a pivot keeps the row whose start is latest. One left-to-right
   sweep over a range then resolves t_n for every n of a scan without
-  witnesses (tn.scan_tn), where SplitBasis would need a fresh search per n.
+  witnesses (tn.scan_t), where SplitBasis would need a fresh search per n.
+  Its split vectors come from sieve.parity_windows, a segmented sieve
+  that yields the same (q, bits) as ParitySupplier.split a window at a
+  time.
 
 Prime sets (ParitySupplier.support) are kept apart from this encoding on
 purpose: they serve only to verify witnesses.

@@ -2,13 +2,18 @@
 
 The central object is an immutable smallest-prime-factor table; everything
 else (factorization records, smoothness tests, Psi counts) reads from it.
-Values above the table limit fall back to trial division by cached primes.
+Single values above the table limit fall back to trial division by cached
+primes. Runs of values, at any height below WINDOW_VALUE_CEILING, come from
+one segmented sieve (parity_windows): split parity vectors and P+ a window
+at a time, without a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -201,9 +206,8 @@ class PrimeCache:
 def smooth_in_interval(lo: int, hi: int, y: int, table: SpfTable) -> list[int]:
     """All n in (lo, hi] with P+(n) <= y, ascending.
 
-    Intervals within the table are read off directly; intervals beyond the
-    table limit are handled by a segmented residual sieve (divide out primes
-    up to min(y, sqrt(hi)); a surviving cofactor is a single prime).
+    Intervals within the table are read off its P+ array; intervals beyond
+    the table limit read P+ from the segmented sieve (parity_windows).
     smooth_in_interval(0, x, y) enumerates all smooth n <= x including 1.
     """
     if not (0 <= lo < hi):
@@ -214,23 +218,93 @@ def smooth_in_interval(lo: int, hi: int, y: int, table: SpfTable) -> list[int]:
         lpf = table.largest_prime_factors()
         seg = lpf[lo + 1:hi + 1]
         return [int(m) for m in np.nonzero(seg <= y)[0] + lo + 1]
-    return _smooth_segment(lo, hi, y)
-
-
-def _smooth_segment(lo: int, hi: int, y: int) -> list[int]:
-    size = hi - lo
-    residual = list(range(lo + 1, hi + 1))
-    bound = min(y, isqrt(hi))
-    for p in primes_up_to(bound):
-        start = ((lo + p) // p) * p  # first multiple of p in (lo, hi]
-        for idx in range(start - lo - 1, size, p):
-            while residual[idx] % p == 0:
-                residual[idx] //= p
     out = []
-    for idx, r in enumerate(residual):
-        if r == 1 or r <= y:
-            out.append(lo + 1 + idx)
+    for start, _, _, p_plus in parity_windows(lo + 1, hi + 1, isqrt(hi)):
+        out += (np.flatnonzero(p_plus <= y) + start).tolist()
     return out
+
+
+# Cap on the bytes of one window's word array; windows of wide rows get
+# fewer rows.
+WINDOW_BYTES = 1 << 22
+# Windows hold their values in int64 and must stay below this ceiling, so
+# that twice a value, and the next square above that, are below 2^63.
+WINDOW_VALUE_CEILING = 1 << 61
+# Windows start this small and double, so that a short scan sieves little.
+_FIRST_WINDOW = 1 << 10
+
+# (start, large, words, p_plus): see parity_windows
+Window = tuple[int, np.ndarray, np.ndarray, np.ndarray]
+
+
+def row_bits(words: np.ndarray) -> list[int]:
+    """Each row of a window's word array as a Python int: the `bits` of
+    its split vector."""
+    # one bytes object per row; the S dtype drops trailing zero bytes,
+    # which are the high bytes of a little-endian number
+    rows = words.view(f"S{8 * words.shape[1]}").ravel().tolist()
+    return list(map(int.from_bytes, rows, repeat("little")))
+
+
+def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
+    """The values a, a+1, ..., b-1 in consecutive windows, ascending.
+
+    Each window is (start, large, words, p_plus), and its row i describes
+    m = start + i under B = `bound`: large[i] is the prime above B that
+    divides m (to the first power), or 0; words[i] is the little-endian
+    uint64 bitset over the ranks of the primes <= B that divide m to an
+    odd power (2 has rank 0), which row_bits turns into ints; p_plus[i] is
+    P+(m), with 1 for m = 1.
+
+    A segmented sieve (Bays and Hudson, BIT 1977): per window, each prime
+    p <= isqrt(b-1) XORs the rank bit of p into the words at the multiples
+    of every power p^k < b, and divides a remainder array by p there. What
+    remains of a value is 1 or one prime, which is P+ when above 1. With
+    B = `bound` >= isqrt(b-1) that prime is the large tag when it exceeds
+    B (the large-prime split of Pomerance, 1982) and sets its rank bit
+    otherwise. The rows equal ParitySupplier.split(m, B) and p_plus(m).
+
+    A window's word array stays under WINDOW_BYTES; windows start at
+    _FIRST_WINDOW rows and double up to that size.
+    """
+    if not 1 <= a < b:
+        raise RangeError(f"need 1 <= a < b, got [{a}, {b})")
+    if b > WINDOW_VALUE_CEILING:
+        raise RangeError(f"windows hold values below {WINDOW_VALUE_CEILING}, not {b - 1}")
+    if bound < isqrt(b - 1):
+        raise RangeError(f"bound {bound} is below isqrt({b - 1})")
+    primes = np.array(primes_up_to(min(bound, b - 1)), dtype=np.int64)
+    width = max(1, (len(primes) + 63) >> 6)
+    most = max(1, WINDOW_BYTES // (8 * width))
+    size = min(_FIRST_WINDOW, most)
+    while a < b:
+        end = min(a + size, b)
+        yield _parity_window(a, end, bound, primes, width)
+        a = end
+        size = min(2 * size, most)
+
+
+def _parity_window(a: int, b: int, bound: int, primes: np.ndarray, width: int) -> Window:
+    rem = np.arange(a, b, dtype=np.int64)
+    words = np.zeros((b - a, width), dtype="<u8")
+    p_plus = np.ones(b - a, dtype=np.int64)
+    sieving = primes[:np.searchsorted(primes, isqrt(b - 1), side="right")]
+    for rank, p in enumerate(sieving.tolist()):
+        column = words[:, rank >> 6]
+        bit = np.uint64(1 << (rank & 63))
+        p_plus[-a % p::p] = p
+        pk = p
+        while pk < b:
+            first = -a % pk
+            column[first::pk] ^= bit
+            rem[first::pk] //= p
+            pk *= p
+    # rem is now 1 or a prime above every sieving prime
+    np.maximum(p_plus, rem, out=p_plus)
+    small = np.flatnonzero((rem > 1) & (rem <= bound))
+    ranks = np.searchsorted(primes, rem[small])
+    words[small, ranks >> 6] ^= np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64))
+    return a, np.where(rem > bound, rem, 0), words, p_plus
 
 
 def psi_count(x: int, y: int, table: SpfTable) -> int:

@@ -15,10 +15,16 @@ one gf2.SweepBasis, which keeps at each pivot the row with the latest
 start (the smallest index among the vectors XOR-ed into a row). For every
 l its rows with start >= l then span the vectors of l, ..., r-1, so the
 vector of r falls into the span exactly when it closes a window, and the
-smallest start its reduction meets is the unique n with n + t_n = r. A
-witnessed scan keeps one compute_tn search per n: the canonical witness is
-the combination the insertion-order basis of that n finds, which the sweep
-does not track.
+smallest start its reduction meets is the unique n with n + t_n = r. The
+sweep reads its vectors and P+ from sieve.parity_windows, one numpy pass
+per window instead of one factor walk per value, classifies squares and
+shortcut rows per window with exact integer numpy, and keeps t in a plain
+int list (scan_t); scan_tn makes TnResult rows of it only at its edge. It
+runs in one process: it shares its basis across the whole range, so
+chunks would repeat each other's work. A witnessed scan keeps one
+compute_tn search per n, on ParitySupplier's memoized pairs: the canonical
+witness is the combination the insertion-order basis of that n finds,
+which the sweep does not track.
 """
 
 from __future__ import annotations
@@ -26,12 +32,16 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import count
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import PrimeCache, SpfTable, build_spf_table, factorize_trial, primes_up_to
+from .sieve import (PrimeCache, SpfTable, build_spf_table, factorize_trial, parity_windows,
+                    primes_up_to, row_bits)
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -46,9 +56,11 @@ class ParitySupplier:
     Values within the table are factored by the table's smallest-prime-factor
     walk; larger values fall back to trial division with a growable prime
     list. The elimination reads split vectors (pair, split, vectors), the
-    one encoding that ranks primes; pairs are memoized, so overlapping
-    scan windows share work. Prime sets (support) are a separate encoding,
-    used only to verify witnesses.
+    one encoding that ranks primes. Pairs are memoized for compute_tn,
+    whose searches for nearby n (a witnessed scan) overlap; scans without
+    witnesses read sieve windows instead and never call the supplier.
+    Prime sets (support) are a separate encoding, used only to verify
+    witnesses.
     """
 
     def __init__(self, table: Optional[SpfTable] = None):
@@ -268,27 +280,30 @@ def scan_tn(lo: int, hi: int,
 
     Rows whose search cap is exhausted come back flagged (t = None,
     cap_exceeded=True) instead of aborting the scan. Without witnesses the
-    rows come from one sweep over the range (_sweep_rows); with witnesses
-    each n gets its own compute_tn search. Output is identical for any
-    worker count; with workers > 1 disjoint n-chunks are computed in
-    separate processes (each with its own supplier, whose table has the
-    size of the caller's) and merged in order.
+    rows wrap the lists of scan_t, one sequential sweep that reads its
+    vectors from sieve windows, not from `supplier`, whatever `workers`
+    is. With witnesses each n gets its own compute_tn search; with
+    workers > 1 disjoint n-chunks are searched in separate processes (each
+    with its own supplier, whose table has the size of the caller's) and
+    merged in order. Output is identical for any worker count.
     """
+    if not include_witness:
+        ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
+        return [TnResult(n, 0, ()) if t == 0
+                else TnResult(n, None, None, cap_exceeded=True) if t < 0
+                else TnResult(n, t, None, shortcut_used=s)
+                for n, t, s in zip(range(lo, hi + 1), ts, shortcut)]
     if not (1 <= lo <= hi):
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if workers > 1 and hi - lo >= 16:
         table = supplier.table if supplier is not None else None
         table_limit = table.limit if table is not None else DEFAULT_TABLE_LIMIT
-        return _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers,
-                              table_limit)
-    return _scan_rows(lo, hi, cap, use_shortcut, include_witness,
-                      supplier or default_supplier())
+        return _scan_parallel(lo, hi, cap, use_shortcut, workers, table_limit)
+    return _witnessed_rows(lo, hi, cap, use_shortcut, supplier or default_supplier())
 
 
-def _scan_rows(lo, hi, cap, use_shortcut, include_witness, supplier) -> list[TnResult]:
-    if include_witness:
-        return [_tn_row(n, cap, use_shortcut, True, supplier) for n in range(lo, hi + 1)]
-    return _sweep_rows(lo, hi, cap, use_shortcut, supplier)
+def _witnessed_rows(lo, hi, cap, use_shortcut, supplier) -> list[TnResult]:
+    return [_tn_row(n, cap, use_shortcut, True, supplier) for n in range(lo, hi + 1)]
 
 
 def _tn_row(n, cap, use_shortcut, include_witness, supplier) -> TnResult:
@@ -299,63 +314,102 @@ def _tn_row(n, cap, use_shortcut, include_witness, supplier) -> TnResult:
         return TnResult(n, None, None, shortcut_used=False, cap_exceeded=True)
 
 
-def _sweep_rows(lo, hi, cap, use_shortcut, supplier) -> list[TnResult]:
-    """The rows of [lo, hi] without witnesses, from one left-to-right sweep.
+def _classify(a: int, p_plus: np.ndarray, use_shortcut: bool) -> tuple[np.ndarray, np.ndarray]:
+    """t of the rows n = a, a+1, ... that need no search, given their P+:
+    0 for a square, P+(n) for a shortcut row (large_prime_shortcut's test),
+    and -1 for every other n. Also returns the shortcut mask.
 
-    Squares and shortcut rows are classified up front; every other n is
-    pending. The vectors of lo, lo+1, ... go into one SweepBasis, whose
-    insertion of r returns the unique n with n + t_n = r, if any; a pending
-    n that is not closed by r = n + limit is capped. Pending rows expire in
-    order of n, so one pointer tracks the oldest open one, and the sweep
-    stops when none is left. The bound is compute_tn's B rule taken over
-    the whole range: every value the sweep touches is at most hi + limit.
+    Exact integer numpy: the squares and isqrt(2n) come from the squares
+    of a short run of ints, never from a float sqrt.
     """
-    rows: list[Optional[TnResult]] = [None] * (hi - lo + 1)
-    pending = []
-    for n in range(lo, hi + 1):
-        if isqrt(n) ** 2 == n:
-            rows[n - lo] = TnResult(n, 0, ())
-            continue
-        p = large_prime_shortcut(n, supplier) if use_shortcut else None
-        if p is None:
-            pending.append(n)
-        else:
-            rows[n - lo] = TnResult(n, p, None, shortcut_used=True)
-    if not pending:
-        return rows
+    c = a + len(p_plus)  # the rows are a..c-1, all below the window ceiling
+    t = np.full(len(p_plus), -1, dtype=np.int64)
+    shortcut = np.zeros(len(p_plus), dtype=bool)
+    if use_shortcut:
+        ns = np.arange(a, c, dtype=np.int64)
+        k0 = isqrt(2 * a)
+        squares = np.arange(k0, isqrt(2 * (c - 1)) + 2, dtype=np.int64) ** 2
+        isqrt_2n = k0 - 1 + np.searchsorted(squares, 2 * ns, side="right")
+        # (P+ - 1)^2 > 2n exactly when P+ - 1 > isqrt(2n)
+        shortcut = p_plus - 1 > isqrt_2n
+        t[shortcut] = p_plus[shortcut]
+    roots = np.arange(isqrt(a - 1) + 1, isqrt(c - 1) + 1, dtype=np.int64)
+    squares_at = roots * roots - a
+    t[squares_at] = 0
+    shortcut[squares_at] = False
+    return t, shortcut
+
+
+def scan_t(lo: int, hi: int, cap: Optional[int] = None,
+           use_shortcut: bool = True) -> tuple[list[int], list[bool]]:
+    """t_n for n = lo, lo+1, ..., hi without witnesses, as plain lists.
+
+    Returns the t of every n, with -1 for a row whose search cap is
+    exhausted, and whether the large-prime shortcut settled it: the rows
+    of scan_tn without witnesses, from one left-to-right sweep.
+
+    The values lo, lo+1, ... come from sieve windows under the bound B of
+    compute_tn's rule taken over the whole range (every value the sweep
+    touches is at most hi + limit). The rows of each window are classified
+    from its P+ before its values go in: squares and shortcut rows are
+    settled, every other n is pending. The values go into one SweepBasis,
+    whose insertion of r returns the unique n with n + t_n = r, if any; a
+    pending n that is not closed by r = n + limit is capped. Pending rows
+    expire in order of n, so one pointer tracks the oldest open one, and
+    the sweep stops once every n is classified and none is open.
+    """
+    if not (1 <= lo <= hi):
+        raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     limit = cap if cap is not None else HARD_OFFSET_CAP
-    if limit < 1:
-        raise RangeError("cap must be >= 1")
-    bound = isqrt(hi + limit)
-    rank = supplier.ranks(bound)
-    pair = supplier.pair
-    insert = SweepBasis(len(rank)).insert
+    reach = hi + max(limit, 0)
+    ts: list[int] = []
+    shortcut = []
+    pending: list[int] = []
     oldest = 0  # pending[oldest] is the smallest n that may still be open
-    r = lo
-    while True:
-        q, bits = pair(r)
-        if 0 < q <= bound:
-            bits |= 1 << rank[q]
-            q = 0
-        n = insert(q, bits, r)
-        if n is not None and n <= hi:
-            row = rows[n - lo]
-            if row is None:
-                rows[n - lo] = TnResult(n, r - n, None)
-            else:
-                # n closes once, at n + t_n: a shortcut row at P+(n), a
-                # capped row past its cap
-                assert row.cap_exceeded or r - n == row.t, \
-                    f"n = {n} closes at offset {r - n}, not at t = {row.t}"
-        n = pending[oldest]
-        while rows[n - lo] is not None or r - n >= limit:
-            if rows[n - lo] is None:
-                rows[n - lo] = TnResult(n, None, None, cap_exceeded=True)
-            oldest += 1
-            if oldest == len(pending):
-                return rows
-            n = pending[oldest]
-        r += 1
+    expiry = reach + 1  # pending[oldest] + limit, or past the sweep
+    open_rows = 0
+    basis = None
+    for a, large, words, p_plus in parity_windows(lo, reach + 1, isqrt(reach)):
+        b = a + len(p_plus)
+        if a <= hi:
+            known, s = _classify(a, p_plus[:hi + 1 - a], use_shortcut)
+            ts += known.tolist()
+            shortcut.append(s)
+            new = (np.flatnonzero(known < 0) + a).tolist()
+            if new:
+                if limit < 1:
+                    raise RangeError("cap must be >= 1")
+                if oldest == len(pending):
+                    expiry = new[0] + limit
+                pending += new
+                open_rows += len(new)
+        done = b > hi  # every n is classified
+        basis = basis or SweepBasis(64 * words.shape[1])
+        insert = basis.insert
+        for r, q, bits in zip(count(a), large.tolist(), row_bits(words)):
+            if done and not open_rows:
+                break
+            n = insert(q, bits, r)
+            if n is not None and n <= hi:
+                t = ts[n - lo]
+                if t >= 0:
+                    # n closes once, at n + t_n: a shortcut row at P+(n)
+                    assert r - n == t, f"n = {n} closes at offset {r - n}, not at t = {t}"
+                elif r - n <= limit:
+                    ts[n - lo] = r - n
+                    open_rows -= 1
+            if r >= expiry:
+                while oldest < len(pending):
+                    n = pending[oldest]
+                    if ts[n - lo] < 0:
+                        if r - n < limit:
+                            break
+                        open_rows -= 1  # capped: its t stays -1
+                    oldest += 1
+                expiry = pending[oldest] + limit if oldest < len(pending) else reach + 1
+        if done and not open_rows:
+            break
+    return ts, np.concatenate(shortcut).tolist()
 
 
 _worker_supplier: Optional[ParitySupplier] = None
@@ -371,18 +425,16 @@ def _chunk_supplier(table_limit: int) -> ParitySupplier:
 
 
 def _scan_chunk(args) -> list[TnResult]:
-    lo, hi, cap, use_shortcut, include_witness, table_limit = args
-    return _scan_rows(lo, hi, cap, use_shortcut, include_witness,
-                      _chunk_supplier(table_limit))
+    lo, hi, cap, use_shortcut, table_limit = args
+    return _witnessed_rows(lo, hi, cap, use_shortcut, _chunk_supplier(table_limit))
 
 
-def _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers,
-                   table_limit) -> list[TnResult]:
+def _scan_parallel(lo, hi, cap, use_shortcut, workers, table_limit) -> list[TnResult]:
     from concurrent.futures import ProcessPoolExecutor
 
     count = hi - lo + 1
     chunk = max(256, count // (workers * 8))
-    tasks = [(a, min(a + chunk - 1, hi), cap, use_shortcut, include_witness, table_limit)
+    tasks = [(a, min(a + chunk - 1, hi), cap, use_shortcut, table_limit)
              for a in range(lo, hi + 1, chunk)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -392,35 +444,38 @@ def _scan_parallel(lo, hi, cap, use_shortcut, include_witness, workers,
         # sequential, which produces identical output by construction.
         warnings.warn(f"worker processes unavailable ({e}); scanning sequentially",
                       RuntimeWarning, stacklevel=3)
-        return _scan_chunk((lo, hi, cap, use_shortcut, include_witness, table_limit))
+        return _scan_chunk((lo, hi, cap, use_shortcut, table_limit))
     return [row for part in parts for row in part]
 
 
 CSV_HEADER = "n,t,shortcut_used,witness"
 
 
-def result_csv_line(r: TnResult) -> str:
-    t = "" if r.t is None else str(r.t)
-    witness = "" if not r.witness else ";".join(str(j) for j in r.witness)
-    return f"{r.n},{t},{str(r.shortcut_used).lower()},{witness}"
-
-
-def result_json_line(r: TnResult) -> str:
-    return json.dumps({
-        "n": r.n,
-        "t": r.t,
-        "shortcut_used": r.shortcut_used,
-        "witness": list(r.witness) if r.witness is not None else None,
-        "cap_exceeded": r.cap_exceeded,
-    }, sort_keys=True)
+def _render(rows, fmt: str) -> str:
+    """Render (n, t, shortcut_used, witness, cap_exceeded) rows as CSV
+    (with header) or JSON lines; LF endings."""
+    if fmt == "csv":
+        lines = [CSV_HEADER] + [
+            f"{n},{'' if t is None else t},{'true' if s else 'false'},"
+            f"{';'.join(map(str, w)) if w else ''}" for n, t, s, w, _ in rows]
+    elif fmt == "json":
+        lines = [json.dumps({"n": n, "t": t, "shortcut_used": s,
+                             "witness": list(w) if w is not None else None,
+                             "cap_exceeded": c}, sort_keys=True)
+                 for n, t, s, w, c in rows]
+    else:
+        raise RangeError(f"unknown format {fmt!r}")
+    return "\n".join(lines) + "\n"
 
 
 def render_results(results: Iterable[TnResult], fmt: str = "csv") -> str:
     """Render scan rows as CSV (with header) or JSON lines; LF endings."""
-    if fmt == "csv":
-        lines = [CSV_HEADER] + [result_csv_line(r) for r in results]
-    elif fmt == "json":
-        lines = [result_json_line(r) for r in results]
-    else:
-        raise RangeError(f"unknown format {fmt!r}")
-    return "\n".join(lines) + "\n"
+    return _render(((r.n, r.t, r.shortcut_used, r.witness, r.cap_exceeded)
+                    for r in results), fmt)
+
+
+def render_t(lo: int, ts: Sequence[int], shortcut: Sequence[bool], fmt: str = "csv") -> str:
+    """Render the lists of scan_t(lo, hi) as render_results renders the
+    rows of scan_tn(lo, hi) without witnesses, without making the rows."""
+    return _render(((n, t if t >= 0 else None, s, () if t == 0 else None, t < 0)
+                    for n, t, s in zip(count(lo), ts, shortcut)), fmt)

@@ -96,6 +96,9 @@ def test_sweep_matches_per_n_searches(small_supplier, lo, length, cap, use_short
     rows = scan_tn(lo, hi, cap, use_shortcut, include_witness=False, supplier=small_supplier)
     assert rows == [tn._tn_row(n, cap, use_shortcut, False, small_supplier)
                     for n in range(lo, hi + 1)]
+    ts, shortcut = tn.scan_t(lo, hi, cap, use_shortcut)
+    for fmt in ("csv", "json"):
+        assert tn.render_t(lo, ts, shortcut, fmt) == render_results(rows, fmt)
 
 
 def test_golden_witnessed_kp_rows():

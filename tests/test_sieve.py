@@ -1,11 +1,14 @@
+from math import isqrt
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import is_smooth, largest_prime_factor, trial_factor
 from tnlab.errors import DomainError, RangeError
-from tnlab.sieve import (build_spf_table, factorize, factorize_trial, primes_up_to,
-                         psi_count, smooth_in_interval)
+from tnlab.sieve import (WINDOW_VALUE_CEILING, build_spf_table, factorize, factorize_trial,
+                         parity_windows, primes_up_to, psi_count, row_bits,
+                         smooth_in_interval)
 
 
 def test_spf_examples():
@@ -99,6 +102,58 @@ def test_smooth_in_interval_beyond_table_limit(table):
     got = smooth_in_interval(lo, hi, 20, table)
     expect = [n for n in range(lo + 1, hi + 1) if is_smooth(n, 20)]
     assert got == expect
+
+
+@pytest.fixture(scope="module")
+def tiny_table():
+    return build_spf_table(1 << 8)
+
+
+@pytest.fixture(scope="module")
+def covering_table():
+    return build_spf_table(1 << 19)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 19) - 600),
+       st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=3000))
+@example(0, 300, 7)
+@example(0, 257, 1)
+@settings(max_examples=60, deadline=None)
+def test_smooth_in_interval_past_the_table_matches_a_covering_table(
+        tiny_table, covering_table, lo, length, y):
+    # past the tiny table P+ comes from the segmented sieve, within the
+    # covering table from its P+ array
+    hi = max(lo + length, tiny_table.limit + 1)
+    assert smooth_in_interval(lo, hi, y, tiny_table) == \
+        smooth_in_interval(lo, hi, y, covering_table)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 9), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=0, max_value=20000))
+@example(1, 1, 0)
+@example(1, 64, 0)
+@settings(max_examples=60, deadline=None)
+def test_parity_windows_match_the_supplier(supplier, a, length, extra):
+    b = a + length
+    bound = isqrt(b - 1) + extra
+    rows = []
+    for start, large, words, p_plus in parity_windows(a, b, bound):
+        rows += zip(range(start, b), large.tolist(), row_bits(words), p_plus.tolist())
+    assert [m for m, _, _, _ in rows] == list(range(a, b))
+    for m, q, bits, p_plus in rows:
+        assert (q, bits) == supplier.split(m, bound)
+        assert p_plus == supplier.p_plus(m)
+
+
+def test_parity_windows_refuse_what_they_cannot_hold():
+    ceiling = WINDOW_VALUE_CEILING
+    # refused before any sieving: primes up to isqrt(ceiling) would not fit
+    with pytest.raises(RangeError, match="below"):
+        next(parity_windows(ceiling - 1, ceiling + 1, isqrt(ceiling)))
+    with pytest.raises(RangeError, match="isqrt"):
+        next(parity_windows(1000, 2000, 30))
+    with pytest.raises(RangeError):
+        next(parity_windows(5, 5, 10))
 
 
 def test_psi_examples(table):

@@ -1,3 +1,8 @@
+import tracemalloc
+from collections import Counter
+from math import isqrt
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +10,9 @@ from hypothesis import strategies as st
 from oracles import brute_tn, is_square, largest_prime_factor
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import tn
-from tnlab.tn import (TnResult, compute_tn, large_prime_shortcut, render_results,
-                      scan_tn, verify_witness)
+from tnlab.sieve import WINDOW_BYTES, WINDOW_VALUE_CEILING, build_spf_table
+from tnlab.tn import (ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
+                      render_results, scan_t, scan_tn, verify_witness)
 
 
 def test_known_small_values(supplier):
@@ -140,10 +146,19 @@ def test_scan_workers_deterministic(supplier):
 def test_sweep_checks_shortcut_rows_that_close_inside_it(supplier, monkeypatch):
     # t_14 = P+(14) = 7; pending rows such as n = 30 keep the sweep over
     # 2..30 running past r = 21, where the window of 14 closes, so a wrong
-    # shortcut value for 14 must trip the check
-    shortcut = tn.large_prime_shortcut
-    monkeypatch.setattr(tn, "large_prime_shortcut",
-                        lambda n, s=None: 8 if n == 14 else shortcut(n, s))
+    # shortcut value for 14 must trip the check. The sweep classifies
+    # shortcut rows from the P+ of its windows: a P+ of 8 for 14 passes
+    # the shortcut test, (8 - 1)^2 > 28, with t = 8.
+    windows = tn.parity_windows
+
+    def wrong_p_plus(a, b, bound):
+        for start, large, words, p_plus in windows(a, b, bound):
+            p_plus = p_plus.copy()
+            if start <= 14 < start + len(p_plus):
+                p_plus[14 - start] = 8
+            yield start, large, words, p_plus
+
+    monkeypatch.setattr(tn, "parity_windows", wrong_p_plus)
     with pytest.raises(AssertionError, match="n = 14 closes at offset 7, not at t = 8"):
         scan_tn(2, 30, supplier=supplier)
 
@@ -153,6 +168,72 @@ def test_scan_cap_below_one_raises_only_for_a_search(supplier):
     assert scan_tn(1, 1, cap=0, supplier=supplier) == [TnResult(1, 0, ())]
     with pytest.raises(RangeError, match="cap must be >= 1"):
         scan_tn(2, 3, cap=0, supplier=supplier)
+
+
+class CountingSupplier(ParitySupplier):
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = Counter()
+
+    def pair(self, m):
+        self.calls["pair"] += 1
+        return super().pair(m)
+
+    def p_plus(self, m):
+        self.calls["p_plus"] += 1
+        return super().p_plus(m)
+
+
+def test_scan_without_witness_reads_sieve_windows_not_the_supplier(table):
+    counting = CountingSupplier(table)
+    rows = scan_tn(2, 3000, supplier=counting)
+    assert not counting.calls
+    assert rows == scan_tn(2, 3000, supplier=ParitySupplier(table))
+    # the counter sees the supply of a witnessed scan
+    scan_tn(2, 40, include_witness=True, supplier=counting)
+    assert counting.calls["pair"] and counting.calls["p_plus"]
+
+
+def test_sweep_window_stays_under_its_byte_cap_when_a_cap_raises_the_bound():
+    # B = isqrt(10^6 + 50 + 10^12) = 10^6: 78498 ranks, 1227 words a row,
+    # so a window of the usual 2^16 rows would take 643 MB. A window holds
+    # its words, and its rows as bytes and as ints, about WINDOW_BYTES each.
+    lo, hi, cap = 10 ** 6, 10 ** 6 + 50, 10 ** 12
+    tracemalloc.start()
+    try:
+        rows = scan_tn(lo, hi, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * WINDOW_BYTES
+    small = ParitySupplier(build_spf_table(1 << 12))
+    assert rows == [tn._tn_row(n, cap, True, False, small) for n in range(lo, hi + 1)]
+
+
+def test_sweep_refuses_values_past_the_window_ceiling():
+    # the default offset limit of 10^7 takes the sweep past the ceiling
+    with pytest.raises(RangeError, match="below"):
+        scan_t(WINDOW_VALUE_CEILING - 10 ** 6, WINDOW_VALUE_CEILING - 10 ** 6 + 5)
+
+
+def test_classification_is_exact_just_below_the_window_ceiling():
+    # squares and the shortcut test (P+ - 1)^2 > 2n in int64, against
+    # Python ints, on runs below the ceiling that hold a square n and an n
+    # with 2n square (n = 2m^2). P+ is set to isqrt(2n) + d: d = 1 is the
+    # edge, where the shortcut holds exactly when 2n is not a square.
+    m = isqrt((WINDOW_VALUE_CEILING - 1) // 2)
+    for lo in (WINDOW_VALUE_CEILING - 64, isqrt(WINDOW_VALUE_CEILING - 64) ** 2 - 32,
+               2 * m * m - 32):
+        ns = range(lo, lo + 64)
+        assert ns[-1] < WINDOW_VALUE_CEILING
+        for d in (0, 1, 2):
+            p_plus = [isqrt(2 * n) + d for n in ns]
+            t, shortcut = tn._classify(lo, np.array(p_plus, dtype=np.int64), True)
+            for n, p, got_t, got_s in zip(ns, p_plus, t.tolist(), shortcut.tolist()):
+                square = isqrt(n) ** 2 == n
+                expect_s = not square and (p - 1) ** 2 > 2 * n
+                assert got_s == expect_s
+                assert got_t == (0 if square else p if expect_s else -1)
 
 
 def test_scan_falls_back_to_sequential_with_warning(supplier, monkeypatch):
@@ -168,7 +249,7 @@ def test_scan_falls_back_to_sequential_with_warning(supplier, monkeypatch):
 
 
 def test_scan_chunk_uses_callers_table_limit(supplier):
-    rows = tn._scan_chunk((2, 60, None, True, True, 1 << 10))
+    rows = tn._scan_chunk((2, 60, None, True, 1 << 10))
     assert tn._worker_supplier.table.limit == 1 << 10
     assert rows == scan_tn(2, 60, include_witness=True, supplier=supplier)
 
