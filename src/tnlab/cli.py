@@ -10,24 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 from . import constructor, distribution, heights, intervals, runge
 from .errors import TnLabError
 from .sieve import build_spf_table
-from .tn import (DEFAULT_TABLE_LIMIT, ParitySupplier, compute_tn, render_results, render_t,
-                 scan_t, scan_tn)
-
-
-def _sieve_limit(args) -> int:
-    if getattr(args, "sieve_limit", None):
-        return args.sieve_limit
-    env = os.environ.get("TNLAB_SIEVE_LIMIT")
-    if env:
-        return int(env)
-    return DEFAULT_TABLE_LIMIT
+from .tn import compute_tn, render_results, render_t, scan_t, scan_tn
 
 
 def _config_dict(args, keys) -> dict:
@@ -52,13 +41,9 @@ def _csv_with_config(body: str, config: dict) -> str:
     return header + body
 
 
-def _supplier(args) -> ParitySupplier:
-    return ParitySupplier(build_spf_table(_sieve_limit(args)))
-
-
 def _cmd_tn(args) -> int:
     r = compute_tn(args.n, cap=args.cap, use_shortcut=not args.no_shortcut,
-                   include_witness=True, supplier=_supplier(args))
+                   include_witness=True)
     witness = list(r.witness) if r.witness is not None else None
     print(f"n={r.n} t={r.t} shortcut_used={r.shortcut_used} witness={witness}")
     if args.out:
@@ -75,8 +60,7 @@ def _cmd_scan(args) -> int:
     use_shortcut = not args.no_shortcut
     if args.witness:
         rows = scan_tn(args.lo, args.hi, cap=args.cap, use_shortcut=use_shortcut,
-                       include_witness=True, supplier=_supplier(args),
-                       workers=args.workers)
+                       include_witness=True, workers=args.workers)
         text = render_results(rows, args.format)
     else:
         ts, shortcut = scan_t(args.lo, args.hi, cap=args.cap, use_shortcut=use_shortcut)
@@ -90,8 +74,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_interval(args) -> int:
     mode = "kernel" if args.kernel else "brute"
-    report = intervals.check_interval_identity(args.lo, args.hi, args.y, mode=mode,
-                                               supplier=_supplier(args))
+    report = intervals.check_interval_identity(args.lo, args.hi, args.y, mode=mode)
     config = _config_dict(args, ["lo", "hi", "y", "kernel"])
     _emit_json(report.to_json_dict(), config, args.out)
     return 0
@@ -223,9 +206,6 @@ def _add_common(p, fmt_default="csv", with_format=True):
     p.add_argument("--out", help="output file path (stdout when omitted)")
     if with_format:
         p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
-    p.add_argument("--sieve-limit", type=int, dest="sieve_limit",
-                   help="smallest-prime-factor table size "
-                        "(default from TNLAB_SIEVE_LIMIT or 2^20)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import PipelineFailed, RangeError, UsageError
 from .gf2 import kernel_masks, mask_bits
-from .sieve import SpfTable, build_spf_table, primes_up_to, smooth_in_interval
+from .sieve import (SpfTable, build_spf_table, primes_up_to, psi_count, smooth_in_interval,
+                    split_vectors)
 from .tn import ParitySupplier, verify_witness
 
 EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
@@ -58,8 +59,8 @@ def find_smooth_rich_intervals(x: int, y: float, length: int, delta: float,
     if table is None or table.limit < x:
         table = build_spf_table(x)
     y_int = int(math.floor(y))
+    psi = psi_count(x, y_int, table)
     lpf = table.largest_prime_factors()
-    psi = int(np.count_nonzero(lpf[1:x + 1] <= y_int))
     threshold = delta * length * psi / x
 
     lo_bound = x / math.log(x)
@@ -93,7 +94,7 @@ def build_small_tn(lo: int, hi: int, y: float,
         return None
     # pi(y) + 1 vectors over the primes up to y: the first dependency is
     # among them (pigeonhole)
-    first = kernel_masks(ParitySupplier(table).vectors(smooths[:prime_count + 1]))[0]
+    first = kernel_masks(split_vectors(smooths[:prime_count + 1]))[0]
     members = [smooths[i] for i in mask_bits(first)]
     n = members[0]
     return n, tuple(v - n for v in members[1:])
@@ -227,8 +228,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     t1 = time.perf_counter()
     y_int = int(math.floor(y))
     smooths = smooth_in_interval(lo, hi, y_int, table)
-    supplier = ParitySupplier(table)
-    masks = kernel_masks(supplier.vectors(smooths))
+    masks = kernel_masks(split_vectors(smooths))
     dim = len(masks)
     prime_count = len(primes_up_to(y_int))
     timings["kernel"] = time.perf_counter() - t1
@@ -251,7 +251,8 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     span = members[-1] - n
     interior = tuple(m - n for m in members[1:-1])
 
-    assert verify_witness(n, interior + (span,), supplier), "certificate product is not a square"
+    assert verify_witness(n, interior + (span,), ParitySupplier(table)), \
+        "certificate product is not a square"
 
     target = math.ceil(span ** (1.0 - c))
     timings["total"] = time.perf_counter() - t0

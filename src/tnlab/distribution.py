@@ -150,7 +150,6 @@ class DistributionTable:
 
 def distribution_table(x: int, cs: Sequence[float],
                        table: Optional[SpfTable] = None,
-                       cap: Optional[int] = None,
                        results: Optional[Sequence[TnResult]] = None) -> DistributionTable:
     """Counts of {t_n <= floor(x^c)} versus {P+(n) <= floor(x^c)} for n <= x.
 
@@ -167,7 +166,7 @@ def distribution_table(x: int, cs: Sequence[float],
     if table is None or table.limit < x:
         table = build_spf_table(x)
     if results is None:
-        tvals = np.array(scan_t(1, x, cap=cap)[0], dtype=np.int64)
+        tvals = np.array(scan_t(1, x)[0], dtype=np.int64)
     elif len(results) != x or any(r.n != n for n, r in enumerate(results, 1)):
         raise RangeError(f"results must be the scan rows of n = 1..{x} in order")
     else:
@@ -256,21 +255,23 @@ def conjecture_scan(x: int, c: float,
         raise RangeError("x must be >= 2")
     if not (0.0 < c < 1.0):
         raise RangeError(f"c must lie in (0, 1), got {c}")
-    rows = []
-    best: Optional[ConjectureRow] = None
+    rows = []  # made only up to the number a report keeps
+    scanned = 0
+    best = (math.inf, 0, 0)  # (ratio, n, t) of the first minimum
     # squares have t = 0 and capped rows t = -1
     for n, t in zip(range(2, x + 1), scan_t(2, x)[0]):
         if t <= 0:
             continue
         ratio = t / math.log(n) ** (1.0 - c)
-        row = ConjectureRow(n=n, t=t, ratio=ratio)
-        rows.append(row)
-        if best is None or ratio < best.ratio:
-            best = row
-    if best is None:
+        scanned += 1
+        if scanned <= detail_limit:
+            rows.append(ConjectureRow(n=n, t=t, ratio=ratio))
+        if ratio < best[0]:
+            best = (ratio, n, t)
+    if not scanned:
         raise RangeError(f"no non-square integers in [2, {x}]")
     return ConjectureScanReport(
-        x=x, c=c, scanned=len(rows),
-        min_ratio=best.ratio, argmin_n=best.n, argmin_t=best.t,
-        rows=tuple(rows) if len(rows) <= detail_limit else None,
+        x=x, c=c, scanned=scanned,
+        min_ratio=best[0], argmin_n=best[1], argmin_t=best[2],
+        rows=tuple(rows) if scanned <= detail_limit else None,
     )

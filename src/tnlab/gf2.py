@@ -9,8 +9,8 @@ or 0, and bits is a Python int whose bit r is set when the r-th prime
 of the quadratic sieve (Pomerance, 1982).
 
 The B rule. A span search for t_n with offset limit L touches the values
-n, n+1, ..., n+L, so it uses B = isqrt(n + L); every value it can touch,
-values past the sieve table included, then has at most one prime above B.
+n, n+1, ..., n+L, so it uses B = isqrt(n + L); every value it can touch
+then has at most one prime above B.
 
 Elimination. SplitBasis pivots on the largest prime of a vector: q when it
 is set, otherwise the top bit of bits. Ranks follow the order of the
@@ -35,17 +35,17 @@ vectors, because they answer two different questions.
   witnesses and kernel bases. compute_tn drives it directly for one n,
   and kernel_masks serves every kernel: interval kernels, the small-t_n
   pigeonhole and the constructor's parity kernel. Its split vectors come
-  from tn.ParitySupplier.vectors, the one place that picks the bound of a
-  batch. Every dependency comes out as a combination mask over insertion
-  indices; callers map set bits back to their own values with mask_bits.
+  from sieve.split_vectors, the one place that picks the bound of a batch,
+  and for compute_tn from tn.ParitySupplier. Every dependency comes out as
+  a combination mask over insertion indices; callers map set bits back to
+  their own values with mask_bits.
 - SweepBasis answers "which n closes here?". It keeps no masks: each row
   carries only the smallest insertion index among the vectors XOR-ed into
   it, and a pivot keeps the row whose start is latest. One left-to-right
   sweep over a range then resolves t_n for every n of a scan without
   witnesses (tn.scan_t), where SplitBasis would need a fresh search per n.
-  Its split vectors come from sieve.parity_windows, a segmented sieve
-  that yields the same (q, bits) as ParitySupplier.split a window at a
-  time.
+  Its split vectors come from sieve.parity_windows, the segmented sieve
+  that every split vector comes from.
 
 Prime sets (ParitySupplier.support) are kept apart from this encoding on
 purpose: they serve only to verify witnesses.

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .errors import CapExceeded, RangeError
 from .gf2 import kernel_masks, mask_bits
-from .sieve import primes_up_to
+from .sieve import primes_up_to, split_vectors
 from .tn import ParitySupplier, compute_tn, default_supplier
 
 BRUTE_LENGTH_GUARD = 30
@@ -73,10 +73,9 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
     """
     if not (0 <= lo < hi):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
-    supplier = supplier or default_supplier()
     elements = list(range(lo + 1, hi + 1))
     if mode == "kernel":
-        kernel = _kernel_sets(elements, supplier)
+        kernel = _kernel_sets(elements)
         return SquareSubsetEnumeration(lo, hi, mode, 2 ** len(kernel),
                                        kernel_basis=tuple(kernel))
     if mode != "brute":
@@ -86,6 +85,7 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
         raise RangeError(f"interval length {m} exceeds brute guard "
                          f"{BRUTE_LENGTH_GUARD}; use kernel mode")
 
+    supplier = supplier or default_supplier()
     prime_bits: dict[int, int] = {}
     vecs = []
     for e in elements:
@@ -113,9 +113,9 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
     return SquareSubsetEnumeration(lo, hi, mode, len(subsets), subsets=subsets)
 
 
-def _kernel_sets(elements: list[int], supplier: ParitySupplier) -> list[tuple[int, ...]]:
+def _kernel_sets(elements: list[int]) -> list[tuple[int, ...]]:
     return [tuple(elements[i] for i in mask_bits(mask))
-            for mask in kernel_masks(supplier.vectors(elements))]
+            for mask in kernel_masks(split_vectors(elements))]
 
 
 @dataclass(frozen=True)

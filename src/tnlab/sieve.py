@@ -1,11 +1,10 @@
 """Sieving, factorization, and smooth-number counting over bounded ranges.
 
-The central object is an immutable smallest-prime-factor table; everything
-else (factorization records, smoothness tests, Psi counts) reads from it.
-Single values above the table limit fall back to trial division by cached
-primes. Runs of values, at any height below WINDOW_VALUE_CEILING, come from
-one segmented sieve (parity_windows): split parity vectors and P+ a window
-at a time, without a table.
+An immutable smallest-prime-factor table backs factorization records,
+smoothness tests and Psi counts. Split parity vectors and P+, at any height
+below WINDOW_VALUE_CEILING, come from one segmented sieve (parity_windows),
+for scans, kernel batches (split_vectors) and tn.ParitySupplier alike;
+trial division (factorize_trial) serves verification and heights only.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,10 +53,6 @@ class SpfTable:
         # faster than numpy scalar indexing on this per-value hot path
         self._view = memoryview(spf)
         self._lpf: np.ndarray | None = None
-
-    def __reduce__(self):
-        """Pickle as (limit, array); a memoryview cannot be pickled."""
-        return SpfTable, (self.limit, self._spf)
 
     def spf(self, m: int) -> int:
         return int(self._spf[m])
@@ -246,7 +241,8 @@ def row_bits(words: np.ndarray) -> list[int]:
     return list(map(int.from_bytes, rows, repeat("little")))
 
 
-def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
+def parity_windows(a: int, b: int, bound: int,
+                   primes: Optional[np.ndarray] = None) -> Iterator[Window]:
     """The values a, a+1, ..., b-1 in consecutive windows, ascending.
 
     Each window is (start, large, words, p_plus), and its row i describes
@@ -262,10 +258,12 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
     remains of a value is 1 or one prime, which is P+ when above 1. With
     B = `bound` >= isqrt(b-1) that prime is the large tag when it exceeds
     B (the large-prime split of Pomerance, 1982) and sets its rank bit
-    otherwise. The rows equal ParitySupplier.split(m, B) and p_plus(m).
+    otherwise.
 
     A window's word array stays under WINDOW_BYTES; windows start at
-    _FIRST_WINDOW rows and double up to that size.
+    _FIRST_WINDOW rows and double up to that size. A caller that sieves
+    many runs passes `primes`, the ascending int64 primes up to at least
+    min(B, b-1), so that they are not sieved again for every run.
     """
     if not 1 <= a < b:
         raise RangeError(f"need 1 <= a < b, got [{a}, {b})")
@@ -273,7 +271,9 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
         raise RangeError(f"windows hold values below {WINDOW_VALUE_CEILING}, not {b - 1}")
     if bound < isqrt(b - 1):
         raise RangeError(f"bound {bound} is below isqrt({b - 1})")
-    primes = np.array(primes_up_to(min(bound, b - 1)), dtype=np.int64)
+    top = min(bound, b - 1)
+    primes = np.array(primes_up_to(top), dtype=np.int64) if primes is None else primes
+    primes = primes[:np.searchsorted(primes, top, side="right")]
     width = max(1, (len(primes) + 63) >> 6)
     most = max(1, WINDOW_BYTES // (8 * width))
     size = min(_FIRST_WINDOW, most)
@@ -284,21 +284,58 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
         size = min(2 * size, most)
 
 
+def split_vectors(values: Sequence[int]) -> list[tuple[int, int]]:
+    """The split vectors (q, bits) of a batch of positive values under
+    B = isqrt(max(values)), the bound of every kernel: no value of the batch
+    has two prime factors above it. One window pass over the batch's range."""
+    if not values:
+        return []
+    hi = max(values)
+    ms = np.array(values, dtype=np.int64)
+    out = [(0, 0)] * len(values)
+    for start, large, words, _ in parity_windows(min(values), hi + 1, isqrt(hi)):
+        # only the rows of the batch become Python ints
+        at = np.flatnonzero((ms >= start) & (ms < start + len(large)))
+        rows = ms[at] - start
+        for i, q, bits in zip(at.tolist(), large[rows].tolist(), row_bits(words[rows])):
+            out[i] = (q, bits)
+    return out
+
+
 def _parity_window(a: int, b: int, bound: int, primes: np.ndarray, width: int) -> Window:
     rem = np.arange(a, b, dtype=np.int64)
     words = np.zeros((b - a, width), dtype="<u8")
     p_plus = np.ones(b - a, dtype=np.int64)
     sieving = primes[:np.searchsorted(primes, isqrt(b - 1), side="right")]
-    for rank, p in enumerate(sieving.tolist()):
+    # a power p^k >= b - a divides at most one value of the window: such
+    # powers are sieved together, the lower ones one prime at a time
+    length = b - a
+    few = int(np.searchsorted(sieving, length))
+    powers = []  # the least power of each of these primes that is >= length
+    for rank, p in enumerate(sieving[:few].tolist()):
         column = words[:, rank >> 6]
         bit = np.uint64(1 << (rank & 63))
         p_plus[-a % p::p] = p
         pk = p
-        while pk < b:
+        while pk < length:
             first = -a % pk
             column[first::pk] ^= bit
             rem[first::pk] //= p
             pk *= p
+        powers.append(pk)
+    p, ranks = sieving, np.arange(len(sieving))
+    pk = np.concatenate((np.array(powers, dtype=np.int64), sieving[few:]))
+    while len(pk):
+        first = -a % pk
+        hit = first < length
+        p, ranks, pk, first = p[hit], ranks[hit], pk[hit], first[hit]
+        # two primes may divide one value: .at applies both
+        np.bitwise_xor.at(words, (first, ranks >> 6),
+                          np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64)))
+        np.floor_divide.at(rem, first, p)
+        np.maximum.at(p_plus, first, p)
+        more = pk <= (b - 1) // p  # p^(k+1) < b
+        p, ranks, pk = p[more], ranks[more], pk[more] * p[more]
     # rem is now 1 or a prime above every sieving prime
     np.maximum(p_plus, rem, out=p_plus)
     small = np.flatnonzero((rem > 1) & (rem <= bound))

@@ -22,9 +22,9 @@ shortcut rows per window with exact integer numpy, and keeps t in a plain
 int list (scan_t); scan_tn makes TnResult rows of it only at its edge. It
 runs in one process: it shares its basis across the whole range, so
 chunks would repeat each other's work. A witnessed scan keeps one
-compute_tn search per n, on ParitySupplier's memoized pairs: the canonical
-witness is the combination the insertion-order basis of that n finds,
-which the sweep does not track.
+compute_tn search per n, on the sieve blocks that ParitySupplier keeps: the
+canonical witness is the combination the insertion-order basis of that n
+finds, which the sweep does not track.
 """
 
 from __future__ import annotations
@@ -40,46 +40,45 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import (PrimeCache, SpfTable, build_spf_table, factorize_trial, parity_windows,
-                    primes_up_to, row_bits)
+from .sieve import PrimeCache, SpfTable, factorize_trial, parity_windows, primes_up_to, row_bits
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
 
-DEFAULT_TABLE_LIMIT = 1 << 20
+# ParitySupplier sieves single values in aligned blocks of 2^BLOCK_BITS.
+BLOCK_BITS = 10
+_BLOCK_MASK = (1 << BLOCK_BITS) - 1
 
 
 class ParitySupplier:
-    """Serves exponent-parity vectors (and largest prime factors) for
-    arbitrary positive integers.
+    """Serves exponent-parity vectors (and largest prime factors) of single
+    positive integers below sieve.WINDOW_VALUE_CEILING, for compute_tn.
 
-    Values within the table are factored by the table's smallest-prime-factor
-    walk; larger values fall back to trial division with a growable prime
-    list. The elimination reads split vectors (pair, split, vectors), the
-    one encoding that ranks primes. Pairs are memoized for compute_tn,
-    whose searches for nearby n (a witnessed scan) overlap; scans without
-    witnesses read sieve windows instead and never call the supplier.
-    Prime sets (support) are a separate encoding, used only to verify
-    witnesses.
+    Vectors and P+ come from sieve.parity_windows in aligned blocks: block
+    k holds the values [k, k+1) * 2^BLOCK_BITS, sieved under
+    B = isqrt((k+1) * 2^BLOCK_BITS - 1), and is kept once sieved, since the
+    searches for nearby n (a witnessed scan) overlap. Prime sets (support)
+    are a separate encoding, used only to verify witnesses: they walk the
+    optional table, or trial divide past it, independently of the sieve.
     """
 
     def __init__(self, table: Optional[SpfTable] = None):
         self.table = table
-        self._primes = PrimeCache()
-        self._pair_cache: dict[int, tuple[int, int]] = {}
+        self._trial_primes = PrimeCache()
+        self._blocks: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}  # (pairs, P+)
         self._rank: dict[int, int] = {}
+        self._primes: list[int] = []  # by rank
+        self._prime_array = np.zeros(0, dtype=np.int64)
         self._rank_bound = 1
-
-    def _factors(self, m: int) -> Sequence[tuple[int, int]]:
-        """The (prime, exponent) pairs of m, primes ascending."""
-        table = self.table
-        if table is not None and m <= table.limit:
-            return table.factors(m)
-        return factorize_trial(m, self._primes.covering(m)).factors
 
     def support(self, m: int) -> frozenset[int]:
         """The primes dividing m to an odd power."""
-        return frozenset(p for p, e in self._factors(m) if e & 1)
+        table = self.table
+        if table is not None and m <= table.limit:
+            factors = table.factors(m)
+        else:
+            factors = factorize_trial(m, self._trial_primes.covering(m)).factors
+        return frozenset(p for p, e in factors if e & 1)
 
     def ranks(self, bound: int) -> dict[int, int]:
         """Map from each prime p <= bound (and possibly a few more) to its
@@ -90,39 +89,38 @@ class ParitySupplier:
         """
         if bound > self._rank_bound:
             self._rank_bound = max(bound, 2 * self._rank_bound)
-            rank = self._rank
-            for r, p in enumerate(primes_up_to(self._rank_bound)):
-                if r >= len(rank):
-                    rank[p] = r
+            self._primes = primes = primes_up_to(self._rank_bound)
+            self._prime_array = np.array(primes, dtype=np.int64)
+            self._rank.update((primes[r], r) for r in range(len(self._rank), len(primes)))
         return self._rank
+
+    def _sieve_block(self, k: int) -> tuple[list[tuple[int, int]], list[int]]:
+        """Sieve block k and keep its pairs and P+, indexed by the low bits of m."""
+        start, end = k << BLOCK_BITS, (k + 1) << BLOCK_BITS
+        bound = isqrt(end - 1)
+        self.ranks(bound)
+        primes = self._primes
+        pairs, p_plus = ([], []) if start else ([(0, 0)], [0])  # m = 0 pads block 0
+        for _, large, words, window_p_plus in parity_windows(start or 1, end, bound,
+                                                             self._prime_array):
+            for q, bits in zip(large.tolist(), row_bits(words)):
+                # with no prime above B, the top prime is the highest rank bit
+                r = bits.bit_length() - 1
+                pairs.append((q, bits) if q or r < 0 else (primes[r], bits ^ 1 << r))
+            p_plus += window_p_plus.tolist()
+        block = self._blocks[k] = pairs, p_plus
+        return block
 
     def pair(self, m: int) -> tuple[int, int]:
         """(top, rest): the largest prime dividing m to an odd power (0 for
         a square) and the rank bitset of the other such primes, which are
-        all below sqrt(m). Memoized.
+        all below sqrt(m).
 
         The split vector of m under a bound B >= isqrt(m) is (top, rest)
         when top > B, and (0, rest | 1 << rank(top)) otherwise.
         """
-        out = self._pair_cache.get(m)
-        if out is not None:
-            return out
-        odd = []  # a plain loop: cheaper here than a comprehension's frame
-        for p, e in self._factors(m):
-            if e & 1:
-                odd.append(p)
-        if odd:
-            top = odd.pop()
-            rest = 0
-            if odd:
-                rank = self.ranks(odd[-1])
-                for p in odd:
-                    rest |= 1 << rank[p]
-            out = (top, rest)
-        else:
-            out = (0, 0)
-        self._pair_cache[m] = out
-        return out
+        block = self._blocks.get(m >> BLOCK_BITS) or self._sieve_block(m >> BLOCK_BITS)
+        return block[0][m & _BLOCK_MASK]
 
     def split(self, m: int, bound: int) -> tuple[int, int]:
         """The split vector (q, bits) of m under the bound B = `bound`,
@@ -132,17 +130,10 @@ class ParitySupplier:
             return 0, bits | 1 << self.ranks(q)[q]
         return q, bits
 
-    def vectors(self, values: Sequence[int]) -> list[tuple[int, int]]:
-        """The split vectors of a batch, under B = isqrt(max(values)): the
-        bound of every kernel, since no value of the batch has two prime
-        factors above it."""
-        bound = isqrt(max(values, default=0))
-        return [self.split(m, bound) for m in values]
-
     def p_plus(self, m: int) -> int:
         """Largest prime factor, with 1 for m = 1."""
-        factors = self._factors(m)
-        return factors[-1][0] if factors else 1
+        block = self._blocks.get(m >> BLOCK_BITS) or self._sieve_block(m >> BLOCK_BITS)
+        return block[1][m & _BLOCK_MASK]
 
 
 _default_supplier: Optional[ParitySupplier] = None
@@ -151,7 +142,7 @@ _default_supplier: Optional[ParitySupplier] = None
 def default_supplier() -> ParitySupplier:
     global _default_supplier
     if _default_supplier is None:
-        _default_supplier = ParitySupplier(build_spf_table(DEFAULT_TABLE_LIMIT))
+        _default_supplier = ParitySupplier()
     return _default_supplier
 
 
@@ -218,6 +209,8 @@ def compute_tn(n: int,
         # witness requested for a shortcut row: the search is guaranteed to
         # terminate at exactly t = P+(n), so the cap cannot apply
         limit = shortcut_t
+    # t_n <= 3n, since n * 4n = (2n)^2: no search goes further, whatever the cap
+    limit = min(limit, 3 * n)
     # every value n..n+limit has at most one prime above this bound
     bound = isqrt(n + limit)
     rank = supplier.ranks(bound)
@@ -284,8 +277,8 @@ def scan_tn(lo: int, hi: int,
     vectors from sieve windows, not from `supplier`, whatever `workers`
     is. With witnesses each n gets its own compute_tn search; with
     workers > 1 disjoint n-chunks are searched in separate processes (each
-    with its own supplier, whose table has the size of the caller's) and
-    merged in order. Output is identical for any worker count.
+    with its process's default_supplier) and merged in order. Output is
+    identical for any worker count.
     """
     if not include_witness:
         ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
@@ -296,9 +289,7 @@ def scan_tn(lo: int, hi: int,
     if not (1 <= lo <= hi):
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if workers > 1 and hi - lo >= 16:
-        table = supplier.table if supplier is not None else None
-        table_limit = table.limit if table is not None else DEFAULT_TABLE_LIMIT
-        return _scan_parallel(lo, hi, cap, use_shortcut, workers, table_limit)
+        return _scan_parallel(lo, hi, cap, use_shortcut, workers)
     return _witnessed_rows(lo, hi, cap, use_shortcut, supplier or default_supplier())
 
 
@@ -349,19 +340,20 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
     of scan_tn without witnesses, from one left-to-right sweep.
 
     The values lo, lo+1, ... come from sieve windows under the bound B of
-    compute_tn's rule taken over the whole range (every value the sweep
-    touches is at most hi + limit). The rows of each window are classified
-    from its P+ before its values go in: squares and shortcut rows are
-    settled, every other n is pending. The values go into one SweepBasis,
-    whose insertion of r returns the unique n with n + t_n = r, if any; a
-    pending n that is not closed by r = n + limit is capped. Pending rows
-    expire in order of n, so one pointer tracks the oldest open one, and
-    the sweep stops once every n is classified and none is open.
+    compute_tn's rule taken over the whole range: every value the sweep
+    touches is at most hi + min(limit, 3 hi), since t_n <= 3n. The rows of
+    each window are classified from its P+ before its values go in:
+    squares and shortcut rows are settled, every other n is pending. The
+    values go into one SweepBasis, whose insertion of r returns the unique
+    n with n + t_n = r, if any; a pending n that is not closed by
+    r = n + limit is capped. Pending rows expire in order of n, so one
+    pointer tracks the oldest open one, and the sweep stops once every n
+    is classified and none is open.
     """
     if not (1 <= lo <= hi):
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     limit = cap if cap is not None else HARD_OFFSET_CAP
-    reach = hi + max(limit, 0)
+    reach = hi + max(min(limit, 3 * hi), 0)
     ts: list[int] = []
     shortcut = []
     pending: list[int] = []
@@ -412,29 +404,17 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
     return ts, np.concatenate(shortcut).tolist()
 
 
-_worker_supplier: Optional[ParitySupplier] = None
-
-
-def _chunk_supplier(table_limit: int) -> ParitySupplier:
-    """The supplier of a scan worker: one table of the caller's size,
-    built once per process."""
-    global _worker_supplier
-    if _worker_supplier is None or _worker_supplier.table.limit != table_limit:
-        _worker_supplier = ParitySupplier(build_spf_table(table_limit))
-    return _worker_supplier
-
-
 def _scan_chunk(args) -> list[TnResult]:
-    lo, hi, cap, use_shortcut, table_limit = args
-    return _witnessed_rows(lo, hi, cap, use_shortcut, _chunk_supplier(table_limit))
+    lo, hi, cap, use_shortcut = args
+    return _witnessed_rows(lo, hi, cap, use_shortcut, default_supplier())
 
 
-def _scan_parallel(lo, hi, cap, use_shortcut, workers, table_limit) -> list[TnResult]:
+def _scan_parallel(lo, hi, cap, use_shortcut, workers) -> list[TnResult]:
     from concurrent.futures import ProcessPoolExecutor
 
     count = hi - lo + 1
     chunk = max(256, count // (workers * 8))
-    tasks = [(a, min(a + chunk - 1, hi), cap, use_shortcut, table_limit)
+    tasks = [(a, min(a + chunk - 1, hi), cap, use_shortcut)
              for a in range(lo, hi + 1, chunk)]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -444,7 +424,7 @@ def _scan_parallel(lo, hi, cap, use_shortcut, workers, table_limit) -> list[TnRe
         # sequential, which produces identical output by construction.
         warnings.warn(f"worker processes unavailable ({e}); scanning sequentially",
                       RuntimeWarning, stacklevel=3)
-        return _scan_chunk((lo, hi, cap, use_shortcut, table_limit))
+        return _scan_chunk((lo, hi, cap, use_shortcut))
     return [row for part in parts for row in part]
 
 

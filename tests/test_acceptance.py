@@ -217,8 +217,8 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     for argv in ALL_SUBCOMMANDS:
         a = tmp_path / "a.out"
         b = tmp_path / "b.out"
-        assert cli_main(argv + ["--sieve-limit", "65536", "--out", str(a)]) == 0
-        assert cli_main(argv + ["--sieve-limit", "65536", "--out", str(b)]) == 0
+        assert cli_main(argv + ["--out", str(a)]) == 0
+        assert cli_main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes(), argv
     capsys.readouterr()
     _report(10, "all 12 subcommands byte-identical across repeated runs", t0)

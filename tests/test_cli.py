@@ -6,9 +6,6 @@ import pytest
 
 from tnlab.cli import main
 
-SMALL_SIEVE = ["--sieve-limit", "65536"]
-
-
 def run_cli(args):
     return main(args)
 
@@ -18,7 +15,7 @@ def read(path):
 
 
 def test_tn_prints_witness(capsys):
-    assert run_cli(["tn", "--n", "14"] + SMALL_SIEVE) == 0
+    assert run_cli(["tn", "--n", "14"]) == 0
     out = capsys.readouterr().out
     assert "t=7" in out
     assert "witness=[1, 4, 6, 7]" in out
@@ -26,7 +23,7 @@ def test_tn_prints_witness(capsys):
 
 def test_tn_csv_output(tmp_path, capsys):
     out = tmp_path / "tn.csv"
-    assert run_cli(["tn", "--n", "14", "--out", str(out)] + SMALL_SIEVE) == 0
+    assert run_cli(["tn", "--n", "14", "--out", str(out)]) == 0
     capsys.readouterr()
     text = out.read_text()
     assert "n,t,shortcut_used,witness" in text
@@ -37,7 +34,7 @@ def test_tn_csv_output(tmp_path, capsys):
 def test_interval_json(tmp_path):
     out = tmp_path / "iv.json"
     assert run_cli(["interval", "--lo", "2", "--hi", "6", "--y", "5",
-                    "--brute", "--out", str(out)] + SMALL_SIEVE) == 0
+                    "--brute", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["result"]["closed_count"] == 1
     assert doc["result"]["square_subset_count"] == 2
@@ -62,12 +59,12 @@ def test_usage_error_exit_code():
 
 
 def test_validation_error_exit_code(capsys):
-    assert run_cli(["scan", "--lo", "5", "--hi", "2"] + SMALL_SIEVE) == 2
+    assert run_cli(["scan", "--lo", "5", "--hi", "2"]) == 2
     assert "error" in capsys.readouterr().err
 
 
 def test_unwritable_out(capsys):
-    code = run_cli(["tn", "--n", "4", "--out", "/nonexistent-dir/x.csv"] + SMALL_SIEVE)
+    code = run_cli(["tn", "--n", "4", "--out", "/nonexistent-dir/x.csv"])
     assert code == 2
 
 
@@ -92,8 +89,8 @@ def test_unwritable_out(capsys):
 ])
 def test_every_subcommand_is_deterministic(tmp_path, capsys, argv):
     a, b = tmp_path / "a.out", tmp_path / "b.out"
-    assert run_cli(argv + SMALL_SIEVE + ["--out", str(a)]) == 0
-    assert run_cli(argv + SMALL_SIEVE + ["--out", str(b)]) == 0
+    assert run_cli(argv + ["--out", str(a)]) == 0
+    assert run_cli(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert read(a) == read(b)
     assert read(a).endswith(b"\n")
@@ -103,9 +100,9 @@ def test_every_subcommand_is_deterministic(tmp_path, capsys, argv):
 def test_scan_workers_flag_matches_sequential(tmp_path, capsys):
     a, b = tmp_path / "w1.csv", tmp_path / "w2.csv"
     assert run_cli(["scan", "--lo", "2", "--hi", "600", "--workers", "1",
-                    "--out", str(a)] + SMALL_SIEVE) == 0
+                    "--out", str(a)]) == 0
     assert run_cli(["scan", "--lo", "2", "--hi", "600", "--workers", "2",
-                    "--out", str(b)] + SMALL_SIEVE) == 0
+                    "--out", str(b)]) == 0
     capsys.readouterr()
     assert read(a) == read(b)
 
@@ -116,8 +113,3 @@ def test_console_script_entrypoint():
     assert proc.returncode == 0
     assert "t=4" in proc.stdout
 
-
-def test_env_sieve_limit(monkeypatch, capsys):
-    monkeypatch.setenv("TNLAB_SIEVE_LIMIT", "4096")
-    assert run_cli(["tn", "--n", "10"]) == 0
-    assert "t=" in capsys.readouterr().out

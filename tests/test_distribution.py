@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -139,6 +141,21 @@ def test_conjecture_examples(supplier):
     assert [row.n for row in r.rows] == [2, 3, 5, 6, 7, 8, 10]
     for row in r.rows:
         assert abs(row.ratio - row.t / math.log(row.n) ** 0.1) < 1e-12
+
+
+# x -> digest of the conjecture_scan(x, 0.5) report, taken while it still
+# made a row for every non-square n: x = 60 keeps its 53 rows, x = 5000
+# drops its 4930 rows
+CONJECTURE_DIGESTS = {
+    60: "498c22d0ddf9da8e0fca10095c39a7979e9239b437f85f684ad9b6b0bd0186e4",
+    5000: "18fc3b210747793b2bd4466c02452c6d56cc89dd9970cad4af62a57cc7583149",
+}
+
+
+def test_golden_conjecture_scans():
+    for x, digest in CONJECTURE_DIGESTS.items():
+        text = json.dumps(conjecture_scan(x, 0.5).to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_conjecture_schema():

@@ -57,7 +57,8 @@ KERNEL_DIGESTS = {
     (200000, 201000): "b096c7be9995f25194a3d2d9995883ff0f181894bff6fb974c83fd8e2bc1702c",
 }
 
-# values above this go through trial division in the small-table supplier
+# the small-table supplier verifies values above this by trial division;
+# its vectors come from sieve blocks at every height
 SMALL_TABLE = 1 << 12
 
 

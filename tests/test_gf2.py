@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from oracles import frozenset_kernel_masks
 from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
+from tnlab.sieve import split_vectors
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 RANK = {p: r for r, p in enumerate(PRIMES)}
@@ -105,7 +106,7 @@ def test_nullspace_window_example(supplier):
     # ({49} and {48, 50, 54}, since 48*50*54 = 360^2), so the kernel has
     # dimension 2 (rank 3 out of 5 vectors).
     values = [49, 50, 54, 56, 48]
-    masks = kernel_masks(supplier.vectors(values))
+    masks = kernel_masks(split_vectors(values))
     assert [{values[i] for i in mask_bits(m)} for m in masks] == [{49}, {48, 50, 54}]
     for m in masks:
         acc = frozenset()
@@ -119,7 +120,7 @@ def test_kernel_masks_matches_nullspace(supplier):
     # in the same order, so they give the same kernel masks; 1034 = 2*11*47
     # and 1081 = 23*47 share 47, a prime above the batch bound isqrt(1081)
     for values in ([49, 50, 54, 56, 48], [1034, 1040, 1053, 1058, 1081, 1078, 1050]):
-        assert kernel_masks(supplier.vectors(values)) == \
+        assert kernel_masks(split_vectors(values)) == \
             frozenset_kernel_masks(supplier.support(m) for m in values)
 
 

@@ -8,7 +8,7 @@ from oracles import is_smooth, largest_prime_factor, trial_factor
 from tnlab.errors import DomainError, RangeError
 from tnlab.sieve import (WINDOW_VALUE_CEILING, build_spf_table, factorize, factorize_trial,
                          parity_windows, primes_up_to, psi_count, row_bits,
-                         smooth_in_interval)
+                         smooth_in_interval, split_vectors)
 
 
 def test_spf_examples():
@@ -128,21 +128,40 @@ def test_smooth_in_interval_past_the_table_matches_a_covering_table(
         smooth_in_interval(lo, hi, y, covering_table)
 
 
-@given(st.integers(min_value=1, max_value=10 ** 9), st.integers(min_value=1, max_value=64),
+def expected_split(m: int, rank: dict[int, int], bound: int) -> tuple[int, int]:
+    """The split vector of m under `bound`, by trial division; `rank`
+    ranks the primes up to at least `bound`."""
+    odd = [p for p, e in trial_factor(m) if e & 1]
+    q = odd[-1] if odd and odd[-1] > bound else 0
+    return q, sum(1 << rank[p] for p in odd if p != q)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 8), st.integers(min_value=1, max_value=48),
        st.integers(min_value=0, max_value=20000))
 @example(1, 1, 0)
-@example(1, 64, 0)
+@example(1, 48, 0)
+@example(1020, 8, 0)
 @settings(max_examples=60, deadline=None)
-def test_parity_windows_match_the_supplier(supplier, a, length, extra):
+def test_parity_windows_match_trial_division(a, length, extra):
     b = a + length
     bound = isqrt(b - 1) + extra
+    rank = {p: r for r, p in enumerate(primes_up_to(bound))}
     rows = []
     for start, large, words, p_plus in parity_windows(a, b, bound):
         rows += zip(range(start, b), large.tolist(), row_bits(words), p_plus.tolist())
     assert [m for m, _, _, _ in rows] == list(range(a, b))
     for m, q, bits, p_plus in rows:
-        assert (q, bits) == supplier.split(m, bound)
-        assert p_plus == supplier.p_plus(m)
+        assert (q, bits) == expected_split(m, rank, bound)
+        assert p_plus == largest_prime_factor(m)
+
+
+def test_split_vectors_of_a_batch_match_trial_division():
+    # the bound of a batch is isqrt of its largest value, whatever its order
+    values = [1034, 1040, 1, 1053, 1058, 1081, 1078, 1050]
+    bound = isqrt(1081)
+    rank = {p: r for r, p in enumerate(primes_up_to(bound))}
+    assert split_vectors(values) == [expected_split(m, rank, bound) for m in values]
+    assert split_vectors([]) == []
 
 
 def test_parity_windows_refuse_what_they_cannot_hold():

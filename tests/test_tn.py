@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import Counter
 from math import isqrt
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_tn, is_square, largest_prime_factor
+from oracles import brute_tn, is_square, largest_prime_factor, trial_factor
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import tn
-from tnlab.sieve import WINDOW_BYTES, WINDOW_VALUE_CEILING, build_spf_table
-from tnlab.tn import (ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
+from tnlab.sieve import WINDOW_BYTES, WINDOW_VALUE_CEILING, build_spf_table, primes_up_to
+from tnlab.tn import (BLOCK_BITS, ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
                       render_results, scan_t, scan_tn, verify_witness)
 
 
@@ -194,11 +195,94 @@ def test_scan_without_witness_reads_sieve_windows_not_the_supplier(table):
     assert counting.calls["pair"] and counting.calls["p_plus"]
 
 
+def test_supplier_matches_trial_division_at_block_edges():
+    # the supplier sieves aligned blocks of 2^BLOCK_BITS values, each under
+    # isqrt of its last value: check the first and last value of blocks,
+    # and m = 1, the first value of block 0, whose slot 0 is padding
+    block = 1 << BLOCK_BITS
+    rng = random.Random(7)
+    ms = [1, 2, 3, 4] + [m for k in (1, 2, 3, 977, 1 << 20) for m in (k * block - 1, k * block)]
+    ms += [rng.randrange(1, 1 << 30) for _ in range(40)]
+    supplier = ParitySupplier()
+    rank = {p: r for r, p in enumerate(primes_up_to(1 << 16))}
+    for m in ms:
+        odd = [p for p, e in trial_factor(m) if e & 1]
+        top = odd[-1] if odd else 0
+        rest = sum(1 << rank[p] for p in odd[:-1])
+        assert supplier.pair(m) == (top, rest)
+        for bound in (isqrt(m), isqrt(m) + 1000):
+            small = 0 < top <= bound
+            assert supplier.split(m, bound) == \
+                ((0, rest | 1 << rank[top]) if small else (top, rest))
+        assert supplier.p_plus(m) == largest_prime_factor(m)
+
+
+def test_no_search_bound_passes_isqrt_4n_whatever_the_cap(monkeypatch):
+    # t_n <= 3n, since n * 4n = (2n)^2, so a cap past 3n changes no row and
+    # no bound: a bound taken from a cap of 10^18 would rank the primes up
+    # to 10^9. Both supplies are guarded, so a bound past isqrt(4n) fails
+    # here at once instead of sieving.
+    lo, hi = 10 ** 6, 10 ** 6 + 50
+    ceiling = isqrt(4 * hi)
+    seen = []
+
+    def check(bound):
+        seen.append(bound)
+        assert bound <= ceiling, f"bound {bound} is past isqrt(4n) = {ceiling}"
+
+    windows, ranks = tn.parity_windows, ParitySupplier.ranks
+
+    def guarded_windows(a, b, bound, *rest):
+        check(bound)
+        return windows(a, b, bound, *rest)
+
+    def guarded_ranks(self, bound):
+        check(bound)
+        return ranks(self, bound)
+
+    monkeypatch.setattr(tn, "parity_windows", guarded_windows)
+    monkeypatch.setattr(ParitySupplier, "ranks", guarded_ranks)
+    ts, shortcut = scan_t(lo, hi, cap=10 ** 18)
+    assert (ts, shortcut) == scan_t(lo, hi)
+    supplier = ParitySupplier()
+    rows = [compute_tn(n, cap=10 ** 18, include_witness=False, supplier=supplier)
+            for n in range(lo, hi + 1)]
+    assert [r.t for r in rows] == ts and [r.shortcut_used for r in rows] == shortcut
+    searched = [n for n, s in zip(range(lo, hi + 1), shortcut) if not s][:4]
+    for n in searched:
+        assert compute_tn(n, cap=10 ** 18, supplier=supplier) == compute_tn(n, supplier=supplier)
+    assert seen and max(seen) == ceiling
+
+
+@pytest.fixture(scope="module")
+def table_2_20():
+    return build_spf_table(1 << 20)
+
+
+def test_tableless_supplier_matches_a_table_supplier(table_2_20):
+    # the table serves verification only: t and the canonical witnesses
+    # come from the sieve blocks with it or without it, also past it
+    rng = random.Random(2211)
+    ns = [rng.randrange(2, 1 << 21) for _ in range(40)] + [(1 << 20) - 7, (1 << 20) + 3]
+    bare, tabled = ParitySupplier(), ParitySupplier(table_2_20)
+    for n in ns:
+        row = tn._tn_row(n, 200, False, True, bare)
+        assert row == tn._tn_row(n, 200, False, True, tabled)
+        if row.witness:
+            assert verify_witness(n, row.witness, bare) and verify_witness(n, row.witness, tabled)
+    for lo in (5000, (1 << 20) - 20):
+        assert scan_tn(lo, lo + 40, 200, False, include_witness=True, supplier=bare) == \
+            scan_tn(lo, lo + 40, 200, False, include_witness=True, supplier=tabled)
+
+
 def test_sweep_window_stays_under_its_byte_cap_when_a_cap_raises_the_bound():
-    # B = isqrt(10^6 + 50 + 10^12) = 10^6: 78498 ranks, 1227 words a row,
-    # so a window of the usual 2^16 rows would take 643 MB. A window holds
-    # its words, and its rows as bytes and as ints, about WINDOW_BYTES each.
-    lo, hi, cap = 10 ** 6, 10 ** 6 + 50, 10 ** 12
+    # The height makes the rows wide, since t_n <= 3n keeps a large cap from
+    # raising B at small n: B = isqrt(10^12 + 50 + 50) = 10^6, 78498 ranks,
+    # 1227 words a row, so a window of the usual 2^16 rows would take
+    # 643 MB. A window holds its words, and its rows as bytes and as ints,
+    # about WINDOW_BYTES each.
+    lo, hi, cap = 10 ** 12, 10 ** 12 + 50, 50
+    assert isqrt(hi + cap) >= 10 ** 6
     tracemalloc.start()
     try:
         rows = scan_tn(lo, hi, cap=cap)
@@ -246,12 +330,6 @@ def test_scan_falls_back_to_sequential_with_warning(supplier, monkeypatch):
     with pytest.warns(RuntimeWarning, match="sequentially"):
         rows = scan_tn(2, 80, include_witness=True, workers=2)
     assert rows == scan_tn(2, 80, include_witness=True, workers=1, supplier=supplier)
-
-
-def test_scan_chunk_uses_callers_table_limit(supplier):
-    rows = tn._scan_chunk((2, 60, None, True, 1 << 10))
-    assert tn._worker_supplier.table.limit == 1 << 10
-    assert rows == scan_tn(2, 60, include_witness=True, supplier=supplier)
 
 
 def test_render_csv(supplier):
