@@ -9,6 +9,14 @@ subset whose elements, written as n, n+j_1, ..., n+J, certify an integral
 point on the corresponding hyperelliptic curve. Every certificate is
 parity-verified at emission; count guarantees are asymptotic and only
 reported, never asserted.
+
+The kernel basis from gf2.kernel_masks is in systematic form [I | A]
+(MacWilliams and Sloane, "The Theory of Error-Correcting Codes", 1977):
+each mask is its own dependent insertion plus independent insertions
+only. A family member is therefore read off its random selector directly,
+by spreading the selector onto the dependent positions and setting one
+parity bit per independent position, instead of XOR-ing about half of the
+basis per draw (at x = 10^6, 9700 masks over 9719 values, rank 19).
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -206,6 +214,8 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
         raise PipelineFailed("parameters", f"x={x} is too small")
     if not (0.0 < c < 1.0):
         raise RangeError(f"c must lie in (0, 1), got {c}")
+    if family_size < 2:
+        raise RangeError(f"family_size must be >= 2, got {family_size}")
     t0 = time.perf_counter()
     if y is None:
         y = smoothness_parameter(x)
@@ -267,27 +277,68 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
 
 
 def _draw_family(masks: list[int], rng: random.Random, family_size: int) -> list[int]:
-    """Distinct kernel members: all of them when the kernel is small,
-    otherwise seeded random XOR combinations of the basis."""
+    """Distinct kernel members, each the XOR of the masks that a selector
+    sel picks (bit k of sel picks masks[k]): all 2^dim members, sorted,
+    when they fit in the family, otherwise those of seeded random
+    selectors, in order of first appearance, within 8 * family_size draws.
+
+    The kernel basis is in systematic form [I | A] (MacWilliams and
+    Sloane, "The Theory of Error-Correcting Codes", 1977): the top bit of
+    masks[k] is its own dependent insertion index, and its other bits lie
+    only at independent positions, where no mask has its top bit. A
+    member is therefore sel spread onto the dependent positions, plus one
+    parity bit per independent position, computed by _member_map without
+    touching the masks again.
+    """
     dim = len(masks)
+    member = _member_map(masks)
     if dim <= 12 and 2 ** dim <= max(family_size, 2):
-        family = [0]
-        prev = 0
-        for g in range(1, 2 ** dim):
-            gray = g ^ (g >> 1)
-            prev_mask = family[-1]
-            family.append(prev_mask ^ masks[(gray ^ prev).bit_length() - 1])
-            prev = gray
-        return sorted(set(family))
+        # the masks are independent, so the members are distinct
+        return sorted(member(sel) for sel in range(2 ** dim))
     seen = {}
     attempts = 0
     while len(seen) < family_size and attempts < 8 * family_size:
         attempts += 1
-        sel = rng.getrandbits(dim)
-        m = 0
-        while sel:
-            low = sel & -sel
-            m ^= masks[low.bit_length() - 1]
-            sel ^= low
-        seen.setdefault(m, None)
+        seen.setdefault(member(rng.getrandbits(dim)), None)
     return list(seen)
+
+
+def _member_map(masks: list[int]) -> Callable[[int], int]:
+    """The map sel -> XOR of the masks[k] with bit k of sel set, for a
+    kernel basis in systematic form (see _draw_family).
+
+    For an independent position i, bit k of column i is set when masks[k]
+    has bit i, so the member's bit i is the parity of sel AND column i.
+    The columns are read off one array of the masks' low words and packed
+    once each, in time linear in the masks.
+    """
+    tops = [m.bit_length() - 1 for m in masks]
+    dependent = set(tops)
+    free = [i for i in range(max(tops, default=0)) if i not in dependent]
+    columns = []
+    if free:
+        # the low words of every mask, as one array: they hold every bit
+        # at an independent position, and only column i of it is read
+        width = (free[-1] >> 6) + 1
+        low = (1 << 64 * width) - 1
+        words = np.frombuffer(b"".join((m & low).to_bytes(8 * width, "little") for m in masks),
+                              dtype="<u8").reshape(len(masks), width)
+        for i in free:
+            column = (words[:, i >> 6] >> np.uint64(i & 63)) & np.uint64(1)
+            if column.any():
+                packed = np.packbits(column.astype(np.uint8), bitorder="little").tobytes()
+                columns.append((1 << i, int.from_bytes(packed, "little")))
+
+    def member(sel: int) -> int:
+        m = sel
+        for i in free:
+            # doubling the part at and above i moves it up one place and
+            # leaves bit i clear: sel's k-th bit lands on the k-th dependent
+            # position once every independent position below it is passed
+            m += m >> i << i
+        for bit, column in columns:
+            if (sel & column).bit_count() & 1:
+                m |= bit
+        return m
+
+    return member

@@ -169,3 +169,31 @@ def frozenset_tn(n: int, cap: int, support=odd_support):
             if not residual:
                 return j, tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
     return None
+
+
+def xor_draw_family(masks: list[int], rng, family_size: int) -> list[int]:
+    """The constructor's family draw by plain XOR of basis masks: every
+    member by a Gray-code walk when they fit in the family (sorted), else
+    the members of seeded random selectors, in order of first appearance,
+    within 8 * family_size draws."""
+    dim = len(masks)
+    if dim <= 12 and 2 ** dim <= max(family_size, 2):
+        family = [0]
+        prev = 0
+        for g in range(1, 2 ** dim):
+            gray = g ^ (g >> 1)
+            family.append(family[-1] ^ masks[(gray ^ prev).bit_length() - 1])
+            prev = gray
+        return sorted(set(family))
+    seen = {}
+    attempts = 0
+    while len(seen) < family_size and attempts < 8 * family_size:
+        attempts += 1
+        sel = rng.getrandbits(dim)
+        m = 0
+        while sel:
+            low = sel & -sel
+            m ^= masks[low.bit_length() - 1]
+            sel ^= low
+        seen.setdefault(m, None)
+    return list(seen)

@@ -58,6 +58,15 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("family_size", ["0", "1", "-3"])
+def test_curve_point_family_below_two_exit_code(tmp_path, capsys, family_size):
+    out = tmp_path / "cp.json"
+    assert run_cli(["curve-point", "--x", "200000", "--c", "0.5", "--y", "30",
+                    "--family-size", family_size, "--out", str(out)]) == 2
+    assert "family_size must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_error_exit_code(capsys):
     assert run_cli(["scan", "--lo", "5", "--hi", "2"]) == 2
     assert "error" in capsys.readouterr().err

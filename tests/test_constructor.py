@@ -3,11 +3,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tnlab.constructor import (build_small_tn, construct_curve_point,
+from oracles import xor_draw_family
+from tnlab import constructor
+from tnlab.constructor import (_draw_family, build_small_tn, construct_curve_point,
                                find_smooth_rich_intervals, max_symdiff_pair)
 from tnlab.errors import PipelineFailed, RangeError, UsageError
-from tnlab.sieve import build_spf_table, smooth_in_interval
+from tnlab.gf2 import kernel_masks
+from tnlab.sieve import build_spf_table, smooth_in_interval, split_vectors
 from tnlab.tn import compute_tn, verify_witness
 
 
@@ -146,3 +151,44 @@ def test_curve_point_parity_invariant_under_offset_shuffle():
 def test_curve_point_too_small():
     with pytest.raises(PipelineFailed):
         construct_curve_point(100, 0.5)
+
+
+def test_curve_point_rejects_a_family_below_two_before_sieving(monkeypatch):
+    def no_sieving(*args, **kwargs):
+        raise AssertionError("sieved before checking family_size")
+
+    monkeypatch.setattr(constructor, "build_spf_table", no_sieving)
+    monkeypatch.setattr(constructor, "find_smooth_rich_intervals", no_sieving)
+    for family_size in (1, 0, -3):
+        with pytest.raises(RangeError, match="family_size"):
+            construct_curve_point(200000, 0.5, y=30, family_size=family_size)
+
+
+def run_kernel(lo, length, dim):
+    """The first dim masks of the kernel of lo+1, ..., lo+length, which
+    are the kernel of the values up to its dim-th dependency."""
+    return kernel_masks(split_vectors(list(range(lo + 1, lo + length + 1))))[:dim]
+
+
+@given(st.integers(min_value=0, max_value=2 * 10 ** 5), st.integers(min_value=2, max_value=1200),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=2, max_value=256))
+@settings(max_examples=80, deadline=None)
+def test_draw_family_matches_xor_oracle(lo, length, dim, seed, family_size):
+    masks = run_kernel(lo, length, dim)
+    assume(masks)
+    assert _draw_family(masks, random.Random(seed), family_size) == \
+        xor_draw_family(masks, random.Random(seed), family_size)
+
+
+@pytest.mark.parametrize("dim, family_size, seed, drawn", [
+    (7, 128, 0, 128),   # every member, enumerated
+    (8, 256, 0, 256),   # every member, enumerated
+    (8, 255, 223, 254),  # random draws, stopped by the 8 * 255 attempt cap
+])
+def test_draw_family_matches_xor_oracle_at_the_edges(dim, family_size, seed, drawn):
+    masks = run_kernel(1000, 300, dim)
+    assert len(masks) == dim
+    family = _draw_family(masks, random.Random(seed), family_size)
+    assert family == xor_draw_family(masks, random.Random(seed), family_size)
+    assert len(family) == drawn

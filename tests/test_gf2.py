@@ -1,4 +1,4 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import frozenset_kernel_masks
@@ -165,3 +165,26 @@ def test_witness_soundness(vecs):
     express(b, vs, vec(2, 3))
     for mask in kernel_masks(vecs):
         assert mask and not combine(vecs, mask)
+
+
+@given(st.integers(min_value=0, max_value=2 * 10 ** 5), st.integers(min_value=1, max_value=1200),
+       st.booleans(), st.randoms(use_true_random=False))
+@example(1000, 300, False, None)    # runs longer than isqrt(max), so a large
+@example(200000, 1000, False, None)  # prime divides two values and its tag cancels
+@settings(max_examples=60, deadline=None)
+def test_kernel_masks_are_in_systematic_form(lo, length, shuffle, rng):
+    # mask k is its own dependent insertion plus independent ones only:
+    # the constructor reads family members off this form
+    values = list(range(lo + 1, lo + length + 1))
+    if shuffle:
+        rng.shuffle(values)
+    vectors = split_vectors(values)
+    basis = SplitBasis(max(bits.bit_length() for _, bits in vectors))
+    dependent = [i for i, v in enumerate(vectors) if basis.insert(*v) is None]
+    masks = kernel_masks(vectors)
+    tops = [m.bit_length() - 1 for m in masks]
+    assert tops == dependent
+    assert all(a < b for a, b in zip(tops, tops[1:]))
+    dependent_bits = sum(1 << i for i in dependent)
+    for m, top in zip(masks, tops):
+        assert m & dependent_bits == 1 << top
