@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .errors import RangeError
@@ -114,6 +113,8 @@ def power_threshold(x: int, c: float) -> int:
     Ties at exact integer powers resolve inclusively (a 1e-9 nudge guards
     against representation error in x^c).
     """
+    import mpmath  # imported here: most commands never need it
+
     with mpmath.workdps(50):
         return int(mpmath.floor(mpmath.mpf(x) ** mpmath.mpf(c) + mpmath.mpf("1e-9")))
 

@@ -9,15 +9,20 @@ or 0, and bits is a Python int whose bit r is set when the r-th prime
 of the quadratic sieve (Pomerance, 1982).
 
 The B rule. A span search for t_n with offset limit L touches the values
-n, n+1, ..., n+L, so it uses B = isqrt(n + L); every value it can touch
-then has at most one prime above B.
+n, n+1, ..., n+L, so it needs B >= isqrt(n + L); every value it can touch
+then has at most one prime above B. compute_tn takes B = isqrt(n + L); a
+witnessed scan takes the B of its whole range for every n of it.
 
 Elimination. SplitBasis pivots on the largest prime of a vector: q when it
 is set, otherwise the top bit of bits. Ranks follow the order of the
 primes, so the basis performs the same XOR sequence as an echelon basis
 over prime sets that pivots on the largest prime, and yields the same
-ranks, kernels and canonical witnesses. Large pivots are rare near any n,
-which keeps reduction chains short.
+ranks, kernels and canonical witnesses. For the same reason the choice of
+B does not matter, as long as B >= isqrt of every value: raising B turns a
+large tag q into the rank bit of q, which is then the top bit, so the
+vector still pivots on q and every reduction XORs the same vectors. A
+witnessed scan's larger B therefore gives the t and witness of compute_tn.
+Large pivots are rare near any n, which keeps reduction chains short.
 
 Memory. Reducing a vector cancels its q and never brings a large prime
 back, so a row whose pivot is a large prime is always an unreduced
@@ -32,13 +37,15 @@ vectors, because they answer two different questions.
 
 - SplitBasis answers "which subset?". It keeps the insertion-order
   echelon basis with combination masks, so it alone yields canonical
-  witnesses and kernel bases. compute_tn drives it directly for one n,
-  and kernel_masks serves every kernel: interval kernels, the small-t_n
-  pigeonhole and the constructor's parity kernel. Its split vectors come
-  from sieve.split_vectors, the one place that picks the bound of a batch,
-  and for compute_tn from tn.ParitySupplier. Every dependency comes out as
-  a combination mask over insertion indices; callers map set bits back to
-  their own values with mask_bits.
+  witnesses and kernel bases. The span search of tn (compute_tn and
+  witnessed scans) drives it directly, one n at a time, and kernel_masks
+  serves every kernel: interval kernels, the small-t_n pigeonhole and the
+  constructor's parity kernel. Its split vectors come from
+  sieve.parity_windows: kernels take them through sieve.split_vectors,
+  the one place that picks the bound of a batch, and span searches read
+  the windows directly. Every dependency comes out as a combination mask
+  over insertion indices; callers map set bits back to their own values
+  with mask_bits.
 - SweepBasis answers "which n closes here?". It keeps no masks: each row
   carries only the smallest insertion index among the vectors XOR-ed into
   it, and a pivot keeps the row whose start is latest. One left-to-right

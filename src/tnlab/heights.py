@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-import mpmath
-
 from .errors import DomainError, PreconditionError, RangeError, ResourceError, UsageError
 from .sieve import PrimeCache, factorize_trial
 
@@ -93,6 +91,8 @@ def integral_point_log_bound(degree: int, height: int) -> HeightBoundReport:
         raise DomainError(f"degree must be >= 3, got {degree}")
     if height < 1:
         raise DomainError("height must be >= 1")
+    import mpmath  # imported here: most commands never need it
+
     with mpmath.workdps(30):
         n4 = mpmath.mpf(degree) ** 4
         v = 212 * n4 * mpmath.log(4 * degree) + 50 * n4 * mpmath.log(height)
@@ -117,6 +117,8 @@ def few_offsets_log_bound(count: int, span: int,
     """
     if not (1 <= count < span):
         raise DomainError(f"need 1 <= count < span, got count={count}, span={span}")
+    import mpmath  # imported here: most commands never need it
+
     with mpmath.workdps(30):
         if constant is not None:
             if constant < 0:
@@ -281,6 +283,8 @@ def tn_lower_bound_eval(n: int, constant: float = 1.0,
         raise DomainError("constant must be nonnegative")
     if n < 16:
         raise DomainError(f"n must be >= 16 so the iterated logs are positive, got {n}")
+    import mpmath  # imported here: most commands never need it
+
     with mpmath.workdps(40):
         ll = mpmath.log(mpmath.log(n))
         lll = mpmath.log(ll)

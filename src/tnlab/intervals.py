@@ -11,38 +11,38 @@ kernel route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import isqrt
 from typing import Optional
 
-from .errors import CapExceeded, RangeError
+import numpy as np
+
+from .errors import RangeError
 from .gf2 import kernel_masks, mask_bits
-from .sieve import primes_up_to, split_vectors
-from .tn import ParitySupplier, compute_tn, default_supplier
+from .sieve import parity_windows, primes_up_to, split_vectors
+# compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
+# by name until the tracer reads in-tree counters (ROADMAP item 5)
+from .tn import ParitySupplier, compute_tn, default_supplier, scan_t  # noqa: F401
 
 BRUTE_LENGTH_GUARD = 30
 
 
 def count_tn_closed(lo: int, hi: int,
                     supplier: Optional[ParitySupplier] = None) -> int:
-    """#{n in (lo, hi] : n + t_n <= hi}, computed per element.
+    """#{n in (lo, hi] : n + t_n <= hi}, from one sweep.
 
-    Each n < hi is resolved by compute_tn with its cap at hi - n: squares
-    and large-prime shortcut rows come back whatever the cap, and
-    exhausting the cap means the window does not close inside the
-    interval, so the element does not count. n = hi counts only when it
-    is a square (t = 0).
+    tn.scan_t resolves n = lo+1, ..., hi-1 with its cap at hi - lo - 1,
+    the largest offset that can stay inside the interval: n counts when
+    its t is known (t >= 0, not capped) and n + t <= hi. n = hi counts
+    only when it is a square (t = 0). `supplier` is not read.
     """
     if not (0 <= lo < hi):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
-    supplier = supplier or default_supplier()
-    count = int(isqrt(hi) ** 2 == hi)
-    for n in range(lo + 1, hi):
-        try:
-            t = compute_tn(n, cap=hi - n, include_witness=False, supplier=supplier).t
-        except CapExceeded:
-            continue
-        count += n + t <= hi
-    return count
+    closed = int(isqrt(hi) ** 2 == hi)
+    if hi - lo > 1:
+        ts, _ = scan_t(lo + 1, hi - 1, cap=hi - lo - 1)
+        closed += sum(0 <= t <= hi - n for n, t in zip(count(lo + 1), ts))
+    return closed
 
 
 @dataclass(frozen=True)
@@ -151,10 +151,10 @@ def check_interval_identity(lo: int, hi: int, y: int, mode: str = "brute",
     Violations cannot come from the mathematics (both directions are
     theorems), so a False flag indicates an implementation bug.
     """
-    supplier = supplier or default_supplier()
-    closed = count_tn_closed(lo, hi, supplier)
+    closed = count_tn_closed(lo, hi)
     enum = enumerate_square_subsets(lo, hi, mode=mode, supplier=supplier)
-    smooth = sum(1 for e in range(lo + 1, hi + 1) if supplier.p_plus(e) <= y)
+    smooth = sum(int(np.count_nonzero(p_plus <= y))
+                 for _, _, _, p_plus in parity_windows(lo + 1, hi + 1, isqrt(hi)))
     pi_y = len(primes_up_to(y))
     return IntervalReport(
         lo=lo, hi=hi, y=y,

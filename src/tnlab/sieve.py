@@ -3,8 +3,9 @@
 An immutable smallest-prime-factor table backs factorization records,
 smoothness tests and Psi counts. Split parity vectors and P+, at any height
 below WINDOW_VALUE_CEILING, come from one segmented sieve (parity_windows),
-for scans, kernel batches (split_vectors) and tn.ParitySupplier alike;
-trial division (factorize_trial) serves verification and heights only.
+for span searches and scans, kernel batches (split_vectors), interval
+smooth counts and tn.ParitySupplier.p_plus alike; trial division
+(factorize_trial) serves verification and heights only.
 """
 
 from __future__ import annotations

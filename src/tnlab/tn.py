@@ -9,6 +9,16 @@ tracking then yields a witness subset whose largest offset is exactly t_n.
 A large-prime shortcut resolves most n instantly: when P+(n) > sqrt(2n)+1,
 t_n = P+(n).
 
+Every span search reads its split vectors straight from
+sieve.parity_windows, under one bound B >= isqrt of the last value it may
+touch; t and the canonical witness do not depend on which such B (see
+gf2). compute_tn sieves its own run n, n+1, ..., n+limit and stops
+pulling windows once it closes. A witnessed scan sieves one run for the
+whole range and searches each n on it from n onward, forgetting the
+values below n, so the rows it keeps follow the longest search, not the
+range; it takes P+ for the shortcut from the same run. Both go through
+one search loop (_search).
+
 A scan without witnesses resolves its whole range in one left-to-right
 sweep instead of one search per n. The vectors of lo, lo+1, ... go into
 one gf2.SweepBasis, which keeps at each pivot the row with the latest
@@ -21,10 +31,9 @@ per window instead of one factor walk per value, classifies squares and
 shortcut rows per window with exact integer numpy, and keeps t in a plain
 int list (scan_t); scan_tn makes TnResult rows of it only at its edge. It
 runs in one process: it shares its basis across the whole range, so
-chunks would repeat each other's work. A witnessed scan keeps one
-compute_tn search per n, on the sieve blocks that ParitySupplier keeps: the
-canonical witness is the combination the insertion-order basis of that n
-finds, which the sweep does not track.
+chunks would repeat each other's work. A witnessed scan keeps one search
+per n: the canonical witness is the combination the insertion-order basis
+of that n finds, which the sweep does not track.
 """
 
 from __future__ import annotations
@@ -32,44 +41,37 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice, repeat
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import PrimeCache, SpfTable, factorize_trial, parity_windows, primes_up_to, row_bits
+from .sieve import (PrimeCache, SpfTable, Window, factorize_trial, parity_windows, primes_up_to,
+                    row_bits)
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
 
-# ParitySupplier sieves single values in aligned blocks of 2^BLOCK_BITS.
-BLOCK_BITS = 10
-_BLOCK_MASK = (1 << BLOCK_BITS) - 1
-
 
 class ParitySupplier:
-    """Serves exponent-parity vectors (and largest prime factors) of single
-    positive integers below sieve.WINDOW_VALUE_CEILING, for compute_tn.
+    """Serves P+ and the prime sets of single positive integers.
 
-    Vectors and P+ come from sieve.parity_windows in aligned blocks: block
-    k holds the values [k, k+1) * 2^BLOCK_BITS, sieved under
-    B = isqrt((k+1) * 2^BLOCK_BITS - 1), and is kept once sieved, since the
-    searches for nearby n (a witnessed scan) overlap. Prime sets (support)
-    are a separate encoding, used only to verify witnesses: they walk the
-    optional table, or trial divide past it, independently of the sieve.
+    It serves no split vectors: span searches read those from
+    sieve.parity_windows themselves. It keeps the prime array that
+    compute_tn and p_plus hand to the windows (primes), and p_plus reads
+    a one-value window. Prime sets (support) are a separate encoding,
+    used only to verify witnesses: they walk the optional table, or trial
+    divide past it, independently of the sieve.
     """
 
     def __init__(self, table: Optional[SpfTable] = None):
         self.table = table
         self._trial_primes = PrimeCache()
-        self._blocks: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}  # (pairs, P+)
-        self._rank: dict[int, int] = {}
-        self._primes: list[int] = []  # by rank
-        self._prime_array = np.zeros(0, dtype=np.int64)
-        self._rank_bound = 1
+        self._primes = np.zeros(0, dtype=np.int64)
+        self._prime_bound = 1  # self._primes holds every prime up to this
 
     def support(self, m: int) -> frozenset[int]:
         """The primes dividing m to an odd power."""
@@ -80,60 +82,18 @@ class ParitySupplier:
             factors = factorize_trial(m, self._trial_primes.covering(m)).factors
         return frozenset(p for p, e in factors if e & 1)
 
-    def ranks(self, bound: int) -> dict[int, int]:
-        """Map from each prime p <= bound (and possibly a few more) to its
-        rank, where 2 has rank 0. Grows lazily; ranks never change.
-
-        Ranks are kept as ints, not as 1 << rank: those masks would take
-        pi(B)^2 / 16 bytes in all, about 400 MB at B = 10^6.
-        """
-        if bound > self._rank_bound:
-            self._rank_bound = max(bound, 2 * self._rank_bound)
-            self._primes = primes = primes_up_to(self._rank_bound)
-            self._prime_array = np.array(primes, dtype=np.int64)
-            self._rank.update((primes[r], r) for r in range(len(self._rank), len(primes)))
-        return self._rank
-
-    def _sieve_block(self, k: int) -> tuple[list[tuple[int, int]], list[int]]:
-        """Sieve block k and keep its pairs and P+, indexed by the low bits of m."""
-        start, end = k << BLOCK_BITS, (k + 1) << BLOCK_BITS
-        bound = isqrt(end - 1)
-        self.ranks(bound)
-        primes = self._primes
-        pairs, p_plus = ([], []) if start else ([(0, 0)], [0])  # m = 0 pads block 0
-        for _, large, words, window_p_plus in parity_windows(start or 1, end, bound,
-                                                             self._prime_array):
-            for q, bits in zip(large.tolist(), row_bits(words)):
-                # with no prime above B, the top prime is the highest rank bit
-                r = bits.bit_length() - 1
-                pairs.append((q, bits) if q or r < 0 else (primes[r], bits ^ 1 << r))
-            p_plus += window_p_plus.tolist()
-        block = self._blocks[k] = pairs, p_plus
-        return block
-
-    def pair(self, m: int) -> tuple[int, int]:
-        """(top, rest): the largest prime dividing m to an odd power (0 for
-        a square) and the rank bitset of the other such primes, which are
-        all below sqrt(m).
-
-        The split vector of m under a bound B >= isqrt(m) is (top, rest)
-        when top > B, and (0, rest | 1 << rank(top)) otherwise.
-        """
-        block = self._blocks.get(m >> BLOCK_BITS) or self._sieve_block(m >> BLOCK_BITS)
-        return block[0][m & _BLOCK_MASK]
-
-    def split(self, m: int, bound: int) -> tuple[int, int]:
-        """The split vector (q, bits) of m under the bound B = `bound`,
-        which must be at least isqrt(m)."""
-        q, bits = self.pair(m)
-        if 0 < q <= bound:
-            return 0, bits | 1 << self.ranks(q)[q]
-        return q, bits
+    def primes(self, bound: int) -> np.ndarray:
+        """The ascending int64 primes up to at least `bound`. Kept, and
+        grown at least twofold when a larger bound comes."""
+        if bound > self._prime_bound:
+            self._prime_bound = max(bound, 2 * self._prime_bound)
+            self._primes = np.array(primes_up_to(self._prime_bound), dtype=np.int64)
+        return self._primes
 
     def p_plus(self, m: int) -> int:
         """Largest prime factor, with 1 for m = 1."""
-        block = self._blocks.get(m >> BLOCK_BITS) or self._sieve_block(m >> BLOCK_BITS)
-        return block[1][m & _BLOCK_MASK]
+        bound = isqrt(m)
+        return int(next(parity_windows(m, m + 1, bound, self.primes(bound)))[3][0])
 
 
 _default_supplier: Optional[ParitySupplier] = None
@@ -213,20 +173,37 @@ def compute_tn(n: int,
     limit = min(limit, 3 * n)
     # every value n..n+limit has at most one prime above this bound
     bound = isqrt(n + limit)
-    rank = supplier.ranks(bound)
-    pair = supplier.pair
-    basis = SplitBasis(len(rank))
+    primes = supplier.primes(bound)
+    vectors = _split_rows(parity_windows(n, n + limit + 1, bound, primes))
+    return _search(n, vectors, len(primes), limit, shortcut_t, include_witness)
+
+
+def _split_rows(windows: Iterable[Window]) -> Iterator[tuple[int, int]]:
+    """The split vectors (q, bits) of the rows of consecutive windows."""
+    for _, large, words, _ in windows:
+        yield from zip(large.tolist(), row_bits(words))
+
+
+def _search(n: int, vectors: Iterator[tuple[int, int]], width: int, limit: int,
+            shortcut_t: Optional[int], include_witness: bool) -> TnResult:
+    """The span search of a non-square n, the one loop of every witnessed
+    search.
+
+    `vectors` yields the split vectors of n, n+1, ..., n+limit under one
+    bound B >= isqrt(n + limit), and `width` is at least the number of
+    primes up to B. t and the witness do not depend on B (see gf2).
+    `shortcut_t` is P+(n) when the large-prime shortcut applies, and the
+    search must then end at exactly that t. Raises CapExceeded when n
+    stays out of the span of its first `limit` successors.
+    """
+    target_q, target_bits = next(vectors)
+    basis = SplitBasis(width)
     insert = basis.insert
-    target_q, target_bits = supplier.split(n, bound)
     target_mask = 0
     target_pivot = target_q or target_bits.bit_length() - 1
     j = 0
-    while j < limit:
+    for q, bits in islice(vectors, limit):
         j += 1
-        q, bits = pair(n + j)
-        if 0 < q <= bound:
-            bits |= 1 << rank[q]
-            q = 0
         pivot = insert(q, bits)
         if pivot is None or pivot != target_pivot:
             continue
@@ -273,12 +250,12 @@ def scan_tn(lo: int, hi: int,
 
     Rows whose search cap is exhausted come back flagged (t = None,
     cap_exceeded=True) instead of aborting the scan. Without witnesses the
-    rows wrap the lists of scan_t, one sequential sweep that reads its
-    vectors from sieve windows, not from `supplier`, whatever `workers`
-    is. With witnesses each n gets its own compute_tn search; with
-    workers > 1 disjoint n-chunks are searched in separate processes (each
-    with its process's default_supplier) and merged in order. Output is
-    identical for any worker count.
+    rows wrap the lists of scan_t, one sequential sweep, whatever
+    `workers` is. With witnesses each n gets its own search, with the t
+    and witness of compute_tn, on one window pass over the range; with
+    workers > 1 disjoint n-chunks are searched in separate processes and
+    merged in order. Output is identical for any worker count. No scan
+    reads `supplier`: vectors and P+ come from sieve windows.
     """
     if not include_witness:
         ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
@@ -290,19 +267,80 @@ def scan_tn(lo: int, hi: int,
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if workers > 1 and hi - lo >= 16:
         return _scan_parallel(lo, hi, cap, use_shortcut, workers)
-    return _witnessed_rows(lo, hi, cap, use_shortcut, supplier or default_supplier())
+    return _witnessed_rows(lo, hi, cap, use_shortcut)
 
 
-def _witnessed_rows(lo, hi, cap, use_shortcut, supplier) -> list[TnResult]:
-    return [_tn_row(n, cap, use_shortcut, True, supplier) for n in range(lo, hi + 1)]
+class _Run:
+    """The split vectors and P+ of lo, lo+1, ... from one window pass,
+    sieved as far as the searches ask and kept from the current n on."""
+
+    def __init__(self, windows: Iterator[Window], start: int):
+        self._windows = windows
+        self.start = start  # the value of row 0
+        self.large: list[int] = []
+        self.bits: list[int] = []
+        self.p_plus: list[int] = []
+
+    def _pull(self) -> None:
+        _, large, words, p_plus = next(self._windows)
+        self.large += large.tolist()
+        self.bits += row_bits(words)
+        self.p_plus += p_plus.tolist()
+
+    def seek(self, n: int) -> int:
+        """P+(n). Sieves up to n, and forgets the rows below n once they
+        are at least half of those kept, so that what is kept follows the
+        furthest any search has read, not the range."""
+        k = n - self.start
+        while k >= len(self.p_plus):
+            self._pull()
+        if 2 * k >= len(self.p_plus):
+            del self.large[:k], self.bits[:k], self.p_plus[:k]
+            self.start, k = n, 0
+        return self.p_plus[k]
+
+    def vectors(self, n: int) -> Iterator[tuple[int, int]]:
+        """The split vectors of n, n+1, ..., sieving more as they are read."""
+        i = n - self.start
+        while True:
+            end = len(self.large)
+            rows = range(i, end)
+            yield from zip(map(self.large.__getitem__, rows), map(self.bits.__getitem__, rows))
+            i = end
+            self._pull()
 
 
-def _tn_row(n, cap, use_shortcut, include_witness, supplier) -> TnResult:
-    try:
-        return compute_tn(n, cap=cap, use_shortcut=use_shortcut,
-                          include_witness=include_witness, supplier=supplier)
-    except CapExceeded:
-        return TnResult(n, None, None, shortcut_used=False, cap_exceeded=True)
+def _witnessed_rows(lo, hi, cap, use_shortcut) -> list[TnResult]:
+    """The rows of compute_tn(n, cap, use_shortcut) for n = lo..hi, with
+    witnesses and capped rows flagged, from one window pass.
+
+    Every search reads the run from its n on, under the one bound
+    B = isqrt(reach), where reach is the last value any search may touch:
+    hi + min(limit, 3 hi), or 2 hi when a shortcut row searches to
+    t = P+(n) <= n past a smaller cap. t and the witness of n are those of
+    compute_tn, whose bound isqrt(n + limit) is at most B (see gf2).
+    """
+    limit = cap if cap is not None else HARD_OFFSET_CAP
+    reach = hi + max(min(limit, 3 * hi), hi if use_shortcut else 0)
+    bound = isqrt(reach)
+    primes = np.array(primes_up_to(bound), dtype=np.int64)
+    run = _Run(parity_windows(lo, reach + 1, bound, primes), lo)
+    rows = []
+    for n in range(lo, hi + 1):
+        p = run.seek(n)
+        if isqrt(n) ** 2 == n:
+            rows.append(TnResult(n, 0, ()))
+            continue
+        if limit < 1:
+            raise RangeError("cap must be >= 1")
+        # large_prime_shortcut's test, on the P+ of the run
+        shortcut_t = p if use_shortcut and (p - 1) ** 2 > 2 * n else None
+        limit_n = shortcut_t if shortcut_t is not None else min(limit, 3 * n)
+        try:
+            rows.append(_search(n, run.vectors(n), len(primes), limit_n, shortcut_t, True))
+        except CapExceeded:
+            rows.append(TnResult(n, None, None, cap_exceeded=True))
+    return rows
 
 
 def _classify(a: int, p_plus: np.ndarray, use_shortcut: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -404,27 +442,23 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
     return ts, np.concatenate(shortcut).tolist()
 
 
-def _scan_chunk(args) -> list[TnResult]:
-    lo, hi, cap, use_shortcut = args
-    return _witnessed_rows(lo, hi, cap, use_shortcut, default_supplier())
-
-
 def _scan_parallel(lo, hi, cap, use_shortcut, workers) -> list[TnResult]:
     from concurrent.futures import ProcessPoolExecutor
 
     count = hi - lo + 1
     chunk = max(256, count // (workers * 8))
-    tasks = [(a, min(a + chunk - 1, hi), cap, use_shortcut)
-             for a in range(lo, hi + 1, chunk)]
+    starts = range(lo, hi + 1, chunk)
+    ends = [min(a + chunk - 1, hi) for a in starts]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, tasks))
+            parts = list(pool.map(_witnessed_rows, starts, ends, repeat(cap),
+                                  repeat(use_shortcut)))
     except OSError as e:
         # Sandboxed environments without process support: fall back to
         # sequential, which produces identical output by construction.
         warnings.warn(f"worker processes unavailable ({e}); scanning sequentially",
                       RuntimeWarning, stacklevel=3)
-        return _scan_chunk((lo, hi, cap, use_shortcut))
+        return _witnessed_rows(lo, hi, cap, use_shortcut)
     return [row for part in parts for row in part]
 
 

@@ -3,11 +3,16 @@
 Everything here deliberately avoids the library's own code paths: trial
 division instead of sieve tables, exhaustive subset search instead of
 GF(2) elimination, plain quadrature instead of the production rho grid.
-Expected values frozen into tests were computed with these.
+Expected values frozen into tests were computed with these. The
+exceptions are the per-n loops at the end, which run one compute_tn
+search per value where the library now runs one sweep or one window pass.
 """
 
 from itertools import combinations
 from math import isqrt
+
+from tnlab.errors import CapExceeded
+from tnlab.tn import TnResult, compute_tn
 
 
 def trial_factor(n: int) -> list[tuple[int, int]]:
@@ -197,3 +202,31 @@ def xor_draw_family(masks: list[int], rng, family_size: int) -> list[int]:
             sel ^= low
         seen.setdefault(m, None)
     return list(seen)
+
+
+def tn_row(n: int, cap, use_shortcut: bool, include_witness: bool, supplier=None) -> TnResult:
+    """The row of n in a scan, from its own compute_tn search: a search
+    that exhausts its cap gives a flagged row."""
+    try:
+        return compute_tn(n, cap=cap, use_shortcut=use_shortcut,
+                          include_witness=include_witness, supplier=supplier)
+    except CapExceeded:
+        return TnResult(n, None, None, shortcut_used=False, cap_exceeded=True)
+
+
+def count_tn_closed_per_n(lo: int, hi: int, supplier=None) -> int:
+    """#{n in (lo, hi] : n + t_n <= hi}, one compute_tn search per element.
+
+    Each n < hi is searched with its cap at hi - n: squares and
+    large-prime shortcut rows come back whatever the cap, and exhausting
+    the cap means the window does not close inside the interval. n = hi
+    counts only when it is a square (t = 0).
+    """
+    count = int(is_square(hi))
+    for n in range(lo + 1, hi):
+        try:
+            t = compute_tn(n, cap=hi - n, include_witness=False, supplier=supplier).t
+        except CapExceeded:
+            continue
+        count += n + t <= hi
+    return count

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tnlab
 from tnlab.cli import main
 
 def run_cli(args):
@@ -122,3 +125,32 @@ def test_console_script_entrypoint():
     assert proc.returncode == 0
     assert "t=4" in proc.stdout
 
+
+
+LAZY_MPMATH_CHILD = """
+import json, sys
+import tnlab, tnlab.cli
+assert "mpmath" not in sys.modules, "importing tnlab imported mpmath"
+for argv in json.loads(sys.argv[1]):
+    assert tnlab.cli.main(argv) == 0
+assert "mpmath" in sys.modules
+"""
+
+
+def test_importing_tnlab_leaves_mpmath_out(tmp_path, capsys):
+    # mpmath is imported by the functions that use it, so a process that
+    # runs tn, scan or curve-point never loads it; dist, pell and bounds
+    # still write the bytes they write in this process
+    argvs = [["dist", "--x", "2000", "--c", "0.5", "--c", "0.65"],
+             ["pell", "--J", "48"],
+             ["bounds", "--kind", "tn-lower", "--n", "1000"]]
+    child = [argv + ["--out", str(tmp_path / f"child_{argv[0]}")] for argv in argvs]
+    src = str(Path(tnlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LAZY_MPMATH_CHILD, json.dumps(child)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for argv in argvs:
+        ours = tmp_path / f"ours_{argv[0]}"
+        assert run_cli(argv + ["--out", str(ours)]) == 0
+        assert read(tmp_path / f"child_{argv[0]}") == read(ours)
+    capsys.readouterr()

@@ -18,19 +18,21 @@ import subprocess
 import sys
 from math import isqrt
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tnlab
-from oracles import frozenset_kernel_masks, frozenset_tn, is_smooth, is_square, odd_support
+from oracles import (frozenset_kernel_masks, frozenset_tn, is_smooth, is_square, odd_support,
+                     tn_row)
 from tnlab.cli import main
 from tnlab.constructor import build_small_tn, construct_curve_point
 from tnlab.errors import CapExceeded
 from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import enumerate_square_subsets
-from tnlab.sieve import build_spf_table, primes_up_to
+from tnlab.sieve import build_spf_table, parity_windows, primes_up_to, split_vectors
 from tnlab import tn
 from tnlab.tn import ParitySupplier, compute_tn, render_results, scan_tn
 
@@ -58,7 +60,7 @@ KERNEL_DIGESTS = {
 }
 
 # the small-table supplier verifies values above this by trial division;
-# its vectors come from sieve blocks at every height
+# searches read their vectors from sieve windows at every height
 SMALL_TABLE = 1 << 12
 
 
@@ -95,11 +97,41 @@ def test_golden_dist_file(tmp_path):
 def test_sweep_matches_per_n_searches(small_supplier, lo, length, cap, use_shortcut):
     hi = lo + length
     rows = scan_tn(lo, hi, cap, use_shortcut, include_witness=False, supplier=small_supplier)
-    assert rows == [tn._tn_row(n, cap, use_shortcut, False, small_supplier)
+    assert rows == [tn_row(n, cap, use_shortcut, False, small_supplier)
                     for n in range(lo, hi + 1)]
     ts, shortcut = tn.scan_t(lo, hi, cap, use_shortcut)
     for fmt in ("csv", "json"):
         assert tn.render_t(lo, ts, shortcut, fmt) == render_results(rows, fmt)
+
+
+@given(st.integers(min_value=2, max_value=20000),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=200)), st.booleans(),
+       st.integers(min_value=1, max_value=5000))
+@settings(max_examples=60, deadline=None)
+def test_search_is_unchanged_under_a_larger_bound(n, cap, use_shortcut, extra):
+    # compute_tn sieves under B = isqrt(n + limit), a witnessed scan under
+    # the B of its whole range. A larger B turns large tags into rank bits
+    # but keeps t, the canonical witness and every capped row.
+    expected = tn_row(n, cap, use_shortcut, True)
+    supplier = ParitySupplier()
+    supplier.primes(isqrt(4 * n) + extra)  # past every bound of a search of n
+    with mock.patch.object(tn, "parity_windows",
+                           lambda a, b, bound, primes: parity_windows(a, b, bound + extra, primes)):
+        assert tn_row(n, cap, use_shortcut, True, supplier) == expected
+
+
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=60),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=60)), st.booleans(),
+       st.sampled_from((1, 2)))
+@settings(max_examples=40, deadline=None)
+@example(1, 300, 40, True, 2)  # two chunks of 256 rows, with capped and shortcut rows
+@example(2, 300, None, False, 1)
+def test_witnessed_scan_matches_per_n_searches(lo, length, cap, use_shortcut, workers):
+    # one window pass for the whole range, each search reading it from its
+    # n on, against one compute_tn search per n
+    hi = lo + length
+    rows = scan_tn(lo, hi, cap, use_shortcut, include_witness=True, workers=workers)
+    assert rows == [tn_row(n, cap, use_shortcut, True) for n in range(lo, hi + 1)]
 
 
 def test_golden_witnessed_kp_rows():
@@ -222,11 +254,12 @@ def test_small_tn_is_first_frozenset_dependency(table):
         assert build_small_tn(lo, hi, y, table) == (n, tuple(m - n for m in members[1:]))
 
 
-def test_split_vectors_have_one_large_prime(small_supplier):
+def test_split_vectors_have_one_large_prime():
+    # one value per batch, so that each is split under B = isqrt(m)
     rank = {p: r for r, p in enumerate(primes_up_to(1000))}
     for m in list(range(1, 3000)) + list(range(SMALL_TABLE - 50, SMALL_TABLE + 50)):
         bound = isqrt(m)
-        q, bits = small_supplier.split(m, bound)
+        [(q, bits)] = split_vectors([m])
         support = odd_support(m)
         assert q == (max(support) if support and max(support) > bound else 0)
         assert bits == sum(1 << rank[p] for p in support if p <= bound)

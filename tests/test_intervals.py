@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_square_subsets
+from oracles import brute_square_subsets, count_tn_closed_per_n
 from tnlab.errors import RangeError
 from tnlab.intervals import (check_interval_identity, count_tn_closed,
                              enumerate_square_subsets)
@@ -13,6 +15,22 @@ def test_count_examples(supplier):
     assert count_tn_closed(2, 6, supplier) == 1   # only n=4
     assert count_tn_closed(1, 6, supplier) == 2   # n=2 (2+4=6) and n=4
     assert count_tn_closed(4, 5, supplier) == 0   # t_5=5 puts 10 outside
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=3000),
+                 st.integers(min_value=10 ** 6 - 3000, max_value=10 ** 6 + 3000)),
+       st.integers(min_value=1, max_value=60))
+@settings(max_examples=60, deadline=None)
+@example(0, 1)
+@example(0, 30)
+@example(48, 1)                     # hi = 49, a square, is the only element
+@example(10 ** 6 - 40, 40)          # hi = 1000^2
+@example(1002001 - 1, 1)            # hi = 1001^2
+@example(10 ** 6 + 17, 1)
+def test_count_matches_per_n_searches(lo, length):
+    # one sweep over (lo, hi) against one capped compute_tn search per n
+    hi = lo + length
+    assert count_tn_closed(lo, hi) == count_tn_closed_per_n(lo, hi)
 
 
 def test_count_malformed(supplier):

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_tn, is_square, largest_prime_factor, trial_factor
+from oracles import brute_tn, is_square, largest_prime_factor, tn_row, trial_factor
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import tn
-from tnlab.sieve import WINDOW_BYTES, WINDOW_VALUE_CEILING, build_spf_table, primes_up_to
-from tnlab.tn import (BLOCK_BITS, ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
+from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, build_spf_table, parity_windows,
+                         primes_up_to, row_bits)
+from tnlab.tn import (ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
                       render_results, scan_t, scan_tn, verify_witness)
 
 
@@ -172,13 +173,15 @@ def test_scan_cap_below_one_raises_only_for_a_search(supplier):
 
 
 class CountingSupplier(ParitySupplier):
+    """Counts every request made of it."""
+
     def __init__(self, table):
         super().__init__(table)
         self.calls = Counter()
 
-    def pair(self, m):
-        self.calls["pair"] += 1
-        return super().pair(m)
+    def support(self, m):
+        self.calls["support"] += 1
+        return super().support(m)
 
     def p_plus(self, m):
         self.calls["p_plus"] += 1
@@ -186,62 +189,75 @@ class CountingSupplier(ParitySupplier):
 
 
 def test_scan_without_witness_reads_sieve_windows_not_the_supplier(table):
+    # the supplier serves no vectors; scans read vectors and P+ from sieve
+    # windows, and a search asks the supplier for P+(n) only, once, for
+    # the shortcut
+    assert not any(hasattr(ParitySupplier, name) for name in ("pair", "split", "ranks"))
     counting = CountingSupplier(table)
     rows = scan_tn(2, 3000, supplier=counting)
-    assert not counting.calls
     assert rows == scan_tn(2, 3000, supplier=ParitySupplier(table))
-    # the counter sees the supply of a witnessed scan
-    scan_tn(2, 40, include_witness=True, supplier=counting)
-    assert counting.calls["pair"] and counting.calls["p_plus"]
+    witnessed = scan_tn(2, 40, include_witness=True, supplier=counting)
+    assert not counting.calls
+    assert witnessed == [tn_row(n, None, True, True, ParitySupplier(table)) for n in range(2, 41)]
+    assert compute_tn(14, supplier=counting).t == 7
+    assert compute_tn(2, supplier=counting).t == 4
+    assert counting.calls == Counter(p_plus=2)
+    assert compute_tn(3, use_shortcut=False, supplier=counting).t == 5
+    assert counting.calls == Counter(p_plus=2)
+
+
+def _split_by_trial_division(m, bound, rank):
+    odd = [p for p, e in trial_factor(m) if e & 1]
+    q = odd[-1] if odd and odd[-1] > bound else 0
+    return q, sum(1 << rank[p] for p in odd if p != q)
 
 
 def test_supplier_matches_trial_division_at_block_edges():
-    # the supplier sieves aligned blocks of 2^BLOCK_BITS values, each under
-    # isqrt of its last value: check the first and last value of blocks,
-    # and m = 1, the first value of block 0, whose slot 0 is padding
-    block = 1 << BLOCK_BITS
+    # windows start at 1024 rows and double: check the first and last row
+    # of every window of runs from m = 1 and up to 2^30, under isqrt of
+    # their last value and under a larger bound; then one-value windows
+    # and the supplier's P+ on single values up to 2^30
+    rank = {p: r for r, p in enumerate(primes_up_to(1 << 16))}
+    for a in (1, 977 * 1024 - 1, (1 << 30) - 4000):
+        b = a + 4000  # windows of 1024, 2048 and 928 rows
+        for bound in (isqrt(b - 1), isqrt(b - 1) + 1000):
+            edges = 0
+            for start, large, words, p_plus in parity_windows(a, b, bound):
+                bits = row_bits(words)
+                for i in (0, len(large) - 1):
+                    m = start + i
+                    assert (int(large[i]), bits[i]) == _split_by_trial_division(m, bound, rank)
+                    assert p_plus[i] == largest_prime_factor(m)
+                    edges += 1
+            assert edges == 6
     rng = random.Random(7)
-    ms = [1, 2, 3, 4] + [m for k in (1, 2, 3, 977, 1 << 20) for m in (k * block - 1, k * block)]
+    ms = [1, 2, 3, 4] + [m for k in (1, 2, 3, 977, 1 << 20) for m in (k * 1024 - 1, k * 1024)]
     ms += [rng.randrange(1, 1 << 30) for _ in range(40)]
     supplier = ParitySupplier()
-    rank = {p: r for r, p in enumerate(primes_up_to(1 << 16))}
     for m in ms:
-        odd = [p for p, e in trial_factor(m) if e & 1]
-        top = odd[-1] if odd else 0
-        rest = sum(1 << rank[p] for p in odd[:-1])
-        assert supplier.pair(m) == (top, rest)
         for bound in (isqrt(m), isqrt(m) + 1000):
-            small = 0 < top <= bound
-            assert supplier.split(m, bound) == \
-                ((0, rest | 1 << rank[top]) if small else (top, rest))
-        assert supplier.p_plus(m) == largest_prime_factor(m)
+            [(start, large, words, p_plus)] = parity_windows(m, m + 1, bound)
+            assert (int(large[0]), row_bits(words)[0]) == _split_by_trial_division(m, bound, rank)
+        assert supplier.p_plus(m) == p_plus[0] == largest_prime_factor(m)
 
 
 def test_no_search_bound_passes_isqrt_4n_whatever_the_cap(monkeypatch):
     # t_n <= 3n, since n * 4n = (2n)^2, so a cap past 3n changes no row and
-    # no bound: a bound taken from a cap of 10^18 would rank the primes up
-    # to 10^9. Both supplies are guarded, so a bound past isqrt(4n) fails
-    # here at once instead of sieving.
+    # no bound: a bound taken from a cap of 10^18 would sieve the primes up
+    # to 10^9. Every search and scan reads sieve windows, which are
+    # guarded, so a bound past isqrt(4n) fails here at once instead of
+    # sieving.
     lo, hi = 10 ** 6, 10 ** 6 + 50
     ceiling = isqrt(4 * hi)
     seen = []
-
-    def check(bound):
-        seen.append(bound)
-        assert bound <= ceiling, f"bound {bound} is past isqrt(4n) = {ceiling}"
-
-    windows, ranks = tn.parity_windows, ParitySupplier.ranks
+    windows = tn.parity_windows
 
     def guarded_windows(a, b, bound, *rest):
-        check(bound)
+        seen.append(bound)
+        assert bound <= ceiling, f"bound {bound} is past isqrt(4n) = {ceiling}"
         return windows(a, b, bound, *rest)
 
-    def guarded_ranks(self, bound):
-        check(bound)
-        return ranks(self, bound)
-
     monkeypatch.setattr(tn, "parity_windows", guarded_windows)
-    monkeypatch.setattr(ParitySupplier, "ranks", guarded_ranks)
     ts, shortcut = scan_t(lo, hi, cap=10 ** 18)
     assert (ts, shortcut) == scan_t(lo, hi)
     supplier = ParitySupplier()
@@ -261,13 +277,13 @@ def table_2_20():
 
 def test_tableless_supplier_matches_a_table_supplier(table_2_20):
     # the table serves verification only: t and the canonical witnesses
-    # come from the sieve blocks with it or without it, also past it
+    # come from sieve windows with it or without it, also past it
     rng = random.Random(2211)
     ns = [rng.randrange(2, 1 << 21) for _ in range(40)] + [(1 << 20) - 7, (1 << 20) + 3]
     bare, tabled = ParitySupplier(), ParitySupplier(table_2_20)
     for n in ns:
-        row = tn._tn_row(n, 200, False, True, bare)
-        assert row == tn._tn_row(n, 200, False, True, tabled)
+        row = tn_row(n, 200, False, True, bare)
+        assert row == tn_row(n, 200, False, True, tabled)
         if row.witness:
             assert verify_witness(n, row.witness, bare) and verify_witness(n, row.witness, tabled)
     for lo in (5000, (1 << 20) - 20):
@@ -291,7 +307,22 @@ def test_sweep_window_stays_under_its_byte_cap_when_a_cap_raises_the_bound():
         tracemalloc.stop()
     assert peak < 4 * WINDOW_BYTES
     small = ParitySupplier(build_spf_table(1 << 12))
-    assert rows == [tn._tn_row(n, cap, True, False, small) for n in range(lo, hi + 1)]
+    assert rows == [tn_row(n, cap, True, False, small) for n in range(lo, hi + 1)]
+
+
+def test_witnessed_scan_memory_stays_under_its_stated_peak():
+    # A witnessed scan keeps one run of sieved values from its current n
+    # on, not the range: here the values up to 2n that shortcut rows such
+    # as primes search through. Measured 2.2 MB, of which 1.0 MB is the
+    # 3999 rows returned.
+    tracemalloc.start()
+    try:
+        rows = scan_tn(2, 4000, include_witness=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 10 ** 6
+    assert len(rows) == 3999 and rows[-1] == compute_tn(4000)
 
 
 def test_sweep_refuses_values_past_the_window_ceiling():
