@@ -215,6 +215,9 @@ def exceptional_set(x: int, include_members: bool = True,
     return count, [int(v) for v in ns[mask]]
 
 
+DETAIL_LIMIT = 1000  # a conjecture scan lists its rows up to this many
+
+
 @dataclass(frozen=True)
 class ConjectureRow:
     n: int
@@ -249,8 +252,7 @@ class ConjectureScanReport:
         return d
 
 
-def conjecture_scan(x: int, c: float,
-                    detail_limit: int = 1000) -> ConjectureScanReport:
+def conjecture_scan(x: int, c: float) -> ConjectureScanReport:
     """min over non-square n <= x of t_n / (log n)^(1-c)."""
     if x < 2:
         raise RangeError("x must be >= 2")
@@ -265,7 +267,7 @@ def conjecture_scan(x: int, c: float,
             continue
         ratio = t / math.log(n) ** (1.0 - c)
         scanned += 1
-        if scanned <= detail_limit:
+        if scanned <= DETAIL_LIMIT:
             rows.append(ConjectureRow(n=n, t=t, ratio=ratio))
         if ratio < best[0]:
             best = (ratio, n, t)
@@ -274,5 +276,5 @@ def conjecture_scan(x: int, c: float,
     return ConjectureScanReport(
         x=x, c=c, scanned=scanned,
         min_ratio=best[0], argmin_n=best[1], argmin_t=best[2],
-        rows=tuple(rows) if scanned <= detail_limit else None,
+        rows=tuple(rows) if scanned <= DETAIL_LIMIT else None,
     )

@@ -8,6 +8,8 @@ system, and the exact squarefree/square decomposition x + j = b * z^2.
 
 Bounds whose literature statements hide an O-constant take the constant as
 an explicit argument; every report records which constant was used.
+Factorizations are by trial division (sieve.factorize_trial), which reads
+its primes from sieve's one prime array, so this module keeps none.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from math import gcd, isqrt
 from typing import Optional, Sequence
 
 from .errors import DomainError, PreconditionError, RangeError, ResourceError, UsageError
-from .sieve import PrimeCache, factorize_trial
+from .sieve import factorize_trial
 
-_primes = PrimeCache()
+CROSS_CHECK_LIMIT = 10 ** 4
 
 
 def _divisors(n: int) -> list[int]:
@@ -181,7 +183,7 @@ def select_low_omega(bs: Sequence[int], span: int) -> LowOmegaSelection:
     for i, b in enumerate(bs):
         if b < 1:
             raise PreconditionError(f"b[{i}] = {b} is not positive", offending=(i, b))
-        rec = factorize_trial(b, _primes.covering(b))
+        rec = factorize_trial(b)
         if rec.p_plus > span:
             raise PreconditionError(
                 f"b[{i}] = {b} has prime factor {rec.p_plus} > {span}",
@@ -254,7 +256,7 @@ def pell_system_decompose(x: int, offsets: Sequence[int], strict: bool = False,
         raise ResourceError(f"x + span = {x + span} exceeds factorization budget {factor_limit}")
     entries = []
     for j in offsets:
-        rec = factorize_trial(x + j, _primes.covering(x + j))
+        rec = factorize_trial(x + j)
         b = rec.squarefree_kernel
         if strict:
             for p, e in rec.factors:
@@ -271,12 +273,11 @@ def pell_system_decompose(x: int, offsets: Sequence[int], strict: bool = False,
     return PellSystem(x=x, entries=tuple(entries))
 
 
-def tn_lower_bound_eval(n: int, constant: float = 1.0,
-                        cross_check_limit: int = 10 ** 4) -> HeightBoundReport:
+def tn_lower_bound_eval(n: int, constant: float = 1.0) -> HeightBoundReport:
     """constant * (ln ln n)^(6/5) * (ln ln ln n)^(-1/5), the iterated-log
     lower bound shape for t_n on non-squares.
 
-    For n within the scan range a report-only cross-check against the exact
+    For n up to CROSS_CHECK_LIMIT a report-only cross-check against the exact
     t_n is included in the inputs (never asserted).
     """
     if constant < 0:
@@ -290,7 +291,7 @@ def tn_lower_bound_eval(n: int, constant: float = 1.0,
         lll = mpmath.log(ll)
         value = float(constant * ll ** mpmath.mpf("1.2") * lll ** mpmath.mpf("-0.2"))
     inputs: dict = {"n": n, "constant": constant}
-    if n <= cross_check_limit and isqrt(n) ** 2 != n:
+    if n <= CROSS_CHECK_LIMIT and isqrt(n) ** 2 != n:
         from .tn import compute_tn
         t = compute_tn(n, include_witness=False).t
         inputs["exact_t"] = t

@@ -22,19 +22,18 @@ from .gf2 import kernel_masks, mask_bits
 from .sieve import parity_windows, primes_up_to, split_vectors
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
 # by name until the tracer reads in-tree counters (ROADMAP item 5)
-from .tn import ParitySupplier, compute_tn, default_supplier, scan_t  # noqa: F401
+from .tn import ParitySupplier, compute_tn, scan_t  # noqa: F401
 
 BRUTE_LENGTH_GUARD = 30
 
 
-def count_tn_closed(lo: int, hi: int,
-                    supplier: Optional[ParitySupplier] = None) -> int:
+def count_tn_closed(lo: int, hi: int) -> int:
     """#{n in (lo, hi] : n + t_n <= hi}, from one sweep.
 
     tn.scan_t resolves n = lo+1, ..., hi-1 with its cap at hi - lo - 1,
     the largest offset that can stay inside the interval: n counts when
     its t is known (t >= 0, not capped) and n + t <= hi. n = hi counts
-    only when it is a square (t = 0). `supplier` is not read.
+    only when it is a square (t = 0).
     """
     if not (0 <= lo < hi):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
@@ -85,7 +84,7 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
         raise RangeError(f"interval length {m} exceeds brute guard "
                          f"{BRUTE_LENGTH_GUARD}; use kernel mode")
 
-    supplier = supplier or default_supplier()
+    supplier = supplier or ParitySupplier()
     prime_bits: dict[int, int] = {}
     vecs = []
     for e in elements:

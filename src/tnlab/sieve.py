@@ -1,5 +1,8 @@
 """Sieving, factorization, and smooth-number counting over bounded ranges.
 
+Every prime the package reads comes from one read-only int64 array kept
+here, through primes_through (primes_up_to is its list view).
+
 An immutable smallest-prime-factor table backs factorization records,
 smoothness tests and Psi counts. Split parity vectors and P+, at any height
 below WINDOW_VALUE_CEILING, come from one segmented sieve (parity_windows),
@@ -13,29 +16,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, ResourceError
 
 # Default cap on table entries; override via build_spf_table(max_entries=...).
 DEFAULT_MAX_ENTRIES = 2 ** 31
 
 _LPF_CHUNK = 1 << 16
 
+# Windows hold their values in int64 and must stay below this ceiling, so
+# that twice a value, and the next square above that, are below 2^63.
+WINDOW_VALUE_CEILING = 1 << 61
+# isqrt(2^61 - 1) = 1,518,500,249, the largest prime bound a window asks for
+PRIME_CEILING = isqrt(WINDOW_VALUE_CEILING - 1)
+
+# (bound, every prime up to bound): replaced whole, so that no reader pairs
+# a bound with another array; growing it changes no answer.
+_sieved: tuple[int, np.ndarray] = (1, np.zeros(0, dtype=np.int64))
+_sieved[1].setflags(write=False)
+
+
+def primes_through(bound: int) -> np.ndarray:
+    """The ascending primes <= bound, a read-only int64 slice of the one
+    prime array, which is sieved again, at least twice as far, only when
+    `bound` passes what it covers. A bound above PRIME_CEILING raises
+    ResourceError before any sieving: sieving to the ceiling takes a
+    1.5 GB bytearray and keeps about 75 million primes in 0.6 GB.
+    """
+    global _sieved
+    if bound > PRIME_CEILING:
+        raise ResourceError(f"prime bound {bound} exceeds the ceiling {PRIME_CEILING}")
+    held, primes = _sieved
+    if bound > held:
+        held = min(max(bound, 2 * held), PRIME_CEILING)
+        sieve = bytearray(b"\x01") * (held + 1)
+        sieve[0:2] = b"\x00\x00"
+        for p in range(2, isqrt(held) + 1):
+            if sieve[p]:
+                start = p * p
+                sieve[start::p] = bytes((held - start) // p + 1)
+        primes = np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).astype(np.int64, copy=False)
+        primes.setflags(write=False)
+        _sieved = held, primes
+    return primes[:np.searchsorted(primes, bound, side="right")]
+
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n via a bytearray sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start:n + 1:p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    """All primes <= n, as a list."""
+    return primes_through(n).tolist()
 
 
 class SpfTable:
@@ -159,44 +190,33 @@ def factorize(n: int, table: SpfTable) -> FactorizationRecord:
     return FactorizationRecord(n, tuple(table.factors(n)))
 
 
-def factorize_trial(n: int, primes: list[int]) -> FactorizationRecord:
-    """Factor n by trial division; primes must cover everything <= sqrt(n).
-
-    Any cofactor left after dividing out primes <= sqrt(n) is prime and is
-    recorded with exponent 1.
+def factorize_trial(n: int) -> FactorizationRecord:
+    """Factor n by trial division, with primes from primes_through in runs
+    whose bound doubles from 1024, only while p^2 <= the cofactor left
+    (so n = 2^100 reads no prime past 1024). What remains then is 1 or a
+    prime, recorded with exponent 1.
     """
     if n <= 0:
         raise DomainError("n must be positive")
     factors = []
     m = n
-    for p in primes:
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
+    bound, done = 1, 0  # the `done` primes up to bound are divided out
+    while isqrt(m) > bound:
+        bound = min(isqrt(m), max(2 * bound, 1 << 10))
+        primes = primes_through(bound)
+        for p in primes[done:].tolist():
+            if p * p > m:
+                break
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                factors.append((p, e))
+        done = len(primes)
     if m > 1:
         factors.append((m, 1))
     return FactorizationRecord(n, tuple(factors))
-
-
-class PrimeCache:
-    """Growable list of primes for trial division beyond the table limit."""
-
-    def __init__(self, initial: int = 1 << 10):
-        self._bound = max(initial, 4)
-        self._primes = primes_up_to(self._bound)
-
-    def covering(self, n: int) -> list[int]:
-        """Primes up to at least sqrt(n)."""
-        need = isqrt(n) + 1
-        if need > self._bound:
-            self._bound = max(need, 2 * self._bound)
-            self._primes = primes_up_to(self._bound)
-        return self._primes
 
 
 def smooth_in_interval(lo: int, hi: int, y: int, table: SpfTable) -> list[int]:
@@ -223,9 +243,6 @@ def smooth_in_interval(lo: int, hi: int, y: int, table: SpfTable) -> list[int]:
 # Cap on the bytes of one window's word array; windows of wide rows get
 # fewer rows.
 WINDOW_BYTES = 1 << 22
-# Windows hold their values in int64 and must stay below this ceiling, so
-# that twice a value, and the next square above that, are below 2^63.
-WINDOW_VALUE_CEILING = 1 << 61
 # Windows start this small and double, so that a short scan sieves little.
 _FIRST_WINDOW = 1 << 10
 
@@ -242,8 +259,7 @@ def row_bits(words: np.ndarray) -> list[int]:
     return list(map(int.from_bytes, rows, repeat("little")))
 
 
-def parity_windows(a: int, b: int, bound: int,
-                   primes: Optional[np.ndarray] = None) -> Iterator[Window]:
+def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
     """The values a, a+1, ..., b-1 in consecutive windows, ascending.
 
     Each window is (start, large, words, p_plus), and its row i describes
@@ -262,9 +278,8 @@ def parity_windows(a: int, b: int, bound: int,
     otherwise.
 
     A window's word array stays under WINDOW_BYTES; windows start at
-    _FIRST_WINDOW rows and double up to that size. A caller that sieves
-    many runs passes `primes`, the ascending int64 primes up to at least
-    min(B, b-1), so that they are not sieved again for every run.
+    _FIRST_WINDOW rows and double up to that size. The primes up to
+    min(B, b-1) come from primes_through.
     """
     if not 1 <= a < b:
         raise RangeError(f"need 1 <= a < b, got [{a}, {b})")
@@ -272,9 +287,7 @@ def parity_windows(a: int, b: int, bound: int,
         raise RangeError(f"windows hold values below {WINDOW_VALUE_CEILING}, not {b - 1}")
     if bound < isqrt(b - 1):
         raise RangeError(f"bound {bound} is below isqrt({b - 1})")
-    top = min(bound, b - 1)
-    primes = np.array(primes_up_to(top), dtype=np.int64) if primes is None else primes
-    primes = primes[:np.searchsorted(primes, top, side="right")]
+    primes = primes_through(min(bound, b - 1))
     width = max(1, (len(primes) + 63) >> 6)
     most = max(1, WINDOW_BYTES // (8 * width))
     size = min(_FIRST_WINDOW, most)

@@ -17,7 +17,8 @@ pulling windows once it closes. A witnessed scan sieves one run for the
 whole range and searches each n on it from n onward, forgetting the
 values below n, so the rows it keeps follow the longest search, not the
 range; it takes P+ for the shortcut from the same run. Both go through
-one search loop (_search).
+one search loop (_search). Nothing here keeps primes (sieve.primes_through
+does), so a call without a ParitySupplier makes a fresh one at no cost.
 
 A scan without witnesses resolves its whole range in one left-to-right
 sweep instead of one search per n. The vectors of lo, lo+1, ... go into
@@ -39,6 +40,7 @@ of that n finds, which the sweep does not track.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import count, islice, repeat
@@ -49,8 +51,7 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import (PrimeCache, SpfTable, Window, factorize_trial, parity_windows, primes_up_to,
-                    row_bits)
+from .sieve import SpfTable, Window, factorize_trial, parity_windows, primes_through, row_bits
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -59,19 +60,16 @@ HARD_OFFSET_CAP = 10 ** 7
 class ParitySupplier:
     """Serves P+ and the prime sets of single positive integers.
 
+    It keeps nothing but its optional table, so a fresh one costs nothing.
     It serves no split vectors: span searches read those from
-    sieve.parity_windows themselves. It keeps the prime array that
-    compute_tn and p_plus hand to the windows (primes), and p_plus reads
-    a one-value window. Prime sets (support) are a separate encoding,
-    used only to verify witnesses: they walk the optional table, or trial
-    divide past it, independently of the sieve.
+    sieve.parity_windows themselves, and p_plus reads a one-value window.
+    Prime sets (support) are a separate encoding, used only to verify
+    witnesses: they walk the table, or trial divide past it, independently
+    of the windows.
     """
 
     def __init__(self, table: Optional[SpfTable] = None):
         self.table = table
-        self._trial_primes = PrimeCache()
-        self._primes = np.zeros(0, dtype=np.int64)
-        self._prime_bound = 1  # self._primes holds every prime up to this
 
     def support(self, m: int) -> frozenset[int]:
         """The primes dividing m to an odd power."""
@@ -79,31 +77,12 @@ class ParitySupplier:
         if table is not None and m <= table.limit:
             factors = table.factors(m)
         else:
-            factors = factorize_trial(m, self._trial_primes.covering(m)).factors
+            factors = factorize_trial(m).factors
         return frozenset(p for p, e in factors if e & 1)
-
-    def primes(self, bound: int) -> np.ndarray:
-        """The ascending int64 primes up to at least `bound`. Kept, and
-        grown at least twofold when a larger bound comes."""
-        if bound > self._prime_bound:
-            self._prime_bound = max(bound, 2 * self._prime_bound)
-            self._primes = np.array(primes_up_to(self._prime_bound), dtype=np.int64)
-        return self._primes
 
     def p_plus(self, m: int) -> int:
         """Largest prime factor, with 1 for m = 1."""
-        bound = isqrt(m)
-        return int(next(parity_windows(m, m + 1, bound, self.primes(bound)))[3][0])
-
-
-_default_supplier: Optional[ParitySupplier] = None
-
-
-def default_supplier() -> ParitySupplier:
-    global _default_supplier
-    if _default_supplier is None:
-        _default_supplier = ParitySupplier()
-    return _default_supplier
+        return int(next(parity_windows(m, m + 1, isqrt(m)))[3][0])
 
 
 @dataclass(frozen=True)
@@ -132,8 +111,7 @@ def large_prime_shortcut(n: int, supplier: Optional[ParitySupplier] = None) -> O
     """
     if n < 2 or isqrt(n) ** 2 == n:
         return None
-    supplier = supplier or default_supplier()
-    p = supplier.p_plus(n)
+    p = (supplier or ParitySupplier()).p_plus(n)
     if (p - 1) ** 2 > 2 * n:
         return p
     return None
@@ -156,7 +134,6 @@ def compute_tn(n: int,
         raise DomainError(f"n must be >= 1, got {n}")
     if isqrt(n) ** 2 == n:
         return TnResult(n, 0, ())
-    supplier = supplier or default_supplier()
 
     shortcut_t = large_prime_shortcut(n, supplier) if use_shortcut else None
     if shortcut_t is not None and not include_witness:
@@ -173,9 +150,8 @@ def compute_tn(n: int,
     limit = min(limit, 3 * n)
     # every value n..n+limit has at most one prime above this bound
     bound = isqrt(n + limit)
-    primes = supplier.primes(bound)
-    vectors = _split_rows(parity_windows(n, n + limit + 1, bound, primes))
-    return _search(n, vectors, len(primes), limit, shortcut_t, include_witness)
+    vectors = _split_rows(parity_windows(n, n + limit + 1, bound))
+    return _search(n, vectors, bound, limit, shortcut_t, include_witness)
 
 
 def _split_rows(windows: Iterable[Window]) -> Iterator[tuple[int, int]]:
@@ -184,20 +160,20 @@ def _split_rows(windows: Iterable[Window]) -> Iterator[tuple[int, int]]:
         yield from zip(large.tolist(), row_bits(words))
 
 
-def _search(n: int, vectors: Iterator[tuple[int, int]], width: int, limit: int,
+def _search(n: int, vectors: Iterator[tuple[int, int]], bound: int, limit: int,
             shortcut_t: Optional[int], include_witness: bool) -> TnResult:
     """The span search of a non-square n, the one loop of every witnessed
     search.
 
     `vectors` yields the split vectors of n, n+1, ..., n+limit under one
-    bound B >= isqrt(n + limit), and `width` is at least the number of
-    primes up to B. t and the witness do not depend on B (see gf2).
+    bound B = `bound` >= isqrt(n + limit); t and the witness do not depend
+    on B (see gf2).
     `shortcut_t` is P+(n) when the large-prime shortcut applies, and the
     search must then end at exactly that t. Raises CapExceeded when n
     stays out of the span of its first `limit` successors.
     """
     target_q, target_bits = next(vectors)
-    basis = SplitBasis(width)
+    basis = SplitBasis(len(primes_through(bound)))
     insert = basis.insert
     target_mask = 0
     target_pivot = target_q or target_bits.bit_length() - 1
@@ -233,7 +209,7 @@ def verify_witness(n: int, witness: Sequence[int],
         if j <= prev:
             raise DomainError("witness offsets must be strictly increasing and positive")
         prev = j
-    supplier = supplier or default_supplier()
+    supplier = supplier or ParitySupplier()
     acc = supplier.support(n)
     for j in witness:
         acc = acc ^ supplier.support(n + j)
@@ -253,10 +229,13 @@ def scan_tn(lo: int, hi: int,
     rows wrap the lists of scan_t, one sequential sweep, whatever
     `workers` is. With witnesses each n gets its own search, with the t
     and witness of compute_tn, on one window pass over the range; with
-    workers > 1 disjoint n-chunks are searched in separate processes and
-    merged in order. Output is identical for any worker count. No scan
-    reads `supplier`: vectors and P+ come from sieve windows.
+    workers > 1 disjoint n-chunks are searched in at most min(workers,
+    chunks, cores) processes and merged in order. Output is identical for
+    any worker count >= 1, and fewer raise RangeError. No scan reads
+    `supplier`: vectors and P+ come from sieve windows.
     """
+    if workers < 1:
+        raise RangeError(f"workers must be >= 1, got {workers}")
     if not include_witness:
         ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
         return [TnResult(n, 0, ()) if t == 0
@@ -323,8 +302,7 @@ def _witnessed_rows(lo, hi, cap, use_shortcut) -> list[TnResult]:
     limit = cap if cap is not None else HARD_OFFSET_CAP
     reach = hi + max(min(limit, 3 * hi), hi if use_shortcut else 0)
     bound = isqrt(reach)
-    primes = np.array(primes_up_to(bound), dtype=np.int64)
-    run = _Run(parity_windows(lo, reach + 1, bound, primes), lo)
+    run = _Run(parity_windows(lo, reach + 1, bound), lo)
     rows = []
     for n in range(lo, hi + 1):
         p = run.seek(n)
@@ -337,7 +315,7 @@ def _witnessed_rows(lo, hi, cap, use_shortcut) -> list[TnResult]:
         shortcut_t = p if use_shortcut and (p - 1) ** 2 > 2 * n else None
         limit_n = shortcut_t if shortcut_t is not None else min(limit, 3 * n)
         try:
-            rows.append(_search(n, run.vectors(n), len(primes), limit_n, shortcut_t, True))
+            rows.append(_search(n, run.vectors(n), bound, limit_n, shortcut_t, True))
         except CapExceeded:
             rows.append(TnResult(n, None, None, cap_exceeded=True))
     return rows
@@ -449,8 +427,10 @@ def _scan_parallel(lo, hi, cap, use_shortcut, workers) -> list[TnResult]:
     chunk = max(256, count // (workers * 8))
     starts = range(lo, hi + 1, chunk)
     ends = [min(a + chunk - 1, hi) for a in starts]
+    # the pool may start all its processes at once: none past chunks or cores
+    processes = min(workers, len(starts), os.cpu_count() or 1)
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_witnessed_rows, starts, ends, repeat(cap),
                                   repeat(use_shortcut)))
     except OSError as e:

@@ -90,7 +90,7 @@ def interval_counts(random_intervals, table_1e5):
     t0 = time.time()
     counts = []
     for lo, hi in random_intervals:
-        b = count_tn_closed(lo, hi, supplier)
+        b = count_tn_closed(lo, hi)
         enum = enumerate_square_subsets(lo, hi, mode="brute", supplier=supplier)
         counts.append((lo, hi, b, enum.count))
     return counts, time.time() - t0

@@ -75,6 +75,26 @@ def test_validation_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_select_omega_of_a_large_power(tmp_path):
+    # trial division reads no more primes than the cofactor left needs:
+    # 2^100 once sieved the primes up to 2^50
+    out = tmp_path / "omega.json"
+    assert run_cli(["select-omega", "--bs", str(2 ** 100) + ",3,5", "--J", "13",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["omegas"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--lo", "2", "--hi", "40", "--witness", "--workers", "0"],
+    ["scan", "--lo", "2", "--hi", "40", "--witness", "--workers", "-3"],
+    # the primes up to y are past the prime array's ceiling
+    ["interval", "--lo", "1", "--hi", "6", "--y", str(10 ** 10), "--brute"],
+])
+def test_resource_and_worker_errors_exit_code(capsys, argv):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("tnlab: error:")
+
+
 def test_unwritable_out(capsys):
     code = run_cli(["tn", "--n", "4", "--out", "/nonexistent-dir/x.csv"])
     assert code == 2

@@ -32,7 +32,8 @@ from tnlab.constructor import build_small_tn, construct_curve_point
 from tnlab.errors import CapExceeded
 from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import enumerate_square_subsets
-from tnlab.sieve import build_spf_table, parity_windows, primes_up_to, split_vectors
+from tnlab.sieve import (build_spf_table, parity_windows, primes_through, primes_up_to,
+                         split_vectors)
 from tnlab import tn
 from tnlab.tn import ParitySupplier, compute_tn, render_results, scan_tn
 
@@ -111,13 +112,13 @@ def test_sweep_matches_per_n_searches(small_supplier, lo, length, cap, use_short
 def test_search_is_unchanged_under_a_larger_bound(n, cap, use_shortcut, extra):
     # compute_tn sieves under B = isqrt(n + limit), a witnessed scan under
     # the B of its whole range. A larger B turns large tags into rank bits
-    # but keeps t, the canonical witness and every capped row.
+    # but keeps t, the canonical witness and every capped row. It reaches
+    # the windows and the basis width together.
     expected = tn_row(n, cap, use_shortcut, True)
-    supplier = ParitySupplier()
-    supplier.primes(isqrt(4 * n) + extra)  # past every bound of a search of n
     with mock.patch.object(tn, "parity_windows",
-                           lambda a, b, bound, primes: parity_windows(a, b, bound + extra, primes)):
-        assert tn_row(n, cap, use_shortcut, True, supplier) == expected
+                           lambda a, b, bound: parity_windows(a, b, bound + extra)), \
+            mock.patch.object(tn, "primes_through", lambda bound: primes_through(bound + extra)):
+        assert tn_row(n, cap, use_shortcut, True) == expected
 
 
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=60),

@@ -86,7 +86,7 @@ def test_select_low_omega_all_primes():
 
 
 def test_select_low_omega_derived_size_bound():
-    from tnlab.sieve import factorize_trial, primes_up_to
+    from tnlab.sieve import factorize_trial
 
     bs = [2 * 3 * 5, 7 * 11, 13, 2 * 13, 3 * 7]
     span = 13
@@ -94,8 +94,14 @@ def test_select_low_omega_derived_size_bound():
     t = len(bs)
     union = sel.checks[-1].union_size
     for idx in sel.indices:
-        omega = factorize_trial(bs[idx], primes_up_to(13)).omega
+        omega = factorize_trial(bs[idx]).omega
         assert omega <= union / (t - 2) + (t - 1) / 2 * math.log(span) + 1
+
+
+def test_select_low_omega_of_a_large_power():
+    # trial division stops once the cofactor left is 1: no primes near 2^50
+    sel = select_low_omega([2 ** 100, 3, 5], 13)
+    assert sel.omegas == (1, 1, 1)
 
 
 def test_select_low_omega_precondition_errors():

@@ -10,11 +10,11 @@ from tnlab.intervals import (check_interval_identity, count_tn_closed,
                              enumerate_square_subsets)
 
 
-def test_count_examples(supplier):
+def test_count_examples():
     # from the worked t-values: t_2=4, t_3=5, t_4=0, t_5=5, t_6=6
-    assert count_tn_closed(2, 6, supplier) == 1   # only n=4
-    assert count_tn_closed(1, 6, supplier) == 2   # n=2 (2+4=6) and n=4
-    assert count_tn_closed(4, 5, supplier) == 0   # t_5=5 puts 10 outside
+    assert count_tn_closed(2, 6) == 1   # only n=4
+    assert count_tn_closed(1, 6) == 2   # n=2 (2+4=6) and n=4
+    assert count_tn_closed(4, 5) == 0   # t_5=5 puts 10 outside
 
 
 @given(st.one_of(st.integers(min_value=0, max_value=3000),
@@ -33,9 +33,9 @@ def test_count_matches_per_n_searches(lo, length):
     assert count_tn_closed(lo, hi) == count_tn_closed_per_n(lo, hi)
 
 
-def test_count_malformed(supplier):
+def test_count_malformed():
     with pytest.raises(RangeError):
-        count_tn_closed(6, 6, supplier)
+        count_tn_closed(6, 6)
 
 
 def test_enumerate_examples(supplier):

@@ -1,14 +1,20 @@
+import tracemalloc
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import is_smooth, largest_prime_factor, trial_factor
-from tnlab.errors import DomainError, RangeError
-from tnlab.sieve import (WINDOW_VALUE_CEILING, build_spf_table, factorize, factorize_trial,
-                         parity_windows, primes_up_to, psi_count, row_bits,
-                         smooth_in_interval, split_vectors)
+from tnlab import sieve
+from tnlab.errors import DomainError, RangeError, ResourceError
+from tnlab.sieve import (PRIME_CEILING, WINDOW_VALUE_CEILING, build_spf_table, factorize,
+                         factorize_trial, parity_windows, primes_through, primes_up_to,
+                         psi_count, row_bits, smooth_in_interval, split_vectors)
+
+# the primes up to 5000 by trial division, independent of the sieve
+ORACLE_PRIMES = [k for k in range(2, 5001) if trial_factor(k) == [(k, 1)]]
 
 
 def test_spf_examples():
@@ -70,11 +76,33 @@ def test_factorize_roundtrip_exhaustive(table):
         assert ps == sorted(set(ps))
 
 
-@given(st.integers(min_value=1, max_value=10 ** 9))
-@settings(max_examples=150)
-def test_factorize_trial_matches_oracle(n):
-    rec = factorize_trial(n, primes_up_to(31650))
-    assert rec.factors == tuple(trial_factor(n))
+def _built(small: dict, large: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """n = the small prime powers times one larger prime, with its factors."""
+    factors = tuple(sorted(small.items())) + ((large, 1),)
+    n = 1
+    for p, e in factors:
+        n *= p ** e
+    return n, factors
+
+
+# trial_factor is the oracle up to 10^9; past it, n is built from its
+# factors: small prime powers times one prime near 10^12 .. 10^15 (each
+# checked by Miller-Rabin with the first 12 prime bases)
+@given(st.integers(min_value=1, max_value=10 ** 9).map(lambda n: (n, tuple(trial_factor(n)))))
+@settings(max_examples=150, deadline=None)
+@example((4, ((2, 2),)))
+@example((2 * 7 ** 2, ((2, 1), (7, 2))))
+@example((2 ** 100, ((2, 100),)))
+@example(_built({2: 100}, 3))
+@example(_built({2: 3, 3: 1, 47: 2}, 999999999989))
+@example(_built({3: 2, 7: 1}, 1000000000039))
+@example(_built({5: 4}, 10000000000037))
+@example(_built({2: 1, 11: 3}, 100000000000031))
+@example(_built({}, 1000000000000037))
+def test_factorize_trial_matches_oracle(case):
+    n, factors = case
+    rec = factorize_trial(n)
+    assert rec.factors == factors
     assert rec.recompose() == n
 
 
@@ -162,6 +190,46 @@ def test_split_vectors_of_a_batch_match_trial_division():
     rank = {p: r for r, p in enumerate(primes_up_to(bound))}
     assert split_vectors(values) == [expected_split(m, rank, bound) for m in values]
     assert split_vectors([]) == []
+
+
+_BOUNDS = st.one_of(st.sampled_from((0, 1, 2, 3, 4)),
+                   st.sampled_from(ORACLE_PRIMES[:200]).flatmap(
+                       lambda p: st.sampled_from((p - 1, p, p + 1))),
+                   st.integers(min_value=0, max_value=5000))
+
+
+@given(st.lists(_BOUNDS, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+@example([0, 1, 2, 3, 2, 1, 0])
+@example([7, 6, 8, 1000, 997, 998, 5000, 4999, 2])
+def test_prime_array_answers_as_a_fresh_sieve(bounds):
+    # each example starts from an empty array, so every rise grows it
+    empty = np.zeros(0, dtype=np.int64)
+    empty.setflags(write=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_sieved", (1, empty))
+        for bound in bounds:
+            expected = [p for p in ORACLE_PRIMES if p <= bound]
+            got = primes_through(bound)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == expected
+            assert primes_up_to(bound) == expected
+
+
+def test_prime_bound_past_the_ceiling_is_refused_before_sieving():
+    # the ceiling is the bound of the highest window, and nothing above it
+    # is sieved: refusing it allocates nothing and keeps the array
+    assert PRIME_CEILING == isqrt(WINDOW_VALUE_CEILING - 1) == 1_518_500_249
+    kept = sieve._sieved
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            primes_through(PRIME_CEILING + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert sieve._sieved is kept
 
 
 def test_parity_windows_refuse_what_they_cannot_hold():

@@ -363,6 +363,53 @@ def test_scan_falls_back_to_sequential_with_warning(supplier, monkeypatch):
     assert rows == scan_tn(2, 80, include_witness=True, workers=1, supplier=supplier)
 
 
+@pytest.mark.parametrize("workers, cores, processes", [
+    (5000, 2, 2),    # bounded by the cores
+    (5000, 64, 3),   # bounded by the chunks: 599 values in chunks of 256
+    (2, 64, 2),      # bounded by the workers asked for
+    (5000, None, 1),  # no core count known
+])
+def test_witnessed_scan_starts_no_more_processes_than_it_can_use(
+        monkeypatch, workers, cores, processes):
+    import concurrent.futures
+    import os
+
+    asked = []
+
+    class InProcessPool:
+        """Records the processes asked for and runs the map here."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    rows = scan_tn(2, 600, cap=40, include_witness=True, workers=workers)
+    assert asked == [processes]
+    assert rows == scan_tn(2, 600, cap=40, include_witness=True)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_scan_rejects_fewer_than_one_worker(workers):
+    for include_witness in (True, False):
+        with pytest.raises(RangeError, match="workers"):
+            scan_tn(2, 80, include_witness=include_witness, workers=workers)
+
+
+def test_supplier_keeps_only_its_table(table):
+    assert vars(ParitySupplier(table)) == {"table": table}
+    assert vars(ParitySupplier()) == {"table": None}
+
+
 def test_render_csv(supplier):
     rows = scan_tn(13, 14, include_witness=True, supplier=supplier)
     text = render_results(rows, "csv")
