@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,11 +29,10 @@ _GRID_STEP = 2.0 ** -10
 _GRID_N = int(round(RHO_MAX_U / _GRID_STEP))
 _STEPS_PER_UNIT = int(round(1.0 / _GRID_STEP))
 
-_rho_grid: Optional[np.ndarray] = None
 
-
+@cache
 def _build_rho_grid() -> np.ndarray:
-    """rho at u = i * 2^-10 for 0 <= u <= 50.
+    """rho at u = i * 2^-10 for 0 <= u <= 50, built once, read-only.
 
     [0,1] and [1,2] come from the exact closed forms (1 and 1 - ln u); from
     2 on, each step integrates g(t) = rho(t-1)/t with the fourth-order
@@ -69,14 +69,8 @@ def _build_rho_grid() -> np.ndarray:
     # non-negative, non-increasing sequence.
     np.maximum(rho, 0.0, out=rho)
     np.minimum.accumulate(rho, out=rho)
+    rho.setflags(write=False)
     return rho
-
-
-def _rho() -> np.ndarray:
-    global _rho_grid
-    if _rho_grid is None:
-        _rho_grid = _build_rho_grid()
-    return _rho_grid
 
 
 def dickman_rho(u: float) -> float:
@@ -91,7 +85,7 @@ def dickman_rho(u: float) -> float:
         return 1.0
     if u <= 2.0:
         return 1.0 - math.log(u)
-    grid = _rho()
+    grid = _build_rho_grid()
     pos = u / _GRID_STEP
     i = int(pos)
     lo = max(2 * _STEPS_PER_UNIT, min(i - 1, _GRID_N - 3))

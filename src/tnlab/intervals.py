@@ -21,7 +21,7 @@ from .errors import RangeError
 from .gf2 import kernel_masks, mask_bits
 from .sieve import parity_windows, primes_up_to, split_vectors
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
-# by name until the tracer reads in-tree counters (ROADMAP item 5)
+# by name until the tracer reads in-tree counters (ROADMAP item 3)
 from .tn import ParitySupplier, compute_tn, scan_t  # noqa: F401
 
 BRUTE_LENGTH_GUARD = 30

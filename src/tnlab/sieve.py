@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
 
-# Default cap on table entries; override via build_spf_table(max_entries=...).
-DEFAULT_MAX_ENTRIES = 2 ** 31
+# Cap on table entries: build_spf_table refuses a larger limit before
+# allocating anything.
+MAX_TABLE_ENTRIES = 2 ** 31
 
 _LPF_CHUNK = 1 << 16
 
@@ -130,12 +131,12 @@ class SpfTable:
         return self._lpf
 
 
-def build_spf_table(limit: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SpfTable:
+def build_spf_table(limit: int) -> SpfTable:
     """Sieve the smallest prime factor for every integer in 2..limit."""
     if limit < 2:
         raise RangeError(f"table limit must be >= 2, got {limit}")
-    if limit > max_entries:
-        raise RangeError(f"table limit {limit} exceeds entry cap {max_entries}")
+    if limit > MAX_TABLE_ENTRIES:
+        raise RangeError(f"table limit {limit} exceeds entry cap {MAX_TABLE_ENTRIES}")
     spf = np.arange(limit + 1, dtype=np.int64)
     spf[0] = 0
     spf[1] = 1

@@ -16,9 +16,16 @@ gf2). compute_tn sieves its own run n, n+1, ..., n+limit and stops
 pulling windows once it closes. A witnessed scan sieves one run for the
 whole range and searches each n on it from n onward, forgetting the
 values below n, so the rows it keeps follow the longest search, not the
-range; it takes P+ for the shortcut from the same run. Both go through
-one search loop (_search). Nothing here keeps primes (sieve.primes_through
-does), so a call without a ParitySupplier makes a fresh one at no cost.
+range. Both go through one search loop (_search). Nothing here keeps
+primes (sieve.primes_through does), so a call without a ParitySupplier
+makes a fresh one at no cost.
+
+Both scans share one row model. _classify reads a window's P+ and gives
+each row its state before any elimination: t = 0 for a square, t = P+(n)
+for a shortcut row, and -1 for a row that needs a search. The witnessed
+scan searches the -1 rows and checks each shortcut row's t by its search;
+the sweep (below) closes the -1 rows and checks the shortcut rows that
+close inside it. large_prime_shortcut is the same rule for one n (compute_tn).
 
 A scan without witnesses resolves its whole range in one left-to-right
 sweep instead of one search per n. The vectors of lo, lo+1, ... go into
@@ -28,13 +35,14 @@ l its rows with start >= l then span the vectors of l, ..., r-1, so the
 vector of r falls into the span exactly when it closes a window, and the
 smallest start its reduction meets is the unique n with n + t_n = r. The
 sweep reads its vectors and P+ from sieve.parity_windows, one numpy pass
-per window instead of one factor walk per value, classifies squares and
-shortcut rows per window with exact integer numpy, and keeps t in a plain
-int list (scan_t); scan_tn makes TnResult rows of it only at its edge. It
-runs in one process: it shares its basis across the whole range, so
-chunks would repeat each other's work. A witnessed scan keeps one search
-per n: the canonical witness is the combination the insertion-order basis
-of that n finds, which the sweep does not track.
+per window instead of one factor walk per value, counts the rows still
+open instead of queueing them, and keeps t in a plain int list (scan_t);
+scan_tn and render_t turn the lists into rows through one mapping
+(_t_rows), only at their edge. It runs in one process: it shares its
+basis across the whole range, so chunks would repeat each other's work. A
+witnessed scan keeps one search per n: the canonical witness is the
+combination the insertion-order basis of that n finds, which the sweep
+does not track.
 """
 
 from __future__ import annotations
@@ -238,10 +246,7 @@ def scan_tn(lo: int, hi: int,
         raise RangeError(f"workers must be >= 1, got {workers}")
     if not include_witness:
         ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
-        return [TnResult(n, 0, ()) if t == 0
-                else TnResult(n, None, None, cap_exceeded=True) if t < 0
-                else TnResult(n, t, None, shortcut_used=s)
-                for n, t, s in zip(range(lo, hi + 1), ts, shortcut)]
+        return [TnResult(n, t, w, s, c) for n, t, s, w, c in _t_rows(lo, ts, shortcut)]
     if not (1 <= lo <= hi):
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if workers > 1 and hi - lo >= 16:
@@ -250,33 +255,37 @@ def scan_tn(lo: int, hi: int,
 
 
 class _Run:
-    """The split vectors and P+ of lo, lo+1, ... from one window pass,
-    sieved as far as the searches ask and kept from the current n on."""
+    """The split vectors and _classify's t of lo, lo+1, ... from one
+    window pass, sieved as far as the searches ask and kept from the
+    current n on."""
 
-    def __init__(self, windows: Iterator[Window], start: int):
+    def __init__(self, windows: Iterator[Window], start: int, use_shortcut: bool):
         self._windows = windows
+        self._use_shortcut = use_shortcut
         self.start = start  # the value of row 0
         self.large: list[int] = []
         self.bits: list[int] = []
-        self.p_plus: list[int] = []
+        self.known: list[int] = []
 
     def _pull(self) -> None:
-        _, large, words, p_plus = next(self._windows)
+        a, large, words, p_plus = next(self._windows)
         self.large += large.tolist()
         self.bits += row_bits(words)
-        self.p_plus += p_plus.tolist()
+        self.known += _classify(a, p_plus, self._use_shortcut).tolist()
 
     def seek(self, n: int) -> int:
-        """P+(n). Sieves up to n, and forgets the rows below n once they
-        are at least half of those kept, so that what is kept follows the
-        furthest any search has read, not the range."""
+        """_classify's t of n: 0 for a square, P+(n) for a shortcut row,
+        -1 for a row that needs a search. Sieves up to n, and forgets the
+        rows below n once they are at least half of those kept, so that
+        what is kept follows the furthest any search has read, not the
+        range."""
         k = n - self.start
-        while k >= len(self.p_plus):
+        while k >= len(self.known):
             self._pull()
-        if 2 * k >= len(self.p_plus):
-            del self.large[:k], self.bits[:k], self.p_plus[:k]
+        if 2 * k >= len(self.known):
+            del self.large[:k], self.bits[:k], self.known[:k]
             self.start, k = n, 0
-        return self.p_plus[k]
+        return self.known[k]
 
     def vectors(self, n: int) -> Iterator[tuple[int, int]]:
         """The split vectors of n, n+1, ..., sieving more as they are read."""
@@ -302,18 +311,17 @@ def _witnessed_rows(lo, hi, cap, use_shortcut) -> list[TnResult]:
     limit = cap if cap is not None else HARD_OFFSET_CAP
     reach = hi + max(min(limit, 3 * hi), hi if use_shortcut else 0)
     bound = isqrt(reach)
-    run = _Run(parity_windows(lo, reach + 1, bound), lo)
+    run = _Run(parity_windows(lo, reach + 1, bound), lo, use_shortcut)
     rows = []
     for n in range(lo, hi + 1):
-        p = run.seek(n)
-        if isqrt(n) ** 2 == n:
+        t = run.seek(n)
+        if t == 0:
             rows.append(TnResult(n, 0, ()))
             continue
         if limit < 1:
             raise RangeError("cap must be >= 1")
-        # large_prime_shortcut's test, on the P+ of the run
-        shortcut_t = p if use_shortcut and (p - 1) ** 2 > 2 * n else None
-        limit_n = shortcut_t if shortcut_t is not None else min(limit, 3 * n)
+        shortcut_t = t if t > 0 else None  # it searches to exactly t = P+(n)
+        limit_n = shortcut_t or min(limit, 3 * n)
         try:
             rows.append(_search(n, run.vectors(n), bound, limit_n, shortcut_t, True))
         except CapExceeded:
@@ -321,17 +329,17 @@ def _witnessed_rows(lo, hi, cap, use_shortcut) -> list[TnResult]:
     return rows
 
 
-def _classify(a: int, p_plus: np.ndarray, use_shortcut: bool) -> tuple[np.ndarray, np.ndarray]:
+def _classify(a: int, p_plus: np.ndarray, use_shortcut: bool) -> np.ndarray:
     """t of the rows n = a, a+1, ... that need no search, given their P+:
     0 for a square, P+(n) for a shortcut row (large_prime_shortcut's test),
-    and -1 for every other n. Also returns the shortcut mask.
+    and -1 for a row that needs a search. A row is a shortcut row exactly
+    when its t here is > 0, since the test passes only for P+ >= 3.
 
     Exact integer numpy: the squares and isqrt(2n) come from the squares
     of a short run of ints, never from a float sqrt.
     """
     c = a + len(p_plus)  # the rows are a..c-1, all below the window ceiling
     t = np.full(len(p_plus), -1, dtype=np.int64)
-    shortcut = np.zeros(len(p_plus), dtype=bool)
     if use_shortcut:
         ns = np.arange(a, c, dtype=np.int64)
         k0 = isqrt(2 * a)
@@ -341,10 +349,8 @@ def _classify(a: int, p_plus: np.ndarray, use_shortcut: bool) -> tuple[np.ndarra
         shortcut = p_plus - 1 > isqrt_2n
         t[shortcut] = p_plus[shortcut]
     roots = np.arange(isqrt(a - 1) + 1, isqrt(c - 1) + 1, dtype=np.int64)
-    squares_at = roots * roots - a
-    t[squares_at] = 0
-    shortcut[squares_at] = False
-    return t, shortcut
+    t[roots * roots - a] = 0
+    return t
 
 
 def scan_t(lo: int, hi: int, cap: Optional[int] = None,
@@ -357,14 +363,15 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
 
     The values lo, lo+1, ... come from sieve windows under the bound B of
     compute_tn's rule taken over the whole range: every value the sweep
-    touches is at most hi + min(limit, 3 hi), since t_n <= 3n. The rows of
-    each window are classified from its P+ before its values go in:
-    squares and shortcut rows are settled, every other n is pending. The
-    values go into one SweepBasis, whose insertion of r returns the unique
-    n with n + t_n = r, if any; a pending n that is not closed by
-    r = n + limit is capped. Pending rows expire in order of n, so one
-    pointer tracks the oldest open one, and the sweep stops once every n
-    is classified and none is open.
+    touches is at most reach = hi + min(limit, 3 hi), since t_n <= 3n. The
+    rows of each window are classified from its P+ (_classify) before its
+    values go in: squares and shortcut rows are settled, every other n is
+    open. The values go into one SweepBasis, whose insertion of r returns
+    the unique n with n + t_n = r, if any. Each n closes at most once, so
+    the sweep keeps only a count of open rows: an n that closes takes
+    t = r - n if that is within the cap and stays capped (-1) otherwise,
+    and either way is no longer open. A row that never closes is bounded
+    by reach. The sweep stops once every n is classified and none is open.
     """
     if not (1 <= lo <= hi):
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -372,26 +379,18 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
     reach = hi + max(min(limit, 3 * hi), 0)
     ts: list[int] = []
     shortcut = []
-    pending: list[int] = []
-    oldest = 0  # pending[oldest] is the smallest n that may still be open
-    expiry = reach + 1  # pending[oldest] + limit, or past the sweep
     open_rows = 0
     basis = None
     for a, large, words, p_plus in parity_windows(lo, reach + 1, isqrt(reach)):
-        b = a + len(p_plus)
         if a <= hi:
-            known, s = _classify(a, p_plus[:hi + 1 - a], use_shortcut)
+            known = _classify(a, p_plus[:hi + 1 - a], use_shortcut)
             ts += known.tolist()
-            shortcut.append(s)
-            new = (np.flatnonzero(known < 0) + a).tolist()
-            if new:
-                if limit < 1:
-                    raise RangeError("cap must be >= 1")
-                if oldest == len(pending):
-                    expiry = new[0] + limit
-                pending += new
-                open_rows += len(new)
-        done = b > hi  # every n is classified
+            shortcut.append(known > 0)
+            new = int(np.count_nonzero(known < 0))
+            if new and limit < 1:
+                raise RangeError("cap must be >= 1")
+            open_rows += new
+        done = a + len(p_plus) > hi  # every n is classified
         basis = basis or SweepBasis(64 * words.shape[1])
         insert = basis.insert
         for r, q, bits in zip(count(a), large.tolist(), row_bits(words)):
@@ -400,21 +399,13 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
             n = insert(q, bits, r)
             if n is not None and n <= hi:
                 t = ts[n - lo]
-                if t >= 0:
-                    # n closes once, at n + t_n: a shortcut row at P+(n)
-                    assert r - n == t, f"n = {n} closes at offset {r - n}, not at t = {t}"
-                elif r - n <= limit:
-                    ts[n - lo] = r - n
+                if t < 0:  # open until now: n closes once, at n + t_n
+                    if r - n <= limit:
+                        ts[n - lo] = r - n
                     open_rows -= 1
-            if r >= expiry:
-                while oldest < len(pending):
-                    n = pending[oldest]
-                    if ts[n - lo] < 0:
-                        if r - n < limit:
-                            break
-                        open_rows -= 1  # capped: its t stays -1
-                    oldest += 1
-                expiry = pending[oldest] + limit if oldest < len(pending) else reach + 1
+                else:
+                    # a settled row closes at its t: a shortcut row at P+(n)
+                    assert r - n == t, f"n = {n} closes at offset {r - n}, not at t = {t}"
         if done and not open_rows:
             break
     return ts, np.concatenate(shortcut).tolist()
@@ -468,8 +459,15 @@ def render_results(results: Iterable[TnResult], fmt: str = "csv") -> str:
                     for r in results), fmt)
 
 
+def _t_rows(lo: int, ts: Sequence[int], shortcut: Sequence[bool]) -> Iterator[tuple]:
+    """The rows of the lists of scan_t(lo, hi), as _render reads them:
+    (n, t, shortcut_used, witness, cap_exceeded), with witness () for a
+    square, t None for a capped row, and no witness otherwise."""
+    return ((n, t if t >= 0 else None, s, () if t == 0 else None, t < 0)
+            for n, t, s in zip(count(lo), ts, shortcut))
+
+
 def render_t(lo: int, ts: Sequence[int], shortcut: Sequence[bool], fmt: str = "csv") -> str:
     """Render the lists of scan_t(lo, hi) as render_results renders the
     rows of scan_tn(lo, hi) without witnesses, without making the rows."""
-    return _render(((n, t if t >= 0 else None, s, () if t == 0 else None, t < 0)
-                    for n, t, s in zip(count(lo), ts, shortcut)), fmt)
+    return _render(_t_rows(lo, ts, shortcut), fmt)

@@ -42,8 +42,15 @@ def test_spf_invariants():
 def test_spf_range_errors():
     with pytest.raises(RangeError):
         build_spf_table(1)
-    with pytest.raises(RangeError):
-        build_spf_table(100, max_entries=10)
+    # a limit past the cap is refused before the table is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(RangeError, match="entry cap"):
+            build_spf_table(sieve.MAX_TABLE_ENTRIES + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_factorize_examples(table):

@@ -163,6 +163,47 @@ def test_sweep_checks_shortcut_rows_that_close_inside_it(supplier, monkeypatch):
     monkeypatch.setattr(tn, "parity_windows", wrong_p_plus)
     with pytest.raises(AssertionError, match="n = 14 closes at offset 7, not at t = 8"):
         scan_tn(2, 30, supplier=supplier)
+    # the witnessed scan takes the same classification from its run, and
+    # the search of 14 closes at 7 where the shortcut said 8
+    with pytest.raises(AssertionError, match="shortcut disagrees with full search"):
+        scan_tn(2, 30, include_witness=True)
+
+
+@pytest.mark.parametrize("lo, hi, cap", [
+    (2, 3000, None), (2, 10 ** 5, None), (2, 10 ** 5, 30), (10 ** 6, 10 ** 6 + 500, 20),
+])
+def test_sweep_stops_pulling_windows_once_no_row_waits(monkeypatch, lo, hi, cap):
+    # Without a cap the sweep may run to 4 hi, yet it must stop where its
+    # last open row closes: the largest n + t_n over the rows it searched.
+    # It pulls no window past that value, and inserts no value past it or
+    # past hi, the last row it classifies. Squares and shortcut rows do not
+    # count, since their t is known before the sweep and may lie far out.
+    # With a cap the sweep never passes hi + cap.
+    starts = []
+    inserted = []
+    windows = tn.parity_windows
+
+    def recorded_windows(a, b, bound):
+        for window in windows(a, b, bound):
+            starts.append(window[0])
+            yield window
+
+    class RecordedBasis(tn.SweepBasis):
+        def insert(self, q, bits, r):
+            inserted.append(r)
+            return super().insert(q, bits, r)
+
+    monkeypatch.setattr(tn, "parity_windows", recorded_windows)
+    monkeypatch.setattr(tn, "SweepBasis", RecordedBasis)
+    ts, shortcut = scan_t(lo, hi, cap)
+    if cap is None:
+        last_close = max(n + t for n, t, s in zip(range(lo, hi + 1), ts, shortcut)
+                         if t > 0 and not s)
+        assert starts[-1] <= last_close
+        assert inserted[-1] <= max(last_close, hi)
+        assert len(starts) >= 2  # a run of one window would show nothing
+    else:
+        assert starts[-1] <= hi + cap
 
 
 def test_scan_cap_below_one_raises_only_for_a_search(supplier):
@@ -343,11 +384,11 @@ def test_classification_is_exact_just_below_the_window_ceiling():
         assert ns[-1] < WINDOW_VALUE_CEILING
         for d in (0, 1, 2):
             p_plus = [isqrt(2 * n) + d for n in ns]
-            t, shortcut = tn._classify(lo, np.array(p_plus, dtype=np.int64), True)
-            for n, p, got_t, got_s in zip(ns, p_plus, t.tolist(), shortcut.tolist()):
+            t = tn._classify(lo, np.array(p_plus, dtype=np.int64), True)
+            for n, p, got_t in zip(ns, p_plus, t.tolist()):
                 square = isqrt(n) ** 2 == n
                 expect_s = not square and (p - 1) ** 2 > 2 * n
-                assert got_s == expect_s
+                assert (got_t > 0) == expect_s
                 assert got_t == (0 if square else p if expect_s else -1)
 
 
