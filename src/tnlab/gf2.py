@@ -32,6 +32,14 @@ carry a combination mask over insertion indices. After t insertions the
 basis holds O(t) words for the large rows plus pi(B) * t bits of masks, so
 memory grows linearly in t.
 
+Saturation. SplitBasis counts its small rows (small_rank). Once all pi(B)
+small pivots are filled, no later insertion changes a small row, so a
+span search whose target still carries a large tag q can close only at
+the vector with the same q: tn's search then skips to it, adding the
+skipped count to `inserted` (see tn._search). Such a search keeps the
+rows of its first insertions up to saturation, plus the partner: O(s)
+rows and pi(B) * s bits of masks after s insertions, whatever t is.
+
 Entry points. There are two elimination primitives over the same split
 vectors, because they answer two different questions.
 
@@ -84,17 +92,18 @@ class SplitBasis:
     up to B and every q is above B.
     """
 
-    __slots__ = ("large", "small_bits", "small_masks", "inserted")
+    __slots__ = ("large", "small_bits", "small_masks", "small_rank", "inserted")
 
     def __init__(self, width: int = 0):
         self.large: dict[int, tuple[int, int]] = {}  # q -> (bits, insertion index)
         self.small_bits: list[int] = [0] * width     # bit index -> row bits, 0 when empty
         self.small_masks: list[int] = [0] * width    # bit index -> row combination mask
+        self.small_rank = 0                          # small rows held, at most width
         self.inserted = 0
 
     @property
     def rank(self) -> int:
-        return len(self.large) + sum(1 for b in self.small_bits if b)
+        return len(self.large) + self.small_rank
 
     def insert(self, q: int, bits: int) -> Optional[int]:
         """Add the next vector. Returns its pivot, or None when it lies in
@@ -118,6 +127,7 @@ class SplitBasis:
                 _, reduced, mask = self.reduce(q, bits, 1 << index)
                 rows[pivot] = reduced
                 self.small_masks[pivot] = mask
+                self.small_rank += 1
                 return pivot
             reduced ^= row_bits
         return None

@@ -9,16 +9,19 @@ tracking then yields a witness subset whose largest offset is exactly t_n.
 A large-prime shortcut resolves most n instantly: when P+(n) > sqrt(2n)+1,
 t_n = P+(n).
 
-Every span search reads its split vectors straight from
-sieve.parity_windows, under one bound B >= isqrt of the last value it may
-touch; t and the canonical witness do not depend on which such B (see
-gf2). compute_tn sieves its own run n, n+1, ..., n+limit and stops
-pulling windows once it closes. A witnessed scan sieves one run for the
-whole range and searches each n on it from n onward, forgetting the
-values below n, so the rows it keeps follow the longest search, not the
-range. Both go through one search loop (_search). Nothing here keeps
-primes (sieve.primes_through does), so a call without a ParitySupplier
-makes a fresh one at no cost.
+Every span search reads its split vectors from one indexable run of
+sieve.parity_windows (_Run), by value, under one bound B >= isqrt of the
+last value it may touch; t and the canonical witness do not depend on
+which such B (see gf2). compute_tn's run sieves n, n+1, ... as far as
+its search reads. A witnessed scan shares one run over its range and
+searches each n on it from n onward, forgetting the values below n. Both
+go through one search loop (_search), which makes the saturation jump:
+once its small basis is full, a search whose target still carries a
+large prime q inserts only the partner n + q, the one value that can
+still close n. So a search keeps O(saturation) rows, not O(t), and
+compute_tn never sieves the values it skips. Nothing here keeps primes
+(sieve.primes_through does), so a call without a ParitySupplier makes a
+fresh one at no cost.
 
 Both scans share one row model. _classify reads a window's P+ and gives
 each row its state before any elimination: t = 0 for a square, t = P+(n)
@@ -51,7 +54,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -156,50 +159,68 @@ def compute_tn(n: int,
         limit = shortcut_t
     # t_n <= 3n, since n * 4n = (2n)^2: no search goes further, whatever the cap
     limit = min(limit, 3 * n)
-    # every value n..n+limit has at most one prime above this bound
-    bound = isqrt(n + limit)
-    vectors = _split_rows(parity_windows(n, n + limit + 1, bound))
-    return _search(n, vectors, bound, limit, shortcut_t, include_witness)
+    # its run's bound isqrt(n + limit) leaves every value n..n+limit at
+    # most one prime above it
+    return _search(n, _Run(n, n + limit + 1, use_shortcut), limit, shortcut_t, include_witness)
 
 
-def _split_rows(windows: Iterable[Window]) -> Iterator[tuple[int, int]]:
-    """The split vectors (q, bits) of the rows of consecutive windows."""
-    for _, large, words, _ in windows:
-        yield from zip(large.tolist(), row_bits(words))
+def _reach(hi: int, limit: int, use_shortcut: bool) -> int:
+    """The last value that the search of any n <= hi may read: n + min(limit,
+    3n), since t_n <= 3n (n * 4n = (2n)^2), and 2n for a shortcut row, which
+    searches to t = P+(n) <= n whatever the cap. Its isqrt is the bound B of
+    a scan's whole range (see gf2)."""
+    return hi + max(min(limit, 3 * hi), hi if use_shortcut else 0, 0)
 
 
-def _search(n: int, vectors: Iterator[tuple[int, int]], bound: int, limit: int,
-            shortcut_t: Optional[int], include_witness: bool) -> TnResult:
+def _search(n: int, run: _Run, limit: int, shortcut_t: Optional[int],
+            include_witness: bool) -> TnResult:
     """The span search of a non-square n, the one loop of every witnessed
     search.
 
-    `vectors` yields the split vectors of n, n+1, ..., n+limit under one
-    bound B = `bound` >= isqrt(n + limit); t and the witness do not depend
-    on B (see gf2).
+    It reads the split vectors of n, n+1, ..., n+limit from `run`, under
+    its bound B = run.bound >= isqrt(n + limit); t and the witness do not
+    depend on B (see gf2).
     `shortcut_t` is P+(n) when the large-prime shortcut applies, and the
     search must then end at exactly that t. Raises CapExceeded when n
     stays out of the span of its first `limit` successors.
+
+    The saturation jump. Once all pi(B) small pivots are filled, no later
+    insertion changes a small row: a vector either becomes a large row or
+    reduces to zero, and the target's reduction reads neither. A target
+    that still carries a large tag q can then close only at its partner
+    n + q, the next multiple of q, and does close there, since its small
+    bits reduce to zero over the full small basis. So the search skips to
+    offset q, counting the skipped offsets as inserted so that the witness
+    keeps its offsets. It jumps only when q <= limit: then it always
+    closes, and a search that exhausts its cap inserts every offset.
     """
-    target_q, target_bits = next(vectors)
-    basis = SplitBasis(len(primes_through(bound)))
+    read = run.rows(n).__next__
+    target_q, target_bits = read()
+    width = len(primes_through(run.bound))
+    basis = SplitBasis(width)
     insert = basis.insert
     target_mask = 0
     target_pivot = target_q or target_bits.bit_length() - 1
     j = 0
-    for q, bits in islice(vectors, limit):
+    while j < limit:
         j += 1
-        pivot = insert(q, bits)
-        if pivot is None or pivot != target_pivot:
+        pivot = insert(*read())
+        if pivot is None:
             continue
-        target_q, target_bits, target_mask = basis.reduce(target_q, target_bits, target_mask)
-        if target_q or target_bits:
+        if pivot == target_pivot:
+            target_q, target_bits, target_mask = basis.reduce(target_q, target_bits, target_mask)
+            if not (target_q or target_bits):
+                assert target_mask.bit_length() == j, "witness must peak at t_n"
+                if shortcut_t is not None:
+                    assert j == shortcut_t, "shortcut disagrees with full search"
+                witness = tuple(i + 1 for i in mask_bits(target_mask)) if include_witness else None
+                return TnResult(n, j, witness, shortcut_used=shortcut_t is not None)
             target_pivot = target_q or target_bits.bit_length() - 1
-            continue
-        assert target_mask.bit_length() == j, "witness must peak at t_n"
-        if shortcut_t is not None:
-            assert j == shortcut_t, "shortcut disagrees with full search"
-        witness = tuple(i + 1 for i in mask_bits(target_mask)) if include_witness else None
-        return TnResult(n, j, witness, shortcut_used=shortcut_t is not None)
+        if pivot < width and basis.small_rank == width and 0 < target_q <= limit:
+            # the small basis has just saturated: only n + q can close n
+            basis.inserted += target_q - 1 - j
+            j = target_q - 1
+            read = run.rows(n + target_q).__next__
     raise CapExceeded(n, limit, j, basis.rank)
 
 
@@ -254,64 +275,101 @@ def scan_tn(lo: int, hi: int,
     return _witnessed_rows(lo, hi, cap, use_shortcut)
 
 
+# Rows a search reads become Python ints this many at a time: enough to
+# amortize the conversion, few enough that a jump leaves little unread.
+_ROW_BLOCK = 64
+
+
+class _Window:
+    """One sieve window of a run. The bits of a row become a Python int
+    only when a search reads the row, and the rows' states (_classify)
+    only when a caller seeks one of them."""
+
+    __slots__ = ("start", "end", "large", "words", "p_plus", "bits", "known")
+
+    def __init__(self, window: Window):
+        self.start, large, self.words, self.p_plus = window
+        self.end = self.start + len(large)
+        self.large = large.tolist()
+        self.bits: list[Optional[int]] = [None] * len(large)
+        self.known: Optional[list[int]] = None
+
+
 class _Run:
-    """The split vectors and _classify's t of lo, lo+1, ... from one
-    window pass, sieved as far as the searches ask and kept from the
-    current n on."""
+    """The split vectors and _classify's t of the values a, ..., b-1 under
+    one bound B = isqrt(b - 1), read by value.
 
-    def __init__(self, windows: Iterator[Window], start: int, use_shortcut: bool):
-        self._windows = windows
+    The run sieves in order and keeps its windows from its floor, the
+    lowest value any search will still read, on. A run shared by the
+    searches of a witnessed scan has its floor at the scan's current n
+    (seek): the values up to the partners of its jumps are sieved once and
+    shared. A run of one search (compute_tn) has its floor at the search's
+    last read, and a read past what is sieved, the partner of a jump,
+    restarts the sieve there with that value alone: the search reads
+    nothing after a partner, and never sieves the values it skipped.
+    """
+
+    def __init__(self, a: int, b: int, use_shortcut: bool, shared: bool = False):
+        self.bound = isqrt(b - 1)
+        self._b = b
         self._use_shortcut = use_shortcut
-        self.start = start  # the value of row 0
-        self.large: list[int] = []
-        self.bits: list[int] = []
-        self.known: list[int] = []
+        self._shared = shared
+        self._held: list[_Window] = []
+        self._windows = parity_windows(a, b, self.bound)
 
-    def _pull(self) -> None:
-        a, large, words, p_plus = next(self._windows)
-        self.large += large.tolist()
-        self.bits += row_bits(words)
-        self.known += _classify(a, p_plus, self._use_shortcut).tolist()
+    def _window(self, m: int) -> _Window:
+        """The window holding m, sieving up to it."""
+        held = self._held
+        if held and m < held[-1].end:
+            return next(w for w in held if m < w.end)
+        if held and not self._shared:
+            # one search reads in order: nothing below m is read again
+            if m > held[-1].end:
+                self._held = [_Window(next(parity_windows(m, m + 1, self.bound)))]
+                self._windows = parity_windows(m + 1, self._b, self.bound)
+                return self._held[0]
+            held.clear()
+        while not held or m >= held[-1].end:
+            held.append(_Window(next(self._windows)))
+        return held[-1]
+
+    def rows(self, m: int) -> Iterator[tuple[int, int]]:
+        """The split vectors (q, bits) of m, m+1, ..., sieving as they are
+        read; their bits become Python ints a short block at a time."""
+        while True:
+            w = self._window(m)
+            i = m - w.start
+            j = min(i + _ROW_BLOCK, w.end - w.start)
+            bits = w.bits
+            if None in bits[i:j]:
+                bits[i:j] = row_bits(w.words[i:j])
+            yield from zip(w.large[i:j], bits[i:j])
+            m = w.start + j
 
     def seek(self, n: int) -> int:
         """_classify's t of n: 0 for a square, P+(n) for a shortcut row,
-        -1 for a row that needs a search. Sieves up to n, and forgets the
-        rows below n once they are at least half of those kept, so that
-        what is kept follows the furthest any search has read, not the
-        range."""
-        k = n - self.start
-        while k >= len(self.known):
-            self._pull()
-        if 2 * k >= len(self.known):
-            del self.large[:k], self.bits[:k], self.known[:k]
-            self.start, k = n, 0
-        return self.known[k]
-
-    def vectors(self, n: int) -> Iterator[tuple[int, int]]:
-        """The split vectors of n, n+1, ..., sieving more as they are read."""
-        i = n - self.start
-        while True:
-            end = len(self.large)
-            rows = range(i, end)
-            yield from zip(map(self.large.__getitem__, rows), map(self.bits.__getitem__, rows))
-            i = end
-            self._pull()
+        -1 for a row that needs a search. It moves the floor to n: the
+        windows below it are dropped."""
+        w = self._window(n)
+        held = self._held
+        while held[0] is not w:
+            del held[0]
+        if w.known is None:
+            w.known = _classify(w.start, w.p_plus, self._use_shortcut).tolist()
+        return w.known[n - w.start]
 
 
 def _witnessed_rows(lo, hi, cap, use_shortcut) -> list[TnResult]:
     """The rows of compute_tn(n, cap, use_shortcut) for n = lo..hi, with
-    witnesses and capped rows flagged, from one window pass.
+    witnesses and capped rows flagged, from one shared run.
 
-    Every search reads the run from its n on, under the one bound
-    B = isqrt(reach), where reach is the last value any search may touch:
-    hi + min(limit, 3 hi), or 2 hi when a shortcut row searches to
-    t = P+(n) <= n past a smaller cap. t and the witness of n are those of
-    compute_tn, whose bound isqrt(n + limit) is at most B (see gf2).
+    Every search reads the run from its n on, under the bound of the whole
+    range, B = isqrt(_reach(hi, ...)). t and the witness of n are those of
+    compute_tn, whose bound isqrt(n + its offset limit) is at most B (see
+    gf2).
     """
     limit = cap if cap is not None else HARD_OFFSET_CAP
-    reach = hi + max(min(limit, 3 * hi), hi if use_shortcut else 0)
-    bound = isqrt(reach)
-    run = _Run(parity_windows(lo, reach + 1, bound), lo, use_shortcut)
+    run = _Run(lo, _reach(hi, limit, use_shortcut) + 1, use_shortcut, shared=True)
     rows = []
     for n in range(lo, hi + 1):
         t = run.seek(n)
@@ -323,7 +381,7 @@ def _witnessed_rows(lo, hi, cap, use_shortcut) -> list[TnResult]:
         shortcut_t = t if t > 0 else None  # it searches to exactly t = P+(n)
         limit_n = shortcut_t or min(limit, 3 * n)
         try:
-            rows.append(_search(n, run.vectors(n), bound, limit_n, shortcut_t, True))
+            rows.append(_search(n, run, limit_n, shortcut_t, True))
         except CapExceeded:
             rows.append(TnResult(n, None, None, cap_exceeded=True))
     return rows
@@ -339,15 +397,15 @@ def _classify(a: int, p_plus: np.ndarray, use_shortcut: bool) -> np.ndarray:
     of a short run of ints, never from a float sqrt.
     """
     c = a + len(p_plus)  # the rows are a..c-1, all below the window ceiling
-    t = np.full(len(p_plus), -1, dtype=np.int64)
     if use_shortcut:
         ns = np.arange(a, c, dtype=np.int64)
         k0 = isqrt(2 * a)
         squares = np.arange(k0, isqrt(2 * (c - 1)) + 2, dtype=np.int64) ** 2
-        isqrt_2n = k0 - 1 + np.searchsorted(squares, 2 * ns, side="right")
+        isqrt_2n = k0 - 1 + squares.searchsorted(2 * ns, side="right")
         # (P+ - 1)^2 > 2n exactly when P+ - 1 > isqrt(2n)
-        shortcut = p_plus - 1 > isqrt_2n
-        t[shortcut] = p_plus[shortcut]
+        t = np.where(p_plus - 1 > isqrt_2n, p_plus, -1)
+    else:
+        t = np.full(len(p_plus), -1, dtype=np.int64)
     roots = np.arange(isqrt(a - 1) + 1, isqrt(c - 1) + 1, dtype=np.int64)
     t[roots * roots - a] = 0
     return t
@@ -376,7 +434,7 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
     if not (1 <= lo <= hi):
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     limit = cap if cap is not None else HARD_OFFSET_CAP
-    reach = hi + max(min(limit, 3 * hi), 0)
+    reach = _reach(hi, limit, False)
     ts: list[int] = []
     shortcut = []
     open_rows = 0

@@ -5,14 +5,17 @@ division instead of sieve tables, exhaustive subset search instead of
 GF(2) elimination, plain quadrature instead of the production rho grid.
 Expected values frozen into tests were computed with these. The
 exceptions are the per-n loops at the end, which run one compute_tn
-search per value where the library now runs one sweep or one window pass.
+search per value where the library now runs one sweep or one window pass,
+and tn_without_jump, the span search as it was before the saturation jump.
 """
 
 from itertools import combinations
 from math import isqrt
 
-from tnlab.errors import CapExceeded
-from tnlab.tn import TnResult, compute_tn
+from tnlab.errors import CapExceeded, DomainError, RangeError
+from tnlab.gf2 import SplitBasis, mask_bits
+from tnlab.sieve import parity_windows, primes_through, row_bits
+from tnlab.tn import HARD_OFFSET_CAP, TnResult, compute_tn, large_prime_shortcut
 
 
 def trial_factor(n: int) -> list[tuple[int, int]]:
@@ -204,12 +207,55 @@ def xor_draw_family(masks: list[int], rng, family_size: int) -> list[int]:
     return list(seen)
 
 
-def tn_row(n: int, cap, use_shortcut: bool, include_witness: bool, supplier=None) -> TnResult:
-    """The row of n in a scan, from its own compute_tn search: a search
-    that exhausts its cap gives a flagged row."""
+def tn_without_jump(n: int, cap=None, use_shortcut: bool = True, include_witness: bool = True,
+                    supplier=None) -> TnResult:
+    """compute_tn as it was before the saturation jump: the shortcut from
+    large_prime_shortcut, one bound isqrt(n + limit), and a span search that
+    inserts every offset up to t or up to the cap. CapExceeded carries the
+    rank counted over the basis rows, not SplitBasis.rank."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if is_square(n):
+        return TnResult(n, 0, ())
+    shortcut_t = large_prime_shortcut(n, supplier) if use_shortcut else None
+    if shortcut_t is not None and not include_witness:
+        return TnResult(n, shortcut_t, None, shortcut_used=True)
+    limit = cap if cap is not None else HARD_OFFSET_CAP
+    if limit < 1:
+        raise RangeError("cap must be >= 1")
+    if shortcut_t is not None:
+        limit = shortcut_t
+    limit = min(limit, 3 * n)
+    bound = isqrt(n + limit)
+    vectors = (vector for _, large, words, _ in parity_windows(n, n + limit + 1, bound)
+               for vector in zip(large.tolist(), row_bits(words)))
+    target_q, target_bits = next(vectors)
+    basis = SplitBasis(len(primes_through(bound)))
+    target_mask = 0
+    target_pivot = target_q or target_bits.bit_length() - 1
+    for j in range(1, limit + 1):
+        pivot = basis.insert(*next(vectors))
+        if pivot is None or pivot != target_pivot:
+            continue
+        target_q, target_bits, target_mask = basis.reduce(target_q, target_bits, target_mask)
+        if target_q or target_bits:
+            target_pivot = target_q or target_bits.bit_length() - 1
+            continue
+        assert target_mask.bit_length() == j
+        assert shortcut_t is None or j == shortcut_t
+        witness = tuple(i + 1 for i in mask_bits(target_mask)) if include_witness else None
+        return TnResult(n, j, witness, shortcut_used=shortcut_t is not None)
+    rank = len(basis.large) + sum(1 for bits in basis.small_bits if bits)
+    raise CapExceeded(n, limit, limit, rank)
+
+
+def tn_row(n: int, cap, use_shortcut: bool, include_witness: bool, supplier=None,
+           search=compute_tn) -> TnResult:
+    """The row of n in a scan, from its own `search` (compute_tn or
+    tn_without_jump): a search that exhausts its cap gives a flagged row."""
     try:
-        return compute_tn(n, cap=cap, use_shortcut=use_shortcut,
-                          include_witness=include_witness, supplier=supplier)
+        return search(n, cap=cap, use_shortcut=use_shortcut,
+                      include_witness=include_witness, supplier=supplier)
     except CapExceeded:
         return TnResult(n, None, None, shortcut_used=False, cap_exceeded=True)
 

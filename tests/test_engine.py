@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import tnlab
 from oracles import (frozenset_kernel_masks, frozenset_tn, is_smooth, is_square, odd_support,
-                     tn_row)
+                     tn_row, tn_without_jump)
 from tnlab.cli import main
 from tnlab.constructor import build_small_tn, construct_curve_point
 from tnlab.errors import CapExceeded
@@ -133,6 +133,36 @@ def test_witnessed_scan_matches_per_n_searches(lo, length, cap, use_shortcut, wo
     hi = lo + length
     rows = scan_tn(lo, hi, cap, use_shortcut, include_witness=True, workers=workers)
     assert rows == [tn_row(n, cap, use_shortcut, True) for n in range(lo, hi + 1)]
+    assert rows == [tn_row(n, cap, use_shortcut, True, search=tn_without_jump)
+                    for n in range(lo, hi + 1)]
+
+
+def _outcome(search, n, cap, use_shortcut, include_witness):
+    """The row of one search, or the message of its CapExceeded."""
+    try:
+        return search(n, cap=cap, use_shortcut=use_shortcut, include_witness=include_witness)
+    except CapExceeded as e:
+        return str(e)
+
+
+@given(st.integers(min_value=1, max_value=4 * 10 ** 5),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=200)), st.booleans(),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+@example(10, 7, False, True)       # the cap runs out before the small basis saturates
+@example(100005, 5, False, True)
+@example(211, 200, False, True)    # saturated with q = 211 > limit: no jump, capped
+@example(20014, 200, False, True)  # 2 * 10007, likewise
+@example(5, None, False, True)     # saturates on pivot 0, the rank of 2, then jumps
+@example(400006, None, True, True)  # 2 * 200003: a shortcut row searched to t = 200003
+@example(1, None, True, True)
+@example(99856, 3, False, True)    # 316^2
+@example(99856, None, True, False)
+def test_search_matches_the_search_without_jump(n, cap, use_shortcut, include_witness):
+    # the saturation jump changes no t, witness, shortcut flag or
+    # CapExceeded message (which carries the inserted count and the rank)
+    assert _outcome(compute_tn, n, cap, use_shortcut, include_witness) == \
+        _outcome(tn_without_jump, n, cap, use_shortcut, include_witness)
 
 
 def test_golden_witnessed_kp_rows():

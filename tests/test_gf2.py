@@ -75,6 +75,16 @@ def test_insert_independent_rank():
     assert b.rank == 2
 
 
+def test_small_rank_counts_the_small_rows():
+    # pivot 0, the rank of 2, is a small row; a large pivot is not
+    b = SplitBasis(len(PRIMES))
+    assert b.insert(*vec(2)) == 0
+    assert b.insert(*vec(3, q=101)) == 101
+    assert b.insert(*vec(2, 3)) == RANK[3]
+    assert b.insert(*vec(3)) is None
+    assert (b.small_rank, b.rank) == (2, 3)
+
+
 def test_express_examples():
     b, vs = SplitBasis(len(PRIMES)), []
     insert(b, vs, vec(2))
@@ -138,6 +148,7 @@ def test_rank_plus_kernel_dim(vecs):
     b, vs = SplitBasis(len(PRIMES)), []
     kernel = sum(1 for v in vecs if insert(b, vs, v) is not None)
     assert b.rank + kernel == len(vecs)
+    assert b.small_rank == sum(1 for bits in b.small_bits if bits)
     assert len(kernel_masks(vecs)) == kernel
 
 

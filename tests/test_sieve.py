@@ -190,6 +190,23 @@ def test_parity_windows_match_trial_division(a, length, extra):
         assert p_plus == largest_prime_factor(m)
 
 
+def test_one_value_window_matches_the_row_of_a_longer_window():
+    # p_plus reads n, and a search the partner of its jump, as a one-value
+    # window: it must give the row, the dtypes and the shape of a longer
+    # window, also for powers and for a large tag under a bound above isqrt
+    rng = np.random.default_rng(5)
+    ms = list(range(1, 1000)) + [2 ** 36, 3 ** 20, 2 ** 20 * 3, 999983 ** 2, 2 * 999983]
+    ms += rng.integers(1, 1 << 40, 100).tolist()
+    for m in ms:
+        for bound in (isqrt(m + 1), 3 * isqrt(m + 1) + 7):
+            [one] = parity_windows(m, m + 1, bound)
+            first = next(parity_windows(m, m + 2, bound))
+            assert one[0] == first[0] == m
+            for got, want in zip(one[1:], first[1:]):
+                assert got.dtype == want.dtype and got.shape[1:] == want.shape[1:]
+                assert len(got) == 1 and (got[0] == want[0]).all()
+
+
 def test_split_vectors_of_a_batch_match_trial_division():
     # the bound of a batch is isqrt of its largest value, whatever its order
     values = [1034, 1040, 1, 1053, 1058, 1081, 1078, 1050]

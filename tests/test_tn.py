@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_tn, is_square, largest_prime_factor, tn_row, trial_factor
+from oracles import (brute_tn, is_square, largest_prime_factor, tn_row, tn_without_jump,
+                     trial_factor)
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import tn
 from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, build_spf_table, parity_windows,
@@ -32,6 +33,50 @@ def test_square_fast_path(supplier):
     r = compute_tn(4, supplier=supplier)
     assert r == TnResult(4, 0, ())
     assert compute_tn(1, supplier=supplier).t == 0
+
+
+def test_a_square_reads_no_sieve_window_however_large(monkeypatch):
+    # a square answers before any window or prime is read: P+(2^60) would
+    # sieve the primes up to 2^30, and 4^40 lies past the window ceiling
+    def no_sieve(*args):
+        raise AssertionError("a square read the sieve")
+
+    monkeypatch.setattr(tn, "parity_windows", no_sieve)
+    monkeypatch.setattr(tn, "primes_through", no_sieve)
+    for n in (2 ** 60, 10 ** 18, (2 ** 40 + 1) ** 2, 4 ** 40):
+        assert compute_tn(n) == TnResult(n, 0, ())
+        assert compute_tn(n, cap=1, use_shortcut=False) == TnResult(n, 0, ())
+
+
+def test_a_search_is_sized_by_its_own_limit(monkeypatch):
+    # P+(n) for the shortcut comes from n alone under isqrt(n); a shortcut
+    # row without witness reads nothing more, and a search sieves n, ...,
+    # n+cap under isqrt(n + cap), whatever a shortcut row of the same n
+    # would have searched to
+    seen = []
+    windows = tn.parity_windows
+
+    def recording(a, b, bound):
+        seen.append((a, b, bound))
+        return windows(a, b, bound)
+
+    monkeypatch.setattr(tn, "parity_windows", recording)
+    kinds = set()
+    for n in range(10 ** 12 + 1, 10 ** 12 + 5):
+        seen.clear()
+        try:
+            kind = compute_tn(n, cap=50, include_witness=False).shortcut_used
+        except CapExceeded:
+            kind = "capped"
+        kinds.add(kind)
+        searched = [] if kind is True else [(n, n + 51, isqrt(n + 50))]
+        assert seen == [(n, n + 1, isqrt(n))] + searched
+    assert kinds == {True, "capped"}
+    n = 10 ** 12 + 3
+    seen.clear()
+    with pytest.raises(CapExceeded):
+        compute_tn(n, cap=50, use_shortcut=False)
+    assert seen == [(n, n + 51, isqrt(n + 50))]
 
 
 def test_tn_of_8_matches_brute_oracle(supplier):
@@ -99,6 +144,42 @@ def test_verify_witness_malformed(supplier):
         verify_witness(2, [4, 1], supplier)
     with pytest.raises(DomainError):
         verify_witness(2, [0, 1], supplier)
+
+
+@pytest.mark.parametrize("n", [
+    751435,  # 5 * 150287: its small basis is full after 1,585 insertions
+    7297,    # a prime: its small basis fills pivot 0, the rank of 2, last, at 109
+])
+def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
+    # a shortcut row searches to t = P+(n), but once its small basis is
+    # full only the partner n + P+(n) can close n: that is the one
+    # insertion left, and the values skipped are never sieved
+    inserted = []
+    full_at = []
+    sieved = []
+    windows = tn.parity_windows
+
+    def counting_windows(a, b, bound):
+        for window in windows(a, b, bound):
+            sieved.append(len(window[1]))
+            yield window
+
+    class CountingBasis(tn.SplitBasis):
+        def insert(self, q, bits):
+            inserted.append(q)
+            pivot = super().insert(q, bits)
+            if not full_at and self.small_rank == len(self.small_bits):
+                full_at.append(len(inserted))
+            return pivot
+
+    monkeypatch.setattr(tn, "SplitBasis", CountingBasis)
+    monkeypatch.setattr(tn, "parity_windows", counting_windows)
+    r = compute_tn(n)
+    p = largest_prime_factor(n)
+    assert (r.t, r.shortcut_used) == (p, True)
+    assert len(inserted) == full_at[0] + 1 < 5000 and inserted[-1] == p
+    assert sum(sieved) < 5000
+    assert r == tn_without_jump(n)
 
 
 def test_cap_exceeded_carries_state(supplier):
@@ -353,9 +434,9 @@ def test_sweep_window_stays_under_its_byte_cap_when_a_cap_raises_the_bound():
 
 def test_witnessed_scan_memory_stays_under_its_stated_peak():
     # A witnessed scan keeps one run of sieved values from its current n
-    # on, not the range: here the values up to 2n that shortcut rows such
-    # as primes search through. Measured 2.2 MB, of which 1.0 MB is the
-    # 3999 rows returned.
+    # on, not the range: here the values up to 2n, where shortcut rows
+    # such as primes find their partners. Measured 1.7 MB, of which 1.0 MB
+    # is the 3999 rows returned.
     tracemalloc.start()
     try:
         rows = scan_tn(2, 4000, include_witness=True)
