@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import PipelineFailed, RangeError, UsageError
 from .gf2 import kernel_masks, mask_bits
-from .sieve import (SpfTable, build_spf_table, primes_up_to, psi_count, smooth_in_interval,
+from .sieve import (SpfTable, build_spf_table, p_plus_in, primes_up_to, smooth_in_interval,
                     split_vectors)
 from .tn import ParitySupplier, verify_witness
 
@@ -40,12 +40,16 @@ EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
 
 def smoothness_parameter(x: int) -> float:
     """Default smoothness bound: exp((sqrt(2)/2) sqrt(log x log log x))."""
+    if x < 3:  # log log x <= 0
+        raise RangeError("x must be >= 3")
     s = math.sqrt(math.log(x) * math.log(math.log(x)))
     return math.exp(0.5 * math.sqrt(2.0) * s)
 
 
 def interval_length_parameter(x: int) -> float:
     """Default interval length: exp((sqrt(2) + 1/sqrt(log log x)) sqrt(log x log log x))."""
+    if x < 3:
+        raise RangeError("x must be >= 3")
     s = math.sqrt(math.log(x) * math.log(math.log(x)))
     return math.exp((math.sqrt(2.0) + 1.0 / math.sqrt(math.log(math.log(x)))) * s)
 
@@ -64,23 +68,16 @@ def find_smooth_rich_intervals(x: int, y: float, length: int, delta: float,
         raise RangeError(f"delta must lie in [0, 1), got {delta}")
     if y < 1 or y >= length:
         raise RangeError(f"need 1 <= y < length, got y={y}, length={length}")
-    if table is None or table.limit < x:
-        table = build_spf_table(x)
     y_int = int(math.floor(y))
-    psi = psi_count(x, y_int, table)
-    lpf = table.largest_prime_factors()
-    threshold = delta * length * psi / x
-
-    lo_bound = x / math.log(x)
-    k = max(1, math.ceil(lo_bound / length))
-    out = []
-    while (k + 1) * length <= x:
-        lo, hi = k * length, (k + 1) * length
-        count = int(np.count_nonzero(lpf[lo + 1:hi + 1] <= y_int))
-        if count > threshold:
-            out.append((lo, hi))
-        k += 1
-    return out
+    # smooth[i]: is i + 1 y-smooth; one P+ read for Psi(x, y) and the intervals
+    smooth = p_plus_in(0, x, table) <= y_int
+    threshold = delta * length * int(np.count_nonzero(smooth)) / x
+    # interval k holds smooth[k * length:(k + 1) * length], for k from the
+    # first at or above x / log x to the last inside x
+    first = max(1, math.ceil(x / math.log(x) / length))
+    counts = smooth[first * length:x // length * length].reshape(-1, length).sum(axis=1)
+    return [(k * length, (k + 1) * length)
+            for k in (np.flatnonzero(counts > threshold) + first).tolist()]
 
 
 def build_small_tn(lo: int, hi: int, y: float,
@@ -93,8 +90,6 @@ def build_small_tn(lo: int, hi: int, y: float,
     that count condition fails. The kernel element produced by the first
     dependent insertion is used, and n is its least element.
     """
-    if table is None or table.limit < hi:
-        table = build_spf_table(max(hi, 4))
     y_int = int(math.floor(y))
     smooths = smooth_in_interval(lo, hi, y_int, table)
     prime_count = len(primes_up_to(y_int))

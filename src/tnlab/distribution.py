@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import RangeError
-from .sieve import SpfTable, build_spf_table
+from .sieve import SpfTable, p_plus_in
 from .tn import TnResult, scan_t
 
 RHO_MAX_U = 50.0
@@ -143,6 +143,15 @@ class DistributionTable:
         return "\n".join(lines) + "\n"
 
 
+def check_distribution_args(x: int, cs: Sequence[float]) -> None:
+    """Raise RangeError unless x >= 2 and every c lies in (0, 1]."""
+    if x < 2:
+        raise RangeError("x must be >= 2")
+    for c in cs:
+        if not (0.0 < c <= 1.0):
+            raise RangeError(f"each c must lie in (0, 1], got {c}")
+
+
 def distribution_table(x: int, cs: Sequence[float],
                        table: Optional[SpfTable] = None,
                        results: Optional[Sequence[TnResult]] = None) -> DistributionTable:
@@ -153,13 +162,7 @@ def distribution_table(x: int, cs: Sequence[float],
     and they must be the rows of n = 1..x in order, as scan_tn(1, x)
     returns them.
     """
-    if x < 2:
-        raise RangeError("x must be >= 2")
-    for c in cs:
-        if not (0.0 < c <= 1.0):
-            raise RangeError(f"each c must lie in (0, 1], got {c}")
-    if table is None or table.limit < x:
-        table = build_spf_table(x)
+    check_distribution_args(x, cs)
     if results is None:
         tvals = np.array(scan_t(1, x)[0], dtype=np.int64)
     elif len(results) != x or any(r.n != n for n, r in enumerate(results, 1)):
@@ -168,7 +171,7 @@ def distribution_table(x: int, cs: Sequence[float],
         tvals = np.array([-1 if r.t is None else r.t for r in results], dtype=np.int64)
     excluded = int(np.count_nonzero(tvals < 0))
     tvals = tvals[tvals >= 0]
-    lpf = table.largest_prime_factors()[1:x + 1]
+    lpf = p_plus_in(0, x, table)
 
     rows = []
     for c in sorted(cs):
@@ -197,16 +200,9 @@ def exceptional_set(x: int, include_members: bool = True,
     """
     if x < 2:
         return 0, ([] if include_members else None)
-    if table is None or table.limit < x:
-        table = build_spf_table(x)
-    lpf = table.largest_prime_factors()
-    ns = np.arange(2, x + 1, dtype=np.int64)
-    lp = lpf[2:x + 1]
-    mask = ns % (lp * lp) == 0
-    count = int(np.count_nonzero(mask))
-    if not include_members:
-        return count, None
-    return count, [int(v) for v in ns[mask]]
+    lp = p_plus_in(1, x, table)  # P+ of 2..x
+    members = np.flatnonzero(np.arange(2, x + 1, dtype=np.int64) % (lp * lp) == 0) + 2
+    return len(members), (members.tolist() if include_members else None)
 
 
 DETAIL_LIMIT = 1000  # a conjecture scan lists its rows up to this many

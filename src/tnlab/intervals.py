@@ -15,11 +15,9 @@ from itertools import count
 from math import isqrt
 from typing import Optional
 
-import numpy as np
-
 from .errors import RangeError
 from .gf2 import kernel_masks, mask_bits
-from .sieve import parity_windows, primes_up_to, split_vectors
+from .sieve import primes_up_to, smooth_in_interval, split_vectors
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
 # by name until the tracer reads in-tree counters (ROADMAP item 3)
 from .tn import ParitySupplier, compute_tn, scan_t  # noqa: F401
@@ -152,8 +150,7 @@ def check_interval_identity(lo: int, hi: int, y: int, mode: str = "brute",
     """
     closed = count_tn_closed(lo, hi)
     enum = enumerate_square_subsets(lo, hi, mode=mode, supplier=supplier)
-    smooth = sum(int(np.count_nonzero(p_plus <= y))
-                 for _, _, _, p_plus in parity_windows(lo + 1, hi + 1, isqrt(hi)))
+    smooth = len(smooth_in_interval(lo, hi, y))
     pi_y = len(primes_up_to(y))
     return IntervalReport(
         lo=lo, hi=hi, y=y,

@@ -1,14 +1,13 @@
 """Sieving, factorization, and smooth-number counting over bounded ranges.
 
 Every prime the package reads comes from one read-only int64 array kept
-here, through primes_through (primes_up_to is its list view).
-
-An immutable smallest-prime-factor table backs factorization records,
-smoothness tests and Psi counts. Split parity vectors and P+, at any height
-below WINDOW_VALUE_CEILING, come from one segmented sieve (parity_windows),
-for span searches and scans, kernel batches (split_vectors), interval
-smooth counts and tn.ParitySupplier.p_plus alike; trial division
-(factorize_trial) serves verification and heights only.
+here, through primes_through (primes_up_to is its list view). Split parity
+vectors and P+, at any height below WINDOW_VALUE_CEILING, come from one
+segmented sieve (parity_windows). P+ over a range has one reader,
+p_plus_in, with one rule: a slice of the caller's table's P+ array when
+the table reaches the range's end, the segmented sieve otherwise. An
+immutable smallest-prime-factor table backs factorization records; trial
+division (factorize_trial) serves verification and heights only.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -109,8 +108,7 @@ class SpfTable:
     def largest_prime_factors(self) -> np.ndarray:
         """Array lpf with lpf[n] = P+(n) for 0 <= n <= limit (lpf[1] = 1).
 
-        Built lazily on first use; used for vectorized Psi counts and
-        exceptional-set scans.
+        Built lazily on first use; read through p_plus_in.
         """
         if self._lpf is None:
             # P+(m) = max(spf(m), P+(m / spf(m))), and m / spf(m) <= m / 2,
@@ -220,25 +218,29 @@ def factorize_trial(n: int) -> FactorizationRecord:
     return FactorizationRecord(n, tuple(factors))
 
 
-def smooth_in_interval(lo: int, hi: int, y: int, table: SpfTable) -> list[int]:
-    """All n in (lo, hi] with P+(n) <= y, ascending.
-
-    Intervals within the table are read off its P+ array; intervals beyond
-    the table limit read P+ from the segmented sieve (parity_windows).
-    smooth_in_interval(0, x, y) enumerates all smooth n <= x including 1.
+def p_plus_in(lo: int, hi: int, table: Optional[SpfTable] = None) -> np.ndarray:
+    """P+ of lo+1, ..., hi as a read-only int64 array, with P+(1) = 1: a
+    slice of the table's P+ array when `table` reaches hi, the segmented
+    sieve otherwise. More values than a table may hold raise ResourceError.
     """
-    if not (0 <= lo < hi):
+    if not 0 <= lo < hi:
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
+    if table is not None and hi <= table.limit:
+        return table.largest_prime_factors()[lo + 1:hi + 1]
+    if hi - lo > MAX_TABLE_ENTRIES:
+        raise ResourceError(f"{hi - lo} values exceed the entry cap {MAX_TABLE_ENTRIES}")
+    out = np.empty(hi - lo, dtype=np.int64)
+    for start, _, _, p_plus in parity_windows(lo + 1, hi + 1, isqrt(hi)):
+        out[start - lo - 1:start - lo - 1 + len(p_plus)] = p_plus
+    out.setflags(write=False)
+    return out
+
+
+def smooth_in_interval(lo: int, hi: int, y: int, table: Optional[SpfTable] = None) -> list[int]:
+    """All n in (lo, hi] with P+(n) <= y, ascending (n = 1 counts when lo = 0)."""
     if y < 1:
         raise RangeError("smoothness bound must be >= 1")
-    if hi <= table.limit:
-        lpf = table.largest_prime_factors()
-        seg = lpf[lo + 1:hi + 1]
-        return [int(m) for m in np.nonzero(seg <= y)[0] + lo + 1]
-    out = []
-    for start, _, _, p_plus in parity_windows(lo + 1, hi + 1, isqrt(hi)):
-        out += (np.flatnonzero(p_plus <= y) + start).tolist()
-    return out
+    return (np.flatnonzero(p_plus_in(lo, hi, table) <= y) + lo + 1).tolist()
 
 
 # Cap on the bytes of one window's word array; windows of wide rows get
@@ -359,13 +361,10 @@ def _parity_window(a: int, b: int, bound: int, primes: np.ndarray, width: int) -
     return a, np.where(rem > bound, rem, 0), words, p_plus
 
 
-def psi_count(x: int, y: int, table: SpfTable) -> int:
+def psi_count(x: int, y: int, table: Optional[SpfTable] = None) -> int:
     """Number of y-smooth integers n <= x, counting n = 1."""
     if x < 1:
         raise RangeError("x must be >= 1")
     if y < 1:
         raise RangeError("y must be >= 1")
-    if x > table.limit:
-        raise RangeError(f"x={x} exceeds table limit {table.limit}")
-    lpf = table.largest_prime_factors()
-    return int(np.count_nonzero(lpf[1:x + 1] <= y))
+    return int(np.count_nonzero(p_plus_in(0, x, table) <= y))

@@ -62,7 +62,8 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import SpfTable, Window, factorize_trial, parity_windows, primes_through, row_bits
+from .sieve import (SpfTable, Window, factorize_trial, p_plus_in, parity_windows, primes_through,
+                    row_bits)
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -73,7 +74,8 @@ class ParitySupplier:
 
     It keeps nothing but its optional table, so a fresh one costs nothing.
     It serves no split vectors: span searches read those from
-    sieve.parity_windows themselves, and p_plus reads a one-value window.
+    sieve.parity_windows themselves, and p_plus reads sieve.p_plus_in
+    without the table, so that no table P+ array is built for it.
     Prime sets (support) are a separate encoding, used only to verify
     witnesses: they walk the table, or trial divide past it, independently
     of the windows.
@@ -93,7 +95,7 @@ class ParitySupplier:
 
     def p_plus(self, m: int) -> int:
         """Largest prime factor, with 1 for m = 1."""
-        return int(next(parity_windows(m, m + 1, isqrt(m)))[3][0])
+        return int(p_plus_in(m - 1, m)[0])
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,18 @@ def test_curve_point_family_below_two_exit_code(tmp_path, capsys, family_size):
 def test_validation_error_exit_code(capsys):
     assert run_cli(["scan", "--lo", "5", "--hi", "2"]) == 2
     assert "error" in capsys.readouterr().err
+    # x is checked before any log of it is taken or any table is built
+    for argv, message in [
+        (["construct", "--x", "2"], "x must be >= 3"),
+        (["construct", "--x", "1"], "x must be >= 3"),
+        (["construct", "--x", "0", "--y", "2", "--L", "5"], "x must be >= 3"),
+        (["dist", "--x", "1", "--c", "0.5"], "x must be >= 2"),
+        (["dist", "--x", "100", "--c", "1.5"], "each c must lie in (0, 1], got 1.5"),
+        (["interval", "--lo", "1", "--hi", "6", "--y", "0", "--brute"],
+         "smoothness bound must be >= 1"),
+    ]:
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"tnlab: error: {message}\n"
 
 
 def test_select_omega_of_a_large_power(tmp_path):

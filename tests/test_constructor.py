@@ -34,6 +34,13 @@ def test_find_intervals_reverified(table):
         assert lo >= 10 ** 4 / math.log(10 ** 4) - 100
         assert hi <= 10 ** 4
         assert len(smooth_in_interval(lo, hi, 20, table4)) > threshold
+    # completeness: one smooth count per interval, in a loop over every k
+    # from the first interval at or above x / log x, is the reference for
+    # the counts read off one P+ array; without a table P+ is sieved
+    first = max(1, math.ceil(10 ** 4 / math.log(10 ** 4) / 100))
+    assert found == [(k * 100, k * 100 + 100) for k in range(first, 100)
+                     if len(smooth_in_interval(k * 100, k * 100 + 100, 20)) > threshold]
+    assert find_smooth_rich_intervals(10 ** 4, 20, 100, 0.5) == found
 
 
 def test_find_intervals_delta_zero(table):

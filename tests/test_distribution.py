@@ -8,6 +8,7 @@ from oracles import rho_quadrature
 from tnlab.distribution import (conjecture_scan, dickman_rho, distribution_table,
                                 exceptional_set, power_threshold)
 from tnlab.errors import RangeError
+from tnlab.sieve import build_spf_table
 from tnlab.tn import scan_tn
 
 
@@ -78,10 +79,17 @@ def test_distribution_rows_sorted_and_bounded(table):
 def test_distribution_exceptional_inequality(table):
     # #{t_n <= T} - #{P+ <= T} <= |E| exactly, any x and c
     x = 2000
-    exc, _ = exceptional_set(x, include_members=False)
+    exc, members = exceptional_set(x)
     t = distribution_table(x, [0.3, 0.5, 0.7, 0.9])
     for r in t.rows:
         assert r.diff <= exc
+    # P+ from the segmented sieve, with no table or one too small for x,
+    # gives what a covering table gives
+    assert table.limit >= x
+    for tab in (build_spf_table(100), table):
+        assert distribution_table(x, [0.3, 0.5, 0.7, 0.9], table=tab) == t
+        assert exceptional_set(x, table=tab) == (exc, members)
+        assert exceptional_set(x, include_members=False, table=tab) == (exc, None)
 
 
 def test_distribution_golden_1e4():

@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from oracles import is_smooth, largest_prime_factor, trial_factor
 from tnlab import sieve
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_VALUE_CEILING, build_spf_table, factorize,
-                         factorize_trial, parity_windows, primes_through, primes_up_to,
-                         psi_count, row_bits, smooth_in_interval, split_vectors)
+                         factorize_trial, p_plus_in, parity_windows, primes_through,
+                         primes_up_to, psi_count, row_bits, smooth_in_interval, split_vectors)
 
 # the primes up to 5000 by trial division, independent of the sieve
 ORACLE_PRIMES = [k for k in range(2, 5001) if trial_factor(k) == [(k, 1)]]
@@ -130,6 +132,10 @@ def test_smooth_in_interval_malformed(table):
         smooth_in_interval(6, 6, 5, table)
     with pytest.raises(RangeError):
         smooth_in_interval(-1, 6, 5, table)
+    # past the table a P+ array longer than a table may be is refused
+    # before any sieving
+    with pytest.raises(ResourceError, match="entry cap"):
+        psi_count(sieve.MAX_TABLE_ENTRIES + 1, 5, table)
 
 
 def test_smooth_in_interval_beyond_table_limit(table):
@@ -156,11 +162,16 @@ def covering_table():
 @settings(max_examples=60, deadline=None)
 def test_smooth_in_interval_past_the_table_matches_a_covering_table(
         tiny_table, covering_table, lo, length, y):
-    # past the tiny table P+ comes from the segmented sieve, within the
-    # covering table from its P+ array
+    # past the tiny table (or with none) P+ comes from the segmented sieve,
+    # within the covering table from its P+ array
     hi = max(lo + length, tiny_table.limit + 1)
+    sieved = p_plus_in(lo, hi, tiny_table)
+    assert np.array_equal(sieved, p_plus_in(lo, hi, covering_table))
+    assert np.array_equal(sieved, p_plus_in(lo, hi))
+    assert not sieved.flags.writeable
     assert smooth_in_interval(lo, hi, y, tiny_table) == \
         smooth_in_interval(lo, hi, y, covering_table)
+    assert psi_count(hi, y, tiny_table) == psi_count(hi, y, covering_table)
 
 
 def expected_split(m: int, rank: dict[int, int], bound: int) -> tuple[int, int]:
@@ -288,6 +299,30 @@ def test_psi_monotone(table):
         col = [psi_count(x, y, table) for x in (10, 50, 100, 500)]
         assert col == sorted(col)
     assert all(v >= 1 for v in vals)
+
+
+def _calls(name: str) -> set[tuple[str, str]]:
+    """(module file, top-level definition) of every call to `name` in the
+    package's sources."""
+    found = set()
+    for path in sorted(Path(sieve.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                f = node.func if isinstance(node, ast.Call) else None
+                if getattr(f, "attr", getattr(f, "id", None)) == name:
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_reader_decides_where_p_plus_comes_from():
+    # only p_plus_in reads a table's P+ array; tables are built only where
+    # one prefix is read several times; besides sieve, only tn's runs and
+    # sweep read sieve windows
+    assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
+    assert _calls("build_spf_table") == {("cli.py", "_cmd_dist"), ("cli.py", "_cmd_construct"),
+                                         ("constructor.py", "construct_curve_point")}
+    assert {c for c in _calls("parity_windows") if c[0] != "sieve.py"} == \
+        {("tn.py", "_Run"), ("tn.py", "scan_t")}
 
 
 def test_largest_prime_factors_match_oracle():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from oracles import (brute_tn, is_square, largest_prime_factor, tn_row, tn_without_jump,
                      trial_factor)
 from tnlab.errors import CapExceeded, DomainError, RangeError
-from tnlab import tn
-from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, build_spf_table, parity_windows,
-                         primes_up_to, row_bits)
+from tnlab import sieve, tn
+from tnlab.intervals import check_interval_identity
+from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable, build_spf_table,
+                         parity_windows, primes_up_to, row_bits)
 from tnlab.tn import (ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
                       render_results, scan_t, scan_tn, verify_witness)
 
@@ -42,6 +43,7 @@ def test_a_square_reads_no_sieve_window_however_large(monkeypatch):
         raise AssertionError("a square read the sieve")
 
     monkeypatch.setattr(tn, "parity_windows", no_sieve)
+    monkeypatch.setattr(sieve, "parity_windows", no_sieve)
     monkeypatch.setattr(tn, "primes_through", no_sieve)
     for n in (2 ** 60, 10 ** 18, (2 ** 40 + 1) ** 2, 4 ** 40):
         assert compute_tn(n) == TnResult(n, 0, ())
@@ -60,7 +62,9 @@ def test_a_search_is_sized_by_its_own_limit(monkeypatch):
         seen.append((a, b, bound))
         return windows(a, b, bound)
 
+    # P+(n) is read through sieve.p_plus_in, searches through tn's runs
     monkeypatch.setattr(tn, "parity_windows", recording)
+    monkeypatch.setattr(sieve, "parity_windows", recording)
     kinds = set()
     for n in range(10 ** 12 + 1, 10 ** 12 + 5):
         seen.clear()
@@ -174,6 +178,7 @@ def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
 
     monkeypatch.setattr(tn, "SplitBasis", CountingBasis)
     monkeypatch.setattr(tn, "parity_windows", counting_windows)
+    monkeypatch.setattr(sieve, "parity_windows", counting_windows)
     r = compute_tn(n)
     p = largest_prime_factor(n)
     assert (r.t, r.shortcut_used) == (p, True)
@@ -380,6 +385,7 @@ def test_no_search_bound_passes_isqrt_4n_whatever_the_cap(monkeypatch):
         return windows(a, b, bound, *rest)
 
     monkeypatch.setattr(tn, "parity_windows", guarded_windows)
+    monkeypatch.setattr(sieve, "parity_windows", guarded_windows)
     ts, shortcut = scan_t(lo, hi, cap=10 ** 18)
     assert (ts, shortcut) == scan_t(lo, hi)
     supplier = ParitySupplier()
@@ -390,6 +396,26 @@ def test_no_search_bound_passes_isqrt_4n_whatever_the_cap(monkeypatch):
     for n in searched:
         assert compute_tn(n, cap=10 ** 18, supplier=supplier) == compute_tn(n, supplier=supplier)
     assert seen and max(seen) == ceiling
+
+
+def test_a_supplier_never_builds_its_table_p_plus_array(monkeypatch, table):
+    # a supplier's table serves verification; P+ for the shortcut and an
+    # interval's smooth count come from the sieve. Building the table's P+
+    # array instead takes 20 ms and 9.6 MB at 2^20, about a fifth of the
+    # peak RSS of the bench's witness and identities workloads, which pass
+    # suppliers over a 2^20 table
+    def no_p_plus_array(self):
+        raise AssertionError("a table P+ array was built")
+
+    monkeypatch.setattr(SpfTable, "largest_prime_factors", no_p_plus_array)
+    supplier = ParitySupplier(table)
+    # a shortcut row (t = 20011) and searched rows, inside the table
+    for n in (2 * 20011, 48, 1000):
+        assert n + compute_tn(n, supplier=supplier).t <= table.limit
+        assert compute_tn(n, include_witness=False, supplier=supplier).t is not None
+    for lo, hi, mode in ((1000, 1400, "kernel"), (1, 20, "brute")):
+        r = check_interval_identity(lo, hi, 30, mode=mode, supplier=supplier)
+        assert r.identity_ok and r.lower_bound_ok
 
 
 @pytest.fixture(scope="module")
