@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import constructor, distribution, heights, intervals, runge
-from .errors import TnLabError
+from .errors import RangeError, TnLabError
 from .sieve import build_spf_table
 from .tn import compute_tn, render_results, render_t, scan_t, scan_tn
 
@@ -324,6 +324,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:  # scan, dist and conjecture
+            raise RangeError(f"workers must be >= 1, got {args.workers}")
         return args.func(args)
     except TnLabError as e:
         print(f"tnlab: error: {e}", file=sys.stderr)

@@ -11,7 +11,8 @@ of the quadratic sieve (Pomerance, 1982).
 The B rule. A span search for t_n with offset limit L touches the values
 n, n+1, ..., n+L, so it needs B >= isqrt(n + L); every value it can touch
 then has at most one prime above B. compute_tn takes B = isqrt(n + L); a
-witnessed scan takes the B of its whole range for every n of it.
+witnessed scan, which takes every t from the sweep and searches each n
+to exactly t_n, takes B = isqrt of the furthest n + t_n of its range.
 
 Elimination. SplitBasis pivots on the largest prime of a vector: q when it
 is set, otherwise the top bit of bits. Ranks follow the order of the
@@ -21,7 +22,7 @@ ranks, kernels and canonical witnesses. For the same reason the choice of
 B does not matter, as long as B >= isqrt of every value: raising B turns a
 large tag q into the rank bit of q, which is then the top bit, so the
 vector still pivots on q and every reduction XORs the same vectors. A
-witnessed scan's larger B therefore gives the t and witness of compute_tn.
+witnessed scan's B therefore gives the t and witness of compute_tn.
 Large pivots are rare near any n, which keeps reduction chains short.
 
 Memory. Reducing a vector cancels its q and never brings a large prime

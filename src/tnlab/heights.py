@@ -177,6 +177,8 @@ def select_low_omega(bs: Sequence[int], span: int) -> LowOmegaSelection:
     Preconditions (checked, with the offender reported): at least three
     values, every prime factor <= span, pairwise gcd <= span.
     """
+    if span < 1:
+        raise RangeError("span must be >= 1")
     if len(bs) < 3:
         raise UsageError(f"need at least 3 values, got {len(bs)}")
     supports = []

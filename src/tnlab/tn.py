@@ -13,22 +13,23 @@ Every span search reads its split vectors from one indexable run of
 sieve.parity_windows (_Run), by value, under one bound B >= isqrt of the
 last value it may touch; t and the canonical witness do not depend on
 which such B (see gf2). compute_tn's run sieves n, n+1, ... as far as
-its search reads. A witnessed scan shares one run over its range and
-searches each n on it from n onward, forgetting the values below n. Both
-go through one search loop (_search), which makes the saturation jump:
-once its small basis is full, a search whose target still carries a
-large prime q inserts only the partner n + q, the one value that can
-still close n. So a search keeps O(saturation) rows, not O(t), and
-compute_tn never sieves the values it skips. Nothing here keeps primes
-(sieve.primes_through does), so a call without a ParitySupplier makes a
-fresh one at no cost.
+its search reads. A witnessed scan shares one run over its range, under
+isqrt of the furthest n + t_n it searches, and searches each n on it from
+n onward, forgetting the values below n. Both go through one search loop
+(_search), which makes the saturation jump: once its small basis is full,
+a search whose target still carries a large prime q inserts only the
+partner n + q, the one value that can still close n. So a search keeps
+O(saturation) rows, not O(t), and compute_tn never sieves the values it
+skips. Nothing here keeps primes (sieve.primes_through does), so a call
+without a ParitySupplier makes a fresh one at no cost.
 
-Both scans share one row model. _classify reads a window's P+ and gives
-each row its state before any elimination: t = 0 for a square, t = P+(n)
-for a shortcut row, and -1 for a row that needs a search. The witnessed
-scan searches the -1 rows and checks each shortcut row's t by its search;
-the sweep (below) closes the -1 rows and checks the shortcut rows that
-close inside it. large_prime_shortcut is the same rule for one n (compute_tn).
+Every scan takes t from one producer, the sweep (scan_t, below). Its
+_classify reads a window's P+ and gives each row its state before any
+elimination: t = 0 for a square, t = P+(n) for a shortcut row, and -1 for
+a row that needs a search. The sweep closes the -1 rows and checks the
+shortcut rows that close inside it; a witnessed scan searches each row
+with t > 0 only for its witness, to exactly that t, which checks it.
+large_prime_shortcut is the same rule for one n (compute_tn).
 
 A scan without witnesses resolves its whole range in one left-to-right
 sweep instead of one search per n. The vectors of lo, lo+1, ... go into
@@ -43,7 +44,7 @@ open instead of queueing them, and keeps t in a plain int list (scan_t);
 scan_tn and render_t turn the lists into rows through one mapping
 (_t_rows), only at their edge. It runs in one process: it shares its
 basis across the whole range, so chunks would repeat each other's work. A
-witnessed scan keeps one search per n: the canonical witness is the
+witnessed scan keeps one search per row: the canonical witness is the
 combination the insertion-order basis of that n finds, which the sweep
 does not track.
 """
@@ -54,7 +55,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -163,28 +164,22 @@ def compute_tn(n: int,
     limit = min(limit, 3 * n)
     # its run's bound isqrt(n + limit) leaves every value n..n+limit at
     # most one prime above it
-    return _search(n, _Run(n, n + limit + 1, use_shortcut), limit, shortcut_t, include_witness)
+    witness = _search(n, _Run(n, n + limit + 1), limit, exact=shortcut_t is not None)
+    return TnResult(n, witness[-1], witness if include_witness else None, shortcut_t is not None)
 
 
-def _reach(hi: int, limit: int, use_shortcut: bool) -> int:
-    """The last value that the search of any n <= hi may read: n + min(limit,
-    3n), since t_n <= 3n (n * 4n = (2n)^2), and 2n for a shortcut row, which
-    searches to t = P+(n) <= n whatever the cap. Its isqrt is the bound B of
-    a scan's whole range (see gf2)."""
-    return hi + max(min(limit, 3 * hi), hi if use_shortcut else 0, 0)
-
-
-def _search(n: int, run: _Run, limit: int, shortcut_t: Optional[int],
-            include_witness: bool) -> TnResult:
+def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
     """The span search of a non-square n, the one loop of every witnessed
-    search.
+    search: its canonical witness, whose last offset is t_n.
 
     It reads the split vectors of n, n+1, ..., n+limit from `run`, under
     its bound B = run.bound >= isqrt(n + limit); t and the witness do not
     depend on B (see gf2).
-    `shortcut_t` is P+(n) when the large-prime shortcut applies, and the
-    search must then end at exactly that t. Raises CapExceeded when n
-    stays out of the span of its first `limit` successors.
+    `exact` says that t_n = limit is known (P+(n) for a shortcut row, the
+    sweep's t in a witnessed scan): closing earlier or not at all then
+    raises AssertionError, naming n and both offsets. Otherwise it raises
+    CapExceeded when n stays out of the span of its first `limit`
+    successors.
 
     The saturation jump. Once all pi(B) small pivots are filled, no later
     insertion changes a small row: a vector either becomes a large row or
@@ -213,16 +208,15 @@ def _search(n: int, run: _Run, limit: int, shortcut_t: Optional[int],
             target_q, target_bits, target_mask = basis.reduce(target_q, target_bits, target_mask)
             if not (target_q or target_bits):
                 assert target_mask.bit_length() == j, "witness must peak at t_n"
-                if shortcut_t is not None:
-                    assert j == shortcut_t, "shortcut disagrees with full search"
-                witness = tuple(i + 1 for i in mask_bits(target_mask)) if include_witness else None
-                return TnResult(n, j, witness, shortcut_used=shortcut_t is not None)
+                assert j == limit or not exact, f"n = {n} closes at offset {j}, not at t = {limit}"
+                return tuple(i + 1 for i in mask_bits(target_mask))
             target_pivot = target_q or target_bits.bit_length() - 1
         if pivot < width and basis.small_rank == width and 0 < target_q <= limit:
             # the small basis has just saturated: only n + q can close n
             basis.inserted += target_q - 1 - j
             j = target_q - 1
             read = run.rows(n + target_q).__next__
+    assert not exact, f"n = {n} is still open at offset {j}, not closed at t = {limit}"
     raise CapExceeded(n, limit, j, basis.rank)
 
 
@@ -256,25 +250,26 @@ def scan_tn(lo: int, hi: int,
     """One TnResult per n in [lo, hi], ascending.
 
     Rows whose search cap is exhausted come back flagged (t = None,
-    cap_exceeded=True) instead of aborting the scan. Without witnesses the
-    rows wrap the lists of scan_t, one sequential sweep, whatever
-    `workers` is. With witnesses each n gets its own search, with the t
-    and witness of compute_tn, on one window pass over the range; with
-    workers > 1 disjoint n-chunks are searched in at most min(workers,
-    chunks, cores) processes and merged in order. Output is identical for
-    any worker count >= 1, and fewer raise RangeError. No scan reads
-    `supplier`: vectors and P+ come from sieve windows.
+    cap_exceeded=True) instead of aborting the scan. Every scan takes its
+    t, shortcut flags and capped rows from scan_t, one sequential sweep,
+    whatever `workers` is. With witnesses each row with t > 0 is then
+    searched to exactly that t, only for its witness, on one window pass
+    over the range, giving the rows of compute_tn; with workers > 1
+    disjoint n-chunks are searched in at most min(workers, chunks, cores)
+    processes and merged in order. Output is identical for any worker
+    count >= 1, and fewer raise RangeError. No scan reads `supplier`:
+    vectors and P+ come from sieve windows.
     """
     if workers < 1:
         raise RangeError(f"workers must be >= 1, got {workers}")
+    ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
     if not include_witness:
-        ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
         return [TnResult(n, t, w, s, c) for n, t, s, w, c in _t_rows(lo, ts, shortcut)]
-    if not (1 <= lo <= hi):
-        raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if cap is not None and cap < 1 and any(ts):  # as in compute_tn: only squares need no search
+        raise RangeError("cap must be >= 1")
     if workers > 1 and hi - lo >= 16:
-        return _scan_parallel(lo, hi, cap, use_shortcut, workers)
-    return _witnessed_rows(lo, hi, cap, use_shortcut)
+        return _scan_parallel(lo, ts, shortcut, workers)
+    return _witnessed_rows(lo, ts, shortcut)
 
 
 # Rows a search reads become Python ints this many at a time: enough to
@@ -284,22 +279,20 @@ _ROW_BLOCK = 64
 
 class _Window:
     """One sieve window of a run. The bits of a row become a Python int
-    only when a search reads the row, and the rows' states (_classify)
-    only when a caller seeks one of them."""
+    only when a search reads the row."""
 
-    __slots__ = ("start", "end", "large", "words", "p_plus", "bits", "known")
+    __slots__ = ("start", "end", "large", "words", "bits")
 
     def __init__(self, window: Window):
-        self.start, large, self.words, self.p_plus = window
+        self.start, large, self.words, _ = window
         self.end = self.start + len(large)
         self.large = large.tolist()
         self.bits: list[Optional[int]] = [None] * len(large)
-        self.known: Optional[list[int]] = None
 
 
 class _Run:
-    """The split vectors and _classify's t of the values a, ..., b-1 under
-    one bound B = isqrt(b - 1), read by value.
+    """The split vectors of the values a, ..., b-1 under one bound
+    B = isqrt(b - 1), read by value.
 
     The run sieves in order and keeps its windows from its floor, the
     lowest value any search will still read, on. A run shared by the
@@ -311,10 +304,9 @@ class _Run:
     nothing after a partner, and never sieves the values it skipped.
     """
 
-    def __init__(self, a: int, b: int, use_shortcut: bool, shared: bool = False):
+    def __init__(self, a: int, b: int, shared: bool = False):
         self.bound = isqrt(b - 1)
         self._b = b
-        self._use_shortcut = use_shortcut
         self._shared = shared
         self._held: list[_Window] = []
         self._windows = parity_windows(a, b, self.bound)
@@ -348,44 +340,28 @@ class _Run:
             yield from zip(w.large[i:j], bits[i:j])
             m = w.start + j
 
-    def seek(self, n: int) -> int:
-        """_classify's t of n: 0 for a square, P+(n) for a shortcut row,
-        -1 for a row that needs a search. It moves the floor to n: the
-        windows below it are dropped."""
+    def seek(self, n: int) -> None:
+        """Move the floor to n: the windows below it are dropped."""
         w = self._window(n)
         held = self._held
         while held[0] is not w:
             del held[0]
-        if w.known is None:
-            w.known = _classify(w.start, w.p_plus, self._use_shortcut).tolist()
-        return w.known[n - w.start]
 
 
-def _witnessed_rows(lo, hi, cap, use_shortcut) -> list[TnResult]:
-    """The rows of compute_tn(n, cap, use_shortcut) for n = lo..hi, with
-    witnesses and capped rows flagged, from one shared run.
-
-    Every search reads the run from its n on, under the bound of the whole
-    range, B = isqrt(_reach(hi, ...)). t and the witness of n are those of
-    compute_tn, whose bound isqrt(n + its offset limit) is at most B (see
-    gf2).
-    """
-    limit = cap if cap is not None else HARD_OFFSET_CAP
-    run = _Run(lo, _reach(hi, limit, use_shortcut) + 1, use_shortcut, shared=True)
+def _witnessed_rows(lo: int, ts: Sequence[int], shortcut: Sequence[bool]) -> list[TnResult]:
+    """The rows of n = lo, lo+1, ... with witnesses, from their lists of
+    scan_t. Squares and capped rows come straight from the lists; every
+    other n is searched on one shared run, from n on, to exactly its t,
+    under B = isqrt(max(n + t_n)) >= isqrt of every value a search reads,
+    so t and the witness are those of compute_tn (see gf2)."""
+    reach = max((n + t for n, t in zip(count(lo), ts) if t > 0), default=lo)
+    run = _Run(lo, reach + 1, shared=True)
     rows = []
-    for n in range(lo, hi + 1):
-        t = run.seek(n)
-        if t == 0:
-            rows.append(TnResult(n, 0, ()))
-            continue
-        if limit < 1:
-            raise RangeError("cap must be >= 1")
-        shortcut_t = t if t > 0 else None  # it searches to exactly t = P+(n)
-        limit_n = shortcut_t or min(limit, 3 * n)
-        try:
-            rows.append(_search(n, run, limit_n, shortcut_t, True))
-        except CapExceeded:
-            rows.append(TnResult(n, None, None, cap_exceeded=True))
+    for n, t, s, w, c in _t_rows(lo, ts, shortcut):
+        if t:  # neither a square (0) nor capped (None)
+            run.seek(n)
+            w = _search(n, run, t, exact=True)
+        rows.append(TnResult(n, t, w, s, c))
     return rows
 
 
@@ -436,7 +412,7 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
     if not (1 <= lo <= hi):
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     limit = cap if cap is not None else HARD_OFFSET_CAP
-    reach = _reach(hi, limit, False)
+    reach = hi + max(min(limit, 3 * hi), 0)
     ts: list[int] = []
     shortcut = []
     open_rows = 0
@@ -471,25 +447,24 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
     return ts, np.concatenate(shortcut).tolist()
 
 
-def _scan_parallel(lo, hi, cap, use_shortcut, workers) -> list[TnResult]:
+def _scan_parallel(lo, ts, shortcut, workers) -> list[TnResult]:
     from concurrent.futures import ProcessPoolExecutor
 
-    count = hi - lo + 1
-    chunk = max(256, count // (workers * 8))
-    starts = range(lo, hi + 1, chunk)
-    ends = [min(a + chunk - 1, hi) for a in starts]
+    chunk = max(256, len(ts) // (workers * 8))
+    starts = range(0, len(ts), chunk)
     # the pool may start all its processes at once: none past chunks or cores
     processes = min(workers, len(starts), os.cpu_count() or 1)
     try:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_witnessed_rows, starts, ends, repeat(cap),
-                                  repeat(use_shortcut)))
+            parts = list(pool.map(_witnessed_rows, [lo + i for i in starts],
+                                  [ts[i:i + chunk] for i in starts],
+                                  [shortcut[i:i + chunk] for i in starts]))
     except OSError as e:
         # Sandboxed environments without process support: fall back to
         # sequential, which produces identical output by construction.
         warnings.warn(f"worker processes unavailable ({e}); scanning sequentially",
                       RuntimeWarning, stacklevel=3)
-        return _witnessed_rows(lo, hi, cap, use_shortcut)
+        return _witnessed_rows(lo, ts, shortcut)
     return [row for part in parts for row in part]
 
 

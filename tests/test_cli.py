@@ -82,6 +82,15 @@ def test_validation_error_exit_code(capsys):
         (["dist", "--x", "100", "--c", "1.5"], "each c must lie in (0, 1], got 1.5"),
         (["interval", "--lo", "1", "--hi", "6", "--y", "0", "--brute"],
          "smoothness bound must be >= 1"),
+        # 1 has no prime factor: the span is checked first
+        (["select-omega", "--bs", "1,1,1", "--J", "0"], "span must be >= 1"),
+        # every subcommand that takes --workers checks it, whether or not it uses it
+        (["scan", "--lo", "2", "--hi", "10", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["scan", "--lo", "2", "--hi", "40", "--witness", "--workers", "-3"],
+         "workers must be >= 1, got -3"),
+        (["dist", "--x", "100", "--c", "0.5", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["conjecture", "--x", "100", "--c", "0.5", "--workers", "-2"],
+         "workers must be >= 1, got -2"),
     ]:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"tnlab: error: {message}\n"

@@ -111,7 +111,7 @@ def test_sweep_matches_per_n_searches(small_supplier, lo, length, cap, use_short
 @settings(max_examples=60, deadline=None)
 def test_search_is_unchanged_under_a_larger_bound(n, cap, use_shortcut, extra):
     # compute_tn sieves under B = isqrt(n + limit), a witnessed scan under
-    # the B of its whole range. A larger B turns large tags into rank bits
+    # isqrt of its furthest n + t_n. A larger B turns large tags into rank bits
     # but keeps t, the canonical witness and every capped row. It reaches
     # the windows and the basis width together.
     expected = tn_row(n, cap, use_shortcut, True)
@@ -127,9 +127,10 @@ def test_search_is_unchanged_under_a_larger_bound(n, cap, use_shortcut, extra):
 @settings(max_examples=40, deadline=None)
 @example(1, 300, 40, True, 2)  # two chunks of 256 rows, with capped and shortcut rows
 @example(2, 300, None, False, 1)
+@example(1000, 520, 25, False, 2)  # capped rows, none searched, in each of three chunks
 def test_witnessed_scan_matches_per_n_searches(lo, length, cap, use_shortcut, workers):
-    # one window pass for the whole range, each search reading it from its
-    # n on, against one compute_tn search per n
+    # t from one sweep, then one window pass for the whole range, each
+    # search reading it from its n on, against one compute_tn search per n
     hi = lo + length
     rows = scan_tn(lo, hi, cap, use_shortcut, include_witness=True, workers=workers)
     assert rows == [tn_row(n, cap, use_shortcut, True) for n in range(lo, hi + 1)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_pell
-from tnlab.errors import DomainError, PreconditionError, ResourceError, UsageError
+from tnlab.errors import DomainError, PreconditionError, RangeError, ResourceError, UsageError
 from tnlab.heights import (few_offsets_log_bound, integral_point_log_bound,
                            pell_solutions, pell_system_decompose, select_low_omega,
                            tn_lower_bound_eval)
@@ -102,6 +102,17 @@ def test_select_low_omega_of_a_large_power():
     # trial division stops once the cofactor left is 1: no primes near 2^50
     sel = select_low_omega([2 ** 100, 3, 5], 13)
     assert sel.omegas == (1, 1, 1)
+
+
+def test_select_low_omega_refuses_a_span_below_one():
+    # as pell_solutions: 1 has no prime factor to blame, and the span is
+    # checked before the values
+    for span in (0, -5):
+        with pytest.raises(RangeError, match="span must be >= 1"):
+            select_low_omega([1, 1, 1], span)
+        with pytest.raises(RangeError, match="span must be >= 1"):
+            select_low_omega([2, 3], span)
+    assert select_low_omega([1, 1, 1], 1).omegas == (0, 0, 0)
 
 
 def test_select_low_omega_precondition_errors():

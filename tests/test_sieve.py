@@ -325,6 +325,12 @@ def test_one_reader_decides_where_p_plus_comes_from():
         {("tn.py", "_Run"), ("tn.py", "scan_t")}
 
 
+def test_one_producer_of_t_for_every_scan():
+    # only the sweep classifies rows: a witnessed scan takes t and the
+    # shortcut flags from it and searches only for witnesses
+    assert _calls("_classify") == {("tn.py", "scan_t")}
+
+
 def test_largest_prime_factors_match_oracle():
     limit = 70000
     lpf = build_spf_table(limit).largest_prime_factors()

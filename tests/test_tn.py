@@ -249,10 +249,33 @@ def test_sweep_checks_shortcut_rows_that_close_inside_it(supplier, monkeypatch):
     monkeypatch.setattr(tn, "parity_windows", wrong_p_plus)
     with pytest.raises(AssertionError, match="n = 14 closes at offset 7, not at t = 8"):
         scan_tn(2, 30, supplier=supplier)
-    # the witnessed scan takes the same classification from its run, and
-    # the search of 14 closes at 7 where the shortcut said 8
-    with pytest.raises(AssertionError, match="shortcut disagrees with full search"):
+    # the witnessed scan takes its t from the same sweep
+    with pytest.raises(AssertionError, match="n = 14 closes at offset 7, not at t = 8"):
         scan_tn(2, 30, include_witness=True)
+
+
+@pytest.mark.parametrize("n, shift, message", [
+    (10, 1, "n = 10 closes at offset 8, not at t = 9"),
+    (10, -1, "n = 10 is still open at offset 7, not closed at t = 7"),
+    # a shortcut row that closes at 2n = 58, after the sweep has stopped
+    (29, 1, "n = 29 closes at offset 29, not at t = 30"),
+    (29, -1, "n = 29 is still open at offset 28, not closed at t = 28"),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_witnessed_scan_searches_to_exactly_the_sweeps_t(monkeypatch, n, shift, message, workers):
+    # a witnessed scan takes t from scan_t and searches each row to exactly
+    # that t: a t too large closes early, one too small runs out, and
+    # either is an error, never a capped row
+    sweep = tn.scan_t
+
+    def wrong_t(lo, hi, cap, use_shortcut):
+        ts, shortcut = sweep(lo, hi, cap, use_shortcut)
+        ts[n - lo] += shift
+        return ts, shortcut
+
+    monkeypatch.setattr(tn, "scan_t", wrong_t)
+    with pytest.raises(AssertionError, match=message):
+        scan_tn(2, 30, include_witness=True, workers=workers)
 
 
 @pytest.mark.parametrize("lo, hi, cap", [
@@ -297,6 +320,12 @@ def test_scan_cap_below_one_raises_only_for_a_search(supplier):
     assert scan_tn(1, 1, cap=0, supplier=supplier) == [TnResult(1, 0, ())]
     with pytest.raises(RangeError, match="cap must be >= 1"):
         scan_tn(2, 3, cap=0, supplier=supplier)
+    # a witness needs a search for every row that is not a square,
+    # shortcut rows such as 7 included
+    assert scan_tn(4, 4, cap=0, include_witness=True) == [TnResult(4, 0, ())]
+    for lo, hi in ((7, 7), (4, 9)):
+        with pytest.raises(RangeError, match="cap must be >= 1"):
+            scan_tn(lo, hi, cap=0, include_witness=True)
 
 
 class CountingSupplier(ParitySupplier):
@@ -395,6 +424,8 @@ def test_no_search_bound_passes_isqrt_4n_whatever_the_cap(monkeypatch):
     searched = [n for n, s in zip(range(lo, hi + 1), shortcut) if not s][:4]
     for n in searched:
         assert compute_tn(n, cap=10 ** 18, supplier=supplier) == compute_tn(n, supplier=supplier)
+    assert scan_tn(lo, hi, cap=10 ** 18, include_witness=True) == \
+        [compute_tn(n, supplier=supplier) for n in range(lo, hi + 1)]
     assert seen and max(seen) == ceiling
 
 
@@ -461,7 +492,7 @@ def test_sweep_window_stays_under_its_byte_cap_when_a_cap_raises_the_bound():
 def test_witnessed_scan_memory_stays_under_its_stated_peak():
     # A witnessed scan keeps one run of sieved values from its current n
     # on, not the range: here the values up to 2n, where shortcut rows
-    # such as primes find their partners. Measured 1.7 MB, of which 1.0 MB
+    # such as primes find their partners. Measured 1.3 MB, of which 1.0 MB
     # is the 3999 rows returned.
     tracemalloc.start()
     try:
