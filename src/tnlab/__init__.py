@@ -9,8 +9,8 @@ height bounds with exact arithmetic.
 
 from .errors import (CapExceeded, DomainError, PipelineFailed, PreconditionError,
                      RangeError, ResourceError, TnLabError, UsageError)
-from .sieve import (FactorizationRecord, SpfTable, build_spf_table, factorize,
-                    primes_up_to, psi_count, smooth_in_interval)
+from .sieve import (FactorizationRecord, SpfTable, build_spf_table, primes_up_to,
+                    psi_count, smooth_in_interval)
 from .tn import (ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
                  scan_tn, verify_witness)
 from .intervals import (IntervalReport, SquareSubsetEnumeration, check_interval_identity,

@@ -188,7 +188,7 @@ def _cmd_runge(args) -> int:
     dec = runge.offsets_near_square(offsets)
     payload = dec.to_json_dict()
     payload["height_bound"] = runge.height_bound(dec.half_degree, dec.span)
-    if args.search_limit:
+    if args.search_limit is not None:
         payload["integral_points"] = [
             [x, y] for x, y in runge.search_integral_points(offsets, args.search_limit)]
     config = _config_dict(args, ["offsets", "search_limit"])

@@ -33,7 +33,7 @@ from .errors import PipelineFailed, RangeError, UsageError
 from .gf2 import kernel_masks, mask_bits
 from .sieve import (SpfTable, build_spf_table, p_plus_in, primes_up_to, smooth_in_interval,
                     split_vectors)
-from .tn import ParitySupplier, verify_witness
+from .tn import verify_witness
 
 EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
 
@@ -103,13 +103,12 @@ def build_small_tn(lo: int, hi: int, y: float,
     return n, tuple(v - n for v in members[1:])
 
 
-def max_symdiff_pair(masks: Sequence[int],
-                     exhaustive_limit: int = EXHAUSTIVE_PAIR_LIMIT) -> tuple[int, int, int]:
+def max_symdiff_pair(masks: Sequence[int]) -> tuple[int, int, int]:
     """Indices (i, j) of a pair of subsets with maximal symmetric difference,
     plus its size. Each subset is an int mask (bit b set when element b is
     a member), so the difference of a pair is the popcount of its XOR.
 
-    Exhaustive pair scan up to `exhaustive_limit` subsets; beyond that, one
+    Exhaustive pair scan up to EXHAUSTIVE_PAIR_LIMIT subsets; beyond that, one
     anchor set is fixed and scanned against all others (the counting
     argument guarantees the anchor already sees a far set when the family
     is large enough).
@@ -121,7 +120,7 @@ def max_symdiff_pair(masks: Sequence[int],
         raise UsageError("subsets must be distinct")
 
     best = (-1, 0, 0)
-    if k <= exhaustive_limit:
+    if k <= EXHAUSTIVE_PAIR_LIMIT:
         for i in range(k):
             mi = masks[i]
             for j in range(i + 1, k):
@@ -256,8 +255,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     span = members[-1] - n
     interior = tuple(m - n for m in members[1:-1])
 
-    assert verify_witness(n, interior + (span,), ParitySupplier(table)), \
-        "certificate product is not a square"
+    assert verify_witness(n, interior + (span,)), "certificate product is not a square"
 
     target = math.ceil(span ** (1.0 - c))
     timings["total"] = time.perf_counter() - t0

@@ -63,8 +63,11 @@ vectors, because they answer two different questions.
   Its split vectors come from sieve.parity_windows, the segmented sieve
   that every split vector comes from.
 
-Prime sets (ParitySupplier.support) are kept apart from this encoding on
-purpose: they serve only to verify witnesses.
+Prime sets (ParitySupplier.support, by trial division) are kept apart
+from this encoding on purpose: they serve only brute-mode
+intervals.enumerate_square_subsets, as its independent oracle. Witnesses
+are verified without any parity encoding: tn.verify_witness takes the
+integer square root of the product.
 """
 
 from __future__ import annotations

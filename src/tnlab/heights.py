@@ -23,6 +23,7 @@ from .errors import DomainError, PreconditionError, RangeError, ResourceError, U
 from .sieve import factorize_trial
 
 CROSS_CHECK_LIMIT = 10 ** 4
+FACTOR_LIMIT = 10 ** 12  # pell_system_decompose trial divides values up to this
 
 
 def _divisors(n: int) -> list[int]:
@@ -237,8 +238,7 @@ class PellSystem:
         }
 
 
-def pell_system_decompose(x: int, offsets: Sequence[int], strict: bool = False,
-                          factor_limit: int = 10 ** 12) -> PellSystem:
+def pell_system_decompose(x: int, offsets: Sequence[int], strict: bool = False) -> PellSystem:
     """Split each x + j into squarefree part times square.
 
     offsets must be strictly increasing, start at 0, and contain the span
@@ -254,8 +254,8 @@ def pell_system_decompose(x: int, offsets: Sequence[int], strict: bool = False,
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
         raise DomainError("offsets must be strictly increasing")
     span = offsets[-1]
-    if x + span > factor_limit:
-        raise ResourceError(f"x + span = {x + span} exceeds factorization budget {factor_limit}")
+    if x + span > FACTOR_LIMIT:
+        raise ResourceError(f"x + span = {x + span} exceeds factorization budget {FACTOR_LIMIT}")
     entries = []
     for j in offsets:
         rec = factorize_trial(x + j)

@@ -6,8 +6,9 @@ vectors and P+, at any height below WINDOW_VALUE_CEILING, come from one
 segmented sieve (parity_windows). P+ over a range has one reader,
 p_plus_in, with one rule: a slice of the caller's table's P+ array when
 the table reaches the range's end, the segmented sieve otherwise. An
-immutable smallest-prime-factor table backs factorization records; trial
-division (factorize_trial) serves verification and heights only.
+immutable smallest-prime-factor table backs that P+ array alone.
+Factorization records come from trial division (factorize_trial), which
+serves heights and the prime sets of brute-mode enumeration.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def primes_up_to(n: int) -> list[int]:
 
 
 class SpfTable:
-    """Smallest-prime-factor table for 2..limit.
+    """Smallest-prime-factor table for 2..limit, read only for its P+
+    array (largest_prime_factors, through p_plus_in).
 
     spf[p] == p exactly for primes; for composite m, spf[m] is the least
     prime dividing m. Immutable after construction; safe to share across
@@ -81,29 +83,7 @@ class SpfTable:
         self.limit = limit
         self._spf = spf
         self._spf.setflags(write=False)
-        # factors() reads through a memoryview: it yields Python ints and is
-        # faster than numpy scalar indexing on this per-value hot path
-        self._view = memoryview(spf)
         self._lpf: np.ndarray | None = None
-
-    def spf(self, m: int) -> int:
-        return int(self._spf[m])
-
-    def factors(self, m: int) -> list[tuple[int, int]]:
-        """The (prime, exponent) pairs of 1 <= m <= limit, primes ascending.
-
-        The one walk over the table; unchecked, so callers validate m.
-        """
-        spf = self._view
-        out = []
-        while m > 1:
-            p = spf[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return out
 
     def largest_prime_factors(self) -> np.ndarray:
         """Array lpf with lpf[n] = P+(n) for 0 <= n <= limit (lpf[1] = 1).
@@ -176,17 +156,6 @@ class FactorizationRecord:
         for p, e in self.factors:
             m *= p ** e
         return m
-
-
-def factorize(n: int, table: SpfTable) -> FactorizationRecord:
-    """Factor n using the table. n = 1 gives the empty factorization."""
-    if n == 0:
-        raise DomainError("cannot factorize 0")
-    if n < 0:
-        raise DomainError("n must be positive")
-    if n > table.limit:
-        raise RangeError(f"n={n} exceeds table limit {table.limit}")
-    return FactorizationRecord(n, tuple(table.factors(n)))
 
 
 def factorize_trial(n: int) -> FactorizationRecord:

@@ -73,26 +73,20 @@ HARD_OFFSET_CAP = 10 ** 7
 class ParitySupplier:
     """Serves P+ and the prime sets of single positive integers.
 
-    It keeps nothing but its optional table, so a fresh one costs nothing.
-    It serves no split vectors: span searches read those from
-    sieve.parity_windows themselves, and p_plus reads sieve.p_plus_in
-    without the table, so that no table P+ array is built for it.
-    Prime sets (support) are a separate encoding, used only to verify
-    witnesses: they walk the table, or trial divide past it, independently
-    of the windows.
+    It keeps nothing, so a fresh one costs nothing; the optional `table`
+    is accepted and not read. It serves no split vectors: span searches
+    read those from sieve.parity_windows themselves, and p_plus reads
+    sieve.p_plus_in. Prime sets (support) are a separate encoding, by
+    trial division, used only by the brute mode of
+    intervals.enumerate_square_subsets as its independent oracle.
     """
 
     def __init__(self, table: Optional[SpfTable] = None):
-        self.table = table
+        pass
 
     def support(self, m: int) -> frozenset[int]:
         """The primes dividing m to an odd power."""
-        table = self.table
-        if table is not None and m <= table.limit:
-            factors = table.factors(m)
-        else:
-            factors = factorize_trial(m).factors
-        return frozenset(p for p, e in factors if e & 1)
+        return frozenset(p for p, e in factorize_trial(m).factors if e & 1)
 
     def p_plus(self, m: int) -> int:
         """Largest prime factor, with 1 for m = 1."""
@@ -222,10 +216,12 @@ def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
 
 def verify_witness(n: int, witness: Sequence[int],
                    supplier: Optional[ParitySupplier] = None) -> bool:
-    """True iff n times the product of n+j over the witness is a square.
+    """True iff m = n times the product of n+j over the witness is a square.
 
-    Checked via parity vectors (the XOR of all supports must be empty); the
-    product itself is never formed.
+    Exact and independent of every sieve: m is multiplied as a balanced
+    product tree (Bernstein, "Fast multiplication and its applications",
+    2008), so each multiplication pairs operands of similar size, and
+    isqrt(m)^2 == m decides. `supplier` is not read.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -234,11 +230,11 @@ def verify_witness(n: int, witness: Sequence[int],
         if j <= prev:
             raise DomainError("witness offsets must be strictly increasing and positive")
         prev = j
-    supplier = supplier or ParitySupplier()
-    acc = supplier.support(n)
-    for j in witness:
-        acc = acc ^ supplier.support(n + j)
-    return not acc
+    level = [n] + [n + j for j in witness]
+    while len(level) > 1:  # an odd one out moves up unpaired
+        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+    m = level[0]
+    return isqrt(m) ** 2 == m
 
 
 def scan_tn(lo: int, hi: int,

@@ -119,6 +119,16 @@ def odd_support(n: int) -> frozenset[int]:
     return frozenset(p for p, e in trial_factor(n) if e & 1)
 
 
+def verify_by_supports(n: int, witness) -> bool:
+    """True iff n times the product of n+j over the witness is a square,
+    by the XOR of their odd supports (the check verify_witness made before
+    it took isqrt of the product)."""
+    acc = odd_support(n)
+    for j in witness:
+        acc ^= odd_support(n + j)
+    return not acc
+
+
 class FrozensetBasis:
     """The echelon basis over prime sets that the split-vector engine
     replaced, kept as an oracle.

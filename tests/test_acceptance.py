@@ -186,7 +186,7 @@ def test_criterion_8_runge_decomposition():
 def test_criterion_9_constructor_soundness():
     t0 = time.time()
     cert = construct_curve_point(10 ** 6, 0.5, seed=0)
-    # the pipeline hard-asserts the parity XOR internally; re-verify here
+    # the pipeline asserts the square product internally; re-verify here
     assert verify_witness(cert.n, list(cert.offsets) + [cert.J])
     assert cert.N == len(cert.offsets)
     took = time.time() - t0

@@ -91,6 +91,9 @@ def test_validation_error_exit_code(capsys):
         (["dist", "--x", "100", "--c", "0.5", "--workers", "0"], "workers must be >= 1, got 0"),
         (["conjecture", "--x", "100", "--c", "0.5", "--workers", "-2"],
          "workers must be >= 1, got -2"),
+        # a limit of 0 is a limit, not an absent one
+        (["runge", "--offsets", "0,1,2,3", "--limit", "0"], "x_limit must be >= 1"),
+        (["runge", "--offsets", "0,1,2,3", "--limit", "-5"], "x_limit must be >= 1"),
     ]:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"tnlab: error: {message}\n"

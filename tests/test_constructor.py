@@ -126,9 +126,10 @@ def test_max_symdiff_guarantee_random_family():
     assert size > 8 / (6 * math.log(64))
 
 
-def test_max_symdiff_anchor_mode():
+def test_max_symdiff_anchor_mode(monkeypatch):
+    monkeypatch.setattr(constructor, "EXHAUSTIVE_PAIR_LIMIT", 8)
     family = [frozenset({k}) for k in range(20)]
-    i, j, size = max_symdiff_pair(masks(family), exhaustive_limit=8)
+    i, j, size = max_symdiff_pair(masks(family))
     assert size == 2 and i < j
 
 

@@ -60,8 +60,8 @@ KERNEL_DIGESTS = {
     (200000, 201000): "b096c7be9995f25194a3d2d9995883ff0f181894bff6fb974c83fd8e2bc1702c",
 }
 
-# the small-table supplier verifies values above this by trial division;
-# searches read their vectors from sieve windows at every height
+# values above this lie past the small table of the supplier, which does
+# not read it; searches read their vectors from sieve windows at every height
 SMALL_TABLE = 1 << 12
 
 

@@ -11,34 +11,12 @@ from hypothesis import strategies as st
 from oracles import is_smooth, largest_prime_factor, trial_factor
 from tnlab import sieve
 from tnlab.errors import DomainError, RangeError, ResourceError
-from tnlab.sieve import (PRIME_CEILING, WINDOW_VALUE_CEILING, build_spf_table, factorize,
+from tnlab.sieve import (PRIME_CEILING, WINDOW_VALUE_CEILING, SpfTable, build_spf_table,
                          factorize_trial, p_plus_in, parity_windows, primes_through,
                          primes_up_to, psi_count, row_bits, smooth_in_interval, split_vectors)
 
 # the primes up to 5000 by trial division, independent of the sieve
 ORACLE_PRIMES = [k for k in range(2, 5001) if trial_factor(k) == [(k, 1)]]
-
-
-def test_spf_examples():
-    t = build_spf_table(10)
-    assert t.spf(4) == 2
-    assert t.spf(9) == 3
-    assert t.spf(7) == 7
-    t100 = build_spf_table(100)
-    assert t100.spf(91) == 7
-
-
-def test_spf_invariants():
-    t = build_spf_table(500)
-    primes = set(primes_up_to(500))
-    for m in range(2, 501):
-        p = t.spf(m)
-        assert p in primes
-        assert m % p == 0
-        if m in primes:
-            assert p == m
-        else:
-            assert p * p <= m
 
 
 def test_spf_range_errors():
@@ -55,31 +33,29 @@ def test_spf_range_errors():
     assert peak < 1 << 16
 
 
-def test_factorize_examples(table):
-    r = factorize(12, table)
+def test_factorize_examples():
+    r = factorize_trial(12)
     assert r.factors == ((2, 2), (3, 1))
     assert r.p_plus == 3
     assert r.omega == 2
 
-    one = factorize(1, table)
+    one = factorize_trial(1)
     assert one.factors == ()
     assert one.p_plus == 1
     assert one.omega == 0
 
-    r = factorize(1260, table)
+    r = factorize_trial(1260)
     assert r.factors == ((2, 2), (3, 2), (5, 1), (7, 1))
 
 
-def test_factorize_errors(table):
+def test_factorize_errors():
     with pytest.raises(DomainError):
-        factorize(0, table)
-    with pytest.raises(RangeError):
-        factorize(table.limit + 1, table)
+        factorize_trial(0)
 
 
-def test_factorize_roundtrip_exhaustive(table):
+def test_factorize_roundtrip_exhaustive():
     for n in range(1, 20001):
-        rec = factorize(n, table)
+        rec = factorize_trial(n)
         assert rec.recompose() == n
         ps = [p for p, _ in rec.factors]
         assert ps == sorted(set(ps))
@@ -115,10 +91,10 @@ def test_factorize_trial_matches_oracle(case):
     assert rec.recompose() == n
 
 
-def test_squarefree_kernel(table):
-    assert factorize(48, table).squarefree_kernel == 3
-    assert factorize(49, table).squarefree_kernel == 1
-    assert factorize(50, table).squarefree_kernel == 2
+def test_squarefree_kernel():
+    assert factorize_trial(48).squarefree_kernel == 3
+    assert factorize_trial(49).squarefree_kernel == 1
+    assert factorize_trial(50).squarefree_kernel == 2
 
 
 def test_smooth_in_interval_examples(table):
@@ -323,6 +299,23 @@ def test_one_reader_decides_where_p_plus_comes_from():
                                          ("constructor.py", "construct_curve_point")}
     assert {c for c in _calls("parity_windows") if c[0] != "sieve.py"} == \
         {("tn.py", "_Run"), ("tn.py", "scan_t")}
+
+
+def test_one_exact_check_for_every_witness():
+    # verify_witness multiplies and takes isqrt: it reads no sieve, no
+    # table and no prime set. Prime sets serve only brute-mode enumeration,
+    # and the table serves only its P+ array
+    tn_source = Path(sieve.__file__).with_name("tn.py").read_text()
+    verify = next(node for node in ast.parse(tn_source).body
+                  if getattr(node, "name", None) == "verify_witness")
+    called = {getattr(f, "attr", getattr(f, "id", None))
+              for f in (node.func for node in ast.walk(verify) if isinstance(node, ast.Call))}
+    sieve_names = {name for name, obj in vars(sieve).items()
+                   if getattr(obj, "__module__", None) == sieve.__name__}
+    assert not called & (sieve_names | set(vars(SpfTable)) | {"support"})
+    assert _calls("support") == {("intervals.py", "enumerate_square_subsets")}
+    assert not any(hasattr(SpfTable, name) for name in ("factors", "spf"))
+    assert not hasattr(sieve, "factorize")
 
 
 def test_one_producer_of_t_for_every_scan():

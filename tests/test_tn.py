@@ -5,13 +5,14 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_tn, is_square, largest_prime_factor, tn_row, tn_without_jump,
-                     trial_factor)
+                     trial_factor, verify_by_supports)
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import sieve, tn
+from tnlab.constructor import construct_curve_point
 from tnlab.intervals import check_interval_identity
 from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable, build_spf_table,
                          parity_windows, primes_up_to, row_bits)
@@ -141,6 +142,41 @@ def test_verify_witness_examples(supplier):
     assert verify_witness(2, [1, 4], supplier)
     assert not verify_witness(2, [1], supplier)
     assert verify_witness(3, [3, 5], supplier)
+
+
+# n = 2p with the prime p = 999983: n + p = 3p, and n + 4538 = 6 * 578^2
+_P = 999983
+
+
+@given(st.integers(min_value=1, max_value=10 ** 6),
+       st.lists(st.integers(min_value=1, max_value=3000), max_size=12, unique=True))
+@settings(max_examples=300, deadline=None)
+@example(1, [])
+@example(4, [])
+@example(2, [])
+@example(2, [1, 4])
+@example(2, [1])
+@example(36, [12, 39])           # 36 * 48 * 75 = 360^2, n a square
+@example(36, [12])
+@example(2 * _P, [4538, _P])     # 2p * 6 * 578^2 * 3p = (6 * 578 * p)^2: p twice
+@example(2 * _P, [_P])           # 6 p^2: p cancels, 6 does not
+def test_verify_witness_matches_the_support_oracle(n, offsets):
+    witness = sorted(offsets)
+    assert verify_witness(n, witness) == verify_by_supports(n, witness)
+
+
+def test_verify_witness_accepts_computed_witnesses_and_certificates():
+    rng = random.Random(1515)
+    for n in [2, 3, 14, 400006] + [rng.randrange(2, 10 ** 6) for _ in range(40)]:
+        witness = compute_tn(n).witness
+        assert verify_witness(n, witness) and verify_by_supports(n, witness)
+        if witness:
+            # t_n is least: no subset of the offsets below it certifies n
+            assert not verify_witness(n, witness[:-1]) and not verify_by_supports(n, witness[:-1])
+    cert = construct_curve_point(10 ** 5, 0.5, seed=1, y=30, length=5000)
+    offsets = cert.offsets + (cert.J,)
+    assert verify_witness(cert.n, offsets) and verify_by_supports(cert.n, offsets)
+    assert not verify_witness(cert.n, offsets[1:])
 
 
 def test_verify_witness_malformed(supplier):
@@ -430,11 +466,11 @@ def test_no_search_bound_passes_isqrt_4n_whatever_the_cap(monkeypatch):
 
 
 def test_a_supplier_never_builds_its_table_p_plus_array(monkeypatch, table):
-    # a supplier's table serves verification; P+ for the shortcut and an
-    # interval's smooth count come from the sieve. Building the table's P+
-    # array instead takes 20 ms and 9.6 MB at 2^20, about a fifth of the
-    # peak RSS of the bench's witness and identities workloads, which pass
-    # suppliers over a 2^20 table
+    # a supplier reads nothing of the table it is given; P+ for the
+    # shortcut and an interval's smooth count come from the sieve. Building
+    # the table's P+ array instead takes 20 ms and 9.6 MB at 2^20, about a
+    # fifth of the peak RSS of the bench's witness and identities
+    # workloads, which pass suppliers over a 2^20 table
     def no_p_plus_array(self):
         raise AssertionError("a table P+ array was built")
 
@@ -455,7 +491,7 @@ def table_2_20():
 
 
 def test_tableless_supplier_matches_a_table_supplier(table_2_20):
-    # the table serves verification only: t and the canonical witnesses
+    # a supplier reads nothing of its table: t and the canonical witnesses
     # come from sieve windows with it or without it, also past it
     rng = random.Random(2211)
     ns = [rng.randrange(2, 1 << 21) for _ in range(40)] + [(1 << 20) - 7, (1 << 20) + 3]
@@ -584,9 +620,9 @@ def test_scan_rejects_fewer_than_one_worker(workers):
             scan_tn(2, 80, include_witness=include_witness, workers=workers)
 
 
-def test_supplier_keeps_only_its_table(table):
-    assert vars(ParitySupplier(table)) == {"table": table}
-    assert vars(ParitySupplier()) == {"table": None}
+def test_supplier_keeps_nothing(table):
+    assert vars(ParitySupplier(table)) == {}
+    assert vars(ParitySupplier()) == {}
 
 
 def test_render_csv(supplier):
