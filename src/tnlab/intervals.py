@@ -15,6 +15,8 @@ from itertools import count
 from math import isqrt
 from typing import Optional
 
+import numpy as np
+
 from .errors import RangeError
 from .gf2 import kernel_masks, mask_bits
 from .sieve import primes_up_to, smooth_in_interval, split_vectors
@@ -23,6 +25,8 @@ from .sieve import primes_up_to, smooth_in_interval, split_vectors
 from .tn import ParitySupplier, compute_tn, scan_t  # noqa: F401
 
 BRUTE_LENGTH_GUARD = 30
+# brute mode tabulates the subsets of this many elements at once
+BRUTE_BLOCK_BITS = 16
 
 
 def count_tn_closed(lo: int, hi: int) -> int:
@@ -63,7 +67,15 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
                              supplier: Optional[ParitySupplier] = None) -> SquareSubsetEnumeration:
     """All subsets S of (lo, hi] with square product, including the empty set.
 
-    mode="brute" walks all 2^(hi-lo) subsets (length guard 30); the
+    mode="brute" checks all 2^m subsets of the m = hi - lo elements
+    (length guard 30) on the odd prime sets of `supplier.support`, with
+    nothing from gf2 or the sieve windows. It tabulates the XORs of every
+    subset of the first k = min(m, BRUTE_BLOCK_BITS) = min(m, 16) elements,
+    2^k rows of one uint64 per 64 distinct primes (512 KB per word at
+    k = 16), and of every subset of the other m - k (at most 2^14 rows,
+    128 KB per word). Then one vectorised pass per subset of the others, in
+    ascending order, finds the rows of the first table equal to it, so the
+    subsets come out in ascending characteristic-bitmask order. The
     selection of mode is deliberately explicit so tests cannot silently
     lose their exponential oracle. mode="kernel" returns a GF(2) kernel
     basis and the exact count 2^dim without enumeration.
@@ -84,30 +96,41 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
 
     supplier = supplier or ParitySupplier()
     prime_bits: dict[int, int] = {}
-    vecs = []
+    masks = []
     for e in elements:
         mask = 0
         for p in supplier.support(e):
             bit = prime_bits.setdefault(p, len(prime_bits))
             mask |= 1 << bit
-        vecs.append(mask)
+        masks.append(mask)
+    width = max(1, (len(prime_bits) + 63) >> 6)
+    vecs = np.array([[mask >> (64 * w) & (2 ** 64 - 1) for w in range(width)]
+                     for mask in masks], dtype=np.uint64)
 
-    # Gray-code walk: consecutive subsets differ in one element.
-    hits = [0]
-    acc = 0
-    prev_gray = 0
-    for g in range(1, 1 << m):
-        gray = g ^ (g >> 1)
-        acc ^= vecs[(gray ^ prev_gray).bit_length() - 1]
-        prev_gray = gray
-        if acc == 0:
-            hits.append(gray)
-    hits.sort()
+    # the XOR of every subset of the first k elements, indexed by its
+    # characteristic bitmask, and of every subset of the others
+    k = min(m, BRUTE_BLOCK_BITS)
+    low, high = _subset_xors(vecs[:k]), _subset_xors(vecs[k:])
+    hits = []
+    for h, target in enumerate(high):
+        block = low[:, 0] == target[0]
+        for w in range(1, width):
+            block &= low[:, w] == target[w]
+        hits.extend((np.flatnonzero(block) | h << k).tolist())
     subsets = tuple(
         tuple(elements[b] for b in range(m) if s >> b & 1)
         for s in hits
     )
     return SquareSubsetEnumeration(lo, hi, mode, len(subsets), subsets=subsets)
+
+
+def _subset_xors(vecs: np.ndarray) -> np.ndarray:
+    """Row s is the XOR of the rows of `vecs` at the set bits of s, for
+    every s below 2^len(vecs): filled by doubling."""
+    out = np.zeros((1 << len(vecs), vecs.shape[1]), dtype=np.uint64)
+    for i, vec in enumerate(vecs):
+        np.bitwise_xor(out[:1 << i], vec, out=out[1 << i:2 << i])
+    return out
 
 
 def _kernel_sets(elements: list[int]) -> list[tuple[int, ...]]:

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, RangeError
+from .sieve import parity_windows
 
 CoeffLike = Union[int, Fraction]
 
@@ -241,25 +244,53 @@ def height_bound(half_degree: int, span: int) -> int:
 
 
 def search_integral_points(offsets: Sequence[int], x_limit: int) -> list[tuple[int, int]]:
-    """All positive x <= x_limit with prod(x + j) a perfect square.
+    """All positive x <= x_limit with prod(x + j) a perfect square, ascending.
 
-    The square test is an exact integer square root of the product form;
-    the polynomial is never evaluated in floating point. Every point found
-    must fall within the even-degree height bound (asserted).
+    The split vectors of 1, ..., x_limit + J come from sieve.parity_windows
+    under B = isqrt(x_limit + J), so each value has at most one prime above
+    B, its large tag, and that prime divides it once. P(x) is a square
+    exactly when the word rows of the x + j XOR to zero and its 2u large
+    tags pair up: sorted, each adjacent pair is equal (two values share a
+    tag only when it divides a difference of offsets, so only when it is
+    <= J). The tags are read only on rows whose XOR is zero. A window's
+    rows are kept for the next one only as far as its last J values, so
+    memory is O(window + J) rows.
+
+    Every hit is multiplied out and kept only if its integer square root
+    squares back to the product; nothing is evaluated in floating point.
+    Every point found must fall within the even-degree height bound
+    (asserted).
     """
     expand_offset_poly(offsets)  # reuse the validation
     if x_limit < 1:
         raise RangeError("x_limit must be >= 1")
     u = len(offsets) // 2
-    bound = height_bound(u, offsets[-1])
-    offs = tuple(offsets)
+    span = offsets[-1]
+    bound = height_bound(u, span)
+    offs = np.array(offsets, dtype=np.int64)
+    top = x_limit + span
     out = []
-    for x in range(1, x_limit + 1):
-        m = 1
-        for j in offs:
-            m *= x + j
-        r = isqrt(m)
-        if r * r == m:
-            assert x <= bound
-            out.append((x, r))
+    first = 1  # the least x not yet searched
+    held = None  # the rows of first, first + 1, ... read so far
+    for _, large, words, _ in parity_windows(1, top + 1, isqrt(top)):
+        if held is not None:
+            large, words = np.concatenate((held[0], large)), np.concatenate((held[1], words))
+        # the rows held are of first, ..., first + len(large) - 1: search
+        # the x whose x + J is among them
+        count = max(0, min(len(large) - span, x_limit - first + 1))
+        acc = words[:count].copy()  # the offsets start at 0
+        for j in offsets[1:]:
+            acc ^= words[j:j + count]
+        rows = np.flatnonzero(~acc.any(axis=1))
+        if len(rows):
+            tags = np.sort(large[rows[:, None] + offs], axis=1)
+            rows = rows[(tags[:, 0::2] == tags[:, 1::2]).all(axis=1)]
+        for x in (rows + first).tolist():
+            m = prod(x + j for j in offsets)
+            r = isqrt(m)
+            if r * r == m:
+                assert x <= bound
+                out.append((x, r))
+        held = large[count:], words[count:]
+        first += count
     return out

@@ -3,7 +3,9 @@
 Every prime the package reads comes from one read-only int64 array kept
 here, through primes_through (primes_up_to is its list view). Split parity
 vectors and P+, at any height below WINDOW_VALUE_CEILING, come from one
-segmented sieve (parity_windows). P+ over a range has one reader,
+segmented sieve (parity_windows). It is read here by p_plus_in and
+split_vectors (kernels), by tn's span searches and sweep, and by runge's
+point search. P+ over a range has one reader,
 p_plus_in, with one rule: a slice of the caller's table's P+ array when
 the table reaches the range's end, the segmented sieve otherwise. An
 immutable smallest-prime-factor table backs that P+ array alone.

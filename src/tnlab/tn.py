@@ -42,11 +42,13 @@ sweep reads its vectors and P+ from sieve.parity_windows, one numpy pass
 per window instead of one factor walk per value, counts the rows still
 open instead of queueing them, and keeps t in a plain int list (scan_t);
 scan_tn and render_t turn the lists into rows through one mapping
-(_t_rows), only at their edge. It runs in one process: it shares its
-basis across the whole range, so chunks would repeat each other's work. A
-witnessed scan keeps one search per row: the canonical witness is the
-combination the insertion-order basis of that n finds, which the sweep
-does not track.
+(_t_rows), only at their edge. It runs in one process. Chunks of the
+range would give the same t (the rows with start >= n of the basis do not
+depend on where the sweep began), and each would repeat only a tail past
+its end, about 2*sqrt(hi) values, until its own open rows close; the
+sweep is not chunked yet. A witnessed scan keeps one search per row: the
+canonical witness is the combination the insertion-order basis of that n
+finds, which the sweep does not track.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Independent brute-force oracles.
 
 Everything here deliberately avoids the library's own code paths: trial
-division instead of sieve tables, exhaustive subset search instead of
-GF(2) elimination, plain quadrature instead of the production rho grid.
+division instead of sieve tables, a square root of every product instead
+of sieve windows, exhaustive subset search instead of GF(2) elimination, plain quadrature instead of the production rho grid.
 Expected values frozen into tests were computed with these. The
 exceptions are the per-n loops at the end, which run one compute_tn
 search per value where the library now runs one sweep or one window pass,
@@ -92,6 +92,46 @@ def brute_square_subsets(lo: int, hi: int) -> list[tuple[int, ...]]:
                 prod *= e
         if is_square(prod):
             out.append(tuple(e for b, e in enumerate(elements) if mask >> b & 1))
+    return out
+
+
+def gray_code_square_subsets(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """All subsets of (lo, hi] with square product, in ascending
+    characteristic-bitmask order (empty set first): the XOR of the odd
+    supports of each subset, taken by a Gray-code walk in which consecutive
+    subsets differ in one element (how brute-mode enumeration walked them
+    before it tabulated blocks of subsets)."""
+    elements = list(range(lo + 1, hi + 1))
+    prime_bits = {}
+    vecs = []
+    for e in elements:
+        mask = 0
+        for p in odd_support(e):
+            mask |= 1 << prime_bits.setdefault(p, len(prime_bits))
+        vecs.append(mask)
+    hits = [0]
+    acc = prev_gray = 0
+    for g in range(1, 1 << len(elements)):
+        gray = g ^ (g >> 1)
+        acc ^= vecs[(gray ^ prev_gray).bit_length() - 1]
+        prev_gray = gray
+        if acc == 0:
+            hits.append(gray)
+    return tuple(tuple(e for b, e in enumerate(elements) if s >> b & 1)
+                 for s in sorted(hits))
+
+
+def brute_integral_points(offsets, x_limit: int) -> list[tuple[int, int]]:
+    """All (x, y) with 1 <= x <= x_limit and y^2 = prod(x + j), by
+    multiplying out every x and taking its integer square root."""
+    out = []
+    for x in range(1, x_limit + 1):
+        m = 1
+        for j in offsets:
+            m *= x + j
+        r = isqrt(m)
+        if r * r == m:
+            out.append((x, r))
     return out
 
 

@@ -59,6 +59,24 @@ KERNEL_DIGESTS = {
     (1000, 1300): "ff4aeaa6a0d8a1d5c4a7846ebbd9a8f4f3f2a97eee51cbe5315ddda83fd5e814",
     (200000, 201000): "b096c7be9995f25194a3d2d9995883ff0f181894bff6fb974c83fd8e2bc1702c",
 }
+# CLI files of the point search and of brute-mode interval reports, and
+# the subset lists of brute mode, taken while the search multiplied out
+# every x and brute mode walked its subsets in Gray-code order
+CLI_DIGESTS = {
+    ("runge", "--offsets", "0,1,2,4", "--limit", "100000"):
+        "c48204d771a363c9795b914d4f11c405087307a036c00439ade024fdb1052f1e",
+    ("runge", "--offsets", "0,2,3,4,5,6,10,11,12,13", "--limit", "30000"):
+        "088dfbe7bb7c519ba8c880302b8969922b7ee711ef8dd907039d63d60af0263c",
+    ("interval", "--lo", "1778", "--hi", "1795", "--y", "5", "--brute"):
+        "c80183556454d8491181b2ec7a1bc130d007686754559674ef8f57c8a7d96ed3",
+    ("interval", "--lo", "100", "--hi", "120", "--y", "7", "--brute"):
+        "17d7efafa13905143e8007c3ae0482779b3a92c856a5f08506f2f36d06b991fa",
+}
+# (lo, hi] -> digest of the JSON list of brute-mode subsets
+SUBSET_DIGESTS = {
+    (0, 20): "943d76b65489b69f4edc760e9702f1e1f885e31f839c2f7baee69d0b19088ffe",
+    (100, 120): "5b3e1aa716bb2f8289c7fc3d01854ad63ca66987630e3c8a26411d89a3e9a556",
+}
 
 # values above this lie past the small table of the supplier, which does
 # not read it; searches read their vectors from sieve windows at every height
@@ -191,6 +209,19 @@ def test_golden_interval_kernels(small_supplier):
     for (lo, hi), digest in KERNEL_DIGESTS.items():
         e = enumerate_square_subsets(lo, hi, mode="kernel", supplier=small_supplier)
         assert _digest(json.dumps(e.kernel_basis)) == digest
+
+
+def test_golden_point_search_and_brute_interval_files(tmp_path):
+    out = tmp_path / "out.json"
+    for argv, digest in CLI_DIGESTS.items():
+        assert main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+def test_golden_brute_subsets():
+    for (lo, hi), digest in SUBSET_DIGESTS.items():
+        e = enumerate_square_subsets(lo, hi, mode="brute")
+        assert _digest(json.dumps(e.subsets)) == digest
 
 
 def _engine_tn(n, cap, supplier):

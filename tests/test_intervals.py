@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_square_subsets, count_tn_closed_per_n
+from oracles import brute_square_subsets, count_tn_closed_per_n, gray_code_square_subsets
+from tnlab import intervals, sieve
 from tnlab.errors import RangeError
 from tnlab.intervals import (check_interval_identity, count_tn_closed,
                              enumerate_square_subsets)
@@ -56,6 +57,32 @@ def test_enumerate_matches_multiplication_oracle(supplier):
     for lo, hi in [(1, 10), (20, 30), (47, 56), (90, 101)]:
         got = enumerate_square_subsets(lo, hi, supplier=supplier)
         assert sorted(got.subsets) == sorted(brute_square_subsets(lo, hi))
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=300),
+                 st.integers(min_value=0, max_value=10 ** 6)),
+       st.integers(min_value=1, max_value=20))
+@settings(max_examples=60, deadline=None)
+@example(0, 20)                     # 2^12 subsets, over 16 blocks
+@example(48, 1)                     # the only element, 49, is a square
+def test_enumerate_matches_the_gray_code_oracle(lo, length):
+    got = enumerate_square_subsets(lo, lo + length)
+    assert got.subsets == gray_code_square_subsets(lo, lo + length)
+    assert got.count == len(got.subsets)
+
+
+def test_brute_mode_counts_2_to_the_kernel_dimension_at_length_26(monkeypatch):
+    # 2^10 blocks of 2^16 subsets; the subsets come out in ascending
+    # characteristic-bitmask order, and brute mode reads no sieve window
+    # and calls nothing in gf2, so it stays an independent oracle
+    kernel = enumerate_square_subsets(0, 26, mode="kernel")
+    for name in ("kernel_masks", "mask_bits", "split_vectors"):
+        monkeypatch.setattr(intervals, name, None)
+    monkeypatch.setattr(sieve, "parity_windows", None)
+    brute = enumerate_square_subsets(0, 26)
+    assert brute.count == len(brute.subsets) == 2 ** len(kernel.kernel_basis) == 2 ** 17
+    masks = [sum(1 << (e - 1) for e in s) for s in brute.subsets]
+    assert masks == sorted(set(masks))
 
 
 def test_enumerate_guard(supplier):

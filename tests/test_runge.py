@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_integral_points
 from tnlab.errors import DomainError, RangeError
 from tnlab.runge import (RationalPoly, expand_offset_poly, height_bound,
                          near_square_decompose, offsets_near_square,
@@ -155,3 +156,35 @@ def test_search_finds_known_point():
 
 def test_search_x_limit_one():
     assert search_integral_points([0, 1, 2, 3], 1) == []
+
+
+
+@st.composite
+def offset_sets(draw):
+    """2u = 4..12 offsets from 0, with spans up to 5000."""
+    u = draw(st.integers(min_value=2, max_value=6))
+    span = draw(st.integers(min_value=2 * u - 1,
+                            max_value=draw(st.sampled_from([20, 60, 500, 5000]))))
+    interior = draw(st.lists(st.integers(min_value=1, max_value=span - 1),
+                             min_size=2 * u - 2, max_size=2 * u - 2, unique=True))
+    return [0] + sorted(interior) + [span]
+
+
+@given(offset_sets(), st.integers(min_value=1, max_value=5000))
+@settings(max_examples=200, deadline=None)
+def test_search_matches_the_per_x_oracle(offsets, x_limit):
+    # limits down to 1 against spans up to 5000, so that J often exceeds
+    # B = isqrt(x_limit + J) and two values of one x can share a large tag
+    assert search_integral_points(offsets, x_limit) == brute_integral_points(offsets, x_limit)
+
+
+@pytest.mark.parametrize("offsets, x_limit, point", [
+    ([0, 10, 13, 14], 18, (14, 504)),            # 7 divides 14 and 28, B = 5
+    ([0, 1, 2, 3, 4, 6, 7, 8], 15, (2, 720)),    # 5 divides 5 and 10, B = 4
+    ([0, 336, 2088, 2616], 2475, (29, 243455)),  # 73 divides 365 and 2117, B = 71 < J
+])
+def test_search_keeps_points_whose_large_tags_pair_up(offsets, x_limit, point):
+    # points of an x where two values share their prime above B
+    got = search_integral_points(offsets, x_limit)
+    assert point in got
+    assert got == brute_integral_points(offsets, x_limit)

@@ -293,12 +293,12 @@ def _calls(name: str) -> set[tuple[str, str]]:
 def test_one_reader_decides_where_p_plus_comes_from():
     # only p_plus_in reads a table's P+ array; tables are built only where
     # one prefix is read several times; besides sieve, only tn's runs and
-    # sweep read sieve windows
+    # sweep and runge's point search read sieve windows
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     assert _calls("build_spf_table") == {("cli.py", "_cmd_dist"), ("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
     assert {c for c in _calls("parity_windows") if c[0] != "sieve.py"} == \
-        {("tn.py", "_Run"), ("tn.py", "scan_t")}
+        {("tn.py", "_Run"), ("tn.py", "scan_t"), ("runge.py", "search_integral_points")}
 
 
 def test_one_exact_check_for_every_witness():
