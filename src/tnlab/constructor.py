@@ -10,13 +10,17 @@ point on the corresponding hyperelliptic curve. Every certificate is
 parity-verified at emission; count guarantees are asymptotic and only
 reported, never asserted.
 
-The kernel basis from gf2.kernel_masks is in systematic form [I | A]
+Certificates stay in kernel coordinates from the kernel to the chosen
+pair. gf2.kernel_masks returns the kernel in systematic form [I | A]
 (MacWilliams and Sloane, "The Theory of Error-Correcting Codes", 1977):
-each mask is its own dependent insertion plus independent insertions
-only. A family member is therefore read off its random selector directly,
-by spreading the selector onto the dependent positions and setting one
-parity bit per independent position, instead of XOR-ing about half of the
-basis per draw (at x = 10^6, 9700 masks over 9719 values, rank 19).
+each kernel vector is its own dependent insertion plus independent
+insertions only, given by its coordinates over those. A family member is
+therefore its random selector plus one parity bit per independent
+insertion, computed on packed uint64 words, instead of the XOR of about
+half of the basis (at x = 10^6, 9714 kernel vectors over 9733 values,
+rank 19). No mask of a kernel vector is built on the way: the widest
+pair is picked on these coordinates, and only its difference is spread
+back to the interval's values.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import PipelineFailed, RangeError, UsageError
-from .gf2 import kernel_masks, mask_bits
-from .sieve import (SpfTable, build_spf_table, p_plus_in, primes_up_to, smooth_in_interval,
-                    split_vectors)
+from .gf2 import Kernel, kernel_masks, mask_bits
+from .sieve import (SpfTable, build_spf_table, p_plus_in, pack_rows, primes_up_to,
+                    smooth_in_interval, split_vectors)
 from .tn import verify_witness
 
 EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
@@ -97,7 +101,7 @@ def build_small_tn(lo: int, hi: int, y: float,
         return None
     # pi(y) + 1 vectors over the primes up to y: the first dependency is
     # among them (pigeonhole)
-    first = kernel_masks(split_vectors(smooths[:prime_count + 1]))[0]
+    first = kernel_masks(split_vectors(smooths[:prime_count + 1])).masks()[0]
     members = [smooths[i] for i in mask_bits(first)]
     n = members[0]
     return n, tuple(v - n for v in members[1:])
@@ -108,8 +112,10 @@ def max_symdiff_pair(masks: Sequence[int]) -> tuple[int, int, int]:
     plus its size. Each subset is an int mask (bit b set when element b is
     a member), so the difference of a pair is the popcount of its XOR.
 
-    Exhaustive pair scan up to EXHAUSTIVE_PAIR_LIMIT subsets; beyond that, one
-    anchor set is fixed and scanned against all others (the counting
+    The masks are packed into uint64 rows once. Up to EXHAUSTIVE_PAIR_LIMIT
+    subsets every pair is scanned, one row against the rows after it per
+    numpy pass; ties go to the lexicographically first pair. Beyond that,
+    one anchor set is fixed and scanned against all others (the counting
     argument guarantees the anchor already sees a far set when the family
     is large enough).
     """
@@ -118,24 +124,26 @@ def max_symdiff_pair(masks: Sequence[int]) -> tuple[int, int, int]:
         raise UsageError("need at least 2 subsets")
     if len(set(masks)) != k:
         raise UsageError("subsets must be distinct")
+    return _widest_rows(pack_rows(masks, max(m.bit_length() for m in masks) // 64 + 1))
 
-    best = (-1, 0, 0)
+
+def _widest_rows(rows: np.ndarray) -> tuple[int, int, int]:
+    """max_symdiff_pair on distinct subsets packed as the rows of a uint64
+    array; the bit order within a row does not matter."""
+    k = len(rows)
     if k <= EXHAUSTIVE_PAIR_LIMIT:
-        for i in range(k):
-            mi = masks[i]
-            for j in range(i + 1, k):
-                d = (mi ^ masks[j]).bit_count()
-                if d > best[0]:
-                    best = (d, i, j)
+        best = (-1, 0, 0)
+        for i in range(k - 1):
+            sizes = np.bitwise_count(rows[i + 1:] ^ rows[i]).sum(axis=1)
+            j = int(sizes.argmax())  # the first j at the row's largest size
+            if sizes[j] > best[0]:
+                best = (int(sizes[j]), i, i + 1 + j)
     else:
-        anchor = next(i for i, m in enumerate(masks) if m)
-        ma = masks[anchor]
-        for j in range(k):
-            if j == anchor:
-                continue
-            d = (ma ^ masks[j]).bit_count()
-            if d > best[0]:
-                best = (d, min(anchor, j), max(anchor, j))
+        anchor = int(rows.any(axis=1).argmax())  # the first set that is not empty
+        # the anchor's own size is 0, below that of every other set
+        sizes = np.bitwise_count(rows ^ rows[anchor]).sum(axis=1)
+        j = int(sizes.argmax())
+        best = (int(sizes[j]), min(anchor, j), max(anchor, j))
     return best[1], best[2], best[0]
 
 
@@ -232,8 +240,8 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     t1 = time.perf_counter()
     y_int = int(math.floor(y))
     smooths = smooth_in_interval(lo, hi, y_int, table)
-    masks = kernel_masks(split_vectors(smooths))
-    dim = len(masks)
+    kernel = kernel_masks(split_vectors(smooths))
+    dim = len(kernel)
     prime_count = len(primes_up_to(y_int))
     timings["kernel"] = time.perf_counter() - t1
     if dim == 0:
@@ -241,16 +249,15 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
 
     t2 = time.perf_counter()
     rng = random.Random(seed)
-    family = _draw_family(masks, rng, family_size)
+    family = _draw_family(kernel, rng, family_size)
     if len(family) < 2:
         raise PipelineFailed("family", "fewer than 2 distinct kernel members drawn")
-    i, j, size = max_symdiff_pair(family)
+    positions, size = _widest_pair(kernel, family)
     timings["symdiff"] = time.perf_counter() - t2
     if size < 2:
         raise PipelineFailed("symdiff", "largest symmetric difference has < 2 elements")
 
-    union = family[i] ^ family[j]
-    members = sorted(smooths[b] for b in mask_bits(union))
+    members = [smooths[b] for b in positions]
     n = members[0]
     span = members[-1] - n
     interior = tuple(m - n for m in members[1:-1])
@@ -269,69 +276,60 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     )
 
 
-def _draw_family(masks: list[int], rng: random.Random, family_size: int) -> list[int]:
-    """Distinct kernel members, each the XOR of the masks that a selector
-    sel picks (bit k of sel picks masks[k]): all 2^dim members, sorted,
-    when they fit in the family, otherwise those of seeded random
-    selectors, in order of first appearance, within 8 * family_size draws.
+def _draw_family(kernel: Kernel, rng: random.Random, family_size: int) -> list[int]:
+    """Selectors of distinct kernel members, in family order: bit k of sel
+    picks the k-th kernel vector, kernel.masks()[k]. The kernel vectors
+    are independent, so distinct selectors give distinct members. All 2^dim
+    selectors, in the order of the value of their member, when they fit in
+    the family; otherwise seeded random selectors, in order of first
+    appearance, within 8 * family_size draws.
 
-    The kernel basis is in systematic form [I | A] (MacWilliams and
-    Sloane, "The Theory of Error-Correcting Codes", 1977): the top bit of
-    masks[k] is its own dependent insertion index, and its other bits lie
-    only at independent positions, where no mask has its top bit. A
-    member is therefore sel spread onto the dependent positions, plus one
-    parity bit per independent position, computed by _member_map without
-    touching the masks again.
+    The value order of the members is the order of their selectors: the
+    top bit of the k-th kernel vector is its dependent insertion, and its
+    other bits lie below it, so the top bit of a member is the dependent
+    insertion of the top bit of its selector, and the dependent
+    insertions ascend with k.
     """
-    dim = len(masks)
-    member = _member_map(masks)
+    dim = len(kernel)
     if dim <= 12 and 2 ** dim <= max(family_size, 2):
-        # the masks are independent, so the members are distinct
-        return sorted(member(sel) for sel in range(2 ** dim))
+        return list(range(2 ** dim))
     seen = {}
     attempts = 0
     while len(seen) < family_size and attempts < 8 * family_size:
         attempts += 1
-        seen.setdefault(member(rng.getrandbits(dim)), None)
+        seen.setdefault(rng.getrandbits(dim), None)
     return list(seen)
 
 
-def _member_map(masks: list[int]) -> Callable[[int], int]:
-    """The map sel -> XOR of the masks[k] with bit k of sel set, for a
-    kernel basis in systematic form (see _draw_family).
+def _widest_pair(kernel: Kernel, family: list[int]) -> tuple[list[int], int]:
+    """The insertion indices, ascending, of the symmetric difference of the
+    family's widest pair (the pair max_symdiff_pair picks), and its size.
 
-    For an independent position i, bit k of column i is set when masks[k]
-    has bit i, so the member's bit i is the parity of sel AND column i.
-    The columns are read off one array of the masks' low words and packed
-    once each, in time linear in the masks.
+    The kernel is in systematic form (gf2.Kernel): the member of a selector
+    sel holds the dependent vectors at the set bits of sel and, for each
+    independent insertion i, the vector i when the parity of sel AND
+    column i is odd, where bit k of column i is bit i of coords[k]. In
+    kernel coordinates the member is one packed row: the words of sel, then
+    the words of its parity bits, one per independent insertion. These
+    coordinates are a fixed bit permutation of the member's mask, which
+    keeps XOR and popcount, so the pair is picked on them and only its
+    difference is spread back.
     """
-    tops = [m.bit_length() - 1 for m in masks]
-    dependent = set(tops)
-    free = [i for i in range(max(tops, default=0)) if i not in dependent]
-    columns = []
-    if free:
-        # the low words of every mask, as one array: they hold every bit
-        # at an independent position, and only column i of it is read
-        width = (free[-1] >> 6) + 1
-        low = (1 << 64 * width) - 1
-        words = np.frombuffer(b"".join((m & low).to_bytes(8 * width, "little") for m in masks),
-                              dtype="<u8").reshape(len(masks), width)
-        for i in free:
-            column = (words[:, i >> 6] >> np.uint64(i & 63)) & np.uint64(1)
-            if column.any():
-                packed = np.packbits(column.astype(np.uint8), bitorder="little").tobytes()
-                columns.append((1 << i, int.from_bytes(packed, "little")))
-
-    def member(sel: int) -> int:
-        m = sel
-        for i in free:
-            # doubling the part at and above i moves it up one place and
-            # leaves bit i clear: sel's k-th bit lands on the k-th dependent
-            # position once every independent position below it is passed
-            m += m >> i << i
-        for bit, column in columns:
-            if (sel & column).bit_count() & 1:
-                m |= bit
-        return m
-
-    return member
+    dim = len(kernel)
+    words = dim // 64 + 1
+    slots = kernel.independent  # every bit of coords lies at one of them
+    coords = pack_rows(kernel.coords, slots[-1] // 64 + 1 if slots else 1)
+    columns = np.zeros((len(slots), 8 * words), dtype=np.uint8)
+    for s, i in enumerate(slots):
+        column = (coords[:, i >> 6] >> np.uint64(i & 63)).astype(np.uint8) & 1
+        columns[s, :(dim + 7) // 8] = np.packbits(column, bitorder="little")
+    selectors = pack_rows(family, words)
+    parities = np.zeros((len(family), 64 * (len(slots) // 64 + 1)), dtype=np.uint8)
+    for s, column in enumerate(columns.view("<u8")):
+        parities[:, s] = np.bitwise_count(selectors & column).sum(axis=1) & 1
+    i, j, size = _widest_rows(np.hstack(
+        [selectors, np.packbits(parities, axis=1, bitorder="little").view("<u8")]))
+    union = np.unpackbits((selectors[i] ^ selectors[j]).view(np.uint8), bitorder="little")
+    positions = [kernel.dependent[b] for b in np.flatnonzero(union).tolist()]
+    positions += [slots[s] for s in np.flatnonzero(parities[i] ^ parities[j]).tolist()]
+    return sorted(positions), size

@@ -40,6 +40,9 @@ the vector with the same q: tn's search then skips to it, adding the
 skipped count to `inserted` (see tn._search). Such a search keeps the
 rows of its first insertions up to saturation, plus the partner: O(s)
 rows and pi(B) * s bits of masks after s insertions, whatever t is.
+Kernels use the same fact: once the small basis is full, a vector
+without a large tag is dependent, and its combination is a fixed linear
+map of its bits (see kernel_masks).
 
 Entry points. There are two elimination primitives over the same split
 vectors, because they answer two different questions.
@@ -52,9 +55,13 @@ vectors, because they answer two different questions.
   constructor's parity kernel. Its split vectors come from
   sieve.parity_windows: kernels take them through sieve.split_vectors,
   the one place that picks the bound of a batch, and span searches read
-  the windows directly. Every dependency comes out as a combination mask
-  over insertion indices; callers map set bits back to their own values
-  with mask_bits.
+  the windows directly. A kernel comes out in systematic form (Kernel):
+  the dependent and independent insertion indices, and each dependent
+  vector's coordinates over the independent ones. The constructor works
+  on those coordinates; the callers that read whole dependencies take
+  Kernel.masks(), combination masks over insertion indices, and map set
+  bits back to their own values with mask_bits, as the span search does
+  with its witness masks.
 - SweepBasis answers "which n closes here?". It keeps no masks: each row
   carries only the smallest insertion index among the vectors XOR-ed into
   it, and a pivot keeps the row whose start is latest. One left-to-right
@@ -73,6 +80,10 @@ integer square root of the product.
 from __future__ import annotations
 
 from typing import Iterable, Optional
+
+import numpy as np
+
+from .sieve import pack_rows, row_bits
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -219,17 +230,84 @@ class SweepBasis:
         return start if start < index else None
 
 
-def kernel_masks(vectors: Iterable[tuple[int, int]]) -> list[int]:
-    """Kernel basis of an ordered family of split vectors (q, bits).
+class Kernel:
+    """The kernel of an ordered family of split vectors, in systematic
+    form [I | A] (MacWilliams and Sloane, "The Theory of Error-Correcting
+    Codes", 1977).
 
-    One mask per dependent insertion, in insertion order: bit i selects
-    the i-th vector, and the selected vectors XOR to zero. The masks are
-    independent and span the kernel.
+    `independent` holds the insertion indices of the vectors that extended
+    the basis and `dependent` those of the others, each ascending. The k-th
+    dependent vector XORs to zero with the independent vectors at the set
+    bits of coords[k], its coordinates: a mask over insertion indices with
+    bits at independent ones only. len() is the kernel dimension.
+    """
+
+    __slots__ = ("dependent", "independent", "coords")
+
+    def __init__(self, dependent: list[int], independent: list[int], coords: list[int]):
+        self.dependent = dependent
+        self.independent = independent
+        self.coords = coords
+
+    def __len__(self) -> int:
+        return len(self.dependent)
+
+    def masks(self) -> list[int]:
+        """One mask per dependent insertion, in insertion order: bit i
+        selects the i-th vector, and the selected vectors XOR to zero. The
+        masks are independent and span the kernel."""
+        return [coords | 1 << index for index, coords in zip(self.dependent, self.coords)]
+
+
+def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:
+    """The kernel of an ordered family of split vectors (q, bits), in
+    systematic form; Kernel.masks() gives it as combination masks.
+
+    Vectors go into a SplitBasis one at a time until its small basis is
+    full (small_rank == width). From then on a vector without a large tag
+    is dependent, and its coordinates are a fixed linear map of its bits:
+    the XOR of the coordinates of the unit vectors at its set bits. The
+    width unit vectors are reduced once, and the coordinates of all such
+    vectors come from one numpy XOR pass per bit. Vectors with a large tag
+    still go into the basis one at a time, since a new tag extends it.
     """
     vectors = list(vectors)
-    basis = SplitBasis(max((bits.bit_length() for _, bits in vectors), default=0))
-    out = []
+    width = max((bits.bit_length() for _, bits in vectors), default=0)
+    basis = SplitBasis(width)
+    dependent, independent, coords = [], [], []
+    saturated, saturated_bits = [], []  # vectors past saturation without a tag
+    full = width == 0  # small_rank == width, which only an independent vector changes
     for index, (q, bits) in enumerate(vectors):
-        if basis.insert(q, bits) is None:
-            out.append(basis.reduce(q, bits, 1 << index)[2])
-    return out
+        if full and not q:
+            basis.inserted += 1  # large rows keep their insertion index
+            saturated.append(index)
+            saturated_bits.append(bits)
+        elif basis.insert(q, bits) is None:
+            dependent.append(index)
+            coords.append(basis.reduce(q, bits)[2])
+        else:
+            independent.append(index)
+            full = basis.small_rank == width
+    found = []
+    if saturated:
+        found = _linear_map([basis.reduce(0, 1 << b)[2] for b in range(width)], saturated_bits)
+    if saturated and dependent and dependent[-1] > saturated[0]:
+        # late vectors with a large tag fell in between
+        pairs = sorted(zip(dependent + saturated, coords + found))
+        dependent, coords = [index for index, _ in pairs], [c for _, c in pairs]
+    else:
+        dependent += saturated
+        coords += found
+    return Kernel(dependent, independent, coords)
+
+
+def _linear_map(images: list[int], values: list[int]) -> list[int]:
+    """For each value, the XOR of images[b] over its set bits b."""
+    width = len(images)
+    words = max((image.bit_length() for image in images), default=0) // 64 + 1
+    rows = pack_rows(values, width // 64 + 1)
+    out = np.zeros((len(values), words), dtype="<u8")
+    for b, image in enumerate(pack_rows(images, words)):
+        column = (rows[:, b >> 6] >> np.uint64(b & 63)) & np.uint64(1)
+        out ^= column[:, None] * image
+    return row_bits(out)

@@ -21,7 +21,7 @@ from .errors import RangeError
 from .gf2 import kernel_masks, mask_bits
 from .sieve import primes_up_to, smooth_in_interval, split_vectors
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
-# by name until the tracer reads in-tree counters (ROADMAP item 3)
+# by name until the tracer reads in-tree counters (ROADMAP item 2)
 from .tn import ParitySupplier, compute_tn, scan_t  # noqa: F401
 
 BRUTE_LENGTH_GUARD = 30
@@ -135,7 +135,7 @@ def _subset_xors(vecs: np.ndarray) -> np.ndarray:
 
 def _kernel_sets(elements: list[int]) -> list[tuple[int, ...]]:
     return [tuple(elements[i] for i in mask_bits(mask))
-            for mask in kernel_masks(split_vectors(elements))]
+            for mask in kernel_masks(split_vectors(elements)).masks()]
 
 
 @dataclass(frozen=True)

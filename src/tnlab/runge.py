@@ -252,9 +252,11 @@ def search_integral_points(offsets: Sequence[int], x_limit: int) -> list[tuple[i
     exactly when the word rows of the x + j XOR to zero and its 2u large
     tags pair up: sorted, each adjacent pair is equal (two values share a
     tag only when it divides a difference of offsets, so only when it is
-    <= J). The tags are read only on rows whose XOR is zero. A window's
-    rows are kept for the next one only as far as its last J values, so
-    memory is O(window + J) rows.
+    <= J). The tags are read only on rows whose XOR is zero. The rows of
+    the x not yet searched, at most J of them between full windows, are
+    held for the next window; only they and the window's first J rows are
+    concatenated, into the seam, and the rest of the window is searched
+    where it lies. Memory is O(window + J) rows.
 
     Every hit is multiplied out and kept only if its integer square root
     squares back to the product; nothing is evaluated in floating point.
@@ -267,30 +269,46 @@ def search_integral_points(offsets: Sequence[int], x_limit: int) -> list[tuple[i
     u = len(offsets) // 2
     span = offsets[-1]
     bound = height_bound(u, span)
-    offs = np.array(offsets, dtype=np.int64)
     top = x_limit + span
     out = []
     first = 1  # the least x not yet searched
     held = None  # the rows of first, first + 1, ... read so far
     for _, large, words, _ in parity_windows(1, top + 1, isqrt(top)):
-        if held is not None:
-            large, words = np.concatenate((held[0], large)), np.concatenate((held[1], words))
-        # the rows held are of first, ..., first + len(large) - 1: search
-        # the x whose x + J is among them
-        count = max(0, min(len(large) - span, x_limit - first + 1))
-        acc = words[:count].copy()  # the offsets start at 0
-        for j in offsets[1:]:
-            acc ^= words[j:j + count]
-        rows = np.flatnonzero(~acc.any(axis=1))
-        if len(rows):
-            tags = np.sort(large[rows[:, None] + offs], axis=1)
-            rows = rows[(tags[:, 0::2] == tags[:, 1::2]).all(axis=1)]
-        for x in (rows + first).tolist():
+        h = 0 if held is None else len(held[0])
+        # search the x whose x + J is among the rows held and the window's
+        count = max(0, min(h + len(large) - span, x_limit - first + 1))
+        hits = []
+        if h:
+            seam = (np.concatenate((held[0], large[:span])),
+                    np.concatenate((held[1], words[:span])))
+            hits += _square_rows(*seam, offsets, min(count, h))
+        if count > h:
+            hits += [h + row for row in _square_rows(large, words, offsets, count - h)]
+        for x in hits:
+            x += first
             m = prod(x + j for j in offsets)
             r = isqrt(m)
             if r * r == m:
                 assert x <= bound
                 out.append((x, r))
-        held = large[count:], words[count:]
+        if count >= h:
+            held = large[count - h:].copy(), words[count - h:].copy()
+        else:
+            held = (np.concatenate((held[0][count:], large)),
+                    np.concatenate((held[1][count:], words)))
         first += count
     return out
+
+
+def _square_rows(large: np.ndarray, words: np.ndarray, offsets: Sequence[int],
+                 count: int) -> list[int]:
+    """The rows x < count whose rows x + j, over the offsets, XOR to zero
+    and have large tags that pair up."""
+    acc = words[:count].copy()  # the offsets start at 0
+    for j in offsets[1:]:
+        acc ^= words[j:j + count]
+    rows = np.flatnonzero(~acc.any(axis=1))
+    if len(rows):
+        tags = np.sort(large[rows[:, None] + np.array(offsets)], axis=1)
+        rows = rows[(tags[:, 0::2] == tags[:, 1::2]).all(axis=1)]
+    return rows.tolist()

@@ -224,6 +224,16 @@ _FIRST_WINDOW = 1 << 10
 Window = tuple[int, np.ndarray, np.ndarray, np.ndarray]
 
 
+def pack_rows(values: Sequence[int], words: int) -> np.ndarray:
+    """Non-negative ints below 2^(64 words) as the rows of a little-endian
+    uint64 array of shape (len(values), words), the layout of a window's
+    word array; row_bits reads them back."""
+    if words == 1:
+        return np.array(values, dtype="<u8").reshape(len(values), 1)
+    packed = b"".join(value.to_bytes(8 * words, "little") for value in values)
+    return np.frombuffer(packed, dtype="<u8").reshape(len(values), words)
+
+
 def row_bits(words: np.ndarray) -> list[int]:
     """Each row of a window's word array as a Python int: the `bits` of
     its split vector."""

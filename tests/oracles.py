@@ -6,7 +6,8 @@ of sieve windows, exhaustive subset search instead of GF(2) elimination, plain q
 Expected values frozen into tests were computed with these. The
 exceptions are the per-n loops at the end, which run one compute_tn
 search per value where the library now runs one sweep or one window pass,
-and tn_without_jump, the span search as it was before the saturation jump.
+tn_without_jump, the span search as it was before the saturation jump,
+and per_vector_kernel_masks, the kernel as it was before its linear map.
 """
 
 from itertools import combinations
@@ -227,6 +228,41 @@ def frozenset_tn(n: int, cap: int, support=odd_support):
             if not residual:
                 return j, tuple(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
     return None
+
+
+def per_vector_kernel_masks(vectors) -> list[int]:
+    """gf2.kernel_masks(vectors).masks() as it was computed before the
+    saturated kernel: every vector goes into one SplitBasis, and each
+    dependent one is reduced to its combination mask."""
+    vectors = list(vectors)
+    basis = SplitBasis(max((bits.bit_length() for _, bits in vectors), default=0))
+    out = []
+    for index, (q, bits) in enumerate(vectors):
+        if basis.insert(q, bits) is None:
+            out.append(basis.reduce(q, bits, 1 << index)[2])
+    return out
+
+
+def pair_loop_max_symdiff(masks: list[int], limit: int) -> tuple[int, int, int]:
+    """max_symdiff_pair as a pure-Python loop over int masks: every pair
+    up to `limit` masks, the lexicographically first of the widest;
+    beyond that, the first mask that is not empty against all others."""
+    best = (-1, 0, 0)
+    if len(masks) <= limit:
+        for i in range(len(masks)):
+            for j in range(i + 1, len(masks)):
+                d = (masks[i] ^ masks[j]).bit_count()
+                if d > best[0]:
+                    best = (d, i, j)
+    else:
+        anchor = next(i for i, m in enumerate(masks) if m)
+        for j in range(len(masks)):
+            if j == anchor:
+                continue
+            d = (masks[anchor] ^ masks[j]).bit_count()
+            if d > best[0]:
+                best = (d, min(anchor, j), max(anchor, j))
+    return best[1], best[2], best[0]
 
 
 def xor_draw_family(masks: list[int], rng, family_size: int) -> list[int]:

@@ -1,17 +1,20 @@
 import math
 import random
+import tracemalloc
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import xor_draw_family
+from oracles import pair_loop_max_symdiff, xor_draw_family
 from tnlab import constructor
-from tnlab.constructor import (_draw_family, build_small_tn, construct_curve_point,
+from tnlab.constructor import (_draw_family, _widest_pair, build_small_tn, construct_curve_point,
                                find_smooth_rich_intervals, max_symdiff_pair)
 from tnlab.errors import PipelineFailed, RangeError, UsageError
-from tnlab.gf2 import kernel_masks
+from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.sieve import build_spf_table, smooth_in_interval, split_vectors
 from tnlab.tn import compute_tn, verify_witness
 
@@ -173,9 +176,33 @@ def test_curve_point_rejects_a_family_below_two_before_sieving(monkeypatch):
 
 
 def run_kernel(lo, length, dim):
-    """The first dim masks of the kernel of lo+1, ..., lo+length, which
-    are the kernel of the values up to its dim-th dependency."""
-    return kernel_masks(split_vectors(list(range(lo + 1, lo + length + 1))))[:dim]
+    """The kernel of lo+1, ..., lo+length up to its dim-th dependency: its
+    masks are the first dim masks of the whole range's kernel."""
+    values = list(range(lo + 1, lo + length + 1))
+    whole = kernel_masks(split_vectors(values))
+    if not whole:
+        return whole
+    kernel = kernel_masks(split_vectors(values[:whole.dependent[:dim][-1] + 1]))
+    assert kernel.masks() == whole.masks()[:dim]
+    return kernel
+
+
+def members_of(masks, selectors):
+    """The kernel member of each selector: the XOR of the masks it picks."""
+    return [reduce(xor, (masks[k] for k in mask_bits(sel)), 0) for sel in selectors]
+
+
+def check_family_and_pair(kernel, seed, family_size):
+    """_draw_family and _widest_pair against the XOR draw and the pure-Python
+    pair loop on the kernel's masks; returns the family size."""
+    masks = kernel.masks()
+    family = _draw_family(kernel, random.Random(seed), family_size)
+    expected = xor_draw_family(masks, random.Random(seed), family_size)
+    assert members_of(masks, family) == expected
+    if len(expected) >= 2:
+        i, j, size = pair_loop_max_symdiff(expected, constructor.EXHAUSTIVE_PAIR_LIMIT)
+        assert _widest_pair(kernel, family) == (mask_bits(expected[i] ^ expected[j]), size)
+    return len(family)
 
 
 @given(st.integers(min_value=0, max_value=2 * 10 ** 5), st.integers(min_value=2, max_value=1200),
@@ -183,10 +210,9 @@ def run_kernel(lo, length, dim):
        st.integers(min_value=2, max_value=256))
 @settings(max_examples=80, deadline=None)
 def test_draw_family_matches_xor_oracle(lo, length, dim, seed, family_size):
-    masks = run_kernel(lo, length, dim)
-    assume(masks)
-    assert _draw_family(masks, random.Random(seed), family_size) == \
-        xor_draw_family(masks, random.Random(seed), family_size)
+    kernel = run_kernel(lo, length, dim)
+    assume(kernel)
+    check_family_and_pair(kernel, seed, family_size)
 
 
 @pytest.mark.parametrize("dim, family_size, seed, drawn", [
@@ -195,8 +221,45 @@ def test_draw_family_matches_xor_oracle(lo, length, dim, seed, family_size):
     (8, 255, 223, 254),  # random draws, stopped by the 8 * 255 attempt cap
 ])
 def test_draw_family_matches_xor_oracle_at_the_edges(dim, family_size, seed, drawn):
-    masks = run_kernel(1000, 300, dim)
-    assert len(masks) == dim
-    family = _draw_family(masks, random.Random(seed), family_size)
-    assert family == xor_draw_family(masks, random.Random(seed), family_size)
-    assert len(family) == drawn
+    kernel = run_kernel(1000, 300, dim)
+    assert len(kernel) == dim
+    assert check_family_and_pair(kernel, seed, family_size) == drawn
+
+
+@given(st.integers(min_value=0, max_value=2 * 10 ** 5), st.integers(min_value=2, max_value=600),
+       st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=2, max_value=64))
+@settings(max_examples=40, deadline=None)
+def test_widest_pair_matches_the_anchor_oracle(lo, length, dim, seed, limit):
+    # families above the limit are scanned from one anchor only
+    kernel = run_kernel(lo, length, dim)
+    assume(kernel)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructor, "EXHAUSTIVE_PAIR_LIMIT", limit)
+        check_family_and_pair(kernel, seed, 128)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 8 - 1), min_size=2, max_size=60,
+                unique=True),
+       st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=70))
+@settings(max_examples=150, deadline=None)
+def test_max_symdiff_matches_the_pair_loop(masks, shift, limit):
+    # eight-bit masks tie often, so the tie rule is exercised; the shift
+    # moves them across word boundaries
+    masks = [m << 60 * shift for m in masks]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constructor, "EXHAUSTIVE_PAIR_LIMIT", limit)
+        assert max_symdiff_pair(masks) == pair_loop_max_symdiff(masks, limit)
+
+
+def test_curve_point_memory_stays_under_its_stated_peak():
+    # the P+ arrays of the 10^6 table (16 MB) and the parity windows of the
+    # interval set the peak, 22.3 MB; one mask per kernel vector, as kept
+    # before, took it to 25.4 MB
+    tracemalloc.start()
+    try:
+        construct_curve_point(10 ** 6, 0.5, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 10 ** 6

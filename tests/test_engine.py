@@ -285,7 +285,7 @@ def split_vector_families(draw):
 @settings(max_examples=150, deadline=None)
 def test_kernel_masks_match_frozenset_oracle(family):
     vectors, supports = family
-    masks = kernel_masks(vectors)
+    masks = kernel_masks(vectors).masks()
     assert masks == frozenset_kernel_masks(supports)
     for m in masks:
         acc = frozenset()

@@ -1,9 +1,10 @@
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import frozenset_kernel_masks
+from oracles import frozenset_kernel_masks, per_vector_kernel_masks
+from tnlab import gf2
 from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
-from tnlab.sieve import split_vectors
+from tnlab.sieve import smooth_in_interval, split_vectors
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 RANK = {p: r for r, p in enumerate(PRIMES)}
@@ -106,9 +107,9 @@ def test_pivot_is_largest_support_prime():
 
 
 def test_nullspace_examples():
-    assert kernel_masks([vec(2), vec(3), vec(2, 3)]) == [0b111]
-    assert kernel_masks([vec(), vec(2)]) == [0b1]
-    assert kernel_masks([vec(2, q=101), vec(3), vec(2, 3, q=101)]) == [0b111]
+    assert kernel_masks([vec(2), vec(3), vec(2, 3)]).masks() == [0b111]
+    assert kernel_masks([vec(), vec(2)]).masks() == [0b1]
+    assert kernel_masks([vec(2, q=101), vec(3), vec(2, 3, q=101)]).masks() == [0b111]
 
 
 def test_nullspace_window_example(supplier):
@@ -116,7 +117,7 @@ def test_nullspace_window_example(supplier):
     # ({49} and {48, 50, 54}, since 48*50*54 = 360^2), so the kernel has
     # dimension 2 (rank 3 out of 5 vectors).
     values = [49, 50, 54, 56, 48]
-    masks = kernel_masks(split_vectors(values))
+    masks = kernel_masks(split_vectors(values)).masks()
     assert [{values[i] for i in mask_bits(m)} for m in masks] == [{49}, {48, 50, 54}]
     for m in masks:
         acc = frozenset()
@@ -130,7 +131,7 @@ def test_kernel_masks_matches_nullspace(supplier):
     # in the same order, so they give the same kernel masks; 1034 = 2*11*47
     # and 1081 = 23*47 share 47, a prime above the batch bound isqrt(1081)
     for values in ([49, 50, 54, 56, 48], [1034, 1040, 1053, 1058, 1081, 1078, 1050]):
-        assert kernel_masks(split_vectors(values)) == \
+        assert kernel_masks(split_vectors(values)).masks() == \
             frozenset_kernel_masks(supplier.support(m) for m in values)
 
 
@@ -174,7 +175,7 @@ def test_witness_soundness(vecs):
     for v in vecs:
         insert(b, vs, v)
     express(b, vs, vec(2, 3))
-    for mask in kernel_masks(vecs):
+    for mask in kernel_masks(vecs).masks():
         assert mask and not combine(vecs, mask)
 
 
@@ -192,10 +193,99 @@ def test_kernel_masks_are_in_systematic_form(lo, length, shuffle, rng):
     vectors = split_vectors(values)
     basis = SplitBasis(max(bits.bit_length() for _, bits in vectors))
     dependent = [i for i, v in enumerate(vectors) if basis.insert(*v) is None]
-    masks = kernel_masks(vectors)
+    kernel = kernel_masks(vectors)
+    masks = kernel.masks()
     tops = [m.bit_length() - 1 for m in masks]
-    assert tops == dependent
+    assert tops == dependent == kernel.dependent
+    assert sorted(kernel.dependent + kernel.independent) == list(range(len(vectors)))
     assert all(a < b for a, b in zip(tops, tops[1:]))
     dependent_bits = sum(1 << i for i in dependent)
     for m, top in zip(masks, tops):
         assert m & dependent_bits == 1 << top
+
+
+def linear_map_count(vectors):
+    """How many vectors come without a large tag after the small basis of
+    the batch is full: kernel_masks takes their coordinates from its
+    linear map."""
+    width = max((bits.bit_length() for _, bits in vectors), default=0)
+    basis, count = SplitBasis(width), 0
+    for q, bits in vectors:
+        if not q and basis.small_rank == width:
+            count += 1
+        else:
+            basis.insert(q, bits)
+    return count
+
+
+def check_kernel(vectors):
+    """kernel_masks against the per-vector oracle, and its systematic form."""
+    kernel = kernel_masks(vectors)
+    assert kernel.masks() == per_vector_kernel_masks(vectors)
+    assert len(kernel) == len(kernel.dependent) == len(kernel.coords)
+    assert sorted(kernel.dependent + kernel.independent) == list(range(len(vectors)))
+    independent = sum(1 << i for i in kernel.independent)
+    assert all(coords | independent == independent for coords in kernel.coords)
+
+
+def test_kernel_of_empty_and_one_vector_batches():
+    for vectors in ([], [vec()], [vec(2)], [vec(q=101)], [vec(3, q=103)]):
+        check_kernel(vectors)
+    assert kernel_masks([vec()]).masks() == [0b1]
+    assert len(kernel_masks([])) == len(kernel_masks([vec(2)])) == 0
+
+
+@given(vector_batches())
+@settings(max_examples=120)
+def test_kernel_matches_per_vector_oracle_on_small_batches(vecs):
+    check_kernel(vecs)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=1500))
+@example(1000, 300)   # fills at vector 44; later, 1065 = 15*71 makes a large row
+@example(200000, 1000)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_per_vector_oracle_on_ranges(lo, length):
+    check_kernel(split_vectors(list(range(lo + 1, lo + length + 1))))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=50, max_value=4000),
+       st.integers(min_value=2, max_value=40))
+@example(206497, 3000, 37)
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_per_vector_oracle_on_smooth_batches(lo, length, y):
+    check_kernel(split_vectors(smooth_in_interval(lo, lo + length, y)))
+
+
+def test_smooth_and_range_batches_reach_the_linear_map():
+    # the examples above do take the saturated path: 58 of 75 smooth
+    # values, and 68 of 300 values in a range
+    assert linear_map_count(split_vectors(smooth_in_interval(206497, 209497, 37))) == 58
+    assert linear_map_count(split_vectors(list(range(1001, 1301)))) == 68
+
+
+def test_curve_point_batch_takes_the_linear_map(monkeypatch):
+    # the 70-smooth values of the interval of construct_curve_point(10^6):
+    # 19 bits, full after 20 vectors, so 9713 of the 9714 dependencies
+    # come from the map
+    vectors = split_vectors(smooth_in_interval(206497, 412994, 70))
+    assert len(vectors) == 9733
+    assert linear_map_count(vectors) == 9713
+    mapped = []
+    linear_map = gf2._linear_map
+    monkeypatch.setattr(gf2, "_linear_map",
+                        lambda images, values: mapped.append(len(values)) or linear_map(images, values))
+    assert kernel_masks(vectors).masks() == per_vector_kernel_masks(vectors)
+    assert mapped == [9713]
+
+
+@given(st.integers(min_value=10 ** 8, max_value=10 ** 9), st.integers(min_value=1, max_value=40))
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_per_vector_oracle_on_batches_that_never_fill(lo, length):
+    # near 10^9 a run of up to 40 values has far more small primes than
+    # values, so its small basis does not fill; only a run of squares, of
+    # width 0, is full from the start
+    vectors = split_vectors(list(range(lo + 1, lo + length + 1)))
+    assume(any(bits for _, bits in vectors))
+    assert linear_map_count(vectors) == 0
+    check_kernel(vectors)

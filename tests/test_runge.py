@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_integral_points
+from tnlab import runge
 from tnlab.errors import DomainError, RangeError
 from tnlab.runge import (RationalPoly, expand_offset_poly, height_bound,
                          near_square_decompose, offsets_near_square,
@@ -176,6 +177,26 @@ def test_search_matches_the_per_x_oracle(offsets, x_limit):
     # limits down to 1 against spans up to 5000, so that J often exceeds
     # B = isqrt(x_limit + J) and two values of one x can share a large tag
     assert search_integral_points(offsets, x_limit) == brute_integral_points(offsets, x_limit)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 64])
+def test_search_is_unchanged_by_window_sizes(monkeypatch, rows):
+    # windows of a few rows, shorter and longer than the span J, so that
+    # points sit across the seams between windows
+    windows = runge.parity_windows
+
+    def short_windows(a, b, bound):
+        for start, large, words, p_plus in windows(a, b, bound):
+            for i in range(0, len(large), rows):
+                yield start + i, large[i:i + rows], words[i:i + rows], p_plus[i:i + rows]
+
+    monkeypatch.setattr(runge, "parity_windows", short_windows)
+    for offsets, x_limit in [([0, 10, 13, 14], 18), ([0, 1, 2, 3, 4, 6, 7, 8], 15),
+                             ([0, 336, 2088, 2616], 2475), ([0, 1, 2, 4], 2000),
+                             ([0, 13, 22, 36], 300), ([0, 14, 28, 72], 400),
+                             ([0, 18, 57, 76], 1100)]:
+        points = search_integral_points(offsets, x_limit)
+        assert points and points == brute_integral_points(offsets, x_limit)
 
 
 @pytest.mark.parametrize("offsets, x_limit, point", [
