@@ -52,23 +52,24 @@ vectors, because they answer two different questions.
   witnesses and kernel bases. The span search of tn (compute_tn and
   witnessed scans) drives it directly, one n at a time, and kernel_masks
   serves every kernel: interval kernels, the small-t_n pigeonhole and the
-  constructor's parity kernel. Its split vectors come from
-  sieve.parity_windows: kernels take them through sieve.split_vectors,
-  the one place that picks the bound of a batch, and span searches read
-  the windows directly. A kernel comes out in systematic form (Kernel):
-  the dependent and independent insertion indices, and each dependent
-  vector's coordinates over the independent ones. The constructor works
-  on those coordinates; the callers that read whole dependencies take
-  Kernel.masks(), combination masks over insertion indices, and map set
-  bits back to their own values with mask_bits, as the span search does
-  with its witness masks.
+  constructor's parity kernel. Kernels take their split vectors from
+  sieve.split_vectors, the one place that picks the bound of a batch and
+  which factors the values of the batch alone; span searches read them
+  from the windows of sieve.parity_windows, which sieve a whole range. A
+  kernel comes out in systematic form (Kernel): the dependent and
+  independent insertion indices, and each dependent vector's coordinates
+  over the independent ones. The constructor works on those coordinates;
+  the callers that read whole dependencies take Kernel.masks(),
+  combination masks over insertion indices, and map set bits back to
+  their own values with mask_bits, as the span search does with its
+  witness masks.
 - SweepBasis answers "which n closes here?". It keeps no masks: each row
   carries only the smallest insertion index among the vectors XOR-ed into
   it, and a pivot keeps the row whose start is latest. One left-to-right
   sweep over a range then resolves t_n for every n of a scan without
   witnesses (tn.scan_t), where SplitBasis would need a fresh search per n.
   Its split vectors come from sieve.parity_windows, the segmented sieve
-  that every split vector comes from.
+  that every split vector of a range comes from.
 
 Prime sets (ParitySupplier.support, by trial division) are kept apart
 from this encoding on purpose: they serve only brute-mode
@@ -267,9 +268,10 @@ def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:
     full (small_rank == width). From then on a vector without a large tag
     is dependent, and its coordinates are a fixed linear map of its bits:
     the XOR of the coordinates of the unit vectors at its set bits. The
-    width unit vectors are reduced once, and the coordinates of all such
-    vectors come from one numpy XOR pass per bit. Vectors with a large tag
-    still go into the basis one at a time, since a new tag extends it.
+    unit vectors at the bits such vectors set are reduced once, and the
+    coordinates of all such vectors come from one numpy XOR pass per bit
+    (_linear_map). Vectors with a large tag still go into the basis one at
+    a time, since a new tag extends it.
     """
     vectors = list(vectors)
     width = max((bits.bit_length() for _, bits in vectors), default=0)
@@ -290,7 +292,7 @@ def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:
             full = basis.small_rank == width
     found = []
     if saturated:
-        found = _linear_map([basis.reduce(0, 1 << b)[2] for b in range(width)], saturated_bits)
+        found = _linear_map(basis, saturated_bits)
     if saturated and dependent and dependent[-1] > saturated[0]:
         # late vectors with a large tag fell in between
         pairs = sorted(zip(dependent + saturated, coords + found))
@@ -301,13 +303,17 @@ def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:
     return Kernel(dependent, independent, coords)
 
 
-def _linear_map(images: list[int], values: list[int]) -> list[int]:
-    """For each value, the XOR of images[b] over its set bits b."""
-    width = len(images)
+def _linear_map(basis: SplitBasis, values: list[int]) -> list[int]:
+    """For each value, the XOR of the coordinates of the unit vectors at its
+    set bits, under a basis whose small rows are full: one unit vector is
+    reduced, and one numpy pass made, per bit that some value sets."""
+    rows = pack_rows(values, len(basis.small_bits) // 64 + 1)
+    # the bits that some value sets: the OR of the rows, read as one int
+    used = mask_bits(row_bits(np.bitwise_or.reduce(rows, axis=0, keepdims=True))[0])
+    images = [basis.reduce(0, 1 << b)[2] for b in used]
     words = max((image.bit_length() for image in images), default=0) // 64 + 1
-    rows = pack_rows(values, width // 64 + 1)
     out = np.zeros((len(values), words), dtype="<u8")
-    for b, image in enumerate(pack_rows(images, words)):
+    for b, image in zip(used, pack_rows(images, words)):
         column = (rows[:, b >> 6] >> np.uint64(b & 63)) & np.uint64(1)
         out ^= column[:, None] * image
     return row_bits(out)

@@ -2,15 +2,18 @@
 
 Every prime the package reads comes from one read-only int64 array kept
 here, through primes_through (primes_up_to is its list view). Split parity
-vectors and P+, at any height below WINDOW_VALUE_CEILING, come from one
-segmented sieve (parity_windows). It is read here by p_plus_in and
-split_vectors (kernels), by tn's span searches and sweep, and by runge's
-point search. P+ over a range has one reader,
-p_plus_in, with one rule: a slice of the caller's table's P+ array when
-the table reaches the range's end, the segmented sieve otherwise. An
-immutable smallest-prime-factor table backs that P+ array alone.
-Factorization records come from trial division (factorize_trial), which
-serves heights and the prime sets of brute-mode enumeration.
+vectors come from two producers that share one remainder step
+(_split_remainders): ranges, at any height below WINDOW_VALUE_CEILING,
+from one segmented sieve (parity_windows), which also gives P+; batches of
+values, for kernels, from split_vectors, which trial-divides the values of
+the batch alone in blocks of primes. The windows are read here by
+p_plus_in, by tn's span searches and sweep, and by runge's point search.
+P+ over a range has one reader, p_plus_in, with one rule: a slice of the
+caller's table's P+ array when the table reaches the range's end, the
+segmented sieve otherwise. An immutable smallest-prime-factor table backs
+that P+ array alone. Factorization records come from trial division
+(factorize_trial), which serves heights and the prime sets of brute-mode
+enumeration.
 """
 
 from __future__ import annotations
@@ -219,6 +222,9 @@ def smooth_in_interval(lo: int, hi: int, y: int, table: Optional[SpfTable] = Non
 WINDOW_BYTES = 1 << 22
 # Windows start this small and double, so that a short scan sieves little.
 _FIRST_WINDOW = 1 << 10
+# Batches are trial-divided in blocks of primes that start this small and
+# double, so that a smooth batch reads few primes past its smoothness bound.
+_FIRST_BLOCK = 8
 
 # (start, large, words, p_plus): see parity_windows
 Window = tuple[int, np.ndarray, np.ndarray, np.ndarray]
@@ -285,19 +291,68 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
 def split_vectors(values: Sequence[int]) -> list[tuple[int, int]]:
     """The split vectors (q, bits) of a batch of positive values under
     B = isqrt(max(values)), the bound of every kernel: no value of the batch
-    has two prime factors above it. One window pass over the batch's range."""
+    has two prime factors above it. Values outside [1, WINDOW_VALUE_CEILING)
+    raise RangeError, as they do in a window.
+
+    Only the values of the batch are factored, by trial division with the
+    primes <= B in blocks that start at _FIRST_BLOCK primes and double:
+    one numpy pass per block finds every prime of the block that divides a
+    value, and the powers of those primes are divided out together. A value
+    stays live only while its remainder is at least the square of the next
+    prime, since a smaller remainder is 1 or a prime; so a y-smooth batch
+    stops after the primes up to y. Blocks are cut so that their 2-D
+    remainder array stays under WINDOW_BYTES, down to one prime a block
+    when the live values alone fill it.
+    """
     if not values:
         return []
     hi = max(values)
-    ms = np.array(values, dtype=np.int64)
-    out = [(0, 0)] * len(values)
-    for start, large, words, _ in parity_windows(min(values), hi + 1, isqrt(hi)):
-        # only the rows of the batch become Python ints
-        at = np.flatnonzero((ms >= start) & (ms < start + len(large)))
-        rows = ms[at] - start
-        for i, q, bits in zip(at.tolist(), large[rows].tolist(), row_bits(words[rows])):
-            out[i] = (q, bits)
-    return out
+    if min(values) < 1 or hi >= WINDOW_VALUE_CEILING:
+        raise RangeError(f"batch values must lie in [1, {WINDOW_VALUE_CEILING})")
+    bound = isqrt(hi)
+    primes = primes_through(bound)
+    rem = np.array(values, dtype=np.int64)
+    words = np.zeros((len(rem), max(1, (len(primes) + 63) >> 6)), dtype="<u8")
+    live = np.flatnonzero(rem >= 4)
+    start, size = 0, _FIRST_BLOCK
+    while len(live) and start < len(primes):
+        block = primes[start:start + min(size, max(1, WINDOW_BYTES // (8 * len(live))))]
+        rows, cols = np.divmod(np.flatnonzero(rem[live, None] % block == 0), len(block))
+        rows, p = live[rows], block[cols]
+        # one division per pass; a pair leaves once its prime is divided out,
+        # and `odd` counts its passes mod 2. Two primes may divide one value:
+        # .at applies both
+        odd = np.zeros(len(rows), dtype=bool)
+        at = np.arange(len(rows))
+        while len(at):
+            np.floor_divide.at(rem, rows[at], p[at])
+            odd[at] ^= True
+            at = at[rem[rows[at]] % p[at] == 0]
+        ranks = cols[odd] + start
+        np.bitwise_xor.at(words, (rows[odd], ranks >> 6), _rank_bits(ranks))
+        start += len(block)
+        size *= 2
+        if start < len(primes):
+            live = live[rem[live] >= primes[start] ** 2]
+    large = _split_remainders(rem, words, primes, bound)
+    return list(zip(large.tolist(), row_bits(words)))
+
+
+def _rank_bits(ranks: np.ndarray) -> np.ndarray:
+    """The bit of each rank within its uint64 word."""
+    return np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64))
+
+
+def _split_remainders(rem: np.ndarray, words: np.ndarray, primes: np.ndarray,
+                      bound: int) -> np.ndarray:
+    """Finish split rows whose remainders are 1 or a prime above every prime
+    divided out of them: a remainder up to `bound` sets the rank bit of its
+    prime in `words`, and the large tags, the remainders above `bound` (0
+    elsewhere), are returned. Windows and batches both end here."""
+    small = np.flatnonzero((rem > 1) & (rem <= bound))
+    ranks = np.searchsorted(primes, rem[small])
+    words[small, ranks >> 6] ^= _rank_bits(ranks)
+    return np.where(rem > bound, rem, 0)
 
 
 def _parity_window(a: int, b: int, bound: int, primes: np.ndarray, width: int) -> Window:
@@ -328,18 +383,14 @@ def _parity_window(a: int, b: int, bound: int, primes: np.ndarray, width: int) -
         hit = first < length
         p, ranks, pk, first = p[hit], ranks[hit], pk[hit], first[hit]
         # two primes may divide one value: .at applies both
-        np.bitwise_xor.at(words, (first, ranks >> 6),
-                          np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64)))
+        np.bitwise_xor.at(words, (first, ranks >> 6), _rank_bits(ranks))
         np.floor_divide.at(rem, first, p)
         np.maximum.at(p_plus, first, p)
         more = pk <= (b - 1) // p  # p^(k+1) < b
         p, ranks, pk = p[more], ranks[more], pk[more] * p[more]
     # rem is now 1 or a prime above every sieving prime
     np.maximum(p_plus, rem, out=p_plus)
-    small = np.flatnonzero((rem > 1) & (rem <= bound))
-    ranks = np.searchsorted(primes, rem[small])
-    words[small, ranks >> 6] ^= np.left_shift(np.uint64(1), (ranks & 63).astype(np.uint64))
-    return a, np.where(rem > bound, rem, 0), words, p_plus
+    return a, _split_remainders(rem, words, primes, bound), words, p_plus
 
 
 def psi_count(x: int, y: int, table: Optional[SpfTable] = None) -> int:

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from oracles import is_smooth, largest_prime_factor, trial_factor
 from tnlab import sieve
 from tnlab.errors import DomainError, RangeError, ResourceError
-from tnlab.sieve import (PRIME_CEILING, WINDOW_VALUE_CEILING, SpfTable, build_spf_table,
-                         factorize_trial, p_plus_in, parity_windows, primes_through,
-                         primes_up_to, psi_count, row_bits, smooth_in_interval, split_vectors)
+from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
+                         build_spf_table, factorize_trial, p_plus_in, parity_windows,
+                         primes_through, primes_up_to, psi_count, row_bits, smooth_in_interval,
+                         split_vectors)
 
 # the primes up to 5000 by trial division, independent of the sieve
 ORACLE_PRIMES = [k for k in range(2, 5001) if trial_factor(k) == [(k, 1)]]
@@ -203,6 +204,73 @@ def test_split_vectors_of_a_batch_match_trial_division():
     assert split_vectors([]) == []
 
 
+def _prime_below(m: int) -> int:
+    """The largest prime <= m, for m >= 2."""
+    while factorize_trial(m).p_plus != m:
+        m -= 1
+    return m
+
+
+@st.composite
+def _batches(draw):
+    """Values of an interval in any order and with repeats, some of its
+    y-smooth values, and extras up to its top: 1, prime powers, squares of
+    the primes up to isqrt(top) nearest it, and multiples of primes above
+    isqrt(top), which carry a large tag."""
+    lo = draw(st.integers(min_value=1, max_value=10 ** 8))
+    top = lo + draw(st.integers(min_value=0, max_value=2000))
+    values = draw(st.lists(st.integers(min_value=lo, max_value=top), min_size=1, max_size=30))
+    smooth = smooth_in_interval(lo - 1, top, draw(st.integers(min_value=2, max_value=60)))
+    if smooth:
+        values += draw(st.lists(st.sampled_from(smooth), max_size=10))
+    powers = [p ** k for p in ORACLE_PRIMES[:15] for k in range(2, 40) if p ** k <= top]
+    near = [p * p for p in primes_up_to(isqrt(top))[-3:]]
+    tagged = [c * _prime_below(top // c) for c in (1, 2, 3, 30) if top // c >= 2]
+    extras = [1] + powers + near + tagged
+    values += draw(st.lists(st.sampled_from(extras), max_size=8))
+    return draw(st.permutations(values))
+
+
+@given(_batches())
+@example([1])
+@example([4, 1, 3, 2, 2])
+@example([1021 * 1021, 1021, 2 * 1021, 1019 * 1021, 1024, 3 ** 12])
+@example([23 ** 2, 97 ** 2, 269 ** 2, 661 ** 2, 10 ** 6])  # first primes of the blocks
+@settings(max_examples=60, deadline=None)
+def test_split_vectors_match_trial_division_and_windows(values):
+    # under B = isqrt(max), each value's vector is its trial-division split
+    # and the row of its one-value window
+    bound = isqrt(max(values))
+    rank = {p: r for r, p in enumerate(primes_up_to(bound))}
+    got = split_vectors(values)
+    assert got == [expected_split(m, rank, bound) for m in values]
+    for m, vector in zip(values, got):
+        [(_, large, words, _)] = parity_windows(m, m + 1, bound)
+        assert vector == (int(large[0]), row_bits(words)[0])
+
+
+def test_split_vectors_refuse_what_windows_refuse():
+    for values in ([0, 5], [-3], [WINDOW_VALUE_CEILING], [7, 2 ** 64]):
+        with pytest.raises(RangeError):
+            split_vectors(values)
+
+
+def test_split_vectors_of_the_curve_batch_stay_under_a_window():
+    # the 70-smooth values of the interval of construct_curve_point(10^6):
+    # only the batch is factored, so beyond its output the call holds at
+    # most WINDOW_BYTES, where a window pass over the interval held 5.1 MB
+    batch = smooth_in_interval(206497, 412994, 70)
+    split_vectors(batch)  # the prime array grows outside the traced call
+    tracemalloc.start()
+    try:
+        vectors = split_vectors(batch)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vectors) == 9733
+    assert peak - held <= WINDOW_BYTES
+
+
 _BOUNDS = st.one_of(st.sampled_from((0, 1, 2, 3, 4)),
                    st.sampled_from(ORACLE_PRIMES[:200]).flatmap(
                        lambda p: st.sampled_from((p - 1, p, p + 1))),
@@ -292,13 +360,14 @@ def _calls(name: str) -> set[tuple[str, str]]:
 
 def test_one_reader_decides_where_p_plus_comes_from():
     # only p_plus_in reads a table's P+ array; tables are built only where
-    # one prefix is read several times; besides sieve, only tn's runs and
-    # sweep and runge's point search read sieve windows
+    # one prefix is read several times; windows serve ranges alone: P+ past
+    # a table, tn's runs and sweep and runge's point search, while batches
+    # (split_vectors) are trial-divided
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     assert _calls("build_spf_table") == {("cli.py", "_cmd_dist"), ("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
-    assert {c for c in _calls("parity_windows") if c[0] != "sieve.py"} == \
-        {("tn.py", "_Run"), ("tn.py", "scan_t"), ("runge.py", "search_integral_points")}
+    assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("tn.py", "_Run"),
+                                        ("tn.py", "scan_t"), ("runge.py", "search_integral_points")}
 
 
 def test_one_exact_check_for_every_witness():
