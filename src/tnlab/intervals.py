@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import RangeError
 from .gf2 import kernel_masks, mask_bits
-from .sieve import primes_up_to, smooth_in_interval, split_vectors
+from .sieve import pack_rows, primes_up_to, smooth_in_interval, split_vectors
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
 # by name until the tracer reads in-tree counters (ROADMAP item 2)
 from .tn import ParitySupplier, compute_tn, scan_t  # noqa: F401
@@ -104,8 +104,7 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
             mask |= 1 << bit
         masks.append(mask)
     width = max(1, (len(prime_bits) + 63) >> 6)
-    vecs = np.array([[mask >> (64 * w) & (2 ** 64 - 1) for w in range(width)]
-                     for mask in masks], dtype=np.uint64)
+    vecs = pack_rows(masks, width)
 
     # the XOR of every subset of the first k elements, indexed by its
     # characteristic bitmask, and of every subset of the others

@@ -10,8 +10,9 @@ the batch alone in blocks of primes. The windows are read here by
 p_plus_in, by tn's span searches and sweep, and by runge's point search.
 P+ over a range has one reader, p_plus_in, with one rule: a slice of the
 caller's table's P+ array when the table reaches the range's end, the
-segmented sieve otherwise. An immutable smallest-prime-factor table backs
-that P+ array alone. Factorization records come from trial division
+segmented sieve otherwise. A table is that P+ array alone, built on its
+first read at 8 bytes per entry, a chunk at a time, with primes from
+primes_through. Factorization records come from trial division
 (factorize_trial), which serves heights and the prime sets of brute-mode
 enumeration.
 """
@@ -30,8 +31,6 @@ from .errors import DomainError, RangeError, ResourceError
 # Cap on table entries: build_spf_table refuses a larger limit before
 # allocating anything.
 MAX_TABLE_ENTRIES = 2 ** 31
-
-_LPF_CHUNK = 1 << 16
 
 # Windows hold their values in int64 and must stay below this ceiling, so
 # that twice a value, and the next square above that, are below 2^63.
@@ -76,38 +75,39 @@ def primes_up_to(n: int) -> list[int]:
 
 
 class SpfTable:
-    """Smallest-prime-factor table for 2..limit, read only for its P+
-    array (largest_prime_factors, through p_plus_in).
-
-    spf[p] == p exactly for primes; for composite m, spf[m] is the least
-    prime dividing m. Immutable after construction; safe to share across
-    workers.
+    """The P+ of 0..limit, read only through p_plus_in: a table is its P+
+    array, built on its first read (largest_prime_factors) at 8 bytes per
+    entry, and read-only after that; safe to share across workers.
     """
 
-    def __init__(self, limit: int, spf: np.ndarray):
+    def __init__(self, limit: int):
         self.limit = limit
-        self._spf = spf
-        self._spf.setflags(write=False)
         self._lpf: np.ndarray | None = None
 
     def largest_prime_factors(self) -> np.ndarray:
         """Array lpf with lpf[n] = P+(n) for 0 <= n <= limit (lpf[1] = 1).
 
-        Built lazily on first use; read through p_plus_in.
+        Built in chunks [a, b) with b <= 2a (Bays and Hudson, BIT 1977):
+        each chunk sieves its own smallest prime factors, the primes up to
+        isqrt(b-1) written at their multiples in descending order so that
+        the least one is written last, and P+(m) = max(spf(m), P+(m / spf(m)))
+        reads only entries below a, since m / spf(m) <= m / 2. A chunk holds
+        at most WINDOW_BYTES // 32 values, so that four int64 arrays of it
+        stay under WINDOW_BYTES.
         """
         if self._lpf is None:
-            # P+(m) = max(spf(m), P+(m / spf(m))), and m / spf(m) <= m / 2,
-            # so a block [a, 2a) only reads entries below a: one numpy pass
-            # per block, in chunks small enough to keep temporaries small
             n = self.limit
-            spf = self._spf
             lpf = np.zeros(n + 1, dtype=np.int64)
             lpf[1] = 1
             a = 2
             while a <= n:
-                b = min(2 * a, a + _LPF_CHUNK, n + 1)
-                s = spf[a:b]
-                np.maximum(s, lpf[np.arange(a, b) // s], out=lpf[a:b])
+                b = min(2 * a, a + WINDOW_BYTES // 32, n + 1)
+                m = np.arange(a, b, dtype=np.int64)
+                spf = m.copy()
+                for p in primes_through(isqrt(b - 1))[::-1].tolist():
+                    spf[-a % p::p] = p
+                m //= spf
+                np.maximum(spf, lpf[m], out=lpf[a:b])
                 a = b
             lpf.setflags(write=False)
             self._lpf = lpf
@@ -115,19 +115,14 @@ class SpfTable:
 
 
 def build_spf_table(limit: int) -> SpfTable:
-    """Sieve the smallest prime factor for every integer in 2..limit."""
+    """A table of the P+ of 0..limit, which allocates nothing until its
+    first read; a limit below 2 or above MAX_TABLE_ENTRIES raises
+    RangeError."""
     if limit < 2:
         raise RangeError(f"table limit must be >= 2, got {limit}")
     if limit > MAX_TABLE_ENTRIES:
         raise RangeError(f"table limit {limit} exceeds entry cap {MAX_TABLE_ENTRIES}")
-    spf = np.arange(limit + 1, dtype=np.int64)
-    spf[0] = 0
-    spf[1] = 1
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            sl = spf[p * p::p]
-            np.minimum(sl, p, out=sl)
-    return SpfTable(limit, spf)
+    return SpfTable(limit)
 
 
 @dataclass(frozen=True)

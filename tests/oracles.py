@@ -7,11 +7,14 @@ Expected values frozen into tests were computed with these. The
 exceptions are the per-n loops at the end, which run one compute_tn
 search per value where the library now runs one sweep or one window pass,
 tn_without_jump, the span search as it was before the saturation jump,
-and per_vector_kernel_masks, the kernel as it was before its linear map.
+per_vector_kernel_masks, the kernel as it was before its linear map, and
+whole_range_p_plus, a table's P+ array as it was built before its chunks.
 """
 
 from itertools import combinations
 from math import isqrt
+
+import numpy as np
 
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab.gf2 import SplitBasis, mask_bits
@@ -362,3 +365,23 @@ def count_tn_closed_per_n(lo: int, hi: int, supplier=None) -> int:
             continue
         count += n + t <= hi
     return count
+
+
+def whole_range_p_plus(limit: int) -> np.ndarray:
+    """P+ of 0..limit as a table built it before its chunked build: the
+    smallest prime factor of every value up to limit in one array, sieved
+    by the primes it finds itself (spf[p] == p), then P+(m) = max(spf(m),
+    P+(m / spf(m))) over the blocks [a, 2a), which read only below a."""
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+    lpf = np.zeros(limit + 1, dtype=np.int64)
+    lpf[1] = 1
+    a = 2
+    while a <= limit:
+        b = min(2 * a, limit + 1)
+        np.maximum(spf[a:b], lpf[np.arange(a, b) // spf[a:b]], out=lpf[a:b])
+        a = b
+    return lpf

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import is_smooth, largest_prime_factor, trial_factor
+from oracles import is_smooth, largest_prime_factor, trial_factor, whole_range_p_plus
 from tnlab import sieve
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
@@ -32,6 +32,28 @@ def test_spf_range_errors():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def test_a_table_holds_its_p_plus_array_alone():
+    # a table allocates nothing until its first read, and that read holds
+    # the P+ array and one chunk's temporaries at most
+    limit = 1 << 20
+    primes_through(isqrt(limit))
+    tracemalloc.start()
+    try:
+        table = build_spf_table(limit)
+        built = tracemalloc.get_traced_memory()[1]
+        assert not any(isinstance(v, np.ndarray) for v in vars(table).values())
+        tracemalloc.reset_peak()
+        lpf = table.largest_prime_factors()
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < 1 << 16
+    assert read < 8 * (limit + 1) + WINDOW_BYTES
+    held = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    assert len(held) == 1 and held[0] is lpf
+    assert table.largest_prime_factors() is lpf and not lpf.flags.writeable
 
 
 def test_factorize_examples():
@@ -364,6 +386,9 @@ def test_one_reader_decides_where_p_plus_comes_from():
     # a table, tn's runs and sweep and runge's point search, while batches
     # (split_vectors) are trial-divided
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
+    # a table is its P+ array, built from the one prime array
+    assert ("sieve.py", "SpfTable") in _calls("primes_through")
+    assert not hasattr(build_spf_table(10), "_spf")
     assert _calls("build_spf_table") == {("cli.py", "_cmd_dist"), ("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
     assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("tn.py", "_Run"),
@@ -393,9 +418,21 @@ def test_one_producer_of_t_for_every_scan():
     assert _calls("_classify") == {("tn.py", "scan_t")}
 
 
-def test_largest_prime_factors_match_oracle():
-    limit = 70000
+# a table's build works in chunks [a, b) with b = min(2a, a + CHUNK), each
+# sieved by the primes up to isqrt(b - 1)
+CHUNK = WINDOW_BYTES // 32
+_CHUNK_EDGES = sorted({e for k in range(1, 19) for e in (2 ** k - 1, 2 ** k, 2 ** k + 1)
+                       if e >= 2} | {CHUNK - 1, CHUNK + 1, 3 * CHUNK - 1, 3 * CHUNK + 1})
+_NEAR_PRIME_SQUARES = [p * p + d for p in ORACLE_PRIMES if p * p < 1 << 19 for d in (-1, 1)]
+
+
+@given(st.sampled_from(_CHUNK_EDGES) | st.sampled_from(_NEAR_PRIME_SQUARES)
+       | st.integers(min_value=2, max_value=1 << 19))
+@example(70000)
+@settings(max_examples=40, deadline=None)
+def test_largest_prime_factors_match_oracle(limit):
     lpf = build_spf_table(limit).largest_prime_factors()
+    assert np.array_equal(lpf, whole_range_p_plus(limit))
     assert len(lpf) == limit + 1 and lpf[0] == 0
-    for m in list(range(1, 5000)) + list(range(limit - 3000, limit + 1)):
+    for m in list(range(1, min(limit + 1, 5000))) + list(range(max(1, limit - 3000), limit + 1)):
         assert lpf[m] == largest_prime_factor(m)

@@ -467,10 +467,11 @@ def test_no_search_bound_passes_isqrt_4n_whatever_the_cap(monkeypatch):
 
 def test_a_supplier_never_builds_its_table_p_plus_array(monkeypatch, table):
     # a supplier reads nothing of the table it is given; P+ for the
-    # shortcut and an interval's smooth count come from the sieve. Building
-    # the table's P+ array instead takes 20 ms and 9.6 MB at 2^20, about a
-    # fifth of the peak RSS of the bench's witness and identities
-    # workloads, which pass suppliers over a 2^20 table
+    # shortcut and an interval's smooth count come from the sieve. A table
+    # is its P+ array, built on first read at 8 bytes per entry: reading it
+    # would take 13-24 ms and 8.4 MB at 2^20, about a fifth of the peak RSS
+    # of the bench's witness and identities workloads, which pass
+    # suppliers over a 2^20 table
     def no_p_plus_array(self):
         raise AssertionError("a table P+ array was built")
 
