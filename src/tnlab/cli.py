@@ -81,7 +81,8 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    distribution.check_distribution_args(args.x, args.c)  # before the table is built
+    # checked first only for the message: "x must be >= 2", not the table's limit
+    distribution.check_distribution_args(args.x, args.c)
     table = build_spf_table(args.x)
     dist = distribution.distribution_table(args.x, args.c, table=table)
     exc_count, _ = distribution.exceptional_set(args.x, include_members=False,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import cache
 from typing import Optional, Sequence
 
@@ -102,15 +103,15 @@ def dickman_rho(u: float) -> float:
 
 
 def power_threshold(x: int, c: float) -> int:
-    """Largest integer m with m <= x^c, computed in extended precision.
+    """Largest integer m with m <= x^c, computed to 50 significant digits
+    of `decimal`.
 
     Ties at exact integer powers resolve inclusively (a 1e-9 nudge guards
     against representation error in x^c).
     """
-    import mpmath  # imported here: most commands never need it
-
-    with mpmath.workdps(50):
-        return int(mpmath.floor(mpmath.mpf(x) ** mpmath.mpf(c) + mpmath.mpf("1e-9")))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return int((Decimal(x) ** Decimal(c) + Decimal("1e-9")).to_integral_value(ROUND_FLOOR))
 
 
 @dataclass(frozen=True)

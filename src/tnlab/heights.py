@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
@@ -94,11 +95,10 @@ def integral_point_log_bound(degree: int, height: int) -> HeightBoundReport:
         raise DomainError(f"degree must be >= 3, got {degree}")
     if height < 1:
         raise DomainError("height must be >= 1")
-    import mpmath  # imported here: most commands never need it
-
-    with mpmath.workdps(30):
-        n4 = mpmath.mpf(degree) ** 4
-        v = 212 * n4 * mpmath.log(4 * degree) + 50 * n4 * mpmath.log(height)
+    with localcontext() as ctx:
+        ctx.prec = 30
+        n4 = Decimal(degree) ** 4
+        v = 212 * n4 * Decimal(4 * degree).ln() + 50 * n4 * Decimal(height).ln()
         value = float(v)
     return HeightBoundReport(
         context="explicit log-height bound for integral points",
@@ -120,18 +120,17 @@ def few_offsets_log_bound(count: int, span: int,
     """
     if not (1 <= count < span):
         raise DomainError(f"need 1 <= count < span, got count={count}, span={span}")
-    import mpmath  # imported here: most commands never need it
-
-    with mpmath.workdps(30):
+    with localcontext() as ctx:
+        ctx.prec = 30
         if constant is not None:
             if constant < 0:
                 raise DomainError("constant must be nonnegative")
-            v = mpmath.mpf(constant) * mpmath.mpf(count) ** 5 * mpmath.log(span)
+            v = Decimal(constant) * Decimal(count) ** 5 * Decimal(span).ln()
             policy = f"caller-supplied constant {constant!r} on count^5 ln(span)"
         else:
-            d4 = mpmath.mpf(count + 2) ** 4
-            v = 212 * d4 * mpmath.log(4 * (count + 2)) \
-                + 50 * d4 * (count + 1) * mpmath.log(span)
+            d4 = Decimal(count + 2) ** 4
+            v = 212 * d4 * Decimal(4 * (count + 2)).ln() \
+                + 50 * d4 * (count + 1) * Decimal(span).ln()
             policy = ("expanded explicit chain: degree count+2, "
                       "coefficient height span^(count+1)")
         value = float(v)
@@ -286,12 +285,11 @@ def tn_lower_bound_eval(n: int, constant: float = 1.0) -> HeightBoundReport:
         raise DomainError("constant must be nonnegative")
     if n < 16:
         raise DomainError(f"n must be >= 16 so the iterated logs are positive, got {n}")
-    import mpmath  # imported here: most commands never need it
-
-    with mpmath.workdps(40):
-        ll = mpmath.log(mpmath.log(n))
-        lll = mpmath.log(ll)
-        value = float(constant * ll ** mpmath.mpf("1.2") * lll ** mpmath.mpf("-0.2"))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ll = Decimal(n).ln().ln()
+        lll = ll.ln()
+        value = float(Decimal(constant) * ll ** Decimal("1.2") * lll ** Decimal("-0.2"))
     inputs: dict = {"n": n, "constant": constant}
     if n <= CROSS_CHECK_LIMIT and isqrt(n) ** 2 != n:
         from .tn import compute_tn

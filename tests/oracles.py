@@ -9,6 +9,9 @@ search per value where the library now runs one sweep or one window pass,
 tn_without_jump, the span search as it was before the saturation jump,
 per_vector_kernel_masks, the kernel as it was before its linear map, and
 whole_range_p_plus, a table's P+ array as it was built before its chunks.
+The mpmath_* functions are the thresholds and height bounds as the library
+evaluated them in mpmath before it moved to `decimal`; each imports mpmath
+itself, so only the tests that call them need it installed.
 """
 
 from itertools import combinations
@@ -385,3 +388,44 @@ def whole_range_p_plus(limit: int) -> np.ndarray:
         np.maximum(spf[a:b], lpf[np.arange(a, b) // spf[a:b]], out=lpf[a:b])
         a = b
     return lpf
+
+
+def mpmath_power_threshold(x: int, c: float) -> int:
+    import mpmath
+
+    with mpmath.workdps(50):
+        return int(mpmath.floor(mpmath.mpf(x) ** mpmath.mpf(c) + mpmath.mpf("1e-9")))
+
+
+def mpmath_integral_point_log_value(degree: int, height: int) -> float:
+    import mpmath
+
+    with mpmath.workdps(30):
+        n4 = mpmath.mpf(degree) ** 4
+        v = 212 * n4 * mpmath.log(4 * degree) + 50 * n4 * mpmath.log(height)
+        value = float(v)
+    return value
+
+
+def mpmath_few_offsets_log_value(count: int, span: int, constant=None) -> float:
+    import mpmath
+
+    with mpmath.workdps(30):
+        if constant is not None:
+            v = mpmath.mpf(constant) * mpmath.mpf(count) ** 5 * mpmath.log(span)
+        else:
+            d4 = mpmath.mpf(count + 2) ** 4
+            v = 212 * d4 * mpmath.log(4 * (count + 2)) \
+                + 50 * d4 * (count + 1) * mpmath.log(span)
+        value = float(v)
+    return value
+
+
+def mpmath_tn_lower_value(n: int, constant: float = 1.0) -> float:
+    import mpmath
+
+    with mpmath.workdps(40):
+        ll = mpmath.log(mpmath.log(n))
+        lll = mpmath.log(ll)
+        value = float(constant * ll ** mpmath.mpf("1.2") * lll ** mpmath.mpf("-0.2"))
+    return value

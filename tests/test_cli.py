@@ -1,5 +1,8 @@
+import ast
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import tnlab
-from tnlab.cli import main
+from tnlab.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[1]
+
 
 def run_cli(args):
     return main(args)
@@ -171,26 +177,26 @@ def test_console_script_entrypoint():
 
 
 
-LAZY_MPMATH_CHILD = """
+NO_MPMATH_CHILD = """
 import json, sys
 import tnlab, tnlab.cli
 assert "mpmath" not in sys.modules, "importing tnlab imported mpmath"
 for argv in json.loads(sys.argv[1]):
     assert tnlab.cli.main(argv) == 0
-assert "mpmath" in sys.modules
+assert "mpmath" not in sys.modules, "a command imported mpmath"
 """
 
 
-def test_importing_tnlab_leaves_mpmath_out(tmp_path, capsys):
-    # mpmath is imported by the functions that use it, so a process that
-    # runs tn, scan or curve-point never loads it; dist, pell and bounds
-    # still write the bytes they write in this process
+def test_running_tnlab_never_imports_mpmath(tmp_path, capsys):
+    # thresholds and height bounds are evaluated in decimal, so dist, pell
+    # and bounds run without mpmath and write the bytes they write in this
+    # process
     argvs = [["dist", "--x", "2000", "--c", "0.5", "--c", "0.65"],
              ["pell", "--J", "48"],
              ["bounds", "--kind", "tn-lower", "--n", "1000"]]
     child = [argv + ["--out", str(tmp_path / f"child_{argv[0]}")] for argv in argvs]
     src = str(Path(tnlab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", LAZY_MPMATH_CHILD, json.dumps(child)],
+    proc = subprocess.run([sys.executable, "-c", NO_MPMATH_CHILD, json.dumps(child)],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     for argv in argvs:
@@ -198,3 +204,39 @@ def test_importing_tnlab_leaves_mpmath_out(tmp_path, capsys):
         assert run_cli(argv + ["--out", str(ours)]) == 0
         assert read(tmp_path / f"child_{argv[0]}") == read(ours)
     capsys.readouterr()
+
+
+def test_the_package_imports_numpy_and_the_standard_library_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    allowed = sys.stdlib_module_names | {"numpy", "tnlab"}
+    for path in sorted(Path(tnlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports name tnlab itself
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+    project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+
+
+def _readme_block(heading: str) -> list[str]:
+    """The lines of the first fenced block after a README heading."""
+    text = (REPO / "README.md").read_text()
+    rest = text[text.index(f"\n## {heading}\n"):].split("```")
+    return rest[1].splitlines()[1:]
+
+
+def test_readme_examples_run():
+    parser = build_parser()
+    lines = [line.split("  #")[0].strip() for line in _readme_block("CLI")]
+    assert lines and all(line.startswith("tnlab ") for line in lines)
+    for line in lines:
+        bare = re.sub(r"\s*\[[^]]*\]", "", line)
+        full = line.replace("[", "").replace("]", "")
+        for argv in {bare, full}:
+            parser.parse_args(shlex.split(argv)[1:])
+    exec("\n".join(_readme_block("Library example")), {})

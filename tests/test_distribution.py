@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
-from oracles import rho_quadrature
+from oracles import mpmath_power_threshold, rho_quadrature
 from tnlab.distribution import (conjecture_scan, dickman_rho, distribution_table,
                                 exceptional_set, power_threshold)
 from tnlab.errors import RangeError
@@ -51,6 +52,25 @@ def test_power_threshold_exact_ties():
     assert power_threshold(6, 1.0) == 6
     assert power_threshold(10 ** 5, 0.4) == 100
     assert power_threshold(6, math.log(4) / math.log(6)) == 4
+
+
+def test_power_threshold_matches_mpmath_reference():
+    pytest.importorskip("mpmath")
+    rng = random.Random(20)
+    cases = []
+    for m in (1, 2, 3, 4, 8):
+        top = round(10 ** (12 / m))
+        for k in [*range(2, 8), *(rng.randrange(8, top) for _ in range(4)), top - 1]:
+            if k ** m <= 10 ** 12:
+                cases += [(k ** m + d, c) for d in (-1, 0, 1)
+                          for c in (0.125, 0.25, 0.5, 1.0, 1 / m)]
+                assert power_threshold(k ** m, 1 / m) == k  # the nudge covers 1/3's rounding
+    # every 3-decimal c of the dist bench's bands, at its x near 10^5
+    cases += [(100_000 + rng.randrange(500), i / 1000) for i in range(300, 901)]
+    cases += [(rng.randrange(2, 10 ** rng.randint(2, 12) + 1), rng.uniform(1e-6, 1.0))
+              for _ in range(300)]
+    for x, c in cases:
+        assert power_threshold(x, c) == mpmath_power_threshold(x, c), (x, c)
 
 
 def test_distribution_examples(table):

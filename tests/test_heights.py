@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_pell
+from oracles import (brute_pell, mpmath_few_offsets_log_value,
+                     mpmath_integral_point_log_value, mpmath_tn_lower_value)
 from tnlab.errors import DomainError, PreconditionError, RangeError, ResourceError, UsageError
 from tnlab.heights import (few_offsets_log_bound, integral_point_log_bound,
                            pell_solutions, pell_system_decompose, select_low_omega,
@@ -189,6 +190,30 @@ def test_tn_lower_bound_examples():
     r = tn_lower_bound_eval(10 ** 6)
     assert abs(r.log_log_value - 3.2074) < 1e-3  # frozen from this formula
     assert "exact_t" not in r.inputs  # beyond the default cross-check range
+
+
+def test_bounds_match_mpmath_reference():
+    pytest.importorskip("mpmath")
+    rng = random.Random(20)
+    degrees = [3, 4, 7, 12] + [rng.randrange(3, 60) for _ in range(8)]
+    heights = [1, 10, 99991, 123456789, 10 ** 400] + [rng.randrange(1, 10 ** rng.randint(1, 40))
+                                                       for _ in range(8)]
+    for degree in degrees:
+        for height in heights:
+            assert integral_point_log_bound(degree, height).log_log_value \
+                == mpmath_integral_point_log_value(degree, height), (degree, height)
+    offsets = [(s, J) for s in (1, 2, 5) for J in (7, 40, 1000)]
+    offsets += [(s, rng.randrange(s + 1, 10 ** 6)) for s in (rng.randrange(1, 30) for _ in range(24))]
+    for count, span in offsets:
+        for constant in (None, 0.0, 1.0, 2.5, rng.uniform(0.0, 100.0)):
+            assert few_offsets_log_bound(count, span, constant).log_log_value \
+                == mpmath_few_offsets_log_value(count, span, constant), (count, span, constant)
+    ns = [16, 17, 9999, 10000, 10 ** 6, 123456789012]
+    ns += [rng.randrange(10 ** 4 + 1, 10 ** rng.randint(5, 30)) for _ in range(60)]
+    for n in ns:
+        for constant in (1.0, 2.5, 0.0, rng.uniform(0.0, 10.0)):
+            assert tn_lower_bound_eval(n, constant).log_log_value \
+                == mpmath_tn_lower_value(n, constant), (n, constant)
 
 
 def test_tn_lower_bound_cross_check():
