@@ -37,9 +37,12 @@ Saturation. SplitBasis counts its small rows (small_rank). Once all pi(B)
 small pivots are filled, no later insertion changes a small row, so a
 span search whose target still carries a large tag q can close only at
 the vector with the same q: tn's search then skips to it, adding the
-skipped count to `inserted` (see tn._search). Such a search keeps the
-rows of its first insertions up to saturation, plus the partner: O(s)
-rows and pi(B) * s bits of masks after s insertions, whatever t is.
+skipped count to `inserted` (see tn._search). That vector is the
+partner n + q = q (n/q + 1), whose cofactor n/q + 1 is at most B, so the
+search makes it from the cofactor's factors and sieves nothing past
+saturation. Such a search keeps the rows of its first insertions up to
+saturation, plus the partner: O(s) rows and pi(B) * s bits of masks
+after s insertions, whatever t is.
 Kernels use the same fact: once the small basis is full, a vector
 without a large tag is dependent, and its combination is a fixed linear
 map of its bits (see kernel_masks).

@@ -18,10 +18,14 @@ isqrt of the furthest n + t_n it searches, and searches each n on it from
 n onward, forgetting the values below n. Both go through one search loop
 (_search), which makes the saturation jump: once its small basis is full,
 a search whose target still carries a large prime q inserts only the
-partner n + q, the one value that can still close n. So a search keeps
-O(saturation) rows, not O(t), and compute_tn never sieves the values it
-skips. Nothing here keeps primes (sieve.primes_through does), so a call
-without a ParitySupplier makes a fresh one at no cost.
+partner n + q, the one value that can still close n. The partner is not
+read from the run: n + q = q (n/q + 1), and its vector is q with the
+rank bits of the cofactor n/q + 1 <= B (_partner). So a search keeps
+O(saturation) rows, not O(t), every run sieves forward from its start
+only as far as its searches read, and a search that jumps sieves nothing
+past its saturation point. Every witness is checked by verify_witness
+before it is returned. Nothing here keeps primes (sieve.primes_through
+does), so a call without a ParitySupplier makes a fresh one at no cost.
 
 Every scan takes t from one producer, the sweep (scan_t, below). Its
 _classify reads a window's P+ and gives each row its state before any
@@ -168,9 +172,9 @@ def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
     """The span search of a non-square n, the one loop of every witnessed
     search: its canonical witness, whose last offset is t_n.
 
-    It reads the split vectors of n, n+1, ..., n+limit from `run`, under
-    its bound B = run.bound >= isqrt(n + limit); t and the witness do not
-    depend on B (see gf2).
+    It reads the split vectors of n, n+1, ... from `run`, never past
+    n + limit, under its bound B = run.bound >= isqrt(n + limit); t and
+    the witness do not depend on B (see gf2).
     `exact` says that t_n = limit is known (P+(n) for a shortcut row, the
     sweep's t in a witnessed scan): closing earlier or not at all then
     raises AssertionError, naming n and both offsets. Otherwise it raises
@@ -184,12 +188,18 @@ def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
     n + q, the next multiple of q, and does close there, since its small
     bits reduce to zero over the full small basis. So the search skips to
     offset q, counting the skipped offsets as inserted so that the witness
-    keeps its offsets. It jumps only when q <= limit: then it always
-    closes, and a search that exhausts its cap inserts every offset.
+    keeps its offsets, and inserts the partner's vector from its cofactor
+    (_partner), reading nothing more from the run. It jumps only when
+    q <= limit: then it always closes, and a search that exhausts its cap
+    inserts every offset.
+
+    The witness is returned only once verify_witness accepts it; a witness
+    that does not make a square raises AssertionError, naming n.
     """
     read = run.rows(n).__next__
     target_q, target_bits = read()
-    width = len(primes_through(run.bound))
+    primes = primes_through(run.bound)
+    width = len(primes)
     basis = SplitBasis(width)
     insert = basis.insert
     target_mask = 0
@@ -205,15 +215,31 @@ def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
             if not (target_q or target_bits):
                 assert target_mask.bit_length() == j, "witness must peak at t_n"
                 assert j == limit or not exact, f"n = {n} closes at offset {j}, not at t = {limit}"
-                return tuple(i + 1 for i in mask_bits(target_mask))
+                witness = tuple(i + 1 for i in mask_bits(target_mask))
+                if not verify_witness(n, witness):
+                    raise AssertionError(f"n = {n}: the witness does not make a square")
+                return witness
             target_pivot = target_q or target_bits.bit_length() - 1
         if pivot < width and basis.small_rank == width and 0 < target_q <= limit:
-            # the small basis has just saturated: only n + q can close n
+            # the small basis has just saturated: only n + q can close n, and
+            # it is the one vector left to read
             basis.inserted += target_q - 1 - j
             j = target_q - 1
-            read = run.rows(n + target_q).__next__
+            read = iter([_partner(n, target_q, primes)]).__next__
     assert not exact, f"n = {n} is still open at offset {j}, not closed at t = {limit}"
     raise CapExceeded(n, limit, j, basis.rank)
+
+
+def _partner(n: int, q: int, primes: np.ndarray) -> tuple[int, int]:
+    """The split vector of n + q under the bound B of `primes`, the primes
+    up to B, for a prime q > B dividing n with n + q < (B + 1)^2.
+
+    n + q = q (n/q + 1), and the cofactor n/q + 1 is below (B + 1)^2 / q,
+    so at most B: q divides n + q once, and the primes of the cofactor,
+    all at most B, give the rank bits.
+    """
+    odd = [p for p, e in factorize_trial(n // q + 1).factors if e & 1]
+    return q, sum(1 << rank for rank in primes.searchsorted(odd).tolist())
 
 
 def verify_witness(n: int, witness: Sequence[int],
@@ -292,19 +318,17 @@ class _Run:
     """The split vectors of the values a, ..., b-1 under one bound
     B = isqrt(b - 1), read by value.
 
-    The run sieves in order and keeps its windows from its floor, the
-    lowest value any search will still read, on. A run shared by the
-    searches of a witnessed scan has its floor at the scan's current n
-    (seek): the values up to the partners of its jumps are sieved once and
-    shared. A run of one search (compute_tn) has its floor at the search's
-    last read, and a read past what is sieved, the partner of a jump,
-    restarts the sieve there with that value alone: the search reads
-    nothing after a partner, and never sieves the values it skipped.
+    The run sieves forward from a, only as far as its searches read, and
+    keeps its windows from its floor, the lowest value any search will
+    still read, on. A run shared by the searches of a witnessed scan has
+    its floor at the scan's current n (seek). A run of one search
+    (compute_tn) has its floor at the search's last read. No search reads
+    the partner of its jump from the run: that comes from its cofactor
+    (_partner).
     """
 
     def __init__(self, a: int, b: int, shared: bool = False):
         self.bound = isqrt(b - 1)
-        self._b = b
         self._shared = shared
         self._held: list[_Window] = []
         self._windows = parity_windows(a, b, self.bound)
@@ -314,13 +338,8 @@ class _Run:
         held = self._held
         if held and m < held[-1].end:
             return next(w for w in held if m < w.end)
-        if held and not self._shared:
-            # one search reads in order: nothing below m is read again
-            if m > held[-1].end:
-                self._held = [_Window(next(parity_windows(m, m + 1, self.bound)))]
-                self._windows = parity_windows(m + 1, self._b, self.bound)
-                return self._held[0]
-            held.clear()
+        if not self._shared:
+            held.clear()  # one search reads in order: nothing below m is read again
         while not held or m >= held[-1].end:
             held.append(_Window(next(self._windows)))
         return held[-1]

@@ -1,5 +1,6 @@
 import ast
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tnlab
+from tnlab import tn
 from tnlab.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -167,6 +169,27 @@ def test_scan_workers_flag_matches_sequential(tmp_path, capsys):
                     "--out", str(b)]) == 0
     capsys.readouterr()
     assert read(a) == read(b)
+
+
+_FORKED = multiprocessing.get_start_method() == "fork"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tn", "--n", "14"],
+    ["tn", "--n", "7297"],  # a prime: its witness ends at the partner of a jump
+    ["scan", "--lo", "2", "--hi", "300", "--witness"],
+    pytest.param(["scan", "--lo", "2", "--hi", "300", "--witness", "--workers", "2"],
+                 marks=pytest.mark.skipif(not _FORKED, reason="workers see the patch only by fork")),
+])
+def test_a_corrupted_witness_is_never_emitted(tmp_path, monkeypatch, argv):
+    # every witness is verified before the search returns it: one that drops
+    # an offset stops the command, in a worker too, before it writes anything
+    real = tn.mask_bits
+    monkeypatch.setattr(tn, "mask_bits", lambda mask: real(mask)[1:])
+    out = tmp_path / "out.csv"
+    with pytest.raises(AssertionError, match=r"n = \d+: the witness does not make a square"):
+        run_cli([*argv, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_console_script_entrypoint():

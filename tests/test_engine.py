@@ -45,6 +45,22 @@ SWEEP_DIGESTS = {
     (2, 2000, 40, False): "d544fe67fa432873ab869d9945d92adb6eef9a9e9b192b105799163dd7472bea",
     (1, 100000, None, True): "84da83ac7be648062c5b92c8fff496aa3463dceec018187d6da52a8c67a03a15",
 }
+# witnessed scans at heights where tn_without_jump is too slow to compare
+# with, taken while saturation-jump partners were read from the scan's run:
+# (lo, hi, cap, use_shortcut) -> digest of the CSV. Without the shortcut
+# the sweep closes a prime n only at 2n, so an uncapped scan inserts every
+# value up to 2 * 10^7 (about 23 s); under cap 10^5 it stops at hi + 10^5
+# and some rows come back capped.
+WITNESSED_DIGESTS = {
+    (10 ** 6, 10 ** 6 + 100, None, True):
+        "4207c42906245bbba20f0bb903f9f60ddd9130088f5ea1f141e8010840c612de",
+    (10 ** 6, 10 ** 6 + 100, 10 ** 5, False):
+        "20b3f2a9e1f2ebb1007e725874aef062e4b6d86f7079719a15dc8f2a9cb9d3cd",
+    (10 ** 7, 10 ** 7 + 50, None, True):
+        "bd0baf5356378c9844f1bb476ea4cbeb8f1563799bd775a6970059cc2325de4c",
+    (10 ** 7, 10 ** 7 + 50, 10 ** 5, False):
+        "e2ff009cf1f3dac66520e749a01d6d6702da00cf33bf949b404a643bdf047030",
+}
 DIST_DIGEST = "65c84168b5a5f232783ba0eb76c87c5273cfff87032dfcaf155ce3cd792cf490"
 CURVE_DIGESTS = {
     (0.5, 0): "72b8175bdec933a878be86764249beb75ad8939bdfa26fa1ff0f5228873d8a8f",
@@ -100,6 +116,12 @@ def test_golden_scan_without_shortcut():
 def test_golden_scans_without_witness():
     for (lo, hi, cap, use_shortcut), digest in SWEEP_DIGESTS.items():
         rows = scan_tn(lo, hi, cap=cap, use_shortcut=use_shortcut)
+        assert _digest(render_results(rows)) == digest
+
+
+def test_golden_witnessed_scans_at_height():
+    for (lo, hi, cap, use_shortcut), digest in WITNESSED_DIGESTS.items():
+        rows = scan_tn(lo, hi, cap=cap, use_shortcut=use_shortcut, include_witness=True)
         assert _digest(render_results(rows)) == digest
 
 

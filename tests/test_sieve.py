@@ -1,7 +1,10 @@
 import ast
 import tracemalloc
+from collections import defaultdict
+from functools import cache
 from math import isqrt
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -201,9 +204,11 @@ def test_parity_windows_match_trial_division(a, length, extra):
 
 
 def test_one_value_window_matches_the_row_of_a_longer_window():
-    # p_plus reads n, and a search the partner of its jump, as a one-value
-    # window: it must give the row, the dtypes and the shape of a longer
-    # window, also for powers and for a large tag under a bound above isqrt
+    # ParitySupplier.p_plus reads P+(n) for the shortcut as a one-value
+    # window (a search makes the partner of its jump from its cofactor, and
+    # reads no window for it): it must give the row, the dtypes and the
+    # shape of a longer window, also for powers and for a large tag under a
+    # bound above isqrt
     rng = np.random.default_rng(5)
     ms = list(range(1, 1000)) + [2 ** 36, 3 ** 20, 2 ** 20 * 3, 999983 ** 2, 2 * 999983]
     ms += rng.integers(1, 1 << 40, 100).tolist()
@@ -367,17 +372,39 @@ def test_psi_monotone(table):
     assert all(v >= 1 for v in vals)
 
 
-def _calls(name: str) -> set[tuple[str, str]]:
-    """(module file, top-level definition) of every call to `name` in the
-    package's sources."""
-    found = set()
+def _definitions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """(name, node) of each top-level definition of a module: a method as
+    Class.method, the rest of a class (bases, decorators, class-level
+    statements) under the class's name, and module-level code as
+    <module>."""
+    for top in tree.body:
+        if not isinstance(top, ast.ClassDef):
+            yield getattr(top, "name", "<module>"), top
+            continue
+        for node in top.bases + top.decorator_list + top.body:
+            is_method = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield f"{top.name}.{node.name}" if is_method else top.name, node
+
+
+@cache
+def _call_map() -> dict[str, set[tuple[str, str]]]:
+    """The name of every function called in the package's sources, mapped
+    to the (module file, definition) of each call, with methods resolved
+    (see _definitions)."""
+    found = defaultdict(set)
     for path in sorted(Path(sieve.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
+        for definition, top in _definitions(ast.parse(path.read_text())):
             for node in ast.walk(top):
                 f = node.func if isinstance(node, ast.Call) else None
-                if getattr(f, "attr", getattr(f, "id", None)) == name:
-                    found.add((path.name, getattr(top, "name", "<module>")))
+                name = getattr(f, "attr", getattr(f, "id", None))
+                if name is not None:
+                    found[name].add((path.name, definition))
     return found
+
+
+def _calls(name: str) -> set[tuple[str, str]]:
+    """(module file, definition) of every call to `name`."""
+    return set(_call_map().get(name, ()))
 
 
 def test_one_reader_decides_where_p_plus_comes_from():
@@ -387,11 +414,11 @@ def test_one_reader_decides_where_p_plus_comes_from():
     # (split_vectors) are trial-divided
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     # a table is its P+ array, built from the one prime array
-    assert ("sieve.py", "SpfTable") in _calls("primes_through")
+    assert ("sieve.py", "SpfTable.largest_prime_factors") in _calls("primes_through")
     assert not hasattr(build_spf_table(10), "_spf")
     assert _calls("build_spf_table") == {("cli.py", "_cmd_dist"), ("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
-    assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("tn.py", "_Run"),
+    assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("tn.py", "_Run.__init__"),
                                         ("tn.py", "scan_t"), ("runge.py", "search_integral_points")}
 
 
@@ -410,6 +437,19 @@ def test_one_exact_check_for_every_witness():
     assert _calls("support") == {("intervals.py", "enumerate_square_subsets")}
     assert not any(hasattr(SpfTable, name) for name in ("factors", "spf"))
     assert not hasattr(sieve, "factorize")
+
+
+def test_a_run_sieves_forward_from_its_one_start():
+    # a run opens its one sieve pass when it is made, and no method of it
+    # opens another; the partner of a saturation jump comes from its
+    # cofactor, reading no window, no run and no sieve pass
+    run_methods = {d for _, d in _calls("parity_windows") if d.startswith("_Run.")}
+    assert run_methods == {"_Run.__init__"}
+    assert _calls("_partner") == {("tn.py", "_search")}
+    for reader in ("parity_windows", "_window", "rows", "seek", "p_plus_in", "split_vectors",
+                   "row_bits", "_Run", "_Window"):
+        assert ("tn.py", "_partner") not in _calls(reader), reader
+    assert ("tn.py", "_partner") in _calls("factorize_trial")
 
 
 def test_one_producer_of_t_for_every_scan():

@@ -15,7 +15,7 @@ from tnlab import sieve, tn
 from tnlab.constructor import construct_curve_point
 from tnlab.intervals import check_interval_identity
 from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable, build_spf_table,
-                         parity_windows, primes_up_to, row_bits)
+                         parity_windows, primes_through, primes_up_to, row_bits)
 from tnlab.tn import (ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
                       render_results, scan_t, scan_tn, verify_witness)
 
@@ -193,7 +193,8 @@ def test_verify_witness_malformed(supplier):
 def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
     # a shortcut row searches to t = P+(n), but once its small basis is
     # full only the partner n + P+(n) can close n: that is the one
-    # insertion left, and the values skipped are never sieved
+    # insertion left, made from its cofactor, so neither the values
+    # skipped nor the partner are ever sieved
     inserted = []
     full_at = []
     sieved = []
@@ -201,7 +202,7 @@ def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
 
     def counting_windows(a, b, bound):
         for window in windows(a, b, bound):
-            sieved.append(len(window[1]))
+            sieved.append((window[0], window[0] + len(window[1])))
             yield window
 
     class CountingBasis(tn.SplitBasis):
@@ -219,8 +220,41 @@ def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
     p = largest_prime_factor(n)
     assert (r.t, r.shortcut_used) == (p, True)
     assert len(inserted) == full_at[0] + 1 < 5000 and inserted[-1] == p
-    assert sum(sieved) < 5000
+    assert sum(end - start for start, end in sieved) < 5000
+    assert not any(start <= n + p < end for start, end in sieved)
     assert r == tn_without_jump(n)
+
+
+def _prime_at_least(m):
+    while (m % primes_through(isqrt(m)) == 0).any():
+        m += 1
+    return m
+
+
+@st.composite
+def _jumps(draw):
+    """(n, q, B) with n = k q < 2^40 for a prime q > B >= isqrt(n + q)."""
+    bits = draw(st.integers(min_value=2, max_value=39))
+    q = _prime_at_least(draw(st.integers(min_value=max(3, 1 << (bits - 1)), max_value=1 << bits)))
+    n = q * draw(st.integers(min_value=1, max_value=min(q - 2, ((1 << 40) - 1) // q)))
+    low = isqrt(n + q)
+    return n, q, draw(st.integers(min_value=low, max_value=min(q - 1, low + 5000)))
+
+
+@given(_jumps())
+@settings(max_examples=150, deadline=None)
+@example((1009 * 1006, 1009, 1007))                # n + q = (B + 1)^2 - 1, cofactor B
+@example((999983 * 999980, 999983, 999981))        # the same near 10^12
+@example((999983, 999983, isqrt(2 * 999983)))      # a prime n: cofactor 2
+@example((1000003, 1000003, 1000002))              # a prime n under the largest bound
+@example((1009 * 24, 1009, isqrt(1009 * 25)))      # a square cofactor: no rank bits
+def test_partner_of_a_jump_matches_the_sieve(case):
+    # the partner n + q = q (n/q + 1) of a saturation jump, made from its
+    # cofactor, is the row the sieve gives for n + q under the same bound
+    n, q, bound = case
+    assert bound < q and isqrt(n + q) <= bound and n % q == 0
+    [(_, large, words, _)] = parity_windows(n + q, n + q + 1, bound)
+    assert tn._partner(n, q, primes_through(bound)) == (int(large[0]), row_bits(words)[0])
 
 
 def test_cap_exceeded_carries_state(supplier):
@@ -528,17 +562,31 @@ def test_sweep_window_stays_under_its_byte_cap_when_a_cap_raises_the_bound():
 
 def test_witnessed_scan_memory_stays_under_its_stated_peak():
     # A witnessed scan keeps one run of sieved values from its current n
-    # on, not the range: here the values up to 2n, where shortcut rows
-    # such as primes find their partners. Measured 1.3 MB, of which 1.0 MB
-    # is the 3999 rows returned.
+    # on, not the range, and only as far as its searches read: to their
+    # saturation points, since a partner comes from its cofactor. Measured
+    # 1.2 MB, of which 1.0 MB is the 3999 rows returned.
     tracemalloc.start()
     try:
         rows = scan_tn(2, 4000, include_witness=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 10 ** 6
+    assert peak < 2 * 10 ** 6
     assert len(rows) == 3999 and rows[-1] == compute_tn(4000)
+
+
+def test_witnessed_scan_at_height_sieves_no_partner():
+    # Shortcut rows near 10^6 have partners near 2 * 10^6. A run that
+    # sieved out to them held about 10^6 values: 73 MB measured when
+    # partners were read from the run, against 2.7 MB from their cofactors.
+    tracemalloc.start()
+    try:
+        rows = scan_tn(10 ** 6, 10 ** 6 + 300, include_witness=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10 ** 6
+    assert len(rows) == 301 and all(r.witness is not None for r in rows)
 
 
 def test_sweep_refuses_values_past_the_window_ceiling():
