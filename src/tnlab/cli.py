@@ -63,7 +63,7 @@ def _cmd_scan(args) -> int:
                        include_witness=True, workers=args.workers)
         text = render_results(rows, args.format)
     else:
-        ts, shortcut = scan_t(args.lo, args.hi, cap=args.cap, use_shortcut=use_shortcut)
+        ts, shortcut = scan_t(args.lo, args.hi, args.cap, use_shortcut, args.workers)
         text = render_t(args.lo, ts, shortcut, args.format)
     config = _config_dict(args, ["lo", "hi", "cap", "no_shortcut", "witness", "format"])
     if args.format == "csv":
@@ -81,12 +81,8 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    # checked first only for the message: "x must be >= 2", not the table's limit
-    distribution.check_distribution_args(args.x, args.c)
-    table = build_spf_table(args.x)
-    dist = distribution.distribution_table(args.x, args.c, table=table)
-    exc_count, _ = distribution.exceptional_set(args.x, include_members=False,
-                                                table=table)
+    dist = distribution.distribution_table(args.x, args.c, workers=args.workers)
+    exc_count, _ = distribution.exceptional_set(args.x, include_members=False)
     config = _config_dict(args, ["x", "c", "workers"])
     config["exceptional_count"] = exc_count
     config["cap_excluded"] = dist.cap_excluded
@@ -198,7 +194,7 @@ def _cmd_runge(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    report = distribution.conjecture_scan(args.x, args.c)
+    report = distribution.conjecture_scan(args.x, args.c, workers=args.workers)
     config = _config_dict(args, ["x", "c", "workers"])
     _emit_json(report.to_json_dict(), config, args.out)
     return 0

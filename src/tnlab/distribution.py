@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import cache
+from itertools import count
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import RangeError
 from .sieve import SpfTable, p_plus_in
-from .tn import TnResult, scan_t
+from .tn import TnResult, _sweep, chunk_map
 
 RHO_MAX_U = 50.0
 _GRID_STEP = 2.0 ** -10
@@ -144,41 +145,39 @@ class DistributionTable:
         return "\n".join(lines) + "\n"
 
 
-def check_distribution_args(x: int, cs: Sequence[float]) -> None:
-    """Raise RangeError unless x >= 2 and every c lies in (0, 1]."""
+def distribution_table(x: int, cs: Sequence[float],
+                       table: Optional[SpfTable] = None,
+                       results: Optional[Sequence[TnResult]] = None,
+                       workers: int = 1) -> DistributionTable:
+    """Counts of {t_n <= floor(x^c)} versus {P+(n) <= floor(x^c)} for n <= x.
+
+    Rows are ordered by ascending c. Both counts are taken chunk by chunk,
+    through tn.chunk_map with `workers` as there, from each chunk's own
+    sweep: its t and the P+ of its windows. No array of length x is built,
+    and `table` is not read. Scan rows may be passed instead, to amortize
+    repeated tables over one scan; they must be the rows of n = 1..x in
+    order, as scan_tn(1, x) returns them, and P+ then comes from
+    sieve.p_plus_in.
+    """
     if x < 2:
         raise RangeError("x must be >= 2")
     for c in cs:
         if not (0.0 < c <= 1.0):
             raise RangeError(f"each c must lie in (0, 1], got {c}")
-
-
-def distribution_table(x: int, cs: Sequence[float],
-                       table: Optional[SpfTable] = None,
-                       results: Optional[Sequence[TnResult]] = None) -> DistributionTable:
-    """Counts of {t_n <= floor(x^c)} versus {P+(n) <= floor(x^c)} for n <= x.
-
-    Rows are ordered by ascending c. t_n comes from scan_t(1, x); scan
-    rows may be passed instead to amortize repeated tables over one scan,
-    and they must be the rows of n = 1..x in order, as scan_tn(1, x)
-    returns them.
-    """
-    check_distribution_args(x, cs)
+    cs = sorted(cs)
+    thresholds = [power_threshold(x, c) for c in cs]
     if results is None:
-        tvals = np.array(scan_t(1, x)[0], dtype=np.int64)
+        parts = chunk_map(_chunk_counts, 1, x, workers, thresholds)
     elif len(results) != x or any(r.n != n for n, r in enumerate(results, 1)):
         raise RangeError(f"results must be the scan rows of n = 1..{x} in order")
     else:
         tvals = np.array([-1 if r.t is None else r.t for r in results], dtype=np.int64)
-    excluded = int(np.count_nonzero(tvals < 0))
-    tvals = tvals[tvals >= 0]
-    lpf = p_plus_in(0, x, table)
+        parts = [_count(tvals, p_plus_in(0, x), thresholds)]
+    # the capped rows, then count_tn for each c, then count_smooth for each c
+    excluded, *counts = sum(parts).tolist()
 
     rows = []
-    for c in sorted(cs):
-        threshold = power_threshold(x, c)
-        count_tn = int(np.count_nonzero(tvals <= threshold))
-        count_smooth = int(np.count_nonzero(lpf <= threshold))
+    for c, threshold, count_tn, count_smooth in zip(cs, thresholds, counts, counts[len(cs):]):
         diff = count_tn - count_smooth
         rows.append(DistRow(
             c=c, threshold=threshold,
@@ -192,18 +191,39 @@ def distribution_table(x: int, cs: Sequence[float],
                              admissible_c_min=c_min)
 
 
+def _chunk_counts(a: int, b: int, thresholds: list[int]) -> np.ndarray:
+    """_count over the rows a..b, from their sweep."""
+    ts, _, p_plus = _sweep(a, b, None, True)
+    return _count(np.array(ts, dtype=np.int64), p_plus, thresholds)
+
+
+def _count(ts: np.ndarray, p_plus: np.ndarray, thresholds: list[int]) -> np.ndarray:
+    """The capped rows (t < 0), then #{0 <= t <= threshold} for each
+    threshold, then #{P+ <= threshold} for each threshold."""
+    below = np.array(thresholds, dtype=np.int64)[:, None]
+    return np.concatenate(([np.count_nonzero(ts < 0)],
+                           np.count_nonzero((ts >= 0) & (ts <= below), axis=1),
+                           np.count_nonzero(p_plus <= below, axis=1)))
+
+
 def exceptional_set(x: int, include_members: bool = True,
                     table: Optional[SpfTable] = None) -> tuple[int, Optional[list[int]]]:
-    """Enumerate {2 <= n <= x : P+(n)^2 | n} exactly.
+    """Enumerate {2 <= n <= x : P+(n)^2 | n} exactly, reading P+ through
+    sieve.p_plus_in one chunk of tn.chunk_map at a time.
 
     n = 1 is excluded by convention: P+(1) = 1 would place it in the set
     vacuously, but the set is about large prime factors.
     """
     if x < 2:
         return 0, ([] if include_members else None)
-    lp = p_plus_in(1, x, table)  # P+ of 2..x
-    members = np.flatnonzero(np.arange(2, x + 1, dtype=np.int64) % (lp * lp) == 0) + 2
+    members = np.concatenate(list(chunk_map(_exceptional, 2, x, 1, table)))
     return len(members), (members.tolist() if include_members else None)
+
+
+def _exceptional(a: int, b: int, table: Optional[SpfTable]) -> np.ndarray:
+    """The n in [a, b] with P+(n)^2 | n."""
+    lp = p_plus_in(a - 1, b, table)
+    return np.flatnonzero(np.arange(a, b + 1, dtype=np.int64) % (lp * lp) == 0) + a
 
 
 DETAIL_LIMIT = 1000  # a conjecture scan lists its rows up to this many
@@ -243,8 +263,9 @@ class ConjectureScanReport:
         return d
 
 
-def conjecture_scan(x: int, c: float) -> ConjectureScanReport:
-    """min over non-square n <= x of t_n / (log n)^(1-c)."""
+def conjecture_scan(x: int, c: float, workers: int = 1) -> ConjectureScanReport:
+    """min over non-square n <= x of t_n / (log n)^(1-c), with t taken
+    chunk by chunk from the sweeps of tn.chunk_map, `workers` as there."""
     if x < 2:
         raise RangeError("x must be >= 2")
     if not (0.0 < c < 1.0):
@@ -252,16 +273,19 @@ def conjecture_scan(x: int, c: float) -> ConjectureScanReport:
     rows = []  # made only up to the number a report keeps
     scanned = 0
     best = (math.inf, 0, 0)  # (ratio, n, t) of the first minimum
-    # squares have t = 0 and capped rows t = -1
-    for n, t in zip(range(2, x + 1), scan_t(2, x)[0]):
-        if t <= 0:
-            continue
-        ratio = t / math.log(n) ** (1.0 - c)
-        scanned += 1
-        if scanned <= DETAIL_LIMIT:
-            rows.append(ConjectureRow(n=n, t=t, ratio=ratio))
-        if ratio < best[0]:
-            best = (ratio, n, t)
+    ns = count(2)
+    for ts, _, _ in chunk_map(_sweep, 2, x, workers, None, True):
+        # squares have t = 0 and capped rows t = -1; zip draws n only while
+        # the chunk has rows
+        for t, n in zip(ts, ns):
+            if t <= 0:
+                continue
+            ratio = t / math.log(n) ** (1.0 - c)
+            scanned += 1
+            if scanned <= DETAIL_LIMIT:
+                rows.append(ConjectureRow(n=n, t=t, ratio=ratio))
+            if ratio < best[0]:
+                best = (ratio, n, t)
     if not scanned:
         raise RangeError(f"no non-square integers in [2, {x}]")
     return ConjectureScanReport(

@@ -12,7 +12,7 @@ The B rule. A span search for t_n with offset limit L touches the values
 n, n+1, ..., n+L, so it needs B >= isqrt(n + L); every value it can touch
 then has at most one prime above B. compute_tn takes B = isqrt(n + L); a
 witnessed scan, which takes every t from the sweep and searches each n
-to exactly t_n, takes B = isqrt of the furthest n + t_n of its range.
+to exactly t_n, takes B = isqrt of the furthest n + t_n of each chunk.
 
 Elimination. SplitBasis pivots on the largest prime of a vector: q when it
 is set, otherwise the top bit of bits. Ranks follow the order of the
@@ -36,13 +36,15 @@ memory grows linearly in t.
 Saturation. SplitBasis counts its small rows (small_rank). Once all pi(B)
 small pivots are filled, no later insertion changes a small row, so a
 span search whose target still carries a large tag q can close only at
-the vector with the same q: tn's search then skips to it, adding the
-skipped count to `inserted` (see tn._search). That vector is the
-partner n + q = q (n/q + 1), whose cofactor n/q + 1 is at most B, so the
-search makes it from the cofactor's factors and sieves nothing past
-saturation. Such a search keeps the rows of its first insertions up to
-saturation, plus the partner: O(s) rows and pi(B) * s bits of masks
-after s insertions, whatever t is.
+the vector with the same q, and does, since every small vector then
+reduces to zero. That vector is the partner n + q = q (n/q + 1), whose
+cofactor n/q + 1 is at most B, so tn's search makes it from the
+cofactor's factors and closes without inserting it: it reduces the
+target XOR the partner over the small rows, and the witness is that
+combination plus offset q (see tn._search). Such a search keeps the rows
+of its insertions up to saturation and nothing more: O(s) rows and
+pi(B) * s bits of masks after s insertions, whatever t is, and no mask
+holds a bit at q.
 Kernels use the same fact: once the small basis is full, a vector
 without a large tag is dependent, and its combination is a fixed linear
 map of its bits (see kernel_masks).

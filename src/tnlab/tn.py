@@ -13,21 +13,22 @@ Every span search reads its split vectors from one indexable run of
 sieve.parity_windows (_Run), by value, under one bound B >= isqrt of the
 last value it may touch; t and the canonical witness do not depend on
 which such B (see gf2). compute_tn's run sieves n, n+1, ... as far as
-its search reads. A witnessed scan shares one run over its range, under
+its search reads. A witnessed scan shares one run over each chunk, under
 isqrt of the furthest n + t_n it searches, and searches each n on it from
 n onward, forgetting the values below n. Both go through one search loop
 (_search), which makes the saturation jump: once its small basis is full,
-a search whose target still carries a large prime q inserts only the
-partner n + q, the one value that can still close n. The partner is not
-read from the run: n + q = q (n/q + 1), and its vector is q with the
-rank bits of the cofactor n/q + 1 <= B (_partner). So a search keeps
-O(saturation) rows, not O(t), every run sieves forward from its start
-only as far as its searches read, and a search that jumps sieves nothing
-past its saturation point. Every witness is checked by verify_witness
-before it is returned. Nothing here keeps primes (sieve.primes_through
-does), so a call without a ParitySupplier makes a fresh one at no cost.
+a search whose target still carries a large prime q can close only at
+the partner n + q, and does. The partner is not read from the run:
+n + q = q (n/q + 1), and its vector is q with the rank bits of the
+cofactor n/q + 1 <= B (_partner). The search XORs it into the target and
+closes without inserting it. So a search keeps O(saturation) rows and
+mask bits, not O(t), every run sieves forward from its start only as far
+as its searches read, and a search that jumps sieves nothing past its
+saturation point. Every witness is checked by verify_witness before it
+is returned. Nothing here keeps primes (sieve.primes_through does), so a
+call without a ParitySupplier makes a fresh one at no cost.
 
-Every scan takes t from one producer, the sweep (scan_t, below). Its
+Every scan takes t from one producer, the sweep (_sweep, below). Its
 _classify reads a window's P+ and gives each row its state before any
 elimination: t = 0 for a square, t = P+(n) for a shortcut row, and -1 for
 a row that needs a search. The sweep closes the -1 rows and checks the
@@ -35,24 +36,26 @@ shortcut rows that close inside it; a witnessed scan searches each row
 with t > 0 only for its witness, to exactly that t, which checks it.
 large_prime_shortcut is the same rule for one n (compute_tn).
 
-A scan without witnesses resolves its whole range in one left-to-right
-sweep instead of one search per n. The vectors of lo, lo+1, ... go into
-one gf2.SweepBasis, which keeps at each pivot the row with the latest
-start (the smallest index among the vectors XOR-ed into a row). For every
-l its rows with start >= l then span the vectors of l, ..., r-1, so the
-vector of r falls into the span exactly when it closes a window, and the
+A scan without witnesses resolves its range in left-to-right sweeps
+instead of one search per n. The vectors of a, a+1, ... go into one
+gf2.SweepBasis, which keeps at each pivot the row with the latest start
+(the smallest index among the vectors XOR-ed into a row). For every l its
+rows with start >= l then span the vectors of l, ..., r-1, so the vector
+of r falls into the span exactly when it closes a window, and the
 smallest start its reduction meets is the unique n with n + t_n = r. The
 sweep reads its vectors and P+ from sieve.parity_windows, one numpy pass
 per window instead of one factor walk per value, counts the rows still
-open instead of queueing them, and keeps t in a plain int list (scan_t);
-scan_tn and render_t turn the lists into rows through one mapping
-(_t_rows), only at their edge. It runs in one process. Chunks of the
-range would give the same t (the rows with start >= n of the basis do not
-depend on where the sweep began), and each would repeat only a tail past
-its end, about 2*sqrt(hi) values, until its own open rows close; the
-sweep is not chunked yet. A witnessed scan keeps one search per row: the
-canonical witness is the combination the insertion-order basis of that n
-finds, which the sweep does not track.
+open instead of queueing them, and keeps t in a plain int list; scan_tn
+and render_t turn the lists into rows through one mapping (_t_rows), only
+at their edge. Every scan runs through one driver, chunk_map, which cuts
+the range into chunks, sweeps each (scan_t, scan_tn, and the distribution
+tables and conjecture scans), and runs them in this process or in worker
+processes. The cuts change no t, since the rows with start >= n of the
+basis do not depend on where the sweep began; each chunk repeats only a
+tail past its end, about 2*sqrt(hi) values, until its own open rows
+close. A witnessed scan keeps one search per row: the canonical witness
+is the combination the insertion-order basis of that n finds, which the
+sweep does not track.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count, repeat
 from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -69,8 +72,8 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import (SpfTable, Window, factorize_trial, p_plus_in, parity_windows, primes_through,
-                    row_bits)
+from .sieve import (_FIRST_WINDOW, WINDOW_VALUE_CEILING, SpfTable, Window, factorize_trial,
+                    p_plus_in, parity_windows, primes_through, row_bits)
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -186,12 +189,13 @@ def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
     reduces to zero, and the target's reduction reads neither. A target
     that still carries a large tag q can then close only at its partner
     n + q, the next multiple of q, and does close there, since its small
-    bits reduce to zero over the full small basis. So the search skips to
-    offset q, counting the skipped offsets as inserted so that the witness
-    keeps its offsets, and inserts the partner's vector from its cofactor
-    (_partner), reading nothing more from the run. It jumps only when
-    q <= limit: then it always closes, and a search that exhausts its cap
-    inserts every offset.
+    bits reduce to zero over the full small basis. So the search closes
+    itself without inserting anything more: it XORs the partner's vector,
+    made from its cofactor (_partner), into the target, reduces that over
+    the small basis, and the witness is the offsets of the mask plus q. It
+    reads nothing more from the run, and no mask ever holds a bit past its
+    saturation point. It jumps only when q <= limit: then it always closes,
+    and a search that exhausts its cap inserts every offset.
 
     The witness is returned only once verify_witness accepts it; a witness
     that does not make a square raises AssertionError, naming n.
@@ -214,20 +218,23 @@ def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
             target_q, target_bits, target_mask = basis.reduce(target_q, target_bits, target_mask)
             if not (target_q or target_bits):
                 assert target_mask.bit_length() == j, "witness must peak at t_n"
-                assert j == limit or not exact, f"n = {n} closes at offset {j}, not at t = {limit}"
-                witness = tuple(i + 1 for i in mask_bits(target_mask))
-                if not verify_witness(n, witness):
-                    raise AssertionError(f"n = {n}: the witness does not make a square")
-                return witness
+                offsets = mask_bits(target_mask)
+                break
             target_pivot = target_q or target_bits.bit_length() - 1
         if pivot < width and basis.small_rank == width and 0 < target_q <= limit:
-            # the small basis has just saturated: only n + q can close n, and
-            # it is the one vector left to read
-            basis.inserted += target_q - 1 - j
-            j = target_q - 1
-            read = iter([_partner(n, target_q, primes)]).__next__
-    assert not exact, f"n = {n} is still open at offset {j}, not closed at t = {limit}"
-    raise CapExceeded(n, limit, j, basis.rank)
+            # the small basis has just saturated: only n + q can close n
+            j = target_q
+            mask = basis.reduce(0, target_bits ^ _partner(n, j, primes)[1], target_mask)[2]
+            offsets = mask_bits(mask) + [j - 1]
+            break
+    else:
+        assert not exact, f"n = {n} is still open at offset {j}, not closed at t = {limit}"
+        raise CapExceeded(n, limit, j, basis.rank)
+    assert j == limit or not exact, f"n = {n} closes at offset {j}, not at t = {limit}"
+    witness = tuple(i + 1 for i in offsets)
+    if not verify_witness(n, witness):
+        raise AssertionError(f"n = {n}: the witness does not make a square")
+    return witness
 
 
 def _partner(n: int, q: int, primes: np.ndarray) -> tuple[int, int]:
@@ -274,25 +281,25 @@ def scan_tn(lo: int, hi: int,
     """One TnResult per n in [lo, hi], ascending.
 
     Rows whose search cap is exhausted come back flagged (t = None,
-    cap_exceeded=True) instead of aborting the scan. Every scan takes its
-    t, shortcut flags and capped rows from scan_t, one sequential sweep,
-    whatever `workers` is. With witnesses each row with t > 0 is then
-    searched to exactly that t, only for its witness, on one window pass
-    over the range, giving the rows of compute_tn; with workers > 1
-    disjoint n-chunks are searched in at most min(workers, chunks, cores)
-    processes and merged in order. Output is identical for any worker
-    count >= 1, and fewer raise RangeError. No scan reads `supplier`:
-    vectors and P+ come from sieve windows.
+    cap_exceeded=True) instead of aborting the scan. The rows come chunk by
+    chunk from chunk_map, with `workers` as there: each chunk takes its t,
+    shortcut flags and capped rows from its sweep (_sweep), and with
+    witnesses then searches each of its rows with t > 0 to exactly that t,
+    only for its witness, on one window pass over the chunk, giving the
+    rows of compute_tn. Output is identical for any worker count >= 1. No
+    scan reads `supplier`: vectors and P+ come from sieve windows.
     """
-    if workers < 1:
-        raise RangeError(f"workers must be >= 1, got {workers}")
-    ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
+    return [row for part in chunk_map(_rows, lo, hi, workers, cap, use_shortcut, include_witness)
+            for row in part]
+
+
+def _rows(lo: int, hi: int, cap: Optional[int], use_shortcut: bool, include_witness: bool):
+    """The rows of scan_tn on one chunk [lo, hi]."""
+    ts, shortcut, _ = _sweep(lo, hi, cap, use_shortcut)
     if not include_witness:
         return [TnResult(n, t, w, s, c) for n, t, s, w, c in _t_rows(lo, ts, shortcut)]
     if cap is not None and cap < 1 and any(ts):  # as in compute_tn: only squares need no search
         raise RangeError("cap must be >= 1")
-    if workers > 1 and hi - lo >= 16:
-        return _scan_parallel(lo, ts, shortcut, workers)
     return _witnessed_rows(lo, ts, shortcut)
 
 
@@ -406,37 +413,104 @@ def _classify(a: int, p_plus: np.ndarray, use_shortcut: bool) -> np.ndarray:
     return t
 
 
-def scan_t(lo: int, hi: int, cap: Optional[int] = None,
-           use_shortcut: bool = True) -> tuple[list[int], list[bool]]:
+def chunk_map(job, lo: int, hi: int, workers: int, *args) -> Iterator:
+    """job(a, b, *args) on consecutive chunks [a, b] that cut [lo, hi], in
+    order: the one driver of every scan, and the only place that starts
+    processes.
+
+    The chunk size comes from lo, hi and workers alone. One worker runs
+    the chunks lazily in this process, about 64 isqrt(hi) values each (at
+    least 2^15), so the tail that a sweep runs past its chunk's end until
+    its open rows close, about 2 sqrt(hi) values, is a few percent of the
+    chunk. More workers cut max(256, ceil(len / (8 workers))) values a
+    chunk and run them in at most min(workers, chunks, cores) processes,
+    in order; where that is one process, or processes cannot be started
+    (with a RuntimeWarning), they run here. Fewer than one worker, or not
+    1 <= lo <= hi, raise RangeError.
+    """
+    if workers < 1:
+        raise RangeError(f"workers must be >= 1, got {workers}")
+    if not 1 <= lo <= hi:
+        raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    size = (max(1 << 15, 64 * isqrt(hi)) if workers == 1
+            else max(256, -((lo - hi - 1) // (8 * workers))))  # ceil(len / (8 workers))
+    starts = range(lo, hi + 1, size)
+    ends = [min(a + size, hi + 1) - 1 for a in starts]
+    done = 0
+    # the pool may start all its processes at once: none past chunks or cores
+    processes = min(workers, len(starts), os.cpu_count() or 1)
+    if processes > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=processes) as pool:
+                for part in pool.map(job, starts, ends, *map(repeat, args)):
+                    yield part
+                    done += 1
+        except OSError as e:
+            # Sandboxed environments without process support: the chunks
+            # not yet done run here, which gives identical output.
+            warnings.warn(f"worker processes unavailable ({e}); scanning sequentially",
+                          RuntimeWarning, stacklevel=2)
+    for a, b in zip(starts[done:], ends[done:]):
+        yield job(a, b, *args)
+
+
+def scan_t(lo: int, hi: int, cap: Optional[int] = None, use_shortcut: bool = True,
+           workers: int = 1) -> tuple[list[int], list[bool]]:
     """t_n for n = lo, lo+1, ..., hi without witnesses, as plain lists.
 
     Returns the t of every n, with -1 for a row whose search cap is
     exhausted, and whether the large-prime shortcut settled it: the rows
-    of scan_tn without witnesses, from one left-to-right sweep.
+    of scan_tn without witnesses, joined from the sweeps (_sweep) of the
+    chunks of chunk_map, with `workers` as there. The lists do not depend
+    on the cuts: for n >= a the rows with start >= n of the latest-start
+    basis are the same whether the sweep began at a or earlier.
+    """
+    ts, shortcut = [], []
+    for part_ts, part_shortcut, _ in chunk_map(_sweep, lo, hi, workers, cap, use_shortcut):
+        ts += part_ts
+        shortcut += part_shortcut
+    return ts, shortcut
+
+
+def _sweep(lo: int, hi: int, cap: Optional[int],
+           use_shortcut: bool) -> tuple[list[int], list[bool], np.ndarray]:
+    """The lists of scan_t(lo, hi) from one left-to-right sweep, and the
+    P+ of the rows lo..hi.
 
     The values lo, lo+1, ... come from sieve windows under the bound B of
     compute_tn's rule taken over the whole range: every value the sweep
     touches is at most reach = hi + min(limit, 3 hi), since t_n <= 3n. The
-    rows of each window are classified from its P+ (_classify) before its
-    values go in: squares and shortcut rows are settled, every other n is
-    open. The values go into one SweepBasis, whose insertion of r returns
+    windows of the rows and those of the tail past hi are two passes, so
+    that the tail, which runs only until the open rows close, sieves small
+    windows first; a sweep that fits in one first window sieves just that.
+    The rows of each window are classified from its P+ (_classify) before
+    its values go in: squares and shortcut rows are settled, every other n
+    is open. The values go into one SweepBasis, whose insertion of r returns
     the unique n with n + t_n = r, if any. Each n closes at most once, so
     the sweep keeps only a count of open rows: an n that closes takes
     t = r - n if that is within the cap and stays capped (-1) otherwise,
     and either way is no longer open. A row that never closes is bounded
     by reach. The sweep stops once every n is classified and none is open.
     """
-    if not (1 <= lo <= hi):
-        raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     limit = cap if cap is not None else HARD_OFFSET_CAP
     reach = hi + max(min(limit, 3 * hi), 0)
+    if reach >= WINDOW_VALUE_CEILING:  # refused before the rows' windows sieve primes to B
+        raise RangeError(f"windows hold values below {WINDOW_VALUE_CEILING}, not {reach}")
     ts: list[int] = []
     shortcut = []
+    p_pluses = []
     open_rows = 0
     basis = None
-    for a, large, words, p_plus in parity_windows(lo, reach + 1, isqrt(reach)):
+    bound = isqrt(reach)
+    # the tail past hi, a few windows at most, starts again from small
+    # ones, unless the whole sweep fits in the first window
+    windows = (parity_windows(lo, reach + 1, bound) if reach - lo < _FIRST_WINDOW else
+               chain(parity_windows(lo, hi + 1, bound), parity_windows(hi + 1, reach + 1, bound)))
+    for a, large, words, p_plus in windows:
         if a <= hi:
-            known = _classify(a, p_plus[:hi + 1 - a], use_shortcut)
+            p_pluses.append(p_plus[:hi + 1 - a])
+            known = _classify(a, p_pluses[-1], use_shortcut)
             ts += known.tolist()
             shortcut.append(known > 0)
             new = int(np.count_nonzero(known < 0))
@@ -461,28 +535,7 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None,
                     assert r - n == t, f"n = {n} closes at offset {r - n}, not at t = {t}"
         if done and not open_rows:
             break
-    return ts, np.concatenate(shortcut).tolist()
-
-
-def _scan_parallel(lo, ts, shortcut, workers) -> list[TnResult]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(256, len(ts) // (workers * 8))
-    starts = range(0, len(ts), chunk)
-    # the pool may start all its processes at once: none past chunks or cores
-    processes = min(workers, len(starts), os.cpu_count() or 1)
-    try:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_witnessed_rows, [lo + i for i in starts],
-                                  [ts[i:i + chunk] for i in starts],
-                                  [shortcut[i:i + chunk] for i in starts]))
-    except OSError as e:
-        # Sandboxed environments without process support: fall back to
-        # sequential, which produces identical output by construction.
-        warnings.warn(f"worker processes unavailable ({e}); scanning sequentially",
-                      RuntimeWarning, stacklevel=3)
-        return _witnessed_rows(lo, ts, shortcut)
-    return [row for part in parts for row in part]
+    return ts, np.concatenate(shortcut).tolist(), np.concatenate(p_pluses)
 
 
 CSV_HEADER = "n,t,shortcut_used,witness"

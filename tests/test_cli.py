@@ -171,6 +171,25 @@ def test_scan_workers_flag_matches_sequential(tmp_path, capsys):
     assert read(a) == read(b)
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--lo", "2", "--hi", "1200"],
+    ["scan", "--lo", "2", "--hi", "600", "--witness", "--format", "json"],
+    ["dist", "--x", "3000", "--c", "0.3", "--c", "0.5", "--c", "1.0"],
+    ["conjecture", "--x", "3000", "--c", "0.5"],
+])
+def test_workers_change_no_byte_but_their_own_line(tmp_path, capsys, argv):
+    # two workers cut each range into chunks of 256 in two processes; the
+    # files are those of one worker, apart from the workers line that
+    # dist and conjecture record
+    one, two = tmp_path / "w1", tmp_path / "w2"
+    assert run_cli(argv + ["--workers", "1", "--out", str(one)]) == 0
+    assert run_cli(argv + ["--workers", "2", "--out", str(two)]) == 0
+    capsys.readouterr()
+    renamed = read(one).replace(b"# workers=1\n", b"# workers=2\n")
+    assert renamed.replace(b'"workers": 1', b'"workers": 2') == read(two)
+    assert (read(one) != read(two)) == (argv[0] != "scan")
+
+
 _FORKED = multiprocessing.get_start_method() == "fork"
 
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import is_smooth, largest_prime_factor, trial_factor, whole_range_p_plus
-from tnlab import sieve
+from tnlab import sieve, tn
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
                          build_spf_table, factorize_trial, p_plus_in, parity_windows,
@@ -409,17 +409,18 @@ def _calls(name: str) -> set[tuple[str, str]]:
 
 def test_one_reader_decides_where_p_plus_comes_from():
     # only p_plus_in reads a table's P+ array; tables are built only where
-    # one prefix is read several times; windows serve ranges alone: P+ past
-    # a table, tn's runs and sweep and runge's point search, while batches
-    # (split_vectors) are trial-divided
+    # one prefix is read several times (dist counts per chunk and builds
+    # none); windows serve ranges alone: P+ past a table, tn's runs and
+    # sweep and runge's point search, while batches (split_vectors) are
+    # trial-divided
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     # a table is its P+ array, built from the one prime array
     assert ("sieve.py", "SpfTable.largest_prime_factors") in _calls("primes_through")
     assert not hasattr(build_spf_table(10), "_spf")
-    assert _calls("build_spf_table") == {("cli.py", "_cmd_dist"), ("cli.py", "_cmd_construct"),
+    assert _calls("build_spf_table") == {("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
     assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("tn.py", "_Run.__init__"),
-                                        ("tn.py", "scan_t"), ("runge.py", "search_integral_points")}
+                                        ("tn.py", "_sweep"), ("runge.py", "search_integral_points")}
 
 
 def test_one_exact_check_for_every_witness():
@@ -455,7 +456,23 @@ def test_a_run_sieves_forward_from_its_one_start():
 def test_one_producer_of_t_for_every_scan():
     # only the sweep classifies rows: a witnessed scan takes t and the
     # shortcut flags from it and searches only for witnesses
-    assert _calls("_classify") == {("tn.py", "scan_t")}
+    assert _calls("_classify") == {("tn.py", "_sweep")}
+
+
+def test_one_driver_starts_every_worker_process():
+    # every scan runs through chunk_map, the only code that names a process
+    # pool: scan_t, scan_tn with and without witnesses, dist's counts and
+    # exceptional set, and conjecture; the witness-only pool is gone
+    named = {(path.name, definition)
+             for path in sorted(Path(sieve.__file__).parent.glob("*.py"))
+             for definition, top in _definitions(ast.parse(path.read_text()))
+             if "ProcessPoolExecutor" in ast.dump(top)}
+    assert named == {("tn.py", "chunk_map")}
+    assert _calls("chunk_map") == {("tn.py", "scan_t"), ("tn.py", "scan_tn"),
+                                   ("distribution.py", "distribution_table"),
+                                   ("distribution.py", "exceptional_set"),
+                                   ("distribution.py", "conjecture_scan")}
+    assert not hasattr(tn, "_scan_parallel")
 
 
 # a table's build works in chunks [a, b) with b = min(2a, a + CHUNK), each

@@ -13,6 +13,7 @@ from oracles import (brute_tn, is_square, largest_prime_factor, tn_row, tn_witho
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import sieve, tn
 from tnlab.constructor import construct_curve_point
+from tnlab.distribution import conjecture_scan, distribution_table
 from tnlab.intervals import check_interval_identity
 from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable, build_spf_table,
                          parity_windows, primes_through, primes_up_to, row_bits)
@@ -192,9 +193,10 @@ def test_verify_witness_malformed(supplier):
 ])
 def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
     # a shortcut row searches to t = P+(n), but once its small basis is
-    # full only the partner n + P+(n) can close n: that is the one
-    # insertion left, made from its cofactor, so neither the values
-    # skipped nor the partner are ever sieved
+    # full only the partner n + P+(n) can close n: the search closes there
+    # with the partner's vector, made from its cofactor, and inserts
+    # nothing more, so neither the values skipped nor the partner are ever
+    # sieved
     inserted = []
     full_at = []
     sieved = []
@@ -219,7 +221,7 @@ def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
     r = compute_tn(n)
     p = largest_prime_factor(n)
     assert (r.t, r.shortcut_used) == (p, True)
-    assert len(inserted) == full_at[0] + 1 < 5000 and inserted[-1] == p
+    assert len(inserted) == full_at[0] < 5000
     assert sum(end - start for start, end in sieved) < 5000
     assert not any(start <= n + p < end for start, end in sieved)
     assert r == tn_without_jump(n)
@@ -333,17 +335,17 @@ def test_sweep_checks_shortcut_rows_that_close_inside_it(supplier, monkeypatch):
 ])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_witnessed_scan_searches_to_exactly_the_sweeps_t(monkeypatch, n, shift, message, workers):
-    # a witnessed scan takes t from scan_t and searches each row to exactly
-    # that t: a t too large closes early, one too small runs out, and
-    # either is an error, never a capped row
-    sweep = tn.scan_t
+    # a witnessed scan takes t from its chunk's sweep and searches each row
+    # to exactly that t: a t too large closes early, one too small runs
+    # out, and either is an error, never a capped row
+    sweep = tn._sweep
 
     def wrong_t(lo, hi, cap, use_shortcut):
-        ts, shortcut = sweep(lo, hi, cap, use_shortcut)
+        ts, shortcut, p_plus = sweep(lo, hi, cap, use_shortcut)
         ts[n - lo] += shift
-        return ts, shortcut
+        return ts, shortcut, p_plus
 
-    monkeypatch.setattr(tn, "scan_t", wrong_t)
+    monkeypatch.setattr(tn, "_sweep", wrong_t)
     with pytest.raises(AssertionError, match=message):
         scan_tn(2, 30, include_witness=True, workers=workers)
 
@@ -617,49 +619,126 @@ def test_classification_is_exact_just_below_the_window_ceiling():
 
 def test_scan_falls_back_to_sequential_with_warning(supplier, monkeypatch):
     import concurrent.futures
+    import os
 
     def no_processes(*args, **kwargs):
         raise OSError("no process support")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_processes)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # 599 values cut into 3 chunks, which asks for a pool of 2
     with pytest.warns(RuntimeWarning, match="sequentially"):
-        rows = scan_tn(2, 80, include_witness=True, workers=2)
-    assert rows == scan_tn(2, 80, include_witness=True, workers=1, supplier=supplier)
+        rows = scan_tn(2, 600, cap=40, include_witness=True, workers=2)
+    assert rows == scan_tn(2, 600, cap=40, include_witness=True, workers=1, supplier=supplier)
+
+
+class InProcessPool:
+    """Records the processes asked for and runs the map here."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """InProcessPool in place of the process pool, with its record cleared."""
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "asked", [])
+    return InProcessPool.asked
+
+
+# every entry point of chunk_map, on 599 or 600 values
+_ENTRY_POINTS = {
+    "scan": lambda workers: scan_t(2, 600, cap=40, workers=workers),
+    "scan --witness": lambda workers: scan_tn(2, 600, cap=40, include_witness=True,
+                                              workers=workers),
+    "dist": lambda workers: distribution_table(600, [0.3, 0.5, 1.0], workers=workers),
+    "conjecture": lambda workers: conjecture_scan(600, 0.5, workers=workers),
+}
 
 
 @pytest.mark.parametrize("workers, cores, processes", [
     (5000, 2, 2),    # bounded by the cores
-    (5000, 64, 3),   # bounded by the chunks: 599 values in chunks of 256
+    (5000, 64, 3),   # bounded by the chunks: 599 or 600 values in chunks of 256
     (2, 64, 2),      # bounded by the workers asked for
-    (5000, None, 1),  # no core count known
+    (5000, None, 1),  # no core count known: one process, so no pool
 ])
 def test_witnessed_scan_starts_no_more_processes_than_it_can_use(
-        monkeypatch, workers, cores, processes):
+        monkeypatch, in_process_pool, workers, cores, processes):
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    for entry, run in _ENTRY_POINTS.items():
+        in_process_pool.clear()
+        got = run(workers)
+        assert in_process_pool == ([processes] if processes > 1 else []), entry
+        assert got == run(1), entry
+
+
+@given(lo=st.integers(min_value=1, max_value=30000),
+       length=st.integers(min_value=0, max_value=3000),
+       cap=st.sampled_from([7, 50, None]), use_shortcut=st.booleans(),
+       x=st.integers(min_value=2, max_value=3000))
+@settings(max_examples=25, deadline=None)
+@example(lo=1, length=3000, cap=None, use_shortcut=False, x=3000)
+def test_chunks_are_exact(lo, length, cap, use_shortcut, x):
+    # every scan cut by chunk_map equals the one sweep of its whole range:
+    # workers 2 on InProcessPool cut a few thousand values into chunks of
+    # 256 in this process
     import concurrent.futures
     import os
 
-    asked = []
+    hi = lo + length
+    ts, shortcut, _ = tn._sweep(lo, hi, cap, use_shortcut)
+    rows = [TnResult(n, t, w, s, c) for n, t, s, w, c in tn._t_rows(lo, ts, shortcut)]
+    k = min(length + 1, 300)  # witnessed rows: two chunks at most
+    witnessed = tn._witnessed_rows(lo, ts[:k], shortcut[:k])
+    x_ts, x_shortcut, _ = tn._sweep(1, x, None, True)
+    x_rows = [TnResult(n, t, w, s, c) for n, t, s, w, c in tn._t_rows(1, x_ts, x_shortcut)]
+    cs = [0.3, 0.5, 0.7, 1.0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        mp.setattr(InProcessPool, "asked", [])
+        mp.setattr(os, "cpu_count", lambda: 2)
+        assert scan_t(lo, hi, cap, use_shortcut, workers=2) == (ts, shortcut)
+        assert scan_tn(lo, hi, cap, use_shortcut, workers=2) == rows
+        assert scan_tn(lo, lo + k - 1, cap, use_shortcut, include_witness=True,
+                       workers=2) == witnessed
+        # the results path takes t from the one sweep, and P+ from p_plus_in
+        assert distribution_table(x, cs, workers=2) == distribution_table(x, cs, results=x_rows)
+        # one worker sweeps up to 2^15 values as one chunk
+        assert conjecture_scan(x, 0.5, workers=2) == conjecture_scan(x, 0.5)
 
-    class InProcessPool:
-        """Records the processes asked for and runs the map here."""
 
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    rows = scan_tn(2, 600, cap=40, include_witness=True, workers=workers)
-    assert asked == [processes]
-    assert rows == scan_tn(2, 600, cap=40, include_witness=True)
+def test_a_far_jump_never_spells_out_its_partners_offset():
+    # 10^8 + 7 is prime: its search saturates after 18,197 insertions and
+    # closes at its partner 2n, offset q = n. Inserting the partner made a
+    # mask with bit q - 1, which mask_bits spelled out as two strings of q
+    # characters (221 MB); the search now closes from the mask of its
+    # saturation point (9.2 MB measured).
+    n = 100000007
+    tracemalloc.start()
+    try:
+        r = compute_tn(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 10 ** 6
+    assert r.t == r.witness[-1] == n and r.shortcut_used
+    assert len(r.witness) < 100
 
 
 @pytest.mark.parametrize("workers", [0, -3])
