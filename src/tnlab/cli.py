@@ -3,42 +3,74 @@
 Every output file embeds the parameters that produced it (as '#' comment
 lines before the CSV header, or a "config" object in JSON documents), and
 identical flags plus seed produce byte-identical files: nothing
-time-dependent is ever written (stage timings go to stderr).
+time-dependent is ever written (stage timings go to stderr). Every
+subcommand writes through one writer (_emit); `scan` streams its rows to
+it a chunk at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from . import constructor, distribution, heights, intervals, runge
 from .errors import RangeError, TnLabError
 from .sieve import build_spf_table
-from .tn import compute_tn, render_results, render_t, scan_t, scan_tn
+from .tn import compute_tn, render_results, scan_lines
 
 
 def _config_dict(args, keys) -> dict:
     return {k: getattr(args, k) for k in sorted(keys)}
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+def _emit(parts: Iterable[str], out: Optional[str]) -> None:
+    """Write the parts in order, each as it comes, to the file `out`, or to
+    stdout without one.
+
+    A new file, or an old regular file with one name, is all or nothing:
+    the parts go to a temporary file beside it (with the old file's mode),
+    which replaces `out` once every part is written and is removed if one
+    fails, so a failing command leaves no file and an older file as it
+    was. Anything else `out` may name (a symlink, such as /dev/stdout, a
+    pipe or device, a file with other names or another owner, or a file in
+    a directory that cannot be written) is written in place, through it.
+    """
+    if not out:
+        sys.stdout.writelines(parts)
+        return
+    old = os.lstat(out) if os.path.lexists(out) else None
+    if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+                                and old.st_uid == os.geteuid()
+                                and os.access(os.path.dirname(out) or ".", os.W_OK)):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(parts)
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            if old is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+            fh.writelines(parts)
+        os.replace(tmp, out)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _emit_json(payload: dict, config: dict, out: Optional[str]) -> None:
     doc = {"config": config, "result": payload}
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+    _emit([json.dumps(doc, sort_keys=True, indent=2) + "\n"], out)
 
 
-def _csv_with_config(body: str, config: dict) -> str:
-    header = "".join(f"# {k}={config[k]}\n" for k in sorted(config))
-    return header + body
+def _config_lines(config: dict) -> str:
+    """The '#' lines that open a CSV file."""
+    return "".join(f"# {k}={config[k]}\n" for k in sorted(config))
 
 
 def _cmd_tn(args) -> int:
@@ -49,7 +81,7 @@ def _cmd_tn(args) -> int:
     if args.out:
         config = _config_dict(args, ["n", "cap", "no_shortcut", "format"])
         if args.format == "csv":
-            _emit(_csv_with_config(render_results([r], "csv"), config), args.out)
+            _emit([_config_lines(config), render_results([r], "csv")], args.out)
         else:
             _emit_json({"n": r.n, "t": r.t, "shortcut_used": r.shortcut_used,
                         "witness": witness}, config, args.out)
@@ -57,18 +89,12 @@ def _cmd_tn(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    use_shortcut = not args.no_shortcut
-    if args.witness:
-        rows = scan_tn(args.lo, args.hi, cap=args.cap, use_shortcut=use_shortcut,
-                       include_witness=True, workers=args.workers)
-        text = render_results(rows, args.format)
-    else:
-        ts, shortcut = scan_t(args.lo, args.hi, args.cap, use_shortcut, args.workers)
-        text = render_t(args.lo, ts, shortcut, args.format)
+    # the first chunk is rendered here, before anything is written
+    parts = scan_lines(args.lo, args.hi, args.cap, not args.no_shortcut, args.witness,
+                       args.workers, args.format)
     config = _config_dict(args, ["lo", "hi", "cap", "no_shortcut", "witness", "format"])
-    if args.format == "csv":
-        text = _csv_with_config(text, config)
-    _emit(text, args.out)
+    head = [_config_lines(config)] if args.format == "csv" else []
+    _emit(chain(head, parts), args.out)
     return 0
 
 
@@ -82,13 +108,12 @@ def _cmd_interval(args) -> int:
 
 def _cmd_dist(args) -> int:
     dist = distribution.distribution_table(args.x, args.c, workers=args.workers)
-    exc_count, _ = distribution.exceptional_set(args.x, include_members=False)
     config = _config_dict(args, ["x", "c", "workers"])
-    config["exceptional_count"] = exc_count
+    config["exceptional_count"] = dist.exceptional_count
     config["cap_excluded"] = dist.cap_excluded
     config["admissible_c_min"] = dist.admissible_c_min
     if args.format == "csv":
-        _emit(_csv_with_config(dist.to_csv(), config), args.out)
+        _emit([_config_lines(config), dist.to_csv()], args.out)
     else:
         rows = [{"c": r.c, "threshold": r.threshold, "count_tn": r.count_tn,
                  "count_smooth": r.count_smooth, "diff": r.diff,
@@ -101,10 +126,8 @@ def _cmd_dist(args) -> int:
 def _cmd_rho(args) -> int:
     config = _config_dict(args, ["u"])
     if args.format == "csv":
-        lines = ["u,rho"]
-        for u in args.u:
-            lines.append(f"{u!r},{distribution.dickman_rho(u)!r}")
-        _emit(_csv_with_config("\n".join(lines) + "\n", config), args.out)
+        _emit([_config_lines(config), "u,rho\n",
+               *(f"{u!r},{distribution.dickman_rho(u)!r}\n" for u in args.u)], args.out)
     else:
         _emit_json({"values": [{"u": u, "rho": distribution.dickman_rho(u)}
                                for u in args.u]}, config, args.out)

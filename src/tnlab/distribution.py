@@ -131,6 +131,7 @@ class DistributionTable:
     x: int
     rows: tuple[DistRow, ...]
     cap_excluded: int  # rows dropped from count_tn because their search capped out
+    exceptional_count: int  # #{2 <= n <= x : P+(n)^2 | n}, as exceptional_set counts it
     # below this c the asymptotic error term swamps the main term; rows are
     # still reported, this is informational only
     admissible_c_min: float
@@ -151,13 +152,13 @@ def distribution_table(x: int, cs: Sequence[float],
                        workers: int = 1) -> DistributionTable:
     """Counts of {t_n <= floor(x^c)} versus {P+(n) <= floor(x^c)} for n <= x.
 
-    Rows are ordered by ascending c. Both counts are taken chunk by chunk,
-    through tn.chunk_map with `workers` as there, from each chunk's own
-    sweep: its t and the P+ of its windows. No array of length x is built,
-    and `table` is not read. Scan rows may be passed instead, to amortize
-    repeated tables over one scan; they must be the rows of n = 1..x in
-    order, as scan_tn(1, x) returns them, and P+ then comes from
-    sieve.p_plus_in.
+    Rows are ordered by ascending c. Both counts, and the size of the
+    exceptional set, are taken chunk by chunk, through tn.chunk_map with
+    `workers` as there, from each chunk's own sweep: its t and the P+ of
+    its windows. No array of length x is built, and `table` is not read.
+    Scan rows may be passed instead, to amortize repeated tables over one
+    scan; they must be the rows of n = 1..x in order, as scan_tn(1, x)
+    returns them, and P+ then comes from sieve.p_plus_in.
     """
     if x < 2:
         raise RangeError("x must be >= 2")
@@ -172,9 +173,10 @@ def distribution_table(x: int, cs: Sequence[float],
         raise RangeError(f"results must be the scan rows of n = 1..{x} in order")
     else:
         tvals = np.array([-1 if r.t is None else r.t for r in results], dtype=np.int64)
-        parts = [_count(tvals, p_plus_in(0, x), thresholds)]
-    # the capped rows, then count_tn for each c, then count_smooth for each c
-    excluded, *counts = sum(parts).tolist()
+        parts = [_count(1, tvals, p_plus_in(0, x), thresholds)]
+    # the capped rows, the exceptional set, then count_tn for each c, then
+    # count_smooth for each c
+    excluded, exceptional, *counts = sum(parts).tolist()
 
     rows = []
     for c, threshold, count_tn, count_smooth in zip(cs, thresholds, counts, counts[len(cs):]):
@@ -188,20 +190,23 @@ def distribution_table(x: int, cs: Sequence[float],
     ll = math.log(math.log(x)) if x >= 16 else 1.0
     c_min = math.log(ll) ** 2 / ll if ll > 1 else 1.0
     return DistributionTable(x=x, rows=tuple(rows), cap_excluded=excluded,
-                             admissible_c_min=c_min)
+                             exceptional_count=exceptional, admissible_c_min=c_min)
 
 
 def _chunk_counts(a: int, b: int, thresholds: list[int]) -> np.ndarray:
     """_count over the rows a..b, from their sweep."""
     ts, _, p_plus = _sweep(a, b, None, True)
-    return _count(np.array(ts, dtype=np.int64), p_plus, thresholds)
+    return _count(a, np.array(ts, dtype=np.int64), p_plus, thresholds)
 
 
-def _count(ts: np.ndarray, p_plus: np.ndarray, thresholds: list[int]) -> np.ndarray:
-    """The capped rows (t < 0), then #{0 <= t <= threshold} for each
-    threshold, then #{P+ <= threshold} for each threshold."""
+def _count(a: int, ts: np.ndarray, p_plus: np.ndarray, thresholds: list[int]) -> np.ndarray:
+    """Over the rows n = a, a+1, ... with these t and P+: the capped rows
+    (t < 0), the n >= 2 with P+(n)^2 | n, then #{0 <= t <= threshold} for
+    each threshold, then #{P+ <= threshold} for each threshold."""
+    # n = 1, with P+ = 1, is not counted
+    exceptional = np.count_nonzero(_square_p_plus(a, p_plus)) - (a == 1)
     below = np.array(thresholds, dtype=np.int64)[:, None]
-    return np.concatenate(([np.count_nonzero(ts < 0)],
+    return np.concatenate(([np.count_nonzero(ts < 0), exceptional],
                            np.count_nonzero((ts >= 0) & (ts <= below), axis=1),
                            np.count_nonzero(p_plus <= below, axis=1)))
 
@@ -222,8 +227,15 @@ def exceptional_set(x: int, include_members: bool = True,
 
 def _exceptional(a: int, b: int, table: Optional[SpfTable]) -> np.ndarray:
     """The n in [a, b] with P+(n)^2 | n."""
-    lp = p_plus_in(a - 1, b, table)
-    return np.flatnonzero(np.arange(a, b + 1, dtype=np.int64) % (lp * lp) == 0) + a
+    return np.flatnonzero(_square_p_plus(a, p_plus_in(a - 1, b, table))) + a
+
+
+def _square_p_plus(a: int, p_plus: np.ndarray) -> np.ndarray:
+    """Whether P+(n)^2 | n, for n = a, a+1, ... with these P+: P+(n)
+    divides n, so that is when it divides n / P+(n), with no square to
+    overflow."""
+    ns = np.arange(a, a + len(p_plus), dtype=np.int64)
+    return ns // p_plus % p_plus == 0
 
 
 DETAIL_LIMIT = 1000  # a conjecture scan lists its rows up to this many

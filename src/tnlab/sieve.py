@@ -8,7 +8,9 @@ from one segmented sieve (parity_windows), which also gives P+; batches of
 values, for kernels, from split_vectors, which trial-divides the values of
 the batch alone in blocks of primes. The windows are read here by
 p_plus_in, by tn's span searches and sweep, and by runge's point search.
-P+ over a range has one reader, p_plus_in, with one rule: a slice of the
+P+ over a range has two readers: tn's sweep, which takes the P+ of its
+own windows (for its rows' classification and for distribution's counts),
+and p_plus_in, for every other caller, with one rule: a slice of the
 caller's table's P+ array when the table reaches the range's end, the
 segmented sieve otherwise. A table is that P+ array alone, built on its
 first read at 8 bytes per entry, a chunk at a time, with primes from

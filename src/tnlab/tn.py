@@ -45,17 +45,19 @@ of r falls into the span exactly when it closes a window, and the
 smallest start its reduction meets is the unique n with n + t_n = r. The
 sweep reads its vectors and P+ from sieve.parity_windows, one numpy pass
 per window instead of one factor walk per value, counts the rows still
-open instead of queueing them, and keeps t in a plain int list; scan_tn
-and render_t turn the lists into rows through one mapping (_t_rows), only
-at their edge. Every scan runs through one driver, chunk_map, which cuts
-the range into chunks, sweeps each (scan_t, scan_tn, and the distribution
-tables and conjecture scans), and runs them in this process or in worker
-processes. The cuts change no t, since the rows with start >= n of the
-basis do not depend on where the sweep began; each chunk repeats only a
-tail past its end, about 2*sqrt(hi) values, until its own open rows
-close. A witnessed scan keeps one search per row: the canonical witness
-is the combination the insertion-order basis of that n finds, which the
-sweep does not track.
+open instead of queueing them, and keeps t in a plain int list. Each
+chunk turns its lists into plain tuple rows through one mapping (_t_rows,
+and _witnessed_rows with witnesses): scan_tn makes TnResults of them only
+at its edge, and scan_lines renders them in the chunk's own job, so the
+text of a scan comes a chunk at a time. Every scan runs through one
+driver, chunk_map, which cuts the range into chunks, sweeps each (scan_t,
+scan_tn, scan_lines, and the distribution tables and conjecture scans),
+and runs them in this process or in worker processes. The cuts change no
+t, since the rows with start >= n of the basis do not depend on where the
+sweep began; each chunk repeats only a tail past its end, about
+2*sqrt(hi) values, until its own open rows close. A witnessed scan keeps
+one search per row: the canonical witness is the combination the
+insertion-order basis of that n finds, which the sweep does not track.
 """
 
 from __future__ import annotations
@@ -289,18 +291,47 @@ def scan_tn(lo: int, hi: int,
     rows of compute_tn. Output is identical for any worker count >= 1. No
     scan reads `supplier`: vectors and P+ come from sieve windows.
     """
-    return [row for part in chunk_map(_rows, lo, hi, workers, cap, use_shortcut, include_witness)
-            for row in part]
+    return [TnResult(n, t, w, s, c)
+            for part in chunk_map(_rows, lo, hi, workers, cap, use_shortcut, include_witness)
+            for n, t, s, w, c in part]
 
 
-def _rows(lo: int, hi: int, cap: Optional[int], use_shortcut: bool, include_witness: bool):
-    """The rows of scan_tn on one chunk [lo, hi]."""
+def scan_lines(lo: int, hi: int,
+               cap: Optional[int] = None,
+               use_shortcut: bool = True,
+               include_witness: bool = False,
+               workers: int = 1,
+               fmt: str = "csv") -> Iterator[str]:
+    """The text of render_results(scan_tn(lo, hi, ...), fmt), one part per
+    chunk of chunk_map, with `workers` as there.
+
+    Each chunk's job renders its own rows, so a worker process sends back
+    text, no TnResult is made, and no text is longer than a chunk's. The
+    first part opens with the CSV header, and it is rendered at the call:
+    an unknown format, a bad range or cap, or a failure in the first
+    chunk raises before any text is returned.
+    """
+    head = _header(fmt)
+    parts = chunk_map(_lines, lo, hi, workers, cap, use_shortcut, include_witness, fmt)
+    return chain([head + next(parts)], parts)
+
+
+def _rows(lo: int, hi: int, cap: Optional[int], use_shortcut: bool,
+          include_witness: bool) -> list[tuple]:
+    """The rows of scan_tn on one chunk [lo, hi], as _body reads them:
+    (n, t, shortcut_used, witness, cap_exceeded)."""
     ts, shortcut, _ = _sweep(lo, hi, cap, use_shortcut)
     if not include_witness:
-        return [TnResult(n, t, w, s, c) for n, t, s, w, c in _t_rows(lo, ts, shortcut)]
+        return list(_t_rows(lo, ts, shortcut))
     if cap is not None and cap < 1 and any(ts):  # as in compute_tn: only squares need no search
         raise RangeError("cap must be >= 1")
     return _witnessed_rows(lo, ts, shortcut)
+
+
+def _lines(lo: int, hi: int, cap: Optional[int], use_shortcut: bool, include_witness: bool,
+           fmt: str) -> str:
+    """The rendered rows of scan_tn on one chunk [lo, hi], without a header."""
+    return _body(_rows(lo, hi, cap, use_shortcut, include_witness), fmt)
 
 
 # Rows a search reads become Python ints this many at a time: enough to
@@ -372,12 +403,12 @@ class _Run:
             del held[0]
 
 
-def _witnessed_rows(lo: int, ts: Sequence[int], shortcut: Sequence[bool]) -> list[TnResult]:
+def _witnessed_rows(lo: int, ts: Sequence[int], shortcut: Sequence[bool]) -> list[tuple]:
     """The rows of n = lo, lo+1, ... with witnesses, from their lists of
-    scan_t. Squares and capped rows come straight from the lists; every
-    other n is searched on one shared run, from n on, to exactly its t,
-    under B = isqrt(max(n + t_n)) >= isqrt of every value a search reads,
-    so t and the witness are those of compute_tn (see gf2)."""
+    scan_t, in _t_rows' layout. Squares and capped rows come straight from
+    the lists; every other n is searched on one shared run, from n on, to
+    exactly its t, under B = isqrt(max(n + t_n)) >= isqrt of every value a
+    search reads, so t and the witness are those of compute_tn (see gf2)."""
     reach = max((n + t for n, t in zip(count(lo), ts) if t > 0), default=lo)
     run = _Run(lo, reach + 1, shared=True)
     rows = []
@@ -385,7 +416,7 @@ def _witnessed_rows(lo: int, ts: Sequence[int], shortcut: Sequence[bool]) -> lis
         if t:  # neither a square (0) nor capped (None)
             run.seek(n)
             w = _search(n, run, t, exact=True)
-        rows.append(TnResult(n, t, w, s, c))
+        rows.append((n, t, s, w, c))
     return rows
 
 
@@ -418,22 +449,26 @@ def chunk_map(job, lo: int, hi: int, workers: int, *args) -> Iterator:
     order: the one driver of every scan, and the only place that starts
     processes.
 
-    The chunk size comes from lo, hi and workers alone. One worker runs
-    the chunks lazily in this process, about 64 isqrt(hi) values each (at
-    least 2^15), so the tail that a sweep runs past its chunk's end until
-    its open rows close, about 2 sqrt(hi) values, is a few percent of the
-    chunk. More workers cut max(256, ceil(len / (8 workers))) values a
-    chunk and run them in at most min(workers, chunks, cores) processes,
-    in order; where that is one process, or processes cannot be started
-    (with a RuntimeWarning), they run here. Fewer than one worker, or not
-    1 <= lo <= hi, raise RangeError.
+    The chunk size comes from lo, hi and workers alone, and is bounded by
+    the height: at most max(2^15, 64 isqrt(hi)) values, so the tail that a
+    sweep runs past its chunk's end until its open rows close, about
+    2 sqrt(hi) values, is a few percent of a full chunk, and a process
+    holds one chunk's rows whatever the range's length. One worker runs
+    the chunks of that size lazily in this process. More workers cut at
+    most max(256, ceil(len / (8 workers))) values a chunk, so that each
+    has about eight chunks or more, and run them in at most
+    min(workers, chunks, cores) processes, in order; where that is one
+    process, or processes cannot be started (with a RuntimeWarning), they
+    run here. Fewer than one worker, or not 1 <= lo <= hi, raise
+    RangeError.
     """
     if workers < 1:
         raise RangeError(f"workers must be >= 1, got {workers}")
     if not 1 <= lo <= hi:
         raise RangeError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    size = (max(1 << 15, 64 * isqrt(hi)) if workers == 1
-            else max(256, -((lo - hi - 1) // (8 * workers))))  # ceil(len / (8 workers))
+    size = max(1 << 15, 64 * isqrt(hi))
+    if workers > 1:
+        size = min(size, max(256, -((lo - hi - 1) // (8 * workers))))  # ceil(len / (8 workers))
     starts = range(lo, hi + 1, size)
     ends = [min(a + size, hi + 1) - 1 for a in starts]
     done = 0
@@ -541,38 +576,39 @@ def _sweep(lo: int, hi: int, cap: Optional[int],
 CSV_HEADER = "n,t,shortcut_used,witness"
 
 
-def _render(rows, fmt: str) -> str:
-    """Render (n, t, shortcut_used, witness, cap_exceeded) rows as CSV
-    (with header) or JSON lines; LF endings."""
-    if fmt == "csv":
-        lines = [CSV_HEADER] + [
-            f"{n},{'' if t is None else t},{'true' if s else 'false'},"
-            f"{';'.join(map(str, w)) if w else ''}" for n, t, s, w, _ in rows]
-    elif fmt == "json":
-        lines = [json.dumps({"n": n, "t": t, "shortcut_used": s,
-                             "witness": list(w) if w is not None else None,
-                             "cap_exceeded": c}, sort_keys=True)
-                 for n, t, s, w, c in rows]
-    else:
+def _header(fmt: str) -> str:
+    """The header line of a rendering: the CSV header, or nothing for JSON
+    lines."""
+    if fmt not in ("csv", "json"):
         raise RangeError(f"unknown format {fmt!r}")
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" if fmt == "csv" else ""
+
+
+def _body(rows: Iterable[tuple], fmt: str) -> str:
+    """(n, t, shortcut_used, witness, cap_exceeded) rows as CSV or JSON
+    lines, each ending in LF, without a header."""
+    if fmt == "csv":
+        lines = (f"{n},{'' if t is None else t},{'true' if s else 'false'},"
+                 f"{';'.join(map(str, w)) if w else ''}\n" for n, t, s, w, _ in rows)
+    else:
+        lines = (json.dumps({"n": n, "t": t, "shortcut_used": s,
+                             "witness": list(w) if w is not None else None,
+                             "cap_exceeded": c}, sort_keys=True) + "\n"
+                 for n, t, s, w, c in rows)
+    return "".join(lines)
 
 
 def render_results(results: Iterable[TnResult], fmt: str = "csv") -> str:
-    """Render scan rows as CSV (with header) or JSON lines; LF endings."""
-    return _render(((r.n, r.t, r.shortcut_used, r.witness, r.cap_exceeded)
-                    for r in results), fmt)
+    """Render scan rows as CSV (with header) or JSON lines; LF endings.
+    No rows in JSON render as one empty line."""
+    text = _header(fmt) + _body(((r.n, r.t, r.shortcut_used, r.witness, r.cap_exceeded)
+                                 for r in results), fmt)
+    return text or "\n"
 
 
 def _t_rows(lo: int, ts: Sequence[int], shortcut: Sequence[bool]) -> Iterator[tuple]:
-    """The rows of the lists of scan_t(lo, hi), as _render reads them:
+    """The rows of the lists of scan_t(lo, hi), as _body reads them:
     (n, t, shortcut_used, witness, cap_exceeded), with witness () for a
     square, t None for a capped row, and no witness otherwise."""
     return ((n, t if t >= 0 else None, s, () if t == 0 else None, t < 0)
             for n, t, s in zip(count(lo), ts, shortcut))
-
-
-def render_t(lo: int, ts: Sequence[int], shortcut: Sequence[bool], fmt: str = "csv") -> str:
-    """Render the lists of scan_t(lo, hi) as render_results renders the
-    rows of scan_tn(lo, hi) without witnesses, without making the rows."""
-    return _render(_t_rows(lo, ts, shortcut), fmt)

@@ -5,6 +5,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import mpmath_power_threshold, rho_quadrature
 from tnlab.distribution import (conjecture_scan, dickman_rho, distribution_table,
@@ -162,6 +164,22 @@ def test_exceptional_set_reads_p_plus_a_chunk_at_a_time():
     assert peak < 4 * 10 ** 6
     assert (count, members) == (9107, None)
     assert exceptional_set(10 ** 5, table=build_spf_table(10 ** 5)) == exceptional_set(10 ** 5)
+
+
+@given(st.integers(min_value=2, max_value=5000))
+@example(2).via("the smallest x")
+@example(3).via("no exceptional n")
+@example(4).via("the first exceptional n")
+@example(50).via("test_exceptional_examples")
+@example(70001).via("three chunks")
+@settings(max_examples=20, deadline=None)
+def test_distribution_table_counts_the_exceptional_set(x):
+    # each chunk counts P+(n)^2 | n from the P+ of its own sweep, and the
+    # results path from p_plus_in: both give exceptional_set's count
+    cs = [0.5, 1.0]
+    count = exceptional_set(x, include_members=False)[0]
+    assert distribution_table(x, cs).exceptional_count == count
+    assert distribution_table(x, cs, results=scan_tn(1, x)).exceptional_count == count
 
 
 def test_exceptional_examples():

@@ -94,6 +94,24 @@ SUBSET_DIGESTS = {
     (100, 120): "5b3e1aa716bb2f8289c7fc3d01854ad63ca66987630e3c8a26411d89a3e9a556",
 }
 
+# CLI scan files, taken while the CLI rendered every row before it wrote
+# the file: flags -> digest, the same for --workers 1 and 2. [2, 70000] is
+# 3 chunks for one worker and 16 for two; [2, 3000] and [100, 5000] are
+# one chunk for one worker and 12 and 16 for two.
+CLI_SCAN_DIGESTS = {
+    "--lo 2 --hi 70000": "b7287cf78f0d64256cd7743e11db42314d9077938b7c7c252095b4d1ccdfe8e6",
+    "--lo 2 --hi 70000 --format json":
+        "ec0f79729868acd002489b423d09a4935a34df9270050592d6badc910384dc12",
+    "--lo 2 --hi 3000 --witness":
+        "d16da77bd0897402e6c303477a060f01b6a2f4307425af0d1d5f08861d14e8a8",
+    "--lo 2 --hi 3000 --witness --format json":
+        "e2882088675c97e7c7196fc77bab2a23a6f38edd345e79e3cc7271a4834cccd9",
+    "--lo 100 --hi 5000 --cap 7 --no-shortcut":
+        "fef00f03db457db7cbefedb7e776b4c53b8cdb371973ef09c4aa10035e5d350f",
+    "--lo 100 --hi 5000 --cap 7 --no-shortcut --format json":
+        "d0366292696d2bbb2cba853b43941cf27f4072ab5a277892d88fd0c02e739eba",
+}
+
 # values above this lie past the small table of the supplier, which does
 # not read it; searches read their vectors from sieve windows at every height
 SMALL_TABLE = 1 << 12
@@ -132,6 +150,14 @@ def test_golden_dist_file(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIST_DIGEST
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("flags", sorted(CLI_SCAN_DIGESTS))
+def test_golden_cli_scan_files(tmp_path, flags, workers):
+    out = tmp_path / "scan"
+    assert main(["scan", *flags.split(), "--workers", workers, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_SCAN_DIGESTS[flags]
+
+
 @given(st.integers(min_value=1, max_value=20000), st.integers(min_value=0, max_value=300),
        st.one_of(st.none(), st.integers(min_value=1, max_value=200)), st.booleans())
 @settings(max_examples=60, deadline=None)
@@ -140,9 +166,9 @@ def test_sweep_matches_per_n_searches(small_supplier, lo, length, cap, use_short
     rows = scan_tn(lo, hi, cap, use_shortcut, include_witness=False, supplier=small_supplier)
     assert rows == [tn_row(n, cap, use_shortcut, False, small_supplier)
                     for n in range(lo, hi + 1)]
-    ts, shortcut = tn.scan_t(lo, hi, cap, use_shortcut)
     for fmt in ("csv", "json"):
-        assert tn.render_t(lo, ts, shortcut, fmt) == render_results(rows, fmt)
+        assert "".join(tn.scan_lines(lo, hi, cap, use_shortcut, fmt=fmt)) == \
+            render_results(rows, fmt)
 
 
 @given(st.integers(min_value=2, max_value=20000),

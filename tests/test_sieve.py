@@ -461,14 +461,16 @@ def test_one_producer_of_t_for_every_scan():
 
 def test_one_driver_starts_every_worker_process():
     # every scan runs through chunk_map, the only code that names a process
-    # pool: scan_t, scan_tn with and without witnesses, dist's counts and
-    # exceptional set, and conjecture; the witness-only pool is gone
+    # pool: scan_t, scan_tn with and without witnesses, the CLI scan's
+    # text (scan_lines), dist's counts and exceptional set, and conjecture;
+    # the witness-only pool is gone
     named = {(path.name, definition)
              for path in sorted(Path(sieve.__file__).parent.glob("*.py"))
              for definition, top in _definitions(ast.parse(path.read_text()))
              if "ProcessPoolExecutor" in ast.dump(top)}
     assert named == {("tn.py", "chunk_map")}
     assert _calls("chunk_map") == {("tn.py", "scan_t"), ("tn.py", "scan_tn"),
+                                   ("tn.py", "scan_lines"),
                                    ("distribution.py", "distribution_table"),
                                    ("distribution.py", "exceptional_set"),
                                    ("distribution.py", "conjecture_scan")}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import InProcessPool
 from oracles import (brute_tn, is_square, largest_prime_factor, tn_row, tn_without_jump,
                      trial_factor, verify_by_supports)
 from tnlab.errors import CapExceeded, DomainError, RangeError
@@ -632,34 +633,6 @@ def test_scan_falls_back_to_sequential_with_warning(supplier, monkeypatch):
     assert rows == scan_tn(2, 600, cap=40, include_witness=True, workers=1, supplier=supplier)
 
 
-class InProcessPool:
-    """Records the processes asked for and runs the map here."""
-
-    asked: list[int] = []
-
-    def __init__(self, max_workers):
-        self.asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    """InProcessPool in place of the process pool, with its record cleared."""
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(InProcessPool, "asked", [])
-    return InProcessPool.asked
-
-
 # every entry point of chunk_map, on 599 or 600 values
 _ENTRY_POINTS = {
     "scan": lambda workers: scan_t(2, 600, cap=40, workers=workers),
@@ -695,9 +668,9 @@ def test_witnessed_scan_starts_no_more_processes_than_it_can_use(
 @settings(max_examples=25, deadline=None)
 @example(lo=1, length=3000, cap=None, use_shortcut=False, x=3000)
 def test_chunks_are_exact(lo, length, cap, use_shortcut, x):
-    # every scan cut by chunk_map equals the one sweep of its whole range:
-    # workers 2 on InProcessPool cut a few thousand values into chunks of
-    # 256 in this process
+    # every scan cut by chunk_map equals the one sweep of its whole range,
+    # and its rendering the rendered rows: workers 2 on InProcessPool cut a
+    # few thousand values into chunks of 256 in this process
     import concurrent.futures
     import os
 
@@ -705,7 +678,8 @@ def test_chunks_are_exact(lo, length, cap, use_shortcut, x):
     ts, shortcut, _ = tn._sweep(lo, hi, cap, use_shortcut)
     rows = [TnResult(n, t, w, s, c) for n, t, s, w, c in tn._t_rows(lo, ts, shortcut)]
     k = min(length + 1, 300)  # witnessed rows: two chunks at most
-    witnessed = tn._witnessed_rows(lo, ts[:k], shortcut[:k])
+    witnessed = [TnResult(n, t, w, s, c)
+                 for n, t, s, w, c in tn._witnessed_rows(lo, ts[:k], shortcut[:k])]
     x_ts, x_shortcut, _ = tn._sweep(1, x, None, True)
     x_rows = [TnResult(n, t, w, s, c) for n, t, s, w, c in tn._t_rows(1, x_ts, x_shortcut)]
     cs = [0.3, 0.5, 0.7, 1.0]
@@ -717,10 +691,39 @@ def test_chunks_are_exact(lo, length, cap, use_shortcut, x):
         assert scan_tn(lo, hi, cap, use_shortcut, workers=2) == rows
         assert scan_tn(lo, lo + k - 1, cap, use_shortcut, include_witness=True,
                        workers=2) == witnessed
+        # each chunk's job renders its own rows, one part a chunk
+        for fmt in ("csv", "json"):
+            parts = list(tn.scan_lines(lo, hi, cap, use_shortcut, workers=2, fmt=fmt))
+            assert "".join(parts) == render_results(rows, fmt)
+            assert len(parts) == len(range(lo, hi + 1, 256))
+        assert "".join(tn.scan_lines(lo, lo + k - 1, cap, use_shortcut, True, 2, "json")) == \
+            render_results(witnessed, "json")
         # the results path takes t from the one sweep, and P+ from p_plus_in
         assert distribution_table(x, cs, workers=2) == distribution_table(x, cs, results=x_rows)
         # one worker sweeps up to 2^15 values as one chunk
         assert conjecture_scan(x, 0.5, workers=2) == conjecture_scan(x, 0.5)
+
+
+def _cut(a, b):
+    return a, b
+
+
+def test_chunks_are_bounded_by_the_height(monkeypatch, in_process_pool):
+    # more workers never cut a chunk longer than one worker's: a process
+    # holds one chunk of rows whatever the range's length. [1, 10^7] in
+    # len / 16 values a chunk would cut 625,000, against 202,368
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for hi in (10 ** 6, 10 ** 7):
+        in_process_pool.clear()
+        chunks = list(tn.chunk_map(_cut, 1, hi, 2))
+        assert in_process_pool == [2]
+        assert [a for a, _ in chunks] == [1] + [b + 1 for _, b in chunks[:-1]]
+        assert chunks[-1][1] == hi
+        assert max(b + 1 - a for a, b in chunks) <= max(1 << 15, 64 * isqrt(hi))
+    # a range of at most 8 * workers * 2^15 values is cut as before
+    assert len(list(tn.chunk_map(_cut, 2, 100000, 2))) == 16
 
 
 def test_a_far_jump_never_spells_out_its_partners_offset():
@@ -769,3 +772,8 @@ def test_render_json(supplier):
     assert render_results(rows, "json") == (
         '{"cap_exceeded": false, "n": 4, "shortcut_used": false, '
         '"t": 0, "witness": []}\n')
+
+
+def test_render_no_rows():
+    assert render_results([], "csv") == "n,t,shortcut_used,witness\n"
+    assert render_results([], "json") == "\n"
