@@ -152,7 +152,9 @@ def distribution_table(x: int, cs: Sequence[float],
                        workers: int = 1) -> DistributionTable:
     """Counts of {t_n <= floor(x^c)} versus {P+(n) <= floor(x^c)} for n <= x.
 
-    Rows are ordered by ascending c. Both counts, and the size of the
+    Rows are ordered by ascending c, and each c must lie in (0, 1] with
+    1/c <= RHO_MAX_U, where rho is tabulated: any other c raises RangeError
+    before anything is swept. Both counts, and the size of the
     exceptional set, are taken chunk by chunk, through tn.chunk_map with
     `workers` as there, from each chunk's own sweep: its t and the P+ of
     its windows. No array of length x is built, and `table` is not read.
@@ -165,6 +167,8 @@ def distribution_table(x: int, cs: Sequence[float],
     for c in cs:
         if not (0.0 < c <= 1.0):
             raise RangeError(f"each c must lie in (0, 1], got {c}")
+        if 1.0 / c > RHO_MAX_U:
+            raise RangeError(f"each c must be >= 1/{RHO_MAX_U:g}, for rho(1/c), got {c}")
     cs = sorted(cs)
     thresholds = [power_threshold(x, c) for c in cs]
     if results is None:

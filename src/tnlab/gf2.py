@@ -57,10 +57,12 @@ vectors, because they answer two different questions.
   witnesses and kernel bases. The span search of tn (compute_tn and
   witnessed scans) drives it directly, one n at a time, and kernel_masks
   serves every kernel: interval kernels, the small-t_n pigeonhole and the
-  constructor's parity kernel. Kernels take their split vectors from
-  sieve.split_vectors, the one place that picks the bound of a batch and
-  which factors the values of the batch alone; span searches read them
-  from the windows of sieve.parity_windows, which sieve a whole range. A
+  constructor's parity kernel. The constructor's kernels, over batches of
+  smooth values, take their split vectors from sieve.split_vectors, which
+  picks the bound of a batch and factors the values of the batch alone;
+  interval kernels and span searches read them from the windows of
+  sieve.parity_windows, which sieve a whole range, an interval's under
+  the bound isqrt(hi) that split_vectors would pick for it. A
   kernel comes out in systematic form (Kernel): the dependent and
   independent insertion indices, and each dependent vector's coordinates
   over the independent ones. The constructor works on those coordinates;
@@ -72,9 +74,10 @@ vectors, because they answer two different questions.
   carries only the smallest insertion index among the vectors XOR-ed into
   it, and a pivot keeps the row whose start is latest. One left-to-right
   sweep over a range then resolves t_n for every n of a scan without
-  witnesses (tn.scan_t), where SplitBasis would need a fresh search per n.
-  Its split vectors come from sieve.parity_windows, the segmented sieve
-  that every split vector of a range comes from.
+  witnesses (tn.scan_t), and which n of an interval close inside it
+  (intervals.count_tn_closed), where SplitBasis would need a fresh search
+  per n. Its split vectors come from sieve.parity_windows, the segmented
+  sieve that every split vector of a range comes from.
 
 Prime sets (ParitySupplier.support, by trial division) are kept apart
 from this encoding on purpose: they serve only brute-mode

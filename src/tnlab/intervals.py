@@ -6,44 +6,68 @@ inside I (n + t_n <= hi), and B is at least the y-smooth count of I minus
 pi(y). Both facts are theorems; this module makes them executable, with
 the exponential enumeration kept as the trusted oracle against the GF(2)
 kernel route.
+
+Each count of check_interval_identity reads (lo, hi] itself and nothing
+past hi. The closed count and kernel mode read the split vectors of the
+interval's own sieve windows under B = isqrt(hi) (_split_rows); the smooth
+count reads P+ through sieve.p_plus_in. Brute mode reads neither: its
+prime sets come from trial division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import RangeError
-from .gf2 import kernel_masks, mask_bits
-from .sieve import pack_rows, primes_up_to, smooth_in_interval, split_vectors
+from .gf2 import SweepBasis, kernel_masks, mask_bits
+from .sieve import (pack_rows, parity_windows, primes_through, primes_up_to, row_bits,
+                    smooth_in_interval)
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
 # by name until the tracer reads in-tree counters (ROADMAP item 2)
-from .tn import ParitySupplier, compute_tn, scan_t  # noqa: F401
+from .tn import ParitySupplier, compute_tn  # noqa: F401
 
 BRUTE_LENGTH_GUARD = 30
 # brute mode tabulates the subsets of this many elements at once
 BRUTE_BLOCK_BITS = 16
 
 
-def count_tn_closed(lo: int, hi: int) -> int:
-    """#{n in (lo, hi] : n + t_n <= hi}, from one sweep.
+def _split_rows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The split vectors (q, bits) of lo+1, ..., hi under B = isqrt(hi),
+    from the interval's own sieve windows: the vectors of split_vectors on
+    the same values, since both end in the same remainder step."""
+    for _, large, words, _ in parity_windows(lo + 1, hi + 1, isqrt(hi)):
+        yield from zip(large.tolist(), row_bits(words))
 
-    tn.scan_t resolves n = lo+1, ..., hi-1 with its cap at hi - lo - 1,
-    the largest offset that can stay inside the interval: n counts when
-    its t is known (t >= 0, not capped) and n + t <= hi. n = hi counts
-    only when it is a square (t = 0).
+
+def count_tn_closed(lo: int, hi: int) -> int:
+    """#{n in (lo, hi] : n + t_n <= hi}, from one sweep over (lo, hi] alone.
+
+    The vectors v_r of r = lo+1, ..., hi (_split_rows) go into one
+    gf2.SweepBasis in order, and the sweep stops at hi. The count is the
+    squares of the interval plus every r whose insert returns a start.
+
+    Why. Let a = lo + 1. insert returns l >= a at r exactly when v_r is in
+    span(v_l, ..., v_{r-1}) but not in span(v_{l+1}, ..., v_{r-1}). Then
+    v_l = v_r + w with w in span(v_{l+1}, ..., v_{r-1}), so v_l is in the
+    span of its next r - l successors and of no fewer (or v_r would be in
+    span(v_{l+1}, ..., v_{r-1})): t_l = r - l. Conversely every non-square
+    n >= a with n + t_n = r is returned at r: v_r takes part in the
+    combination that makes v_n, so v_r is in span(v_n, ..., v_{r-1}), and
+    it is not in span(v_{n+1}, ..., v_{r-1}), which would put v_n there.
+    Each r returns at most one l and each n closes at one r. A square n
+    has the zero vector and t = 0: it counts by itself and is never
+    returned, since a zero v_l adds nothing to a span. A non-square n = hi
+    cannot close inside the interval, and nothing past hi is read.
     """
     if not (0 <= lo < hi):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
-    closed = int(isqrt(hi) ** 2 == hi)
-    if hi - lo > 1:
-        ts, _ = scan_t(lo + 1, hi - 1, cap=hi - lo - 1)
-        closed += sum(0 <= t <= hi - n for n, t in zip(count(lo + 1), ts))
-    return closed
+    insert = SweepBasis(len(primes_through(isqrt(hi)))).insert
+    return sum(not (q or bits) or insert(q, bits, r) is not None
+               for r, (q, bits) in enumerate(_split_rows(lo, hi), lo + 1))
 
 
 @dataclass(frozen=True)
@@ -78,13 +102,15 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
     subsets come out in ascending characteristic-bitmask order. The
     selection of mode is deliberately explicit so tests cannot silently
     lose their exponential oracle. mode="kernel" returns a GF(2) kernel
-    basis and the exact count 2^dim without enumeration.
+    basis (gf2.kernel_masks over the interval's own windows, _split_rows)
+    and the exact count 2^dim without enumeration; `supplier` is not read.
     """
     if not (0 <= lo < hi):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
     elements = list(range(lo + 1, hi + 1))
     if mode == "kernel":
-        kernel = _kernel_sets(elements)
+        kernel = [tuple(elements[i] for i in mask_bits(mask))
+                  for mask in kernel_masks(_split_rows(lo, hi)).masks()]
         return SquareSubsetEnumeration(lo, hi, mode, 2 ** len(kernel),
                                        kernel_basis=tuple(kernel))
     if mode != "brute":
@@ -130,11 +156,6 @@ def _subset_xors(vecs: np.ndarray) -> np.ndarray:
     for i, vec in enumerate(vecs):
         np.bitwise_xor(out[:1 << i], vec, out=out[1 << i:2 << i])
     return out
-
-
-def _kernel_sets(elements: list[int]) -> list[tuple[int, ...]]:
-    return [tuple(elements[i] for i in mask_bits(mask))
-            for mask in kernel_masks(split_vectors(elements)).masks()]
 
 
 @dataclass(frozen=True)

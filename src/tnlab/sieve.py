@@ -5,9 +5,10 @@ here, through primes_through (primes_up_to is its list view). Split parity
 vectors come from two producers that share one remainder step
 (_split_remainders): ranges, at any height below WINDOW_VALUE_CEILING,
 from one segmented sieve (parity_windows), which also gives P+; batches of
-values, for kernels, from split_vectors, which trial-divides the values of
-the batch alone in blocks of primes. The windows are read here by
-p_plus_in, by tn's span searches and sweep, and by runge's point search.
+smooth values, for the constructor's kernels, from split_vectors, which
+trial-divides the values of the batch alone in blocks of primes. The
+windows are read here by p_plus_in, by tn's span searches and sweep, by
+intervals' closed count and kernels, and by runge's point search.
 P+ over a range has two readers: tn's sweep, which takes the P+ of its
 own windows (for its rows' classification and for distribution's counts),
 and p_plus_in, for every other caller, with one rule: a slice of the
@@ -288,8 +289,10 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
 def split_vectors(values: Sequence[int]) -> list[tuple[int, int]]:
     """The split vectors (q, bits) of a batch of positive values under
     B = isqrt(max(values)), the bound of every kernel: no value of the batch
-    has two prime factors above it. Values outside [1, WINDOW_VALUE_CEILING)
-    raise RangeError, as they do in a window.
+    has two prime factors above it. It serves batches of smooth values (the
+    constructor's); an interval's kernel reads its own windows under the
+    same bound, which give the same vectors. Values outside
+    [1, WINDOW_VALUE_CEILING) raise RangeError, as they do in a window.
 
     Only the values of the batch are factored, by trial division with the
     primes <= B in blocks that start at _FIRST_BLOCK primes and double:

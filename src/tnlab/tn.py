@@ -74,8 +74,8 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import (_FIRST_WINDOW, WINDOW_VALUE_CEILING, SpfTable, Window, factorize_trial,
-                    p_plus_in, parity_windows, primes_through, row_bits)
+from .sieve import (WINDOW_VALUE_CEILING, SpfTable, Window, factorize_trial, p_plus_in,
+                    parity_windows, primes_through, row_bits)
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -518,7 +518,7 @@ def _sweep(lo: int, hi: int, cap: Optional[int],
     touches is at most reach = hi + min(limit, 3 hi), since t_n <= 3n. The
     windows of the rows and those of the tail past hi are two passes, so
     that the tail, which runs only until the open rows close, sieves small
-    windows first; a sweep that fits in one first window sieves just that.
+    windows first.
     The rows of each window are classified from its P+ (_classify) before
     its values go in: squares and shortcut rows are settled, every other n
     is open. The values go into one SweepBasis, whose insertion of r returns
@@ -538,10 +538,8 @@ def _sweep(lo: int, hi: int, cap: Optional[int],
     open_rows = 0
     basis = None
     bound = isqrt(reach)
-    # the tail past hi, a few windows at most, starts again from small
-    # ones, unless the whole sweep fits in the first window
-    windows = (parity_windows(lo, reach + 1, bound) if reach - lo < _FIRST_WINDOW else
-               chain(parity_windows(lo, hi + 1, bound), parity_windows(hi + 1, reach + 1, bound)))
+    # the tail past hi, a few windows at most, starts again from small ones
+    windows = chain(parity_windows(lo, hi + 1, bound), parity_windows(hi + 1, reach + 1, bound))
     for a, large, words, p_plus in windows:
         if a <= hi:
             p_pluses.append(p_plus[:hi + 1 - a])

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import multiprocessing
 import os
@@ -7,7 +8,6 @@ import shlex
 import stat
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -192,21 +192,26 @@ def test_workers_change_no_byte_but_their_own_line(tmp_path, capsys, argv):
     assert (read(one) != read(two)) == (argv[0] != "scan")
 
 
-def test_scan_writes_each_chunk_as_it_comes(tmp_path):
-    # one chunk of 35,008 rows is rendered at a time: 9.2 MB measured,
-    # against 46 MB when every row was rendered and joined before the write
+def test_scan_writes_each_chunk_as_it_comes(tmp_path, peak_growth_mb):
+    # one chunk of 64,000 rows is rendered at a time: the process grew by
+    # 19 MB measured, against 50 MB when every row was rendered and joined
+    # before the write
     out = tmp_path / "scan.csv"
-    assert run_cli(["scan", "--lo", "2", "--hi", "3000", "--out", str(out)]) == 0  # warm-up
-    tracemalloc.start()
-    try:
-        assert run_cli(["scan", "--lo", "2", "--hi", "300000", "--out", str(out)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 10 ** 6
-    lines = read(out).splitlines()
-    assert len(lines) == 6 + 1 + 299999  # the config, the header and the rows
-    assert lines[7] == b"2,4,false," and lines[-1].startswith(b"300000,")
+    growth = peak_growth_mb(
+        f"from tnlab.cli import main\nassert main(['scan', '--lo', '2', '--hi', '3000', "
+        f"'--out', {str(out)!r}]) == 0",
+        f"assert main(['scan', '--lo', '2', '--hi', '1000000', '--out', {str(out)!r}]) == 0")
+    assert growth < 32
+    # read a line at a time: the million rows held as one list would raise
+    # this process's own peak, which getrusage counts in every child it
+    # starts afterwards (test_engine's memory bound reads it so)
+    with out.open("rb") as rows:
+        eighth = next(itertools.islice(rows, 7, None))
+        count, last = 8, eighth
+        for count, last in enumerate(rows, 9):
+            pass
+    assert count == 6 + 1 + 999999  # the config, the header and the rows
+    assert eighth.rstrip() == b"2,4,false," and last.startswith(b"1000000,")
 
 
 @pytest.mark.parametrize("argv", [
@@ -214,6 +219,8 @@ def test_scan_writes_each_chunk_as_it_comes(tmp_path):
     ["scan", "--lo", "2", "--hi", "10", "--cap", "0"],
     ["scan", "--lo", "2", "--hi", "40", "--witness", "--cap", "0", "--format", "json"],
     ["scan", "--lo", "2", "--hi", "10", "--workers", "0"],
+    # rho(1/c) is tabulated for 1/c <= 50: refused before [1, x] is swept
+    ["dist", "--x", "300000", "--c", "0.015"],
 ])
 def test_a_scan_argument_error_writes_nothing(tmp_path, capsys, argv):
     assert run_cli(argv) == 2

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import mpmath_power_threshold, rho_quadrature
+from tnlab import distribution
 from tnlab.distribution import (conjecture_scan, dickman_rho, distribution_table,
                                 exceptional_set, power_threshold)
 from tnlab.errors import RangeError
@@ -99,6 +100,15 @@ def test_distribution_rows_sorted_and_bounded(table):
     assert all(a.count_smooth <= b.count_smooth for a, b in zip(t.rows, t.rows[1:]))
 
 
+def test_a_c_past_the_rho_grid_is_refused_before_any_sweep(monkeypatch):
+    # rho(1/c) is tabulated for 1/c <= 50, and a smaller c is refused before
+    # any of [1, x] is swept
+    assert distribution_table(1000, [0.02]).rows[0].c == 0.02  # u = 50
+    monkeypatch.setattr(distribution, "chunk_map", None)  # a sweep would raise TypeError
+    with pytest.raises(RangeError, match=r"got 0\.01$"):
+        distribution_table(10 ** 6, [0.5, 0.01])
+
+
 def test_distribution_exceptional_inequality(table):
     # #{t_n <= T} - #{P+ <= T} <= |E| exactly, any x and c
     x = 2000
@@ -139,17 +149,17 @@ def test_distribution_takes_only_rows_of_1_to_x(supplier):
             distribution_table(x, [0.5], results=bad)
 
 
-def test_distribution_table_builds_no_array_of_length_x():
-    # both counts are taken chunk by chunk from each chunk's own sweep:
-    # 4.3 MB measured, against 24.5 MB for t and P+ as arrays of length x
-    tracemalloc.start()
-    try:
-        t = distribution_table(2 * 10 ** 5, [0.3, 0.5, 0.7, 1.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 10 ** 6
-    assert t.cap_excluded == 0 and t.rows[-1].count_tn == t.rows[-1].count_smooth == 2 * 10 ** 5
+def test_distribution_table_builds_no_array_of_length_x(peak_growth_mb):
+    # both counts are taken chunk by chunk from each chunk's own sweep: the
+    # process grew by 12 MB measured at x = 10^6, against 70 MB for t and
+    # P+ as arrays of length x
+    growth = peak_growth_mb(
+        "from tnlab.distribution import distribution_table\n"
+        "distribution_table(3000, [0.5])",
+        "t = distribution_table(10 ** 6, [0.3, 0.5, 0.7, 1.0])\n"
+        "assert t.cap_excluded == 0\n"
+        "assert t.rows[-1].count_tn == t.rows[-1].count_smooth == 10 ** 6")
+    assert growth < 32
 
 
 def test_exceptional_set_reads_p_plus_a_chunk_at_a_time():

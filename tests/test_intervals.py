@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from oracles import brute_square_subsets, count_tn_closed_per_n, gray_code_square_subsets
 from tnlab import intervals, sieve
 from tnlab.errors import RangeError
+from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import (check_interval_identity, count_tn_closed,
                              enumerate_square_subsets)
+from tnlab.sieve import split_vectors
 
 
 def test_count_examples():
@@ -19,7 +21,9 @@ def test_count_examples():
 
 
 @given(st.one_of(st.integers(min_value=0, max_value=3000),
-                 st.integers(min_value=10 ** 6 - 3000, max_value=10 ** 6 + 3000)),
+                 st.integers(min_value=10 ** 6 - 3000, max_value=10 ** 6 + 3000),
+                 st.integers(min_value=10 ** 9, max_value=10 ** 9 + 3000),
+                 st.integers(min_value=10 ** 12, max_value=10 ** 12 + 3000)),
        st.integers(min_value=1, max_value=60))
 @settings(max_examples=60, deadline=None)
 @example(0, 1)
@@ -28,8 +32,11 @@ def test_count_examples():
 @example(10 ** 6 - 40, 40)          # hi = 1000^2
 @example(1002001 - 1, 1)            # hi = 1001^2
 @example(10 ** 6 + 17, 1)
+@example(10 ** 9, 60)
+@example(10 ** 12 - 60, 60)         # hi = (10^6)^2
 def test_count_matches_per_n_searches(lo, length):
-    # one sweep over (lo, hi) against one capped compute_tn search per n
+    # one sweep over (lo, hi] against one compute_tn search per n, capped
+    # at hi - n
     hi = lo + length
     assert count_tn_closed(lo, hi) == count_tn_closed_per_n(lo, hi)
 
@@ -76,13 +83,31 @@ def test_brute_mode_counts_2_to_the_kernel_dimension_at_length_26(monkeypatch):
     # characteristic-bitmask order, and brute mode reads no sieve window
     # and calls nothing in gf2, so it stays an independent oracle
     kernel = enumerate_square_subsets(0, 26, mode="kernel")
-    for name in ("kernel_masks", "mask_bits", "split_vectors"):
+    for name in ("_split_rows", "SweepBasis", "kernel_masks", "mask_bits"):
         monkeypatch.setattr(intervals, name, None)
     monkeypatch.setattr(sieve, "parity_windows", None)
     brute = enumerate_square_subsets(0, 26)
     assert brute.count == len(brute.subsets) == 2 ** len(kernel.kernel_basis) == 2 ** 17
     masks = [sum(1 << (e - 1) for e in s) for s in brute.subsets]
     assert masks == sorted(set(masks))
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                 st.integers(min_value=0, max_value=10 ** 12)),
+       st.integers(min_value=1, max_value=500))
+@settings(max_examples=40, deadline=None)
+@example(0, 500)
+@example(10 ** 12 - 500, 500)       # hi = (10^6)^2
+@example(10 ** 12, 1)
+def test_kernel_mode_matches_the_trial_division_route(lo, length):
+    # kernel mode reads the interval's own sieve windows; trial division of
+    # the same values (split_vectors) must give the same vectors, so the
+    # same kernel basis
+    hi = lo + length
+    elements = list(range(lo + 1, hi + 1))
+    expected = tuple(tuple(elements[i] for i in mask_bits(mask))
+                     for mask in kernel_masks(split_vectors(elements)).masks())
+    assert enumerate_square_subsets(lo, hi, "kernel").kernel_basis == expected
 
 
 def test_enumerate_guard(supplier):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import is_smooth, largest_prime_factor, trial_factor, whole_range_p_plus
-from tnlab import sieve, tn
+from tnlab import intervals, sieve, tn
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
                          build_spf_table, factorize_trial, p_plus_in, parity_windows,
@@ -411,8 +411,9 @@ def test_one_reader_decides_where_p_plus_comes_from():
     # only p_plus_in reads a table's P+ array; tables are built only where
     # one prefix is read several times (dist counts per chunk and builds
     # none); windows serve ranges alone: P+ past a table, tn's runs and
-    # sweep and runge's point search, while batches (split_vectors) are
-    # trial-divided
+    # sweep, the split vectors of an interval and runge's point search,
+    # while batches of smooth values (split_vectors, the constructor's
+    # alone) are trial-divided
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     # a table is its P+ array, built from the one prime array
     assert ("sieve.py", "SpfTable.largest_prime_factors") in _calls("primes_through")
@@ -420,7 +421,10 @@ def test_one_reader_decides_where_p_plus_comes_from():
     assert _calls("build_spf_table") == {("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
     assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("tn.py", "_Run.__init__"),
-                                        ("tn.py", "_sweep"), ("runge.py", "search_integral_points")}
+                                        ("tn.py", "_sweep"), ("intervals.py", "_split_rows"),
+                                        ("runge.py", "search_integral_points")}
+    assert _calls("split_vectors") == {("constructor.py", "build_small_tn"),
+                                       ("constructor.py", "construct_curve_point")}
 
 
 def test_one_exact_check_for_every_witness():
@@ -451,6 +455,18 @@ def test_a_run_sieves_forward_from_its_one_start():
                    "row_bits", "_Run", "_Window"):
         assert ("tn.py", "_partner") not in _calls(reader), reader
     assert ("tn.py", "_partner") in _calls("factorize_trial")
+
+
+def test_interval_questions_read_the_intervals_own_windows():
+    # the closed count and kernel mode read the split vectors of (lo, hi]
+    # from its own windows under isqrt(hi), not through a scan or a batch
+    # split, and nothing past hi; the sweep keeps one form for its passes
+    assert _calls("_split_rows") == {("intervals.py", "count_tn_closed"),
+                                     ("intervals.py", "enumerate_square_subsets")}
+    for name in ("scan_t", "chunk_map", "_sweep", "split_vectors"):
+        assert not any(path == "intervals.py" for path, _ in _calls(name)), name
+        assert not hasattr(intervals, name), name
+    assert not hasattr(tn, "_FIRST_WINDOW")
 
 
 def test_one_producer_of_t_for_every_scan():
