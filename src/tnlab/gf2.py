@@ -60,9 +60,10 @@ vectors, because they answer two different questions.
   constructor's parity kernel. The constructor's kernels, over batches of
   smooth values, take their split vectors from sieve.split_vectors, which
   picks the bound of a batch and factors the values of the batch alone;
-  interval kernels and span searches read them from the windows of
-  sieve.parity_windows, which sieve a whole range, an interval's under
-  the bound isqrt(hi) that split_vectors would pick for it. A
+  interval kernels and span searches read them from sieve.split_rows, the
+  rows of the windows of sieve.parity_windows, which sieve a whole range,
+  an interval's under the bound isqrt(hi) that split_vectors would pick
+  for it. A
   kernel comes out in systematic form (Kernel): the dependent and
   independent insertion indices, and each dependent vector's coordinates
   over the independent ones. The constructor works on those coordinates;
@@ -77,7 +78,8 @@ vectors, because they answer two different questions.
   witnesses (tn.scan_t), and which n of an interval close inside it
   (intervals.count_tn_closed), where SplitBasis would need a fresh search
   per n. Its split vectors come from sieve.parity_windows, the segmented
-  sieve that every split vector of a range comes from.
+  sieve that every split vector of a range comes from: the sweep reads
+  the windows, an interval's count reads their rows (sieve.split_rows).
 
 Prime sets (ParitySupplier.support, by trial division) are kept apart
 from this encoding on purpose: they serve only brute-mode

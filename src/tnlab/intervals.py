@@ -9,23 +9,23 @@ kernel route.
 
 Each count of check_interval_identity reads (lo, hi] itself and nothing
 past hi. The closed count and kernel mode read the split vectors of the
-interval's own sieve windows under B = isqrt(hi) (_split_rows); the smooth
-count reads P+ through sieve.p_plus_in. Brute mode reads neither: its
-prime sets come from trial division.
+interval's own sieve windows under B = isqrt(hi), streamed by
+sieve.split_rows; the smooth count reads P+ through sieve.p_plus_in.
+Brute mode reads neither: its prime sets come from trial division.
+check_interval_identity checks all its arguments before it counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import RangeError
 from .gf2 import SweepBasis, kernel_masks, mask_bits
-from .sieve import (pack_rows, parity_windows, primes_through, primes_up_to, row_bits,
-                    smooth_in_interval)
+from .sieve import pack_rows, primes_through, primes_up_to, smooth_in_interval, split_rows
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
 # by name until the tracer reads in-tree counters (ROADMAP item 2)
 from .tn import ParitySupplier, compute_tn  # noqa: F401
@@ -35,20 +35,13 @@ BRUTE_LENGTH_GUARD = 30
 BRUTE_BLOCK_BITS = 16
 
 
-def _split_rows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """The split vectors (q, bits) of lo+1, ..., hi under B = isqrt(hi),
-    from the interval's own sieve windows: the vectors of split_vectors on
-    the same values, since both end in the same remainder step."""
-    for _, large, words, _ in parity_windows(lo + 1, hi + 1, isqrt(hi)):
-        yield from zip(large.tolist(), row_bits(words))
-
-
 def count_tn_closed(lo: int, hi: int) -> int:
     """#{n in (lo, hi] : n + t_n <= hi}, from one sweep over (lo, hi] alone.
 
-    The vectors v_r of r = lo+1, ..., hi (_split_rows) go into one
-    gf2.SweepBasis in order, and the sweep stops at hi. The count is the
-    squares of the interval plus every r whose insert returns a start.
+    The vectors v_r of r = lo+1, ..., hi under B = isqrt(hi) (split_rows)
+    go into one gf2.SweepBasis in order, and the sweep stops at hi. The
+    count is the squares of the interval plus every r whose insert returns
+    a start.
 
     Why. Let a = lo + 1. insert returns l >= a at r exactly when v_r is in
     span(v_l, ..., v_{r-1}) but not in span(v_{l+1}, ..., v_{r-1}). Then
@@ -67,7 +60,19 @@ def count_tn_closed(lo: int, hi: int) -> int:
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
     insert = SweepBasis(len(primes_through(isqrt(hi)))).insert
     return sum(not (q or bits) or insert(q, bits, r) is not None
-               for r, (q, bits) in enumerate(_split_rows(lo, hi), lo + 1))
+               for r, (q, bits) in enumerate(split_rows(lo + 1, hi + 1, isqrt(hi)), lo + 1))
+
+
+def _check_interval(lo: int, hi: int, mode: str) -> None:
+    """Refuse an empty interval, an unknown mode, and brute mode past its
+    length guard."""
+    if not (0 <= lo < hi):
+        raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
+    if mode not in ("brute", "kernel"):
+        raise RangeError(f"unknown mode {mode!r}")
+    if mode == "brute" and hi - lo > BRUTE_LENGTH_GUARD:
+        raise RangeError(f"interval length {hi - lo} exceeds brute guard "
+                         f"{BRUTE_LENGTH_GUARD}; use kernel mode")
 
 
 @dataclass(frozen=True)
@@ -102,23 +107,17 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
     subsets come out in ascending characteristic-bitmask order. The
     selection of mode is deliberately explicit so tests cannot silently
     lose their exponential oracle. mode="kernel" returns a GF(2) kernel
-    basis (gf2.kernel_masks over the interval's own windows, _split_rows)
+    basis (gf2.kernel_masks over the interval's own windows, split_rows)
     and the exact count 2^dim without enumeration; `supplier` is not read.
     """
-    if not (0 <= lo < hi):
-        raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
+    _check_interval(lo, hi, mode)
     elements = list(range(lo + 1, hi + 1))
     if mode == "kernel":
         kernel = [tuple(elements[i] for i in mask_bits(mask))
-                  for mask in kernel_masks(_split_rows(lo, hi)).masks()]
+                  for mask in kernel_masks(split_rows(lo + 1, hi + 1, isqrt(hi))).masks()]
         return SquareSubsetEnumeration(lo, hi, mode, 2 ** len(kernel),
                                        kernel_basis=tuple(kernel))
-    if mode != "brute":
-        raise RangeError(f"unknown mode {mode!r}")
     m = len(elements)
-    if m > BRUTE_LENGTH_GUARD:
-        raise RangeError(f"interval length {m} exceeds brute guard "
-                         f"{BRUTE_LENGTH_GUARD}; use kernel mode")
 
     supplier = supplier or ParitySupplier()
     prime_bits: dict[int, int] = {}
@@ -189,8 +188,12 @@ def check_interval_identity(lo: int, hi: int, y: int, mode: str = "brute",
     """Evaluate both interval counts and flag any violation.
 
     Violations cannot come from the mathematics (both directions are
-    theorems), so a False flag indicates an implementation bug.
+    theorems), so a False flag indicates an implementation bug. Every
+    argument is checked before the first count.
     """
+    _check_interval(lo, hi, mode)
+    if y < 1:
+        raise RangeError("smoothness bound must be >= 1")
     closed = count_tn_closed(lo, hi)
     enum = enumerate_square_subsets(lo, hi, mode=mode, supplier=supplier)
     smooth = len(smooth_in_interval(lo, hi, y))

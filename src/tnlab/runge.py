@@ -253,10 +253,9 @@ def search_integral_points(offsets: Sequence[int], x_limit: int) -> list[tuple[i
     tags pair up: sorted, each adjacent pair is equal (two values share a
     tag only when it divides a difference of offsets, so only when it is
     <= J). The tags are read only on rows whose XOR is zero. The rows of
-    the x not yet searched, at most J of them between full windows, are
-    held for the next window; only they and the window's first J rows are
-    concatenated, into the seam, and the rest of the window is searched
-    where it lies. Memory is O(window + J) rows.
+    the x not yet searched, at most J of them between windows, are held
+    and prepended to the next window, whose x are then searched up to the
+    last x + J it holds. Memory is O(window + J) rows.
 
     Every hit is multiplied out and kept only if its integer square root
     squares back to the product; nothing is evaluated in floating point.
@@ -272,30 +271,20 @@ def search_integral_points(offsets: Sequence[int], x_limit: int) -> list[tuple[i
     top = x_limit + span
     out = []
     first = 1  # the least x not yet searched
-    held = None  # the rows of first, first + 1, ... read so far
+    held = ()  # the rows of first, first + 1, ... read so far
     for _, large, words, _ in parity_windows(1, top + 1, isqrt(top)):
-        h = 0 if held is None else len(held[0])
-        # search the x whose x + J is among the rows held and the window's
-        count = max(0, min(h + len(large) - span, x_limit - first + 1))
-        hits = []
-        if h:
-            seam = (np.concatenate((held[0], large[:span])),
-                    np.concatenate((held[1], words[:span])))
-            hits += _square_rows(*seam, offsets, min(count, h))
-        if count > h:
-            hits += [h + row for row in _square_rows(large, words, offsets, count - h)]
-        for x in hits:
+        if held:
+            large, words = np.concatenate((held[0], large)), np.concatenate((held[1], words))
+        # search the x whose x + J is among the rows
+        count = max(0, min(len(large) - span, x_limit - first + 1))
+        held = large[count:].copy(), words[count:].copy()
+        for x in _square_rows(large, words, offsets, count):
             x += first
             m = prod(x + j for j in offsets)
             r = isqrt(m)
             if r * r == m:
                 assert x <= bound
                 out.append((x, r))
-        if count >= h:
-            held = large[count - h:].copy(), words[count - h:].copy()
-        else:
-            held = (np.concatenate((held[0][count:], large)),
-                    np.concatenate((held[1][count:], words)))
         first += count
     return out
 

@@ -7,8 +7,9 @@ vectors come from two producers that share one remainder step
 from one segmented sieve (parity_windows), which also gives P+; batches of
 smooth values, for the constructor's kernels, from split_vectors, which
 trial-divides the values of the batch alone in blocks of primes. The
-windows are read here by p_plus_in, by tn's span searches and sweep, by
-intervals' closed count and kernels, and by runge's point search.
+windows are read here by p_plus_in and split_rows, by tn's sweep, and by
+runge's point search; split_rows streams their rows as Python ints for
+tn's span searches and for intervals' closed count and kernels.
 P+ over a range has two readers: tn's sweep, which takes the P+ of its
 own windows (for its rows' classification and for distribution's counts),
 and p_plus_in, for every other caller, with one rule: a slice of the
@@ -220,6 +221,10 @@ def smooth_in_interval(lo: int, hi: int, y: int, table: Optional[SpfTable] = Non
 WINDOW_BYTES = 1 << 22
 # Windows start this small and double, so that a short scan sieves little.
 _FIRST_WINDOW = 1 << 10
+# split_rows turns this many rows at a time into Python ints: enough to
+# amortize the conversion, few enough that a search that stops early
+# leaves little unread.
+_ROW_BLOCK = 64
 # Batches are trial-divided in blocks of primes that start this small and
 # double, so that a smooth batch reads few primes past its smoothness bound.
 _FIRST_BLOCK = 8
@@ -284,6 +289,16 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
         yield _parity_window(a, end, bound, primes, width)
         a = end
         size = min(2 * size, most)
+
+
+def split_rows(a: int, b: int, bound: int) -> Iterator[tuple[int, int]]:
+    """The split vectors (q, bits) of a, a+1, ..., b-1 under B = `bound`,
+    from one parity_windows pass, sieved as they are read: the large tag
+    and the row_bits of each row, _ROW_BLOCK rows at a time."""
+    for _, large, words, _ in parity_windows(a, b, bound):
+        large = large.tolist()
+        for i in range(0, len(large), _ROW_BLOCK):
+            yield from zip(large[i:i + _ROW_BLOCK], row_bits(words[i:i + _ROW_BLOCK]))
 
 
 def split_vectors(values: Sequence[int]) -> list[tuple[int, int]]:

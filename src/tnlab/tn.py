@@ -9,24 +9,24 @@ tracking then yields a witness subset whose largest offset is exactly t_n.
 A large-prime shortcut resolves most n instantly: when P+(n) > sqrt(2n)+1,
 t_n = P+(n).
 
-Every span search reads its split vectors from one indexable run of
-sieve.parity_windows (_Run), by value, under one bound B >= isqrt of the
-last value it may touch; t and the canonical witness do not depend on
-which such B (see gf2). compute_tn's run sieves n, n+1, ... as far as
-its search reads. A witnessed scan shares one run over each chunk, under
-isqrt of the furthest n + t_n it searches, and searches each n on it from
-n onward, forgetting the values below n. Both go through one search loop
-(_search), which makes the saturation jump: once its small basis is full,
-a search whose target still carries a large prime q can close only at
-the partner n + q, and does. The partner is not read from the run:
-n + q = q (n/q + 1), and its vector is q with the rank bits of the
-cofactor n/q + 1 <= B (_partner). The search XORs it into the target and
-closes without inserting it. So a search keeps O(saturation) rows and
-mask bits, not O(t), every run sieves forward from its start only as far
-as its searches read, and a search that jumps sieves nothing past its
-saturation point. Every witness is checked by verify_witness before it
-is returned. Nothing here keeps primes (sieve.primes_through does), so a
-call without a ParitySupplier makes a fresh one at no cost.
+Every span search reads its split vectors from one sieve.split_rows
+stream, by value, under one bound B >= isqrt of the last value it may
+touch; t and the canonical witness do not depend on which such B (see
+gf2). compute_tn's search reads its own stream of n, n+1, ... as far as it
+searches. A witnessed scan reads one stream over each chunk, under isqrt
+of the furthest n + t_n it searches, through a row buffer (_Run) that
+searches each n from n onward and forgets the rows below n. Both go
+through one search loop (_search), which makes the saturation jump: once
+its small basis is full, a search whose target still carries a large
+prime q can close only at the partner n + q, and does. The partner is not
+read from the rows: n + q = q (n/q + 1), and its vector is q with the rank
+bits of the cofactor n/q + 1 <= B (_partner). The search XORs it into the
+target and closes without inserting it. So a search keeps O(saturation)
+rows and mask bits, not O(t), every stream sieves forward from its start
+only as far as its searches read, and a search that jumps sieves nothing
+past its saturation point. Every witness is checked by verify_witness
+before it is returned. Nothing here keeps primes (sieve.primes_through
+does), so a call without a ParitySupplier makes a fresh one at no cost.
 
 Every scan takes t from one producer, the sweep (_sweep, below). Its
 _classify reads a window's P+ and gives each row its state before any
@@ -66,7 +66,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from math import isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -74,8 +74,8 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import (WINDOW_VALUE_CEILING, SpfTable, Window, factorize_trial, p_plus_in,
-                    parity_windows, primes_through, row_bits)
+from .sieve import (WINDOW_VALUE_CEILING, SpfTable, factorize_trial, p_plus_in,
+                    parity_windows, primes_through, row_bits, split_rows)
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -167,18 +167,21 @@ def compute_tn(n: int,
         limit = shortcut_t
     # t_n <= 3n, since n * 4n = (2n)^2: no search goes further, whatever the cap
     limit = min(limit, 3 * n)
-    # its run's bound isqrt(n + limit) leaves every value n..n+limit at
-    # most one prime above it
-    witness = _search(n, _Run(n, n + limit + 1), limit, exact=shortcut_t is not None)
+    # the bound isqrt(n + limit) leaves every value n..n+limit at most one
+    # prime above it
+    bound = isqrt(n + limit)
+    witness = _search(n, split_rows(n, n + limit + 1, bound), bound, limit,
+                      exact=shortcut_t is not None)
     return TnResult(n, witness[-1], witness if include_witness else None, shortcut_t is not None)
 
 
-def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
+def _search(n: int, rows: Iterator[tuple[int, int]], bound: int, limit: int,
+            exact: bool) -> tuple[int, ...]:
     """The span search of a non-square n, the one loop of every witnessed
     search: its canonical witness, whose last offset is t_n.
 
-    It reads the split vectors of n, n+1, ... from `run`, never past
-    n + limit, under its bound B = run.bound >= isqrt(n + limit); t and
+    It reads the split vectors of n, n+1, ... from `rows`, never past
+    n + limit, under their bound B = `bound` >= isqrt(n + limit); t and
     the witness do not depend on B (see gf2).
     `exact` says that t_n = limit is known (P+(n) for a shortcut row, the
     sweep's t in a witnessed scan): closing earlier or not at all then
@@ -195,16 +198,16 @@ def _search(n: int, run: _Run, limit: int, exact: bool) -> tuple[int, ...]:
     itself without inserting anything more: it XORs the partner's vector,
     made from its cofactor (_partner), into the target, reduces that over
     the small basis, and the witness is the offsets of the mask plus q. It
-    reads nothing more from the run, and no mask ever holds a bit past its
-    saturation point. It jumps only when q <= limit: then it always closes,
-    and a search that exhausts its cap inserts every offset.
+    reads no more rows, and no mask ever holds a bit past its saturation
+    point. It jumps only when q <= limit: then it always closes, and a
+    search that exhausts its cap inserts every offset.
 
     The witness is returned only once verify_witness accepts it; a witness
     that does not make a square raises AssertionError, naming n.
     """
-    read = run.rows(n).__next__
+    read = rows.__next__
     target_q, target_bits = read()
-    primes = primes_through(run.bound)
+    primes = primes_through(bound)
     width = len(primes)
     basis = SplitBasis(width)
     insert = basis.insert
@@ -334,88 +337,54 @@ def _lines(lo: int, hi: int, cap: Optional[int], use_shortcut: bool, include_wit
     return _body(_rows(lo, hi, cap, use_shortcut, include_witness), fmt)
 
 
-# Rows a search reads become Python ints this many at a time: enough to
-# amortize the conversion, few enough that a jump leaves little unread.
-_ROW_BLOCK = 64
-
-
-class _Window:
-    """One sieve window of a run. The bits of a row become a Python int
-    only when a search reads the row."""
-
-    __slots__ = ("start", "end", "large", "words", "bits")
-
-    def __init__(self, window: Window):
-        self.start, large, self.words, _ = window
-        self.end = self.start + len(large)
-        self.large = large.tolist()
-        self.bits: list[Optional[int]] = [None] * len(large)
-
-
 class _Run:
     """The split vectors of the values a, ..., b-1 under one bound
-    B = isqrt(b - 1), read by value.
-
-    The run sieves forward from a, only as far as its searches read, and
-    keeps its windows from its floor, the lowest value any search will
-    still read, on. A run shared by the searches of a witnessed scan has
-    its floor at the scan's current n (seek). A run of one search
-    (compute_tn) has its floor at the search's last read. No search reads
-    the partner of its jump from the run: that comes from its cofactor
-    (_partner).
+    B = isqrt(b - 1), read by the searches of a witnessed scan in
+    ascending order of n: the rows from a floor on, held in a list fed by
+    one split_rows stream. No search reads the partner of its jump from
+    the run: that comes from its cofactor (_partner).
     """
 
-    def __init__(self, a: int, b: int, shared: bool = False):
+    def __init__(self, a: int, b: int):
         self.bound = isqrt(b - 1)
-        self._shared = shared
-        self._held: list[_Window] = []
-        self._windows = parity_windows(a, b, self.bound)
+        self._floor = a  # the value of the first row held
+        self._held: list[tuple[int, int]] = []
+        self._stream = split_rows(a, b, self.bound)
 
-    def _window(self, m: int) -> _Window:
-        """The window holding m, sieving up to it."""
+    def rows(self, n: int) -> Iterator[tuple[int, int]]:
+        """The split vectors of n, n+1, ..., for an n at least every n
+        asked for before: the floor moves to n, the rows held below it are
+        dropped, and the rows between the last one held and n, which no
+        search read, are skipped. The list grows by the rows read past
+        its end."""
         held = self._held
-        if held and m < held[-1].end:
-            return next(w for w in held if m < w.end)
-        if not self._shared:
-            held.clear()  # one search reads in order: nothing below m is read again
-        while not held or m >= held[-1].end:
-            held.append(_Window(next(self._windows)))
-        return held[-1]
-
-    def rows(self, m: int) -> Iterator[tuple[int, int]]:
-        """The split vectors (q, bits) of m, m+1, ..., sieving as they are
-        read; their bits become Python ints a short block at a time."""
-        while True:
-            w = self._window(m)
-            i = m - w.start
-            j = min(i + _ROW_BLOCK, w.end - w.start)
-            bits = w.bits
-            if None in bits[i:j]:
-                bits[i:j] = row_bits(w.words[i:j])
-            yield from zip(w.large[i:j], bits[i:j])
-            m = w.start + j
-
-    def seek(self, n: int) -> None:
-        """Move the floor to n: the windows below it are dropped."""
-        w = self._window(n)
-        held = self._held
-        while held[0] is not w:
-            del held[0]
+        unread = n - self._floor - len(held)
+        if unread > 0:
+            held.clear()
+            next(islice(self._stream, unread, unread), None)
+        else:
+            del held[:n - self._floor]
+        self._floor = n
+        yield from held
+        # a for loop, not yield from: closing this generator when its
+        # search ends must not close the stream
+        for row in self._stream:
+            held.append(row)
+            yield row
 
 
 def _witnessed_rows(lo: int, ts: Sequence[int], shortcut: Sequence[bool]) -> list[tuple]:
     """The rows of n = lo, lo+1, ... with witnesses, from their lists of
     scan_t, in _t_rows' layout. Squares and capped rows come straight from
-    the lists; every other n is searched on one shared run, from n on, to
+    the lists; every other n is searched on one run, from n on, to
     exactly its t, under B = isqrt(max(n + t_n)) >= isqrt of every value a
     search reads, so t and the witness are those of compute_tn (see gf2)."""
     reach = max((n + t for n, t in zip(count(lo), ts) if t > 0), default=lo)
-    run = _Run(lo, reach + 1, shared=True)
+    run = _Run(lo, reach + 1)
     rows = []
     for n, t, s, w, c in _t_rows(lo, ts, shortcut):
         if t:  # neither a square (0) nor capped (None)
-            run.seek(n)
-            w = _search(n, run, t, exact=True)
+            w = _search(n, run.rows(n), run.bound, t, exact=True)
         rows.append((n, t, s, w, c))
     return rows
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tnlab
-from tnlab import tn
+from tnlab import intervals, tn
 from tnlab.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -226,6 +226,23 @@ def test_a_scan_argument_error_writes_nothing(tmp_path, capsys, argv):
     assert run_cli(argv) == 2
     assert capsys.readouterr().out == ""
     assert run_cli(argv + ["--out", str(tmp_path / "scan")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--y", "0", "--kernel"], "smoothness bound must be >= 1"),
+    (["--y", "5"], "exceeds brute guard"),
+])
+def test_an_interval_argument_error_counts_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                              flags, message):
+    # refused before the 200,000 values near 10^9 are counted, which takes
+    # minutes and more than a GB in kernel mode
+    monkeypatch.setattr(intervals, "count_tn_closed", None)
+    monkeypatch.setattr(intervals, "split_rows", None)
+    argv = ["interval", "--lo", "1000000000", "--hi", "1000200000", "--out",
+            str(tmp_path / "interval.json")] + flags
+    assert run_cli(argv) == 2
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

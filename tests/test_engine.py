@@ -378,8 +378,9 @@ def test_split_vectors_have_one_large_prime():
             assert (q, bits) == (0, 0)
 
 
+# The child reads its own peak resident set, VmHWM: its ru_maxrss would
+# start from the peak of the pytest process it was forked from.
 CHILD = """
-import resource
 from tnlab.errors import CapExceeded
 from tnlab.tn import compute_tn
 try:
@@ -388,7 +389,8 @@ except CapExceeded:
     pass
 r = compute_tn(400006, include_witness=True)
 assert r.t == 200003 and r.shortcut_used and r.witness[-1] == r.t
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) // 1024)
 """
 
 

@@ -83,7 +83,7 @@ def test_brute_mode_counts_2_to_the_kernel_dimension_at_length_26(monkeypatch):
     # characteristic-bitmask order, and brute mode reads no sieve window
     # and calls nothing in gf2, so it stays an independent oracle
     kernel = enumerate_square_subsets(0, 26, mode="kernel")
-    for name in ("_split_rows", "SweepBasis", "kernel_masks", "mask_bits"):
+    for name in ("split_rows", "SweepBasis", "kernel_masks", "mask_bits"):
         monkeypatch.setattr(intervals, name, None)
     monkeypatch.setattr(sieve, "parity_windows", None)
     brute = enumerate_square_subsets(0, 26)
@@ -167,3 +167,21 @@ def test_identity_random_intervals(supplier):
         r = check_interval_identity(lo, hi, 7, supplier=supplier)
         assert r.identity_ok and r.lower_bound_ok, (lo, hi)
         assert type(r.closed_count) is int
+
+
+@pytest.mark.parametrize("lo, hi, y, mode, message", [
+    (10 ** 9, 10 ** 9 + 200000, 0, "kernel", "smoothness bound must be >= 1"),
+    (10 ** 9, 10 ** 9 + 200000, 5, "brute", "exceeds brute guard"),
+    (10 ** 9, 10 ** 9 + 200000, 5, "bogus", "unknown mode"),
+    (10 ** 9, 10 ** 9, 5, "kernel", "need 0 <= lo < hi"),
+])
+def test_identity_arguments_are_checked_before_any_count(monkeypatch, lo, hi, y, mode, message):
+    # every argument is refused before anything is counted: the kernel of
+    # 200,000 values near 10^9 takes minutes and more than a GB
+    def counted(*args):
+        raise AssertionError("counted before checking its arguments")
+
+    monkeypatch.setattr(intervals, "count_tn_closed", counted)
+    monkeypatch.setattr(intervals, "split_rows", counted)
+    with pytest.raises(RangeError, match=message):
+        check_interval_identity(lo, hi, y, mode)

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import tracemalloc
 from collections import defaultdict
 from functools import cache
@@ -410,18 +411,18 @@ def _calls(name: str) -> set[tuple[str, str]]:
 def test_one_reader_decides_where_p_plus_comes_from():
     # only p_plus_in reads a table's P+ array; tables are built only where
     # one prefix is read several times (dist counts per chunk and builds
-    # none); windows serve ranges alone: P+ past a table, tn's runs and
-    # sweep, the split vectors of an interval and runge's point search,
-    # while batches of smooth values (split_vectors, the constructor's
-    # alone) are trial-divided
+    # none); windows serve ranges alone: P+ past a table, the rows of
+    # split_rows, tn's sweep and runge's point search, while batches of
+    # smooth values (split_vectors, the constructor's alone) are
+    # trial-divided
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     # a table is its P+ array, built from the one prime array
     assert ("sieve.py", "SpfTable.largest_prime_factors") in _calls("primes_through")
     assert not hasattr(build_spf_table(10), "_spf")
     assert _calls("build_spf_table") == {("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
-    assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("tn.py", "_Run.__init__"),
-                                        ("tn.py", "_sweep"), ("intervals.py", "_split_rows"),
+    assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("sieve.py", "split_rows"),
+                                        ("tn.py", "_sweep"),
                                         ("runge.py", "search_integral_points")}
     assert _calls("split_vectors") == {("constructor.py", "build_small_tn"),
                                        ("constructor.py", "construct_curve_point")}
@@ -445,25 +446,31 @@ def test_one_exact_check_for_every_witness():
 
 
 def test_a_run_sieves_forward_from_its_one_start():
-    # a run opens its one sieve pass when it is made, and no method of it
-    # opens another; the partner of a saturation jump comes from its
-    # cofactor, reading no window, no run and no sieve pass
-    run_methods = {d for _, d in _calls("parity_windows") if d.startswith("_Run.")}
-    assert run_methods == {"_Run.__init__"}
+    # every span search reads one split_rows stream: compute_tn its own,
+    # a witnessed scan's run the one it opens when it is made, and no
+    # method of the run opens another; the partner of a saturation jump
+    # comes from its cofactor, reading no window, no run and no sieve pass
+    assert _calls("split_rows") == {("tn.py", "compute_tn"), ("tn.py", "_Run.__init__"),
+                                    ("intervals.py", "count_tn_closed"),
+                                    ("intervals.py", "enumerate_square_subsets")}
+    assert ("tn.py", "compute_tn") not in _calls("_Run")
     assert _calls("_partner") == {("tn.py", "_search")}
-    for reader in ("parity_windows", "_window", "rows", "seek", "p_plus_in", "split_vectors",
-                   "row_bits", "_Run", "_Window"):
+    for reader in ("parity_windows", "split_rows", "rows", "p_plus_in", "split_vectors",
+                   "row_bits", "_Run"):
         assert ("tn.py", "_partner") not in _calls(reader), reader
     assert ("tn.py", "_partner") in _calls("factorize_trial")
+    assert not any(hasattr(tn, name) for name in ("_Window", "_ROW_BLOCK"))
+    assert not hasattr(tn._Run, "seek")
+    assert list(inspect.signature(tn._Run).parameters) == ["a", "b"]
 
 
 def test_interval_questions_read_the_intervals_own_windows():
     # the closed count and kernel mode read the split vectors of (lo, hi]
-    # from its own windows under isqrt(hi), not through a scan or a batch
-    # split, and nothing past hi; the sweep keeps one form for its passes
-    assert _calls("_split_rows") == {("intervals.py", "count_tn_closed"),
-                                     ("intervals.py", "enumerate_square_subsets")}
-    for name in ("scan_t", "chunk_map", "_sweep", "split_vectors"):
+    # from its own windows under isqrt(hi), through split_rows (pinned
+    # above), not through a scan or a batch split, and nothing past hi;
+    # the sweep keeps one form for its passes
+    for name in ("scan_t", "chunk_map", "_sweep", "split_vectors", "parity_windows",
+                 "_split_rows"):
         assert not any(path == "intervals.py" for path, _ in _calls(name)), name
         assert not hasattr(intervals, name), name
     assert not hasattr(tn, "_FIRST_WINDOW")

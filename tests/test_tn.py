@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -17,7 +18,7 @@ from tnlab.constructor import construct_curve_point
 from tnlab.distribution import conjecture_scan, distribution_table
 from tnlab.intervals import check_interval_identity
 from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable, build_spf_table,
-                         parity_windows, primes_through, primes_up_to, row_bits)
+                         parity_windows, primes_through, primes_up_to, row_bits, split_rows)
 from tnlab.tn import (ParitySupplier, TnResult, compute_tn, large_prime_shortcut,
                       render_results, scan_t, scan_tn, verify_witness)
 
@@ -258,6 +259,42 @@ def test_partner_of_a_jump_matches_the_sieve(case):
     assert bound < q and isqrt(n + q) <= bound and n % q == 0
     [(_, large, words, _)] = parity_windows(n + q, n + q + 1, bound)
     assert tn._partner(n, q, primes_through(bound)) == (int(large[0]), row_bits(words)[0])
+
+
+@st.composite
+def _run_reads(draw):
+    """(a, b, reads): a run of a, ..., b-1 and reads (start, count) of it by
+    offset from a, with non-decreasing starts: repeats, starts among the
+    rows read, and starts past every row read."""
+    a = draw(st.one_of(st.integers(min_value=1, max_value=10 ** 4),
+                       st.integers(min_value=10 ** 9, max_value=10 ** 9 + 10 ** 4)))
+    length = draw(st.integers(min_value=1, max_value=3000))
+    reads, start, end = [], 0, 0  # end: one past every row read
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        start = draw(st.one_of(st.just(start), st.integers(min_value=start, max_value=end),
+                               st.integers(min_value=end + 1, max_value=end + 1500)))
+        if start >= length:
+            break
+        reads.append((start, draw(st.integers(min_value=1, max_value=min(400, length - start)))))
+        end = max(end, start + reads[-1][1])
+    return a, a + length, reads
+
+
+@given(_run_reads())
+@settings(max_examples=150, deadline=None)
+@example((1, 3000, [(0, 70), (75, 10)]))            # past every row read, five never read
+@example((10 ** 6, 10 ** 6 + 3000, [(0, 64), (0, 65), (1, 200), (201, 1), (1500, 400)]))
+@example((10 ** 9, 10 ** 9 + 100, [(5, 1), (5, 1), (6, 94)]))
+def test_run_rows_are_the_stream_from_each_start(case):
+    # a witnessed scan's run serves each search the split vectors of its
+    # n, n+1, ..., for non-decreasing n: exactly the rows split_rows gives
+    # from n, whether n repeats, lies among the rows held, or lies past
+    # every row read, with rows between never read
+    a, b, reads = case
+    stream = list(split_rows(a, b, isqrt(b - 1)))
+    run = tn._Run(a, b)
+    for start, k in reads:
+        assert list(islice(run.rows(a + start), k)) == stream[start:start + k], (start, k)
 
 
 def test_cap_exceeded_carries_state(supplier):
