@@ -343,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # interval --kernel writes square_subset_count, 2^dim, in full: lift the
+    # limit on int-to-str digits, which early Python 3.10 releases lack
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
     try:
         if getattr(args, "workers", 1) < 1:  # scan, dist and conjecture
             raise RangeError(f"workers must be >= 1, got {args.workers}")

@@ -7,7 +7,9 @@ the first time the vector of n enters the span; the basis's combination
 tracking then yields a witness subset whose largest offset is exactly t_n.
 
 A large-prime shortcut resolves most n instantly: when P+(n) > sqrt(2n)+1,
-t_n = P+(n).
+t_n = P+(n). compute_tn takes that P+ of its one n by trial division
+(ParitySupplier.p_plus), not from a window: its first window's bound
+depends on whether the shortcut fires.
 
 Every span search reads its split vectors from one sieve.split_rows
 stream, by value, under one bound B >= isqrt of the last value it may
@@ -74,8 +76,8 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import (WINDOW_VALUE_CEILING, SpfTable, factorize_trial, p_plus_in,
-                    parity_windows, primes_through, row_bits, split_rows)
+from .sieve import (WINDOW_VALUE_CEILING, SpfTable, factorize_trial, parity_windows,
+                    primes_through, row_bits, split_rows)
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -86,9 +88,11 @@ class ParitySupplier:
 
     It keeps nothing, so a fresh one costs nothing; the optional `table`
     is accepted and not read. It serves no split vectors: span searches
-    read those from sieve.parity_windows themselves, and p_plus reads
-    sieve.p_plus_in. Prime sets (support) are a separate encoding, by
-    trial division, used only by the brute mode of
+    read those from sieve.split_rows themselves. p_plus, the shortcut's P+
+    of one n, comes from sieve.factorize_trial, which stops once the
+    cofactor left is below the square of the next prime, and reads no
+    window. Prime sets (support) are a separate encoding, by trial
+    division, used only by the brute mode of
     intervals.enumerate_square_subsets as its independent oracle.
     """
 
@@ -100,8 +104,11 @@ class ParitySupplier:
         return frozenset(p for p, e in factorize_trial(m).factors if e & 1)
 
     def p_plus(self, m: int) -> int:
-        """Largest prime factor, with 1 for m = 1."""
-        return int(p_plus_in(m - 1, m)[0])
+        """Largest prime factor, with 1 for m = 1, by trial division; m
+        must lie below WINDOW_VALUE_CEILING, as every sieved value does."""
+        if m >= WINDOW_VALUE_CEILING:
+            raise RangeError(f"P+ is read below {WINDOW_VALUE_CEILING}, not at {m}")
+        return factorize_trial(m).p_plus
 
 
 @dataclass(frozen=True)

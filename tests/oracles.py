@@ -1,7 +1,8 @@
 """Independent brute-force oracles.
 
 Everything here deliberately avoids the library's own code paths: trial
-division instead of sieve tables, a square root of every product instead
+division instead of sieve tables (factor_range divides a whole range by
+the primes of its own sieve, plain_primes), a square root of every product instead
 of sieve windows, exhaustive subset search instead of GF(2) elimination, plain quadrature instead of the production rho grid.
 Expected values frozen into tests were computed with these. The
 exceptions are the per-n loops at the end, which run one compute_tn
@@ -14,6 +15,7 @@ evaluated them in mpmath before it moved to `decimal`; each imports mpmath
 itself, so only the tests that call them need it installed.
 """
 
+from functools import cache
 from itertools import combinations
 from math import isqrt
 
@@ -39,6 +41,36 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+@cache
+def plain_primes(n: int) -> tuple[int, ...]:
+    """The primes <= n, by a sieve of Eratosthenes over a list of flags."""
+    flags = [True] * (n + 1)
+    flags[:2] = [False] * min(2, n + 1)
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = [False] * len(range(p * p, n + 1, p))
+    return tuple(p for p, prime in enumerate(flags) if prime)
+
+
+def factor_range(a: int, b: int) -> list[list[tuple[int, int]]]:
+    """trial_factor(m) for every m in [a, b), by dividing each prime
+    p <= isqrt(b - 1) out of its multiples in the range: what is left of a
+    value then is 1 or one prime, to the first power."""
+    rem = list(range(a, b))
+    factors = [[] for _ in rem]
+    for p in plain_primes(isqrt(b - 1)):
+        for i in range(-a % p, b - a, p):
+            e = 0
+            while rem[i] % p == 0:
+                rem[i] //= p
+                e += 1
+            factors[i].append((p, e))
+    for found, r in zip(factors, rem):
+        if r > 1:
+            found.append((r, 1))
+    return factors
 
 
 def largest_prime_factor(n: int) -> int:

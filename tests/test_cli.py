@@ -8,6 +8,7 @@ import shlex
 import stat
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,22 @@ def test_console_script_entrypoint():
     assert proc.returncode == 0
     assert "t=4" in proc.stdout
 
+
+
+def test_interval_kernel_writes_a_subset_count_of_any_length(tmp_path):
+    # the kernel of (0, 20000] has dimension 17,738, so square_subset_count
+    # = 2^17738 has 5,340 decimal digits, past the int-to-str limit of 4300
+    # that Python sets by default; the test reads it back as a Decimal,
+    # which that limit does not cover
+    out = tmp_path / "kernel.json"
+    src = str(Path(tnlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "tnlab.cli", "interval", "--lo", "0", "--hi",
+                           "20000", "--y", "10", "--kernel", "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text(), parse_int=Decimal)["result"]
+    assert result["closed_count"] == 17738
+    assert result["square_subset_count"] == 2 ** int(result["closed_count"])
 
 
 NO_MPMATH_CHILD = """

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import is_smooth, largest_prime_factor, trial_factor, whole_range_p_plus
+from oracles import (factor_range, is_smooth, largest_prime_factor, plain_primes, trial_factor,
+                     whole_range_p_plus)
 from tnlab import intervals, sieve, tn
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
@@ -177,10 +178,11 @@ def test_smooth_in_interval_past_the_table_matches_a_covering_table(
     assert psi_count(hi, y, tiny_table) == psi_count(hi, y, covering_table)
 
 
-def expected_split(m: int, rank: dict[int, int], bound: int) -> tuple[int, int]:
-    """The split vector of m under `bound`, by trial division; `rank`
-    ranks the primes up to at least `bound`."""
-    odd = [p for p, e in trial_factor(m) if e & 1]
+def expected_split(m: int, rank: dict[int, int], bound: int,
+                   factors: list[tuple[int, int]] = None) -> tuple[int, int]:
+    """The split vector of m under `bound`, from its `factors`, by trial
+    division when not given; `rank` ranks the primes up to at least `bound`."""
+    odd = [p for p, e in (trial_factor(m) if factors is None else factors) if e & 1]
     q = odd[-1] if odd and odd[-1] > bound else 0
     return q, sum(1 << rank[p] for p in odd if p != q)
 
@@ -204,12 +206,54 @@ def test_parity_windows_match_trial_division(a, length, extra):
         assert p_plus == largest_prime_factor(m)
 
 
+# the ranks of the primes up to the largest bound the pass test draws
+_RANK = {p: r for r, p in enumerate(plain_primes(3 * 10 ** 6 + 7))}
+
+
+@given(st.integers(min_value=1, max_value=10 ** 12), st.integers(min_value=1, max_value=5000),
+       st.integers(min_value=0, max_value=1000))
+@example(1, 5000, 0)
+@example(10 ** 12 - 4999, 5000, 1000)
+@example(2 ** 20, 4500, 1000)  # a pass that starts at a prime power
+@example(3 ** 25 + 1, 1200, 0)  # and just past one, near 10^12
+@example(1, 3, 1000)  # no sieving prime: b - 1 < 4
+@example(2, 1, 0)
+@settings(max_examples=30, deadline=None)
+def test_parity_window_passes_match_trial_division(a, length, stretch):
+    # whole passes, over windows long enough that the prime powers up to
+    # 16 (2, 3, 4, 5, 7, 8, 9, ...) fall on both sides of the split
+    # between strided and scattered powers (q <= L // 128 for a window of
+    # L values), under bounds from isqrt(b - 1) to 3 isqrt(b - 1) + 7
+    b = a + length
+    root = isqrt(b - 1)
+    bound = root + (2 * root + 7) * stretch // 1000
+    factors = factor_range(a, b)
+    m = a
+    for start, large, words, p_plus in parity_windows(a, b, bound):
+        assert start == m
+        for q, bits, p in zip(large.tolist(), row_bits(words), p_plus.tolist()):
+            found = factors[m - a]
+            assert (q, bits) == expected_split(m, _RANK, bound, found)
+            assert p == (found[-1][0] if found else 1)
+            m += 1
+    assert m == b
+
+
+@pytest.mark.parametrize("top", [0, 1, 3, 4, 8, 9, 1000, 3 ** 13, 10 ** 6 + 1])
+def test_power_table_lists_every_prime_power(top):
+    primes = primes_through(max(1, isqrt(top)) + 50)
+    q, p, rank = sieve._power_table(primes, top)
+    expect = sorted((p ** k, p, r) for r, p in enumerate(plain_primes(isqrt(top)))
+                    for k in range(1, top.bit_length() + 1) if p ** k <= top)
+    assert list(zip(q.tolist(), p.tolist(), rank.tolist())) == expect
+    assert q.dtype == p.dtype == rank.dtype == np.int64
+
+
 def test_one_value_window_matches_the_row_of_a_longer_window():
-    # ParitySupplier.p_plus reads P+(n) for the shortcut as a one-value
-    # window (a search makes the partner of its jump from its cofactor, and
-    # reads no window for it): it must give the row, the dtypes and the
-    # shape of a longer window, also for powers and for a large tag under a
-    # bound above isqrt
+    # a pass of one value (the first row of a span search, or a P+ read at
+    # a range's edge) must give the row, the dtypes and the shape of a
+    # longer window, also for powers and for a large tag under a bound
+    # above isqrt
     rng = np.random.default_rng(5)
     ms = list(range(1, 1000)) + [2 ** 36, 3 ** 20, 2 ** 20 * 3, 999983 ** 2, 2 * 999983]
     ms += rng.integers(1, 1 << 40, 100).tolist()
@@ -416,6 +460,9 @@ def test_one_reader_decides_where_p_plus_comes_from():
     # smooth values (split_vectors, the constructor's alone) are
     # trial-divided
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
+    # P+ of the one n of the shortcut is trial-divided, not sieved
+    assert ("tn.py", "ParitySupplier.p_plus") in _calls("factorize_trial")
+    assert not {f for f, _ in _calls("p_plus_in")} & {"tn.py"}
     # a table is its P+ array, built from the one prime array
     assert ("sieve.py", "SpfTable.largest_prime_factors") in _calls("primes_through")
     assert not hasattr(build_spf_table(10), "_spf")

@@ -55,10 +55,10 @@ def test_a_square_reads_no_sieve_window_however_large(monkeypatch):
 
 
 def test_a_search_is_sized_by_its_own_limit(monkeypatch):
-    # P+(n) for the shortcut comes from n alone under isqrt(n); a shortcut
-    # row without witness reads nothing more, and a search sieves n, ...,
-    # n+cap under isqrt(n + cap), whatever a shortcut row of the same n
-    # would have searched to
+    # P+(n) for the shortcut is trial-divided, so a shortcut row without
+    # witness reads no window at all, and a search sieves n, ..., n+cap
+    # under isqrt(n + cap), whatever a shortcut row of the same n would
+    # have searched to
     seen = []
     windows = tn.parity_windows
 
@@ -66,7 +66,6 @@ def test_a_search_is_sized_by_its_own_limit(monkeypatch):
         seen.append((a, b, bound))
         return windows(a, b, bound)
 
-    # P+(n) is read through sieve.p_plus_in, searches through tn's runs
     monkeypatch.setattr(tn, "parity_windows", recording)
     monkeypatch.setattr(sieve, "parity_windows", recording)
     kinds = set()
@@ -78,7 +77,7 @@ def test_a_search_is_sized_by_its_own_limit(monkeypatch):
             kind = "capped"
         kinds.add(kind)
         searched = [] if kind is True else [(n, n + 51, isqrt(n + 50))]
-        assert seen == [(n, n + 1, isqrt(n))] + searched
+        assert seen == searched
     assert kinds == {True, "capped"}
     n = 10 ** 12 + 3
     seen.clear()
@@ -113,6 +112,33 @@ def test_shortcut_examples(supplier):
     assert large_prime_shortcut(33, supplier) == 11
     assert large_prime_shortcut(1, supplier) is None
     assert large_prime_shortcut(16, supplier) is None
+
+
+def _prime_at_most(m: int) -> int:
+    while trial_factor(m) != [(m, 1)]:
+        m -= 1
+    return m
+
+
+def test_shortcut_follows_the_oracle_rule():
+    # t = P+(n) exactly when (P+(n) - 1)^2 > 2n, for non-squares n > 1;
+    # P+ is known by construction. Semiprimes near 10^12 sit on both sides
+    # of q = 2p, where the rule turns
+    cases = [(1, 1), (2, 2), (3, 3), (5, 5), (49, 7), (2 ** 39, 2), (3 ** 25, 3),
+             (10 ** 12, 5), (999983 ** 2, 999983), (1000003, 1000003),
+             (999999999989, 999999999989), (1000000000039, 1000000000039),
+             (999983 * 1000003, 1000003)]
+    p = _prime_at_most(707106)
+    edge = [(p * q, q) for q in (_prime_at_most(2 * p), _prime_at_most(2 * p + 40))]
+    cases += edge + [(1009 * q, q) for q in (_prime_at_most(10 ** 12 // 1009),
+                                             _prime_at_most(10 ** 9))]
+    for n, p_plus in cases:
+        expect = p_plus if not is_square(n) and n > 1 and (p_plus - 1) ** 2 > 2 * n else None
+        assert large_prime_shortcut(n) == expect
+    assert [large_prime_shortcut(n) is None for n, _ in edge] == [True, False]
+    # P+ is read only where windows read it, below their ceiling
+    with pytest.raises(RangeError, match="below"):
+        large_prime_shortcut(WINDOW_VALUE_CEILING + 1)
 
 
 def test_shortcut_consistency_range(supplier):
