@@ -33,19 +33,23 @@ carry a combination mask over insertion indices. After t insertions the
 basis holds O(t) words for the large rows plus pi(B) * t bits of masks, so
 memory grows linearly in t.
 
-Saturation. SplitBasis counts its small rows (small_rank). Once all pi(B)
-small pivots are filled, no later insertion changes a small row, so a
-span search whose target still carries a large tag q can close only at
-the vector with the same q, and does, since every small vector then
-reduces to zero. That vector is the partner n + q = q (n/q + 1), whose
-cofactor n/q + 1 is at most B, so tn's search makes it from the
-cofactor's factors and closes without inserting it: it reduces the
-target XOR the partner over the small rows, and the witness is that
-combination plus offset q (see tn._search). Such a search keeps the rows
-of its insertions up to saturation and nothing more: O(s) rows and
-pi(B) * s bits of masks after s insertions, whatever t is, and no mask
-holds a bit at q.
-Kernels use the same fact: once the small basis is full, a vector
+Fixed rows. A row of SplitBasis never changes once it is set, so a
+fixed vector reduced after any insertion takes the same steps as long as
+every pivot it meets is filled: a reduction that reaches zero gives the
+same combination mask then and after every later insertion. tn's span
+search relies on it: a target whose large tag q is within reach starts
+as the vector of n XOR that of its partner n + q, the only vector with
+the same q up to offset q, and the search stops at the first insertion
+after which that reduces to zero; the witness is that combination XOR
+offset q (see tn._search). The partner n + q = q (n/q + 1) has a
+cofactor n/q + 1 of at most B, so tn makes its vector from the
+cofactor's factors. The stop comes at the latest at saturation, when
+SplitBasis's small rows (small_rank) fill all pi(B) small pivots, since
+every vector without a large tag then reduces to zero. Such a search
+keeps the rows of its insertions and nothing more: O(s) rows and
+pi(B) * s bits of masks after s insertions, whatever t is, and a search
+that stops before offset q holds no mask bit at q.
+Kernels use saturation itself: once the small basis is full, a vector
 without a large tag is dependent, and its combination is a fixed linear
 map of its bits (see kernel_masks).
 

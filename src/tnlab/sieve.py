@@ -47,6 +47,12 @@ PRIME_CEILING = isqrt(WINDOW_VALUE_CEILING - 1)
 _sieved: tuple[int, np.ndarray] = (1, np.zeros(0, dtype=np.int64))
 _sieved[1].setflags(write=False)
 
+# (top, (every prime power q = p^k <= top of the primes p <= isqrt(top),
+# the same with k >= 2 alone), each as (q, p, rank of p), ascending in q):
+# replaced whole, like _sieved, and sliced by every window pass
+# (_power_table); growing it changes no answer.
+_powers: tuple[int, tuple[tuple[np.ndarray, ...], ...]] = (3, ((_sieved[1],) * 3,) * 2)
+
 
 def primes_through(bound: int) -> np.ndarray:
     """The ascending primes <= bound, a read-only int64 slice of the one
@@ -269,10 +275,11 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
     odd power (2 has rank 0), which row_bits turns into ints; p_plus[i] is
     P+(m), with 1 for m = 1.
 
-    A segmented sieve (Bays and Hudson, BIT 1977). The pass lists once
-    every prime power q = p^k < b of the primes p <= isqrt(b-1)
-    (_power_table); per window, each power XORs the rank bit of p into the
-    words at the multiples of q, and divides a remainder array by p there.
+    A segmented sieve (Bays and Hudson, BIT 1977). The pass takes every
+    prime power q = p^k < b of the primes p <= isqrt(b-1) from one table
+    kept across passes (_power_table); per window, each power XORs the
+    rank bit of p into the words at the multiples of q, and divides a
+    remainder array by p there.
     A power that hits at least _STRIDED_HITS values of the window does so
     with strided slices, one power at a time, and every other power in one
     scattered pass of ufunc.at over all their hits, so a window makes no
@@ -293,7 +300,7 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
     if bound < isqrt(b - 1):
         raise RangeError(f"bound {bound} is below isqrt({b - 1})")
     primes = primes_through(min(bound, b - 1))
-    powers = _power_table(primes, b - 1)
+    powers = _power_table(b - 1)
     width = max(1, (len(primes) + 63) >> 6)
     most = max(1, WINDOW_BYTES // (8 * width))
     size = min(_FIRST_WINDOW, most)
@@ -383,20 +390,40 @@ def _split_remainders(rem: np.ndarray, words: np.ndarray, primes: np.ndarray,
     return np.where(rem > bound, rem, 0)
 
 
-def _power_table(primes: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _power_table(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every prime power q = p^k <= top of the primes p <= isqrt(top), as
-    (q, p, rank of p among `primes`), ascending in q; empty for top < 4."""
-    p = primes[:np.searchsorted(primes, isqrt(top), side="right")]
-    room = top // p  # p^(k+1) <= top exactly when p^k <= top // p
-    levels = [p]  # levels[k - 1] holds the p^k <= top, ascending in p
-    while len(levels[-1]):
-        q = levels[-1]
-        n = np.count_nonzero(q <= room[:len(q)])  # a prefix, as q and p ascend
-        levels.append(q[:n] * p[:n])
-    rank = np.concatenate([np.arange(len(q)) for q in levels])
-    q = np.concatenate(levels)
-    order = np.argsort(q, kind="stable")  # merges the ascending levels
-    return q[order], p[rank[order]], rank[order]
+    (q, p, rank of p among the primes), ascending in q; empty for top < 4.
+
+    A slice of the table kept in _powers, which is built again, at least
+    twice as far, only when `top` passes what it covers. The table holds
+    the primes up to isqrt of its own top, so past isqrt(top) a pass keeps
+    only the powers with k >= 2: it reads the table up to isqrt(top) and
+    then the table's higher powers up to top, both slices in q.
+    """
+    global _powers
+    held, tables = _powers
+    if top > held:
+        held = max(top, min(2 * held, WINDOW_VALUE_CEILING - 1))
+        p = primes_through(isqrt(held))
+        room = held // p  # p^(k+1) <= held exactly when p^k <= held // p
+        levels = [p]  # levels[k - 1] holds the p^k <= held, ascending in p
+        while len(levels[-1]):
+            q = levels[-1]
+            n = np.count_nonzero(q <= room[:len(q)])  # a prefix, as q and p ascend
+            levels.append(q[:n] * p[:n])
+        rank = np.concatenate([np.arange(len(q)) for q in levels])
+        q = np.concatenate(levels)
+        order = np.argsort(q, kind="stable")  # merges the ascending levels
+        table = q[order], p[rank[order]], rank[order]
+        higher = table[0] != table[1]
+        tables = table, tuple(column[higher] for column in table)
+        _powers = held, tables
+    (q, _, _), (q_higher, _, _) = tables
+    root = isqrt(top)
+    low = int(np.searchsorted(q, root, side="right"))
+    start, end = np.searchsorted(q_higher, (root, top), side="right").tolist()
+    return tuple(np.concatenate((every[:low], higher[start:end]))
+                 for every, higher in zip(*tables))
 
 
 def _parity_window(a: int, b: int, bound: int, primes: np.ndarray, width: int,

@@ -18,17 +18,20 @@ gf2). compute_tn's search reads its own stream of n, n+1, ... as far as it
 searches. A witnessed scan reads one stream over each chunk, under isqrt
 of the furthest n + t_n it searches, through a row buffer (_Run) that
 searches each n from n onward and forgets the rows below n. Both go
-through one search loop (_search), which makes the saturation jump: once
-its small basis is full, a search whose target still carries a large
-prime q can close only at the partner n + q, and does. The partner is not
-read from the rows: n + q = q (n/q + 1), and its vector is q with the rank
-bits of the cofactor n/q + 1 <= B (_partner). The search XORs it into the
-target and closes without inserting it. So a search keeps O(saturation)
-rows and mask bits, not O(t), every stream sieves forward from its start
-only as far as its searches read, and a search that jumps sieves nothing
-past its saturation point. Every witness is checked by verify_witness
-before it is returned. Nothing here keeps primes (sieve.primes_through
-does), so a call without a ParitySupplier makes a fresh one at no cost.
+through one search loop (_search), which starts from the partner: when
+the vector of n carries a large prime q within the search's limit, only
+n + q among n+1, ..., n+q carries q too, so t_n >= q, and the target
+starts as the XOR of the two vectors, which has small bits only. The
+partner is not read from the rows: n + q = q (n/q + 1), and its vector is
+q with the rank bits of the cofactor n/q + 1 <= B (_partner). The search
+stops as soon as that target reduces to zero, at the latest once its
+small basis is full, and the witness is its combination XOR offset q. So
+a search that reads s rows keeps O(s) rows and pi(B) * s mask bits,
+whatever t is, every stream sieves forward from its start only as far as
+its searches read, and a far partner is never sieved. Every witness is
+checked by verify_witness before it is returned. Nothing here keeps
+primes (sieve.primes_through does), so a call without a ParitySupplier
+makes a fresh one at no cost.
 
 Every scan takes t from one producer, the sweep (_sweep, below). Its
 _classify reads a window's P+ and gives each row its state before any
@@ -196,54 +199,51 @@ def _search(n: int, rows: Iterator[tuple[int, int]], bound: int, limit: int,
     CapExceeded when n stays out of the span of its first `limit`
     successors.
 
-    The saturation jump. Once all pi(B) small pivots are filled, no later
-    insertion changes a small row: a vector either becomes a large row or
-    reduces to zero, and the target's reduction reads neither. A target
-    that still carries a large tag q can then close only at its partner
-    n + q, the next multiple of q, and does close there, since its small
-    bits reduce to zero over the full small basis. So the search closes
-    itself without inserting anything more: it XORs the partner's vector,
-    made from its cofactor (_partner), into the target, reduces that over
-    the small basis, and the witness is the offsets of the mask plus q. It
-    reads no more rows, and no mask ever holds a bit past its saturation
-    point. It jumps only when q <= limit: then it always closes, and a
-    search that exhausts its cap inserts every offset.
+    Partner first. A large tag q of n divides n + j exactly when q
+    divides j, so of n+1, ..., n+2q-1 only the partner n + q carries q:
+    t_n >= q, and n closes exactly where v_n XOR v_{n+q}, which has small
+    bits only, enters the span. So when q <= limit the target starts as
+    that residual, with the partner's vector made from its cofactor
+    (_partner), and the search reduces it as it would reduce v_n and stops
+    the moment it is zero. SplitBasis rows never change once set, so the
+    mask of that first zero is the mask the residual has at offset q and
+    at every later offset, and the witness is the mask's offsets XOR {q}:
+    t_n is q when the search stops before offset q, and the offset where
+    it stops otherwise. It stops at the latest when its small basis is
+    full, since every vector without a large tag then reduces to zero; a
+    search that stops before offset q never reads n + q and never holds
+    bit q - 1 in its mask. With q > limit the target keeps its tag and the
+    search exhausts its cap.
 
     The witness is returned only once verify_witness accepts it; a witness
     that does not make a square raises AssertionError, naming n.
     """
     read = rows.__next__
-    target_q, target_bits = read()
+    q, bits = read()
     primes = primes_through(bound)
-    width = len(primes)
-    basis = SplitBasis(width)
+    basis = SplitBasis(len(primes))
     insert = basis.insert
-    target_mask = 0
-    target_pivot = target_q or target_bits.bit_length() - 1
+    far = q if 0 < q <= limit else 0  # the partner's offset, when it starts the target
+    if far:
+        q, bits = 0, bits ^ _partner(n, far, primes)[1]
+    mask = 0
+    target_pivot = q or bits.bit_length() - 1
     j = 0
     while j < limit:
         j += 1
-        pivot = insert(*read())
-        if pivot is None:
-            continue
-        if pivot == target_pivot:
-            target_q, target_bits, target_mask = basis.reduce(target_q, target_bits, target_mask)
-            if not (target_q or target_bits):
-                assert target_mask.bit_length() == j, "witness must peak at t_n"
-                offsets = mask_bits(target_mask)
+        if insert(*read()) == target_pivot:
+            q, bits, mask = basis.reduce(q, bits, mask)
+            if not (q or bits):
                 break
-            target_pivot = target_q or target_bits.bit_length() - 1
-        if pivot < width and basis.small_rank == width and 0 < target_q <= limit:
-            # the small basis has just saturated: only n + q can close n
-            j = target_q
-            mask = basis.reduce(0, target_bits ^ _partner(n, j, primes)[1], target_mask)[2]
-            offsets = mask_bits(mask) + [j - 1]
-            break
+            target_pivot = q or bits.bit_length() - 1
     else:
         assert not exact, f"n = {n} is still open at offset {j}, not closed at t = {limit}"
         raise CapExceeded(n, limit, j, basis.rank)
-    assert j == limit or not exact, f"n = {n} closes at offset {j}, not at t = {limit}"
-    witness = tuple(i + 1 for i in offsets)
+    offsets = set(mask_bits(mask)) ^ ({far - 1} if far else set())
+    witness = tuple(sorted(i + 1 for i in offsets))
+    t = max(j, far)
+    assert witness[-1] == t, "witness must peak at t_n"
+    assert t == limit or not exact, f"n = {n} closes at offset {t}, not at t = {limit}"
     if not verify_witness(n, witness):
         raise AssertionError(f"n = {n}: the witness does not make a square")
     return witness
@@ -348,8 +348,8 @@ class _Run:
     """The split vectors of the values a, ..., b-1 under one bound
     B = isqrt(b - 1), read by the searches of a witnessed scan in
     ascending order of n: the rows from a floor on, held in a list fed by
-    one split_rows stream. No search reads the partner of its jump from
-    the run: that comes from its cofactor (_partner).
+    one split_rows stream. No search reads the partner its target starts
+    with from the run: that comes from its cofactor (_partner).
     """
 
     def __init__(self, a: int, b: int):

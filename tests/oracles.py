@@ -7,9 +7,11 @@ of sieve windows, exhaustive subset search instead of GF(2) elimination, plain q
 Expected values frozen into tests were computed with these. The
 exceptions are the per-n loops at the end, which run one compute_tn
 search per value where the library now runs one sweep or one window pass,
-tn_without_jump, the span search as it was before the saturation jump,
-per_vector_kernel_masks, the kernel as it was before its linear map, and
-whole_range_p_plus, a table's P+ array as it was built before its chunks.
+tn_without_jump, the span search as it was before it started from the
+partner of a large tag, per_vector_kernel_masks, the kernel as it was
+before its linear map, whole_range_p_plus, a table's P+ array as it was
+built before its chunks, and power_table_per_pass, the prime-power table
+as each window pass built it before one table was kept.
 The mpmath_* functions are the thresholds and height bounds as the library
 evaluated them in mpmath before it moved to `decimal`; each imports mpmath
 itself, so only the tests that call them need it installed.
@@ -333,10 +335,13 @@ def xor_draw_family(masks: list[int], rng, family_size: int) -> list[int]:
 
 def tn_without_jump(n: int, cap=None, use_shortcut: bool = True, include_witness: bool = True,
                     supplier=None) -> TnResult:
-    """compute_tn as it was before the saturation jump: the shortcut from
-    large_prime_shortcut, one bound isqrt(n + limit), and a span search that
-    inserts every offset up to t or up to the cap. CapExceeded carries the
-    rank counted over the basis rows, not SplitBasis.rank."""
+    """compute_tn as it was before its search started from the partner
+    n + q of a large tag q (and before the saturation jump that came
+    first): the shortcut from large_prime_shortcut, one bound
+    isqrt(n + limit), and a span search whose target is the vector of n
+    itself, which inserts every offset up to t or up to the cap.
+    CapExceeded carries the rank counted over the basis rows, not
+    SplitBasis.rank."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if is_square(n):
@@ -420,6 +425,23 @@ def whole_range_p_plus(limit: int) -> np.ndarray:
         np.maximum(spf[a:b], lpf[np.arange(a, b) // spf[a:b]], out=lpf[a:b])
         a = b
     return lpf
+
+
+def power_table_per_pass(primes: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every prime power q = p^k <= top of the primes p <= isqrt(top), as
+    (q, p, rank of p among `primes`), ascending in q, built level by level
+    for one top, as each window pass once built it."""
+    p = primes[:np.searchsorted(primes, isqrt(top), side="right")]
+    room = top // p  # p^(k+1) <= top exactly when p^k <= top // p
+    levels = [p]
+    while len(levels[-1]):
+        q = levels[-1]
+        n = np.count_nonzero(q <= room[:len(q)])
+        levels.append(q[:n] * p[:n])
+    rank = np.concatenate([np.arange(len(q)) for q in levels])
+    q = np.concatenate(levels)
+    order = np.argsort(q, kind="stable")
+    return q[order], p[rank[order]], rank[order]
 
 
 def mpmath_power_threshold(x: int, c: float) -> int:

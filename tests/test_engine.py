@@ -61,6 +61,15 @@ WITNESSED_DIGESTS = {
     (10 ** 7, 10 ** 7 + 50, 10 ** 5, False):
         "e2ff009cf1f3dac66520e749a01d6d6702da00cf33bf949b404a643bdf047030",
 }
+# `tnlab tn --n N --out FILE` -> digest of the CSV file, taken while
+# searches read rows to their saturation point and then jumped to the
+# partner n + q
+TN_FILE_DIGESTS = {
+    400006: "e74bafd140e3096c9be7be0089fd5a1432c2a9f24b7c63b538ff7a8b9c03b1eb",
+    1000000006: "a5d564244bac95c1a79820f447da0ac5700ecefba157199770fe2714f96c2a7c",
+    10000000019: "411d0302a95d29fc5552b0300dfdf591e2d93332a0a7f5501b13dda78e40f52e",
+    100000000003: "d888d447d37edf8fff321e5d0a03678bd5487494a776d36ff7d6f130c61a76d0",
+}
 DIST_DIGEST = "65c84168b5a5f232783ba0eb76c87c5273cfff87032dfcaf155ce3cd792cf490"
 CURVE_DIGESTS = {
     (0.5, 0): "72b8175bdec933a878be86764249beb75ad8939bdfa26fa1ff0f5228873d8a8f",
@@ -218,15 +227,21 @@ def _outcome(search, n, cap, use_shortcut, include_witness):
 @settings(max_examples=40, deadline=None)
 @example(10, 7, False, True)       # the cap runs out before the small basis saturates
 @example(100005, 5, False, True)
-@example(211, 200, False, True)    # saturated with q = 211 > limit: no jump, capped
+@example(211, 200, False, True)    # q = 211 > limit: no partner, capped
 @example(20014, 200, False, True)  # 2 * 10007, likewise
-@example(5, None, False, True)     # saturates on pivot 0, the rank of 2, then jumps
+# capped tagged targets that close past their partner q: (10, cap 10) has
+# q = 5 and closes at t = 8 with witness (2, 5, 8); 28 (q = 7) at 12 and
+# 66 (q = 11) at 14
+@example(10, 10, False, True)
+@example(28, 14, False, True)
+@example(66, 22, False, True)
+@example(5, None, False, True)     # closes at its partner 10, before it inserts 10 itself
 @example(400006, None, True, True)  # 2 * 200003: a shortcut row searched to t = 200003
 @example(1, None, True, True)
 @example(99856, 3, False, True)    # 316^2
 @example(99856, None, True, False)
 def test_search_matches_the_search_without_jump(n, cap, use_shortcut, include_witness):
-    # the saturation jump changes no t, witness, shortcut flag or
+    # starting from the partner changes no t, witness, shortcut flag or
     # CapExceeded message (which carries the inserted count and the rank)
     assert _outcome(compute_tn, n, cap, use_shortcut, include_witness) == \
         _outcome(tn_without_jump, n, cap, use_shortcut, include_witness)
@@ -245,6 +260,13 @@ def test_golden_curve_points():
     for (c, seed), digest in CURVE_DIGESTS.items():
         cert = construct_curve_point(10 ** 6, c, seed, table=table)
         assert _digest(json.dumps(cert.to_json_dict(), sort_keys=True)) == digest
+
+
+def test_golden_tn_files(tmp_path):
+    for n, digest in TN_FILE_DIGESTS.items():
+        out = tmp_path / f"tn_{n}.csv"
+        assert main(["tn", "--n", str(n), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, n
 
 
 def test_golden_construct_file(tmp_path):

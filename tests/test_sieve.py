@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (factor_range, is_smooth, largest_prime_factor, plain_primes, trial_factor,
-                     whole_range_p_plus)
+from oracles import (factor_range, is_smooth, largest_prime_factor, plain_primes,
+                     power_table_per_pass, trial_factor, whole_range_p_plus)
 from tnlab import intervals, sieve, tn
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
@@ -241,12 +241,28 @@ def test_parity_window_passes_match_trial_division(a, length, stretch):
 
 @pytest.mark.parametrize("top", [0, 1, 3, 4, 8, 9, 1000, 3 ** 13, 10 ** 6 + 1])
 def test_power_table_lists_every_prime_power(top):
-    primes = primes_through(max(1, isqrt(top)) + 50)
-    q, p, rank = sieve._power_table(primes, top)
+    q, p, rank = sieve._power_table(top)
     expect = sorted((p ** k, p, r) for r, p in enumerate(plain_primes(isqrt(top)))
                     for k in range(1, top.bit_length() + 1) if p ** k <= top)
     assert list(zip(q.tolist(), p.tolist(), rank.tolist())) == expect
     assert q.dtype == p.dtype == rank.dtype == np.int64
+
+
+@given(st.lists(st.one_of(st.integers(min_value=0, max_value=3),
+                          st.integers(min_value=0, max_value=10 ** 7),
+                          st.integers(min_value=0, max_value=10 ** 12)), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+@example([10 ** 12, 3, 10 ** 6, 4, 10 ** 12 + 1])
+def test_kept_power_table_gives_each_pass_its_own_table(tops):
+    # the one table kept across passes, grown or not, slices for every top
+    # the table that a pass built for itself, also below and far below
+    # what the table covers
+    for top in tops:
+        got = sieve._power_table(top)
+        want = power_table_per_pass(primes_through(isqrt(top)), top)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            assert a.tolist() == b.tolist(), top
 
 
 def test_one_value_window_matches_the_row_of_a_longer_window():
@@ -495,8 +511,9 @@ def test_one_exact_check_for_every_witness():
 def test_a_run_sieves_forward_from_its_one_start():
     # every span search reads one split_rows stream: compute_tn its own,
     # a witnessed scan's run the one it opens when it is made, and no
-    # method of the run opens another; the partner of a saturation jump
-    # comes from its cofactor, reading no window, no run and no sieve pass
+    # method of the run opens another; the partner that a search's target
+    # starts with comes from its cofactor, reading no window, no run and no
+    # sieve pass
     assert _calls("split_rows") == {("tn.py", "compute_tn"), ("tn.py", "_Run.__init__"),
                                     ("intervals.py", "count_tn_closed"),
                                     ("intervals.py", "enumerate_square_subsets")}
@@ -509,6 +526,16 @@ def test_a_run_sieves_forward_from_its_one_start():
     assert not any(hasattr(tn, name) for name in ("_Window", "_ROW_BLOCK"))
     assert not hasattr(tn._Run, "seek")
     assert list(inspect.signature(tn._Run).parameters) == ["a", "b"]
+
+
+def test_span_search_starts_from_its_partner():
+    # a search stops where its target, v_n XOR v_{n+q} when it carries a
+    # large q, reduces to zero, so tn reads no saturation count, and the
+    # partner's vector is made in one place
+    tn_tree = ast.parse(Path(tn.__file__).read_text())
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "small_rank"
+                   for node in ast.walk(tn_tree))
+    assert _calls("_partner") == {("tn.py", "_search")}
 
 
 def test_interval_questions_read_the_intervals_own_windows():

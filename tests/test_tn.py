@@ -215,18 +215,17 @@ def test_verify_witness_malformed(supplier):
         verify_witness(2, [0, 1], supplier)
 
 
-@pytest.mark.parametrize("n", [
-    751435,  # 5 * 150287: its small basis is full after 1,585 insertions
-    7297,    # a prime: its small basis fills pivot 0, the rank of 2, last, at 109
+@pytest.mark.parametrize("n, inserts", [
+    (751435, 315),  # 5 * 150287: its small basis is full only after 1,297 insertions
+    (7297, 109),    # a prime: its small basis fills pivot 0, the rank of 2, last, at 109
 ])
-def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
-    # a shortcut row searches to t = P+(n), but once its small basis is
-    # full only the partner n + P+(n) can close n: the search closes there
-    # with the partner's vector, made from its cofactor, and inserts
-    # nothing more, so neither the values skipped nor the partner are ever
-    # sieved
+def test_partner_first_search_inserts_exactly_its_witness_but_one(monkeypatch, n, inserts):
+    # a shortcut row searches to t = P+(n) = q, and only the partner n + q
+    # carries q: its target starts as v_n XOR v_{n+q}, and the search stops
+    # at the insertion that reduces that to zero, the witness's last offset
+    # below q. The partner's vector comes from its cofactor, so the partner
+    # is never sieved
     inserted = []
-    full_at = []
     sieved = []
     windows = tn.parity_windows
 
@@ -238,10 +237,7 @@ def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
     class CountingBasis(tn.SplitBasis):
         def insert(self, q, bits):
             inserted.append(q)
-            pivot = super().insert(q, bits)
-            if not full_at and self.small_rank == len(self.small_bits):
-                full_at.append(len(inserted))
-            return pivot
+            return super().insert(q, bits)
 
     monkeypatch.setattr(tn, "SplitBasis", CountingBasis)
     monkeypatch.setattr(tn, "parity_windows", counting_windows)
@@ -249,7 +245,7 @@ def test_saturation_jump_inserts_only_the_partner(monkeypatch, n):
     r = compute_tn(n)
     p = largest_prime_factor(n)
     assert (r.t, r.shortcut_used) == (p, True)
-    assert len(inserted) == full_at[0] < 5000
+    assert len(inserted) == r.witness[-2] == inserts
     assert sum(end - start for start, end in sieved) < 5000
     assert not any(start <= n + p < end for start, end in sieved)
     assert r == tn_without_jump(n)
@@ -279,8 +275,9 @@ def _jumps(draw):
 @example((1000003, 1000003, 1000002))              # a prime n under the largest bound
 @example((1009 * 24, 1009, isqrt(1009 * 25)))      # a square cofactor: no rank bits
 def test_partner_of_a_jump_matches_the_sieve(case):
-    # the partner n + q = q (n/q + 1) of a saturation jump, made from its
-    # cofactor, is the row the sieve gives for n + q under the same bound
+    # the partner n + q = q (n/q + 1) that a search's target starts with,
+    # made from its cofactor, is the row the sieve gives for n + q under
+    # the same bound
     n, q, bound = case
     assert bound < q and isqrt(n + q) <= bound and n % q == 0
     [(_, large, words, _)] = parity_windows(n + q, n + q + 1, bound)
@@ -628,9 +625,9 @@ def test_sweep_window_stays_under_its_byte_cap_when_a_cap_raises_the_bound():
 
 def test_witnessed_scan_memory_stays_under_its_stated_peak():
     # A witnessed scan keeps one run of sieved values from its current n
-    # on, not the range, and only as far as its searches read: to their
-    # saturation points, since a partner comes from its cofactor. Measured
-    # 1.2 MB, of which 1.0 MB is the 3999 rows returned.
+    # on, not the range, and only as far as its searches read: to where
+    # their targets reduce to zero, since a partner comes from its
+    # cofactor. Measured 1.2 MB, of which 1.0 MB is the 3999 rows returned.
     tracemalloc.start()
     try:
         rows = scan_tn(2, 4000, include_witness=True)
@@ -644,7 +641,8 @@ def test_witnessed_scan_memory_stays_under_its_stated_peak():
 def test_witnessed_scan_at_height_sieves_no_partner():
     # Shortcut rows near 10^6 have partners near 2 * 10^6. A run that
     # sieved out to them held about 10^6 values: 73 MB measured when
-    # partners were read from the run, against 2.7 MB from their cofactors.
+    # partners were read from the run, against 2.7 MB from their cofactors
+    # and 0.6 MB once each search starts from its partner.
     tracemalloc.start()
     try:
         rows = scan_tn(10 ** 6, 10 ** 6 + 300, include_witness=True)
@@ -790,11 +788,12 @@ def test_chunks_are_bounded_by_the_height(monkeypatch, in_process_pool):
 
 
 def test_a_far_jump_never_spells_out_its_partners_offset():
-    # 10^8 + 7 is prime: its search saturates after 18,197 insertions and
-    # closes at its partner 2n, offset q = n. Inserting the partner made a
-    # mask with bit q - 1, which mask_bits spelled out as two strings of q
-    # characters (221 MB); the search now closes from the mask of its
-    # saturation point (9.2 MB measured).
+    # 10^8 + 7 is prime: it closes at its partner 2n, offset q = n.
+    # Inserting the partner made a mask with bit q - 1, which mask_bits
+    # spelled out as two strings of q characters (221 MB); a search that
+    # read rows to its saturation point, 18,197 insertions, and jumped to
+    # the partner took 9.2 MB; the partner-first search stops after 1,672
+    # insertions (1.3 MB measured).
     n = 100000007
     tracemalloc.start()
     try:
@@ -805,6 +804,17 @@ def test_a_far_jump_never_spells_out_its_partners_offset():
     assert peak < 20 * 10 ** 6
     assert r.t == r.witness[-1] == n and r.shortcut_used
     assert len(r.witness) < 100
+
+
+def test_a_prime_search_reads_rows_only_until_its_partner_closes_it(peak_growth_mb):
+    # 10^10 + 19 is prime: t = n, and its partner 2n comes from the
+    # cofactor 2. The process grew by 117 MB when the search read rows to
+    # its saturation point, and by 11 MB once it stops where v_n XOR v_{2n}
+    # reduces to zero, after 5,520 insertions
+    growth = peak_growth_mb("from tnlab.tn import compute_tn",
+                            "r = compute_tn(10000000019)\n"
+                            "assert r.t == r.witness[-1] == 10000000019 and r.witness[-2] == 5520")
+    assert growth < 40
 
 
 @pytest.mark.parametrize("workers", [0, -3])
