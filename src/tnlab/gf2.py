@@ -25,6 +25,17 @@ vector still pivots on q and every reduction XORs the same vectors. A
 witnessed scan's B therefore gives the t and witness of compute_tn.
 Large pivots are rare near any n, which keeps reduction chains short.
 
+Insertion. SplitBasis has one operation, insert. It reduces the new
+vector once against the rows and XORs the combination masks of the rows
+it meets as it goes. A vector that reaches an empty pivot becomes a row
+there, with that mask plus its own bit; a vector that reduces to zero is
+dependent and leaves the mask in `dependency`: the earlier insertions
+whose vectors XOR to it. Only insertions that created a row appear in a
+mask, and over those the combination is unique. tn's span search relies
+on it: it inserts its target first, so insertion j is offset j, and n
+closes at the first dependent insertion whose combination holds bit 0
+(see tn._search).
+
 Memory. Reducing a vector cancels its q and never brings a large prime
 back, so a row whose pivot is a large prime is always an unreduced
 original vector: it is stored as (bits, insertion index), without a
@@ -33,25 +44,12 @@ carry a combination mask over insertion indices. After t insertions the
 basis holds O(t) words for the large rows plus pi(B) * t bits of masks, so
 memory grows linearly in t.
 
-Fixed rows. A row of SplitBasis never changes once it is set, so a
-fixed vector reduced after any insertion takes the same steps as long as
-every pivot it meets is filled: a reduction that reaches zero gives the
-same combination mask then and after every later insertion. tn's span
-search relies on it: a target whose large tag q is within reach starts
-as the vector of n XOR that of its partner n + q, the only vector with
-the same q up to offset q, and the search stops at the first insertion
-after which that reduces to zero; the witness is that combination XOR
-offset q (see tn._search). The partner n + q = q (n/q + 1) has a
-cofactor n/q + 1 of at most B, so tn makes its vector from the
-cofactor's factors. The stop comes at the latest at saturation, when
-SplitBasis's small rows (small_rank) fill all pi(B) small pivots, since
-every vector without a large tag then reduces to zero. Such a search
-keeps the rows of its insertions and nothing more: O(s) rows and
-pi(B) * s bits of masks after s insertions, whatever t is, and a search
-that stops before offset q holds no mask bit at q.
-Kernels use saturation itself: once the small basis is full, a vector
-without a large tag is dependent, and its combination is a fixed linear
-map of its bits (see kernel_masks).
+Fixed rows. A row never changes once it is set. Once the small rows
+(small_rank) fill all pi(B) small pivots, every vector without a large
+tag is dependent, and its combination is a fixed linear map of its bits:
+the XOR of the combinations of the unit vectors at its set bits. Row b is
+the unit vector at b plus lower bits, so those combinations come from the
+rows' masks alone, from bit 0 up (see kernel_masks).
 
 Entry points. There are two elimination primitives over the same split
 vectors, because they answer two different questions.
@@ -122,7 +120,7 @@ class SplitBasis:
     up to B and every q is above B.
     """
 
-    __slots__ = ("large", "small_bits", "small_masks", "small_rank", "inserted")
+    __slots__ = ("large", "small_bits", "small_masks", "small_rank", "inserted", "dependency")
 
     def __init__(self, width: int = 0):
         self.large: dict[int, tuple[int, int]] = {}  # q -> (bits, insertion index)
@@ -130,61 +128,42 @@ class SplitBasis:
         self.small_masks: list[int] = [0] * width    # bit index -> row combination mask
         self.small_rank = 0                          # small rows held, at most width
         self.inserted = 0
+        self.dependency = 0                          # see insert
 
     @property
     def rank(self) -> int:
         return len(self.large) + self.small_rank
 
     def insert(self, q: int, bits: int) -> Optional[int]:
-        """Add the next vector. Returns its pivot, or None when it lies in
-        the span of the earlier ones (reduce() then gives the dependency)."""
+        """Add the next vector, reduced once against the rows while its
+        combination mask takes the masks of the rows it meets. Returns its
+        pivot, or None when it lies in the span of the earlier ones:
+        `dependency` then holds that mask, the earlier insertions whose
+        vectors XOR to it. The mask leaves out the vector's own bit, which
+        would make it as long as the insertion index."""
         index = self.inserted
         self.inserted = index + 1
-        reduced = bits
+        mask = 0  # the combination of the rows met, without the vector's own bit
         if q:
             row = self.large.get(q)
             if row is None:
                 self.large[q] = (bits, index)
                 return q
-            reduced ^= row[0]
-        rows = self.small_bits
-        while reduced:
-            pivot = reduced.bit_length() - 1
-            row_bits = rows[pivot]
-            if not row_bits:
-                # a new small row: rebuild its combination mask, which the
-                # fast pass above did not track
-                _, reduced, mask = self.reduce(q, bits, 1 << index)
-                rows[pivot] = reduced
-                self.small_masks[pivot] = mask
-                self.small_rank += 1
-                return pivot
-            reduced ^= row_bits
-        return None
-
-    def reduce(self, q: int, bits: int, mask: int = 0) -> tuple[int, int, int]:
-        """Reduce (q, bits) as far as the rows allow.
-
-        Returns the residual (q, bits) and `mask` XOR the combination of the
-        rows used; a residual (0, 0) means the vector is that combination of
-        inserted vectors.
-        """
-        if q:
-            row = self.large.get(q)
-            if row is None:
-                return q, bits, mask
             bits ^= row[0]
-            mask ^= 1 << row[1]
-            q = 0
+            mask = 1 << row[1]
         rows, masks = self.small_bits, self.small_masks
         while bits:
             pivot = bits.bit_length() - 1
             row_bits = rows[pivot]
             if not row_bits:
-                break
+                rows[pivot] = bits
+                masks[pivot] = mask | 1 << index
+                self.small_rank += 1
+                return pivot
             bits ^= row_bits
             mask ^= masks[pivot]
-        return q, bits, mask
+        self.dependency = mask
+        return None
 
 
 class SweepBasis:
@@ -279,13 +258,13 @@ def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:
     systematic form; Kernel.masks() gives it as combination masks.
 
     Vectors go into a SplitBasis one at a time until its small basis is
-    full (small_rank == width). From then on a vector without a large tag
-    is dependent, and its coordinates are a fixed linear map of its bits:
-    the XOR of the coordinates of the unit vectors at its set bits. The
-    unit vectors at the bits such vectors set are reduced once, and the
-    coordinates of all such vectors come from one numpy XOR pass per bit
-    (_linear_map). Vectors with a large tag still go into the basis one at
-    a time, since a new tag extends it.
+    full (small_rank == width); a dependent one takes its coordinates from
+    its own insertion. From then on a vector without a large tag is
+    dependent, and its coordinates are a fixed linear map of its bits: the
+    XOR of the coordinates of the unit vectors at its set bits. Those come
+    from the full rows, and the coordinates of all such vectors from one
+    numpy XOR pass per bit (_linear_map). Vectors with a large tag still
+    go into the basis one at a time, since a new tag extends it.
     """
     vectors = list(vectors)
     width = max((bits.bit_length() for _, bits in vectors), default=0)
@@ -300,7 +279,7 @@ def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:
             saturated_bits.append(bits)
         elif basis.insert(q, bits) is None:
             dependent.append(index)
-            coords.append(basis.reduce(q, bits)[2])
+            coords.append(basis.dependency)
         else:
             independent.append(index)
             full = basis.small_rank == width
@@ -319,12 +298,19 @@ def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:
 
 def _linear_map(basis: SplitBasis, values: list[int]) -> list[int]:
     """For each value, the XOR of the coordinates of the unit vectors at its
-    set bits, under a basis whose small rows are full: one unit vector is
-    reduced, and one numpy pass made, per bit that some value sets."""
+    set bits, under a basis whose small rows are full, with one numpy pass
+    per bit that some value sets. The coordinates of the unit vector at b
+    are the mask of row b XOR those of row b's lower bits, since row b is
+    that unit vector plus its lower bits: they are built from bit 0 up."""
     rows = pack_rows(values, len(basis.small_bits) // 64 + 1)
     # the bits that some value sets: the OR of the rows, read as one int
     used = mask_bits(row_bits(np.bitwise_or.reduce(rows, axis=0, keepdims=True))[0])
-    images = [basis.reduce(0, 1 << b)[2] for b in used]
+    units = []
+    for row, mask in zip(basis.small_bits, basis.small_masks):
+        for c in mask_bits(row)[:-1]:
+            mask ^= units[c]
+        units.append(mask)
+    images = [units[b] for b in used]
     words = max((image.bit_length() for image in images), default=0) // 64 + 1
     out = np.zeros((len(values), words), dtype="<u8")
     for b, image in zip(used, pack_rows(images, words)):

@@ -171,8 +171,10 @@ class FactorizationRecord:
 def factorize_trial(n: int) -> FactorizationRecord:
     """Factor n by trial division, with primes from primes_through in runs
     whose bound doubles from 1024, only while p^2 <= the cofactor left
-    (so n = 2^100 reads no prime past 1024). What remains then is 1 or a
-    prime, recorded with exponent 1.
+    (so n = 2^100 reads no prime past 1024). While the cofactor is below
+    2^63, a run is one numpy divisibility test and only the primes that
+    divide it are divided out; above, a Python loop tries each prime. What
+    remains then is 1 or a prime, recorded with exponent 1.
     """
     if n <= 0:
         raise DomainError("n must be positive")
@@ -182,7 +184,10 @@ def factorize_trial(n: int) -> FactorizationRecord:
     while isqrt(m) > bound:
         bound = min(isqrt(m), max(2 * bound, 1 << 10))
         primes = primes_through(bound)
-        for p in primes[done:].tolist():
+        run = primes[done:]
+        if m < 1 << 63:  # m fits int64
+            run = run[m % run == 0]
+        for p in run.tolist():
             if p * p > m:
                 break
             if m % p == 0:

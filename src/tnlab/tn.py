@@ -2,9 +2,11 @@
 
 t_n is the least t >= 0 such that some subset of {n+1, ..., n+t} multiplied
 by n gives a perfect square (0 when n is itself a square). The search
-inserts the parity vectors of n+1, n+2, ... into an echelon basis and stops
-the first time the vector of n enters the span; the basis's combination
-tracking then yields a witness subset whose largest offset is exactly t_n.
+inserts the parity vector of n, its target, into an echelon basis first,
+then those of n+1, n+2, ..., and stops at the first insertion that
+depends on the target: the vector of n then enters the span, and the
+combination that insertion leaves is a witness subset whose largest
+offset is exactly t_n.
 
 A large-prime shortcut resolves most n instantly: when P+(n) > sqrt(2n)+1,
 t_n = P+(n). compute_tn takes that P+ of its one n by trial division
@@ -23,12 +25,13 @@ the vector of n carries a large prime q within the search's limit, only
 n + q among n+1, ..., n+q carries q too, so t_n >= q, and the target
 starts as the XOR of the two vectors, which has small bits only. The
 partner is not read from the rows: n + q = q (n/q + 1), and its vector is
-q with the rank bits of the cofactor n/q + 1 <= B (_partner). The search
-stops as soon as that target reduces to zero, at the latest once its
-small basis is full, and the witness is its combination XOR offset q. So
-a search that reads s rows keeps O(s) rows and pi(B) * s mask bits,
-whatever t is, every stream sieves forward from its start only as far as
-its searches read, and a far partner is never sieved. Every witness is
+q with the rank bits of the cofactor n/q + 1 <= B (_partner). The target
+goes in first and the search stops at the first dependency through it,
+at the latest once its small basis is full, and the witness is that
+combination XOR offset q. So a search that reads s rows keeps O(s) rows
+and pi(B) * s mask bits, whatever t is, every stream sieves forward from
+its start only as far as its searches read, and a far partner is never
+sieved. Every witness is
 checked by verify_witness before it is returned. Nothing here keeps
 primes (sieve.primes_through does), so a call without a ParitySupplier
 makes a fresh one at no cost.
@@ -199,20 +202,27 @@ def _search(n: int, rows: Iterator[tuple[int, int]], bound: int, limit: int,
     CapExceeded when n stays out of the span of its first `limit`
     successors.
 
+    Target first, and stop at the first dependency through it. The
+    target is insertion 0, so insertion j is offset j. Until n closes the
+    target is independent of its successors, so no combination holds bit
+    0; the first dependent insertion whose combination does is the first
+    offset j with the vector of n in the span of offsets 1..j. That
+    combination, bit 0 and offsets below j, is unique over the insertions
+    that made rows (see gf2): without bit 0 and with j added, it is the
+    canonical witness. CapExceeded reports the rank of the offsets alone,
+    without the target's row.
+
     Partner first. A large tag q of n divides n + j exactly when q
     divides j, so of n+1, ..., n+2q-1 only the partner n + q carries q:
     t_n >= q, and n closes exactly where v_n XOR v_{n+q}, which has small
     bits only, enters the span. So when q <= limit the target starts as
     that residual, with the partner's vector made from its cofactor
-    (_partner), and the search reduces it as it would reduce v_n and stops
-    the moment it is zero. SplitBasis rows never change once set, so the
-    mask of that first zero is the mask the residual has at offset q and
-    at every later offset, and the witness is the mask's offsets XOR {q}:
-    t_n is q when the search stops before offset q, and the offset where
-    it stops otherwise. It stops at the latest when its small basis is
-    full, since every vector without a large tag then reduces to zero; a
+    (_partner), and the witness is the stopping combination's offsets XOR
+    {q}: t_n is q when the search stops before offset q, and the offset
+    where it stops otherwise. It stops at the latest when its small basis
+    is full, since every vector without a large tag is then dependent; a
     search that stops before offset q never reads n + q and never holds
-    bit q - 1 in its mask. With q > limit the target keeps its tag and the
+    bit q in a mask. With q > limit the target keeps its tag and the
     search exhausts its cap.
 
     The witness is returned only once verify_witness accepts it; a witness
@@ -226,21 +236,17 @@ def _search(n: int, rows: Iterator[tuple[int, int]], bound: int, limit: int,
     far = q if 0 < q <= limit else 0  # the partner's offset, when it starts the target
     if far:
         q, bits = 0, bits ^ _partner(n, far, primes)[1]
-    mask = 0
-    target_pivot = q or bits.bit_length() - 1
-    j = 0
-    while j < limit:
-        j += 1
-        if insert(*read()) == target_pivot:
-            q, bits, mask = basis.reduce(q, bits, mask)
-            if not (q or bits):
-                break
-            target_pivot = q or bits.bit_length() - 1
+    insert(q, bits)  # the target is insertion 0, so insertion j is offset j
+    for j in range(1, limit + 1):
+        if insert(*read()) is None and basis.dependency & 1:
+            break
     else:
-        assert not exact, f"n = {n} is still open at offset {j}, not closed at t = {limit}"
-        raise CapExceeded(n, limit, j, basis.rank)
-    offsets = set(mask_bits(mask)) ^ ({far - 1} if far else set())
-    witness = tuple(sorted(i + 1 for i in offsets))
+        assert not exact, f"n = {n} is still open at offset {limit}, not closed at t = {limit}"
+        raise CapExceeded(n, limit, limit, basis.rank - 1)
+    # offset j and its combination without bit 0, the target's own and its
+    # lowest, with offset q toggled when the target started from the partner
+    offsets = set(mask_bits(basis.dependency | 1 << j)[1:]) ^ ({far} if far else set())
+    witness = tuple(sorted(offsets))
     t = max(j, far)
     assert witness[-1] == t, "witness must peak at t_n"
     assert t == limit or not exact, f"n = {n} closes at offset {t}, not at t = {limit}"

@@ -8,7 +8,8 @@ Expected values frozen into tests were computed with these. The
 exceptions are the per-n loops at the end, which run one compute_tn
 search per value where the library now runs one sweep or one window pass,
 tn_without_jump, the span search as it was before it started from the
-partner of a large tag, per_vector_kernel_masks, the kernel as it was
+partner of a large tag and kept its target outside the basis,
+per_vector_kernel_masks, the kernel as it was
 before its linear map, whole_range_p_plus, a table's P+ array as it was
 built before its chunks, and power_table_per_pass, the prime-power table
 as each window pass built it before one table was kept.
@@ -273,13 +274,13 @@ def frozenset_tn(n: int, cap: int, support=odd_support):
 def per_vector_kernel_masks(vectors) -> list[int]:
     """gf2.kernel_masks(vectors).masks() as it was computed before the
     saturated kernel: every vector goes into one SplitBasis, and each
-    dependent one is reduced to its combination mask."""
+    dependent one gives the combination mask its insertion leaves."""
     vectors = list(vectors)
     basis = SplitBasis(max((bits.bit_length() for _, bits in vectors), default=0))
     out = []
     for index, (q, bits) in enumerate(vectors):
         if basis.insert(q, bits) is None:
-            out.append(basis.reduce(q, bits, 1 << index)[2])
+            out.append(basis.dependency | 1 << index)
     return out
 
 
@@ -337,9 +338,11 @@ def tn_without_jump(n: int, cap=None, use_shortcut: bool = True, include_witness
                     supplier=None) -> TnResult:
     """compute_tn as it was before its search started from the partner
     n + q of a large tag q (and before the saturation jump that came
-    first): the shortcut from large_prime_shortcut, one bound
-    isqrt(n + limit), and a span search whose target is the vector of n
-    itself, which inserts every offset up to t or up to the cap.
+    first, and before its target went into the basis): the shortcut from
+    large_prime_shortcut, one bound isqrt(n + limit), and a span search
+    whose target is the vector of n itself, kept outside the basis and
+    reduced again over its rows whenever a row lands on its pivot, which
+    inserts every offset up to t or up to the cap.
     CapExceeded carries the rank counted over the basis rows, not
     SplitBasis.rank."""
     if n < 1:
@@ -366,9 +369,18 @@ def tn_without_jump(n: int, cap=None, use_shortcut: bool = True, include_witness
         pivot = basis.insert(*next(vectors))
         if pivot is None or pivot != target_pivot:
             continue
-        target_q, target_bits, target_mask = basis.reduce(target_q, target_bits, target_mask)
-        if target_q or target_bits:
-            target_pivot = target_q or target_bits.bit_length() - 1
+        # reduce the target over the rows, which never change once set
+        if target_q:
+            large_bits, large_index = basis.large[target_q]
+            target_q, target_bits, target_mask = 0, target_bits ^ large_bits, 1 << large_index
+        while target_bits:
+            pivot = target_bits.bit_length() - 1
+            if not basis.small_bits[pivot]:
+                break
+            target_bits ^= basis.small_bits[pivot]
+            target_mask ^= basis.small_masks[pivot]
+        if target_bits:
+            target_pivot = target_bits.bit_length() - 1
             continue
         assert target_mask.bit_length() == j
         assert shortcut_t is None or j == shortcut_t

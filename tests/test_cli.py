@@ -110,6 +110,19 @@ def test_validation_error_exit_code(capsys):
         assert capsys.readouterr().err == f"tnlab: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tn", "--n", "7", "--cap", "3", "--no-shortcut"],
+     "no witness for n=7 within cap=3 (3 offsets inserted, basis rank 2)"),
+    (["tn", "--n", "1000000007", "--cap", "200", "--no-shortcut"],
+     "no witness for n=1000000007 within cap=200 (200 offsets inserted, basis rank 200)"),
+])
+def test_capped_tn_reports_the_rank_of_the_successors_alone(capsys, argv, message):
+    # a span search's basis holds its target too, as insertion 0: the rank
+    # it reports is that of the offsets inserted, without the target's row
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", f"tnlab: error: {message}\n")
+
+
 def test_select_omega_of_a_large_power(tmp_path):
     # trial division reads no more primes than the cofactor left needs:
     # 2^100 once sieved the primes up to 2^50

@@ -30,22 +30,14 @@ def combine(vectors, mask):
 
 
 def insert(basis, vectors, v):
-    """Insert v; None when it extends the basis, otherwise its dependency
-    mask over the earlier insertions, re-checked by XOR-ing them."""
+    """Insert v; None when it extends the basis, otherwise the dependency
+    that insert leaves, its combination over the earlier insertions,
+    re-checked by XOR-ing them."""
     vectors.append(v)
     if basis.insert(*v) is not None:
         return None
-    q, bits, mask = basis.reduce(*v)
-    assert (q, bits) == (0, 0)
-    assert combine(vectors, mask) == support(v)
-    return mask
-
-
-def express(basis, vectors, v):
-    """The mask of inserted vectors that XOR to v, or None outside the span."""
-    q, bits, mask = basis.reduce(*v)
-    if q or bits:
-        return None
+    mask = basis.dependency
+    assert mask < 1 << (len(vectors) - 1)  # earlier insertions only
     assert combine(vectors, mask) == support(v)
     return mask
 
@@ -84,15 +76,6 @@ def test_small_rank_counts_the_small_rows():
     assert b.insert(*vec(2, 3)) == RANK[3]
     assert b.insert(*vec(3)) is None
     assert (b.small_rank, b.rank) == (2, 3)
-
-
-def test_express_examples():
-    b, vs = SplitBasis(len(PRIMES)), []
-    insert(b, vs, vec(2))
-    insert(b, vs, vec(3))
-    assert express(b, vs, vec(2, 3)) == 0b11
-    assert express(b, vs, vec(5)) is None
-    assert express(b, vs, vec()) == 0
 
 
 def test_pivot_is_largest_support_prime():
@@ -170,11 +153,10 @@ def test_rank_is_order_independent(vecs, rng):
 @given(vector_batches())
 @settings(max_examples=80)
 def test_witness_soundness(vecs):
-    # insert() and express() re-XOR the selected vectors on every dependency
+    # insert() re-XORs the selected vectors on every dependency
     b, vs = SplitBasis(len(PRIMES)), []
     for v in vecs:
         insert(b, vs, v)
-    express(b, vs, vec(2, 3))
     for mask in kernel_masks(vecs).masks():
         assert mask and not combine(vecs, mask)
 

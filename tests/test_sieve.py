@@ -529,13 +529,33 @@ def test_a_run_sieves_forward_from_its_one_start():
 
 
 def test_span_search_starts_from_its_partner():
-    # a search stops where its target, v_n XOR v_{n+q} when it carries a
-    # large q, reduces to zero, so tn reads no saturation count, and the
-    # partner's vector is made in one place
+    # a search stops at the first insertion that depends on its target,
+    # v_n XOR v_{n+q} when it carries a large q, so tn reads no saturation
+    # count, and the partner's vector is made in one place
     tn_tree = ast.parse(Path(tn.__file__).read_text())
     assert not any(isinstance(node, ast.Attribute) and node.attr == "small_rank"
                    for node in ast.walk(tn_tree))
     assert _calls("_partner") == {("tn.py", "_search")}
+
+
+def test_split_basis_has_one_insertion_rule():
+    # SplitBasis has one operation, insert, which reduces each vector once
+    # and calls nothing else of the basis: no reduce, no maskless pass and
+    # no mask rebuild. A span search inserts its target first and reads its
+    # basis only through insert, the dependency it leaves and the rank, and
+    # keeps no target pivot
+    split = ast.parse(inspect.getsource(tn.SplitBasis)).body[0]
+    methods = {node.name: node for node in split.body if isinstance(node, ast.FunctionDef)}
+    assert set(methods) == {"__init__", "rank", "insert"}
+    insert = methods["insert"]
+    assert not any(isinstance(node, ast.Call) and getattr(node.func, "value", None) is not None
+                   and getattr(node.func.value, "id", None) == "self" for node in ast.walk(insert))
+    assert sum(isinstance(node, ast.While) for node in ast.walk(insert)) == 1
+    search = ast.parse(inspect.getsource(tn._search))
+    read = {node.attr for node in ast.walk(search)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "basis"}
+    assert read == {"insert", "dependency", "rank"}
+    assert not any("pivot" in node.id for node in ast.walk(search) if isinstance(node, ast.Name))
 
 
 def test_interval_questions_read_the_intervals_own_windows():

@@ -216,15 +216,15 @@ def test_verify_witness_malformed(supplier):
 
 
 @pytest.mark.parametrize("n, inserts", [
-    (751435, 315),  # 5 * 150287: its small basis is full only after 1,297 insertions
-    (7297, 109),    # a prime: its small basis fills pivot 0, the rank of 2, last, at 109
+    (751435, 316),  # 5 * 150287: its small basis is full only after 1,297 insertions
+    (7297, 110),    # a prime: its small basis fills pivot 0, the rank of 2, last, at offset 109
 ])
 def test_partner_first_search_inserts_exactly_its_witness_but_one(monkeypatch, n, inserts):
     # a shortcut row searches to t = P+(n) = q, and only the partner n + q
-    # carries q: its target starts as v_n XOR v_{n+q}, and the search stops
-    # at the insertion that reduces that to zero, the witness's last offset
-    # below q. The partner's vector comes from its cofactor, so the partner
-    # is never sieved
+    # carries q: its target starts as v_n XOR v_{n+q} and goes in first, and
+    # the search stops at the first insertion that depends on it, the
+    # witness's last offset below q. The partner's vector comes from its
+    # cofactor, so the partner is never sieved
     inserted = []
     sieved = []
     windows = tn.parity_windows
@@ -245,7 +245,7 @@ def test_partner_first_search_inserts_exactly_its_witness_but_one(monkeypatch, n
     r = compute_tn(n)
     p = largest_prime_factor(n)
     assert (r.t, r.shortcut_used) == (p, True)
-    assert len(inserted) == r.witness[-2] == inserts
+    assert len(inserted) == r.witness[-2] + 1 == inserts
     assert sum(end - start for start, end in sieved) < 5000
     assert not any(start <= n + p < end for start, end in sieved)
     assert r == tn_without_jump(n)
