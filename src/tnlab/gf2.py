@@ -49,7 +49,12 @@ Fixed rows. A row never changes once it is set. Once the small rows
 tag is dependent, and its combination is a fixed linear map of its bits:
 the XOR of the combinations of the unit vectors at its set bits. Row b is
 the unit vector at b plus lower bits, so those combinations come from the
-rows' masks alone, from bit 0 up (see kernel_masks).
+rows' masks alone, from bit 0 up (see kernel_masks). A vector with a
+large tag is then dependent exactly when its tag already has a row, since
+XOR-ing that row leaves small bits alone. So the number of dependent
+insertions, the kernel dimension, needs no combination past that point:
+DependencyCount inserts into a SplitBasis until its small rows are full,
+and from then on keeps the tags alone and reads no coordinates.
 
 Entry points. There are two elimination primitives over the same split
 vectors, because they answer two different questions.
@@ -58,8 +63,11 @@ vectors, because they answer two different questions.
   echelon basis with combination masks, so it alone yields canonical
   witnesses and kernel bases. The span search of tn (compute_tn and
   witnessed scans) drives it directly, one n at a time, and kernel_masks
-  serves every kernel: interval kernels, the small-t_n pigeonhole and the
-  constructor's parity kernel. The constructor's kernels, over batches of
+  serves every kernel basis: the library's interval kernels
+  (intervals.enumerate_square_subsets), the small-t_n pigeonhole and the
+  constructor's parity kernel. An interval check needs only the kernel's
+  dimension, which DependencyCount counts (Fixed rows) from the rows of
+  the check's one window pass. The constructor's kernels, over batches of
   smooth values, take their split vectors from sieve.split_vectors, which
   picks the bound of a batch and factors the values of the batch alone;
   interval kernels and span searches read them from sieve.split_rows, the
@@ -80,8 +88,8 @@ vectors, because they answer two different questions.
   witnesses (tn.scan_t), and which n of an interval close inside it
   (intervals.count_tn_closed), where SplitBasis would need a fresh search
   per n. Its split vectors come from sieve.parity_windows, the segmented
-  sieve that every split vector of a range comes from: the sweep reads
-  the windows, an interval's count reads their rows (sieve.split_rows).
+  sieve that every split vector of a range comes from: the sweep and an
+  interval check both read the windows.
 
 Prime sets (ParitySupplier.support, by trial division) are kept apart
 from this encoding on purpose: they serve only brute-mode
@@ -251,6 +259,36 @@ class Kernel:
         selects the i-th vector, and the selected vectors XOR to zero. The
         masks are independent and span the kernel."""
         return [coords | 1 << index for index, coords in zip(self.dependent, self.coords)]
+
+
+class DependencyCount:
+    """The kernel dimension of split vectors (q, bits) under a bound with
+    `width` primes, inserted one at a time: `dependent` counts those that
+    lie in the span of the earlier ones.
+
+    They go into a SplitBasis until its small rows are full. From then on
+    (Fixed rows) nothing is inserted and the basis is dropped, with its
+    masks: a vector without a large tag is dependent, and one with a tag
+    is dependent exactly when the tag already has a row, so only the tags
+    are kept. Nothing past that point reads a coordinate.
+    """
+
+    __slots__ = ("basis", "tags", "dependent")
+
+    def __init__(self, width: int):
+        self.basis: Optional[SplitBasis] = SplitBasis(width)
+        self.tags: Optional[set[int]] = None  # the tags that have a row, once the rows are full
+        self.dependent = 0
+
+    def insert(self, q: int, bits: int) -> None:
+        """Take the next vector, counting it when it is dependent."""
+        if self.tags is None:
+            self.dependent += self.basis.insert(q, bits) is None
+            if self.basis.small_rank == len(self.basis.small_bits):
+                self.tags, self.basis = set(self.basis.large), None
+        else:
+            self.dependent += not q or q in self.tags
+            self.tags.add(q)
 
 
 def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:

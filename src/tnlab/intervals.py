@@ -7,11 +7,14 @@ pi(y). Both facts are theorems; this module makes them executable, with
 the exponential enumeration kept as the trusted oracle against the GF(2)
 kernel route.
 
-Each count of check_interval_identity reads (lo, hi] itself and nothing
-past hi. The closed count and kernel mode read the split vectors of the
-interval's own sieve windows under B = isqrt(hi), streamed by
-sieve.split_rows; the smooth count reads P+ through sieve.p_plus_in.
-Brute mode reads neither: its prime sets come from trial division.
+check_interval_identity reads (lo, hi] in one pass and nothing past hi:
+the windows of sieve.parity_windows under B = isqrt(hi), each held only
+while it is read (_interval_counts). Each window's P+ gives its smooth
+count, and its split vectors go into one gf2.SweepBasis for the closed
+count and, in kernel mode, into a gf2.DependencyCount for the kernel
+dimension, a second elimination of the same rows. count_tn_closed is that
+pass with the closed count alone. Brute mode takes its subset count from
+enumerate_square_subsets, whose prime sets come from trial division.
 check_interval_identity checks all its arguments before it counts.
 """
 
@@ -24,10 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import RangeError
-from .gf2 import SweepBasis, kernel_masks, mask_bits
-from .sieve import pack_rows, primes_through, primes_up_to, smooth_in_interval, split_rows
+from .gf2 import DependencyCount, SweepBasis, kernel_masks, mask_bits
+from .sieve import pack_rows, parity_windows, primes_through, primes_up_to, row_bits, split_rows
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
-# by name until the tracer reads in-tree counters (ROADMAP item 2)
+# by name until the tracer reads in-tree counters (ROADMAP item 1)
 from .tn import ParitySupplier, compute_tn  # noqa: F401
 
 BRUTE_LENGTH_GUARD = 30
@@ -36,12 +39,12 @@ BRUTE_BLOCK_BITS = 16
 
 
 def count_tn_closed(lo: int, hi: int) -> int:
-    """#{n in (lo, hi] : n + t_n <= hi}, from one sweep over (lo, hi] alone.
+    """#{n in (lo, hi] : n + t_n <= hi}, from one sweep over (lo, hi] alone
+    (_interval_counts).
 
-    The vectors v_r of r = lo+1, ..., hi under B = isqrt(hi) (split_rows)
-    go into one gf2.SweepBasis in order, and the sweep stops at hi. The
-    count is the squares of the interval plus every r whose insert returns
-    a start.
+    The vectors v_r of r = lo+1, ..., hi under B = isqrt(hi) go into one
+    gf2.SweepBasis in order, and the sweep stops at hi. The count is the
+    squares of the interval plus every r whose insert returns a start.
 
     Why. Let a = lo + 1. insert returns l >= a at r exactly when v_r is in
     span(v_l, ..., v_{r-1}) but not in span(v_{l+1}, ..., v_{r-1}). Then
@@ -58,9 +61,29 @@ def count_tn_closed(lo: int, hi: int) -> int:
     """
     if not (0 <= lo < hi):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
-    insert = SweepBasis(len(primes_through(isqrt(hi)))).insert
-    return sum(not (q or bits) or insert(q, bits, r) is not None
-               for r, (q, bits) in enumerate(split_rows(lo + 1, hi + 1, isqrt(hi)), lo + 1))
+    return _interval_counts(lo, hi, 1, False)[0]
+
+
+def _interval_counts(lo: int, hi: int, y: int, kernel: bool) -> tuple[int, int, int]:
+    """The closed count (count_tn_closed), the y-smooth count and, when
+    `kernel` is set, the kernel dimension of (lo, hi] (0 otherwise), from
+    one parity_windows pass under B = isqrt(hi) that holds one window at
+    a time. The dimension is the number of dependent vectors, counted by a
+    gf2.DependencyCount apart from the sweep's basis, so that it checks the
+    closed count rather than restating it.
+    """
+    bound = isqrt(hi)
+    width = len(primes_through(bound))
+    closes = SweepBasis(width).insert
+    dependencies = DependencyCount(width)
+    closed = smooth = 0
+    for start, large, words, p_plus in parity_windows(lo + 1, hi + 1, bound):
+        smooth += int(np.count_nonzero(p_plus <= y))
+        for r, (q, bits) in enumerate(zip(large.tolist(), row_bits(words)), start):
+            closed += not (q or bits) or closes(q, bits, r) is not None
+            if kernel:
+                dependencies.insert(q, bits)
+    return closed, smooth, dependencies.dependent
 
 
 def _check_interval(lo: int, hi: int, mode: str) -> None:
@@ -187,6 +210,10 @@ def check_interval_identity(lo: int, hi: int, y: int, mode: str = "brute",
                             supplier: Optional[ParitySupplier] = None) -> IntervalReport:
     """Evaluate both interval counts and flag any violation.
 
+    The closed and smooth counts, and in kernel mode the kernel dimension
+    dim, come from one pass over (lo, hi] (_interval_counts): kernel mode
+    reports 2^dim subsets, and brute mode lists them
+    (enumerate_square_subsets, whose prime sets come from `supplier`).
     Violations cannot come from the mathematics (both directions are
     theorems), so a False flag indicates an implementation bug. Every
     argument is checked before the first count.
@@ -194,16 +221,16 @@ def check_interval_identity(lo: int, hi: int, y: int, mode: str = "brute",
     _check_interval(lo, hi, mode)
     if y < 1:
         raise RangeError("smoothness bound must be >= 1")
-    closed = count_tn_closed(lo, hi)
-    enum = enumerate_square_subsets(lo, hi, mode=mode, supplier=supplier)
-    smooth = len(smooth_in_interval(lo, hi, y))
+    closed, smooth, dimension = _interval_counts(lo, hi, y, mode == "kernel")
+    subsets = (2 ** dimension if mode == "kernel"
+               else enumerate_square_subsets(lo, hi, mode, supplier).count)
     pi_y = len(primes_up_to(y))
     return IntervalReport(
         lo=lo, hi=hi, y=y,
         closed_count=closed,
-        square_subset_count=enum.count,
+        square_subset_count=subsets,
         smooth_count=smooth,
         pi_y=pi_y,
-        identity_ok=enum.count == 2 ** closed,
+        identity_ok=subsets == 2 ** closed,
         lower_bound_ok=closed >= smooth - pi_y,
     )

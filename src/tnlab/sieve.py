@@ -7,18 +7,20 @@ vectors come from two producers that share one remainder step
 from one segmented sieve (parity_windows), which also gives P+; batches of
 smooth values, for the constructor's kernels, from split_vectors, which
 trial-divides the values of the batch alone in blocks of primes. The
-windows are read here by p_plus_in and split_rows, by tn's sweep, and by
-runge's point search; split_rows streams their rows as Python ints for
-tn's span searches and for intervals' closed count and kernels.
-P+ over a range has two readers: tn's sweep, which takes the P+ of its
-own windows (for its rows' classification and for distribution's counts),
-and p_plus_in, for every other caller, with one rule: a slice of the
-caller's table's P+ array when the table reaches the range's end, the
-segmented sieve otherwise. A table is that P+ array alone, built on its
-first read at 8 bytes per entry, a chunk at a time, with primes from
-primes_through. Factorization records come from trial division
-(factorize_trial), which serves heights, the prime sets of brute-mode
-enumeration and the P+ of the one n of tn's shortcut.
+windows are read here by p_plus_in and split_rows, by tn's sweep, by
+intervals' one pass per interval check, and by runge's point search;
+split_rows streams their rows as Python ints for tn's span searches and
+for intervals' kernel bases. P+ over a range has three readers: tn's
+sweep, which takes the P+ of its own windows (for its rows'
+classification and for distribution's counts), an interval check, which
+counts the smooth values of its own windows, and p_plus_in, for every
+other caller, with one rule: a slice of the caller's table's P+ array
+when the table reaches the range's end, the segmented sieve otherwise. A
+table is that P+ array alone, built on its first read at 8 bytes per
+entry, a chunk at a time, with primes from primes_through. Factorization
+records come from trial division (factorize_trial), which serves heights,
+the prime sets of brute-mode enumeration and the P+ of the one n of tn's
+shortcut.
 """
 
 from __future__ import annotations

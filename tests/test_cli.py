@@ -251,8 +251,8 @@ def test_an_interval_argument_error_counts_and_writes_nothing(tmp_path, capsys, 
                                                               flags, message):
     # refused before the 200,000 values near 10^9 are counted, which takes
     # minutes and more than a GB in kernel mode
-    monkeypatch.setattr(intervals, "count_tn_closed", None)
-    monkeypatch.setattr(intervals, "split_rows", None)
+    for name in ("_interval_counts", "enumerate_square_subsets", "parity_windows", "split_rows"):
+        monkeypatch.setattr(intervals, name, None)
     argv = ["interval", "--lo", "1000000000", "--hi", "1000200000", "--out",
             str(tmp_path / "interval.json")] + flags
     assert run_cli(argv) == 2
@@ -400,6 +400,36 @@ def test_interval_kernel_writes_a_subset_count_of_any_length(tmp_path):
     result = json.loads(out.read_text(), parse_int=Decimal)["result"]
     assert result["closed_count"] == 17738
     assert result["square_subset_count"] == 2 ** int(result["closed_count"])
+
+
+# runs tnlab.cli.main on its arguments, then prints its own VmHWM in kB
+PEAK_CLI_CHILD = """
+import sys
+import tnlab.cli
+code = tnlab.cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")))
+sys.exit(code)
+"""
+
+
+def test_interval_kernel_near_10_9_counts_its_kernel_in_bounded_memory(tmp_path):
+    # 80,000 values near 10^9 run past the saturation of the small basis
+    # (pi(31623) = 3401 pivots, full at about the 61,000th value), where
+    # the dimension is counted from tags alone, and the report writes
+    # 2^21416, past the default int-to-str limit; the whole child process,
+    # interpreter and numpy included, stays under 120 MB
+    out = tmp_path / "kernel.json"
+    src = str(Path(tnlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", PEAK_CLI_CHILD, "interval", "--lo", "1000000000",
+                           "--hi", "1000080000", "--y", "1000", "--kernel", "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text(), parse_int=Decimal)["result"]
+    assert result["closed_count"] == 21416
+    assert result["square_subset_count"] == 2 ** 21416
+    assert result["identity_ok"] is True
+    assert int(proc.stdout) < 120 * 1024
 
 
 NO_MPMATH_CHILD = """

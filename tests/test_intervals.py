@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from tnlab.errors import RangeError
 from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import (check_interval_identity, count_tn_closed,
                              enumerate_square_subsets)
-from tnlab.sieve import split_vectors
+from tnlab.sieve import smooth_in_interval, split_rows, split_vectors
 
 
 def test_count_examples():
@@ -169,6 +170,43 @@ def test_identity_random_intervals(supplier):
         assert type(r.closed_count) is int
 
 
+@given(st.one_of(st.tuples(st.integers(min_value=0, max_value=5000),
+                           st.integers(min_value=1, max_value=3000)),
+                 st.tuples(st.integers(min_value=0, max_value=10 ** 12),
+                           st.integers(min_value=1, max_value=1500))),
+       st.sampled_from([1, 2, 7, 30, 1000]))
+@settings(max_examples=40, deadline=None)
+@example((0, 3), 1)                 # B = 1: no small pivots at all
+@example((0, 3000), 7)              # saturated after a few dozen values
+@example((10 ** 12 - 1500, 1500), 1000)  # hi = (10^6)^2
+def test_one_pass_counts_match_their_own_routes(interval, y):
+    # the check's one window pass against three routes of their own: the
+    # kernel dimension against the masks of gf2.kernel_masks over a row
+    # stream of the same interval, and against the sweep's closed count;
+    # the smooth count against smooth_in_interval's P+ read. Short
+    # intervals at low heights run long past the saturation of the small
+    # basis, where the dimension is counted from the tags alone
+    lo, length = interval
+    hi = lo + length
+    report = check_interval_identity(lo, hi, y, "kernel")
+    dimension = len(kernel_masks(split_rows(lo + 1, hi + 1, isqrt(hi))))
+    assert report.square_subset_count == 2 ** dimension
+    assert dimension == count_tn_closed(lo, hi) == report.closed_count
+    assert report.smooth_count == len(smooth_in_interval(lo, hi, y))
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=300),
+                 st.integers(min_value=0, max_value=10 ** 9)),
+       st.integers(min_value=1, max_value=14), st.sampled_from([1, 7, 30]))
+@settings(max_examples=30, deadline=None)
+@example(0, 14, 7)
+@example(48, 1, 7)                  # the only element, 49, is a square
+def test_brute_and_kernel_reports_agree(lo, length, y):
+    hi = lo + length
+    assert check_interval_identity(lo, hi, y, "brute") == check_interval_identity(lo, hi, y,
+                                                                                  "kernel")
+
+
 @pytest.mark.parametrize("lo, hi, y, mode, message", [
     (10 ** 9, 10 ** 9 + 200000, 0, "kernel", "smoothness bound must be >= 1"),
     (10 ** 9, 10 ** 9 + 200000, 5, "brute", "exceeds brute guard"),
@@ -181,7 +219,7 @@ def test_identity_arguments_are_checked_before_any_count(monkeypatch, lo, hi, y,
     def counted(*args):
         raise AssertionError("counted before checking its arguments")
 
-    monkeypatch.setattr(intervals, "count_tn_closed", counted)
-    monkeypatch.setattr(intervals, "split_rows", counted)
+    for name in ("_interval_counts", "enumerate_square_subsets", "parity_windows", "split_rows"):
+        monkeypatch.setattr(intervals, name, counted)
     with pytest.raises(RangeError, match=message):
         check_interval_identity(lo, hi, y, mode)

@@ -472,9 +472,9 @@ def test_one_reader_decides_where_p_plus_comes_from():
     # only p_plus_in reads a table's P+ array; tables are built only where
     # one prefix is read several times (dist counts per chunk and builds
     # none); windows serve ranges alone: P+ past a table, the rows of
-    # split_rows, tn's sweep and runge's point search, while batches of
-    # smooth values (split_vectors, the constructor's alone) are
-    # trial-divided
+    # split_rows, tn's sweep, an interval check's one pass and runge's
+    # point search, while batches of smooth values (split_vectors, the
+    # constructor's alone) are trial-divided
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     # P+ of the one n of the shortcut is trial-divided, not sieved
     assert ("tn.py", "ParitySupplier.p_plus") in _calls("factorize_trial")
@@ -485,7 +485,7 @@ def test_one_reader_decides_where_p_plus_comes_from():
     assert _calls("build_spf_table") == {("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
     assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("sieve.py", "split_rows"),
-                                        ("tn.py", "_sweep"),
+                                        ("tn.py", "_sweep"), ("intervals.py", "_interval_counts"),
                                         ("runge.py", "search_integral_points")}
     assert _calls("split_vectors") == {("constructor.py", "build_small_tn"),
                                        ("constructor.py", "construct_curve_point")}
@@ -515,7 +515,6 @@ def test_a_run_sieves_forward_from_its_one_start():
     # starts with comes from its cofactor, reading no window, no run and no
     # sieve pass
     assert _calls("split_rows") == {("tn.py", "compute_tn"), ("tn.py", "_Run.__init__"),
-                                    ("intervals.py", "count_tn_closed"),
                                     ("intervals.py", "enumerate_square_subsets")}
     assert ("tn.py", "compute_tn") not in _calls("_Run")
     assert _calls("_partner") == {("tn.py", "_search")}
@@ -558,16 +557,36 @@ def test_split_basis_has_one_insertion_rule():
     assert not any("pivot" in node.id for node in ast.walk(search) if isinstance(node, ast.Name))
 
 
-def test_interval_questions_read_the_intervals_own_windows():
-    # the closed count and kernel mode read the split vectors of (lo, hi]
-    # from its own windows under isqrt(hi), through split_rows (pinned
-    # above), not through a scan or a batch split, and nothing past hi;
-    # the sweep keeps one form for its passes
-    for name in ("scan_t", "chunk_map", "_sweep", "split_vectors", "parity_windows",
-                 "_split_rows"):
+def test_interval_questions_read_the_intervals_own_windows(monkeypatch):
+    # an interval check reads (lo, hi] in one window pass under isqrt(hi)
+    # (_interval_counts, pinned above) for its closed, smooth and kernel
+    # counts, and nothing past hi: no scan, no batch split, no second
+    # reader of P+ and no row stream; only the library's kernel basis
+    # (enumerate_square_subsets) streams the rows itself
+    for name in ("scan_t", "chunk_map", "_sweep", "split_vectors", "p_plus_in",
+                 "smooth_in_interval", "_split_rows"):
         assert not any(path == "intervals.py" for path, _ in _calls(name)), name
         assert not hasattr(intervals, name), name
+    assert _calls("_interval_counts") == {("intervals.py", "count_tn_closed"),
+                                          ("intervals.py", "check_interval_identity")}
+    for name in ("split_rows", "kernel_masks"):
+        assert {d for path, d in _calls(name) if path == "intervals.py"} == \
+            {"enumerate_square_subsets"}, name
+    assert ("intervals.py", "check_interval_identity") not in _calls("count_tn_closed")
     assert not hasattr(tn, "_FIRST_WINDOW")
+    # one pass per check, in either mode: every window comes from it
+    passes = []
+
+    def counted(a, b, bound):
+        passes.append((a, b, bound))
+        return parity_windows(a, b, bound)
+
+    monkeypatch.setattr(sieve, "parity_windows", counted)
+    monkeypatch.setattr(intervals, "parity_windows", counted)
+    for mode in ("kernel", "brute"):
+        passes.clear()
+        intervals.check_interval_identity(999980, 1000000, 30, mode)
+        assert passes == [(999981, 1000001, 1000)], mode
 
 
 def test_one_producer_of_t_for_every_scan():
