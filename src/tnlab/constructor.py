@@ -7,8 +7,8 @@ with square product), draws a family of kernel members, and picks two with
 a large symmetric difference; the difference is itself a square-product
 subset whose elements, written as n, n+j_1, ..., n+J, certify an integral
 point on the corresponding hyperelliptic curve. Every certificate is
-parity-verified at emission; count guarantees are asymptotic and only
-reported, never asserted.
+verified exactly at emission (tn.verify_witness); count guarantees are
+asymptotic and only reported, never asserted.
 
 Certificates stay in kernel coordinates from the kernel to the chosen
 pair. gf2.kernel_masks returns the kernel in systematic form [I | A]
@@ -92,7 +92,8 @@ def build_small_tn(lo: int, hi: int, y: float,
     Exists whenever the interval holds more y-smooth integers than there
     are primes up to y (pigeonhole on parity vectors); returns None when
     that count condition fails. The kernel element produced by the first
-    dependent insertion is used, and n is its least element.
+    dependent insertion is used, and n is its least element. The pair is
+    returned only once verify_witness accepts it.
     """
     y_int = int(math.floor(y))
     smooths = smooth_in_interval(lo, hi, y_int, table)
@@ -104,7 +105,10 @@ def build_small_tn(lo: int, hi: int, y: float,
     first = kernel_masks(split_vectors(smooths[:prime_count + 1])).masks()[0]
     members = [smooths[i] for i in mask_bits(first)]
     n = members[0]
-    return n, tuple(v - n for v in members[1:])
+    offsets = tuple(v - n for v in members[1:])
+    if not verify_witness(n, offsets):
+        raise AssertionError(f"n = {n}: the witness does not make a square")
+    return n, offsets
 
 
 def max_symdiff_pair(masks: Sequence[int]) -> tuple[int, int, int]:
@@ -149,7 +153,7 @@ def _widest_rows(rows: np.ndarray) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class CurvePointCertificate:
-    """A parity-verified integral point: n(n+J) * prod(n+j_i) is a square.
+    """An exactly verified integral point: n(n+J) * prod(n+j_i) is a square.
 
     offsets holds the N interior shifts 1 <= j_1 < ... < j_N < J. The
     J^(1-c) size target is reported (meets_target), never asserted: the
@@ -262,7 +266,8 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     span = members[-1] - n
     interior = tuple(m - n for m in members[1:-1])
 
-    assert verify_witness(n, interior + (span,)), "certificate product is not a square"
+    if not verify_witness(n, interior + (span,)):
+        raise AssertionError(f"n = {n}: the certificate product is not a square")
 
     target = math.ceil(span ** (1.0 - c))
     timings["total"] = time.perf_counter() - t0

@@ -94,8 +94,10 @@ vectors, because they answer two different questions.
 Prime sets (ParitySupplier.support, by trial division) are kept apart
 from this encoding on purpose: they serve only brute-mode
 intervals.enumerate_square_subsets, as its independent oracle. Witnesses
-are verified without any parity encoding: tn.verify_witness takes the
-integer square root of the product.
+are verified without any parity encoding: tn.verify_witness reduces the
+product to a root that is a square exactly when the product is, by
+cancelling gcds up a product tree, and takes the root's integer square
+root.
 """
 
 from __future__ import annotations

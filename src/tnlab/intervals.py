@@ -12,10 +12,12 @@ the windows of sieve.parity_windows under B = isqrt(hi), each held only
 while it is read (_interval_counts). Each window's P+ gives its smooth
 count, and its split vectors go into one gf2.SweepBasis for the closed
 count and, in kernel mode, into a gf2.DependencyCount for the kernel
-dimension, a second elimination of the same rows. count_tn_closed is that
-pass with the closed count alone. Brute mode takes its subset count from
-enumerate_square_subsets, whose prime sets come from trial division.
-check_interval_identity checks all its arguments before it counts.
+dimension, a second elimination of the same rows. A value whose large tag
+is at least the interval's length is the only one that tag divides, so it
+goes into neither. count_tn_closed is that pass with the closed count
+alone. Brute mode takes its subset count from enumerate_square_subsets,
+whose prime sets come from trial division. check_interval_identity checks
+all its arguments before it counts.
 """
 
 from __future__ import annotations
@@ -71,6 +73,13 @@ def _interval_counts(lo: int, hi: int, y: int, kernel: bool) -> tuple[int, int, 
     a time. The dimension is the number of dependent vectors, counted by a
     gf2.DependencyCount apart from the sweep's basis, so that it checks the
     closed count rather than restating it.
+
+    A value whose large tag q is at least hi - lo goes into neither count:
+    two multiples of q differ by q or more, so it is the only value of the
+    interval that q divides, and its vector takes part in no dependency.
+    It neither closes nor is dependent, and it changes no row that a later
+    reduction meets. The rule is on q alone, not on r + q > hi, since r - q
+    may still lie in the interval.
     """
     bound = isqrt(hi)
     width = len(primes_through(bound))
@@ -79,7 +88,9 @@ def _interval_counts(lo: int, hi: int, y: int, kernel: bool) -> tuple[int, int, 
     closed = smooth = 0
     for start, large, words, p_plus in parity_windows(lo + 1, hi + 1, bound):
         smooth += int(np.count_nonzero(p_plus <= y))
-        for r, (q, bits) in enumerate(zip(large.tolist(), row_bits(words)), start):
+        keep = np.flatnonzero(large < hi - lo)
+        for r, q, bits in zip((keep + start).tolist(), large[keep].tolist(),
+                              row_bits(words[keep])):
             closed += not (q or bits) or closes(q, bits, r) is not None
             if kernel:
                 dependencies.insert(q, bits)

@@ -75,7 +75,8 @@ import os
 import warnings
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
-from math import isqrt
+from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -271,10 +272,15 @@ def verify_witness(n: int, witness: Sequence[int],
                    supplier: Optional[ParitySupplier] = None) -> bool:
     """True iff m = n times the product of n+j over the witness is a square.
 
-    Exact and independent of every sieve: m is multiplied as a balanced
+    Exact and independent of every sieve: m is reduced as a balanced
     product tree (Bernstein, "Fast multiplication and its applications",
-    2008), so each multiplication pairs operands of similar size, and
-    isqrt(m)^2 == m decides. `supplier` is not read.
+    2008), which pairs operands of similar size. The first level
+    multiplies pairs outright, since n+j and n+j' share only divisors of
+    j' - j; every level above replaces a*b with (a/g)(b/g), g = gcd(a, b),
+    and isqrt(r)^2 == r decides on the root r. Why it is exact: a*b =
+    (a/g)(b/g) g^2, so m is r times a square, and m is a square exactly
+    when r is (an integer that is the square of a rational is the square
+    of an integer). `supplier` is not read.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -283,11 +289,18 @@ def verify_witness(n: int, witness: Sequence[int],
         if j <= prev:
             raise DomainError("witness offsets must be strictly increasing and positive")
         prev = j
-    level = [n] + [n + j for j in witness]
+    level, pair = [n] + [n + j for j in witness], mul
     while len(level) > 1:  # an odd one out moves up unpaired
-        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
-    m = level[0]
-    return isqrt(m) ** 2 == m
+        level = list(map(pair, level[::2], level[1::2])) + level[len(level) & ~1:]
+        pair = _cancel
+    r = level[0]
+    return isqrt(r) ** 2 == r
+
+
+def _cancel(a: int, b: int) -> int:
+    """a*b without the square gcd(a, b)^2."""
+    g = gcd(a, b)
+    return (a // g) * (b // g)
 
 
 def scan_tn(lo: int, hi: int,

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: trial
 division instead of sieve tables (factor_range divides a whole range by
-the primes of its own sieve, plain_primes), a square root of every product instead
-of sieve windows, exhaustive subset search instead of GF(2) elimination, plain quadrature instead of the production rho grid.
+the primes of its own sieve, plain_primes), a square root of every whole
+product (square_by_product) instead of sieve windows, exhaustive subset search instead of GF(2) elimination, plain quadrature instead of the production rho grid.
 Expected values frozen into tests were computed with these. The
 exceptions are the per-n loops at the end, which run one compute_tn
 search per value where the library now runs one sweep or one window pass,
@@ -209,6 +209,18 @@ def verify_by_supports(n: int, witness) -> bool:
     for j in witness:
         acc ^= odd_support(n + j)
     return not acc
+
+
+def square_by_product(n: int, witness) -> bool:
+    """True iff m = n times the product of n+j over the witness is a
+    square, with m multiplied out in full as a balanced product tree and
+    decided by isqrt(m)^2 == m (the check verify_witness made before it
+    cancelled gcds)."""
+    level = [n] + [n + j for j in witness]
+    while len(level) > 1:
+        level = [a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+    m = level[0]
+    return isqrt(m) ** 2 == m
 
 
 class FrozensetBasis:

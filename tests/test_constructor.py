@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 from itertools import combinations
 from operator import xor
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -86,6 +90,36 @@ def test_build_small_tn_certifies_bound(table):
         assert compute_tn(n, include_witness=False).t <= hi - lo
         if offsets:
             assert n + max(offsets) <= hi
+
+
+def test_build_small_tn_returns_only_what_verify_witness_accepts(table, monkeypatch):
+    seen = []
+    monkeypatch.setattr(constructor, "verify_witness",
+                        lambda n, w: seen.append((n, w)) or False)
+    with pytest.raises(AssertionError, match="n = 49"):
+        build_small_tn(47, 56, 7, table)
+    assert seen == [(49, ())]
+
+
+# the certificate check is no assert statement: under python -O, with the
+# check made to fail, the pipeline still raises instead of emitting
+OPTIMIZED_CHILD = """
+from tnlab import constructor
+assert False, "asserts must be stripped here"
+constructor.verify_witness = lambda n, witness: False
+try:
+    constructor.construct_curve_point(10 ** 5, 0.5, seed=1, y=30, length=5000)
+except AssertionError as e:
+    print(e)
+"""
+
+
+def test_curve_point_check_survives_python_O():
+    src = str(Path(constructor.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHILD], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("n = ") and "not a square" in out.stdout
 
 
 def test_max_symdiff_trivial_pairs():

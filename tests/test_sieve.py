@@ -492,20 +492,38 @@ def test_one_reader_decides_where_p_plus_comes_from():
 
 
 def test_one_exact_check_for_every_witness():
-    # verify_witness multiplies and takes isqrt: it reads no sieve, no
-    # table and no prime set. Prime sets serve only brute-mode enumeration,
-    # and the table serves only its P+ array
+    # verify_witness reduces the product as a product tree that cancels
+    # the gcd of every pair above its leaves (_cancel), and takes isqrt of
+    # the root: it reads no sieve, no table and no prime set. Prime sets
+    # serve only brute-mode enumeration, and the table serves only its P+
+    # array
     tn_source = Path(sieve.__file__).with_name("tn.py").read_text()
-    verify = next(node for node in ast.parse(tn_source).body
-                  if getattr(node, "name", None) == "verify_witness")
+    check = [node for node in ast.parse(tn_source).body
+             if getattr(node, "name", None) in ("verify_witness", "_cancel")]
+    assert len(check) == 2
     called = {getattr(f, "attr", getattr(f, "id", None))
-              for f in (node.func for node in ast.walk(verify) if isinstance(node, ast.Call))}
+              for f in (node.func for top in check for node in ast.walk(top)
+                        if isinstance(node, ast.Call))}
     sieve_names = {name for name, obj in vars(sieve).items()
                    if getattr(obj, "__module__", None) == sieve.__name__}
     assert not called & (sieve_names | set(vars(SpfTable)) | {"support"})
     assert _calls("support") == {("intervals.py", "enumerate_square_subsets")}
     assert not any(hasattr(SpfTable, name) for name in ("factors", "spf"))
     assert not hasattr(sieve, "factorize")
+
+
+def test_no_assert_statement_makes_the_exact_check():
+    # python -O strips assert statements, and with them any check inside
+    # one: every verify_witness in the package is an explicit test
+    for path in sorted(Path(sieve.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
+                names = {getattr(c.func, "attr", getattr(c.func, "id", None))
+                         for c in ast.walk(node) if isinstance(c, ast.Call)}
+                assert "verify_witness" not in names, f"{path.name}:{node.lineno}"
+    assert _calls("verify_witness") == {("tn.py", "_search"),
+                                        ("constructor.py", "build_small_tn"),
+                                        ("constructor.py", "construct_curve_point")}
 
 
 def test_a_run_sieves_forward_from_its_one_start():

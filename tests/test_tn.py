@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -6,16 +7,17 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import InProcessPool
-from oracles import (brute_tn, is_square, largest_prime_factor, tn_row, tn_without_jump,
-                     trial_factor, verify_by_supports)
+from oracles import (brute_tn, is_square, largest_prime_factor, square_by_product, tn_row,
+                     tn_without_jump, trial_factor, verify_by_supports)
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import sieve, tn
 from tnlab.constructor import construct_curve_point
 from tnlab.distribution import conjecture_scan, distribution_table
+from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import check_interval_identity
 from tnlab.sieve import (WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable, build_spf_table,
                          parity_windows, primes_through, primes_up_to, row_bits, split_rows)
@@ -206,6 +208,97 @@ def test_verify_witness_accepts_computed_witnesses_and_certificates():
     offsets = cert.offsets + (cert.J,)
     assert verify_witness(cert.n, offsets) and verify_by_supports(cert.n, offsets)
     assert not verify_witness(cert.n, offsets[1:])
+
+
+def _verifies(values) -> bool:
+    """verify_witness on distinct values: the least is n, the others n + j."""
+    n, *rest = sorted(values)
+    return verify_witness(n, [v - n for v in rest])
+
+
+# few primes, so values share them at every level of the product tree; all
+# small enough for the trial-division oracle
+_POOL = (2, 3, 5, 7, 11, 13, 101, 1009)
+
+
+def _odd_part(v: int) -> int:
+    """The product of the primes that divide v to an odd power."""
+    return math.prod(p for p, e in trial_factor(v) if e & 1)
+
+
+@st.composite
+def pool_products(draw) -> tuple[tuple[int, ...], bool]:
+    """(values, square): up to 40 distinct products of _POOL primes to
+    powers up to 3, so tree levels of odd and even length, internal squares
+    (p^3, 2^k) and 1. With `square` the value with the odd part of their
+    product is added, or taken out when it is there already, so the
+    product becomes a square."""
+    factors = st.lists(st.tuples(st.sampled_from(_POOL), st.integers(1, 3)), max_size=3)
+    values = {math.prod(p ** e for p, e in f) for f in draw(st.lists(factors, min_size=1,
+                                                                       max_size=40))}
+    square = draw(st.booleans())
+    if square:
+        values ^= {_odd_part(math.prod(values))}
+        assume(values)
+    return tuple(sorted(values)), square
+
+
+# 2018 = 2 * 1009 and 3027 = 3 * 1009: the first and the last value share
+# 1009 alone, which cancels only at the root of the tree (as a partner's
+# large tag would); 2048 = 2^11, 2187 = 3^7 and 2197 = 13^3 hold squares
+@example(((2018, 2048, 2187, 2197, 2400, 2808, 3027), True))
+@example(((2018, 2048, 2187, 2197, 2400, 3027), False))
+@example(((8, 18), True))                  # cancels at the first level
+@example(((1,), True))
+@example(((1, 2, 8), True))                # n = 1
+@example(((49,), True))                    # a square n, empty witness
+@example(((2,), False))
+@given(pool_products())
+@settings(max_examples=80, deadline=None)
+def test_gcd_tree_matches_the_product_and_support_oracles(case):
+    values, square = case
+    n, witness = values[0], [v - values[0] for v in values[1:]]
+    got = verify_witness(n, witness)
+    assert got == square_by_product(n, witness) == verify_by_supports(n, witness)
+    if square:
+        assert got
+        # dropping or adding a value that is no square breaks the square
+        dropped = next((v for v in values if _odd_part(v) > 1), None)
+        if dropped is not None:
+            assert not _verifies(set(values) - {dropped})
+        assert not _verifies(set(values) | {10009})   # a prime outside _POOL
+
+
+# heights up to 10^5, where intervals of a few hundred values have kernels;
+# at 10^6 a kernel needs about 2000 values
+@given(st.integers(min_value=0, max_value=10 ** 5), st.integers(min_value=1, max_value=300))
+@settings(max_examples=30, deadline=None)
+@example(0, 60)
+@example(10 ** 6, 2000)
+def test_kernel_members_verify_and_one_value_more_or_less_does_not(lo, length):
+    hi = lo + length
+    values = range(lo + 1, hi + 1)
+    non_squares = [v for v in values if not is_square(v)]
+    for mask in kernel_masks(split_rows(lo + 1, hi + 1, isqrt(hi))).masks():
+        member = {values[b] for b in mask_bits(mask)}
+        n = min(member)
+        assert _verifies(member) and square_by_product(n, [v - n for v in sorted(member)[1:]])
+        dropped = next((v for v in sorted(member) if not is_square(v)), None)
+        if dropped is not None:
+            assert not _verifies(member - {dropped})
+        added = next((v for v in non_squares if v not in member), None)
+        if added is not None:
+            assert not _verifies(member | {added})
+
+
+def test_curve_certificates_at_a_million_verify_and_not_without_their_first_offset():
+    table = build_spf_table(10 ** 6)
+    for c, seed in ((0.5, 0), (0.4, 1)):
+        cert = construct_curve_point(10 ** 6, c, seed=seed, table=table)
+        offsets = cert.all_offsets()
+        assert verify_witness(cert.n, offsets) and square_by_product(cert.n, offsets)
+        assert not verify_witness(cert.n, offsets[1:])
+        assert not square_by_product(cert.n, offsets[1:])
 
 
 def test_verify_witness_malformed(supplier):
