@@ -37,12 +37,22 @@ closes at the first dependent insertion whose combination holds bit 0
 (see tn._search).
 
 Memory. Reducing a vector cancels its q and never brings a large prime
-back, so a row whose pivot is a large prime is always an unreduced
-original vector: it is stored as (bits, insertion index), without a
-combination mask. Only rows with small pivots -- at most pi(B) of them --
-carry a combination mask over insertion indices. After t insertions the
-basis holds O(t) words for the large rows plus pi(B) * t bits of masks, so
-memory grows linearly in t.
+back, so SplitBasis stores a row whose pivot is a large prime as
+(bits, insertion index), without a combination mask. Only rows with small
+pivots -- at most pi(B) of them -- carry a combination mask over
+insertion indices. After t insertions the basis holds O(t) words for the
+large rows plus pi(B) * t bits of masks, so memory grows linearly in t.
+
+Partners. Over consecutive values under B, a value r with large tag q is
+q c with c <= B, since r < (B + 1)^2, and the last value before it that q
+divides is its partner r - q = q (c - 1). A basis that keeps the latest
+start at each pivot and has taken the values from r - q on holds the
+vector of r - q, unreduced, as its row for q, so it reduces r to
+v_c XOR v_(c-1), with start r - q: the partner identity. SweepBasis
+therefore holds no large rows. sieve.folded_rows hands it each tagged
+value with its partner folded in, and leaves out a value whose partner
+lies before the sweep's first value, which such a basis would only have
+stored.
 
 Fixed rows. A row never changes once it is set. Once the small rows
 (small_rank) fill all pi(B) small pivots, every vector without a large
@@ -52,9 +62,9 @@ the unit vector at b plus lower bits, so those combinations come from the
 rows' masks alone, from bit 0 up (see kernel_masks). A vector with a
 large tag is then dependent exactly when its tag already has a row, since
 XOR-ing that row leaves small bits alone. So the number of dependent
-insertions, the kernel dimension, needs no combination past that point:
-DependencyCount inserts into a SplitBasis until its small rows are full,
-and from then on keeps the tags alone and reads no coordinates.
+insertions, the kernel dimension, needs no combination at all:
+DependencyCount reduces without masks until its small rows are full, and
+from then on keeps the tags alone and reads no coordinates.
 
 Entry points. There are two elimination primitives over the same split
 vectors, because they answer two different questions.
@@ -87,9 +97,10 @@ vectors, because they answer two different questions.
   sweep over a range then resolves t_n for every n of a scan without
   witnesses (tn.scan_t), and which n of an interval close inside it
   (intervals.count_tn_closed), where SplitBasis would need a fresh search
-  per n. Its split vectors come from sieve.parity_windows, the segmented
-  sieve that every split vector of a range comes from: the sweep and an
-  interval check both read the windows.
+  per n. It takes a window's rows per insert, from sieve.folded_rows over
+  the windows of sieve.parity_windows, the segmented sieve that every
+  split vector of a range comes from, with every large tag folded into its
+  partner (Partners), and returns the values that close and their n.
 
 Prime sets (ParitySupplier.support, by trial division) are kept apart
 from this encoding on purpose: they serve only brute-mode
@@ -177,7 +188,7 @@ class SplitBasis:
 
 
 class SweepBasis:
-    """Latest-start basis over split vectors (q, bits), inserted in index order.
+    """Latest-start basis over the small bits of rows inserted in index order.
 
     Each row carries its start: the smallest index among the inserted
     vectors XOR-ed into it. At a pivot the stored row and the vector being
@@ -186,52 +197,53 @@ class SweepBasis:
     prefix linear basis). Reduction performs the same XORs as an echelon
     basis without swaps; only the rows that stay behind differ.
 
-    A large row is always an unreduced original vector, the latest one
-    with its q, since a new vector with that q is the newest index and
-    swaps in at once.
+    It holds no large rows: a vector with a large tag q comes with its
+    partner folded in (sieve.folded_rows), as the XOR of its vector and
+    that of the last earlier value that q divides, with that value's index
+    as its start. That is the reduction a basis with large rows would make:
+    its row for q is always the latest vector with q, unreduced, since a new
+    vector with q is the newest index and swaps in at once.
     """
 
-    __slots__ = ("large", "small_bits", "small_starts")
+    __slots__ = ("small_bits", "small_starts")
 
     def __init__(self, width: int = 0):
-        self.large: dict[int, tuple[int, int]] = {}  # q -> (bits, start)
         self.small_bits: list[int] = [0] * width     # bit index -> row bits, 0 when empty
         self.small_starts: list[int] = [0] * width   # bit index -> row start
 
-    def insert(self, q: int, bits: int, index: int) -> Optional[int]:
-        """Add the vector of `index`, which must exceed every earlier index.
+    def insert(self, indices: list[int], starts: list[int],
+               bits: list[int]) -> tuple[list[int], list[int]]:
+        """Add rows (index, start, bits) in order, each index above every
+        earlier one and at least its start; returns the indices that close,
+        and their closing starts.
 
-        Returns None when the vector is zero or independent of the earlier
-        ones. Otherwise it returns the largest l such that the vector lies
-        in the span of the vectors inserted at l, l+1, ..., index-1: the
-        smallest start among the rows its reduction met, since the rows
-        with start >= l are an echelon basis of that span and the
-        reduction's rows are unique. For the vectors of n, n+1, ... that l
-        is the unique n with n + t_n = index.
+        A row closes when its bits reduce to zero and the smallest start
+        among its own and the rows its reduction met, l, is below its index:
+        l is then the largest such that the vector lies in the span of the
+        vectors inserted at l, l+1, ..., index-1, since the rows with
+        start >= l are an echelon basis of that span and the reduction's
+        rows are unique. For the vectors of n, n+1, ... that l is the
+        unique n with n + t_n = index.
         """
-        start = index
-        if q:
-            row = self.large.get(q)
-            self.large[q] = (bits, index)
-            if row is None:
-                return None
-            bits ^= row[0]
-            start = row[1]
-        rows, starts = self.small_bits, self.small_starts
-        while bits:
-            pivot = bits.bit_length() - 1
-            row_bits = rows[pivot]
-            if not row_bits:
-                rows[pivot] = bits
-                starts[pivot] = start
-                return None
-            row_start = starts[pivot]
-            if start > row_start:
-                rows[pivot] = bits
-                starts[pivot] = start
-                start = row_start
-            bits ^= row_bits
-        return start if start < index else None
+        rows, row_starts = self.small_bits, self.small_starts
+        closes, closed = [], []
+        for index, start, b in zip(indices, starts, bits):
+            while b:
+                pivot = b.bit_length() - 1
+                row = rows[pivot]
+                if not row:
+                    rows[pivot] = b
+                    row_starts[pivot] = start
+                    break
+                if start > row_starts[pivot]:  # keep the later start at the pivot
+                    rows[pivot] = b
+                    row_starts[pivot], start = start, row_starts[pivot]
+                b ^= row
+            else:
+                if start < index:
+                    closes.append(index)
+                    closed.append(start)
+        return closes, closed
 
 
 class Kernel:
@@ -264,33 +276,54 @@ class Kernel:
 
 
 class DependencyCount:
-    """The kernel dimension of split vectors (q, bits) under a bound with
-    `width` primes, inserted one at a time: `dependent` counts those that
-    lie in the span of the earlier ones.
+    """The kernel dimension of split vectors under a bound with `width`
+    primes, inserted in order: `dependent` counts those that lie in the
+    span of the earlier ones.
 
-    They go into a SplitBasis until its small rows are full. From then on
-    (Fixed rows) nothing is inserted and the basis is dropped, with its
-    masks: a vector without a large tag is dependent, and one with a tag
-    is dependent exactly when the tag already has a row, so only the tags
-    are kept. Nothing past that point reads a coordinate.
+    A rank-only elimination, with no combination masks: a vector whose tag
+    has no row becomes that row, and any other reduces against its tag's
+    row and the small rows. Once the small rows are full (Fixed rows),
+    nothing is reduced: a vector without a large tag is dependent, and one
+    with a tag is dependent exactly when the tag already has a row, so only
+    the tags are kept from then on.
     """
 
-    __slots__ = ("basis", "tags", "dependent")
+    __slots__ = ("small_bits", "small_rank", "large", "dependent")
 
     def __init__(self, width: int):
-        self.basis: Optional[SplitBasis] = SplitBasis(width)
-        self.tags: Optional[set[int]] = None  # the tags that have a row, once the rows are full
+        self.small_bits: list[int] = [0] * width  # bit index -> row bits, 0 when empty
+        self.small_rank = 0
+        self.large: dict[int, int] = {}  # tag -> row bits; only the tags count once full
         self.dependent = 0
 
-    def insert(self, q: int, bits: int) -> None:
-        """Take the next vector, counting it when it is dependent."""
-        if self.tags is None:
-            self.dependent += self.basis.insert(q, bits) is None
-            if self.basis.small_rank == len(self.basis.small_bits):
-                self.tags, self.basis = set(self.basis.large), None
-        else:
-            self.dependent += not q or q in self.tags
-            self.tags.add(q)
+    def insert(self, tags: np.ndarray, words: np.ndarray) -> None:
+        """Take the next vectors, as the large tags and the word rows of a
+        window, counting those that are dependent."""
+        rows, large = self.small_bits, self.large
+        taken = 0
+        if self.small_rank < len(rows):
+            for q, b in zip(tags.tolist(), row_bits(words)):
+                if self.small_rank == len(rows):
+                    break
+                taken += 1
+                if q:
+                    if q not in large:  # a new tag: its row
+                        large[q] = b
+                        continue
+                    b ^= large[q]
+                while b:
+                    pivot = b.bit_length() - 1
+                    if not rows[pivot]:
+                        rows[pivot] = b
+                        self.small_rank += 1
+                        break
+                    b ^= rows[pivot]
+                else:
+                    self.dependent += 1
+        rest = tags[taken:]
+        fresh = set(rest[rest > 0].tolist()).difference(large)
+        self.dependent += len(rest) - len(fresh)
+        large.update(dict.fromkeys(fresh, 0))
 
 
 def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:

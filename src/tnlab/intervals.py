@@ -10,14 +10,17 @@ kernel route.
 check_interval_identity reads (lo, hi] in one pass and nothing past hi:
 the windows of sieve.parity_windows under B = isqrt(hi), each held only
 while it is read (_interval_counts). Each window's P+ gives its smooth
-count, and its split vectors go into one gf2.SweepBasis for the closed
-count and, in kernel mode, into a gf2.DependencyCount for the kernel
-dimension, a second elimination of the same rows. A value whose large tag
-is at least the interval's length is the only one that tag divides, so it
-goes into neither. count_tn_closed is that pass with the closed count
-alone. Brute mode takes its subset count from enumerate_square_subsets,
-whose prime sets come from trial division. check_interval_identity checks
-all its arguments before it counts.
+count. Its folded rows from lo + 1 (sieve.folded_rows: a value whose
+large tag's partner lies before lo + 1 is left out) go into one
+gf2.SweepBasis for the closed count. In kernel mode its raw rows go into a
+gf2.DependencyCount for the kernel dimension, under a rule of their own
+(_shared_rows: a value whose large tag is at least the interval's length
+is the only one that tag divides, so it is left out). The two sides share
+no filter, so the identity checks each against the other.
+count_tn_closed is that pass with the closed count alone. Brute mode
+takes its subset count from enumerate_square_subsets, whose prime sets
+come from trial division. check_interval_identity checks all its
+arguments before it counts.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ import numpy as np
 
 from .errors import RangeError
 from .gf2 import DependencyCount, SweepBasis, kernel_masks, mask_bits
-from .sieve import pack_rows, parity_windows, primes_through, primes_up_to, row_bits, split_rows
+from .sieve import (folded_rows, pack_rows, parity_windows, primes_through, primes_up_to,
+                    split_rows)
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
 # by name until the tracer reads in-tree counters (ROADMAP item 1)
 from .tn import ParitySupplier, compute_tn  # noqa: F401
@@ -70,31 +74,35 @@ def _interval_counts(lo: int, hi: int, y: int, kernel: bool) -> tuple[int, int, 
     """The closed count (count_tn_closed), the y-smooth count and, when
     `kernel` is set, the kernel dimension of (lo, hi] (0 otherwise), from
     one parity_windows pass under B = isqrt(hi) that holds one window at
-    a time. The dimension is the number of dependent vectors, counted by a
-    gf2.DependencyCount apart from the sweep's basis, so that it checks the
-    closed count rather than restating it.
-
-    A value whose large tag q is at least hi - lo goes into neither count:
-    two multiples of q differ by q or more, so it is the only value of the
-    interval that q divides, and its vector takes part in no dependency.
-    It neither closes nor is dependent, and it changes no row that a later
-    reduction meets. The rule is on q alone, not on r + q > hi, since r - q
-    may still lie in the interval.
+    a time. The closed count is the squares of (lo, hi] plus the closes of
+    one gf2.SweepBasis fed the windows' folded rows from lo + 1
+    (sieve.folded_rows). The dimension is counted by a gf2.DependencyCount
+    from the raw rows under a rule of its own (_shared_rows), so that it
+    checks the closed count rather than restating it.
     """
     bound = isqrt(hi)
     width = len(primes_through(bound))
     closes = SweepBasis(width).insert
     dependencies = DependencyCount(width)
-    closed = smooth = 0
-    for start, large, words, p_plus in parity_windows(lo + 1, hi + 1, bound):
+    closed, smooth = isqrt(hi) - isqrt(lo), 0  # the squares of (lo, hi] close at once
+    for window in parity_windows(lo + 1, hi + 1, bound):
+        _, large, words, p_plus = window
         smooth += int(np.count_nonzero(p_plus <= y))
-        keep = np.flatnonzero(large < hi - lo)
-        for r, q, bits in zip((keep + start).tolist(), large[keep].tolist(),
-                              row_bits(words[keep])):
-            closed += not (q or bits) or closes(q, bits, r) is not None
-            if kernel:
-                dependencies.insert(q, bits)
+        closed += len(closes(*folded_rows(window, lo + 1))[0])
+        if kernel:
+            keep = _shared_rows(large, hi - lo)
+            dependencies.insert(large[keep], words[keep])
     return closed, smooth, dependencies.dependent
+
+
+def _shared_rows(large: np.ndarray, length: int) -> np.ndarray:
+    """The rows of a window of an interval of `length` values that can take
+    part in a dependency: those whose large tag q, if any, is below length.
+    Two multiples of q differ by q or more, so a larger q divides no other
+    value of the interval, and its vector takes part in no dependency.
+    The rule is on q alone, not on r + q > hi, since r - q may still lie in
+    the interval."""
+    return np.flatnonzero(large < length)
 
 
 def _check_interval(lo: int, hi: int, mode: str) -> None:

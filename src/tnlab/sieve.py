@@ -6,18 +6,24 @@ vectors come from two producers that share one remainder step
 (_split_remainders): ranges, at any height below WINDOW_VALUE_CEILING,
 from one segmented sieve (parity_windows), which also gives P+; batches of
 smooth values, for the constructor's kernels, from split_vectors, which
-trial-divides the values of the batch alone in blocks of primes. The
-windows are read here by p_plus_in and split_rows, by tn's sweep, by
-intervals' one pass per interval check, and by runge's point search;
-split_rows streams their rows as Python ints for tn's span searches and
-for intervals' kernel bases. P+ over a range has three readers: tn's
-sweep, which takes the P+ of its own windows (for its rows'
-classification and for distribution's counts), an interval check, which
-counts the smooth values of its own windows, and p_plus_in, for every
-other caller, with one rule: a slice of the caller's table's P+ array
-when the table reaches the range's end, the segmented sieve otherwise. A
-table is that P+ array alone, built on its first read at 8 bytes per
-entry, a chunk at a time, with primes from primes_through. Factorization
+trial-divides the values of the batch alone in blocks of primes
+(_trial_split). The windows are read here by p_plus_in and split_rows, by
+tn's sweep, by intervals' one pass per interval check, and by runge's
+point search; split_rows streams their rows as Python ints for tn's span
+searches and for intervals' kernel bases. A sweep reads each window's
+rows through folded_rows, which folds every large tag q into its partner,
+the last value before it that q divides: the partner's small bits come
+from its row of the window, or, for a partner before the window, from
+the trial-division core of split_vectors over the window's distinct
+cofactors, so no table of B rows is built and a sweep holds O(window) at
+every height. P+ over a range has three readers: tn's sweep, which takes
+the P+ of its own windows (for its rows' classification and for
+distribution's counts), an interval check, which counts the smooth values
+of its own windows, and p_plus_in, for every other caller, with one rule:
+a slice of the caller's table's P+ array when the table reaches the
+range's end, the segmented sieve otherwise. A table is that P+ array
+alone, built on its first read at 8 bytes per entry, a chunk at a time,
+with primes from primes_through. Factorization
 records come from trial division (factorize_trial), which serves heights,
 the prime sets of brute-mode enumeration and the P+ of the one n of tn's
 shortcut.
@@ -328,6 +334,42 @@ def split_rows(a: int, b: int, bound: int) -> Iterator[tuple[int, int]]:
             yield from zip(large[i:i + _ROW_BLOCK], row_bits(words[i:i + _ROW_BLOCK]))
 
 
+def folded_rows(window: Window, first: int) -> tuple[list[int], list[int], list[int]]:
+    """The rows that a sweep from `first` inserts for one parity_windows
+    window, or a run of its rows, with start >= first, as three lists:
+    index r, start and bits.
+
+    An untagged row r is (r, r, bits of r). A row r with large tag q comes
+    with its partner folded in: r = q c with c <= B, since r < (B + 1)^2,
+    and the last value before r that q divides is r - q = q (c - 1), whose
+    vector is q with the rank bits of c - 1. So when r - q >= first the row
+    is (r, r - q, bits of r XOR bits of c - 1), which is what a latest-start
+    basis that holds r - q as its row for q reduces r to, with start r - q.
+    When r - q < first the row is left out: such a basis would only store
+    it as the row for q, and the fold of r + q stands in for that row.
+    The bits of c - 1 are the partner's own small bits: its row of the
+    window when the partner lies in it, and otherwise from trial division
+    (_trial_split) of the window's distinct cofactors, so nothing past the
+    window is held.
+    """
+    start, large, words, _ = window
+    index = np.arange(start, start + len(large))
+    partner = index - large  # untagged rows have q = 0: start r
+    keep = partner >= first
+    index, large, partner, bits = index[keep], large[keep], partner[keep], words[keep]
+    # short interval checks keep few tagged rows or none, and their one
+    # window holds every partner: neither step then costs its numpy calls
+    if large.any():
+        near = np.flatnonzero(large.astype(bool) & (partner >= start))
+        bits[near] ^= words[partner[near] - start]
+        far = np.flatnonzero(partner < start)
+        if len(far):
+            cofactors, at = np.unique(index[far] // large[far] - 1, return_inverse=True)
+            _, found = _trial_split(cofactors, int(cofactors[-1]))  # c - 1 < B: no large tag
+            bits[far, :found.shape[1]] ^= found[at]
+    return index.tolist(), partner.tolist(), row_bits(bits)
+
+
 def split_vectors(values: Sequence[int]) -> list[tuple[int, int]]:
     """The split vectors (q, bits) of a batch of positive values under
     B = isqrt(max(values)), the bound of every kernel: no value of the batch
@@ -337,23 +379,33 @@ def split_vectors(values: Sequence[int]) -> list[tuple[int, int]]:
     [1, WINDOW_VALUE_CEILING) raise RangeError, as they do in a window.
 
     Only the values of the batch are factored, by trial division with the
-    primes <= B in blocks that start at _FIRST_BLOCK primes and double:
-    one numpy pass per block finds every prime of the block that divides a
-    value, and the powers of those primes are divided out together. A value
-    stays live only while its remainder is at least the square of the next
-    prime, since a smaller remainder is 1 or a prime; so a y-smooth batch
-    stops after the primes up to y. Blocks are cut so that their 2-D
-    remainder array stays under WINDOW_BYTES, down to one prime a block
-    when the live values alone fill it.
+    primes <= B (_trial_split).
     """
     if not values:
         return []
     hi = max(values)
     if min(values) < 1 or hi >= WINDOW_VALUE_CEILING:
         raise RangeError(f"batch values must lie in [1, {WINDOW_VALUE_CEILING})")
-    bound = isqrt(hi)
+    large, words = _trial_split(np.array(values, dtype=np.int64), isqrt(hi))
+    return list(zip(large.tolist(), row_bits(words)))
+
+
+def _trial_split(rem: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trial-division core of split_vectors and folded_rows: the split
+    rows (large, words) of the int64 values `rem` under B = `bound`, in a
+    window's layout. The primes up to B are divided out of `rem` in place,
+    and the large tags are what remains above B (_split_remainders).
+
+    Blocks of primes start at _FIRST_BLOCK primes and double: one numpy
+    pass per block finds every prime of the block that divides a value, and
+    the powers of those primes are divided out together. A value stays live
+    only while its remainder is at least the square of the next prime,
+    since a smaller remainder is 1 or a prime; so a y-smooth batch stops
+    after the primes up to y. Blocks are cut so that their 2-D remainder
+    array stays under WINDOW_BYTES, down to one prime a block when the live
+    values alone fill it.
+    """
     primes = primes_through(bound)
-    rem = np.array(values, dtype=np.int64)
     words = np.zeros((len(rem), max(1, (len(primes) + 63) >> 6)), dtype="<u8")
     live = np.flatnonzero(rem >= 4)
     start, size = 0, _FIRST_BLOCK
@@ -376,8 +428,7 @@ def split_vectors(values: Sequence[int]) -> list[tuple[int, int]]:
         size *= 2
         if start < len(primes):
             live = live[rem[live] >= primes[start] ** 2]
-    large = _split_remainders(rem, words, primes, bound)
-    return list(zip(large.tolist(), row_bits(words)))
+    return _split_remainders(rem, words, primes, bound), words
 
 
 def _rank_bits(ranks: np.ndarray) -> np.ndarray:

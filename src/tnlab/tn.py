@@ -52,9 +52,18 @@ rows with start >= l then span the vectors of l, ..., r-1, so the vector
 of r falls into the span exactly when it closes a window, and the
 smallest start its reduction meets is the unique n with n + t_n = r. The
 sweep reads its vectors and P+ from sieve.parity_windows, one numpy pass
-per window instead of one factor walk per value, counts the rows still
-open instead of queueing them, and keeps t in a plain int list. Each
-chunk turns its lists into plain tuple rows through one mapping (_t_rows,
+per window instead of one factor walk per value. A value r with a large
+tag q goes in with its partner r - q folded in (sieve.folded_rows): the
+basis would reduce it against r - q, its row for q, to the small vector
+v_c XOR v_(c-1) of r = q c, with start r - q (see gf2, Partners). The bits
+of c - 1 are the partner's small bits: its row when it lies in the same
+window, and otherwise from the trial-division core that split_vectors
+uses. A value whose partner lies before the sweep's first value, which
+the basis would only store, is left out, so those values never reach
+Python. The basis takes a window's rows per call and returns the values
+that close with their n; the sweep settles them in numpy, keeps t in an
+int64 array, and counts the rows still open instead of queueing them.
+Each chunk turns its lists into plain tuple rows through one mapping (_t_rows,
 and _witnessed_rows with witnesses): scan_tn makes TnResults of them only
 at its edge, and scan_lines renders them in the chunk's own job, so the
 text of a scan comes a chunk at a time. Every scan runs through one
@@ -83,11 +92,18 @@ import numpy as np
 
 from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
-from .sieve import (WINDOW_VALUE_CEILING, SpfTable, factorize_trial, parity_windows,
-                    primes_through, row_bits, split_rows)
+from .sieve import (WINDOW_VALUE_CEILING, SpfTable, factorize_trial, folded_rows,
+                    parity_windows, primes_through, split_rows)
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
+# The sweep folds and inserts each window's rows this many at a time, so
+# that it stops within a block of its last close and holds no more of a
+# window as Python ints. 1024, 2048, 4096, 8192 and whole windows were
+# tried on scan_t from 2 to 10^5 and 2*10^5 and on 10^5 values from 10^9
+# (2-core x86-64 box): 4096 was as fast as any, whole windows peaked
+# higher, and 1024 paid for its many folds.
+_SWEEP_BLOCK = 4096
 
 
 class ParitySupplier:
@@ -242,15 +258,19 @@ def _search(n: int, rows: Iterator[tuple[int, int]], bound: int, limit: int,
         if insert(*read()) is None and basis.dependency & 1:
             break
     else:
-        assert not exact, f"n = {n} is still open at offset {limit}, not closed at t = {limit}"
+        if exact:
+            raise AssertionError(f"n = {n} is still open at offset {limit}, "
+                                 f"not closed at t = {limit}")
         raise CapExceeded(n, limit, limit, basis.rank - 1)
     # offset j and its combination without bit 0, the target's own and its
     # lowest, with offset q toggled when the target started from the partner
     offsets = set(mask_bits(basis.dependency | 1 << j)[1:]) ^ ({far} if far else set())
     witness = tuple(sorted(offsets))
     t = max(j, far)
-    assert witness[-1] == t, "witness must peak at t_n"
-    assert t == limit or not exact, f"n = {n} closes at offset {t}, not at t = {limit}"
+    if witness[-1] != t:
+        raise AssertionError("witness must peak at t_n")
+    if exact and t != limit:
+        raise AssertionError(f"n = {n} closes at offset {t}, not at t = {limit}")
     if not verify_witness(n, witness):
         raise AssertionError(f"n = {n}: the witness does not make a square")
     return witness
@@ -516,54 +536,59 @@ def _sweep(lo: int, hi: int, cap: Optional[int],
     windows first.
     The rows of each window are classified from its P+ (_classify) before
     its values go in: squares and shortcut rows are settled, every other n
-    is open. The values go into one SweepBasis, whose insertion of r returns
-    the unique n with n + t_n = r, if any. Each n closes at most once, so
-    the sweep keeps only a count of open rows: an n that closes takes
-    t = r - n if that is within the cap and stays capped (-1) otherwise,
-    and either way is no longer open. A row that never closes is bounded
-    by reach. The sweep stops once every n is classified and none is open.
+    is open. Each window's folded rows from lo (sieve.folded_rows) go into
+    one SweepBasis, which returns the values r that close and the unique n
+    with n + t_n = r of each, and t is settled in numpy, in an int64 array:
+    an open n takes t = r - n if that is within the cap and stays capped
+    (-1) otherwise, and a settled n must close at its t, or AssertionError
+    names the first that does not. Each n closes at most once, so the sweep
+    keeps only a count of open rows. A row that never closes is bounded by
+    reach. The sweep stops once every n is classified and none is open:
+    each window is folded and inserted in blocks of _SWEEP_BLOCK rows, so it
+    stops within a block of its last close.
     """
     limit = cap if cap is not None else HARD_OFFSET_CAP
     reach = hi + max(min(limit, 3 * hi), 0)
     if reach >= WINDOW_VALUE_CEILING:  # refused before the rows' windows sieve primes to B
         raise RangeError(f"windows hold values below {WINDOW_VALUE_CEILING}, not {reach}")
-    ts: list[int] = []
-    shortcut = []
-    p_pluses = []
+    ts = np.empty(hi + 1 - lo, dtype=np.int64)
+    shortcut = np.empty(hi + 1 - lo, dtype=bool)
+    p_pluses = np.empty(hi + 1 - lo, dtype=np.int64)
     open_rows = 0
-    basis = None
     bound = isqrt(reach)
+    insert = SweepBasis(len(primes_through(bound))).insert
     # the tail past hi, a few windows at most, starts again from small ones
     windows = chain(parity_windows(lo, hi + 1, bound), parity_windows(hi + 1, reach + 1, bound))
-    for a, large, words, p_plus in windows:
+    for window in windows:
+        a, p_plus = window[0], window[3]
         if a <= hi:
-            p_pluses.append(p_plus[:hi + 1 - a])
-            known = _classify(a, p_pluses[-1], use_shortcut)
-            ts += known.tolist()
-            shortcut.append(known > 0)
-            new = int(np.count_nonzero(known < 0))
-            if new and limit < 1:
+            rows = slice(a - lo, a - lo + len(p_plus))
+            p_pluses[rows] = p_plus
+            ts[rows] = _classify(a, p_plus, use_shortcut)
+            shortcut[rows] = ts[rows] > 0
+            open_rows += int(np.count_nonzero(ts[rows] < 0))
+            if open_rows and limit < 1:  # only squares and shortcut rows need no search
                 raise RangeError("cap must be >= 1")
-            open_rows += new
         done = a + len(p_plus) > hi  # every n is classified
-        basis = basis or SweepBasis(64 * words.shape[1])
-        insert = basis.insert
-        for r, q, bits in zip(count(a), large.tolist(), row_bits(words)):
+        for i in range(0, len(p_plus), _SWEEP_BLOCK):
             if done and not open_rows:
                 break
-            n = insert(q, bits, r)
-            if n is not None and n <= hi:
-                t = ts[n - lo]
-                if t < 0:  # open until now: n closes once, at n + t_n
-                    if r - n <= limit:
-                        ts[n - lo] = r - n
-                    open_rows -= 1
-                else:
-                    # a settled row closes at its t: a shortcut row at P+(n)
-                    assert r - n == t, f"n = {n} closes at offset {r - n}, not at t = {t}"
+            block = (a + i,) + tuple(column[i:i + _SWEEP_BLOCK] for column in window[1:])
+            r, n = (np.array(v, dtype=np.int64) for v in insert(*folded_rows(block, lo)))
+            r, n = r[n <= hi], n[n <= hi]
+            t = ts[n - lo]
+            # a settled row closes at its t: a shortcut row at P+(n)
+            wrong = (t >= 0) & (t != r - n)
+            if wrong.any():
+                k = int(wrong.argmax())
+                raise AssertionError(f"n = {n[k]} closes at offset {r[k] - n[k]}, "
+                                     f"not at t = {t[k]}")
+            opened = t < 0  # open until now: n closes once, at n + t_n
+            ts[n[opened] - lo] = np.where(r - n <= limit, r - n, -1)[opened]
+            open_rows -= int(np.count_nonzero(opened))
         if done and not open_rows:
             break
-    return ts, np.concatenate(shortcut).tolist(), np.concatenate(p_pluses)
+    return ts.tolist(), shortcut.tolist(), p_pluses
 
 
 CSV_HEADER = "n,t,shortcut_used,witness"

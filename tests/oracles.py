@@ -11,8 +11,11 @@ tn_without_jump, the span search as it was before it started from the
 partner of a large tag and kept its target outside the basis,
 per_vector_kernel_masks, the kernel as it was
 before its linear map, whole_range_p_plus, a table's P+ array as it was
-built before its chunks, and power_table_per_pass, the prime-power table
-as each window pass built it before one table was kept.
+built before its chunks, power_table_per_pass, the prime-power table
+as each window pass built it before one table was kept, and
+TaggedSweepBasis with tagged_sweep and tagged_closed_count, the sweep and
+the interval's closed count as they were before each large tag was folded
+into its partner: a dict of large rows and one insert per value.
 The mpmath_* functions are the thresholds and height bounds as the library
 evaluated them in mpmath before it moved to `decimal`; each imports mpmath
 itself, so only the tests that call them need it installed.
@@ -429,6 +432,103 @@ def count_tn_closed_per_n(lo: int, hi: int, supplier=None) -> int:
             continue
         count += n + t <= hi
     return count
+
+
+class TaggedSweepBasis:
+    """gf2.SweepBasis as it was before the fold: latest-start rows over
+    split vectors (q, bits), with the large rows in a dict, q -> (bits,
+    start), and one insert per value in index order.
+
+    A large row is always an unreduced original vector, the latest one
+    with its q, since a new vector with that q is the newest index and
+    swaps in at once.
+    """
+
+    def __init__(self, width: int = 0):
+        self.large: dict[int, tuple[int, int]] = {}
+        self.small_bits = [0] * width
+        self.small_starts = [0] * width
+
+    def insert(self, q: int, bits: int, index: int):
+        """None when the vector of `index` is zero or independent of the
+        earlier ones; otherwise the smallest start among the rows its
+        reduction met, the unique n with n + t_n = index."""
+        start = index
+        if q:
+            row = self.large.get(q)
+            self.large[q] = (bits, index)
+            if row is None:
+                return None
+            bits ^= row[0]
+            start = row[1]
+        rows, starts = self.small_bits, self.small_starts
+        while bits:
+            pivot = bits.bit_length() - 1
+            row = rows[pivot]
+            if not row:
+                rows[pivot] = bits
+                starts[pivot] = start
+                return None
+            row_start = starts[pivot]
+            if start > row_start:
+                rows[pivot] = bits
+                starts[pivot] = start
+                start = row_start
+            bits ^= row
+        return start if start < index else None
+
+
+def tagged_sweep(lo: int, hi: int, cap, use_shortcut: bool):
+    """tn._sweep(lo, hi, cap, use_shortcut) as it was before the fold:
+    (ts, shortcut, p_plus), with every value's split vector inserted into
+    one TaggedSweepBasis, one at a time, until every row of lo..hi is
+    classified (tn._classify) and none is open."""
+    from tnlab.tn import _classify
+    limit = cap if cap is not None else HARD_OFFSET_CAP
+    reach = hi + max(min(limit, 3 * hi), 0)
+    bound = isqrt(reach)
+    basis = TaggedSweepBasis(len(primes_through(bound)))
+    ts, shortcut, p_pluses = [], [], []
+    open_rows = 0
+    for a, large, words, p_plus in parity_windows(lo, reach + 1, bound):
+        if a <= hi:
+            p_pluses.append(p_plus[:hi + 1 - a])
+            known = _classify(a, p_pluses[-1], use_shortcut)
+            ts += known.tolist()
+            shortcut += (known > 0).tolist()
+            new = int(np.count_nonzero(known < 0))
+            if new and limit < 1:
+                raise RangeError("cap must be >= 1")
+            open_rows += new
+        done = a + len(p_plus) > hi
+        for r, q, bits in zip(range(a, a + len(p_plus)), large.tolist(), row_bits(words)):
+            if done and not open_rows:
+                return ts, shortcut, np.concatenate(p_pluses)
+            n = basis.insert(q, bits, r)
+            if n is not None and n <= hi:
+                t = ts[n - lo]
+                if t < 0:
+                    if r - n <= limit:
+                        ts[n - lo] = r - n
+                    open_rows -= 1
+                elif r - n != t:
+                    raise AssertionError(f"n = {n} closes at offset {r - n}, not at t = {t}")
+    return ts, shortcut, np.concatenate(p_pluses)
+
+
+def tagged_closed_count(lo: int, hi: int) -> int:
+    """intervals.count_tn_closed(lo, hi) as it was before the fold: the
+    squares of (lo, hi] plus every value whose insert into one
+    TaggedSweepBasis returns a start, over the split vectors of (lo, hi]
+    under isqrt(hi) whose large tag is below hi - lo."""
+    bound = isqrt(hi)
+    basis = TaggedSweepBasis(len(primes_through(bound)))
+    closed = 0
+    for start, large, words, _ in parity_windows(lo + 1, hi + 1, bound):
+        for r, q, bits in zip(range(start, start + len(large)), large.tolist(), row_bits(words)):
+            if q < hi - lo:
+                closed += not (q or bits) or basis.insert(q, bits, r) is not None
+    return closed
 
 
 def whole_range_p_plus(limit: int) -> np.ndarray:

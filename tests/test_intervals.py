@@ -1,11 +1,13 @@
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_square_subsets, count_tn_closed_per_n, gray_code_square_subsets
+from oracles import (brute_square_subsets, count_tn_closed_per_n, gray_code_square_subsets,
+                     tagged_closed_count)
 from tnlab import intervals, sieve
 from tnlab.errors import RangeError
 from tnlab.gf2 import kernel_masks, mask_bits
@@ -40,6 +42,20 @@ def test_count_matches_per_n_searches(lo, length):
     # at hi - n
     hi = lo + length
     assert count_tn_closed(lo, hi) == count_tn_closed_per_n(lo, hi)
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                 st.integers(min_value=0, max_value=10 ** 12)),
+       st.integers(min_value=1, max_value=3000))
+@settings(max_examples=40, deadline=None)
+@example(0, 3000)
+@example(10 ** 9 - 3000, 3000)
+@example(10 ** 12 - 3000, 3000)     # hi = (10^6)^2
+def test_count_matches_the_tagged_reference(lo, length):
+    # the folded rows of the interval's windows from lo + 1 against the
+    # sweep as it was: every value whose tag is below the length inserted
+    # one at a time into a basis with a dict of large rows
+    assert count_tn_closed(lo, lo + length) == tagged_closed_count(lo, lo + length)
 
 
 def test_count_malformed():
@@ -205,6 +221,39 @@ def test_brute_and_kernel_reports_agree(lo, length, y):
     hi = lo + length
     assert check_interval_identity(lo, hi, y, "brute") == check_interval_identity(lo, hi, y,
                                                                                   "kernel")
+
+
+def test_identity_ok_catches_a_wrong_rule_in_the_closed_count(monkeypatch):
+    # the closed count reads folded rows under the partner rule, apart from
+    # the dimension's rows: skipping r when r + q > hi loses the closes of
+    # the values whose partner r - q lies in the interval
+    lo, hi = 10 ** 6, 10 ** 6 + 3000
+    assert check_interval_identity(lo, hi, 30, "kernel").identity_ok
+    closed = count_tn_closed(lo, hi)
+    folded_rows = intervals.folded_rows
+
+    def wrong_rule(window, first):
+        rows = zip(*folded_rows(window, first))
+        return tuple(map(list, zip(*[(r, s, b) for r, s, b in rows if 2 * r - s <= hi]))) \
+            or ([], [], [])
+
+    monkeypatch.setattr(intervals, "folded_rows", wrong_rule)
+    report = check_interval_identity(lo, hi, 30, "kernel")
+    assert report.closed_count < closed
+    assert not report.identity_ok
+
+
+def test_identity_ok_catches_a_wrong_rule_in_the_dimension(monkeypatch):
+    # the dimension reads the raw rows under its own rule, q < hi - lo:
+    # keeping only q < (hi - lo) / 2 drops the pairs r, r + q of the larger
+    # tags, each a dependency once the small rows are full
+    lo, hi = 10 ** 6, 10 ** 6 + 3000
+    assert check_interval_identity(lo, hi, 30, "kernel").identity_ok
+    monkeypatch.setattr(intervals, "_shared_rows",
+                        lambda large, length: np.flatnonzero(large < length // 2))
+    report = check_interval_identity(lo, hi, 30, "kernel")
+    assert report.closed_count == count_tn_closed(lo, hi)
+    assert not report.identity_ok
 
 
 @pytest.mark.parametrize("lo, hi, y, mode, message", [

@@ -17,7 +17,7 @@ from oracles import (factor_range, is_smooth, largest_prime_factor, plain_primes
 from tnlab import intervals, sieve, tn
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
-                         build_spf_table, factorize_trial, p_plus_in, parity_windows,
+                         build_spf_table, factorize_trial, folded_rows, p_plus_in, parity_windows,
                          primes_through, primes_up_to, psi_count, row_bits, smooth_in_interval,
                          split_vectors)
 
@@ -204,6 +204,41 @@ def test_parity_windows_match_trial_division(a, length, extra):
     for m, q, bits, p_plus in rows:
         assert (q, bits) == expected_split(m, rank, bound)
         assert p_plus == largest_prime_factor(m)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 9), st.integers(min_value=1, max_value=3000),
+       st.integers(min_value=0, max_value=3000), st.sampled_from([0, 1, 1000]))
+@example(1, 3000, 0, 0)
+@example(10 ** 9 - 3000, 3000, 3000, 0)
+@example(10 ** 6, 2000, 1, 1000)
+@example(2, 2, 1, 0)  # B = 1: every prime is a tag
+@settings(max_examples=40, deadline=None)
+def test_folded_rows_fold_each_tag_into_its_partner(a, length, back, extra):
+    # each row of a window of a..b-1 from first = a - back: an untagged r as
+    # (r, r, bits of r), a tagged r as (r, r - q, bits of r XOR bits of
+    # r - q) with r - q carrying the same tag, read straight from the
+    # windows of first..b-1; the rows left out are exactly the tagged rows
+    # with r - q < first
+    b = a + length
+    first = max(1, a - back)
+    bound = isqrt(b - 1) + extra
+    large, bits = [], []
+    for _, tags, words, _ in parity_windows(first, b, bound):
+        large += tags.tolist()
+        bits += row_bits(words)
+    got = [row for window in parity_windows(a, b, bound)
+           for row in zip(*folded_rows(window, first))]
+    expected = []
+    for r in range(a, b):
+        q = large[r - first]
+        if not q:
+            expected.append((r, r, bits[r - first]))
+        elif r - q >= first:
+            assert large[r - q - first] == q
+            expected.append((r, r - q, bits[r - first] ^ bits[r - q - first]))
+    assert got == expected
+    left_out = set(range(a, b)) - {r for r, _, _ in got}
+    assert left_out == {r for r in range(a, b) if large[r - first] and r - large[r - first] < first}
 
 
 # the ranks of the primes up to the largest bound the pass test draws
@@ -489,6 +524,11 @@ def test_one_reader_decides_where_p_plus_comes_from():
                                         ("runge.py", "search_integral_points")}
     assert _calls("split_vectors") == {("constructor.py", "build_small_tn"),
                                        ("constructor.py", "construct_curve_point")}
+    # a sweep reads each window's rows with every large tag folded into its
+    # partner: the partner's bits come from the cofactor by the trial
+    # division that split_vectors uses, and the fold reads no window itself
+    assert _calls("folded_rows") == {("tn.py", "_sweep"), ("intervals.py", "_interval_counts")}
+    assert _calls("_trial_split") == {("sieve.py", "split_vectors"), ("sieve.py", "folded_rows")}
 
 
 def test_one_exact_check_for_every_witness():
@@ -581,7 +621,7 @@ def test_interval_questions_read_the_intervals_own_windows(monkeypatch):
     # counts, and nothing past hi: no scan, no batch split, no second
     # reader of P+ and no row stream; only the library's kernel basis
     # (enumerate_square_subsets) streams the rows itself
-    for name in ("scan_t", "chunk_map", "_sweep", "split_vectors", "p_plus_in",
+    for name in ("scan_t", "chunk_map", "_sweep", "split_vectors", "_trial_split", "p_plus_in",
                  "smooth_in_interval", "_split_rows"):
         assert not any(path == "intervals.py" for path, _ in _calls(name)), name
         assert not hasattr(intervals, name), name
@@ -590,6 +630,14 @@ def test_interval_questions_read_the_intervals_own_windows(monkeypatch):
     for name in ("split_rows", "kernel_masks"):
         assert {d for path, d in _calls(name) if path == "intervals.py"} == \
             {"enumerate_square_subsets"}, name
+    # the closed count reads folded rows, and the dimension the raw rows of
+    # the same windows under a rule of its own, with no combination masks
+    assert {d for path, d in _calls("_shared_rows") if path == "intervals.py"} == \
+        {"_interval_counts"}
+    assert not {("gf2.py", "DependencyCount.__init__"),
+                ("gf2.py", "DependencyCount.insert")} & _calls("SplitBasis")
+    assert "large" not in intervals.SweepBasis.__slots__
+    assert not any("mask" in slot for slot in intervals.DependencyCount.__slots__)
     assert ("intervals.py", "check_interval_identity") not in _calls("count_tn_closed")
     assert not hasattr(tn, "_FIRST_WINDOW")
     # one pass per check, in either mode: every window comes from it

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import islice
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import InProcessPool
-from oracles import (brute_tn, is_square, largest_prime_factor, square_by_product, tn_row,
-                     tn_without_jump, trial_factor, verify_by_supports)
+from oracles import (brute_tn, is_square, largest_prime_factor, square_by_product,
+                     tagged_sweep, tn_row, tn_without_jump, trial_factor, verify_by_supports)
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import sieve, tn
 from tnlab.constructor import construct_curve_point
@@ -508,14 +512,25 @@ def test_witnessed_scan_searches_to_exactly_the_sweeps_t(monkeypatch, n, shift, 
     (2, 3000, None), (2, 10 ** 5, None), (2, 10 ** 5, 30), (10 ** 6, 10 ** 6 + 500, 20),
 ])
 def test_sweep_stops_pulling_windows_once_no_row_waits(monkeypatch, lo, hi, cap):
+    _check_sweep_stop(monkeypatch, lo, hi, cap, True)
+
+
+def test_sweep_without_shortcut_stops_within_a_block_of_its_last_close(monkeypatch):
+    # the primes close at 2p, in tail windows far longer than a block
+    _check_sweep_stop(monkeypatch, 2, 10 ** 5, None, False)
+
+
+def _check_sweep_stop(monkeypatch, lo, hi, cap, use_shortcut):
     # Without a cap the sweep may run to 4 hi, yet it must stop where its
     # last open row closes: the largest n + t_n over the rows it searched.
-    # It pulls no window past that value, and inserts no value past it or
-    # past hi, the last row it classifies. Squares and shortcut rows do not
-    # count, since their t is known before the sweep and may lie far out.
-    # With a cap the sweep never passes hi + cap.
+    # It pulls no window past that value, and inserts no block of rows that
+    # starts past it or past hi, the last row it classifies, nor any row a
+    # block or more past it. Squares and shortcut rows do not count, since
+    # their t is known before the sweep and may lie far out. With a cap the
+    # sweep never passes hi + cap.
     starts = []
-    inserted = []
+    first_inserted = []
+    last_inserted = []
     windows = tn.parity_windows
 
     def recorded_windows(a, b, bound):
@@ -524,21 +539,101 @@ def test_sweep_stops_pulling_windows_once_no_row_waits(monkeypatch, lo, hi, cap)
             yield window
 
     class RecordedBasis(tn.SweepBasis):
-        def insert(self, q, bits, r):
-            inserted.append(r)
-            return super().insert(q, bits, r)
+        def insert(self, indices, starts, bits):
+            first_inserted.extend(indices[:1])
+            last_inserted.extend(indices[-1:])
+            return super().insert(indices, starts, bits)
 
     monkeypatch.setattr(tn, "parity_windows", recorded_windows)
     monkeypatch.setattr(tn, "SweepBasis", RecordedBasis)
-    ts, shortcut = scan_t(lo, hi, cap)
+    ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
     if cap is None:
         last_close = max(n + t for n, t, s in zip(range(lo, hi + 1), ts, shortcut)
                          if t > 0 and not s)
         assert starts[-1] <= last_close
-        assert inserted[-1] <= max(last_close, hi)
+        assert first_inserted[-1] <= max(last_close, hi)
+        assert last_inserted[-1] < max(last_close, hi) + tn._SWEEP_BLOCK
         assert len(starts) >= 2  # a run of one window would show nothing
     else:
         assert starts[-1] <= hi + cap
+
+
+# the sweep's checks are no assert statements: under python -O, a shortcut
+# row that closes off its t still raises in the sweep, and a witnessed
+# scan whose t is off still raises in its search
+OPTIMIZED_SWEEP_CHILD = """
+from tnlab import tn
+assert False, "asserts must be stripped here"
+windows, sweep = tn.parity_windows, tn._sweep
+
+
+def wrong_p_plus(a, b, bound):
+    for start, large, words, p_plus in windows(a, b, bound):
+        p_plus = p_plus.copy()
+        if start <= 14 < start + len(p_plus):
+            p_plus[14 - start] = 8
+        yield start, large, words, p_plus
+
+
+def wrong_t(lo, hi, cap, use_shortcut):
+    ts, shortcut, p_plus = sweep(lo, hi, cap, use_shortcut)
+    ts[10 - lo] += 1
+    return ts, shortcut, p_plus
+
+
+for name, patch, include_witness in (("parity_windows", wrong_p_plus, False),
+                                     ("parity_windows", wrong_p_plus, True),
+                                     ("_sweep", wrong_t, True)):
+    setattr(tn, name, patch)
+    try:
+        tn.scan_tn(2, 30, include_witness=include_witness)
+    except AssertionError as e:
+        print(e)
+    tn.parity_windows, tn._sweep = windows, sweep
+"""
+
+
+def test_sweep_checks_survive_python_O():
+    src = str(Path(tn.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SWEEP_CHILD],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["n = 14 closes at offset 7, not at t = 8"] * 2 + \
+        ["n = 10 closes at offset 8, not at t = 9"]
+
+
+@st.composite
+def sweep_cases(draw):
+    """(lo, hi, cap, use_shortcut) with 1 <= lo <= hi <= 10^9 and at most
+    3000 rows. Without the shortcut and without a cap a prime n closes only
+    at 2n, so the sweep runs to about 2 hi: such ranges stay below 2*10^4."""
+    use_shortcut = draw(st.booleans())
+    cap = draw(st.none() | st.integers(min_value=1, max_value=50))
+    length = draw(st.integers(min_value=1, max_value=3000))
+    top = 10 ** 9 if use_shortcut or cap is not None else 20000
+    lo = draw(st.integers(min_value=1, max_value=top - length + 1)
+              | st.integers(min_value=max(1, top - 5000), max_value=top - length + 1))
+    return lo, lo + length - 1, cap, use_shortcut
+
+
+@given(sweep_cases())
+@settings(max_examples=60, deadline=None)
+@example((2, 3000, None, True))
+@example((1, 1, None, False))
+@example((2, 3000, None, False))
+@example((10 ** 9 - 2999, 10 ** 9, None, True))
+@example((10 ** 9 - 2999, 10 ** 9, 1, False))
+@example((10 ** 6, 10 ** 6 + 2999, 50, True))
+def test_sweep_matches_the_tagged_reference(case):
+    # the folded sweep, a window of rows per insert and no large rows,
+    # against the sweep as it was: every value's split vector inserted one
+    # at a time into a basis with a dict of large rows
+    ts, shortcut, p_plus = tn._sweep(*case)
+    expected_ts, expected_shortcut, expected_p_plus = tagged_sweep(*case)
+    assert ts == expected_ts
+    assert shortcut == expected_shortcut
+    assert np.array_equal(p_plus, expected_p_plus)
 
 
 def test_scan_cap_below_one_raises_only_for_a_search(supplier):
