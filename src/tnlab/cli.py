@@ -5,7 +5,8 @@ lines before the CSV header, or a "config" object in JSON documents), and
 identical flags plus seed produce byte-identical files: nothing
 time-dependent is ever written (stage timings go to stderr). Every
 subcommand writes through one writer (_emit); `scan` streams its rows to
-it a chunk at a time.
+it a chunk at a time. Each handler imports the modules it runs, so a
+command loads only those: `tn` loads errors, sieve, gf2 and tn.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ import sys
 from itertools import chain
 from typing import Iterable, Optional
 
-from . import constructor, distribution, heights, intervals, runge
 from .errors import RangeError, TnLabError
-from .sieve import build_spf_table
-from .tn import compute_tn, render_results, scan_lines
 
 
 def _config_dict(args, keys) -> dict:
@@ -74,6 +72,7 @@ def _config_lines(config: dict) -> str:
 
 
 def _cmd_tn(args) -> int:
+    from .tn import compute_tn, render_results
     r = compute_tn(args.n, cap=args.cap, use_shortcut=not args.no_shortcut,
                    include_witness=True)
     witness = list(r.witness) if r.witness is not None else None
@@ -89,6 +88,7 @@ def _cmd_tn(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .tn import scan_lines
     # the first chunk is rendered here, before anything is written
     parts = scan_lines(args.lo, args.hi, args.cap, not args.no_shortcut, args.witness,
                        args.workers, args.format)
@@ -99,6 +99,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_interval(args) -> int:
+    from . import intervals
     mode = "kernel" if args.kernel else "brute"
     report = intervals.check_interval_identity(args.lo, args.hi, args.y, mode=mode)
     config = _config_dict(args, ["lo", "hi", "y", "kernel"])
@@ -107,6 +108,7 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    from . import distribution
     dist = distribution.distribution_table(args.x, args.c, workers=args.workers)
     config = _config_dict(args, ["x", "c", "workers"])
     config["exceptional_count"] = dist.exceptional_count
@@ -115,15 +117,12 @@ def _cmd_dist(args) -> int:
     if args.format == "csv":
         _emit([_config_lines(config), dist.to_csv()], args.out)
     else:
-        rows = [{"c": r.c, "threshold": r.threshold, "count_tn": r.count_tn,
-                 "count_smooth": r.count_smooth, "diff": r.diff,
-                 "normalized_diff": r.normalized_diff,
-                 "rho_prediction": r.rho_prediction} for r in dist.rows]
-        _emit_json({"x": dist.x, "rows": rows}, config, args.out)
+        _emit_json({"x": dist.x, "rows": [r._asdict() for r in dist.rows]}, config, args.out)
     return 0
 
 
 def _cmd_rho(args) -> int:
+    from . import distribution
     config = _config_dict(args, ["u"])
     if args.format == "csv":
         _emit([_config_lines(config), "u,rho\n",
@@ -135,6 +134,8 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructor
+    from .sieve import build_spf_table
     x = args.x
     y = args.y if args.y is not None else constructor.smoothness_parameter(x)
     length = args.length if args.length is not None else \
@@ -157,6 +158,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_curve_point(args) -> int:
+    from . import constructor
     cert = constructor.construct_curve_point(
         args.x, args.c, seed=args.seed, y=args.y, length=args.length,
         delta=args.delta, family_size=args.family_size)
@@ -168,6 +170,7 @@ def _cmd_curve_point(args) -> int:
 
 
 def _cmd_pell(args) -> int:
+    from . import heights
     sols = heights.pell_solutions(args.J)
     config = _config_dict(args, ["J"])
     _emit_json({"solutions": [[x, y] for x, y in sols]}, config, args.out)
@@ -175,6 +178,7 @@ def _cmd_pell(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import heights
     if args.kind == "integral-point":
         if args.degree is None or args.H is None:
             raise TnLabError("--kind integral-point needs --degree and --H")
@@ -196,6 +200,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_select_omega(args) -> int:
+    from . import heights
     bs = [int(v) for v in args.bs.split(",") if v]
     sel = heights.select_low_omega(bs, args.J)
     config = _config_dict(args, ["bs", "J"])
@@ -204,6 +209,7 @@ def _cmd_select_omega(args) -> int:
 
 
 def _cmd_runge(args) -> int:
+    from . import runge
     offsets = [int(v) for v in args.offsets.split(",") if v]
     dec = runge.offsets_near_square(offsets)
     payload = dec.to_json_dict()
@@ -217,6 +223,7 @@ def _cmd_runge(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from . import distribution
     report = distribution.conjecture_scan(args.x, args.c, workers=args.workers)
     config = _config_dict(args, ["x", "c", "workers"])
     _emit_json(report.to_json_dict(), config, args.out)

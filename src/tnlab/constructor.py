@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -151,55 +150,59 @@ def _widest_rows(rows: np.ndarray) -> tuple[int, int, int]:
     return best[1], best[2], best[0]
 
 
-@dataclass(frozen=True)
 class CurvePointCertificate:
     """An exactly verified integral point: n(n+J) * prod(n+j_i) is a square.
 
     offsets holds the N interior shifts 1 <= j_1 < ... < j_N < J. The
     J^(1-c) size target is reported (meets_target), never asserted: the
-    underlying guarantee is asymptotic.
+    underlying guarantee is asymptotic. Immutable; equality and the hash
+    read every field but stage_seconds, the wall time of each stage.
     """
 
-    J: int
-    offsets: tuple[int, ...]
-    n: int
-    N: int
-    c: float
-    target: int
-    meets_target: bool
-    x: int
-    y: float
-    length: int
-    seed: int
-    interval: tuple[int, int]
-    smooth_count: int
-    prime_count: int
-    kernel_dim: int
-    family_size: int
-    stage_seconds: dict = field(compare=False, default_factory=dict)
+    __slots__ = ("J", "offsets", "n", "N", "c", "target", "meets_target", "x", "y",
+                 "length", "seed", "interval", "smooth_count", "prime_count",
+                 "kernel_dim", "family_size", "stage_seconds")
+
+    def __init__(self, J: int, offsets: tuple[int, ...], n: int, N: int, c: float,
+                 target: int, meets_target: bool, x: int, y: float, length: int,
+                 seed: int, interval: tuple[int, int], smooth_count: int,
+                 prime_count: int, kernel_dim: int, family_size: int,
+                 stage_seconds: Optional[dict] = None):
+        fields = locals()
+        fields["stage_seconds"] = {} if stage_seconds is None else stage_seconds
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other):
+        if type(other) is not CurvePointCertificate:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        return "CurvePointCertificate(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+    def __reduce__(self):
+        return CurvePointCertificate, tuple(getattr(self, name) for name in self.__slots__)
 
     def all_offsets(self) -> tuple[int, ...]:
         return self.offsets + (self.J,)
 
     def to_json_dict(self) -> dict:
-        return {
-            "J": self.J,
-            "offsets": list(self.offsets),
-            "n": self.n,
-            "N": self.N,
-            "c": self.c,
-            "target": self.target,
-            "meets_target": self.meets_target,
-            "x": self.x,
-            "y": self.y,
-            "length": self.length,
-            "seed": self.seed,
-            "interval": list(self.interval),
-            "smooth_count": self.smooth_count,
-            "prime_count": self.prime_count,
-            "kernel_dim": self.kernel_dim,
-            "family_size": self.family_size,
-        }
+        doc = dict(zip(self.__slots__[:-1], self._compared()))
+        return dict(doc, offsets=list(self.offsets), interval=list(self.interval))
 
 
 def construct_curve_point(x: int, c: float, seed: int = 0,

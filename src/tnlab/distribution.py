@@ -14,11 +14,10 @@ u*rho(u) = integral of rho over [u-1, u], and interpolated cubically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import cache
 from itertools import count
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,8 +114,7 @@ def power_threshold(x: int, c: float) -> int:
         return int((Decimal(x) ** Decimal(c) + Decimal("1e-9")).to_integral_value(ROUND_FLOOR))
 
 
-@dataclass(frozen=True)
-class DistRow:
+class DistRow(NamedTuple):
     c: float
     threshold: int
     count_tn: int
@@ -126,8 +124,7 @@ class DistRow:
     rho_prediction: float
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(NamedTuple):
     x: int
     rows: tuple[DistRow, ...]
     cap_excluded: int  # rows dropped from count_tn because their search capped out
@@ -245,15 +242,13 @@ def _square_p_plus(a: int, p_plus: np.ndarray) -> np.ndarray:
 DETAIL_LIMIT = 1000  # a conjecture scan lists its rows up to this many
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(NamedTuple):
     n: int
     t: int
     ratio: float
 
 
-@dataclass(frozen=True)
-class ConjectureScanReport:
+class ConjectureScanReport(NamedTuple):
     """Empirical scan of t_n against (log n)^(1-c) over non-squares.
 
     Purely observational: reports the minimum ratio and where it occurs,
@@ -275,7 +270,7 @@ class ConjectureScanReport:
             "argmin_n": self.argmin_n, "argmin_t": self.argmin_t,
         }
         if self.rows is not None:
-            d["rows"] = [{"n": r.n, "t": r.t, "ratio": r.ratio} for r in self.rows]
+            d["rows"] = [r._asdict() for r in self.rows]
         return d
 
 

@@ -15,10 +15,9 @@ its primes from sieve's one prime array, so this module keeps none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from math import gcd, isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, PreconditionError, RangeError, ResourceError, UsageError
 from .sieve import factorize_trial
@@ -66,8 +65,7 @@ def pell_solutions(span: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class HeightBoundReport:
+class HeightBoundReport(NamedTuple):
     """A bound stated in the log-log domain (the bounds themselves overflow
     any fixed-width type). constant_policy records any O-constant choice."""
 
@@ -143,16 +141,14 @@ def few_offsets_log_bound(count: int, span: int,
     )
 
 
-@dataclass(frozen=True)
-class UnionCheck:
+class UnionCheck(NamedTuple):
     r: int
     union_size: int
     lower_bound: float
     ok: bool
 
 
-@dataclass(frozen=True)
-class LowOmegaSelection:
+class LowOmegaSelection(NamedTuple):
     """Three indices with the fewest distinct prime factors, plus the exact
     union inequality |s_1 u ... u s_r| >= r|s_r| - r(r-1)/2 ln(span)
     evaluated at every r over the size-sorted supports."""
@@ -165,9 +161,7 @@ class LowOmegaSelection:
         return {
             "indices": list(self.indices),
             "omegas": list(self.omegas),
-            "checks": [{"r": c.r, "union_size": c.union_size,
-                        "lower_bound": c.lower_bound, "ok": c.ok}
-                       for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
         }
 
 
@@ -215,15 +209,13 @@ def select_low_omega(bs: Sequence[int], span: int) -> LowOmegaSelection:
     )
 
 
-@dataclass(frozen=True)
-class PellEntry:
+class PellEntry(NamedTuple):
     offset: int
     squarefree_part: int
     root: int
 
 
-@dataclass(frozen=True)
-class PellSystem:
+class PellSystem(NamedTuple):
     """Exact decomposition x + j = b * z^2 with b squarefree, per offset."""
 
     x: int
@@ -232,8 +224,7 @@ class PellSystem:
     def to_json_dict(self) -> dict:
         return {
             "x": self.x,
-            "entries": [{"offset": e.offset, "squarefree_part": e.squarefree_part,
-                         "root": e.root} for e in self.entries],
+            "entries": [e._asdict() for e in self.entries],
         }
 
 
@@ -266,11 +257,14 @@ def pell_system_decompose(x: int, offsets: Sequence[int], strict: bool = False) 
                         f"x + {j} = {x + j} has odd-multiplicity prime {p} > span {span}; "
                         f"the offset system cannot come from a square product")
         z = isqrt((x + j) // b)
-        assert b * z * z == x + j
+        if b * z * z != x + j:
+            raise AssertionError(f"x + {j} = {x + j} is not {b} * {z}^2")
         entries.append(PellEntry(offset=j, squarefree_part=b, root=z))
     for i in range(len(entries)):
         for k in range(i + 1, len(entries)):
-            assert gcd(entries[i].squarefree_part, entries[k].squarefree_part) <= span
+            if gcd(entries[i].squarefree_part, entries[k].squarefree_part) > span:
+                raise AssertionError(f"the squarefree parts at offsets {entries[i].offset} and "
+                                     f"{entries[k].offset} share a factor above span {span}")
     return PellSystem(x=x, entries=tuple(entries))
 
 

@@ -25,9 +25,8 @@ arguments before it counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,8 +116,7 @@ def _check_interval(lo: int, hi: int, mode: str) -> None:
                          f"{BRUTE_LENGTH_GUARD}; use kernel mode")
 
 
-@dataclass(frozen=True)
-class SquareSubsetEnumeration:
+class SquareSubsetEnumeration(NamedTuple):
     """Result of enumerating the square-product subsets of an interval.
 
     Brute mode lists every subset (ascending characteristic-bitmask order,
@@ -199,8 +197,7 @@ def _subset_xors(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class IntervalReport:
+class IntervalReport(NamedTuple):
     """Both interval identities evaluated on one interval."""
 
     lo: int
@@ -214,15 +211,7 @@ class IntervalReport:
     lower_bound_ok: bool       # closed_count >= smooth_count - pi_y
 
     def to_json_dict(self) -> dict:
-        return {
-            "lo": self.lo, "hi": self.hi, "y": self.y,
-            "closed_count": self.closed_count,
-            "square_subset_count": self.square_subset_count,
-            "smooth_count": self.smooth_count,
-            "pi_y": self.pi_y,
-            "identity_ok": self.identity_ok,
-            "lower_bound_ok": self.lower_bound_ok,
-        }
+        return self._asdict()
 
 
 def check_interval_identity(lo: int, hi: int, y: int, mode: str = "brute",

@@ -15,10 +15,9 @@ almost immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,16 +31,38 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
 
-@dataclass(frozen=True)
 class RationalPoly:
     """Exact polynomial whose coefficients are integers divided by powers of 4.
 
     Coefficients ascend by degree; trailing zeros are stripped. Every
     denominator must be a power of two (hence expressible as 4^k), which is
-    an invariant of everything this module produces.
+    an invariant of everything this module produces. Immutable, and equal
+    to another RationalPoly with the same coefficients; not a tuple, whose
+    arithmetic would clash with its own.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is RationalPoly else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"RationalPoly(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return RationalPoly, (self.coeffs,)
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[CoeffLike]) -> "RationalPoly":
@@ -137,12 +158,12 @@ def expand_offset_poly(offsets: Sequence[int]) -> RationalPoly:
             coeffs[i] += coeffs[i + 1] * j
     d = len(coeffs) - 1
     for i, q in enumerate(coeffs):
-        assert 0 <= q <= comb(d, i) * span ** (d - i), "coefficient bound violated"
+        if not 0 <= q <= comb(d, i) * span ** (d - i):
+            raise AssertionError("coefficient bound violated")
     return RationalPoly.from_coeffs(coeffs)
 
 
-@dataclass(frozen=True)
-class BoundChecks:
+class BoundChecks(NamedTuple):
     dyadic_ok: bool                       # 4^(u-i) a_i is an integer, all i
     sqrt_coeff_ok: Optional[bool]         # |a_(u-k)| <= (kuJ)^k (needs span)
     remainder_coeff_ok: Optional[bool]    # |b_i| <= 5 u^(4u-2i) J^(2u-i) (needs span)
@@ -151,8 +172,7 @@ class BoundChecks:
         return bool(self.dyadic_ok and self.sqrt_coeff_ok and self.remainder_coeff_ok)
 
 
-@dataclass(frozen=True)
-class NearSquareDecomposition:
+class NearSquareDecomposition(NamedTuple):
     """P = sqrt_part^2 + remainder, exactly, with deg remainder < deg P / 2.
 
     remainder_is_zero can only happen for synthetic perfect-square inputs;
@@ -178,11 +198,7 @@ class NearSquareDecomposition:
             "half_degree": self.half_degree,
             "span": self.span,
             "remainder_is_zero": self.remainder_is_zero,
-            "checks": {
-                "dyadic_ok": self.checks.dyadic_ok,
-                "sqrt_coeff_ok": self.checks.sqrt_coeff_ok,
-                "remainder_coeff_ok": self.checks.remainder_coeff_ok,
-            },
+            "checks": self.checks._asdict(),
         }
 
 
@@ -211,7 +227,8 @@ def near_square_decompose(poly: RationalPoly,
         a[j] = (poly.coeff(u + j) - s) / 2
     f = RationalPoly.from_coeffs(a)
     g = poly - f * f
-    assert g.degree < u, "remainder degree must drop below half degree"
+    if g.degree >= u:
+        raise AssertionError("remainder degree must drop below half degree")
 
     dyadic_ok = all((Fraction(4) ** (u - i) * a[i]).denominator == 1
                     for i in range(u + 1))
@@ -283,7 +300,8 @@ def search_integral_points(offsets: Sequence[int], x_limit: int) -> list[tuple[i
             m = prod(x + j for j in offsets)
             r = isqrt(m)
             if r * r == m:
-                assert x <= bound
+                if x > bound:
+                    raise AssertionError(f"integral point x = {x} exceeds height bound {bound}")
                 out.append((x, r))
         first += count
     return out

@@ -31,10 +31,9 @@ shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -143,8 +142,7 @@ def build_spf_table(limit: int) -> SpfTable:
     return SpfTable(limit)
 
 
-@dataclass(frozen=True)
-class FactorizationRecord:
+class FactorizationRecord(NamedTuple):
     """Complete prime factorization of n, primes strictly increasing."""
 
     n: int

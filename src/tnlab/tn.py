@@ -82,11 +82,10 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from math import gcd, isqrt
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -134,8 +133,7 @@ class ParitySupplier:
         return factorize_trial(m).p_plus
 
 
-@dataclass(frozen=True)
-class TnResult:
+class TnResult(NamedTuple):
     """t_n with its certifying subset.
 
     witness lists the offsets j_1 < ... < j_s = t; it is the empty tuple

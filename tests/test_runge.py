@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -209,3 +213,24 @@ def test_search_keeps_points_whose_large_tags_pair_up(offsets, x_limit, point):
     got = search_integral_points(offsets, x_limit)
     assert point in got
     assert got == brute_integral_points(offsets, x_limit)
+
+
+# the height-bound check on every integral point is no assert statement:
+# under python -O, with the bound made to fail, the search still raises
+OPTIMIZED_CHILD = """
+from tnlab import runge
+assert False, "asserts must be stripped here"
+runge.height_bound = lambda half_degree, span: 1
+try:
+    runge.search_integral_points([0, 1, 2, 4], 2000)
+except AssertionError as e:
+    print(e)
+"""
+
+
+def test_height_bound_check_survives_python_O():
+    src = str(Path(runge.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHILD], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "integral point x = 2 exceeds height bound 1\n"
