@@ -18,8 +18,8 @@ _HOMES = {
                "RangeError", "ResourceError", "TnLabError", "UsageError"),
     "sieve": ("FactorizationRecord", "SpfTable", "build_spf_table", "primes_up_to",
               "psi_count", "smooth_in_interval"),
-    "tn": ("ParitySupplier", "TnResult", "compute_tn", "large_prime_shortcut",
-           "scan_tn", "verify_witness"),
+    "tn": ("ParitySupplier", "TnResult", "compute_tn", "large_prime_shortcut", "scan_tn"),
+    "verify": ("verify_witness",),
     "intervals": ("IntervalReport", "SquareSubsetEnumeration", "check_interval_identity",
                   "count_tn_closed", "enumerate_square_subsets"),
     "distribution": ("ConjectureScanReport", "DistributionTable", "conjecture_scan",

@@ -7,8 +7,14 @@ with square product), draws a family of kernel members, and picks two with
 a large symmetric difference; the difference is itself a square-product
 subset whose elements, written as n, n+j_1, ..., n+J, certify an integral
 point on the corresponding hyperelliptic curve. Every certificate is
-verified exactly at emission (tn.verify_witness); count guarantees are
-asymptotic and only reported, never asserted.
+verified exactly at emission (verify.verify_witness, which loads no tn);
+count guarantees are asymptotic and only reported, never asserted.
+
+The parity vectors of a batch of smooth values come from
+sieve.split_vectors in a window's layout, the rows (large, words), and
+reach gf2.kernel_masks as they are: past the saturation of its small
+basis, which takes one block of rows at x = 10^6, no value of the batch
+becomes a Python int on its way to the kernel's linear map.
 
 Certificates stay in kernel coordinates from the kernel to the chosen
 pair. gf2.kernel_masks returns the kernel in systematic form [I | A]
@@ -36,7 +42,7 @@ from .errors import PipelineFailed, RangeError, UsageError
 from .gf2 import Kernel, kernel_masks, mask_bits
 from .sieve import (SpfTable, build_spf_table, p_plus_in, pack_rows, primes_up_to,
                     smooth_in_interval, split_vectors)
-from .tn import verify_witness
+from .verify import verify_witness
 
 EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
 

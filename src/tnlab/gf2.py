@@ -6,7 +6,10 @@ divides m exactly once. A parity vector over the values up to N is
 therefore stored as a pair (q, bits): q is the odd-exponent prime above B,
 or 0, and bits is a Python int whose bit r is set when the r-th prime
 (counting 2 as rank 0) has odd exponent. This is the large-prime variation
-of the quadratic sieve (Pomerance, 1982).
+of the quadratic sieve (Pomerance, 1982). Both producers in sieve hand
+the vectors out in a window's layout, the rows (large, words) of an int64
+array of tags and a little-endian uint64 array of bits, which
+sieve.row_bits turns into the Python ints that the bases reduce.
 
 The B rule. A span search for t_n with offset limit L touches the values
 n, n+1, ..., n+L, so it needs B >= isqrt(n + L); every value it can touch
@@ -59,7 +62,9 @@ Fixed rows. A row never changes once it is set. Once the small rows
 tag is dependent, and its combination is a fixed linear map of its bits:
 the XOR of the combinations of the unit vectors at its set bits. Row b is
 the unit vector at b plus lower bits, so those combinations come from the
-rows' masks alone, from bit 0 up (see kernel_masks). A vector with a
+rows' masks alone, from bit 0 up, and the map reads each vector's words as
+they are, with one numpy pass per bit: kernel_masks turns no row past
+saturation into a Python int, unless it has a large tag. A vector with a
 large tag is then dependent exactly when its tag already has a row, since
 XOR-ing that row leaves small bits alone. So the number of dependent
 insertions, the kernel dimension, needs no combination at all:
@@ -72,18 +77,17 @@ vectors, because they answer two different questions.
 - SplitBasis answers "which subset?". It keeps the insertion-order
   echelon basis with combination masks, so it alone yields canonical
   witnesses and kernel bases. The span search of tn (compute_tn and
-  witnessed scans) drives it directly, one n at a time, and kernel_masks
-  serves every kernel basis: the library's interval kernels
-  (intervals.enumerate_square_subsets), the small-t_n pigeonhole and the
-  constructor's parity kernel. An interval check needs only the kernel's
-  dimension, which DependencyCount counts (Fixed rows) from the rows of
-  the check's one window pass. The constructor's kernels, over batches of
-  smooth values, take their split vectors from sieve.split_vectors, which
-  picks the bound of a batch and factors the values of the batch alone;
-  interval kernels and span searches read them from sieve.split_rows, the
-  rows of the windows of sieve.parity_windows, which sieve a whole range,
-  an interval's under the bound isqrt(hi) that split_vectors would pick
-  for it. A
+  witnessed scans) drives it directly, one n at a time, reading its
+  vectors as pairs from sieve.split_rows, the rows of the windows of
+  sieve.parity_windows. kernel_masks serves the constructor's two kernels,
+  the small-t_n pigeonhole and the parity kernel of a curve point, over
+  batches of smooth values: it takes the rows (large, words) that
+  sieve.split_vectors makes for a batch, under the bound of the batch,
+  by factoring its values alone, and the window pass over an interval
+  under isqrt(hi) gives the same rows. An interval check needs only the
+  kernel's dimension, which DependencyCount counts (Fixed rows) from the
+  rows of the check's one window pass, so the library spells out no
+  interval's kernel basis. A
   kernel comes out in systematic form (Kernel): the dependent and
   independent insertion indices, and each dependent vector's coordinates
   over the independent ones. The constructor works on those coordinates;
@@ -105,7 +109,7 @@ vectors, because they answer two different questions.
 Prime sets (ParitySupplier.support, by trial division) are kept apart
 from this encoding on purpose: they serve only brute-mode
 intervals.enumerate_square_subsets, as its independent oracle. Witnesses
-are verified without any parity encoding: tn.verify_witness reduces the
+are verified without any parity encoding: verify.verify_witness reduces the
 product to a root that is a square exactly when the product is, by
 cancelling gcds up a product tree, and takes the root's integer square
 root.
@@ -113,11 +117,11 @@ root.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .sieve import pack_rows, row_bits
+from .sieve import ROW_BLOCK, pack_rows, row_bits
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -326,67 +330,79 @@ class DependencyCount:
         large.update(dict.fromkeys(fresh, 0))
 
 
-def kernel_masks(vectors: Iterable[tuple[int, int]]) -> Kernel:
-    """The kernel of an ordered family of split vectors (q, bits), in
-    systematic form; Kernel.masks() gives it as combination masks.
+def kernel_masks(batch: tuple[np.ndarray, np.ndarray]) -> Kernel:
+    """The kernel of an ordered batch of split vectors, given as the rows
+    (large, words) of a window's layout (sieve.split_vectors), in
+    systematic form; Kernel.masks() gives it as combination masks. Anything
+    else, a list of (q, bits) pairs among them, raises TypeError.
 
-    Vectors go into a SplitBasis one at a time until its small basis is
-    full (small_rank == width); a dependent one takes its coordinates from
-    its own insertion. From then on a vector without a large tag is
-    dependent, and its coordinates are a fixed linear map of its bits: the
-    XOR of the coordinates of the unit vectors at its set bits. Those come
-    from the full rows, and the coordinates of all such vectors from one
-    numpy XOR pass per bit (_linear_map). Vectors with a large tag still
-    go into the basis one at a time, since a new tag extends it.
+    Rows go into a SplitBasis one at a time, read as Python ints
+    ROW_BLOCK rows at a time, until its small basis is full (small_rank
+    == width, the bit length of the OR of all rows); a dependent one takes
+    its coordinates from its own insertion. From then on a row without a
+    large tag is dependent, and its coordinates are a fixed linear map of
+    its bits, read from its words as they are (_linear_map). Rows with a
+    large tag still go into the basis one at a time, since a new tag
+    extends it.
+
+    Cost. For n rows past saturation at insertion s, under a basis of
+    width w, the map holds n s / 8 bytes and makes w XOR passes over them.
+    The constructor's batch at x = 10^6 (n = 9,713, s = 20, w = 19) maps in
+    about 1.3 ms. A wide batch that fills late is quadratic: the values of
+    (10^9, 10^9 + 8 * 10^4] fill at s = 60,954 (n = 5,361, w = 3,401), and
+    their map holds 41 MB and took 62 s, with a process peak of 211 MB
+    (2-core box).
     """
-    vectors = list(vectors)
-    width = max((bits.bit_length() for _, bits in vectors), default=0)
+    if len(batch) != 2 or not all(isinstance(part, np.ndarray) for part in batch):
+        raise TypeError("kernel_masks takes the (large, words) arrays of a batch")
+    large, words = batch
+    width = row_bits(np.bitwise_or.reduce(words, axis=0, keepdims=True))[0].bit_length()
     basis = SplitBasis(width)
     dependent, independent, coords = [], [], []
-    saturated, saturated_bits = [], []  # vectors past saturation without a tag
-    full = width == 0  # small_rank == width, which only an independent vector changes
-    for index, (q, bits) in enumerate(vectors):
-        if full and not q:
-            basis.inserted += 1  # large rows keep their insertion index
-            saturated.append(index)
-            saturated_bits.append(bits)
-        elif basis.insert(q, bits) is None:
+
+    def insert(index: int, q: int, bits: int) -> None:
+        basis.inserted = index  # rows past saturation skip indices
+        if basis.insert(q, bits) is None:
             dependent.append(index)
             coords.append(basis.dependency)
         else:
             independent.append(index)
-            full = basis.small_rank == width
-    found = []
-    if saturated:
-        found = _linear_map(basis, saturated_bits)
-    if saturated and dependent and dependent[-1] > saturated[0]:
-        # late vectors with a large tag fell in between
-        pairs = sorted(zip(dependent + saturated, coords + found))
-        dependent, coords = [index for index, _ in pairs], [c for _, c in pairs]
-    else:
-        dependent += saturated
-        coords += found
+
+    full = 0  # the rows before it go in one at a time
+    while full < len(large) and basis.small_rank < width:
+        block = slice(full, full + ROW_BLOCK)
+        for q, bits in zip(large[block].tolist(), row_bits(words[block])):
+            if basis.small_rank == width:
+                break
+            insert(full, q, bits)
+            full += 1
+    # full from here on, since only a new small row raises small_rank
+    tagged = np.flatnonzero(large[full:]) + full
+    for index, q, bits in zip(tagged.tolist(), large[tagged].tolist(), row_bits(words[tagged])):
+        insert(index, q, bits)
+    saturated = np.flatnonzero(large[full:] == 0) + full
+    if len(saturated):
+        dependent += saturated.tolist()
+        coords += _linear_map(basis, words[saturated])
+        if len(tagged):  # tagged rows may fall in between
+            dependent, coords = map(list, zip(*sorted(zip(dependent, coords))))
     return Kernel(dependent, independent, coords)
 
 
-def _linear_map(basis: SplitBasis, values: list[int]) -> list[int]:
-    """For each value, the XOR of the coordinates of the unit vectors at its
-    set bits, under a basis whose small rows are full, with one numpy pass
-    per bit that some value sets. The coordinates of the unit vector at b
-    are the mask of row b XOR those of row b's lower bits, since row b is
-    that unit vector plus its lower bits: they are built from bit 0 up."""
-    rows = pack_rows(values, len(basis.small_bits) // 64 + 1)
-    # the bits that some value sets: the OR of the rows, read as one int
-    used = mask_bits(row_bits(np.bitwise_or.reduce(rows, axis=0, keepdims=True))[0])
+def _linear_map(basis: SplitBasis, rows: np.ndarray) -> list[int]:
+    """For each word row, the XOR of the coordinates of the unit vectors at
+    its set bits, under a basis whose small rows are full, with one numpy
+    pass per bit. The coordinates of the unit vector at b are the mask of
+    row b XOR those of row b's lower bits, since row b is that unit vector
+    plus its lower bits: they are built from bit 0 up."""
     units = []
     for row, mask in zip(basis.small_bits, basis.small_masks):
         for c in mask_bits(row)[:-1]:
             mask ^= units[c]
         units.append(mask)
-    images = [units[b] for b in used]
-    words = max((image.bit_length() for image in images), default=0) // 64 + 1
-    out = np.zeros((len(values), words), dtype="<u8")
-    for b, image in zip(used, pack_rows(images, words)):
+    words = max((unit.bit_length() for unit in units), default=0) // 64 + 1
+    out = np.zeros((len(rows), words), dtype="<u8")
+    for b, image in enumerate(pack_rows(units, words)):
         column = (rows[:, b >> 6] >> np.uint64(b & 63)) & np.uint64(1)
         out ^= column[:, None] * image
     return row_bits(out)

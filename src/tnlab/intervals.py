@@ -31,9 +31,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import RangeError
-from .gf2 import DependencyCount, SweepBasis, kernel_masks, mask_bits
-from .sieve import (folded_rows, pack_rows, parity_windows, primes_through, primes_up_to,
-                    split_rows)
+from .gf2 import DependencyCount, SweepBasis
+from .sieve import folded_rows, pack_rows, parity_windows, primes_through, primes_up_to
 # compute_tn stays importable here: bench/tracer.py wraps intervals.compute_tn
 # by name until the tracer reads in-tree counters (ROADMAP item 1)
 from .tn import ParitySupplier, compute_tn  # noqa: F401
@@ -119,24 +118,22 @@ def _check_interval(lo: int, hi: int, mode: str) -> None:
 class SquareSubsetEnumeration(NamedTuple):
     """Result of enumerating the square-product subsets of an interval.
 
-    Brute mode lists every subset (ascending characteristic-bitmask order,
-    empty set first); kernel mode carries a kernel basis instead and the
-    count 2^dim. count always includes the empty subset.
+    Every subset is listed, in ascending characteristic-bitmask order,
+    empty set first; count includes the empty subset. mode is "brute".
     """
 
     lo: int
     hi: int
     mode: str
     count: int
-    subsets: Optional[tuple[tuple[int, ...], ...]] = None
-    kernel_basis: Optional[tuple[tuple[int, ...], ...]] = None
+    subsets: tuple[tuple[int, ...], ...]
 
 
 def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
                              supplier: Optional[ParitySupplier] = None) -> SquareSubsetEnumeration:
     """All subsets S of (lo, hi] with square product, including the empty set.
 
-    mode="brute" checks all 2^m subsets of the m = hi - lo elements
+    It checks all 2^m subsets of the m = hi - lo elements
     (length guard 30) on the odd prime sets of `supplier.support`, with
     nothing from gf2 or the sieve windows. It tabulates the XORs of every
     subset of the first k = min(m, BRUTE_BLOCK_BITS) = min(m, 16) elements,
@@ -144,19 +141,15 @@ def enumerate_square_subsets(lo: int, hi: int, mode: str = "brute",
     k = 16), and of every subset of the other m - k (at most 2^14 rows,
     128 KB per word). Then one vectorised pass per subset of the others, in
     ascending order, finds the rows of the first table equal to it, so the
-    subsets come out in ascending characteristic-bitmask order. The
-    selection of mode is deliberately explicit so tests cannot silently
-    lose their exponential oracle. mode="kernel" returns a GF(2) kernel
-    basis (gf2.kernel_masks over the interval's own windows, split_rows)
-    and the exact count 2^dim without enumeration; `supplier` is not read.
+    subsets come out in ascending characteristic-bitmask order. `mode`
+    must be "brute", the only mode, named so that the exponential oracle is
+    asked for explicitly; check_interval_identity counts the subsets of
+    longer intervals in kernel mode without listing them.
     """
+    if mode != "brute":
+        raise RangeError(f"enumeration has brute mode alone, not {mode!r}")
     _check_interval(lo, hi, mode)
     elements = list(range(lo + 1, hi + 1))
-    if mode == "kernel":
-        kernel = [tuple(elements[i] for i in mask_bits(mask))
-                  for mask in kernel_masks(split_rows(lo + 1, hi + 1, isqrt(hi))).masks()]
-        return SquareSubsetEnumeration(lo, hi, mode, 2 ** len(kernel),
-                                       kernel_basis=tuple(kernel))
     m = len(elements)
 
     supplier = supplier or ParitySupplier()
@@ -231,7 +224,7 @@ def check_interval_identity(lo: int, hi: int, y: int, mode: str = "brute",
         raise RangeError("smoothness bound must be >= 1")
     closed, smooth, dimension = _interval_counts(lo, hi, y, mode == "kernel")
     subsets = (2 ** dimension if mode == "kernel"
-               else enumerate_square_subsets(lo, hi, mode, supplier).count)
+               else enumerate_square_subsets(lo, hi, supplier=supplier).count)
     pi_y = len(primes_up_to(y))
     return IntervalReport(
         lo=lo, hi=hi, y=y,

@@ -3,27 +3,28 @@
 Every prime the package reads comes from one read-only int64 array kept
 here, through primes_through (primes_up_to is its list view). Split parity
 vectors come from two producers that share one remainder step
-(_split_remainders): ranges, at any height below WINDOW_VALUE_CEILING,
+(_split_remainders) and hand them out in one layout, the rows (large,
+words) of a window: ranges, at any height below WINDOW_VALUE_CEILING,
 from one segmented sieve (parity_windows), which also gives P+; batches of
 smooth values, for the constructor's kernels, from split_vectors, which
 trial-divides the values of the batch alone in blocks of primes
-(_trial_split). The windows are read here by p_plus_in and split_rows, by
-tn's sweep, by intervals' one pass per interval check, and by runge's
-point search; split_rows streams their rows as Python ints for tn's span
-searches and for intervals' kernel bases. A sweep reads each window's
-rows through folded_rows, which folds every large tag q into its partner,
-the last value before it that q divides: the partner's small bits come
-from its row of the window, or, for a partner before the window, from
-the trial-division core of split_vectors over the window's distinct
-cofactors, so no table of B rows is built and a sweep holds O(window) at
-every height. P+ over a range has three readers: tn's sweep, which takes
-the P+ of its own windows (for its rows' classification and for
-distribution's counts), an interval check, which counts the smooth values
-of its own windows, and p_plus_in, for every other caller, with one rule:
-a slice of the caller's table's P+ array when the table reaches the
-range's end, the segmented sieve otherwise. A table is that P+ array
-alone, built on its first read at 8 bytes per entry, a chunk at a time,
-with primes from primes_through. Factorization
+(_trial_split), and whose rows gf2.kernel_masks takes as they are. The
+windows are read here by p_plus_in and split_rows, by tn's sweep, by
+intervals' one pass per interval check, and by runge's point search;
+split_rows streams their rows as Python ints for tn's span searches. A
+sweep reads each window's rows through folded_rows, which folds every
+large tag q into its partner, the last value before it that q divides:
+the partner's small bits come from its row of the window, or, for a
+partner before the window, from the trial-division core of split_vectors
+over the window's distinct cofactors, so no table of B rows is built and
+a sweep holds O(window) at every height. P+ over a range has three
+readers: tn's sweep, which takes the P+ of its own windows (for its rows'
+classification and for distribution's counts), an interval check, which
+counts the smooth values of its own windows, and p_plus_in, for every
+other caller, with one rule: a slice of the caller's table's P+ array
+when the table reaches the range's end, the segmented sieve otherwise. A
+table is that P+ array alone, built on its first read at 8 bytes per
+entry, a chunk at a time, with primes from primes_through. Factorization
 records come from trial division (factorize_trial), which serves heights,
 the prime sets of brute-mode enumeration and the P+ of the one n of tn's
 shortcut.
@@ -238,10 +239,10 @@ def smooth_in_interval(lo: int, hi: int, y: int, table: Optional[SpfTable] = Non
 WINDOW_BYTES = 1 << 22
 # Windows start this small and double, so that a short scan sieves little.
 _FIRST_WINDOW = 1 << 10
-# split_rows turns this many rows at a time into Python ints: enough to
-# amortize the conversion, few enough that a search that stops early
-# leaves little unread.
-_ROW_BLOCK = 64
+# split_rows, and gf2.kernel_masks until its small basis is full, turn this
+# many rows at a time into Python ints: enough to amortize the conversion,
+# few enough that a reader that stops early leaves little unread.
+ROW_BLOCK = 64
 # A window sieves a prime power with strided slices only when it hits at
 # least this many of its values, and the rest in one scattered pass. A
 # strided power costs about 2.2 us of numpy calls, a scattered hit about
@@ -325,11 +326,11 @@ def parity_windows(a: int, b: int, bound: int) -> Iterator[Window]:
 def split_rows(a: int, b: int, bound: int) -> Iterator[tuple[int, int]]:
     """The split vectors (q, bits) of a, a+1, ..., b-1 under B = `bound`,
     from one parity_windows pass, sieved as they are read: the large tag
-    and the row_bits of each row, _ROW_BLOCK rows at a time."""
+    and the row_bits of each row, ROW_BLOCK rows at a time."""
     for _, large, words, _ in parity_windows(a, b, bound):
         large = large.tolist()
-        for i in range(0, len(large), _ROW_BLOCK):
-            yield from zip(large[i:i + _ROW_BLOCK], row_bits(words[i:i + _ROW_BLOCK]))
+        for i in range(0, len(large), ROW_BLOCK):
+            yield from zip(large[i:i + ROW_BLOCK], row_bits(words[i:i + ROW_BLOCK]))
 
 
 def folded_rows(window: Window, first: int) -> tuple[list[int], list[int], list[int]]:
@@ -368,24 +369,22 @@ def folded_rows(window: Window, first: int) -> tuple[list[int], list[int], list[
     return index.tolist(), partner.tolist(), row_bits(bits)
 
 
-def split_vectors(values: Sequence[int]) -> list[tuple[int, int]]:
-    """The split vectors (q, bits) of a batch of positive values under
-    B = isqrt(max(values)), the bound of every kernel: no value of the batch
-    has two prime factors above it. It serves batches of smooth values (the
-    constructor's); an interval's kernel reads its own windows under the
-    same bound, which give the same vectors. Values outside
+def split_vectors(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The split rows (large, words) of a batch of positive values under
+    B = isqrt(max(values)), in a window's layout: the bound of every
+    kernel, since no value of the batch has two prime factors above it. It
+    serves batches of smooth values (the constructor's), whose rows go to
+    gf2.kernel_masks as they are; a window over the same values under the
+    same bound gives the same rows. Values outside
     [1, WINDOW_VALUE_CEILING) raise RangeError, as they do in a window.
 
     Only the values of the batch are factored, by trial division with the
     primes <= B (_trial_split).
     """
-    if not values:
-        return []
-    hi = max(values)
-    if min(values) < 1 or hi >= WINDOW_VALUE_CEILING:
+    hi = max(values, default=1)
+    if min(values, default=1) < 1 or hi >= WINDOW_VALUE_CEILING:
         raise RangeError(f"batch values must lie in [1, {WINDOW_VALUE_CEILING})")
-    large, words = _trial_split(np.array(values, dtype=np.int64), isqrt(hi))
-    return list(zip(large.tolist(), row_bits(words)))
+    return _trial_split(np.array(values, dtype=np.int64), isqrt(hi))
 
 
 def _trial_split(rem: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

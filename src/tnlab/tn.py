@@ -31,10 +31,10 @@ at the latest once its small basis is full, and the witness is that
 combination XOR offset q. So a search that reads s rows keeps O(s) rows
 and pi(B) * s mask bits, whatever t is, every stream sieves forward from
 its start only as far as its searches read, and a far partner is never
-sieved. Every witness is
-checked by verify_witness before it is returned. Nothing here keeps
-primes (sieve.primes_through does), so a call without a ParitySupplier
-makes a fresh one at no cost.
+sieved. Every witness is checked by verify_witness before it is
+returned; it lives in the module verify, with the exact check alone, and
+is re-exported here. Nothing here keeps primes (sieve.primes_through
+does), so a call without a ParitySupplier makes a fresh one at no cost.
 
 Every scan takes t from one producer, the sweep (_sweep, below). Its
 _classify reads a window's P+ and gives each row its state before any
@@ -83,8 +83,7 @@ import json
 import os
 import warnings
 from itertools import chain, count, islice, repeat
-from math import gcd, isqrt
-from operator import mul
+from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -93,6 +92,7 @@ from .errors import CapExceeded, DomainError, RangeError
 from .gf2 import SplitBasis, SweepBasis, mask_bits
 from .sieve import (WINDOW_VALUE_CEILING, SpfTable, factorize_trial, folded_rows,
                     parity_windows, primes_through, split_rows)
+from .verify import verify_witness
 
 # Hard ceiling on searched offsets when no explicit cap is given.
 HARD_OFFSET_CAP = 10 ** 7
@@ -284,41 +284,6 @@ def _partner(n: int, q: int, primes: np.ndarray) -> tuple[int, int]:
     """
     odd = [p for p, e in factorize_trial(n // q + 1).factors if e & 1]
     return q, sum(1 << rank for rank in primes.searchsorted(odd).tolist())
-
-
-def verify_witness(n: int, witness: Sequence[int],
-                   supplier: Optional[ParitySupplier] = None) -> bool:
-    """True iff m = n times the product of n+j over the witness is a square.
-
-    Exact and independent of every sieve: m is reduced as a balanced
-    product tree (Bernstein, "Fast multiplication and its applications",
-    2008), which pairs operands of similar size. The first level
-    multiplies pairs outright, since n+j and n+j' share only divisors of
-    j' - j; every level above replaces a*b with (a/g)(b/g), g = gcd(a, b),
-    and isqrt(r)^2 == r decides on the root r. Why it is exact: a*b =
-    (a/g)(b/g) g^2, so m is r times a square, and m is a square exactly
-    when r is (an integer that is the square of a rational is the square
-    of an integer). `supplier` is not read.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    prev = 0
-    for j in witness:
-        if j <= prev:
-            raise DomainError("witness offsets must be strictly increasing and positive")
-        prev = j
-    level, pair = [n] + [n + j for j in witness], mul
-    while len(level) > 1:  # an odd one out moves up unpaired
-        level = list(map(pair, level[::2], level[1::2])) + level[len(level) & ~1:]
-        pair = _cancel
-    r = level[0]
-    return isqrt(r) ** 2 == r
-
-
-def _cancel(a: int, b: int) -> int:
-    """a*b without the square gcd(a, b)^2."""
-    g = gcd(a, b)
-    return (a // g) * (b // g)
 
 
 def scan_tn(lo: int, hi: int,

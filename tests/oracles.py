@@ -10,8 +10,12 @@ search per value where the library now runs one sweep or one window pass,
 tn_without_jump, the span search as it was before it started from the
 partner of a large tag and kept its target outside the basis,
 per_vector_kernel_masks, the kernel as it was
-before its linear map, whole_range_p_plus, a table's P+ array as it was
-built before its chunks, power_table_per_pass, the prime-power table
+before its linear map, interval_kernel_basis, the kernel basis of an
+interval as the library gave it before it kept brute enumeration alone
+(with batch_vectors, pack_vectors and interval_rows, which move split
+vectors between (q, bits) pairs and a window's layout),
+whole_range_p_plus, a table's P+ array as it was built before its
+chunks, power_table_per_pass, the prime-power table
 as each window pass built it before one table was kept, and
 TaggedSweepBasis with tagged_sweep and tagged_closed_count, the sweep and
 the interval's closed count as they were before each large tag was folded
@@ -28,8 +32,8 @@ from math import isqrt
 import numpy as np
 
 from tnlab.errors import CapExceeded, DomainError, RangeError
-from tnlab.gf2 import SplitBasis, mask_bits
-from tnlab.sieve import parity_windows, primes_through, row_bits
+from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
+from tnlab.sieve import pack_rows, parity_windows, primes_through, row_bits
 from tnlab.tn import HARD_OFFSET_CAP, TnResult, compute_tn, large_prime_shortcut
 
 
@@ -287,9 +291,10 @@ def frozenset_tn(n: int, cap: int, support=odd_support):
 
 
 def per_vector_kernel_masks(vectors) -> list[int]:
-    """gf2.kernel_masks(vectors).masks() as it was computed before the
-    saturated kernel: every vector goes into one SplitBasis, and each
-    dependent one gives the combination mask its insertion leaves."""
+    """gf2.kernel_masks(...).masks() of split vectors (q, bits) as it was
+    computed before the saturated kernel: every vector goes into one
+    SplitBasis, and each dependent one gives the combination mask its
+    insertion leaves."""
     vectors = list(vectors)
     basis = SplitBasis(max((bits.bit_length() for _, bits in vectors), default=0))
     out = []
@@ -297,6 +302,39 @@ def per_vector_kernel_masks(vectors) -> list[int]:
         if basis.insert(q, bits) is None:
             out.append(basis.dependency | 1 << index)
     return out
+
+
+def batch_vectors(batch) -> list[tuple[int, int]]:
+    """The split vectors (q, bits) of the rows (large, words) of a batch."""
+    large, words = batch
+    return list(zip(large.tolist(), row_bits(words)))
+
+
+def pack_vectors(vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Split vectors (q, bits) as the rows (large, words) that
+    gf2.kernel_masks takes."""
+    vectors = list(vectors)
+    words = max((bits.bit_length() for _, bits in vectors), default=0) // 64 + 1
+    return (np.array([q for q, _ in vectors], dtype=np.int64),
+            pack_rows([bits for _, bits in vectors], words))
+
+
+def interval_rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (large, words) of lo+1, ..., hi under B = isqrt(hi), from
+    the interval's own sieve windows."""
+    windows = list(parity_windows(lo + 1, hi + 1, isqrt(hi)))
+    return (np.concatenate([large for _, large, _, _ in windows]),
+            np.concatenate([words for _, _, words, _ in windows]))
+
+
+def interval_kernel_basis(lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """A basis of the square-product subsets of (lo, hi], each as its
+    values: gf2.kernel_masks over the interval's own rows (interval_rows),
+    what intervals.enumerate_square_subsets returned in kernel mode. The
+    library keeps brute mode alone; this is the kernel-basis oracle that
+    the golden kernel digests and the brute-against-kernel tests read."""
+    return tuple(tuple(lo + 1 + i for i in mask_bits(mask))
+                 for mask in kernel_masks(interval_rows(lo, hi)).masks())
 
 
 def pair_loop_max_symdiff(masks: list[int], limit: int) -> tuple[int, int, int]:

@@ -251,7 +251,7 @@ def test_an_interval_argument_error_counts_and_writes_nothing(tmp_path, capsys, 
                                                               flags, message):
     # refused before the 200,000 values near 10^9 are counted, which takes
     # minutes and more than a GB in kernel mode
-    for name in ("_interval_counts", "enumerate_square_subsets", "parity_windows", "split_rows"):
+    for name in ("_interval_counts", "enumerate_square_subsets", "parity_windows", "folded_rows"):
         monkeypatch.setattr(intervals, name, None)
     argv = ["interval", "--lo", "1000000000", "--hi", "1000200000", "--out",
             str(tmp_path / "interval.json")] + flags

@@ -25,8 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tnlab
-from oracles import (frozenset_kernel_masks, frozenset_tn, is_smooth, is_square, odd_support,
-                     tn_row, tn_without_jump)
+from oracles import (batch_vectors, frozenset_kernel_masks, frozenset_tn, interval_kernel_basis,
+                     is_smooth, is_square, odd_support, pack_vectors, tn_row, tn_without_jump)
 from tnlab.cli import main
 from tnlab.constructor import build_small_tn, construct_curve_point
 from tnlab.errors import CapExceeded
@@ -275,10 +275,10 @@ def test_golden_construct_file(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_DIGEST
 
 
-def test_golden_interval_kernels(small_supplier):
+def test_golden_interval_kernels():
+    # the kernel basis of each interval, from gf2.kernel_masks over its rows
     for (lo, hi), digest in KERNEL_DIGESTS.items():
-        e = enumerate_square_subsets(lo, hi, mode="kernel", supplier=small_supplier)
-        assert _digest(json.dumps(e.kernel_basis)) == digest
+        assert _digest(json.dumps(interval_kernel_basis(lo, hi))) == digest
 
 
 def test_golden_point_search_and_brute_interval_files(tmp_path):
@@ -355,7 +355,7 @@ def split_vector_families(draw):
 @settings(max_examples=150, deadline=None)
 def test_kernel_masks_match_frozenset_oracle(family):
     vectors, supports = family
-    masks = kernel_masks(vectors).masks()
+    masks = kernel_masks(pack_vectors(vectors)).masks()
     assert masks == frozenset_kernel_masks(supports)
     for m in masks:
         acc = frozenset()
@@ -366,13 +366,12 @@ def test_kernel_masks_match_frozenset_oracle(family):
 
 @given(st.integers(min_value=0, max_value=400000), st.integers(min_value=2, max_value=300))
 @settings(max_examples=40, deadline=None)
-def test_interval_kernel_matches_frozenset_oracle(small_supplier, lo, length):
+def test_interval_kernel_matches_frozenset_oracle(lo, length):
     hi = lo + length
     elements = list(range(lo + 1, hi + 1))
     expected = tuple(tuple(elements[b] for b in range(length) if m >> b & 1)
                      for m in frozenset_kernel_masks(odd_support(e) for e in elements))
-    got = enumerate_square_subsets(lo, hi, mode="kernel", supplier=small_supplier)
-    assert got.kernel_basis == expected
+    assert interval_kernel_basis(lo, hi) == expected
 
 
 def test_small_tn_is_first_frozenset_dependency(table):
@@ -392,7 +391,7 @@ def test_split_vectors_have_one_large_prime():
     rank = {p: r for r, p in enumerate(primes_up_to(1000))}
     for m in list(range(1, 3000)) + list(range(SMALL_TABLE - 50, SMALL_TABLE + 50)):
         bound = isqrt(m)
-        [(q, bits)] = split_vectors([m])
+        [(q, bits)] = batch_vectors(split_vectors([m]))
         support = odd_support(m)
         assert q == (max(support) if support and max(support) > bound else 0)
         assert bits == sum(1 << rank[p] for p in support if p <= bound)

@@ -1,10 +1,11 @@
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import frozenset_kernel_masks, per_vector_kernel_masks
+from oracles import batch_vectors, frozenset_kernel_masks, pack_vectors, per_vector_kernel_masks
 from tnlab import gf2
 from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
-from tnlab.sieve import smooth_in_interval, split_vectors
+from tnlab.sieve import row_bits, smooth_in_interval, split_vectors
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 RANK = {p: r for r, p in enumerate(PRIMES)}
@@ -89,10 +90,26 @@ def test_pivot_is_largest_support_prime():
     assert list(b.large) == [101]
 
 
+def kernel_of(vectors):
+    """kernel_masks of split vectors (q, bits), packed as it takes them."""
+    return kernel_masks(pack_vectors(vectors))
+
+
 def test_nullspace_examples():
-    assert kernel_masks([vec(2), vec(3), vec(2, 3)]).masks() == [0b111]
-    assert kernel_masks([vec(), vec(2)]).masks() == [0b1]
-    assert kernel_masks([vec(2, q=101), vec(3), vec(2, 3, q=101)]).masks() == [0b111]
+    assert kernel_of([vec(2), vec(3), vec(2, 3)]).masks() == [0b111]
+    assert kernel_of([vec(), vec(2)]).masks() == [0b1]
+    assert kernel_of([vec(2, q=101), vec(3), vec(2, 3, q=101)]).masks() == [0b111]
+
+
+def test_kernel_masks_refuses_a_list_of_pairs():
+    # two (q, bits) pairs would otherwise unpack as (large, words)
+    for vectors in ([vec(2), vec(3)], [vec(2)], [vec(2), vec(3), vec(2, 3)], []):
+        with pytest.raises(TypeError):
+            kernel_masks(vectors)
+    with pytest.raises(TypeError):
+        kernel_masks(iter(pack_vectors([vec(2)])))
+    # the pair of arrays may come as a list, as a wrapper's list() makes it
+    assert kernel_masks(list(pack_vectors([vec(2), vec(2)]))).masks() == [0b11]
 
 
 def test_nullspace_window_example(supplier):
@@ -133,7 +150,7 @@ def test_rank_plus_kernel_dim(vecs):
     kernel = sum(1 for v in vecs if insert(b, vs, v) is not None)
     assert b.rank + kernel == len(vecs)
     assert b.small_rank == sum(1 for bits in b.small_bits if bits)
-    assert len(kernel_masks(vecs)) == kernel
+    assert len(kernel_of(vecs)) == kernel
 
 
 @given(vector_batches(), st.randoms(use_true_random=False))
@@ -157,7 +174,7 @@ def test_witness_soundness(vecs):
     b, vs = SplitBasis(len(PRIMES)), []
     for v in vecs:
         insert(b, vs, v)
-    for mask in kernel_masks(vecs).masks():
+    for mask in kernel_of(vecs).masks():
         assert mask and not combine(vecs, mask)
 
 
@@ -172,10 +189,11 @@ def test_kernel_masks_are_in_systematic_form(lo, length, shuffle, rng):
     values = list(range(lo + 1, lo + length + 1))
     if shuffle:
         rng.shuffle(values)
-    vectors = split_vectors(values)
+    batch = split_vectors(values)
+    vectors = batch_vectors(batch)
     basis = SplitBasis(max(bits.bit_length() for _, bits in vectors))
     dependent = [i for i, v in enumerate(vectors) if basis.insert(*v) is None]
-    kernel = kernel_masks(vectors)
+    kernel = kernel_masks(batch)
     masks = kernel.masks()
     tops = [m.bit_length() - 1 for m in masks]
     assert tops == dependent == kernel.dependent
@@ -200,9 +218,11 @@ def linear_map_count(vectors):
     return count
 
 
-def check_kernel(vectors):
-    """kernel_masks against the per-vector oracle, and its systematic form."""
-    kernel = kernel_masks(vectors)
+def check_kernel(batch):
+    """kernel_masks of the rows (large, words) of a batch against the
+    per-vector oracle on its split vectors, and its systematic form."""
+    kernel = kernel_masks(batch)
+    vectors = batch_vectors(batch)
     assert kernel.masks() == per_vector_kernel_masks(vectors)
     assert len(kernel) == len(kernel.dependent) == len(kernel.coords)
     assert sorted(kernel.dependent + kernel.independent) == list(range(len(vectors)))
@@ -212,15 +232,16 @@ def check_kernel(vectors):
 
 def test_kernel_of_empty_and_one_vector_batches():
     for vectors in ([], [vec()], [vec(2)], [vec(q=101)], [vec(3, q=103)]):
-        check_kernel(vectors)
-    assert kernel_masks([vec()]).masks() == [0b1]
-    assert len(kernel_masks([])) == len(kernel_masks([vec(2)])) == 0
+        check_kernel(pack_vectors(vectors))
+    check_kernel(split_vectors([]))
+    assert kernel_of([vec()]).masks() == [0b1]
+    assert len(kernel_of([])) == len(kernel_of([vec(2)])) == 0
 
 
 @given(vector_batches())
 @settings(max_examples=120)
 def test_kernel_matches_per_vector_oracle_on_small_batches(vecs):
-    check_kernel(vecs)
+    check_kernel(pack_vectors(vecs))
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=1500))
@@ -239,26 +260,65 @@ def test_kernel_matches_per_vector_oracle_on_smooth_batches(lo, length, y):
     check_kernel(split_vectors(smooth_in_interval(lo, lo + length, y)))
 
 
+@given(st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                 st.integers(min_value=0, max_value=10 ** 12)),
+       st.integers(min_value=0, max_value=1500), st.sampled_from([None, 7, 30, 60]),
+       st.none() | st.randoms(use_true_random=False))
+@example(1000, 300, None, None)     # 1065 = 15*71 makes a large row after the basis is full
+@example(0, 0, None, None)          # an empty batch
+@example(48, 1, None, None)         # 49 alone: width 0, full from the start
+@example(10 ** 12 - 1, 1, None, None)  # 10^12 = (10^6)^2 alone, under B = 10^6
+@example(10 ** 12 - 1500, 1500, None, None)
+@example(10 ** 12 - 10 ** 5, 1500, 30, None)
+@settings(max_examples=60, deadline=None)
+def test_packed_kernel_matches_the_per_vector_oracle(lo, length, y, rng):
+    # ranges and smooth batches up to 10^12, in order or shuffled, go to
+    # kernel_masks in a window's layout (split_vectors) and to the oracle
+    # as (q, bits) pairs: the same masks, in systematic form
+    values = list(range(lo + 1, lo + length + 1))
+    if y is not None and values:
+        values = smooth_in_interval(lo, lo + length, y)
+    if rng is not None:
+        rng.shuffle(values)
+    check_kernel(split_vectors(values))
+
+
 def test_smooth_and_range_batches_reach_the_linear_map():
     # the examples above do take the saturated path: 58 of 75 smooth
     # values, and 68 of 300 values in a range
-    assert linear_map_count(split_vectors(smooth_in_interval(206497, 209497, 37))) == 58
-    assert linear_map_count(split_vectors(list(range(1001, 1301)))) == 68
+    smooth = smooth_in_interval(206497, 209497, 37)
+    assert linear_map_count(batch_vectors(split_vectors(smooth))) == 58
+    assert linear_map_count(batch_vectors(split_vectors(list(range(1001, 1301))))) == 68
 
 
 def test_curve_point_batch_takes_the_linear_map(monkeypatch):
     # the 70-smooth values of the interval of construct_curve_point(10^6):
     # 19 bits, full after 20 vectors, so 9713 of the 9714 dependencies
     # come from the map
-    vectors = split_vectors(smooth_in_interval(206497, 412994, 70))
+    batch = split_vectors(smooth_in_interval(206497, 412994, 70))
+    vectors = batch_vectors(batch)
     assert len(vectors) == 9733
     assert linear_map_count(vectors) == 9713
     mapped = []
     linear_map = gf2._linear_map
     monkeypatch.setattr(gf2, "_linear_map",
-                        lambda images, values: mapped.append(len(values)) or linear_map(images, values))
-    assert kernel_masks(vectors).masks() == per_vector_kernel_masks(vectors)
+                        lambda basis, rows: mapped.append(len(rows)) or linear_map(basis, rows))
+    assert kernel_masks(batch).masks() == per_vector_kernel_masks(vectors)
     assert mapped == [9713]
+
+
+def test_curve_point_batch_reads_one_block_as_ints(monkeypatch):
+    # the same batch: only the first block of ROW_BLOCK rows becomes Python
+    # ints, since the basis is full after 20 of them; the other 9713 reach
+    # the linear map as words, and the ints that come back are their
+    # coordinates
+    batch = split_vectors(smooth_in_interval(206497, 412994, 70))
+    read = []
+    monkeypatch.setattr(gf2, "row_bits", lambda words: read.append(len(words)) or row_bits(words))
+    kernel_masks(batch)
+    # the OR of the rows, the first block, the tagged rows past it (none),
+    # and the map's coordinates
+    assert read == [1, 64, 0, 9713]
 
 
 @given(st.integers(min_value=10 ** 8, max_value=10 ** 9), st.integers(min_value=1, max_value=40))
@@ -267,7 +327,8 @@ def test_kernel_matches_per_vector_oracle_on_batches_that_never_fill(lo, length)
     # near 10^9 a run of up to 40 values has far more small primes than
     # values, so its small basis does not fill; only a run of squares, of
     # width 0, is full from the start
-    vectors = split_vectors(list(range(lo + 1, lo + length + 1)))
+    batch = split_vectors(list(range(lo + 1, lo + length + 1)))
+    vectors = batch_vectors(batch)
     assume(any(bits for _, bits in vectors))
     assert linear_map_count(vectors) == 0
-    check_kernel(vectors)
+    check_kernel(batch)

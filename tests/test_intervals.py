@@ -1,5 +1,4 @@
 import random
-from math import isqrt
 
 import numpy as np
 import pytest
@@ -7,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_square_subsets, count_tn_closed_per_n, gray_code_square_subsets,
-                     tagged_closed_count)
+                     interval_kernel_basis, interval_rows, tagged_closed_count)
 from tnlab import intervals, sieve
 from tnlab.errors import RangeError
 from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import (check_interval_identity, count_tn_closed,
                              enumerate_square_subsets)
-from tnlab.sieve import smooth_in_interval, split_rows, split_vectors
+from tnlab.sieve import smooth_in_interval, split_vectors
 
 
 def test_count_examples():
@@ -99,12 +98,12 @@ def test_brute_mode_counts_2_to_the_kernel_dimension_at_length_26(monkeypatch):
     # 2^10 blocks of 2^16 subsets; the subsets come out in ascending
     # characteristic-bitmask order, and brute mode reads no sieve window
     # and calls nothing in gf2, so it stays an independent oracle
-    kernel = enumerate_square_subsets(0, 26, mode="kernel")
-    for name in ("split_rows", "SweepBasis", "kernel_masks", "mask_bits"):
+    kernel = interval_kernel_basis(0, 26)
+    for name in ("SweepBasis", "DependencyCount", "folded_rows", "parity_windows"):
         monkeypatch.setattr(intervals, name, None)
     monkeypatch.setattr(sieve, "parity_windows", None)
     brute = enumerate_square_subsets(0, 26)
-    assert brute.count == len(brute.subsets) == 2 ** len(kernel.kernel_basis) == 2 ** 17
+    assert brute.count == len(brute.subsets) == 2 ** len(kernel) == 2 ** 17
     masks = [sum(1 << (e - 1) for e in s) for s in brute.subsets]
     assert masks == sorted(set(masks))
 
@@ -117,14 +116,14 @@ def test_brute_mode_counts_2_to_the_kernel_dimension_at_length_26(monkeypatch):
 @example(10 ** 12 - 500, 500)       # hi = (10^6)^2
 @example(10 ** 12, 1)
 def test_kernel_mode_matches_the_trial_division_route(lo, length):
-    # kernel mode reads the interval's own sieve windows; trial division of
-    # the same values (split_vectors) must give the same vectors, so the
-    # same kernel basis
+    # the kernel-basis oracle reads the interval's own sieve windows; trial
+    # division of the same values (split_vectors) must give the same rows,
+    # so the same kernel basis
     hi = lo + length
     elements = list(range(lo + 1, hi + 1))
     expected = tuple(tuple(elements[i] for i in mask_bits(mask))
                      for mask in kernel_masks(split_vectors(elements)).masks())
-    assert enumerate_square_subsets(lo, hi, "kernel").kernel_basis == expected
+    assert interval_kernel_basis(lo, hi) == expected
 
 
 def test_enumerate_guard(supplier):
@@ -132,6 +131,10 @@ def test_enumerate_guard(supplier):
         enumerate_square_subsets(0, 31, mode="brute", supplier=supplier)
     with pytest.raises(RangeError):
         enumerate_square_subsets(2, 6, mode="bogus", supplier=supplier)
+    # the library lists subsets by brute force alone; a kernel basis of an
+    # interval is the tests' oracle (interval_kernel_basis)
+    with pytest.raises(RangeError, match="brute mode alone"):
+        enumerate_square_subsets(2, 6, mode="kernel", supplier=supplier)
 
 
 def test_kernel_mode_matches_brute(supplier):
@@ -140,9 +143,7 @@ def test_kernel_mode_matches_brute(supplier):
         lo = rng.randrange(1, 300)
         hi = lo + rng.randrange(2, 13)
         brute = enumerate_square_subsets(lo, hi, mode="brute", supplier=supplier)
-        kern = enumerate_square_subsets(lo, hi, mode="kernel", supplier=supplier)
-        assert brute.count == kern.count
-        assert kern.count == 2 ** len(kern.kernel_basis)
+        assert brute.count == 2 ** len(interval_kernel_basis(lo, hi))
 
 
 def test_square_subsets_closed_under_xor(supplier):
@@ -205,7 +206,7 @@ def test_one_pass_counts_match_their_own_routes(interval, y):
     lo, length = interval
     hi = lo + length
     report = check_interval_identity(lo, hi, y, "kernel")
-    dimension = len(kernel_masks(split_rows(lo + 1, hi + 1, isqrt(hi))))
+    dimension = len(kernel_masks(interval_rows(lo, hi)))
     assert report.square_subset_count == 2 ** dimension
     assert dimension == count_tn_closed(lo, hi) == report.closed_count
     assert report.smooth_count == len(smooth_in_interval(lo, hi, y))
@@ -268,7 +269,7 @@ def test_identity_arguments_are_checked_before_any_count(monkeypatch, lo, hi, y,
     def counted(*args):
         raise AssertionError("counted before checking its arguments")
 
-    for name in ("_interval_counts", "enumerate_square_subsets", "parity_windows", "split_rows"):
+    for name in ("_interval_counts", "enumerate_square_subsets", "parity_windows", "folded_rows"):
         monkeypatch.setattr(intervals, name, counted)
     with pytest.raises(RangeError, match=message):
         check_interval_identity(lo, hi, y, mode)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (factor_range, is_smooth, largest_prime_factor, plain_primes,
+from oracles import (batch_vectors, factor_range, is_smooth, largest_prime_factor, plain_primes,
                      power_table_per_pass, trial_factor, whole_range_p_plus)
-from tnlab import intervals, sieve, tn
+from tnlab import intervals, sieve, tn, verify
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
                          build_spf_table, factorize_trial, folded_rows, p_plus_in, parity_windows,
@@ -323,8 +323,12 @@ def test_split_vectors_of_a_batch_match_trial_division():
     values = [1034, 1040, 1, 1053, 1058, 1081, 1078, 1050]
     bound = isqrt(1081)
     rank = {p: r for r, p in enumerate(primes_up_to(bound))}
-    assert split_vectors(values) == [expected_split(m, rank, bound) for m in values]
-    assert split_vectors([]) == []
+    large, words = split_vectors(values)
+    assert large.dtype == np.int64 and words.dtype == np.dtype("<u8")
+    assert batch_vectors((large, words)) == [expected_split(m, rank, bound) for m in values]
+    # an empty batch has the layout of a window with no rows
+    large, words = split_vectors([])
+    assert large.shape == (0,) and words.shape == (0, 1) and words.dtype == np.dtype("<u8")
 
 
 def _prime_below(m: int) -> int:
@@ -365,7 +369,7 @@ def test_split_vectors_match_trial_division_and_windows(values):
     # and the row of its one-value window
     bound = isqrt(max(values))
     rank = {p: r for r, p in enumerate(primes_up_to(bound))}
-    got = split_vectors(values)
+    got = batch_vectors(split_vectors(values))
     assert got == [expected_split(m, rank, bound) for m in values]
     for m, vector in zip(values, got):
         [(_, large, words, _)] = parity_windows(m, m + 1, bound)
@@ -386,11 +390,11 @@ def test_split_vectors_of_the_curve_batch_stay_under_a_window():
     split_vectors(batch)  # the prime array grows outside the traced call
     tracemalloc.start()
     try:
-        vectors = split_vectors(batch)
+        large, words = split_vectors(batch)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(vectors) == 9733
+    assert len(large) == len(words) == 9733
     assert peak - held <= WINDOW_BYTES
 
 
@@ -509,7 +513,9 @@ def test_one_reader_decides_where_p_plus_comes_from():
     # none); windows serve ranges alone: P+ past a table, the rows of
     # split_rows, tn's sweep, an interval check's one pass and runge's
     # point search, while batches of smooth values (split_vectors, the
-    # constructor's alone) are trial-divided
+    # constructor's alone) are trial-divided; both hand out a window's
+    # layout, and the constructor's kernels take the batch's rows as they
+    # are: kernel_masks has no other caller in the package
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     # P+ of the one n of the shortcut is trial-divided, not sieved
     assert ("tn.py", "ParitySupplier.p_plus") in _calls("factorize_trial")
@@ -524,6 +530,7 @@ def test_one_reader_decides_where_p_plus_comes_from():
                                         ("runge.py", "search_integral_points")}
     assert _calls("split_vectors") == {("constructor.py", "build_small_tn"),
                                        ("constructor.py", "construct_curve_point")}
+    assert _calls("kernel_masks") == _calls("split_vectors")
     # a sweep reads each window's rows with every large tag folded into its
     # partner: the partner's bits come from the cofactor by the trial
     # division that split_vectors uses, and the fold reads no window itself
@@ -534,13 +541,22 @@ def test_one_reader_decides_where_p_plus_comes_from():
 def test_one_exact_check_for_every_witness():
     # verify_witness reduces the product as a product tree that cancels
     # the gcd of every pair above its leaves (_cancel), and takes isqrt of
-    # the root: it reads no sieve, no table and no prime set. Prime sets
-    # serve only brute-mode enumeration, and the table serves only its P+
-    # array
-    tn_source = Path(sieve.__file__).with_name("tn.py").read_text()
-    check = [node for node in ast.parse(tn_source).body
+    # the root: it reads no sieve, no table and no prime set. Both live in
+    # verify.py, which imports the standard library and the package's
+    # errors alone, and tn re-exports verify_witness. Prime sets serve only
+    # brute-mode enumeration, and the table serves only its P+ array
+    tree = ast.parse(Path(sieve.__file__).with_name("verify.py").read_text())
+    check = [node for node in tree.body
              if getattr(node, "name", None) in ("verify_witness", "_cancel")]
     assert len(check) == 2
+    imported = {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+    assert imported == {"__future__", "math", "operator", "typing", "errors"}
+    assert not any(isinstance(node, ast.Import) for node in tree.body)
+    assert tn.verify_witness is verify.verify_witness
+    for path in Path(sieve.__file__).parent.glob("*.py"):
+        if path.name != "verify.py":
+            defined = {getattr(node, "name", None) for node in ast.parse(path.read_text()).body}
+            assert not defined & {"verify_witness", "_cancel"}, path.name
     called = {getattr(f, "attr", getattr(f, "id", None))
               for f in (node.func for top in check for node in ast.walk(top)
                         if isinstance(node, ast.Call))}
@@ -570,15 +586,14 @@ def test_a_run_sieves_forward_from_its_one_start():
     # method of the run opens another; the partner that a search's target
     # starts with comes from its cofactor, reading no window, no run and no
     # sieve pass
-    assert _calls("split_rows") == {("tn.py", "compute_tn"), ("tn.py", "_Run.__init__"),
-                                    ("intervals.py", "enumerate_square_subsets")}
+    assert _calls("split_rows") == {("tn.py", "compute_tn"), ("tn.py", "_Run.__init__")}
     assert ("tn.py", "compute_tn") not in _calls("_Run")
     assert _calls("_partner") == {("tn.py", "_search")}
     for reader in ("parity_windows", "split_rows", "rows", "p_plus_in", "split_vectors",
                    "row_bits", "_Run"):
         assert ("tn.py", "_partner") not in _calls(reader), reader
     assert ("tn.py", "_partner") in _calls("factorize_trial")
-    assert not any(hasattr(tn, name) for name in ("_Window", "_ROW_BLOCK"))
+    assert not any(hasattr(tn, name) for name in ("_Window", "ROW_BLOCK"))
     assert not hasattr(tn._Run, "seek")
     assert list(inspect.signature(tn._Run).parameters) == ["a", "b"]
 
@@ -617,17 +632,17 @@ def test_interval_questions_read_the_intervals_own_windows(monkeypatch):
     # an interval check reads (lo, hi] in one window pass under isqrt(hi)
     # (_interval_counts, pinned above) for its closed, smooth and kernel
     # counts, and nothing past hi: no scan, no batch split, no second
-    # reader of P+ and no row stream; only the library's kernel basis
-    # (enumerate_square_subsets) streams the rows itself
+    # reader of P+, no row stream and no kernel basis (the tests' oracle
+    # interval_kernel_basis spells one out)
     for name in ("scan_t", "chunk_map", "_sweep", "split_vectors", "_trial_split", "p_plus_in",
                  "smooth_in_interval", "_split_rows"):
         assert not any(path == "intervals.py" for path, _ in _calls(name)), name
         assert not hasattr(intervals, name), name
     assert _calls("_interval_counts") == {("intervals.py", "count_tn_closed"),
                                           ("intervals.py", "check_interval_identity")}
-    for name in ("split_rows", "kernel_masks"):
-        assert {d for path, d in _calls(name) if path == "intervals.py"} == \
-            {"enumerate_square_subsets"}, name
+    for name in ("split_rows", "kernel_masks", "mask_bits"):
+        assert not any(path == "intervals.py" for path, _ in _calls(name)), name
+        assert not hasattr(intervals, name), name
     # the closed count reads folded rows, and the dimension the raw rows of
     # the same windows under a rule of its own, with no combination masks
     assert {d for path, d in _calls("_shared_rows") if path == "intervals.py"} == \

@@ -45,8 +45,10 @@ def test_every_public_name_imports_from_the_package():
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["tn", "--n", "400006"], ["errors", "sieve", "gf2", "tn"]),
+    (["tn", "--n", "400006"], ["errors", "sieve", "gf2", "verify", "tn"]),
     (["pell", "--J", "12"], ["errors", "sieve", "heights"]),
+    (["curve-point", "--x", "1000000", "--c", "0.5", "--seed", "0"],
+     ["errors", "sieve", "gf2", "verify", "constructor"]),
 ])
 def test_a_cli_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
     out = tmp_path / "out"
@@ -55,6 +57,16 @@ def test_a_cli_command_loads_only_the_modules_it_runs(argv, modules, tmp_path):
     loaded = json.loads(child(code).splitlines()[-1])
     assert loaded == sorted(["numpy", "tnlab", "tnlab.cli"] + [f"tnlab.{m}" for m in modules])
     assert out.stat().st_size > 0
+
+
+def test_the_constructor_does_not_load_tn():
+    # the constructor checks its certificates with verify.verify_witness,
+    # which imports no other tnlab module but errors, so it never compiles
+    # tn's scans, sweeps and rendering
+    code = f"import json, sys\nimport tnlab.constructor\n{LOADED}"
+    assert json.loads(child(code)) == sorted(
+        ["numpy", "tnlab"] + [f"tnlab.{m}" for m in ("constructor", "errors", "gf2", "sieve",
+                                                     "verify")])
 
 
 def test_no_module_imports_dataclasses():

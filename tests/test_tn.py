@@ -15,8 +15,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import InProcessPool
-from oracles import (brute_tn, is_square, largest_prime_factor, square_by_product,
-                     tagged_sweep, tn_row, tn_without_jump, trial_factor, verify_by_supports)
+from oracles import (brute_tn, interval_rows, is_square, largest_prime_factor,
+                     square_by_product, tagged_sweep, tn_row, tn_without_jump, trial_factor,
+                     verify_by_supports)
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab import sieve, tn
 from tnlab.constructor import construct_curve_point
@@ -283,7 +284,7 @@ def test_kernel_members_verify_and_one_value_more_or_less_does_not(lo, length):
     hi = lo + length
     values = range(lo + 1, hi + 1)
     non_squares = [v for v in values if not is_square(v)]
-    for mask in kernel_masks(split_rows(lo + 1, hi + 1, isqrt(hi))).masks():
+    for mask in kernel_masks(interval_rows(lo, hi)).masks():
         member = {values[b] for b in mask_bits(mask)}
         n = min(member)
         assert _verifies(member) and square_by_product(n, [v - n for v in sorted(member)[1:]])
