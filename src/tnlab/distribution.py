@@ -197,7 +197,7 @@ def distribution_table(x: int, cs: Sequence[float],
 def _chunk_counts(a: int, b: int, thresholds: list[int]) -> np.ndarray:
     """_count over the rows a..b, from their sweep."""
     ts, _, p_plus = _sweep(a, b, None, True)
-    return _count(a, np.array(ts, dtype=np.int64), p_plus, thresholds)
+    return _count(a, ts, p_plus, thresholds)
 
 
 def _count(a: int, ts: np.ndarray, p_plus: np.ndarray, thresholds: list[int]) -> np.ndarray:
@@ -288,7 +288,7 @@ def conjecture_scan(x: int, c: float, workers: int = 1) -> ConjectureScanReport:
     for ts, _, _ in chunk_map(_sweep, 2, x, workers, None, True):
         # squares have t = 0 and capped rows t = -1; zip draws n only while
         # the chunk has rows
-        for t, n in zip(ts, ns):
+        for t, n in zip(ts.tolist(), ns):
             if t <= 0:
                 continue
             ratio = t / math.log(n) ** (1.0 - c)

@@ -1,12 +1,30 @@
 """Near-square decomposition of even-degree offset products, with exact
-coefficient bounds and the resulting integral-point height bound.
+coefficient bounds, the resulting integral-point height bound, and a
+search for the integral points below a limit.
 
 For P(x) = prod(x + j_i) over 2u offsets starting at 0 and ending at the
 span J, there is a monic degree-u polynomial f with dyadic rational
 coefficients such that P = f^2 + g with deg g < u. The coefficients obey
 explicit bounds (|a_(u-k)| <= (kuJ)^k, 4^(u-i) a_i integral,
 |b_i| <= 5 u^(4u-2i) J^(2u-i)), and any positive x with P(x) a square
-satisfies x <= 5 (2u)^(4u) J^(2u).
+satisfies x <= 5 (2u)^(4u) J^(2u). The split runs on the integers
+A_i = 4^u a_i and G_i = 16^u b_i, and only the returned f and g are
+made of Fractions.
+
+The point search rests on the argument of Erdos and Selfridge (1975):
+when P(x) is a square, a prime p > J divides at most one x + j, since it
+would otherwise divide a difference of two offsets, which is at most J;
+so it divides that one to an even power. Every x + j is then b z^2 with
+b from K, the squarefree products of the primes <= J, and the search
+enumerates those values instead of sieving every value up to the limit.
+K, up to X = x_limit + J, and the squares z^2 <= X are built once; more
+than MAX_SEARCH_ENTRIES of either raise ResourceError before any window.
+x is walked in windows of WINDOW_VALUES values. A window [s, e) lists V,
+the b z^2 in [s, e + J), keeps the x in V whose every x + j is in V, and
+confirms each by an integer square root of the product. A window costs
+O(min(|K|, sqrt X) log X + |V| log |V|) with |V| <= e - s + J, and holds
+O(|K| + sqrt X + |V|) values: for a fixed J that is O(sqrt X) a window,
+against the O(X) values a sieve would read.
 
 Everything here is exact integer/rational arithmetic: the divisibility
 claims would not survive floating point, and P(x) overflows fixed widths
@@ -21,10 +39,18 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, RangeError
-from .sieve import parity_windows
+from .errors import DomainError, RangeError, ResourceError
+from .sieve import WINDOW_BYTES, WINDOW_VALUE_CEILING, primes_through
 
 CoeffLike = Union[int, Fraction]
+
+# The point search walks x in windows of this many values, so that a
+# window's values b z^2, at most WINDOW_VALUES + J of them, take about
+# WINDOW_BYTES in int64.
+WINDOW_VALUES = WINDOW_BYTES // 8
+# Cap on the kernels b and on the squares z^2 a point search builds,
+# 8 MB of int64 each.
+MAX_SEARCH_ENTRIES = 1 << 20
 
 
 def _is_pow2(n: int) -> bool:
@@ -209,40 +235,44 @@ def near_square_decompose(poly: RationalPoly,
     f is built top-down: a_u = 1 and
     a_j = (q_(u+j) - sum a_i a_(u-i+j) for j+1 <= i <= u-1) / 2, which
     matches the coefficients of P from degree 2u down to u, leaving
-    deg g < u. Coefficient magnitude bounds are evaluated when the offset
-    span is supplied; the dyadic divisibility claim is always checked.
+    deg g < u. It runs on the integers A_i = 4^u a_i, integral since
+    every 4^(u-i) a_i is, and on G = 16^u P - (A_u x^u + ... +
+    A_(j+1) x^(j+1))^2: A_j is coefficient u + j of G over 2 4^u, that is
+    (16^u q_(u+j) - sum A_i A_(u-i+j)) / (2 4^u). The division must be
+    exact (AssertionError otherwise), and its remainder is what is left of
+    that coefficient once A_j is taken out, so exact divisions leave
+    G = 16^u g of degree < u. Fractions are made only for the returned f
+    and g. Coefficient magnitude bounds are evaluated when the offset
+    span is supplied; the dyadic divisibility claim, 4^i | A_i, is always
+    checked.
     """
     if not poly.is_integral():
         raise DomainError("polynomial must have integer coefficients")
     if not poly.is_monic():
         raise DomainError("polynomial must be monic")
-    d = poly.degree
-    if d % 2 or d < 4:
-        raise DomainError(f"degree must be even and >= 4, got {d}")
-    u = d // 2
-    a = [Fraction(0)] * (u + 1)
-    a[u] = Fraction(1)
+    u, odd = divmod(poly.degree, 2)
+    if odd or u < 2:
+        raise DomainError(f"degree must be even and >= 4, got {poly.degree}")
+    scale = 4 ** u
+    a = [0] * u + [scale]
+    g = [scale * scale * c.numerator for c in poly.coeffs[:-1]] + [0]  # A_u^2 taken out
     for j in range(u - 1, -1, -1):
-        s = sum((a[i] * a[u - i + j] for i in range(j + 1, u)), Fraction(0))
-        a[j] = (poly.coeff(u + j) - s) / 2
-    f = RationalPoly.from_coeffs(a)
-    g = poly - f * f
-    if g.degree >= u:
-        raise AssertionError("remainder degree must drop below half degree")
+        a[j], r = divmod(g[u + j], 2 * scale)
+        if r:
+            raise AssertionError(f"4^u a_{j} is not an integer")
+        g[2 * j] -= a[j] * a[j]
+        for k in range(j + 1, u + 1):
+            g[j + k] -= 2 * a[j] * a[k]
 
-    dyadic_ok = all((Fraction(4) ** (u - i) * a[i]).denominator == 1
-                    for i in range(u + 1))
+    dyadic_ok = all(ai % 4 ** i == 0 for i, ai in enumerate(a))
     sqrt_ok = remainder_ok = None
     if span is not None:
-        sqrt_ok = all(abs(a[u - k]) <= (k * u * span) ** k for k in range(1, u + 1))
-        remainder_ok = all(
-            abs(g.coeff(i)) <= 5 * Fraction(u) ** (4 * u - 2 * i) * Fraction(span) ** (2 * u - i)
-            for i in range(u))
-    return NearSquareDecomposition(
-        poly=poly, sqrt_part=f, remainder=g, half_degree=u, span=span,
-        checks=BoundChecks(dyadic_ok=dyadic_ok, sqrt_coeff_ok=sqrt_ok,
-                           remainder_coeff_ok=remainder_ok),
-    )
+        sqrt_ok = all(abs(a[u - k]) <= scale * (k * u * span) ** k for k in range(1, u + 1))
+        remainder_ok = all(abs(g[i]) <= scale * scale * 5 * u ** (4 * u - 2 * i) * span ** (2 * u - i)
+                           for i in range(u))
+    f = RationalPoly(tuple(Fraction(ai, scale) for ai in a))
+    g = RationalPoly.from_coeffs(Fraction(gi, scale * scale) for gi in g[:u])
+    return NearSquareDecomposition(poly, f, g, u, span, BoundChecks(dyadic_ok, sqrt_ok, remainder_ok))
 
 
 def offsets_near_square(offsets: Sequence[int]) -> NearSquareDecomposition:
@@ -263,59 +293,73 @@ def height_bound(half_degree: int, span: int) -> int:
 def search_integral_points(offsets: Sequence[int], x_limit: int) -> list[tuple[int, int]]:
     """All positive x <= x_limit with prod(x + j) a perfect square, ascending.
 
-    The split vectors of 1, ..., x_limit + J come from sieve.parity_windows
-    under B = isqrt(x_limit + J), so each value has at most one prime above
-    B, its large tag, and that prime divides it once. P(x) is a square
-    exactly when the word rows of the x + j XOR to zero and its 2u large
-    tags pair up: sorted, each adjacent pair is equal (two values share a
-    tag only when it divides a difference of offsets, so only when it is
-    <= J). The tags are read only on rows whose XOR is zero. The rows of
-    the x not yet searched, at most J of them between windows, are held
-    and prepended to the next window, whose x are then searched up to the
-    last x + J it holds. Memory is O(window + J) rows.
+    When the product is a square, every x + j is b z^2 with b a squarefree
+    product of primes <= J (the module docstring gives the argument), so
+    only such values are read: K, the kernels b up to X = x_limit + J, and
+    the squares z^2 <= X are built once (_kernels_and_squares), and each
+    window of WINDOW_VALUES x lists its values b z^2 and keeps the x of
+    them whose every x + j is one too. X at or past WINDOW_VALUE_CEILING
+    raises RangeError, and more than MAX_SEARCH_ENTRIES kernels or squares
+    raise ResourceError, before any window.
 
-    Every hit is multiplied out and kept only if its integer square root
-    squares back to the product; nothing is evaluated in floating point.
-    Every point found must fall within the even-degree height bound
-    (asserted).
+    Every x kept is multiplied out and kept only if its integer square
+    root squares back to the product; nothing is evaluated in floating
+    point. A point above the even-degree height bound raises
+    AssertionError.
     """
     expand_offset_poly(offsets)  # reuse the validation
     if x_limit < 1:
         raise RangeError("x_limit must be >= 1")
-    u = len(offsets) // 2
     span = offsets[-1]
-    bound = height_bound(u, span)
+    bound = height_bound(len(offsets) // 2, span)
     top = x_limit + span
+    if top >= WINDOW_VALUE_CEILING:
+        raise RangeError(f"the search holds values below {WINDOW_VALUE_CEILING}, not {top}")
+    # each window makes one searchsorted pass over the shorter array
+    short, long = sorted(_kernels_and_squares(span, top), key=len)
     out = []
-    first = 1  # the least x not yet searched
-    held = ()  # the rows of first, first + 1, ... read so far
-    for _, large, words, _ in parity_windows(1, top + 1, isqrt(top)):
-        if held:
-            large, words = np.concatenate((held[0], large)), np.concatenate((held[1], words))
-        # search the x whose x + J is among the rows
-        count = max(0, min(len(large) - span, x_limit - first + 1))
-        held = large[count:].copy(), words[count:].copy()
-        for x in _square_rows(large, words, offsets, count):
-            x += first
-            m = prod(x + j for j in offsets)
-            r = isqrt(m)
+    for s in range(1, x_limit + 1, WINDOW_VALUES):
+        e = min(s + WINDOW_VALUES, x_limit + 1)
+        # V: for each v of `short`, the run of w in `long` with v w in [s, e + J)
+        first = np.searchsorted(long, -(-s // short))
+        n = np.searchsorted(long, (e + span - 1) // short, side="right") - first
+        at = np.arange(n.sum()) + np.repeat(first - np.cumsum(n) + n, n)
+        # each b z^2 once, as it has one such factorization, and then e + J,
+        # so that every x + j < e + J finds an entry
+        values = np.append(np.sort(np.repeat(short, n) * long[at]), e + span)
+        xs = values[:np.searchsorted(values, e)]
+        for j in offsets[1:]:
+            xs = xs[values[np.searchsorted(values, xs + j)] == xs + j]
+        for x in xs.tolist():
+            r = isqrt(m := prod(x + j for j in offsets))
             if r * r == m:
                 if x > bound:
                     raise AssertionError(f"integral point x = {x} exceeds height bound {bound}")
                 out.append((x, r))
-        first += count
     return out
 
 
-def _square_rows(large: np.ndarray, words: np.ndarray, offsets: Sequence[int],
-                 count: int) -> list[int]:
-    """The rows x < count whose rows x + j, over the offsets, XOR to zero
-    and have large tags that pair up."""
-    acc = words[:count].copy()  # the offsets start at 0
-    for j in offsets[1:]:
-        acc ^= words[j:j + count]
-    rows = np.flatnonzero(~acc.any(axis=1))
-    if len(rows):
-        tags = np.sort(large[rows[:, None] + np.array(offsets)], axis=1)
-        rows = rows[(tags[:, 0::2] == tags[:, 1::2]).all(axis=1)]
-    return rows.tolist()
+def _kernels_and_squares(span: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """K, the squarefree products <= top of the primes <= span, and the
+    squares z^2 <= top, each ascending. More than MAX_SEARCH_ENTRIES of
+    either raise ResourceError: a span whose primes alone are more (since
+    pi(J) > J / ln J) before they are sieved, the squares at the first
+    prime up to isqrt(top), and K as soon as it passes the cap.
+
+    A kernel holds at most one prime above isqrt(top), so those primes
+    enter K as they are; the primes up to isqrt(top) then multiply K in
+    descending order, so that each meets the kernels up to top // p that
+    hold larger primes alone. That costs O(|K|) per prime up to isqrt(top):
+    a refusal of K takes longest for a span near isqrt(top), about 2 s for
+    J = 10^6 at top = 10^12 (2 cores).
+    """
+    if span >= MAX_SEARCH_ENTRIES * span.bit_length():
+        raise ResourceError(f"the primes up to {span} exceed the cap {MAX_SEARCH_ENTRIES}")
+    primes = primes_through(span)
+    kernels = np.concatenate(([1], primes[primes > isqrt(top)]))
+    for p in primes[primes <= isqrt(top)][::-1].tolist():
+        kernels = np.concatenate((kernels, p * kernels[kernels <= top // p]))
+        if max(len(kernels), isqrt(top)) > MAX_SEARCH_ENTRIES:
+            raise ResourceError(f"{len(kernels)} kernels so far and {isqrt(top)} squares up to "
+                                f"{top}: more than the cap {MAX_SEARCH_ENTRIES}")
+    return np.sort(kernels), np.arange(1, isqrt(top) + 1, dtype=np.int64) ** 2

@@ -9,8 +9,9 @@ from one segmented sieve (parity_windows), which also gives P+; batches of
 smooth values, for the constructor's kernels, from split_vectors, which
 trial-divides the values of the batch alone in blocks of primes
 (_trial_split), and whose rows gf2.kernel_masks takes as they are. The
-windows are read here by p_plus_in and split_rows, by tn's sweep, by
-intervals' one pass per interval check, and by runge's point search;
+windows are read here by p_plus_in and split_rows, by tn's sweep and by
+intervals' one pass per interval check (runge's point search reads none:
+it takes primes_through alone and lists the values b z^2 it needs);
 split_rows streams their rows as Python ints for tn's span searches. A
 sweep reads each window's rows through folded_rows, which folds every
 large tag q into its partner, the last value before it that q divides:

@@ -333,6 +333,7 @@ def _rows(lo: int, hi: int, cap: Optional[int], use_shortcut: bool,
     """The rows of scan_tn on one chunk [lo, hi], as _body reads them:
     (n, t, shortcut_used, witness, cap_exceeded)."""
     ts, shortcut, _ = _sweep(lo, hi, cap, use_shortcut)
+    ts, shortcut = ts.tolist(), shortcut.tolist()
     if not include_witness:
         return list(_t_rows(lo, ts, shortcut))
     if cap is not None and cap < 1 and any(ts):  # as in compute_tn: only squares need no search
@@ -481,15 +482,16 @@ def scan_t(lo: int, hi: int, cap: Optional[int] = None, use_shortcut: bool = Tru
     """
     ts, shortcut = [], []
     for part_ts, part_shortcut, _ in chunk_map(_sweep, lo, hi, workers, cap, use_shortcut):
-        ts += part_ts
-        shortcut += part_shortcut
+        ts += part_ts.tolist()
+        shortcut += part_shortcut.tolist()
     return ts, shortcut
 
 
 def _sweep(lo: int, hi: int, cap: Optional[int],
-           use_shortcut: bool) -> tuple[list[int], list[bool], np.ndarray]:
-    """The lists of scan_t(lo, hi) from one left-to-right sweep, and the
-    P+ of the rows lo..hi.
+           use_shortcut: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lists of scan_t(lo, hi) from one left-to-right sweep, as an
+    int64 and a bool array, and the P+ of the rows lo..hi. Only the
+    readers that walk rows in Python turn them into lists.
 
     The values lo, lo+1, ... come from sieve windows under the bound B of
     compute_tn's rule taken over the whole range: every value the sweep
@@ -551,7 +553,7 @@ def _sweep(lo: int, hi: int, cap: Optional[int],
             open_rows -= int(np.count_nonzero(opened))
         if done and not open_rows:
             break
-    return ts.tolist(), shortcut.tolist(), p_pluses
+    return ts, shortcut, p_pluses
 
 
 CSV_HEADER = "n,t,shortcut_used,witness"

@@ -19,12 +19,15 @@ chunks, power_table_per_pass, the prime-power table
 as each window pass built it before one table was kept, and
 TaggedSweepBasis with tagged_sweep and tagged_closed_count, the sweep and
 the interval's closed count as they were before each large tag was folded
-into its partner: a dict of large rows and one insert per value.
+into its partner: a dict of large rows and one insert per value, and
+fraction_near_square_decompose, the near-square split as it ran in
+Fractions before it moved to 4^u-scaled integers.
 The mpmath_* functions are the thresholds and height bounds as the library
 evaluated them in mpmath before it moved to `decimal`; each imports mpmath
 itself, so only the tests that call them need it installed.
 """
 
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import isqrt
@@ -33,6 +36,7 @@ import numpy as np
 
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
+from tnlab.runge import BoundChecks, NearSquareDecomposition, RationalPoly
 from tnlab.sieve import pack_rows, parity_windows, primes_through, row_bits
 from tnlab.tn import HARD_OFFSET_CAP, TnResult, compute_tn, large_prime_shortcut
 
@@ -182,6 +186,41 @@ def brute_integral_points(offsets, x_limit: int) -> list[tuple[int, int]]:
         if r * r == m:
             out.append((x, r))
     return out
+
+
+def fraction_near_square_decompose(poly, span=None):
+    """runge.near_square_decompose(poly, span) as it was computed in
+    Fractions before it moved to the integers 4^u a_i: the recurrence
+    a_j = (q_(u+j) - sum a_i a_(u-i+j)) / 2 on Fractions, g = P - f^2 by
+    RationalPoly arithmetic, and each bound compared in Fractions."""
+    if not poly.is_integral():
+        raise DomainError("polynomial must have integer coefficients")
+    if not poly.is_monic():
+        raise DomainError("polynomial must be monic")
+    d = poly.degree
+    if d % 2 or d < 4:
+        raise DomainError(f"degree must be even and >= 4, got {d}")
+    u = d // 2
+    a = [Fraction(0)] * (u + 1)
+    a[u] = Fraction(1)
+    for j in range(u - 1, -1, -1):
+        s = sum((a[i] * a[u - i + j] for i in range(j + 1, u)), Fraction(0))
+        a[j] = (poly.coeff(u + j) - s) / 2
+    f = RationalPoly.from_coeffs(a)
+    g = poly - f * f
+    if g.degree >= u:
+        raise AssertionError("remainder degree must drop below half degree")
+    dyadic_ok = all((Fraction(4) ** (u - i) * a[i]).denominator == 1 for i in range(u + 1))
+    sqrt_ok = remainder_ok = None
+    if span is not None:
+        sqrt_ok = all(abs(a[u - k]) <= (k * u * span) ** k for k in range(1, u + 1))
+        remainder_ok = all(
+            abs(g.coeff(i)) <= 5 * Fraction(u) ** (4 * u - 2 * i) * Fraction(span) ** (2 * u - i)
+            for i in range(u))
+    return NearSquareDecomposition(
+        poly=poly, sqrt_part=f, remainder=g, half_degree=u, span=span,
+        checks=BoundChecks(dyadic_ok=dyadic_ok, sqrt_coeff_ok=sqrt_ok,
+                           remainder_coeff_ok=remainder_ok))
 
 
 def rho_quadrature(u: float, step: float = 1e-5) -> float:

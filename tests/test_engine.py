@@ -86,10 +86,13 @@ KERNEL_DIGESTS = {
 }
 # CLI files of the point search and of brute-mode interval reports, and
 # the subset lists of brute mode, taken while the search multiplied out
-# every x and brute mode walked its subsets in Gray-code order
+# every x and brute mode walked its subsets in Gray-code order; the search
+# to 10^7 was taken while it sieved every value up to x_limit + J
 CLI_DIGESTS = {
     ("runge", "--offsets", "0,1,2,4", "--limit", "100000"):
         "c48204d771a363c9795b914d4f11c405087307a036c00439ade024fdb1052f1e",
+    ("runge", "--offsets", "0,1,2,4", "--limit", "10000000"):
+        "f8f7811b897d86a5309453826eccbb4e199ace1ee871415192aad67f058789be",
     ("runge", "--offsets", "0,2,3,4,5,6,10,11,12,13", "--limit", "30000"):
         "088dfbe7bb7c519ba8c880302b8969922b7ee711ef8dd907039d63d60af0263c",
     ("interval", "--lo", "1778", "--hi", "1795", "--y", "5", "--brute"):

@@ -2,20 +2,23 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_integral_points
+from oracles import brute_integral_points, fraction_near_square_decompose
 from tnlab import runge
-from tnlab.errors import DomainError, RangeError
+from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.runge import (RationalPoly, expand_offset_poly, height_bound,
                          near_square_decompose, offsets_near_square,
                          search_integral_points)
+from tnlab.sieve import WINDOW_VALUE_CEILING
 
 
 def poly_eval_int(p: RationalPoly, x: int) -> Fraction:
@@ -165,9 +168,9 @@ def test_search_x_limit_one():
 
 
 @st.composite
-def offset_sets(draw):
-    """2u = 4..12 offsets from 0, with spans up to 5000."""
-    u = draw(st.integers(min_value=2, max_value=6))
+def offset_sets(draw, most_u=6):
+    """2u = 4..2 most_u offsets from 0, with spans up to 5000."""
+    u = draw(st.integers(min_value=2, max_value=most_u))
     span = draw(st.integers(min_value=2 * u - 1,
                             max_value=draw(st.sampled_from([20, 60, 500, 5000]))))
     interior = draw(st.lists(st.integers(min_value=1, max_value=span - 1),
@@ -175,26 +178,48 @@ def offset_sets(draw):
     return [0] + sorted(interior) + [span]
 
 
+@st.composite
+def split_inputs(draw):
+    """(poly, span): an offset product with 2u <= 16 and J <= 5000 and its
+    span, or a monic integer polynomial of even degree 4..16 with signed
+    coefficients, with a span or None."""
+    if draw(st.booleans()):
+        offsets = draw(offset_sets(most_u=8))
+        return expand_offset_poly(offsets), offsets[-1]
+    degree = draw(st.sampled_from(range(4, 17, 2)))
+    coeffs = draw(st.lists(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+                           min_size=degree, max_size=degree))
+    span = draw(st.none() | st.integers(min_value=1, max_value=5000))
+    return RationalPoly.from_coeffs(coeffs + [1]), span
+
+
+@given(split_inputs())
+@settings(max_examples=300, deadline=None)
+@example((RationalPoly.from_coeffs([25, 0, 10, 0, 1]), None))  # (x^2 + 5)^2: g = 0
+@example((RationalPoly.from_coeffs([0, 0, 0, 0, 1]), 1))
+def test_integer_split_matches_the_fraction_recurrence(case):
+    poly, span = case
+    got = near_square_decompose(poly, span)
+    expected = fraction_near_square_decompose(poly, span)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    assert got.to_json_dict() == expected.to_json_dict()
+
+
 @given(offset_sets(), st.integers(min_value=1, max_value=5000))
 @settings(max_examples=200, deadline=None)
 def test_search_matches_the_per_x_oracle(offsets, x_limit):
     # limits down to 1 against spans up to 5000, so that J often exceeds
-    # B = isqrt(x_limit + J) and two values of one x can share a large tag
+    # isqrt(x_limit + J), K holds most values up to x_limit + J, and the
+    # kernels b of one x often share primes
     assert search_integral_points(offsets, x_limit) == brute_integral_points(offsets, x_limit)
 
 
-@pytest.mark.parametrize("rows", [1, 3, 7, 64])
-def test_search_is_unchanged_by_window_sizes(monkeypatch, rows):
-    # windows of a few rows, shorter and longer than the span J, so that
-    # points sit across the seams between windows
-    windows = runge.parity_windows
-
-    def short_windows(a, b, bound):
-        for start, large, words, p_plus in windows(a, b, bound):
-            for i in range(0, len(large), rows):
-                yield start + i, large[i:i + rows], words[i:i + rows], p_plus[i:i + rows]
-
-    monkeypatch.setattr(runge, "parity_windows", short_windows)
+@pytest.mark.parametrize("values", [1, 3, 7, 64])
+def test_search_is_unchanged_by_window_sizes(monkeypatch, values):
+    # windows of a few x, shorter and longer than the span J, so that
+    # points and their x + J sit across the seams between windows
+    monkeypatch.setattr(runge, "WINDOW_VALUES", values)
     for offsets, x_limit in [([0, 10, 13, 14], 18), ([0, 1, 2, 3, 4, 6, 7, 8], 15),
                              ([0, 336, 2088, 2616], 2475), ([0, 1, 2, 4], 2000),
                              ([0, 13, 22, 36], 300), ([0, 14, 28, 72], 400),
@@ -204,15 +229,51 @@ def test_search_is_unchanged_by_window_sizes(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("offsets, x_limit, point", [
-    ([0, 10, 13, 14], 18, (14, 504)),            # 7 divides 14 and 28, B = 5
-    ([0, 1, 2, 3, 4, 6, 7, 8], 15, (2, 720)),    # 5 divides 5 and 10, B = 4
-    ([0, 336, 2088, 2616], 2475, (29, 243455)),  # 73 divides 365 and 2117, B = 71 < J
+    ([0, 10, 13, 14], 18, (14, 504)),            # 7 divides 14 and 28, J = 14
+    ([0, 1, 2, 3, 4, 6, 7, 8], 15, (2, 720)),    # 5 divides 5 and 10, J = 8
+    ([0, 336, 2088, 2616], 2475, (29, 243455)),  # 73 divides 365 and 2117, J = 2616
 ])
 def test_search_keeps_points_whose_large_tags_pair_up(offsets, x_limit, point):
-    # points of an x where two values share their prime above B
+    # points of an x where two values share a prime above isqrt(x_limit + J),
+    # which then divides the kernels b of both
     got = search_integral_points(offsets, x_limit)
     assert point in got
     assert got == brute_integral_points(offsets, x_limit)
+
+
+def test_search_memory_stays_small():
+    # sieving every value up to x_limit + J held 7.2 MB here; the values
+    # b z^2 of one window and 64 kernels hold a few kilobytes
+    offsets = [0, 2, 3, 4, 5, 6, 10, 11, 12, 13]
+    search_integral_points(offsets, 1000)  # the prime array, built once a process
+    tracemalloc.start()
+    try:
+        assert search_integral_points(offsets, 300000) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("offsets, x_limit, what", [
+    ([0, 1, 2, 10 ** 4], 10 ** 12, "kernels so far"),  # K passes the cap while built
+    ([0, 1, 2, 4], 10 ** 14, "10000000 squares"),      # the squares z^2 alone
+    ([0, 1, 2, 10 ** 8], 5, "primes up to"),           # pi(J) alone, before any sieving
+])
+def test_search_refuses_past_its_cap_before_any_window(offsets, x_limit, what):
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"{what}.*the cap {runge.MAX_SEARCH_ENTRIES}"):
+        search_integral_points(offsets, x_limit)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_search_refuses_values_past_the_window_ceiling():
+    # X = x_limit + J must stay below the ceiling, so that every b z^2 and
+    # every x + j fits int64; the last X below it is refused by the cap
+    with pytest.raises(RangeError, match="values below"):
+        search_integral_points([0, 1, 2, 4], WINDOW_VALUE_CEILING - 4)
+    with pytest.raises(ResourceError):
+        search_integral_points([0, 1, 2, 4], WINDOW_VALUE_CEILING - 5)
 
 
 # the height-bound check on every integral point is no assert statement:

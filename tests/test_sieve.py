@@ -511,8 +511,9 @@ def test_one_reader_decides_where_p_plus_comes_from():
     # only p_plus_in reads a table's P+ array; tables are built only where
     # one prefix is read several times (dist counts per chunk and builds
     # none); windows serve ranges alone: P+ past a table, the rows of
-    # split_rows, tn's sweep, an interval check's one pass and runge's
-    # point search, while batches of smooth values (split_vectors, the
+    # split_rows, tn's sweep and an interval check's one pass (runge's
+    # point search reads no window: it lists the values b z^2 alone),
+    # while batches of smooth values (split_vectors, the
     # constructor's alone) are trial-divided; both hand out a window's
     # layout, and the constructor's kernels take the batch's rows as they
     # are: kernel_masks has no other caller in the package
@@ -526,8 +527,7 @@ def test_one_reader_decides_where_p_plus_comes_from():
     assert _calls("build_spf_table") == {("cli.py", "_cmd_construct"),
                                          ("constructor.py", "construct_curve_point")}
     assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("sieve.py", "split_rows"),
-                                        ("tn.py", "_sweep"), ("intervals.py", "_interval_counts"),
-                                        ("runge.py", "search_integral_points")}
+                                        ("tn.py", "_sweep"), ("intervals.py", "_interval_counts")}
     assert _calls("split_vectors") == {("constructor.py", "build_small_tn"),
                                        ("constructor.py", "construct_curve_point")}
     assert _calls("kernel_masks") == _calls("split_vectors")

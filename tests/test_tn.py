@@ -632,8 +632,8 @@ def test_sweep_matches_the_tagged_reference(case):
     # at a time into a basis with a dict of large rows
     ts, shortcut, p_plus = tn._sweep(*case)
     expected_ts, expected_shortcut, expected_p_plus = tagged_sweep(*case)
-    assert ts == expected_ts
-    assert shortcut == expected_shortcut
+    assert ts.tolist() == expected_ts
+    assert shortcut.tolist() == expected_shortcut
     assert np.array_equal(p_plus, expected_p_plus)
 
 
@@ -928,12 +928,12 @@ def test_chunks_are_exact(lo, length, cap, use_shortcut, x):
     import os
 
     hi = lo + length
-    ts, shortcut, _ = tn._sweep(lo, hi, cap, use_shortcut)
+    ts, shortcut = (column.tolist() for column in tn._sweep(lo, hi, cap, use_shortcut)[:2])
     rows = [TnResult(n, t, w, s, c) for n, t, s, w, c in tn._t_rows(lo, ts, shortcut)]
     k = min(length + 1, 300)  # witnessed rows: two chunks at most
     witnessed = [TnResult(n, t, w, s, c)
                  for n, t, s, w, c in tn._witnessed_rows(lo, ts[:k], shortcut[:k])]
-    x_ts, x_shortcut, _ = tn._sweep(1, x, None, True)
+    x_ts, x_shortcut = (column.tolist() for column in tn._sweep(1, x, None, True)[:2])
     x_rows = [TnResult(n, t, w, s, c) for n, t, s, w, c in tn._t_rows(1, x_ts, x_shortcut)]
     cs = [0.3, 0.5, 0.7, 1.0]
     with pytest.MonkeyPatch.context() as mp:
