@@ -10,11 +10,15 @@ point on the corresponding hyperelliptic curve. Every certificate is
 verified exactly at emission (verify.verify_witness, which loads no tn);
 count guarantees are asymptotic and only reported, never asserted.
 
-The parity vectors of a batch of smooth values come from
-sieve.split_vectors in a window's layout, the rows (large, words), and
-reach gf2.kernel_masks as they are: past the saturation of its small
-basis, which takes one block of rows at x = 10^6, no value of the batch
-becomes a Python int on its way to the kernel's linear map.
+The y-smooth values of an interval come from one read of its P+
+(sieve.smooth_in_interval), and their parity vectors from
+sieve.smooth_rows, which sieves the span of the batch with the prime
+powers of the primes <= y and divides no value; build_small_tn's batch
+stops at its (pi(y) + 1)-th smooth value. The rows, in a window's layout
+(large, words), reach gf2.kernel_masks as they are: past the saturation
+of its small basis, which takes one block of rows at x = 10^6, no value
+of the batch becomes a Python int on its way to the kernel's linear map,
+and the coordinates the map returns stay packed words.
 
 Certificates stay in kernel coordinates from the kernel to the chosen
 pair. gf2.kernel_masks returns the kernel in systematic form [I | A]
@@ -41,7 +45,7 @@ import numpy as np
 from .errors import PipelineFailed, RangeError, UsageError
 from .gf2 import Kernel, kernel_masks, mask_bits
 from .sieve import (SpfTable, build_spf_table, p_plus_in, pack_rows, primes_up_to,
-                    smooth_in_interval, split_vectors)
+                    smooth_in_interval, smooth_rows)
 from .verify import verify_witness
 
 EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
@@ -107,7 +111,7 @@ def build_small_tn(lo: int, hi: int, y: float,
         return None
     # pi(y) + 1 vectors over the primes up to y: the first dependency is
     # among them (pigeonhole)
-    first = kernel_masks(split_vectors(smooths[:prime_count + 1])).masks()[0]
+    first = kernel_masks(smooth_rows(smooths[:prime_count + 1], y_int)).masks()[0]
     members = [smooths[i] for i in mask_bits(first)]
     n = members[0]
     offsets = tuple(v - n for v in members[1:])
@@ -253,7 +257,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     t1 = time.perf_counter()
     y_int = int(math.floor(y))
     smooths = smooth_in_interval(lo, hi, y_int, table)
-    kernel = kernel_masks(split_vectors(smooths))
+    kernel = kernel_masks(smooth_rows(smooths, y_int))
     dim = len(kernel)
     prime_count = len(primes_up_to(y_int))
     timings["kernel"] = time.perf_counter() - t1
@@ -331,8 +335,7 @@ def _widest_pair(kernel: Kernel, family: list[int]) -> tuple[list[int], int]:
     """
     dim = len(kernel)
     words = dim // 64 + 1
-    slots = kernel.independent  # every bit of coords lies at one of them
-    coords = pack_rows(kernel.coords, slots[-1] // 64 + 1 if slots else 1)
+    slots, coords = kernel.independent, kernel.coords  # every bit of coords lies at a slot
     columns = np.zeros((len(slots), 8 * words), dtype=np.uint8)
     for s, i in enumerate(slots):
         column = (coords[:, i >> 6] >> np.uint64(i & 63)).astype(np.uint8) & 1

@@ -64,7 +64,8 @@ the XOR of the combinations of the unit vectors at its set bits. Row b is
 the unit vector at b plus lower bits, so those combinations come from the
 rows' masks alone, from bit 0 up, and the map reads each vector's words as
 they are, with one numpy pass per bit: kernel_masks turns no row past
-saturation into a Python int, unless it has a large tag. A vector with a
+saturation into a Python int, unless it has a large tag, and keeps the
+coordinates it maps as packed words. A vector with a
 large tag is then dependent exactly when its tag already has a row, since
 XOR-ing that row leaves small bits alone. So the number of dependent
 insertions, the kernel dimension, needs no combination at all:
@@ -81,10 +82,12 @@ vectors, because they answer two different questions.
   vectors as pairs from sieve.split_rows, the rows of the windows of
   sieve.parity_windows. kernel_masks serves the constructor's two kernels,
   the small-t_n pigeonhole and the parity kernel of a curve point, over
-  batches of smooth values: it takes the rows (large, words) that
-  sieve.split_vectors makes for a batch, under the bound of the batch,
-  by factoring its values alone, and the window pass over an interval
-  under isqrt(hi) gives the same rows. An interval check needs only the
+  batches of y-smooth values: it takes the rows (large, words) that
+  sieve.smooth_rows sieves for a batch, with no large tag, ranks counted
+  from 2 as in every window. When y <= isqrt(hi) the window pass over the
+  interval under isqrt(hi) gives the same rows; for a larger y a prime
+  above isqrt(hi) is a top rank bit where a window has a large tag, and
+  the B rule above gives the same kernel. An interval check needs only the
   kernel's dimension, which DependencyCount counts (Fixed rows) from the
   rows of the check's one window pass, so the library spells out no
   interval's kernel basis. A
@@ -259,12 +262,14 @@ class Kernel:
     the basis and `dependent` those of the others, each ascending. The k-th
     dependent vector XORs to zero with the independent vectors at the set
     bits of coords[k], its coordinates: a mask over insertion indices with
-    bits at independent ones only. len() is the kernel dimension.
+    bits at independent ones only, packed as a row of a little-endian
+    uint64 array (sieve.pack_rows' layout) of independent[-1] // 64 + 1
+    words. len() is the kernel dimension.
     """
 
     __slots__ = ("dependent", "independent", "coords")
 
-    def __init__(self, dependent: list[int], independent: list[int], coords: list[int]):
+    def __init__(self, dependent: list[int], independent: list[int], coords: np.ndarray):
         self.dependent = dependent
         self.independent = independent
         self.coords = coords
@@ -276,7 +281,7 @@ class Kernel:
         """One mask per dependent insertion, in insertion order: bit i
         selects the i-th vector, and the selected vectors XOR to zero. The
         masks are independent and span the kernel."""
-        return [coords | 1 << index for index, coords in zip(self.dependent, self.coords)]
+        return [mask | 1 << index for index, mask in zip(self.dependent, row_bits(self.coords))]
 
 
 class DependencyCount:
@@ -332,23 +337,26 @@ class DependencyCount:
 
 def kernel_masks(batch: tuple[np.ndarray, np.ndarray]) -> Kernel:
     """The kernel of an ordered batch of split vectors, given as the rows
-    (large, words) of a window's layout (sieve.split_vectors), in
-    systematic form; Kernel.masks() gives it as combination masks. Anything
-    else, a list of (q, bits) pairs among them, raises TypeError.
+    (large, words) of a window's layout (sieve.smooth_rows, or the rows of
+    windows), in systematic form; Kernel.masks() gives it as combination
+    masks. Anything else, a list of (q, bits) pairs among them, raises
+    TypeError.
 
     Rows go into a SplitBasis one at a time, read as Python ints
     ROW_BLOCK rows at a time, until its small basis is full (small_rank
     == width, the bit length of the OR of all rows); a dependent one takes
     its coordinates from its own insertion. From then on a row without a
     large tag is dependent, and its coordinates are a fixed linear map of
-    its bits, read from its words as they are (_linear_map). Rows with a
-    large tag still go into the basis one at a time, since a new tag
-    extends it.
+    its bits, read from its words as they are and returned as words
+    (_linear_map). Rows with a large tag still go into the basis one at a
+    time, since a new tag extends it. The coordinates of the rows inserted
+    one at a time are packed once, into rows as wide as the last
+    independent insertion needs.
 
     Cost. For n rows past saturation at insertion s, under a basis of
     width w, the map holds n s / 8 bytes and makes w XOR passes over them.
-    The constructor's batch at x = 10^6 (n = 9,713, s = 20, w = 19) maps in
-    about 1.3 ms. A wide batch that fills late is quadratic: the values of
+    The constructor's batch at x = 10^6 (n = 9,713, s = 20, w = 19) takes
+    about 0.8 ms in all (2-core box). A wide batch that fills late is quadratic: the values of
     (10^9, 10^9 + 8 * 10^4] fill at s = 60,954 (n = 5,361, w = 3,401), and
     their map holds 41 MB and took 62 s, with a process peak of 211 MB
     (2-core box).
@@ -381,28 +389,30 @@ def kernel_masks(batch: tuple[np.ndarray, np.ndarray]) -> Kernel:
     for index, q, bits in zip(tagged.tolist(), large[tagged].tolist(), row_bits(words[tagged])):
         insert(index, q, bits)
     saturated = np.flatnonzero(large[full:] == 0) + full
+    packed = independent[-1] // 64 + 1 if independent else 1  # words a coordinate row
+    coords = pack_rows(coords, packed)
     if len(saturated):
         dependent += saturated.tolist()
-        coords += _linear_map(basis, words[saturated])
+        coords = np.concatenate((coords, _linear_map(basis, words[saturated], packed)))
         if len(tagged):  # tagged rows may fall in between
-            dependent, coords = map(list, zip(*sorted(zip(dependent, coords))))
+            dependent, coords = sorted(dependent), coords[np.argsort(dependent)]
     return Kernel(dependent, independent, coords)
 
 
-def _linear_map(basis: SplitBasis, rows: np.ndarray) -> list[int]:
+def _linear_map(basis: SplitBasis, rows: np.ndarray, words: int) -> np.ndarray:
     """For each word row, the XOR of the coordinates of the unit vectors at
     its set bits, under a basis whose small rows are full, with one numpy
-    pass per bit. The coordinates of the unit vector at b are the mask of
-    row b XOR those of row b's lower bits, since row b is that unit vector
-    plus its lower bits: they are built from bit 0 up."""
+    pass per bit, as rows of `words` uint64 words. The coordinates of the
+    unit vector at b are the mask of row b XOR those of row b's lower bits,
+    since row b is that unit vector plus its lower bits: they are built
+    from bit 0 up."""
     units = []
     for row, mask in zip(basis.small_bits, basis.small_masks):
         for c in mask_bits(row)[:-1]:
             mask ^= units[c]
         units.append(mask)
-    words = max((unit.bit_length() for unit in units), default=0) // 64 + 1
     out = np.zeros((len(rows), words), dtype="<u8")
     for b, image in enumerate(pack_rows(units, words)):
         column = (rows[:, b >> 6] >> np.uint64(b & 63)) & np.uint64(1)
         out ^= column[:, None] * image
-    return row_bits(out)
+    return out

@@ -164,18 +164,28 @@ class RationalPoly:
 
 
 def expand_offset_poly(offsets: Sequence[int]) -> RationalPoly:
-    """Exact expansion of prod(x + j) over the offsets.
+    """Exact expansion of prod(x + j) over the offsets: an even count
+    2u >= 4 of strictly increasing offsets starting at 0, each coefficient
+    checked against its bound (_offset_coeffs)."""
+    return RationalPoly(tuple(map(Fraction, _offset_coeffs(offsets))))
 
-    Requires an even count 2u >= 4 of strictly increasing offsets starting
-    at 0. Each coefficient q_i is checked against its elementary-symmetric
-    bound binom(2u, i) * J^(2u-i).
-    """
+
+def _check_offsets(offsets: Sequence[int]) -> None:
+    """Refuse offsets that are not an even count 2u >= 4 of strictly
+    increasing integers starting at 0."""
     if len(offsets) % 2 or len(offsets) < 4:
         raise DomainError(f"need an even number >= 4 of offsets, got {len(offsets)}")
     if offsets[0] != 0:
         raise DomainError("offsets must start at 0")
     if any(b <= a for a, b in zip(offsets, offsets[1:])):
         raise DomainError("offsets must be strictly increasing")
+
+
+def _offset_coeffs(offsets: Sequence[int]) -> list[int]:
+    """The integer coefficients q_i of prod(x + j) over checked offsets
+    (_check_offsets), ascending by degree, each checked against its
+    elementary-symmetric bound binom(2u, i) * J^(2u-i)."""
+    _check_offsets(offsets)
     span = offsets[-1]
     coeffs = [1]
     for j in offsets:
@@ -186,7 +196,7 @@ def expand_offset_poly(offsets: Sequence[int]) -> RationalPoly:
     for i, q in enumerate(coeffs):
         if not 0 <= q <= comb(d, i) * span ** (d - i):
             raise AssertionError("coefficient bound violated")
-    return RationalPoly.from_coeffs(coeffs)
+    return coeffs
 
 
 class BoundChecks(NamedTuple):
@@ -250,12 +260,18 @@ def near_square_decompose(poly: RationalPoly,
         raise DomainError("polynomial must have integer coefficients")
     if not poly.is_monic():
         raise DomainError("polynomial must be monic")
-    u, odd = divmod(poly.degree, 2)
-    if odd or u < 2:
+    if poly.degree % 2 or poly.degree < 4:
         raise DomainError(f"degree must be even and >= 4, got {poly.degree}")
+    return _split(poly, [c.numerator for c in poly.coeffs], span)
+
+
+def _split(poly: RationalPoly, coeffs: list[int], span: Optional[int]) -> NearSquareDecomposition:
+    """near_square_decompose of a checked poly whose integer coefficients
+    are `coeffs`, ascending by degree."""
+    u = len(coeffs) // 2
     scale = 4 ** u
     a = [0] * u + [scale]
-    g = [scale * scale * c.numerator for c in poly.coeffs[:-1]] + [0]  # A_u^2 taken out
+    g = [scale * scale * c for c in coeffs[:-1]] + [0]  # A_u^2 taken out
     for j in range(u - 1, -1, -1):
         a[j], r = divmod(g[u + j], 2 * scale)
         if r:
@@ -276,8 +292,10 @@ def near_square_decompose(poly: RationalPoly,
 
 
 def offsets_near_square(offsets: Sequence[int]) -> NearSquareDecomposition:
-    """Expand the offsets and decompose, with all bounds evaluated."""
-    return near_square_decompose(expand_offset_poly(offsets), span=offsets[-1])
+    """Expand the offsets and decompose, with all bounds evaluated: the
+    integer coefficients go to the split as they are."""
+    coeffs = _offset_coeffs(offsets)
+    return _split(RationalPoly(tuple(map(Fraction, coeffs))), coeffs, offsets[-1])
 
 
 def height_bound(half_degree: int, span: int) -> int:
@@ -307,7 +325,7 @@ def search_integral_points(offsets: Sequence[int], x_limit: int) -> list[tuple[i
     point. A point above the even-degree height bound raises
     AssertionError.
     """
-    expand_offset_poly(offsets)  # reuse the validation
+    _check_offsets(offsets)
     if x_limit < 1:
         raise RangeError("x_limit must be >= 1")
     span = offsets[-1]

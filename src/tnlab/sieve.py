@@ -2,23 +2,25 @@
 
 Every prime the package reads comes from one read-only int64 array kept
 here, through primes_through (primes_up_to is its list view). Split parity
-vectors come from two producers that share one remainder step
-(_split_remainders) and hand them out in one layout, the rows (large,
-words) of a window: ranges, at any height below WINDOW_VALUE_CEILING,
-from one segmented sieve (parity_windows), which also gives P+; batches of
-smooth values, for the constructor's kernels, from split_vectors, which
-trial-divides the values of the batch alone in blocks of primes
-(_trial_split), and whose rows gf2.kernel_masks takes as they are. The
-windows are read here by p_plus_in and split_rows, by tn's sweep and by
-intervals' one pass per interval check (runge's point search reads none:
-it takes primes_through alone and lists the values b z^2 it needs);
-split_rows streams their rows as Python ints for tn's span searches. A
-sweep reads each window's rows through folded_rows, which folds every
-large tag q into its partner, the last value before it that q divides:
-the partner's small bits come from its row of the window, or, for a
-partner before the window, from the trial-division core of split_vectors
-over the window's distinct cofactors, so no table of B rows is built and
-a sweep holds O(window) at every height. P+ over a range has three
+vectors come from two producers, which hand them out in one layout, the
+rows (large, words) of a window: ranges, at any height below
+WINDOW_VALUE_CEILING, from one segmented sieve (parity_windows), which
+divides out the prime powers it sieves and also gives P+; batches of
+y-smooth values, for the constructor's kernels, from smooth_rows, which
+divides nothing: one XOR pass over the batch's span, in windows, flips
+the rank bit of each prime p <= y at the multiples of its powers, and
+gf2.kernel_masks takes its rows as they are. Both take their prime powers
+from one table (_power_table). The windows are read here by p_plus_in
+and split_rows, by tn's sweep and by intervals' one pass per interval
+check (runge's point search reads none: it takes primes_through alone
+and lists the values b z^2 it needs); split_rows streams their rows as
+Python ints for tn's span searches. A sweep reads each window's rows
+through folded_rows, which folds every large tag q into its partner, the
+last value before it that q divides: the partner's small bits come from
+its row of the window, or, for a partner before the window, from trial
+division (_trial_split) of the window's distinct cofactors, which ends in
+the window's remainder step (_split_remainders), so no table of B rows is
+built and a sweep holds O(window) at every height. P+ over a range has three
 readers: tn's sweep, which takes the P+ of its own windows (for its rows'
 classification and for distribution's counts), an interval check, which
 counts the smooth values of its own windows, and p_plus_in, for every
@@ -251,8 +253,8 @@ ROW_BLOCK = 64
 # and 1024: 100, 71 and 77 us for 1024 values at 3.8*10^5; 149, 120 and
 # 127 us for 1024 at 10^9; 3.9, 3.3 and 3.5 ms for 65,536 at 10^9.
 _STRIDED_HITS = 128
-# Batches are trial-divided in blocks of primes that start this small and
-# double, so that a smooth batch reads few primes past its smoothness bound.
+# Cofactors are trial-divided in blocks of primes that start this small and
+# double, so that a batch of small values reads few primes past its roots.
 _FIRST_BLOCK = 8
 
 # (start, large, words, p_plus): see parity_windows
@@ -263,8 +265,6 @@ def pack_rows(values: Sequence[int], words: int) -> np.ndarray:
     """Non-negative ints below 2^(64 words) as the rows of a little-endian
     uint64 array of shape (len(values), words), the layout of a window's
     word array; row_bits reads them back."""
-    if words == 1:
-        return np.array(values, dtype="<u8").reshape(len(values), 1)
     packed = b"".join(value.to_bytes(8 * words, "little") for value in values)
     return np.frombuffer(packed, dtype="<u8").reshape(len(values), words)
 
@@ -370,38 +370,62 @@ def folded_rows(window: Window, first: int) -> tuple[list[int], list[int], list[
     return index.tolist(), partner.tolist(), row_bits(bits)
 
 
-def split_vectors(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The split rows (large, words) of a batch of positive values under
-    B = isqrt(max(values)), in a window's layout: the bound of every
-    kernel, since no value of the batch has two prime factors above it. It
-    serves batches of smooth values (the constructor's), whose rows go to
-    gf2.kernel_masks as they are; a window over the same values under the
-    same bound gives the same rows. Values outside
-    [1, WINDOW_VALUE_CEILING) raise RangeError, as they do in a window.
+def smooth_rows(values: Sequence[int], y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The split rows (large, words) of a batch of y-smooth values, in a
+    window's layout with no large tag: words[i] holds the ranks of the
+    primes that divide values[i] to an odd power, counted from 2 as in
+    every window. For y <= isqrt(max(values)) they are the rows of a window
+    under that bound; for a larger y a prime above it is its top rank bit
+    where a window has a large tag, which gives the same kernel (the B rule
+    in gf2). The constructor's two kernels take their batches from here,
+    with the values of smooth_in_interval, and gf2.kernel_masks takes the
+    rows as they are. A value with a prime above y would lose that prime
+    from its row, and the constructor verifies every certificate. Values
+    outside [1, WINDOW_VALUE_CEILING) raise RangeError before any sieving.
 
-    Only the values of the batch are factored, by trial division with the
-    primes <= B (_trial_split).
+    No value is divided. One pass over the span of the batch, in windows
+    of at most WINDOW_BYTES of words, flips the rank bit of p at the
+    multiples of each prime power p^k <= max(values) of the primes p <= y
+    (from _power_table), so each value ends with exactly its odd-exponent
+    primes set. Each power is one strided slice per window: a smoothness
+    bound has few primes (19 at x = 10^6), so none is worth the scattered
+    pass of a window.
     """
-    hi = max(values, default=1)
-    if min(values, default=1) < 1 or hi >= WINDOW_VALUE_CEILING:
+    lo, hi = min(values, default=1), max(values, default=1)
+    if lo < 1 or hi >= WINDOW_VALUE_CEILING:
         raise RangeError(f"batch values must lie in [1, {WINDOW_VALUE_CEILING})")
-    return _trial_split(np.array(values, dtype=np.int64), isqrt(hi))
+    bound = min(y, hi)
+    q, p, rank = _power_table(max(hi, bound * bound))
+    keep = (p <= bound) & (q <= hi)
+    powers = list(zip(q[keep].tolist(), rank[keep].tolist()))
+    values = np.array(values, dtype=np.int64)
+    width = max(1, (len(primes_through(bound)) + 63) >> 6)
+    rows = np.zeros((len(values), width), dtype="<u8")
+    most = max(1, WINDOW_BYTES // (8 * width))
+    for a in range(lo, hi + 1, most):
+        words = np.zeros((min(most, hi + 1 - a), width), dtype="<u8")
+        for qk, rk in powers:
+            words[-a % qk::qk, rk >> 6] ^= np.uint64(1 << (rk & 63))
+        inside = np.flatnonzero((values >= a) & (values < a + most))
+        rows[inside] = words[values[inside] - a]
+    return np.zeros(len(values), dtype=np.int64), rows
 
 
 def _trial_split(rem: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trial-division core of split_vectors and folded_rows: the split
-    rows (large, words) of the int64 values `rem` under B = `bound`, in a
-    window's layout. The primes up to B are divided out of `rem` in place,
-    and the large tags are what remains above B (_split_remainders).
+    """The trial division of folded_rows, for the cofactors of far
+    partners: the split rows (large, words) of the int64 values `rem` under
+    B = `bound`, in a window's layout. The primes up to B are divided out
+    of `rem` in place, and the large tags are what remains above B
+    (_split_remainders).
 
     Blocks of primes start at _FIRST_BLOCK primes and double: one numpy
     pass per block finds every prime of the block that divides a value, and
     the powers of those primes are divided out together. A value stays live
     only while its remainder is at least the square of the next prime,
-    since a smaller remainder is 1 or a prime; so a y-smooth batch stops
-    after the primes up to y. Blocks are cut so that their 2-D remainder
-    array stays under WINDOW_BYTES, down to one prime a block when the live
-    values alone fill it.
+    since a smaller remainder is 1 or a prime; so a batch of values below
+    c stops after the primes up to isqrt(c). Blocks are cut so that their
+    2-D remainder array stays under WINDOW_BYTES, down to one prime a block
+    when the live values alone fill it.
     """
     primes = primes_through(bound)
     words = np.zeros((len(rem), max(1, (len(primes) + 63) >> 6)), dtype="<u8")
@@ -439,7 +463,8 @@ def _split_remainders(rem: np.ndarray, words: np.ndarray, primes: np.ndarray,
     """Finish split rows whose remainders are 1 or a prime above every prime
     divided out of them: a remainder up to `bound` sets the rank bit of its
     prime in `words`, and the large tags, the remainders above `bound` (0
-    elsewhere), are returned. Windows and batches both end here."""
+    elsewhere), are returned. Windows and trial-divided values both end
+    here."""
     small = np.flatnonzero((rem > 1) & (rem <= bound))
     ranks = np.searchsorted(primes, rem[small])
     words[small, ranks >> 6] ^= _rank_bits(ranks)

@@ -57,8 +57,8 @@ tag q goes in with its partner r - q folded in (sieve.folded_rows): the
 basis would reduce it against r - q, its row for q, to the small vector
 v_c XOR v_(c-1) of r = q c, with start r - q (see gf2, Partners). The bits
 of c - 1 are the partner's small bits: its row when it lies in the same
-window, and otherwise from the trial-division core that split_vectors
-uses. A value whose partner lies before the sweep's first value, which
+window, and otherwise from trial division of its cofactor
+(sieve._trial_split). A value whose partner lies before the sweep's first value, which
 the basis would only store, is left out, so those values never reach
 Python. The basis takes a window's rows per call and returns the values
 that close with their n; the sweep settles them in numpy, keeps t in an

@@ -13,7 +13,9 @@ per_vector_kernel_masks, the kernel as it was
 before its linear map, interval_kernel_basis, the kernel basis of an
 interval as the library gave it before it kept brute enumeration alone
 (with batch_vectors, pack_vectors and interval_rows, which move split
-vectors between (q, bits) pairs and a window's layout),
+vectors between (q, bits) pairs and a window's layout), split_vectors,
+the constructor's trial-divided batches as they were before they were
+sieved,
 whole_range_p_plus, a table's P+ array as it was built before its
 chunks, power_table_per_pass, the prime-power table
 as each window pass built it before one table was kept, and
@@ -37,7 +39,8 @@ import numpy as np
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
 from tnlab.runge import BoundChecks, NearSquareDecomposition, RationalPoly
-from tnlab.sieve import pack_rows, parity_windows, primes_through, row_bits
+from tnlab.sieve import (WINDOW_VALUE_CEILING, _trial_split, pack_rows, parity_windows,
+                         primes_through, row_bits)
 from tnlab.tn import HARD_OFFSET_CAP, TnResult, compute_tn, large_prime_shortcut
 
 
@@ -356,6 +359,21 @@ def pack_vectors(vectors) -> tuple[np.ndarray, np.ndarray]:
     words = max((bits.bit_length() for _, bits in vectors), default=0) // 64 + 1
     return (np.array([q for q, _ in vectors], dtype=np.int64),
             pack_rows([bits for _, bits in vectors], words))
+
+
+def split_vectors(values) -> tuple[np.ndarray, np.ndarray]:
+    """The split rows (large, words) of a batch of positive values, in any
+    order, under B = isqrt(max(values)), by trial division of the batch
+    alone (sieve._trial_split, the core that folded_rows runs on the
+    cofactors of far partners): the constructor's batch producer as it was
+    before its batches were sieved (sieve.smooth_rows), kept for the
+    kernel tests, which feed it ranges and shuffled batches that are not
+    smooth. Values outside [1, WINDOW_VALUE_CEILING) raise RangeError, as
+    they do in a window."""
+    hi = max(values, default=1)
+    if min(values, default=1) < 1 or hi >= WINDOW_VALUE_CEILING:
+        raise RangeError(f"batch values must lie in [1, {WINDOW_VALUE_CEILING})")
+    return _trial_split(np.array(values, dtype=np.int64), isqrt(hi))
 
 
 def interval_rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

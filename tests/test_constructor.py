@@ -13,13 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_loop_max_symdiff, xor_draw_family
+from oracles import pair_loop_max_symdiff, split_vectors, xor_draw_family
 from tnlab import constructor
 from tnlab.constructor import (_draw_family, _widest_pair, build_small_tn, construct_curve_point,
                                find_smooth_rich_intervals, max_symdiff_pair)
 from tnlab.errors import PipelineFailed, RangeError, UsageError
 from tnlab.gf2 import kernel_masks, mask_bits
-from tnlab.sieve import build_spf_table, smooth_in_interval, split_vectors
+from tnlab.sieve import build_spf_table, smooth_in_interval
 from tnlab.tn import compute_tn, verify_witness
 
 
@@ -90,6 +90,23 @@ def test_build_small_tn_certifies_bound(table):
         assert compute_tn(n, include_witness=False).t <= hi - lo
         if offsets:
             assert n + max(offsets) <= hi
+
+
+def test_small_tn_sieves_only_its_first_smooth_values(monkeypatch):
+    # the pigeonhole needs pi(y) + 1 rows, so the batch that reaches
+    # smooth_rows stops at the (pi(y) + 1)-th smooth value of the interval,
+    # and the curve point's batch is the whole interval's
+    batches = []
+    sieved = constructor.smooth_rows
+    monkeypatch.setattr(constructor, "smooth_rows",
+                        lambda values, y: batches.append((list(values), y)) or sieved(values, y))
+    lo, hi = 10 ** 6, 10 ** 6 + 2000
+    assert build_small_tn(lo, hi, 30.5) is not None
+    assert batches == [(smooth_in_interval(lo, hi, 30)[:11], 30)]  # pi(30) = 10
+    batches.clear()
+    cert = construct_curve_point(10 ** 6, 0.5, seed=0)
+    [(values, y)] = batches
+    assert values == smooth_in_interval(*cert.interval, y) and y == int(cert.y)
 
 
 def test_build_small_tn_returns_only_what_verify_witness_accepts(table, monkeypatch):

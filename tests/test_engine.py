@@ -26,14 +26,14 @@ from hypothesis import strategies as st
 
 import tnlab
 from oracles import (batch_vectors, frozenset_kernel_masks, frozenset_tn, interval_kernel_basis,
-                     is_smooth, is_square, odd_support, pack_vectors, tn_row, tn_without_jump)
+                     is_smooth, is_square, odd_support, pack_vectors, split_vectors, tn_row,
+                     tn_without_jump)
 from tnlab.cli import main
 from tnlab.constructor import build_small_tn, construct_curve_point
 from tnlab.errors import CapExceeded
 from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import enumerate_square_subsets
-from tnlab.sieve import (build_spf_table, parity_windows, primes_through, primes_up_to,
-                         split_vectors)
+from tnlab.sieve import build_spf_table, parity_windows, primes_through, primes_up_to
 from tnlab import tn
 from tnlab.tn import ParitySupplier, compute_tn, render_results, scan_tn
 

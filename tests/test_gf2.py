@@ -1,11 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_vectors, frozenset_kernel_masks, pack_vectors, per_vector_kernel_masks
+from oracles import (batch_vectors, frozenset_kernel_masks, pack_vectors, per_vector_kernel_masks,
+                     split_vectors)
 from tnlab import gf2
 from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
-from tnlab.sieve import row_bits, smooth_in_interval, split_vectors
+from tnlab.sieve import row_bits, smooth_in_interval, smooth_rows
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 RANK = {p: r for r, p in enumerate(PRIMES)}
@@ -227,7 +229,9 @@ def check_kernel(batch):
     assert len(kernel) == len(kernel.dependent) == len(kernel.coords)
     assert sorted(kernel.dependent + kernel.independent) == list(range(len(vectors)))
     independent = sum(1 << i for i in kernel.independent)
-    assert all(coords | independent == independent for coords in kernel.coords)
+    assert kernel.coords.dtype == np.dtype("<u8")
+    assert kernel.coords.shape == (len(kernel), max(kernel.independent, default=0) // 64 + 1)
+    assert all(coords | independent == independent for coords in row_bits(kernel.coords))
 
 
 def test_kernel_of_empty_and_one_vector_batches():
@@ -283,6 +287,28 @@ def test_packed_kernel_matches_the_per_vector_oracle(lo, length, y, rng):
     check_kernel(split_vectors(values))
 
 
+@given(st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                 st.integers(min_value=0, max_value=10 ** 12)),
+       st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=3000))
+@example(206497, 3000, 37)
+@example(10 ** 12 - 3000, 3000, 10 ** 6 + 3)  # y past isqrt(hi): no large tag
+@example(1000, 300, 40)  # y past isqrt(1300) = 36
+@example(0, 2000, 2000)
+@settings(max_examples=60, deadline=None)
+def test_sieved_smooth_rows_give_the_kernel_of_trial_division(lo, length, y):
+    # the constructor's sieved rows against the trial-divided ones under
+    # isqrt(max): the same kernel in every field, also when y passes
+    # isqrt(hi), where a prime the trial division tags as large is a rank
+    # bit of the sieved row
+    values = smooth_in_interval(lo, lo + length, y)
+    sieved = kernel_masks(smooth_rows(values, y))
+    divided = kernel_masks(split_vectors(values))
+    assert sieved.dependent == divided.dependent
+    assert sieved.independent == divided.independent
+    assert row_bits(sieved.coords) == row_bits(divided.coords)
+    assert sieved.masks() == divided.masks()
+
+
 def test_smooth_and_range_batches_reach_the_linear_map():
     # the examples above do take the saturated path: 58 of 75 smooth
     # values, and 68 of 300 values in a range
@@ -292,17 +318,17 @@ def test_smooth_and_range_batches_reach_the_linear_map():
 
 
 def test_curve_point_batch_takes_the_linear_map(monkeypatch):
-    # the 70-smooth values of the interval of construct_curve_point(10^6):
-    # 19 bits, full after 20 vectors, so 9713 of the 9714 dependencies
-    # come from the map
-    batch = split_vectors(smooth_in_interval(206497, 412994, 70))
+    # the 70-smooth values of the interval of construct_curve_point(10^6),
+    # sieved as the constructor sieves them: 19 bits, full after 20
+    # vectors, so 9713 of the 9714 dependencies come from the map
+    batch = smooth_rows(smooth_in_interval(206497, 412994, 70), 70)
     vectors = batch_vectors(batch)
     assert len(vectors) == 9733
     assert linear_map_count(vectors) == 9713
     mapped = []
     linear_map = gf2._linear_map
-    monkeypatch.setattr(gf2, "_linear_map",
-                        lambda basis, rows: mapped.append(len(rows)) or linear_map(basis, rows))
+    monkeypatch.setattr(gf2, "_linear_map", lambda basis, rows, words:
+                        mapped.append(len(rows)) or linear_map(basis, rows, words))
     assert kernel_masks(batch).masks() == per_vector_kernel_masks(vectors)
     assert mapped == [9713]
 
@@ -310,15 +336,14 @@ def test_curve_point_batch_takes_the_linear_map(monkeypatch):
 def test_curve_point_batch_reads_one_block_as_ints(monkeypatch):
     # the same batch: only the first block of ROW_BLOCK rows becomes Python
     # ints, since the basis is full after 20 of them; the other 9713 reach
-    # the linear map as words, and the ints that come back are their
-    # coordinates
-    batch = split_vectors(smooth_in_interval(206497, 412994, 70))
+    # the linear map as words, and their coordinates stay words
+    batch = smooth_rows(smooth_in_interval(206497, 412994, 70), 70)
     read = []
     monkeypatch.setattr(gf2, "row_bits", lambda words: read.append(len(words)) or row_bits(words))
-    kernel_masks(batch)
-    # the OR of the rows, the first block, the tagged rows past it (none),
-    # and the map's coordinates
-    assert read == [1, 64, 0, 9713]
+    kernel = kernel_masks(batch)
+    # the OR of the rows, the first block and the tagged rows past it (none)
+    assert read == [1, 64, 0]
+    assert kernel.coords.shape == (9714, 1)
 
 
 @given(st.integers(min_value=10 ** 8, max_value=10 ** 9), st.integers(min_value=1, max_value=40))

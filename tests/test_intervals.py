@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_square_subsets, count_tn_closed_per_n, gray_code_square_subsets,
-                     interval_kernel_basis, interval_rows, tagged_closed_count)
+                     interval_kernel_basis, interval_rows, split_vectors, tagged_closed_count)
 from tnlab import intervals, sieve
 from tnlab.errors import RangeError
 from tnlab.gf2 import kernel_masks, mask_bits
 from tnlab.intervals import (check_interval_identity, count_tn_closed,
                              enumerate_square_subsets)
-from tnlab.sieve import smooth_in_interval, split_vectors
+from tnlab.sieve import smooth_in_interval
 
 
 def test_count_examples():

@@ -162,6 +162,28 @@ def test_search_finds_known_point():
         assert y * y == int(poly_eval_int(expand_offset_poly([0, 1, 2, 4]), x))
 
 
+def test_offsets_are_checked_and_expanded_once(monkeypatch):
+    # a search checks its offsets and expands nothing, and the near-square
+    # split of offsets takes their integer coefficients straight from the
+    # expansion, not through a RationalPoly read back
+    for bad in ([0, 1], [1, 2, 3, 4], [0, 2, 2, 3], [0, 1, 2, 3, 4]):
+        with pytest.raises(DomainError):
+            search_integral_points(bad, 100)
+    offsets = [0, 1, 2, 4, 5, 6]
+    expected_points = search_integral_points(offsets, 3000)
+    expected_split = runge.near_square_decompose(expand_offset_poly(offsets), span=6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not on this path")
+
+    monkeypatch.setattr(runge, "expand_offset_poly", refuse)
+    monkeypatch.setattr(runge, "near_square_decompose", refuse)
+    got = runge.offsets_near_square(offsets)
+    assert got == expected_split and got.to_json_dict() == expected_split.to_json_dict()
+    monkeypatch.setattr(runge, "_offset_coeffs", refuse)
+    assert search_integral_points(offsets, 3000) == expected_points
+
+
 def test_search_x_limit_one():
     assert search_integral_points([0, 1, 2, 3], 1) == []
 

@@ -9,17 +9,17 @@ from typing import Iterator
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (batch_vectors, factor_range, is_smooth, largest_prime_factor, plain_primes,
-                     power_table_per_pass, trial_factor, whole_range_p_plus)
+                     power_table_per_pass, split_vectors, trial_factor, whole_range_p_plus)
 from tnlab import intervals, sieve, tn, verify
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
                          build_spf_table, factorize_trial, folded_rows, p_plus_in, parity_windows,
                          primes_through, primes_up_to, psi_count, row_bits, smooth_in_interval,
-                         split_vectors)
+                         smooth_rows)
 
 # the primes up to 5000 by trial division, independent of the sieve
 ORACLE_PRIMES = [k for k in range(2, 5001) if trial_factor(k) == [(k, 1)]]
@@ -319,6 +319,8 @@ def test_one_value_window_matches_the_row_of_a_longer_window():
 
 
 def test_split_vectors_of_a_batch_match_trial_division():
+    # the trial-division core (_trial_split, which folded_rows runs on the
+    # cofactors of far partners) through the kernel tests' batch oracle:
     # the bound of a batch is isqrt of its largest value, whatever its order
     values = [1034, 1040, 1, 1053, 1058, 1081, 1078, 1050]
     bound = isqrt(1081)
@@ -365,8 +367,9 @@ def _batches(draw):
 @example([23 ** 2, 97 ** 2, 269 ** 2, 661 ** 2, 10 ** 6])  # first primes of the blocks
 @settings(max_examples=60, deadline=None)
 def test_split_vectors_match_trial_division_and_windows(values):
-    # under B = isqrt(max), each value's vector is its trial-division split
-    # and the row of its one-value window
+    # the trial-division core on any batch, through the oracle: under
+    # B = isqrt(max), each value's vector is its trial-division split and
+    # the row of its one-value window
     bound = isqrt(max(values))
     rank = {p: r for r, p in enumerate(primes_up_to(bound))}
     got = batch_vectors(split_vectors(values))
@@ -383,9 +386,9 @@ def test_split_vectors_refuse_what_windows_refuse():
 
 
 def test_split_vectors_of_the_curve_batch_stay_under_a_window():
-    # the 70-smooth values of the interval of construct_curve_point(10^6):
-    # only the batch is factored, so beyond its output the call holds at
-    # most WINDOW_BYTES, where a window pass over the interval held 5.1 MB
+    # the trial-division core on the 70-smooth values of the interval of
+    # construct_curve_point(10^6), through the oracle: only the batch is
+    # factored, so beyond its output the call holds at most WINDOW_BYTES
     batch = smooth_in_interval(206497, 412994, 70)
     split_vectors(batch)  # the prime array grows outside the traced call
     tracemalloc.start()
@@ -396,6 +399,138 @@ def test_split_vectors_of_the_curve_batch_stay_under_a_window():
         tracemalloc.stop()
     assert len(large) == len(words) == 9733
     assert peak - held <= WINDOW_BYTES
+
+
+@st.composite
+def _smooth_intervals(draw):
+    """(lo, hi, y): an interval (lo, hi] up to 10^12, of up to 3000 values,
+    and a smoothness bound from 1 to 3 isqrt(hi) + 7, so that y falls on
+    both sides of isqrt(hi)."""
+    lo = draw(st.one_of(st.integers(min_value=0, max_value=10 ** 6),
+                        st.integers(min_value=0, max_value=10 ** 12)))
+    hi = lo + draw(st.integers(min_value=1, max_value=3000))
+    y = draw(st.one_of(st.integers(min_value=1, max_value=60),
+                       st.integers(min_value=1, max_value=3 * isqrt(hi) + 7)))
+    return lo, hi, y
+
+
+@given(_smooth_intervals())
+@example((0, 1, 1))  # the value 1 alone, with no prime
+@example((0, 3000, 1))
+@example((206497, 209497, 37))
+@example((10 ** 12 - 3000, 10 ** 12, 10 ** 6 + 3))  # y past isqrt(hi)
+@example((2 ** 40 - 100, 2 ** 40 + 100, 40))  # a high power of 2 in the span
+@settings(max_examples=60, deadline=None)
+def test_smooth_rows_match_trial_division(interval):
+    # the values are the y-smooth ones of a factorization oracle, and each
+    # row holds exactly the odd-exponent primes of its value, ranked from 2,
+    # with no large tag
+    lo, hi, y = interval
+    factors = factor_range(lo + 1, hi + 1)
+    values = smooth_in_interval(lo, hi, y)
+    assert values == [m for m, found in zip(range(lo + 1, hi + 1), factors)
+                      if not found or found[-1][0] <= y]
+    large, words = smooth_rows(values, y)
+    assert large.dtype == np.int64 and words.dtype == np.dtype("<u8")
+    assert len(large) == len(words) == len(values) and not large.any()
+    assert words.shape[1] == max(1, (len(primes_through(min(y, max(values, default=1)))) + 63) >> 6)
+    assert batch_vectors((large, words)) == [expected_split(m, _RANK, y, factors[m - lo - 1])
+                                             for m in values]
+
+
+def test_smooth_rows_of_a_batch_match_trial_division():
+    # any order and repeats, and an empty batch with a window's layout
+    values = [49, 50, 1, 54, 56, 48, 50, 2 ** 20, 3 ** 12]
+    rank = {p: r for r, p in enumerate(primes_up_to(7))}
+    assert batch_vectors(smooth_rows(values, 7)) == [expected_split(m, rank, 7) for m in values]
+    large, words = smooth_rows([], 7)
+    assert large.shape == (0,) and words.shape == (0, 1) and words.dtype == np.dtype("<u8")
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 64])
+def test_smooth_rows_are_unchanged_by_window_sizes(monkeypatch, rows):
+    # windows cut to a few rows each put every seam between two values of a
+    # batch, or inside a run of values that no window holds
+    cases = [(206497, 209497, 37), (10 ** 9, 10 ** 9 + 2000, 50), (0, 500, 40),
+             (10 ** 6, 10 ** 6 + 300, 3000)]
+    batches = [(smooth_in_interval(lo, hi, y), y) for lo, hi, y in cases]
+    expected = [batch_vectors(smooth_rows(values, y)) for values, y in batches]
+    for (values, y), want in zip(batches, expected):
+        width = max(1, (len(primes_through(min(y, max(values)))) + 63) >> 6)
+        monkeypatch.setattr(sieve, "WINDOW_BYTES", 8 * width * rows)
+        assert batch_vectors(smooth_rows(values, y)) == want
+
+
+def test_smooth_rows_of_millions_of_values_stay_within_a_few_windows():
+    # the 7-smooth values up to 8 * 10^6: their span fills 16 windows of
+    # WINDOW_BYTES // 8 rows, and beyond its output the pass holds the words
+    # of two windows at most, the one it sieves and the one that it
+    # replaces: 8.4 MB
+    top = 8 * 10 ** 6
+    values = sorted(2 ** a * 3 ** b * 5 ** c * 7 ** d
+                    for a in range(23) for b in range(15) for c in range(10) for d in range(9)
+                    if 2 ** a * 3 ** b * 5 ** c * 7 ** d <= top)
+    assert values[-1] - values[0] > 15 * (WINDOW_BYTES // 8)
+    smooth_rows(values, 7)  # the power table grows outside the traced call
+    tracemalloc.start()
+    try:
+        large, words = smooth_rows(values, 7)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 5 * WINDOW_BYTES // 2
+    rank = {2: 0, 3: 1, 5: 2, 7: 3}
+    assert batch_vectors((large, words)) == [expected_split(m, rank, 7) for m in values]
+
+
+def test_smooth_rows_refuse_what_windows_refuse():
+    # refused before any sieving, however far the batch reaches
+    for values in ([0, 5], [-3], [WINDOW_VALUE_CEILING], [7, 2 ** 64], [1, WINDOW_VALUE_CEILING]):
+        kept = sieve._powers
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError):
+                smooth_rows(values, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert sieve._powers is kept
+
+
+@given(st.integers(min_value=10 ** 4, max_value=10 ** 9), st.integers(min_value=1, max_value=2000),
+       st.integers(min_value=1, max_value=3000))
+@example(10 ** 6, 2000, 3000)
+@example(10 ** 9 - 2000, 2000, 3000)
+@settings(max_examples=30, deadline=None)
+def test_far_partners_fold_by_trial_division(a, length, back):
+    # rows whose partner r - q lies before the window, and at or after the
+    # sweep's first value, take the partner's bits from trial division of
+    # the cofactor (_trial_split); every folded row is checked against a
+    # factorization oracle, with no window row read
+    b = a + length
+    first = a - back
+    bound = isqrt(b - 1)
+    factors = factor_range(first, b)
+    window = next(parity_windows(a, b, bound))
+    assume(window[0] + len(window[1]) == b)  # one window holds the run
+    split = sieve._trial_split
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_trial_split", lambda rem, top: calls.append(len(rem)) or split(rem, top))
+        rows = list(zip(*folded_rows(window, first)))
+    far = 0
+    for r, start, bits in rows:
+        q = r - start
+        want = expected_split(r, _RANK, bound, factors[r - first])
+        if q:
+            assert want[0] == q
+            partner = expected_split(start, _RANK, bound, factors[start - first])
+            assert partner[0] == q
+            want = (q, want[1] ^ partner[1])
+            far += start < a
+        assert (q, bits) == want
+    assert bool(far) == bool(calls)
 
 
 _BOUNDS = st.one_of(st.sampled_from((0, 1, 2, 3, 4)),
@@ -513,10 +648,10 @@ def test_one_reader_decides_where_p_plus_comes_from():
     # none); windows serve ranges alone: P+ past a table, the rows of
     # split_rows, tn's sweep and an interval check's one pass (runge's
     # point search reads no window: it lists the values b z^2 alone),
-    # while batches of smooth values (split_vectors, the
-    # constructor's alone) are trial-divided; both hand out a window's
-    # layout, and the constructor's kernels take the batch's rows as they
-    # are: kernel_masks has no other caller in the package
+    # while batches of smooth values (smooth_rows, the constructor's
+    # alone) are sieved over their span with no division; both hand out a
+    # window's layout, and the constructor's kernels take the batch's rows
+    # as they are: kernel_masks has no other caller in the package
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     # P+ of the one n of the shortcut is trial-divided, not sieved
     assert ("tn.py", "ParitySupplier.p_plus") in _calls("factorize_trial")
@@ -528,14 +663,15 @@ def test_one_reader_decides_where_p_plus_comes_from():
                                          ("constructor.py", "construct_curve_point")}
     assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("sieve.py", "split_rows"),
                                         ("tn.py", "_sweep"), ("intervals.py", "_interval_counts")}
-    assert _calls("split_vectors") == {("constructor.py", "build_small_tn"),
-                                       ("constructor.py", "construct_curve_point")}
-    assert _calls("kernel_masks") == _calls("split_vectors")
+    assert _calls("smooth_rows") == {("constructor.py", "build_small_tn"),
+                                     ("constructor.py", "construct_curve_point")}
+    assert _calls("kernel_masks") == _calls("smooth_rows")
+    assert not hasattr(sieve, "split_vectors")
     # a sweep reads each window's rows with every large tag folded into its
-    # partner: the partner's bits come from the cofactor by the trial
-    # division that split_vectors uses, and the fold reads no window itself
+    # partner: the partner's bits come from the cofactor by trial division,
+    # and the fold reads no window itself; nothing else divides a batch
     assert _calls("folded_rows") == {("tn.py", "_sweep"), ("intervals.py", "_interval_counts")}
-    assert _calls("_trial_split") == {("sieve.py", "split_vectors"), ("sieve.py", "folded_rows")}
+    assert _calls("_trial_split") == {("sieve.py", "folded_rows")}
 
 
 def test_one_exact_check_for_every_witness():
@@ -589,7 +725,7 @@ def test_a_run_sieves_forward_from_its_one_start():
     assert _calls("split_rows") == {("tn.py", "compute_tn"), ("tn.py", "_Run.__init__")}
     assert ("tn.py", "compute_tn") not in _calls("_Run")
     assert _calls("_partner") == {("tn.py", "_search")}
-    for reader in ("parity_windows", "split_rows", "rows", "p_plus_in", "split_vectors",
+    for reader in ("parity_windows", "split_rows", "rows", "p_plus_in", "smooth_rows",
                    "row_bits", "_Run"):
         assert ("tn.py", "_partner") not in _calls(reader), reader
     assert ("tn.py", "_partner") in _calls("factorize_trial")
@@ -634,7 +770,7 @@ def test_interval_questions_read_the_intervals_own_windows(monkeypatch):
     # counts, and nothing past hi: no scan, no batch split, no second
     # reader of P+, no row stream and no kernel basis (the tests' oracle
     # interval_kernel_basis spells one out)
-    for name in ("scan_t", "chunk_map", "_sweep", "split_vectors", "_trial_split", "p_plus_in",
+    for name in ("scan_t", "chunk_map", "_sweep", "smooth_rows", "_trial_split", "p_plus_in",
                  "smooth_in_interval", "_split_rows"):
         assert not any(path == "intervals.py" for path, _ in _calls(name)), name
         assert not hasattr(intervals, name), name
