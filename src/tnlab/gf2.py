@@ -107,7 +107,10 @@ vectors, because they answer two different questions.
   per n. It takes a window's rows per insert, from sieve.folded_rows over
   the windows of sieve.parity_windows, the segmented sieve that every
   split vector of a range comes from, with every large tag folded into its
-  partner (Partners), and returns the values that close and their n.
+  partner (Partners), and returns one end per row: the start a row that
+  reduces to zero ends at, or -1 for a row that joins the basis. The
+  callers read the closes in numpy: row r closes when its end l satisfies
+  0 <= l < r, and l is then the n with n + t_n = r.
 
 Prime sets (ParitySupplier.support, by trial division) are kept apart
 from this encoding on purpose: they serve only brute-mode
@@ -202,7 +205,9 @@ class SweepBasis:
     reduced swap when the latter has the later start, so for every l the
     rows with start >= l span the vectors inserted at indices >= l (the
     prefix linear basis). Reduction performs the same XORs as an echelon
-    basis without swaps; only the rows that stay behind differ.
+    basis without swaps; only the rows that stay behind differ. The row
+    whose top bit is rank b sits in slot b + 1, its bit length, so a
+    reduction step indexes by bit_length() alone; slot 0 stays empty.
 
     It holds no large rows: a vector with a large tag q comes with its
     partner folded in (sieve.folded_rows), as the XOR of its vector and
@@ -215,42 +220,42 @@ class SweepBasis:
     __slots__ = ("small_bits", "small_starts")
 
     def __init__(self, width: int = 0):
-        self.small_bits: list[int] = [0] * width     # bit index -> row bits, 0 when empty
-        self.small_starts: list[int] = [0] * width   # bit index -> row start
+        self.small_bits: list[int] = [0] * (width + 1)     # bit length -> row bits, 0 when empty
+        self.small_starts: list[int] = [0] * (width + 1)   # bit length -> row start
 
-    def insert(self, indices: list[int], starts: list[int],
-               bits: list[int]) -> tuple[list[int], list[int]]:
-        """Add rows (index, start, bits) in order, each index above every
-        earlier one and at least its start; returns the indices that close,
-        and their closing starts.
+    def insert(self, starts: list[int], bits: list[int]) -> list[int]:
+        """Add rows (start, bits) in order, each at an index above every
+        earlier one and at least its start; returns one end per row: the
+        start a row that reduces to zero ends with, and -1 for a row that
+        joins the basis.
 
-        A row closes when its bits reduce to zero and the smallest start
-        among its own and the rows its reduction met, l, is below its index:
-        l is then the largest such that the vector lies in the span of the
-        vectors inserted at l, l+1, ..., index-1, since the rows with
-        start >= l are an echelon basis of that span and the reduction's
-        rows are unique. For the vectors of n, n+1, ... that l is the
-        unique n with n + t_n = index.
+        The end l of the row at index r is the smallest start among its own
+        and the rows its reduction met. When l < r, r closes: l is then the
+        largest such that the vector lies in the span of the vectors
+        inserted at l, l+1, ..., r-1, since the rows with start >= l are an
+        echelon basis of that span and the reduction's rows are unique. For
+        the vectors of n, n+1, ... that l is the unique n with n + t_n = r.
+        A row with zero bits ends at its own start: a square, whose start
+        is its own index, closes nothing.
         """
         rows, row_starts = self.small_bits, self.small_starts
-        closes, closed = [], []
-        for index, start, b in zip(indices, starts, bits):
+        ends = []
+        append = ends.append
+        for start, b in zip(starts, bits):
             while b:
-                pivot = b.bit_length() - 1
+                pivot = b.bit_length()
                 row = rows[pivot]
                 if not row:
                     rows[pivot] = b
                     row_starts[pivot] = start
+                    start = -1
                     break
                 if start > row_starts[pivot]:  # keep the later start at the pivot
                     rows[pivot] = b
                     row_starts[pivot], start = start, row_starts[pivot]
                 b ^= row
-            else:
-                if start < index:
-                    closes.append(index)
-                    closed.append(start)
-        return closes, closed
+            append(start)
+        return ends
 
 
 class Kernel:

@@ -47,21 +47,23 @@ def count_tn_closed(lo: int, hi: int) -> int:
     (_interval_counts).
 
     The vectors v_r of r = lo+1, ..., hi under B = isqrt(hi) go into one
-    gf2.SweepBasis in order, and the sweep stops at hi. The count is the
-    squares of the interval plus every r whose insert returns a start.
+    gf2.SweepBasis in order, and the sweep stops at hi. The count is every
+    r whose end is a start, not -1: the rows that reduce to zero. A square
+    r ends at itself, r, and every other such r at a start below it.
 
-    Why. Let a = lo + 1. insert returns l >= a at r exactly when v_r is in
+    Why. Let a = lo + 1. r ends at l with a <= l < r exactly when v_r is in
     span(v_l, ..., v_{r-1}) but not in span(v_{l+1}, ..., v_{r-1}). Then
     v_l = v_r + w with w in span(v_{l+1}, ..., v_{r-1}), so v_l is in the
     span of its next r - l successors and of no fewer (or v_r would be in
     span(v_{l+1}, ..., v_{r-1})): t_l = r - l. Conversely every non-square
-    n >= a with n + t_n = r is returned at r: v_r takes part in the
+    n >= a with n + t_n = r is the end of r: v_r takes part in the
     combination that makes v_n, so v_r is in span(v_n, ..., v_{r-1}), and
     it is not in span(v_{n+1}, ..., v_{r-1}), which would put v_n there.
-    Each r returns at most one l and each n closes at one r. A square n
-    has the zero vector and t = 0: it counts by itself and is never
-    returned, since a zero v_l adds nothing to a span. A non-square n = hi
-    cannot close inside the interval, and nothing past hi is read.
+    Each r ends at one l and each n closes at one r. A square n has the
+    zero vector and t = 0: it counts by itself, as the end of its own row,
+    and is the end of no other row, since a zero v_l adds nothing to a
+    span. A non-square n = hi cannot close inside the interval, and nothing
+    past hi is read.
     """
     if not (0 <= lo < hi):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi}]")
@@ -72,21 +74,23 @@ def _interval_counts(lo: int, hi: int, y: int, kernel: bool) -> tuple[int, int, 
     """The closed count (count_tn_closed), the y-smooth count and, when
     `kernel` is set, the kernel dimension of (lo, hi] (0 otherwise), from
     one parity_windows pass under B = isqrt(hi) that holds one window at
-    a time. The closed count is the squares of (lo, hi] plus the closes of
-    one gf2.SweepBasis fed the windows' folded rows from lo + 1
-    (sieve.folded_rows). The dimension is counted by a gf2.DependencyCount
-    from the raw rows under a rule of its own (_shared_rows), so that it
-    checks the closed count rather than restating it.
+    a time. The closed count is the rows of one gf2.SweepBasis, fed the
+    windows' folded rows from lo + 1 (sieve.folded_rows), whose end is not
+    -1: the squares of (lo, hi], which end at themselves, and the closes.
+    The dimension is counted by a gf2.DependencyCount from the raw rows
+    under a rule of its own (_shared_rows), so that it checks the closed
+    count rather than restating it.
     """
     bound = isqrt(hi)
     width = len(primes_through(bound))
-    closes = SweepBasis(width).insert
+    insert = SweepBasis(width).insert
     dependencies = DependencyCount(width)
-    closed, smooth = isqrt(hi) - isqrt(lo), 0  # the squares of (lo, hi] close at once
+    closed = smooth = 0
     for window in parity_windows(lo + 1, hi + 1, bound):
         _, large, words, p_plus = window
         smooth += int(np.count_nonzero(p_plus <= y))
-        closed += len(closes(*folded_rows(window, lo + 1))[0])
+        ends = insert(*folded_rows(window, lo + 1)[1:])
+        closed += len(ends) - ends.count(-1)  # a square ends at itself, any other end is a close
         if kernel:
             keep = _shared_rows(large, hi - lo)
             dependencies.insert(large[keep], words[keep])

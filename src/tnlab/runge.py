@@ -361,23 +361,36 @@ def _kernels_and_squares(span: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """K, the squarefree products <= top of the primes <= span, and the
     squares z^2 <= top, each ascending. More than MAX_SEARCH_ENTRIES of
     either raise ResourceError: a span whose primes alone are more (since
-    pi(J) > J / ln J) before they are sieved, the squares at the first
-    prime up to isqrt(top), and K as soon as it passes the cap.
+    pi(J) > J / ln J) before they are sieved, the squares, and a K whose
+    count from below (_least_kernels) is more, before K is built, and K as
+    soon as it passes the cap.
 
     A kernel holds at most one prime above isqrt(top), so those primes
     enter K as they are; the primes up to isqrt(top) then multiply K in
     descending order, so that each meets the kernels up to top // p that
-    hold larger primes alone. That costs O(|K|) per prime up to isqrt(top):
-    a refusal of K takes longest for a span near isqrt(top), about 2 s for
-    J = 10^6 at top = 10^12 (2 cores).
+    hold larger primes alone. That costs O(|K|) per prime up to isqrt(top),
+    so a K past the cap is refused by its count from below where it can
+    be: J = 10^6 at top = 10^12 has at least 3.1 * 10^9 kernels, refused
+    in milliseconds, where the build took about 2 s to pass the cap
+    (2 cores).
     """
     if span >= MAX_SEARCH_ENTRIES * span.bit_length():
         raise ResourceError(f"the primes up to {span} exceed the cap {MAX_SEARCH_ENTRIES}")
     primes = primes_through(span)
+    if max(least := _least_kernels(primes, top), isqrt(top)) > MAX_SEARCH_ENTRIES:
+        raise ResourceError(f"at least {least} kernels and {isqrt(top)} squares up to {top}: "
+                            f"more than the cap {MAX_SEARCH_ENTRIES}")
     kernels = np.concatenate(([1], primes[primes > isqrt(top)]))
     for p in primes[primes <= isqrt(top)][::-1].tolist():
         kernels = np.concatenate((kernels, p * kernels[kernels <= top // p]))
-        if max(len(kernels), isqrt(top)) > MAX_SEARCH_ENTRIES:
-            raise ResourceError(f"{len(kernels)} kernels so far and {isqrt(top)} squares up to "
-                                f"{top}: more than the cap {MAX_SEARCH_ENTRIES}")
+        if len(kernels) > MAX_SEARCH_ENTRIES:
+            raise ResourceError(f"{len(kernels)} kernels so far, past the cap {MAX_SEARCH_ENTRIES}")
     return np.sort(kernels), np.arange(1, isqrt(top) + 1, dtype=np.int64) ** 2
+
+
+def _least_kernels(primes: np.ndarray, top: int) -> int:
+    """A count from below of the squarefree products <= top of `primes`
+    (ascending, each <= top): 1, the primes, and the products p q <= top of
+    two of them, one searchsorted pass for the q > p of each p."""
+    pairs = np.searchsorted(primes, top // primes, side="right") - np.arange(1, len(primes) + 1)
+    return 1 + len(primes) + int(np.maximum(pairs, 0).sum())

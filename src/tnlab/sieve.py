@@ -334,10 +334,10 @@ def split_rows(a: int, b: int, bound: int) -> Iterator[tuple[int, int]]:
             yield from zip(large[i:i + ROW_BLOCK], row_bits(words[i:i + ROW_BLOCK]))
 
 
-def folded_rows(window: Window, first: int) -> tuple[list[int], list[int], list[int]]:
+def folded_rows(window: Window, first: int) -> tuple[np.ndarray, list[int], list[int]]:
     """The rows that a sweep from `first` inserts for one parity_windows
-    window, or a run of its rows, with start >= first, as three lists:
-    index r, start and bits.
+    window, or a run of its rows, with start >= first: their index r, as
+    an int64 array, and their start and bits, as lists.
 
     An untagged row r is (r, r, bits of r). A row r with large tag q comes
     with its partner folded in: r = q c with c <= B, since r < (B + 1)^2,
@@ -367,7 +367,7 @@ def folded_rows(window: Window, first: int) -> tuple[list[int], list[int], list[
             cofactors, at = np.unique(index[far] // large[far] - 1, return_inverse=True)
             _, found = _trial_split(cofactors, int(cofactors[-1]))  # c - 1 < B: no large tag
             bits[far, :found.shape[1]] ^= found[at]
-    return index.tolist(), partner.tolist(), row_bits(bits)
+    return index, partner.tolist(), row_bits(bits)
 
 
 def smooth_rows(values: Sequence[int], y: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,12 +384,12 @@ def smooth_rows(values: Sequence[int], y: int) -> tuple[np.ndarray, np.ndarray]:
     outside [1, WINDOW_VALUE_CEILING) raise RangeError before any sieving.
 
     No value is divided. One pass over the span of the batch, in windows
-    of at most WINDOW_BYTES of words, flips the rank bit of p at the
-    multiples of each prime power p^k <= max(values) of the primes p <= y
-    (from _power_table), so each value ends with exactly its odd-exponent
-    primes set. Each power is one strided slice per window: a smoothness
-    bound has few primes (19 at x = 10^6), so none is worth the scattered
-    pass of a window.
+    of at most WINDOW_BYTES of words, one window alive at a time, flips the
+    rank bit of p at the multiples of each prime power p^k <= max(values)
+    of the primes p <= y (from _power_table), so each value ends with
+    exactly its odd-exponent primes set. Each power is one strided slice
+    per window: a smoothness bound has few primes (19 at x = 10^6), so none
+    is worth the scattered pass of a window.
     """
     lo, hi = min(values, default=1), max(values, default=1)
     if lo < 1 or hi >= WINDOW_VALUE_CEILING:
@@ -408,6 +408,7 @@ def smooth_rows(values: Sequence[int], y: int) -> tuple[np.ndarray, np.ndarray]:
             words[-a % qk::qk, rk >> 6] ^= np.uint64(1 << (rk & 63))
         inside = np.flatnonzero((values >= a) & (values < a + most))
         rows[inside] = words[values[inside] - a]
+        del words  # freed before the next window's zeros are allocated
     return np.zeros(len(values), dtype=np.int64), rows
 
 

@@ -60,9 +60,11 @@ of c - 1 are the partner's small bits: its row when it lies in the same
 window, and otherwise from trial division of its cofactor
 (sieve._trial_split). A value whose partner lies before the sweep's first value, which
 the basis would only store, is left out, so those values never reach
-Python. The basis takes a window's rows per call and returns the values
-that close with their n; the sweep settles them in numpy, keeps t in an
-int64 array, and counts the rows still open instead of queueing them.
+Python. The basis takes a block of a window's rows per call and returns
+one end per row, the start it reduces to or -1; the sweep reads the closes
+from the ends and the rows' index array in numpy, settles them there,
+keeps t in an int64 array, and counts the rows still open instead of
+queueing them.
 Each chunk turns its lists into plain tuple rows through one mapping (_t_rows,
 and _witnessed_rows with witnesses): scan_tn makes TnResults of them only
 at its edge, and scan_lines renders them in the chunk's own job, so the
@@ -101,7 +103,10 @@ HARD_OFFSET_CAP = 10 ** 7
 # window as Python ints. 1024, 2048, 4096, 8192 and whole windows were
 # tried on scan_t from 2 to 10^5 and 2*10^5 and on 10^5 values from 10^9
 # (2-core x86-64 box): 4096 was as fast as any, whole windows peaked
-# higher, and 1024 paid for its many folds.
+# higher, and 1024 paid for its many folds. Redone on the same runs after
+# insert took starts and bits and returned one end per row: 2048, 4096,
+# 8192 and whole windows stayed within the noise of one another (medians
+# of 5 in 3 alternating processes), and 1024 was slowest from 2 to 2*10^5.
 _SWEEP_BLOCK = 4096
 
 
@@ -502,15 +507,19 @@ def _sweep(lo: int, hi: int, cap: Optional[int],
     The rows of each window are classified from its P+ (_classify) before
     its values go in: squares and shortcut rows are settled, every other n
     is open. Each window's folded rows from lo (sieve.folded_rows) go into
-    one SweepBasis, which returns the values r that close and the unique n
-    with n + t_n = r of each, and t is settled in numpy, in an int64 array:
-    an open n takes t = r - n if that is within the cap and stays capped
-    (-1) otherwise, and a settled n must close at its t, or AssertionError
-    names the first that does not. Each n closes at most once, so the sweep
-    keeps only a count of open rows. A row that never closes is bounded by
+    one SweepBasis, which returns the end of each row: -1 for a row that
+    joins the basis, and otherwise the start it reduces to. A row r whose
+    end n satisfies 0 <= n < r closes, and n is the unique n with
+    n + t_n = r; a square ends at itself. The closes are read from the ends
+    and the rows' index array, and t is settled in numpy, in an int64
+    array: an open n takes t = r - n if that is within the cap and stays
+    capped (-1) otherwise, and a settled n must close at its t, or
+    AssertionError names the first that does not. Each n closes at most
+    once, so the sweep keeps only a count of open rows. A row that never closes is bounded by
     reach. The sweep stops once every n is classified and none is open:
     each window is folded and inserted in blocks of _SWEEP_BLOCK rows, so it
-    stops within a block of its last close.
+    stops within a block of its last close. A block's starts and bits, the
+    lists of Python ints, are dropped as soon as its insert returns.
     """
     limit = cap if cap is not None else HARD_OFFSET_CAP
     reach = hi + max(min(limit, 3 * hi), 0)
@@ -539,8 +548,11 @@ def _sweep(lo: int, hi: int, cap: Optional[int],
             if done and not open_rows:
                 break
             block = (a + i,) + tuple(column[i:i + _SWEEP_BLOCK] for column in window[1:])
-            r, n = (np.array(v, dtype=np.int64) for v in insert(*folded_rows(block, lo)))
-            r, n = r[n <= hi], n[n <= hi]
+            r, starts, bits = folded_rows(block, lo)
+            n = np.array(insert(starts, bits), dtype=np.int64)
+            del starts, bits  # no block's lists outlive its insert
+            closes = (n >= 0) & (n < r) & (n <= hi)
+            r, n = r[closes], n[closes]
             t = ts[n - lo]
             # a settled row closes at its t: a shortcut row at P+(n)
             wrong = (t >= 0) & (t != r - n)

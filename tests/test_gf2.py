@@ -1,13 +1,16 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (batch_vectors, frozenset_kernel_masks, pack_vectors, per_vector_kernel_masks,
-                     split_vectors)
+from oracles import (TaggedSweepBasis, batch_vectors, frozenset_kernel_masks, pack_vectors,
+                     per_vector_kernel_masks, split_vectors)
 from tnlab import gf2
-from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
-from tnlab.sieve import row_bits, smooth_in_interval, smooth_rows
+from tnlab.gf2 import SplitBasis, SweepBasis, kernel_masks, mask_bits
+from tnlab.sieve import (folded_rows, parity_windows, primes_through, row_bits, smooth_in_interval,
+                         smooth_rows)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 RANK = {p: r for r, p in enumerate(PRIMES)}
@@ -357,3 +360,46 @@ def test_kernel_matches_per_vector_oracle_on_batches_that_never_fill(lo, length)
     assume(any(bits for _, bits in vectors))
     assert linear_map_count(vectors) == 0
     check_kernel(batch)
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=10 ** 6),
+                 st.integers(min_value=1, max_value=10 ** 12)),
+       st.integers(min_value=1, max_value=3000),
+       st.lists(st.integers(min_value=0, max_value=3000), max_size=6),
+       st.sampled_from([0, 1, 1000]))
+@example(1, 3, [], 0)              # B = 1: every prime is a tag
+@example(2, 2, [1], 0)
+@example(1, 3000, [1, 7, 64], 0)   # squares are densest from 1: 54 zero rows
+@example(10 ** 6, 3000, [5, 400, 401], 0)
+@example(10 ** 12 - 2999, 3000, [100], 0)  # hi = (10^6)^2
+@example(10 ** 9, 1000, [3], 1000)
+@settings(max_examples=40, deadline=None)
+def test_sweep_ends_give_the_closes_of_the_sweep_before_the_fold(lo, length, cuts, extra):
+    # the folded rows of lo..hi, each window cut into blocks at arbitrary
+    # points, go into one SweepBasis; the closes read from its ends,
+    # (ends >= 0) & (ends < index), are those of the basis with a dict of
+    # large rows that takes every value one at a time, with the same n;
+    # a -1 end is a row that joined the basis, whose slot is its bit length
+    hi = lo + length - 1
+    bound = isqrt(hi) + extra
+    width = len(primes_through(bound))
+    basis, oracle = SweepBasis(width), TaggedSweepBasis(width)
+    got, expected, joined = [], [], 0
+    for start, large, words, p_plus in parity_windows(lo, hi + 1, bound):
+        for r, q, bits in zip(range(start, start + len(large)), large.tolist(), row_bits(words)):
+            n = oracle.insert(q, bits, r)
+            if n is not None:
+                expected.append((r, n))
+        edges = sorted({0, len(large), *(c % (len(large) + 1) for c in cuts)})
+        for i, j in zip(edges, edges[1:]):
+            index, starts, bits = folded_rows((start + i, large[i:j], words[i:j], p_plus[i:j]), lo)
+            ends = np.array(basis.insert(starts, bits), dtype=np.int64)
+            assert len(ends) == len(index)
+            closes = (ends >= 0) & (ends < index)
+            got += zip(index[closes].tolist(), ends[closes].tolist())
+            joined += int(np.count_nonzero(ends == -1))
+    assert got == expected
+    assert basis.small_bits[0] == 0
+    assert [k for k, row in enumerate(basis.small_bits) if row] == \
+        [row.bit_length() for row in basis.small_bits if row]
+    assert joined == sum(map(bool, basis.small_bits))

@@ -18,7 +18,7 @@ from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.runge import (RationalPoly, expand_offset_poly, height_bound,
                          near_square_decompose, offsets_near_square,
                          search_integral_points)
-from tnlab.sieve import WINDOW_VALUE_CEILING
+from tnlab.sieve import WINDOW_VALUE_CEILING, primes_through
 
 
 def poly_eval_int(p: RationalPoly, x: int) -> Fraction:
@@ -287,6 +287,37 @@ def test_search_refuses_past_its_cap_before_any_window(offsets, x_limit, what):
     with pytest.raises(ResourceError, match=f"{what}.*the cap {runge.MAX_SEARCH_ENTRIES}"):
         search_integral_points(offsets, x_limit)
     assert time.perf_counter() - start < 1.0
+
+
+def test_search_refuses_a_kernel_set_past_its_cap_from_its_count_from_below():
+    # J = 10^6 at top = 10^12: every pair of the 78,498 primes up to J
+    # multiplies to at most top, so K has at least 3.08 * 10^9 members, a
+    # count made before K is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"at least 3081007252 kernels and 1000000 squares "
+                                            f"up to {10 ** 12}: more than the cap "
+                                            f"{runge.MAX_SEARCH_ENTRIES}"):
+        search_integral_points([0, 1, 2, 10 ** 6], 10 ** 12 - 10 ** 6)
+    assert time.perf_counter() - start < 0.2
+
+
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=1, max_value=10 ** 6))
+@example(1, 1)                   # no prime: K = {1}
+@example(10 ** 4, 10 ** 6)       # pairs p q past top
+@example(2, 3)
+@example(5, 24)                  # top = 29: K is 1, 2, 3, 5, 6, 10 and 15, all counted
+@settings(max_examples=60, deadline=None)
+def test_kernel_count_from_below_never_exceeds_the_built_kernels(span, x_limit):
+    # 1, the primes up to J and the products of two of them up to top are
+    # distinct members of K, so the count refuses no K that the build keeps;
+    # it is exactly the number of those, counted pair by pair
+    top = x_limit + span
+    kernels, _ = runge._kernels_and_squares(span, top)
+    primes = primes_through(span).tolist()
+    least = runge._least_kernels(primes_through(span), top)
+    assert least <= len(kernels)
+    assert least == 1 + len(primes) + sum(p * q <= top for i, p in enumerate(primes)
+                                          for q in primes[i + 1:])
 
 
 def test_search_refuses_values_past_the_window_ceiling():

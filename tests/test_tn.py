@@ -539,14 +539,17 @@ def _check_sweep_stop(monkeypatch, lo, hi, cap, use_shortcut):
             starts.append(window[0])
             yield window
 
-    class RecordedBasis(tn.SweepBasis):
-        def insert(self, indices, starts, bits):
-            first_inserted.extend(indices[:1])
-            last_inserted.extend(indices[-1:])
-            return super().insert(indices, starts, bits)
+    folded_rows = tn.folded_rows
+
+    def recorded_rows(block, first):
+        # every block the sweep folds goes into its basis at once
+        index, starts, bits = folded_rows(block, first)
+        first_inserted.extend(index[:1].tolist())
+        last_inserted.extend(index[-1:].tolist())
+        return index, starts, bits
 
     monkeypatch.setattr(tn, "parity_windows", recorded_windows)
-    monkeypatch.setattr(tn, "SweepBasis", RecordedBasis)
+    monkeypatch.setattr(tn, "folded_rows", recorded_rows)
     ts, shortcut = scan_t(lo, hi, cap, use_shortcut)
     if cap is None:
         last_close = max(n + t for n, t, s in zip(range(lo, hi + 1), ts, shortcut)
