@@ -135,16 +135,14 @@ def _cmd_rho(args) -> int:
 
 def _cmd_construct(args) -> int:
     from . import constructor
-    from .sieve import build_spf_table
     x = args.x
     y = args.y if args.y is not None else constructor.smoothness_parameter(x)
     length = args.length if args.length is not None else \
         int(constructor.interval_length_parameter(x))
-    table = build_spf_table(max(x, 4))
-    found = constructor.find_smooth_rich_intervals(x, y, length, args.delta, table)
+    found = constructor.find_smooth_rich_intervals(x, y, length, args.delta)
     certs = []
     for lo, hi in found[:args.max_intervals]:
-        built = constructor.build_small_tn(lo, hi, y, table)
+        built = constructor.build_small_tn(lo, hi, y)
         if built is None:
             continue
         n, offsets = built

@@ -10,15 +10,17 @@ point on the corresponding hyperelliptic curve. Every certificate is
 verified exactly at emission (verify.verify_witness, which loads no tn);
 count guarantees are asymptotic and only reported, never asserted.
 
-The y-smooth values of an interval come from one read of its P+
-(sieve.smooth_in_interval), and their parity vectors from
-sieve.smooth_rows, which sieves the span of the batch with the prime
-powers of the primes <= y and divides no value; build_small_tn's batch
-stops at its (pi(y) + 1)-th smooth value. The rows, in a window's layout
-(large, words), reach gf2.kernel_masks as they are: past the saturation
-of its small basis, which takes one block of rows at x = 10^6, no value
-of the batch becomes a Python int on its way to the kernel's linear map,
-and the coordinates the map returns stay packed words.
+The y-smooth values of [1, x] and their parity vectors come from one
+listing (sieve.smooth_listing), made as products of the prime powers of
+the primes <= y, which reads no P+ and divides no value: Psi(x, y) is its
+length, each interval's smooth count is one bincount of (v - 1) // length,
+and the chosen interval's values and rows are a gather from it, sorted
+ascending. build_small_tn takes the first pi(y) + 1 values above lo of
+the listing of [1, hi]. The rows, in a window's layout (large, words),
+reach gf2.kernel_masks as they are: past the saturation of its small
+basis, which takes one block of rows at x = 10^6, no value of the batch
+becomes a Python int on its way to the kernel's linear map, and the
+coordinates the map returns stay packed words.
 
 Certificates stay in kernel coordinates from the kernel to the chosen
 pair. gf2.kernel_masks returns the kernel in systematic form [I | A]
@@ -44,8 +46,10 @@ import numpy as np
 
 from .errors import PipelineFailed, RangeError, UsageError
 from .gf2 import Kernel, kernel_masks, mask_bits
-from .sieve import (SpfTable, build_spf_table, p_plus_in, pack_rows, primes_up_to,
-                    smooth_in_interval, smooth_rows)
+# smooth_in_interval stays importable here, with no caller: bench/tracer.py
+# wraps constructor.smooth_in_interval by name until the tracer reads
+# in-tree counters (ROADMAP item 1b)
+from .sieve import SpfTable, pack_rows, primes_up_to, smooth_in_interval, smooth_listing  # noqa: F401
 from .verify import verify_witness
 
 EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
@@ -53,18 +57,19 @@ EXHAUSTIVE_PAIR_LIMIT = 2 ** 12
 
 def smoothness_parameter(x: int) -> float:
     """Default smoothness bound: exp((sqrt(2)/2) sqrt(log x log log x))."""
-    if x < 3:  # log log x <= 0
-        raise RangeError("x must be >= 3")
-    s = math.sqrt(math.log(x) * math.log(math.log(x)))
-    return math.exp(0.5 * math.sqrt(2.0) * s)
+    return math.exp(0.5 * math.sqrt(2.0) * _log_scale(x))
 
 
 def interval_length_parameter(x: int) -> float:
     """Default interval length: exp((sqrt(2) + 1/sqrt(log log x)) sqrt(log x log log x))."""
-    if x < 3:
+    return math.exp(_log_scale(x) * (math.sqrt(2.0) + 1.0 / math.sqrt(math.log(math.log(x)))))
+
+
+def _log_scale(x: int) -> float:
+    """sqrt(log x log log x), the scale of both parameters."""
+    if x < 3:  # log log x <= 0
         raise RangeError("x must be >= 3")
-    s = math.sqrt(math.log(x) * math.log(math.log(x)))
-    return math.exp((math.sqrt(2.0) + 1.0 / math.sqrt(math.log(math.log(x)))) * s)
+    return math.sqrt(math.log(x) * math.log(math.log(x)))
 
 
 def find_smooth_rich_intervals(x: int, y: float, length: int, delta: float,
@@ -74,23 +79,29 @@ def find_smooth_rich_intervals(x: int, y: float, length: int, delta: float,
 
     delta = 0 degenerates to "any interval with a positive smooth count".
     An empty list (e.g. when length > x) is a normal outcome, not an error.
+    `table` is accepted and not read.
     """
+    return _rich_intervals(x, y, length, delta)[2]
+
+
+def _rich_intervals(x: int, y: float, length: int,
+                    delta: float) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+    """find_smooth_rich_intervals with the listing it reads: the y-smooth
+    values of [1, x], their rows, and the intervals."""
     if x < 3:
         raise RangeError("x must be >= 3")
     if not (0.0 <= delta < 1.0):
         raise RangeError(f"delta must lie in [0, 1), got {delta}")
     if y < 1 or y >= length:
         raise RangeError(f"need 1 <= y < length, got y={y}, length={length}")
-    y_int = int(math.floor(y))
-    # smooth[i]: is i + 1 y-smooth; one P+ read for Psi(x, y) and the intervals
-    smooth = p_plus_in(0, x, table) <= y_int
-    threshold = delta * length * int(np.count_nonzero(smooth)) / x
-    # interval k holds smooth[k * length:(k + 1) * length], for k from the
-    # first at or above x / log x to the last inside x
+    values, words = smooth_listing(x, int(math.floor(y)))
+    threshold = delta * length * len(values) / x
+    # interval k holds the values v with (v - 1) // length == k, for k from
+    # the first at or above x / log x to the last inside x
     first = max(1, math.ceil(x / math.log(x) / length))
-    counts = smooth[first * length:x // length * length].reshape(-1, length).sum(axis=1)
-    return [(k * length, (k + 1) * length)
-            for k in (np.flatnonzero(counts > threshold) + first).tolist()]
+    counts = np.bincount((values - 1) // length, minlength=x // length)[first:x // length]
+    return values, words, [(k * length, (k + 1) * length)
+                           for k in (np.flatnonzero(counts > threshold) + first).tolist()]
 
 
 def build_small_tn(lo: int, hi: int, y: float,
@@ -102,17 +113,20 @@ def build_small_tn(lo: int, hi: int, y: float,
     are primes up to y (pigeonhole on parity vectors); returns None when
     that count condition fails. The kernel element produced by the first
     dependent insertion is used, and n is its least element. The pair is
-    returned only once verify_witness accepts it.
+    returned only once verify_witness accepts it. `table` is accepted and
+    not read.
     """
     y_int = int(math.floor(y))
-    smooths = smooth_in_interval(lo, hi, y_int, table)
+    values, words = smooth_listing(hi, y_int)
     prime_count = len(primes_up_to(y_int))
-    if len(smooths) <= prime_count:
+    # the pi(y) + 1 least smooth values above lo, as vectors over the primes
+    # up to y: the first dependency is among them (pigeonhole)
+    batch = np.flatnonzero(values > lo)
+    batch = batch[np.argsort(values[batch])][:prime_count + 1]
+    if len(batch) <= prime_count:
         return None
-    # pi(y) + 1 vectors over the primes up to y: the first dependency is
-    # among them (pigeonhole)
-    first = kernel_masks(smooth_rows(smooths[:prime_count + 1], y_int)).masks()[0]
-    members = [smooths[i] for i in mask_bits(first)]
+    first = kernel_masks((np.zeros(len(batch), dtype=np.int64), words[batch])).masks()[0]
+    members = values[batch[mask_bits(first)]].tolist()
     n = members[0]
     offsets = tuple(v - n for v in members[1:])
     if not verify_witness(n, offsets):
@@ -143,18 +157,17 @@ def max_symdiff_pair(masks: Sequence[int]) -> tuple[int, int, int]:
 def _widest_rows(rows: np.ndarray) -> tuple[int, int, int]:
     """max_symdiff_pair on distinct subsets packed as the rows of a uint64
     array; the bit order within a row does not matter."""
-    k = len(rows)
-    if k <= EXHAUSTIVE_PAIR_LIMIT:
+    if len(rows) <= EXHAUSTIVE_PAIR_LIMIT:
         best = (-1, 0, 0)
-        for i in range(k - 1):
-            sizes = np.bitwise_count(rows[i + 1:] ^ rows[i]).sum(axis=1)
+        for i in range(len(rows) - 1):
+            sizes = np.add.reduce(np.bitwise_count(rows[i + 1:] ^ rows[i]), axis=1, dtype=np.int32)
             j = int(sizes.argmax())  # the first j at the row's largest size
             if sizes[j] > best[0]:
                 best = (int(sizes[j]), i, i + 1 + j)
     else:
         anchor = int(rows.any(axis=1).argmax())  # the first set that is not empty
         # the anchor's own size is 0, below that of every other set
-        sizes = np.bitwise_count(rows ^ rows[anchor]).sum(axis=1)
+        sizes = np.add.reduce(np.bitwise_count(rows ^ rows[anchor]), axis=1, dtype=np.int32)
         j = int(sizes.argmax())
         best = (int(sizes[j]), min(anchor, j), max(anchor, j))
     return best[1], best[2], best[0]
@@ -227,7 +240,8 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     integers in the first qualifying interval -> seeded family of kernel
     members -> maximal symmetric difference -> certificate. Raises
     PipelineFailed (with the stage name) when a stage yields nothing, e.g.
-    when x is too small for the default parameters.
+    when x is too small for the default parameters. `table` is accepted
+    and not read.
     """
     if x < 16:
         raise PipelineFailed("parameters", f"x={x} is too small")
@@ -244,22 +258,22 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
         raise PipelineFailed("parameters", f"degenerate y={y:.3g}, length={length}")
     if y >= length:
         raise PipelineFailed("parameters", f"y={y:.3g} >= length={length}")
-    if table is None or table.limit < x:
-        table = build_spf_table(x)
     timings = {}
 
-    intervals = find_smooth_rich_intervals(x, y, length, delta, table)
+    values, words, intervals = _rich_intervals(x, y, length, delta)
     timings["intervals"] = time.perf_counter() - t0
     if not intervals:
         raise PipelineFailed("intervals", f"no qualifying interval at x={x}")
     lo, hi = intervals[0]
 
     t1 = time.perf_counter()
-    y_int = int(math.floor(y))
-    smooths = smooth_in_interval(lo, hi, y_int, table)
-    kernel = kernel_masks(smooth_rows(smooths, y_int))
+    inside = np.flatnonzero((values > lo) & (values <= hi))
+    inside = inside[np.argsort(values[inside])]  # ascending, the order of the kernel's rows
+    # the listing is let go here: the later stages hold the interval alone
+    values, words = values[inside], words[inside]
+    kernel = kernel_masks((np.zeros(len(values), dtype=np.int64), words))
     dim = len(kernel)
-    prime_count = len(primes_up_to(y_int))
+    prime_count = len(primes_up_to(int(math.floor(y))))
     timings["kernel"] = time.perf_counter() - t1
     if dim == 0:
         raise PipelineFailed("kernel", f"kernel is trivial on ({lo}, {hi}]")
@@ -274,7 +288,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
     if size < 2:
         raise PipelineFailed("symdiff", "largest symmetric difference has < 2 elements")
 
-    members = [smooths[b] for b in positions]
+    members = values[positions].tolist()
     n = members[0]
     span = members[-1] - n
     interior = tuple(m - n for m in members[1:-1])
@@ -288,7 +302,7 @@ def construct_curve_point(x: int, c: float, seed: int = 0,
         J=span, offsets=interior, n=n, N=len(interior), c=c,
         target=target, meets_target=len(interior) >= target,
         x=x, y=y, length=length, seed=seed, interval=(lo, hi),
-        smooth_count=len(smooths), prime_count=prime_count,
+        smooth_count=len(values), prime_count=prime_count,
         kernel_dim=dim, family_size=len(family),
         stage_seconds=timings,
     )

@@ -83,10 +83,10 @@ vectors, because they answer two different questions.
   sieve.parity_windows. kernel_masks serves the constructor's two kernels,
   the small-t_n pigeonhole and the parity kernel of a curve point, over
   batches of y-smooth values: it takes the rows (large, words) that
-  sieve.smooth_rows sieves for a batch, with no large tag, ranks counted
-  from 2 as in every window. When y <= isqrt(hi) the window pass over the
-  interval under isqrt(hi) gives the same rows; for a larger y a prime
-  above isqrt(hi) is a top rank bit where a window has a large tag, and
+  sieve.smooth_listing lists with the y-smooth values of [1, x], with no
+  large tag, ranks counted from 2 as in every window. When y <= isqrt(x) a
+  window pass under isqrt(x) has the same rows; for a larger y a prime
+  above isqrt(x) is a top rank bit where a window has a large tag, and
   the B rule above gives the same kernel. An interval check needs only the
   kernel's dimension, which DependencyCount counts (Fixed rows) from the
   rows of the check's one window pass, so the library spells out no
@@ -342,8 +342,8 @@ class DependencyCount:
 
 def kernel_masks(batch: tuple[np.ndarray, np.ndarray]) -> Kernel:
     """The kernel of an ordered batch of split vectors, given as the rows
-    (large, words) of a window's layout (sieve.smooth_rows, or the rows of
-    windows), in systematic form; Kernel.masks() gives it as combination
+    (large, words) of a window's layout (sieve.smooth_listing, or rows of
+    a window), in systematic form; Kernel.masks() gives it as combination
     masks. Anything else, a list of (q, bits) pairs among them, raises
     TypeError.
 

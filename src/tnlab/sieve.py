@@ -1,36 +1,37 @@
 """Sieving, factorization, and smooth-number counting over bounded ranges.
 
 Every prime the package reads comes from one read-only int64 array kept
-here, through primes_through (primes_up_to is its list view). Split parity
-vectors come from two producers, which hand them out in one layout, the
-rows (large, words) of a window: ranges, at any height below
+here, through primes_through (primes_up_to is its list view). Split
+parity vectors come from two producers, which hand them out in one
+layout, the rows (large, words) of a window: ranges, at any height below
 WINDOW_VALUE_CEILING, from one segmented sieve (parity_windows), which
-divides out the prime powers it sieves and also gives P+; batches of
-y-smooth values, for the constructor's kernels, from smooth_rows, which
-divides nothing: one XOR pass over the batch's span, in windows, flips
-the rank bit of each prime p <= y at the multiples of its powers, and
-gf2.kernel_masks takes its rows as they are. Both take their prime powers
-from one table (_power_table). The windows are read here by p_plus_in
-and split_rows, by tn's sweep and by intervals' one pass per interval
-check (runge's point search reads none: it takes primes_through alone
-and lists the values b z^2 it needs); split_rows streams their rows as
-Python ints for tn's span searches. A sweep reads each window's rows
-through folded_rows, which folds every large tag q into its partner, the
-last value before it that q divides: the partner's small bits come from
-its row of the window, or, for a partner before the window, from trial
-division (_trial_split) of the window's distinct cofactors, which ends in
-the window's remainder step (_split_remainders), so no table of B rows is
-built and a sweep holds O(window) at every height. P+ over a range has three
-readers: tn's sweep, which takes the P+ of its own windows (for its rows'
+divides out the prime powers it sieves and also gives P+, with its prime
+powers from one table (_power_table); the y-smooth values of [1, x], for
+the constructor, from smooth_listing, which lists them with their rows
+as products of the prime powers of the primes <= y, with no division and
+no P+; gf2.kernel_masks takes its rows as they are. The windows are read
+here by p_plus_in and split_rows, by tn's sweep and by intervals' one
+pass per interval check (runge's point search reads none: it takes
+primes_through alone and lists the values b z^2 it needs); split_rows
+streams their rows as Python ints for tn's span searches. A sweep reads
+each window's rows through folded_rows, which folds every large tag q
+into its partner, the last value before it that q divides: the partner's
+small bits come from its row of the window, or, for a partner before the
+window, from trial division (_trial_split) of the window's distinct
+cofactors, which ends in the window's remainder step
+(_split_remainders), so no table of B rows is built and a sweep holds
+O(window) at every height. P+ over a range has three readers: tn's
+sweep, which takes the P+ of its own windows (for its rows'
 classification and for distribution's counts), an interval check, which
 counts the smooth values of its own windows, and p_plus_in, for every
 other caller, with one rule: a slice of the caller's table's P+ array
 when the table reaches the range's end, the segmented sieve otherwise. A
 table is that P+ array alone, built on its first read at 8 bytes per
-entry, a chunk at a time, with primes from primes_through. Factorization
-records come from trial division (factorize_trial), which serves heights,
-the prime sets of brute-mode enumeration and the P+ of the one n of tn's
-shortcut.
+entry, a chunk at a time, with primes from primes_through; no command
+builds one, since the constructor lists its smooth values. Factorization
+records come from trial division (factorize_trial), which serves
+heights, the prime sets of brute-mode enumeration and the P+ of the one
+n of tn's shortcut.
 """
 
 from __future__ import annotations
@@ -240,6 +241,10 @@ def smooth_in_interval(lo: int, hi: int, y: int, table: Optional[SpfTable] = Non
 # Cap on the bytes of one window's word array; windows of wide rows get
 # fewer rows.
 WINDOW_BYTES = 1 << 22
+# Cap on the bytes of a smooth listing's values and rows (smooth_listing):
+# an eighth of a box of 8 GB. A listing grows in place, so its peak is
+# what it holds plus the products of one prime power in flight.
+LISTING_BYTES = 1 << 30
 # Windows start this small and double, so that a short scan sieves little.
 _FIRST_WINDOW = 1 << 10
 # split_rows, and gf2.kernel_masks until its small basis is full, turn this
@@ -370,46 +375,58 @@ def folded_rows(window: Window, first: int) -> tuple[np.ndarray, list[int], list
     return index, partner.tolist(), row_bits(bits)
 
 
-def smooth_rows(values: Sequence[int], y: int) -> tuple[np.ndarray, np.ndarray]:
-    """The split rows (large, words) of a batch of y-smooth values, in a
-    window's layout with no large tag: words[i] holds the ranks of the
-    primes that divide values[i] to an odd power, counted from 2 as in
-    every window. For y <= isqrt(max(values)) they are the rows of a window
-    under that bound; for a larger y a prime above it is its top rank bit
-    where a window has a large tag, which gives the same kernel (the B rule
-    in gf2). The constructor's two kernels take their batches from here,
-    with the values of smooth_in_interval, and gf2.kernel_masks takes the
-    rows as they are. A value with a prime above y would lose that prime
-    from its row, and the constructor verifies every certificate. Values
-    outside [1, WINDOW_VALUE_CEILING) raise RangeError before any sieving.
+def smooth_listing(x: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The y-smooth values of [1, x] with their split rows: (values, words),
+    the values as an int64 array in the order they are made, not sorted,
+    and words in a window's layout with no large tag: words[i] holds the
+    ranks of the primes that divide values[i] to an odd power, counted from
+    2 as in every window, over the primes up to min(y, x). For
+    y <= isqrt(x) these are the rows of a window under isqrt(x); for a
+    larger y a prime above isqrt(x) is its top rank bit where a window has
+    a large tag, which gives the same kernel (the B rule in gf2). The
+    constructor reads Psi(x, y), its intervals' counts, and their smooth
+    values and rows from here, so it reads no P+.
 
-    No value is divided. One pass over the span of the batch, in windows
-    of at most WINDOW_BYTES of words, one window alive at a time, flips the
-    rank bit of p at the multiples of each prime power p^k <= max(values)
-    of the primes p <= y (from _power_table), so each value ends with
-    exactly its odd-exponent primes set. Each power is one strided slice
-    per window: a smoothness bound has few primes (19 at x = 10^6), so none
-    is worth the scattered pass of a window.
+    Listed as products of prime powers (after Erdos and Selfridge, 1975, as
+    runge lists the values b z^2), with no division: from the value 1, each
+    prime p <= y, in descending order, multiplies every value listed so far
+    by p, p^2, ... while the product stays <= x, and each product's row is
+    its parent's with the rank bit of p flipped for odd k. Descending, the
+    large primes meet a short list, and only the last, small primes pass
+    over a long one. The list grows in place, once per prime, so it costs
+    O(Psi(x, y)) time and memory: the 15,587,597 values at x = 10^9,
+    y = 271 (250 MB with their rows) took 0.46-0.52 s and a 371 MB process
+    peak (2-core box). The bytes of the values and rows the list would hold
+    are checked against LISTING_BYTES as p's products are counted, before
+    the list grows, and past it ResourceError is raised; an x outside
+    [1, WINDOW_VALUE_CEILING), or a y below 1, raises RangeError before any
+    listing, so every product stays in int64.
     """
-    lo, hi = min(values, default=1), max(values, default=1)
-    if lo < 1 or hi >= WINDOW_VALUE_CEILING:
-        raise RangeError(f"batch values must lie in [1, {WINDOW_VALUE_CEILING})")
-    bound = min(y, hi)
-    q, p, rank = _power_table(max(hi, bound * bound))
-    keep = (p <= bound) & (q <= hi)
-    powers = list(zip(q[keep].tolist(), rank[keep].tolist()))
-    values = np.array(values, dtype=np.int64)
-    width = max(1, (len(primes_through(bound)) + 63) >> 6)
-    rows = np.zeros((len(values), width), dtype="<u8")
-    most = max(1, WINDOW_BYTES // (8 * width))
-    for a in range(lo, hi + 1, most):
-        words = np.zeros((min(most, hi + 1 - a), width), dtype="<u8")
-        for qk, rk in powers:
-            words[-a % qk::qk, rk >> 6] ^= np.uint64(1 << (rk & 63))
-        inside = np.flatnonzero((values >= a) & (values < a + most))
-        rows[inside] = words[values[inside] - a]
-        del words  # freed before the next window's zeros are allocated
-    return np.zeros(len(values), dtype=np.int64), rows
+    if y < 1 or not 1 <= x < WINDOW_VALUE_CEILING:
+        raise RangeError(f"need y >= 1 and x in [1, {WINDOW_VALUE_CEILING}), got x={x}, y={y}")
+    primes = primes_through(min(y, x)).tolist()
+    width = max(1, (len(primes) + 63) >> 6)
+    values, words = np.ones(1, dtype=np.int64), np.zeros((1, width), dtype="<u8")
+    for rank, p in reversed(list(enumerate(primes))):
+        n, ats = len(values), [np.flatnonzero(values <= x // p)]
+        # ats[k - 1]: the values that p^k multiplies within x, made until
+        # there are none or the list would pass its cap
+        while len(ats[-1]) and (n + sum(map(len, ats))) * 8 * (1 + width) <= LISTING_BYTES:
+            ats.append(ats[-1][values[ats[-1]] <= x // p ** (len(ats) + 1)])
+        count = n + sum(map(len, ats))
+        if (size := count * 8 * (1 + width)) > LISTING_BYTES:
+            raise ResourceError(f"at least {count} smooth values up to {x} take {size} bytes "
+                                f"with their rows, past the cap {LISTING_BYTES}")
+        # grown in place, with no view of either array alive, so that no
+        # second list is held
+        values.resize(count, refcheck=False)
+        words.resize((count, width), refcheck=False)
+        for k, at in enumerate(ats[:-1], 1):  # the last is empty, and p^k may pass int64
+            values[n:n + len(at)] = values[at] * p ** k
+            words[n:n + len(at)] = words[at]
+            words[n:n + len(at), rank >> 6] ^= np.uint64((k & 1) << (rank & 63))
+            n += len(at)
+    return values, words
 
 
 def _trial_split(rem: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,10 +15,13 @@ interval as the library gave it before it kept brute enumeration alone
 (with batch_vectors, pack_vectors and interval_rows, which move split
 vectors between (q, bits) pairs and a window's layout), split_vectors,
 the constructor's trial-divided batches as they were before they were
-sieved,
-whole_range_p_plus, a table's P+ array as it was built before its
-chunks, power_table_per_pass, the prime-power table
-as each window pass built it before one table was kept, and
+sieved, smooth_rows, the sieved batches that followed them, before the
+constructor listed its smooth values with their rows
+(sieve.smooth_listing), whole_range_p_plus, a table's P+ array as it was
+built before its chunks, table_route, the constructor's intervals and
+smooth values as it read them from that array before the listing,
+power_table_per_pass, the prime-power table as each window pass built it
+before one table was kept, and
 TaggedSweepBasis with tagged_sweep and tagged_closed_count, the sweep and
 the interval's closed count as they were before each large tag was folded
 into its partner: a dict of large rows and one insert per value, and
@@ -29,6 +32,7 @@ evaluated them in mpmath before it moved to `decimal`; each imports mpmath
 itself, so only the tests that call them need it installed.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -36,11 +40,12 @@ from math import isqrt
 
 import numpy as np
 
+from tnlab import sieve
 from tnlab.errors import CapExceeded, DomainError, RangeError
 from tnlab.gf2 import SplitBasis, kernel_masks, mask_bits
 from tnlab.runge import BoundChecks, NearSquareDecomposition, RationalPoly
-from tnlab.sieve import (WINDOW_VALUE_CEILING, _trial_split, pack_rows, parity_windows,
-                         primes_through, row_bits)
+from tnlab.sieve import (WINDOW_VALUE_CEILING, _power_table, _trial_split, pack_rows,
+                         parity_windows, primes_through, row_bits)
 from tnlab.tn import HARD_OFFSET_CAP, TnResult, compute_tn, large_prime_shortcut
 
 
@@ -376,6 +381,55 @@ def split_vectors(values) -> tuple[np.ndarray, np.ndarray]:
     return _trial_split(np.array(values, dtype=np.int64), isqrt(hi))
 
 
+def smooth_rows(values, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The split rows (large, words) of a batch of y-smooth values, in a
+    window's layout with no large tag: words[i] holds the ranks of the
+    primes that divide values[i] to an odd power, counted from 2 as in
+    every window. For y <= isqrt(max(values)) they are the rows of a window
+    under that bound; for a larger y a prime above it is its top rank bit
+    where a window has a large tag. The constructor's batch producer before
+    it listed its smooth values with their rows (sieve.smooth_listing),
+    kept as the sieved oracle for the listing's rows. A value with a prime
+    above y would lose that prime from its row. Values outside
+    [1, WINDOW_VALUE_CEILING) raise RangeError before any sieving.
+
+    No value is divided. One pass over the span of the batch, in windows
+    of at most sieve.WINDOW_BYTES of words, one window alive at a time,
+    flips the rank bit of p at the multiples of each prime power
+    p^k <= max(values) of the primes p <= y (from sieve._power_table), so
+    each value ends with exactly its odd-exponent primes set.
+    """
+    lo, hi = min(values, default=1), max(values, default=1)
+    if lo < 1 or hi >= WINDOW_VALUE_CEILING:
+        raise RangeError(f"batch values must lie in [1, {WINDOW_VALUE_CEILING})")
+    bound = min(y, hi)
+    q, p, rank = _power_table(max(hi, bound * bound))
+    keep = (p <= bound) & (q <= hi)
+    powers = list(zip(q[keep].tolist(), rank[keep].tolist()))
+    values = np.array(values, dtype=np.int64)
+    width = max(1, (len(primes_through(bound)) + 63) >> 6)
+    rows = np.zeros((len(values), width), dtype="<u8")
+    most = max(1, sieve.WINDOW_BYTES // (8 * width))
+    for a in range(lo, hi + 1, most):
+        words = np.zeros((min(most, hi + 1 - a), width), dtype="<u8")
+        for qk, rk in powers:
+            words[-a % qk::qk, rk >> 6] ^= np.uint64(1 << (rk & 63))
+        inside = np.flatnonzero((values >= a) & (values < a + most))
+        rows[inside] = words[values[inside] - a]
+        del words  # freed before the next window's zeros are allocated
+    return np.zeros(len(values), dtype=np.int64), rows
+
+
+def listed_batch(lo: int, hi: int, y: int) -> tuple[list[int], tuple[np.ndarray, np.ndarray]]:
+    """The y-smooth values of (lo, hi], ascending, and their rows
+    (large, words), gathered from sieve.smooth_listing(hi, y) as the
+    constructor gathers its batches."""
+    values, words = sieve.smooth_listing(hi, y)
+    inside = np.flatnonzero(values > lo)
+    inside = inside[np.argsort(values[inside])]
+    return values[inside].tolist(), (np.zeros(len(inside), dtype=np.int64), words[inside])
+
+
 def interval_rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows (large, words) of lo+1, ..., hi under B = isqrt(hi), from
     the interval's own sieve windows."""
@@ -644,6 +698,24 @@ def whole_range_p_plus(limit: int) -> np.ndarray:
         np.maximum(spf[a:b], lpf[np.arange(a, b) // spf[a:b]], out=lpf[a:b])
         a = b
     return lpf
+
+
+def table_route(x: int, y: int, length: int,
+                delta: float) -> tuple[list[tuple[int, int]], int, list[int]]:
+    """constructor.find_smooth_rich_intervals as it read one P+ array of
+    0..x (here whole_range_p_plus) before it listed its smooth values: the
+    intervals, Psi(x, y), and the y-smooth values of the first interval,
+    ascending (empty when there is none)."""
+    smooth = whole_range_p_plus(x)[1:] <= y  # smooth[i]: is i + 1 y-smooth
+    psi = int(np.count_nonzero(smooth))
+    threshold = delta * length * psi / x
+    first = max(1, math.ceil(x / math.log(x) / length))
+    counts = smooth[first * length:x // length * length].reshape(-1, length).sum(axis=1)
+    found = [(k * length, (k + 1) * length)
+             for k in (np.flatnonzero(counts > threshold) + first).tolist()]
+    values = (np.flatnonzero(smooth[found[0][0]:found[0][1]]) + found[0][0] + 1).tolist() \
+        if found else []
+    return found, psi, values
 
 
 def power_table_per_pass(primes: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

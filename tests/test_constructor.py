@@ -13,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import pair_loop_max_symdiff, split_vectors, xor_draw_family
-from tnlab import constructor
+from oracles import (batch_vectors, pair_loop_max_symdiff, smooth_rows, split_vectors, table_route,
+                     xor_draw_family)
+from tnlab import constructor, sieve
 from tnlab.constructor import (_draw_family, _widest_pair, build_small_tn, construct_curve_point,
                                find_smooth_rich_intervals, max_symdiff_pair)
 from tnlab.errors import PipelineFailed, RangeError, UsageError
@@ -94,19 +95,27 @@ def test_build_small_tn_certifies_bound(table):
 
 def test_small_tn_sieves_only_its_first_smooth_values(monkeypatch):
     # the pigeonhole needs pi(y) + 1 rows, so the batch that reaches
-    # smooth_rows stops at the (pi(y) + 1)-th smooth value of the interval,
-    # and the curve point's batch is the whole interval's
-    batches = []
-    sieved = constructor.smooth_rows
-    monkeypatch.setattr(constructor, "smooth_rows",
-                        lambda values, y: batches.append((list(values), y)) or sieved(values, y))
+    # kernel_masks stops at the (pi(y) + 1)-th smooth value of the
+    # interval, from the listing of [1, hi], and the curve point's batch is
+    # the whole interval's, from the listing of [1, x]
+    listings, batches = [], []
+    listing, kernel = constructor.smooth_listing, constructor.kernel_masks
+    monkeypatch.setattr(constructor, "smooth_listing",
+                        lambda x, y: listings.append((x, y)) or listing(x, y))
+    monkeypatch.setattr(constructor, "kernel_masks",
+                        lambda batch: batches.append(batch_vectors(batch)) or kernel(batch))
     lo, hi = 10 ** 6, 10 ** 6 + 2000
     assert build_small_tn(lo, hi, 30.5) is not None
-    assert batches == [(smooth_in_interval(lo, hi, 30)[:11], 30)]  # pi(30) = 10
+    assert listings == [(hi, 30)]
+    first = smooth_in_interval(lo, hi, 30)[:11]  # pi(30) = 10
+    assert batches == [batch_vectors(smooth_rows(first, 30))]
+    listings.clear()
     batches.clear()
     cert = construct_curve_point(10 ** 6, 0.5, seed=0)
-    [(values, y)] = batches
-    assert values == smooth_in_interval(*cert.interval, y) and y == int(cert.y)
+    y = int(cert.y)
+    assert listings == [(10 ** 6, y)]
+    assert batches == [batch_vectors(smooth_rows(smooth_in_interval(*cert.interval, y), y))]
+    assert cert.smooth_count == len(batches[0])
 
 
 def test_build_small_tn_returns_only_what_verify_witness_accepts(table, monkeypatch):
@@ -219,7 +228,7 @@ def test_curve_point_rejects_a_family_below_two_before_sieving(monkeypatch):
     def no_sieving(*args, **kwargs):
         raise AssertionError("sieved before checking family_size")
 
-    monkeypatch.setattr(constructor, "build_spf_table", no_sieving)
+    monkeypatch.setattr(constructor, "smooth_listing", no_sieving)
     monkeypatch.setattr(constructor, "find_smooth_rich_intervals", no_sieving)
     for family_size in (1, 0, -3):
         with pytest.raises(RangeError, match="family_size"):
@@ -304,13 +313,54 @@ def test_max_symdiff_matches_the_pair_loop(masks, shift, limit):
 
 
 def test_curve_point_memory_stays_under_its_stated_peak():
-    # the P+ arrays of the 10^6 table (16 MB) and the parity windows of the
-    # interval set the peak, 22.3 MB; one mask per kernel vector, as kept
-    # before, took it to 25.4 MB
+    # the listing of the 70-smooth values up to 10^6 with their rows
+    # (48,565 of them, 0.78 MB), let go once the interval's 9,719 are
+    # gathered, sets the peak, 1.70 MB; the P+ array of a 10^6 table, read
+    # before the listing, took it to 11.15 MB
     tracemalloc.start()
     try:
         construct_curve_point(10 ** 6, 0.5, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 10 ** 6
+    assert peak < 2 * 10 ** 6
+
+
+@pytest.mark.parametrize("x, y, length", [
+    (10 ** 3, 10, 60), (2 * 10 ** 3, 10, 50), (10 ** 4, 20, 100), (10 ** 5, 30, 5000),
+    (10 ** 6, None, None), (10 ** 7, None, None),
+])
+def test_intervals_and_smooth_values_match_the_table_route(monkeypatch, x, y, length):
+    # the intervals and Psi(x, y) from the listing are the ones read off the
+    # P+ array of 0..x, and so are the curve point's interval and the
+    # values whose rows reach its kernel, in the same order
+    y = constructor.smoothness_parameter(x) if y is None else y
+    length = int(constructor.interval_length_parameter(x)) if length is None else length
+    found, psi, values = table_route(x, int(y), length, 0.25)
+    assert find_smooth_rich_intervals(x, y, length, 0.25) == found
+    assert len(sieve.smooth_listing(x, int(y))[0]) == psi
+    batches = []
+    kernel = constructor.kernel_masks
+    monkeypatch.setattr(constructor, "kernel_masks",
+                        lambda batch: batches.append(batch_vectors(batch)) or kernel(batch))
+    cert = construct_curve_point(x, 0.5, seed=0, y=y, length=length)
+    assert cert.interval == found[0] and cert.smooth_count == len(values)
+    assert batches == [batch_vectors(smooth_rows(values, int(y)))]
+    assert cert.n in values and cert.n + cert.J in values
+
+
+def test_the_constructor_reads_no_p_plus(monkeypatch):
+    # no table and no P+ on the path of any constructor entry point, with
+    # a table passed or not: the table is accepted and not read
+    def no_p_plus(*args, **kwargs):
+        raise AssertionError("read P+")
+
+    table = build_spf_table(10 ** 6)
+    expected = [construct_curve_point(10 ** 6, 0.5, seed=0), build_small_tn(47, 56, 7),
+                find_smooth_rich_intervals(10 ** 4, 20, 100, 0.5)]
+    monkeypatch.setattr(sieve, "p_plus_in", no_p_plus)
+    monkeypatch.setattr(sieve.SpfTable, "largest_prime_factors", no_p_plus)
+    for passed in (None, table):
+        assert [construct_curve_point(10 ** 6, 0.5, seed=0, table=passed),
+                build_small_tn(47, 56, 7, passed),
+                find_smooth_rich_intervals(10 ** 4, 20, 100, 0.5, passed)] == expected

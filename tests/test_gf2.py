@@ -5,12 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (TaggedSweepBasis, batch_vectors, frozenset_kernel_masks, pack_vectors,
-                     per_vector_kernel_masks, split_vectors)
+from oracles import (TaggedSweepBasis, batch_vectors, frozenset_kernel_masks, listed_batch,
+                     pack_vectors, per_vector_kernel_masks, smooth_rows, split_vectors)
 from tnlab import gf2
 from tnlab.gf2 import SplitBasis, SweepBasis, kernel_masks, mask_bits
-from tnlab.sieve import (folded_rows, parity_windows, primes_through, row_bits, smooth_in_interval,
-                         smooth_rows)
+from tnlab.sieve import folded_rows, parity_windows, primes_through, row_bits, smooth_in_interval
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 RANK = {p: r for r, p in enumerate(PRIMES)}
@@ -299,17 +298,25 @@ def test_packed_kernel_matches_the_per_vector_oracle(lo, length, y, rng):
 @example(0, 2000, 2000)
 @settings(max_examples=60, deadline=None)
 def test_sieved_smooth_rows_give_the_kernel_of_trial_division(lo, length, y):
-    # the constructor's sieved rows against the trial-divided ones under
-    # isqrt(max): the same kernel in every field, also when y passes
-    # isqrt(hi), where a prime the trial division tags as large is a rank
-    # bit of the sieved row
+    # the constructor's rows, gathered from its listing of the y-smooth
+    # values up to hi, and the sieved oracle's, against the trial-divided
+    # ones under isqrt(max): the same kernel in every field, also when y
+    # passes isqrt(hi), where a prime the trial division tags as large is a
+    # rank bit of the listed and sieved rows. Listings past 10^6 are left
+    # to the sieved oracle, whose rows the listing's equal
     values = smooth_in_interval(lo, lo + length, y)
-    sieved = kernel_masks(smooth_rows(values, y))
     divided = kernel_masks(split_vectors(values))
-    assert sieved.dependent == divided.dependent
-    assert sieved.independent == divided.independent
-    assert row_bits(sieved.coords) == row_bits(divided.coords)
-    assert sieved.masks() == divided.masks()
+    batches = [smooth_rows(values, y)]
+    if lo + length <= 10 ** 6:
+        listed, batch = listed_batch(lo, lo + length, y)
+        assert listed == values
+        batches.append(batch)
+    for batch in batches:
+        kernel = kernel_masks(batch)
+        assert kernel.dependent == divided.dependent
+        assert kernel.independent == divided.independent
+        assert row_bits(kernel.coords) == row_bits(divided.coords)
+        assert kernel.masks() == divided.masks()
 
 
 def test_smooth_and_range_batches_reach_the_linear_map():
@@ -322,9 +329,10 @@ def test_smooth_and_range_batches_reach_the_linear_map():
 
 def test_curve_point_batch_takes_the_linear_map(monkeypatch):
     # the 70-smooth values of the interval of construct_curve_point(10^6),
-    # sieved as the constructor sieves them: 19 bits, full after 20
-    # vectors, so 9713 of the 9714 dependencies come from the map
-    batch = smooth_rows(smooth_in_interval(206497, 412994, 70), 70)
+    # gathered from a listing as the constructor gathers them: 19 bits,
+    # full after 20 vectors, so 9713 of the 9714 dependencies come from
+    # the map
+    _, batch = listed_batch(206497, 412994, 70)
     vectors = batch_vectors(batch)
     assert len(vectors) == 9733
     assert linear_map_count(vectors) == 9713
@@ -340,7 +348,7 @@ def test_curve_point_batch_reads_one_block_as_ints(monkeypatch):
     # the same batch: only the first block of ROW_BLOCK rows becomes Python
     # ints, since the basis is full after 20 of them; the other 9713 reach
     # the linear map as words, and their coordinates stay words
-    batch = smooth_rows(smooth_in_interval(206497, 412994, 70), 70)
+    _, batch = listed_batch(206497, 412994, 70)
     read = []
     monkeypatch.setattr(gf2, "row_bits", lambda words: read.append(len(words)) or row_bits(words))
     kernel = kernel_masks(batch)

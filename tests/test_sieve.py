@@ -13,13 +13,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (batch_vectors, factor_range, is_smooth, largest_prime_factor, plain_primes,
-                     power_table_per_pass, split_vectors, trial_factor, whole_range_p_plus)
+                     power_table_per_pass, smooth_rows, split_vectors, trial_factor,
+                     whole_range_p_plus)
 from tnlab import intervals, sieve, tn, verify
 from tnlab.errors import DomainError, RangeError, ResourceError
 from tnlab.sieve import (PRIME_CEILING, WINDOW_BYTES, WINDOW_VALUE_CEILING, SpfTable,
                          build_spf_table, factorize_trial, folded_rows, p_plus_in, parity_windows,
                          primes_through, primes_up_to, psi_count, row_bits, smooth_in_interval,
-                         smooth_rows)
+                         smooth_listing)
 
 # the primes up to 5000 by trial division, independent of the sieve
 ORACLE_PRIMES = [k for k in range(2, 5001) if trial_factor(k) == [(k, 1)]]
@@ -497,6 +498,101 @@ def test_smooth_rows_refuse_what_windows_refuse():
         assert sieve._powers is kept
 
 
+@st.composite
+def _listings(draw):
+    """(x, y, positions): x up to 10^6, y from 1 to past isqrt(x), or at
+    and past x for an x whose rows over every prime up to x stay small,
+    and positions of the sorted listing whose rows are trial-divided."""
+    x = draw(st.one_of(st.integers(min_value=1, max_value=3000),
+                       st.integers(min_value=1, max_value=10 ** 6)))
+    ys = [st.integers(min_value=1, max_value=60),
+          st.integers(min_value=1, max_value=3 * isqrt(x) + 7)]
+    if x <= 10 ** 4:
+        ys.append(st.integers(min_value=x, max_value=x + 10))
+    y = draw(st.one_of(*ys))
+    return x, y, draw(st.lists(st.integers(min_value=0), max_size=200))
+
+
+@given(_listings())
+@example((1, 1, []))  # the value 1 alone, with no prime
+@example((1, 5, []))
+@example((2, 2, [0, 1]))
+@example((3000, 1, []))
+@example((10 ** 4, 10 ** 4, list(range(300))))  # y = x: every value, 1229 ranks
+@example((10 ** 6, 70, [0, 1, 2, 3, 48564]))  # the listing of curve-point --x 10^6
+@example((10 ** 6, 1000, []))  # y past isqrt(x)
+@example((2 ** 19, 2, list(range(20))))  # powers of 2 alone, up to one that is x
+@settings(max_examples=60, deadline=None)
+def test_smooth_listing_matches_a_factorization_oracle(case):
+    # the listed values are the y-smooth values of [1, x] of the oracle's
+    # P+, each once; the rows of a sample of them hold their odd-exponent
+    # primes (trial division), ranked from 2 over the primes up to min(y, x),
+    # with no large tag, and equal the sieved oracle's rows and the
+    # trial-divided rows of split_vectors with each large tag q folded in
+    # as the rank bit of q
+    x, y, positions = case
+    values, words = smooth_listing(x, y)
+    assert values.dtype == np.int64 and words.dtype == np.dtype("<u8")
+    assert words.shape == (len(values), max(1, (len(primes_through(min(y, x))) + 63) >> 6))
+    order = np.argsort(values)
+    assert values[order].tolist() == (np.flatnonzero(whole_range_p_plus(x)[1:] <= y) + 1).tolist()
+    sample = order[sorted({i % len(values) for i in positions} | {0, len(values) - 1})]
+    listed = values[sample].tolist()
+    rows = row_bits(words[sample])
+    assert rows == [expected_split(m, _RANK, y)[1] for m in listed]
+    assert rows == row_bits(smooth_rows(listed, y)[1])
+    divided = batch_vectors(split_vectors(listed))
+    assert rows == [bits | (1 << _RANK[q] if q else 0) for q, bits in divided]
+
+
+def test_smooth_listing_refuses_past_its_cap(monkeypatch):
+    # the 5,194 7-smooth values up to 10^9 take 16 bytes each with their
+    # rows: a cap just at their bytes lists them, one byte less refuses,
+    # naming the count, the bytes and the cap; the 117-smooth values up to
+    # 10^7 (362,933 of them, 5.8 MB) are refused under a cap of 2^20 before
+    # the list passes it, at a traced peak under twice the cap (1.3 times)
+    values, _ = smooth_listing(10 ** 9, 7)
+    held = 16 * len(values)
+    monkeypatch.setattr(sieve, "LISTING_BYTES", held)
+    assert len(smooth_listing(10 ** 9, 7)[0]) == len(values)
+    monkeypatch.setattr(sieve, "LISTING_BYTES", held - 1)
+    with pytest.raises(ResourceError, match=f"least {len(values)} smooth values .* {held} bytes .* "
+                                            f"cap {held - 1}"):
+        smooth_listing(10 ** 9, 7)
+    monkeypatch.setattr(sieve, "LISTING_BYTES", 1 << 20)
+    smooth_listing(10 ** 4, 117)  # the prime array grows outside the traced call
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="past the cap 1048576"):
+            smooth_listing(10 ** 7, 117)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_smooth_listing_refuses_what_windows_refuse():
+    # refused before any listing: a product past the ceiling would leave
+    # int64, and there is no smooth value below 1
+    for x, y in ((WINDOW_VALUE_CEILING, 7), (2 ** 64, 7), (0, 7), (-5, 7), (100, 0)):
+        kept = sieve._sieved
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError):
+                smooth_listing(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert sieve._sieved is kept
+    values, _ = smooth_listing(WINDOW_VALUE_CEILING - 1, 2)
+    assert sorted(values.tolist()) == [2 ** k for k in range(61)]
+    # at 19^14 the first power of 19 that multiplies no value, 19^15, is
+    # past int64: it is never formed (6,785,642 values, about 110 MB)
+    values, _ = smooth_listing(19 ** 14, 19)
+    assert values.max() == 19 ** 14 and values.min() == 1
+
+
 @given(st.integers(min_value=10 ** 4, max_value=10 ** 9), st.integers(min_value=1, max_value=2000),
        st.integers(min_value=1, max_value=3000))
 @example(10 ** 6, 2000, 3000)
@@ -642,30 +738,33 @@ def _calls(name: str) -> set[tuple[str, str]]:
 
 
 def test_one_reader_decides_where_p_plus_comes_from():
-    # only p_plus_in reads a table's P+ array; tables are built only where
-    # one prefix is read several times (dist counts per chunk and builds
-    # none); windows serve ranges alone: P+ past a table, the rows of
-    # split_rows, tn's sweep and an interval check's one pass (runge's
-    # point search reads no window: it lists the values b z^2 alone),
-    # while batches of smooth values (smooth_rows, the constructor's
-    # alone) are sieved over their span with no division; both hand out a
-    # window's layout, and the constructor's kernels take the batch's rows
-    # as they are: kernel_masks has no other caller in the package
+    # only p_plus_in reads a table's P+ array, and no production path
+    # builds a table (the bench and the tests still pass them); windows
+    # serve ranges alone: P+ past a table, the rows of split_rows, tn's
+    # sweep and an interval check's one pass (runge's point search reads
+    # no window: it lists the values b z^2 alone), while the constructor
+    # lists the y-smooth values of [1, x] with their rows, reading no P+:
+    # find_smooth_rich_intervals, build_small_tn and construct_curve_point
+    # each make one listing (the first and the last through _rich_intervals),
+    # and the kernels take the gathered rows as they are: kernel_masks has
+    # no other caller in the package
     assert _calls("largest_prime_factors") == {("sieve.py", "p_plus_in")}
     # P+ of the one n of the shortcut is trial-divided, not sieved
     assert ("tn.py", "ParitySupplier.p_plus") in _calls("factorize_trial")
-    assert not {f for f, _ in _calls("p_plus_in")} & {"tn.py"}
+    assert not {f for f, _ in _calls("p_plus_in")} & {"tn.py", "constructor.py", "cli.py"}
     # a table is its P+ array, built from the one prime array
     assert ("sieve.py", "SpfTable.largest_prime_factors") in _calls("primes_through")
     assert not hasattr(build_spf_table(10), "_spf")
-    assert _calls("build_spf_table") == {("cli.py", "_cmd_construct"),
-                                         ("constructor.py", "construct_curve_point")}
+    assert not _calls("build_spf_table") and not _calls("smooth_in_interval")
     assert _calls("parity_windows") == {("sieve.py", "p_plus_in"), ("sieve.py", "split_rows"),
                                         ("tn.py", "_sweep"), ("intervals.py", "_interval_counts")}
-    assert _calls("smooth_rows") == {("constructor.py", "build_small_tn"),
-                                     ("constructor.py", "construct_curve_point")}
-    assert _calls("kernel_masks") == _calls("smooth_rows")
-    assert not hasattr(sieve, "split_vectors")
+    assert _calls("smooth_listing") == {("constructor.py", "_rich_intervals"),
+                                        ("constructor.py", "build_small_tn")}
+    assert _calls("_rich_intervals") == {("constructor.py", "find_smooth_rich_intervals"),
+                                         ("constructor.py", "construct_curve_point")}
+    assert _calls("kernel_masks") == {("constructor.py", "build_small_tn"),
+                                      ("constructor.py", "construct_curve_point")}
+    assert not hasattr(sieve, "split_vectors") and not hasattr(sieve, "smooth_rows")
     # a sweep reads each window's rows with every large tag folded into its
     # partner: the partner's bits come from the cofactor by trial division,
     # and the fold reads no window itself; nothing else divides a batch
@@ -724,7 +823,7 @@ def test_a_run_sieves_forward_from_its_one_start():
     assert _calls("split_rows") == {("tn.py", "compute_tn"), ("tn.py", "_Run.__init__")}
     assert ("tn.py", "compute_tn") not in _calls("_Run")
     assert _calls("_partner") == {("tn.py", "_search")}
-    for reader in ("parity_windows", "split_rows", "rows", "p_plus_in", "smooth_rows",
+    for reader in ("parity_windows", "split_rows", "rows", "p_plus_in", "smooth_listing",
                    "row_bits", "_Run"):
         assert ("tn.py", "_partner") not in _calls(reader), reader
     assert ("tn.py", "_partner") in _calls("factorize_trial")
@@ -769,7 +868,7 @@ def test_interval_questions_read_the_intervals_own_windows(monkeypatch):
     # counts, and nothing past hi: no scan, no batch split, no second
     # reader of P+, no row stream and no kernel basis (the tests' oracle
     # interval_kernel_basis spells one out)
-    for name in ("scan_t", "chunk_map", "_sweep", "smooth_rows", "_trial_split", "p_plus_in",
+    for name in ("scan_t", "chunk_map", "_sweep", "smooth_listing", "_trial_split", "p_plus_in",
                  "smooth_in_interval", "_split_rows"):
         assert not any(path == "intervals.py" for path, _ in _calls(name)), name
         assert not hasattr(intervals, name), name
